@@ -1,8 +1,8 @@
 //! **E14 — parallel shard-worker engine at scale: 10 000 peers.**
 //!
 //! The companion to E13: the same 10 000-peer workload, but driven
-//! through the `ParallelShardEngine`'s free-running topology — one
-//! intake thread decoding through the zero-allocation `FrameBatch`
+//! through the `ParallelShardEngine`'s threaded topology — one lane
+//! thread decoding through the zero-allocation `FrameBatch`
 //! arena (the afd-lint `no-alloc-in-hot-path` rule enforces the
 //! zero-allocation claim at the source level), SPSC rings, and one
 //! φ-detector worker thread per shard. Swept over worker counts:
@@ -33,8 +33,8 @@ use afd_core::time::{Duration, Timestamp};
 use afd_detectors::phi::PhiAccrual;
 use afd_qos::experiment::{cell, Table};
 use afd_runtime::{
-    ChannelTransport, Clock, EngineConfig, EngineMode, Heartbeat, ParallelShardEngine, SystemClock,
-    Transport, VirtualClock,
+    ChannelTransport, Clock, EngineConfig, Heartbeat, ParallelShardEngine, SystemClock, Transport,
+    VirtualClock,
 };
 
 const PEERS: u32 = 10_000;
@@ -93,7 +93,7 @@ fn run_one(workers: usize, sizes: &Sizes, wall_clock: &SystemClock) -> Measureme
             .expect("sized for all peers");
     }
     let reader = engine.reader();
-    engine.start(EngineMode::FreeRunning).expect("fresh engine");
+    engine.start().expect("fresh engine");
 
     let start = wall_clock.now();
     for round in 1..=sizes.rounds {

@@ -12,7 +12,7 @@
 //!    [`ModelBounds::mutant_hunt`] bounds. Each must be caught by the
 //!    property planted for it, the counterexample must minimize to a
 //!    1-minimal schedule, and the schedule must replay through the real
-//!    `SenderCore`/`RuntimeMonitor` stack as a `ChaosScript` with no
+//!    `SenderCore`/`ShardedMonitor` stack as a `ChaosScript` with no
 //!    index drift.
 //!
 //! `--smoke` swaps the exhaustive bounds (30-tick horizon, ~4.9 M states,

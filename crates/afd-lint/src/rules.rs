@@ -610,7 +610,7 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "no-alloc-in-hot-path");
         // The same code is fine in a non-hot-path file.
-        let (findings, _) = lint_source("crates/afd-runtime/src/monitor.rs", src);
+        let (findings, _) = lint_source("crates/afd-runtime/src/supervisor.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -680,12 +680,12 @@ mod tests {
     fn io_discipline_catches_file_constructors_not_lookalikes() {
         let src =
             "fn f() {\n    let _ = File::create(\"x\");\n    let _ = OpenOptions::new();\n}\n";
-        let (findings, _) = lint_source("crates/afd-runtime/src/monitor.rs", src);
+        let (findings, _) = lint_source("crates/afd-runtime/src/supervisor.rs", src);
         let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![2, 3], "{findings:?}");
         // `File::from` and a local `fs` variable are not filesystem access.
         let src = "fn f(fs: u64) -> u64 { let _ = File::from(3); fs + 1 }\n";
-        let (findings, _) = lint_source("crates/afd-runtime/src/monitor.rs", src);
+        let (findings, _) = lint_source("crates/afd-runtime/src/supervisor.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

@@ -464,7 +464,7 @@ impl SeqSut {
     }
 
     /// Does the monitor under test accept a frame with `seq`, given the
-    /// highest sequence accepted so far? Mirrors `RuntimeMonitor::accept`:
+    /// highest sequence accepted so far? Mirrors `Shard::accept`:
     /// the first frame from a sender is always accepted.
     pub fn accepts(self, seq: u64, highest: Option<u64>) -> bool {
         match self {

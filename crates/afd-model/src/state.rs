@@ -419,7 +419,7 @@ impl ModelState {
         let pre_level = p.detector.suspicion_level(t).value();
         if accepts {
             p.detector.record_heartbeat(t);
-            // Mirrors `RuntimeMonitor::accept`: the watermark is set to
+            // Mirrors `Shard::accept`: the watermark is set to
             // the accepted frame's sequence unconditionally.
             p.highest_seq = Some(frame.seq);
         }

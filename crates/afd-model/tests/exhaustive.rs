@@ -83,7 +83,7 @@ fn every_mutant_is_caught_minimized_and_replayable() {
         }
 
         // The minimized schedule is a runnable artifact: convert it to a
-        // ChaosScript and drive the real SenderCore/RuntimeMonitor stack
+        // ChaosScript and drive the real SenderCore/ShardedMonitor stack
         // with it. The real stack has no mutants, so the run must be
         // clean — but every event must execute (no index drift between
         // model and runtime in-flight pools).

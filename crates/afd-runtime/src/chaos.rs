@@ -1,7 +1,8 @@
 //! A deterministic chaos harness: the whole runtime in virtual time.
 //!
 //! One lock-step loop drives a [`SenderCore`], a [`FaultInjector`]-wrapped
-//! channel transport, and a [`RuntimeMonitor`] holding three
+//! channel transport, and a single-shard [`ShardedMonitor`] (the inline
+//! executor of the monitor pipeline) holding three
 //! degradation-wrapped detectors (simple, Chen, φ) over a scripted
 //! scenario of partitions, burst loss, and crash/recover cycles. All
 //! randomness flows from the scenario seed through [`SimRng`] streams and
@@ -29,8 +30,8 @@ use crate::clock::VirtualClock;
 use crate::degrade::{DegradeConfig, GracefulDegradation};
 use crate::error::TransportError;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
-use crate::monitor::{MonitorStats, RuntimeMonitor};
 use crate::sender::{SenderConfig, SenderCore};
+use crate::shard::{MonitorStats, ShardConfig, ShardedMonitor};
 use crate::transport::{ChannelTransport, Transport};
 
 /// A scripted chaos run: what the network and the monitored process do,
@@ -331,6 +332,28 @@ impl DetectorTracker {
     }
 }
 
+/// The monitor every chaos engine mounts: the inline executor with one
+/// shard — the single-stream reading of Algorithm 4 — sized for and
+/// watching exactly `processes`.
+fn single_shard_monitor<T: Transport, D: AccrualFailureDetector>(
+    transport: T,
+    clock: &VirtualClock,
+    processes: impl Iterator<Item = ProcessId>,
+    factory: impl FnMut(ProcessId) -> D + Send + Clone + 'static,
+) -> ShardedMonitor<T, VirtualClock, D> {
+    let processes: Vec<ProcessId> = processes.collect();
+    let config = ShardConfig {
+        shards: 1,
+        slots_per_shard: processes.len(),
+    };
+    let mut monitor = ShardedMonitor::new(transport, clock.clone(), config, factory);
+    for process in processes {
+        let watched = monitor.watch(process);
+        debug_assert!(watched.is_ok(), "the shard is sized for its watch set");
+    }
+    monitor
+}
+
 /// Drives the lock-step schedule shared by [`run_chaos`] and
 /// [`run_chaos_zoo`]: for every tick of `scenario.tick` up to the horizon
 /// it sets the virtual clock, applies the scenario's crash/recover
@@ -350,8 +373,8 @@ pub fn drive_lock_step<T, D>(
     clock: &VirtualClock,
     core: &mut SenderCore,
     sender_side: &mut ChannelTransport,
-    monitor: &mut RuntimeMonitor<T, VirtualClock, D>,
-    mut on_query: impl FnMut(Timestamp, &mut RuntimeMonitor<T, VirtualClock, D>),
+    monitor: &mut ShardedMonitor<T, VirtualClock, D>,
+    mut on_query: impl FnMut(Timestamp, &mut ShardedMonitor<T, VirtualClock, D>),
 ) -> u64
 where
     T: Transport,
@@ -380,16 +403,9 @@ where
         {
             transport_errors += 1;
         }
-        // Drain deliveries due at this tick.
-        loop {
-            match monitor.poll() {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(_) => {
-                    transport_errors += 1;
-                    break;
-                }
-            }
+        // One tick drains every delivery due at this instant.
+        if monitor.tick().is_err() {
+            transport_errors += 1;
         }
 
         if t >= next_query {
@@ -412,11 +428,10 @@ pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
         seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1),
     );
     let degrade = DegradeConfig::for_interval(scenario.heartbeat_interval, 3);
-    let mut monitor = RuntimeMonitor::new(injector, clock.clone(), move |_| {
+    let process = ProcessId::new(1);
+    let mut monitor = single_shard_monitor(injector, &clock, std::iter::once(process), move |_| {
         DetectorTrio::new(Timestamp::ZERO, degrade)
     });
-    let process = ProcessId::new(1);
-    monitor.watch(process);
 
     let mut core = SenderCore::new(
         SenderConfig::new(process, scenario.heartbeat_interval),
@@ -467,7 +482,7 @@ pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
         trio.phi().export_metrics(&registry, "phi");
         trio.degrade_events()
     });
-    let monitor_stats = monitor.stats();
+    let monitor_stats = monitor.stats().totals;
     let fault_stats = monitor.transport().stats();
     let online_qos = trackers
         .iter()
@@ -543,7 +558,7 @@ impl ZooMember {
 ///
 /// The zoo is itself an [`AccrualFailureDetector`] (heartbeats broadcast
 /// to every member; the headline level is φ's), so it drops into
-/// [`RuntimeMonitor`] unchanged.
+/// [`ShardedMonitor`] unchanged.
 #[derive(Debug)]
 pub struct DetectorZoo {
     members: Vec<ZooMember>,
@@ -701,11 +716,10 @@ pub fn run_chaos_zoo(scenario: &ChaosScenario, seed: u64) -> ZooReport {
         seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1),
     );
     let degrade = DegradeConfig::for_interval(scenario.heartbeat_interval, 3);
-    let mut monitor = RuntimeMonitor::new(injector, clock.clone(), move |_| {
+    let process = ProcessId::new(1);
+    let mut monitor = single_shard_monitor(injector, &clock, std::iter::once(process), move |_| {
         DetectorZoo::standard(degrade)
     });
-    let process = ProcessId::new(1);
-    monitor.watch(process);
 
     let mut core = SenderCore::new(
         SenderConfig::new(process, scenario.heartbeat_interval),
@@ -748,7 +762,7 @@ pub fn run_chaos_zoo(scenario: &ChaosScenario, seed: u64) -> ZooReport {
         }
         zoo.degrade_events()
     });
-    let monitor_stats = monitor.stats();
+    let monitor_stats = monitor.stats().totals;
     let fault_stats = monitor.transport().stats();
     let detectors = trackers
         .into_iter()
@@ -804,7 +818,7 @@ pub enum ScriptEvent {
 /// This is the exchange format between the bounded model checker and the
 /// runtime: the checker's counterexample minimizer emits a `ChaosScript`,
 /// and [`run_chaos_script`] replays it against the real
-/// [`SenderCore`]/[`RuntimeMonitor`] pipeline so a model-level violation
+/// [`SenderCore`]/[`ShardedMonitor`] pipeline so a model-level violation
 /// can be confirmed (or refuted) on the production code path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosScript {
@@ -899,16 +913,14 @@ pub struct ScriptReport {
 pub fn run_chaos_script<D, F>(script: &ChaosScript, factory: F) -> ScriptReport
 where
     D: AccrualFailureDetector,
-    F: FnMut(ProcessId) -> D + Send + 'static,
+    F: FnMut(ProcessId) -> D + Send + Clone + 'static,
 {
     let clock = VirtualClock::new();
-    let (feed, monitor_side) = ChannelTransport::pair();
-    let mut feed = feed;
-    let mut monitor = RuntimeMonitor::new(monitor_side, clock.clone(), factory);
+    let (mut feed, monitor_side) = ChannelTransport::pair();
+    let mut monitor = single_shard_monitor(monitor_side, &clock, script.processes(), factory);
     let mut senders: Vec<(ProcessId, SenderCore, CaptureTransport)> = script
         .processes()
         .map(|p| {
-            monitor.watch(p);
             (
                 p,
                 SenderCore::new(
@@ -953,7 +965,7 @@ where
                 // lint:allow(no-panic-paths, the in-process feed pair cannot error)
                 feed.send(&frame).expect("in-process feed is infallible");
                 // lint:allow(no-panic-paths, the in-process feed pair cannot error)
-                while monitor.poll().expect("in-process poll is infallible") > 0 {}
+                monitor.tick().expect("in-process tick is infallible");
             }
             ScriptEvent::Drop(i) => {
                 in_flight.remove(i);
@@ -998,7 +1010,7 @@ where
 
     ScriptReport {
         trace,
-        monitor_stats: monitor.stats(),
+        monitor_stats: monitor.stats().totals,
         heartbeats_sent: senders.iter().map(|(_, core, _)| core.sent()).sum(),
         undelivered: in_flight.len(),
     }

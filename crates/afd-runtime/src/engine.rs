@@ -1,31 +1,43 @@
-//! The parallel shard-worker pipeline.
+//! The monitor pipeline's threaded executor.
 //!
-//! [`ShardedMonitor`](crate::shard::ShardedMonitor) partitions peers
-//! across shards but still advances every shard on one thread, so its
-//! throughput ceiling is a single core. [`ParallelShardEngine`] lifts
-//! that ceiling with a fixed topology:
+//! [`ShardedMonitor`](crate::shard::ShardedMonitor) runs the pipeline of
+//! [`shard`](crate::shard) — intake, stamp, accept, publish — on one
+//! thread, so its throughput ceiling is a single core.
+//! [`ParallelShardEngine`] runs the *same* stages on a fixed topology of
+//! `L` lane threads and `W` worker threads:
 //!
 //! ```text
-//!   transport ──► intake thread ──► SPSC ring ──► worker 0 ──► ShardCell 0
-//!     (recv_batch,  decode + route)  SPSC ring ──► worker 1 ──► ShardCell 1
-//!      zero alloc)                       …             …            …
-//!                                                            SnapshotReader
+//!   lane 0 ──► intake 0 ──┐ L×W SPSC rings ┌──► worker 0 ──► ShardCell 0
+//!   lane 1 ──► intake 1 ──┤ (one per       ├──► worker 1 ──► ShardCell 1
+//!     …           …       │  lane×worker   │       …             …
+//!   lane L ──► intake L ──┘  pair)         └──► worker W ──► ShardCell W
+//!                                                           SnapshotReader
 //! ```
 //!
-//! One intake thread drains the transport through a reusable
-//! [`FrameBatch`] arena (zero heap allocations per frame), decodes each
-//! frame, stamps the *batch's* arrival once (clock reads are amortized
-//! across the batch; the stamp skew a frame can see is bounded by its
-//! own batch's decode time — see DESIGN.md §7j), groups the decoded
-//! heartbeats by destination shard, and publishes each group into a
-//! bounded SPSC [`heartbeat_ring`](crate::ring::heartbeat_ring) with a
-//! single batched seqlock advance
-//! ([`push_batch`](crate::ring::RingProducer::push_batch)). One worker thread
-//! per shard owns that shard's `MonitoringService` — the *same*
-//! [`Shard`](crate::shard) accept/publish code the single-threaded
-//! monitor runs — and publishes into the same double-buffered epoch
-//! snapshots, so [`SnapshotReader`] works unchanged against a parallel
-//! engine.
+//! Each lane thread owns one transport and one
+//! [`Intake`](crate::shard::Intake) stage: it refills the reusable arena
+//! (zero heap allocations per frame), decodes and routes every frame
+//! (v1 and compact v2 frames mix freely on every lane), stamps the
+//! *batch's* arrival once — clock reads are amortized across the batch,
+//! and the stamp skew a frame can see is bounded by its own batch's
+//! decode time — and publishes each destination's group into a bounded
+//! SPSC [`heartbeat_ring`] with a single batched seqlock advance
+//! ([`push_batch`](crate::ring::RingProducer::push_batch)). One ring per
+//! lane×worker pair keeps the single-producer/single-consumer invariant
+//! without any cross-lane locking; workers drain their rings round-robin.
+//! One worker thread per shard owns that [`Shard`] — its accept and
+//! publish code is the code the inline executor runs — and publishes
+//! into the same double-buffered epoch snapshots, so [`SnapshotReader`]
+//! works unchanged against either executor.
+//!
+//! [`start`](ParallelShardEngine::start) runs the engine's own transport
+//! as the single lane; [`start_lanes`](ParallelShardEngine::start_lanes)
+//! runs caller-supplied lanes (typically the sockets of a
+//! [`MultiUdpTransport`](crate::lane::MultiUdpTransport)) and parks the
+//! engine's transport. Both go through one lane loop and one worker
+//! loop. The deterministic single-threaded path is `ShardedMonitor`; an
+//! equivalence proptest in `tests/engine.rs` holds this executor to it
+//! under a frozen virtual clock.
 //!
 //! # Backpressure is loss
 //!
@@ -36,54 +48,26 @@
 //! one dropped by UDP, and dropping the oldest keeps the freshest
 //! evidence, which is exactly what an accrual detector wants.
 //!
-//! # Lockstep mode
+//! # Supervision and shutdown
 //!
-//! [`EngineMode::Lockstep`] trades the intake thread for explicit
-//! [`tick`](ParallelShardEngine::tick) calls: the driver drains the
-//! transport, routes frames into the rings, and releases all workers for
-//! exactly one barrier-synchronized epoch. With a frozen
-//! [`VirtualClock`](crate::clock::VirtualClock) per tick this reproduces
-//! the single-threaded [`ShardedMonitor`] frame-for-frame — the
-//! equivalence proptest in `tests/engine.rs` holds it to that — while
-//! still exercising the real worker threads and rings.
-//!
-//! # Supervision
-//!
-//! Worker panics are detected by drop guards that poison the tick
-//! barrier (lockstep) or raise per-worker flags (free-running); both
-//! surface as [`EngineError::WorkerPanicked`]. Every thread bumps a
-//! liveness counter that [`register_health`](ParallelShardEngine::register_health)
-//! wires into a [`HealthBoard`](crate::supervisor::HealthBoard), and
-//! [`shutdown`](ParallelShardEngine::shutdown) (or drop) joins every
-//! thread.
-//!
-//! # Multi-lane intake
-//!
-//! [`start_lanes`](ParallelShardEngine::start_lanes) replaces the single
-//! intake thread with one per transport *lane* (typically the sockets of
-//! a [`MultiUdpTransport`](crate::lane::MultiUdpTransport)):
-//!
-//! ```text
-//!   lane 0 ──► intake 0 ──┐ L×W SPSC rings ┌──► worker 0 ──► ShardCell 0
-//!   lane 1 ──► intake 1 ──┤ (one per       ├──► worker 1 ──► ShardCell 1
-//!     …           …       │  lane×worker   │       …             …
-//!   lane L ──► intake L ──┘  pair)         └──► worker W ──► ShardCell W
-//! ```
-//!
-//! Each lane×worker pair gets its own ring, preserving the rings'
-//! single-producer/single-consumer invariant without any cross-lane
-//! locking; workers round-robin their per-lane consumers. Lane intakes
-//! decode through a per-lane [`WireDecoder`], so v1 and compact v2
-//! delta frames mix freely on every socket, and publish per-lane frame
-//! counters plus per-stage wall-clock profiles (decode vs route, with
-//! workers timing detector update) exported via
-//! [`export_metrics`](ParallelShardEngine::export_metrics) — the
-//! numbers that find the real bottleneck on a multi-core host.
+//! Every thread carries a drop guard that raises its panic flag if it
+//! unwinds; [`poisoned`](ParallelShardEngine::poisoned) reads the flags
+//! without blocking, and [`shutdown`](ParallelShardEngine::shutdown)
+//! reports the casualty as [`EngineError::WorkerPanicked`] and leaves the
+//! engine terminally failed (the dead thread's state is gone). A lane
+//! that hits a transport fault records it for
+//! [`intake_fault`](ParallelShardEngine::intake_fault) and stops; workers
+//! keep serving reads. Every thread bumps a liveness counter that
+//! [`register_health`](ParallelShardEngine::register_health) wires into a
+//! [`HealthBoard`]. Shutdown (or drop) raises the stop flag, joins the
+//! lanes — taking the engine's transport back — then joins the workers,
+//! each of which reads the flag *before* a final drain and publish, so
+//! no frame routed before the stop is lost.
 
 use std::fmt;
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use afd_core::accrual::AccrualFailureDetector;
@@ -92,17 +76,17 @@ use afd_core::time::{Duration, Timestamp};
 
 use crate::clock::Clock;
 use crate::error::{EngineError, TransportError};
-use crate::monitor::MonitorStats;
+use crate::persist::{RestoreImport, RestoredPeer};
 use crate::ring::{heartbeat_ring, RingConsumer, RingProducer, RingWatch};
-use crate::shard::{shard_index, DetectorFactory, Shard, ShardCapacityError, ShardCell};
-use crate::shard::{SnapshotReader, INTAKE_BATCH_SLOTS};
+use crate::shard::{build_shards, import_peers, shard_index, Intake, MonitorStats, Shard};
+use crate::shard::{ShardCell, SnapshotReader, INTAKE_BATCH_SLOTS};
 use crate::supervisor::HealthBoard;
-use crate::transport::{FrameBatch, Transport};
-use crate::wire::{Heartbeat, WireDecoder, FRAME_LEN};
+use crate::transport::Transport;
+use crate::wire::Heartbeat;
 
-/// Frames a free-running worker drains from its ring per loop iteration
-/// before re-checking stop/publish, so one flooded ring cannot starve
-/// the publish cadence.
+/// Frames a worker drains from its rings per loop iteration before
+/// re-checking stop/publish, so one flooded ring cannot starve the
+/// publish cadence.
 const WORKER_DRAIN_CAP: usize = 1024;
 
 /// Sizing and cadence for a [`ParallelShardEngine`].
@@ -113,12 +97,12 @@ pub struct EngineConfig {
     /// Maximum watched processes per shard (snapshot banks are
     /// fixed-size, as in [`ShardConfig`](crate::shard::ShardConfig)).
     pub slots_per_shard: usize,
-    /// Slots per intake→worker ring (rounded up to a power of two).
+    /// Slots per lane→worker ring (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Slots in the intake thread's reusable [`FrameBatch`] arena.
+    /// Slots in each lane thread's reusable intake arena.
     pub batch_slots: usize,
-    /// How often a free-running worker republishes its epoch snapshot,
-    /// on the engine clock's timeline. Zero republishes every loop.
+    /// How often a worker republishes its epoch snapshot, on the engine
+    /// clock's timeline. Zero republishes every loop.
     pub publish_every: Duration,
 }
 
@@ -134,35 +118,14 @@ impl Default for EngineConfig {
     }
 }
 
-/// How the engine's threads are driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// No intake thread; the caller drives barrier-synchronized epochs
-    /// with [`tick`](ParallelShardEngine::tick). Deterministic under a
-    /// virtual clock — equivalent to `ShardedMonitor` frame-for-frame.
-    Lockstep,
-    /// A dedicated intake thread drains the transport continuously and
-    /// workers run unsynchronized — the production topology.
-    FreeRunning,
-}
-
-/// What one lockstep [`tick`](ParallelShardEngine::tick) did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineTickReport {
-    /// Frames drained from the transport (including corrupt ones).
-    pub drained: usize,
-    /// Heartbeats accepted into detectors this epoch.
-    pub accepted: u64,
-}
-
 /// Cumulative per-stage wall-clock nanoseconds, measured on the engine
-/// clock by the lane intake threads (decode, route) and the workers
-/// (detector update). All zeros outside multi-lane runs.
+/// clock by the lane threads (decode, route) and the workers (detector
+/// update).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageNanos {
-    /// Wire decode, summed across lane intakes.
+    /// Wire decode and grouping by destination, summed across lanes.
     pub decode: u64,
-    /// Stamp + hash-route into the rings, summed across lane intakes.
+    /// Publishing the groups into the rings, summed across lanes.
     pub route: u64,
     /// Ring drain + detector update, summed across workers.
     pub update: u64,
@@ -172,7 +135,7 @@ pub struct StageNanos {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Counters summed across workers; `corrupt` counts frames that
-    /// failed decoding on the intake side.
+    /// failed decoding on the lanes.
     pub totals: MonitorStats,
     /// Per-worker intake counters (each worker's `corrupt` is always 0).
     pub per_worker: Vec<MonitorStats>,
@@ -181,51 +144,49 @@ pub struct EngineStats {
     /// Frames evicted by drop-oldest ring backpressure, cumulative
     /// across engine runs.
     pub ring_dropped: u64,
-    /// Frames the intake path pulled off the transport (all lanes).
+    /// Frames the lanes decoded and routed (all lanes).
     pub intake_frames: u64,
-    /// Lockstep epochs executed so far.
-    pub ticks: u64,
-    /// Frames each lane intake decoded, lane-indexed (empty outside
-    /// multi-lane runs).
+    /// Frames each lane decoded, lane-indexed.
     pub per_lane_frames: Vec<u64>,
-    /// Frames each lane intake rejected at decode, lane-indexed.
+    /// Frames each lane rejected at decode, lane-indexed.
     pub per_lane_corrupt: Vec<u64>,
-    /// Per-stage wall-clock profile of the multi-lane pipeline.
+    /// Per-stage wall-clock profile of the pipeline.
     pub stage: StageNanos,
 }
 
-/// Counters the intake path (thread or lockstep driver) publishes.
-/// Single-writer: exactly one intake exists per engine run.
-/// `liveness` is its own `Arc` so a [`HealthBoard`] can track it.
+/// Single-writer add: a plain load+store pair is exact because each of
+/// these counters is written by exactly one thread.
+fn add(counter: &AtomicU64, n: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
+/// Counters one lane thread publishes. Single-writer: one thread per
+/// lane. `liveness` is its own `Arc` so a [`HealthBoard`] can track it.
 #[derive(Default)]
-struct IntakeShared {
+struct LaneShared {
     liveness: Arc<AtomicU64>,
     frames: AtomicU64,
     corrupt: AtomicU64,
+    /// Wall-clock nanos spent decoding and grouping, on the engine clock.
+    decode_nanos: AtomicU64,
+    /// Wall-clock nanos spent publishing groups into rings.
+    route_nanos: AtomicU64,
     panicked: AtomicBool,
     fault: Mutex<Option<TransportError>>,
 }
 
-impl IntakeShared {
-    /// Single-writer add: a plain load+store pair is exact because only
-    /// the intake side writes this counter.
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.store(
-            counter.load(Ordering::Relaxed).wrapping_add(n),
-            Ordering::Relaxed,
-        );
+impl LaneShared {
+    /// The fault slot, recovered from mutex poisoning: it holds a plain
+    /// value, valid wherever a panicking thread stopped.
+    fn fault(&self) -> MutexGuard<'_, Option<TransportError>> {
+        match self.fault.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        }
     }
-}
-
-/// Counters one lane's intake thread publishes, on top of the shared
-/// intake fields. Single-writer: one thread per lane.
-#[derive(Default)]
-struct LaneShared {
-    intake: IntakeShared,
-    /// Wall-clock nanos spent decoding frames, on the engine clock.
-    decode_nanos: AtomicU64,
-    /// Wall-clock nanos spent stamping + routing into rings.
-    route_nanos: AtomicU64,
 }
 
 /// Counters one worker publishes. Single-writer per worker.
@@ -245,188 +206,42 @@ struct WorkerShared {
 }
 
 impl WorkerShared {
+    /// Release stores, paired with the acquire loads of
+    /// [`load_stats`](Self::load_stats): a worker stores its counters
+    /// after the publish that covers them, so whoever reads a count also
+    /// sees that epoch.
     fn store_stats(&self, stats: &MonitorStats) {
-        self.accepted.store(stats.accepted, Ordering::Relaxed);
-        self.stale.store(stats.stale, Ordering::Relaxed);
-        self.duplicate.store(stats.duplicate, Ordering::Relaxed);
-        self.unwatched.store(stats.unwatched, Ordering::Relaxed);
+        self.accepted.store(stats.accepted, Ordering::Release);
+        self.stale.store(stats.stale, Ordering::Release);
+        self.duplicate.store(stats.duplicate, Ordering::Release);
+        self.unwatched.store(stats.unwatched, Ordering::Release);
     }
 
     fn load_stats(&self) -> MonitorStats {
         MonitorStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
+            accepted: self.accepted.load(Ordering::Acquire),
             corrupt: 0,
-            stale: self.stale.load(Ordering::Relaxed),
-            duplicate: self.duplicate.load(Ordering::Relaxed),
-            unwatched: self.unwatched.load(Ordering::Relaxed),
+            stale: self.stale.load(Ordering::Acquire),
+            duplicate: self.duplicate.load(Ordering::Acquire),
+            unwatched: self.unwatched.load(Ordering::Acquire),
         }
     }
 }
 
-/// The lockstep tick barrier: the driver announces an epoch (with its
-/// publish timestamp), parked workers run exactly one drain+publish, and
-/// the driver waits for all of them. A worker panic poisons the barrier.
-struct PhaseState {
-    epoch: u64,
-    publish_at: u64,
-    running: usize,
-    stop: bool,
-    poisoned: Option<usize>,
-}
+/// Raises a thread's panic flag if the thread unwinds; a clean exit
+/// drops this without effect.
+struct PanicGuard<'a>(&'a AtomicBool);
 
-struct PhaseBarrier {
-    state: Mutex<PhaseState>,
-    begin_cv: Condvar,
-    done_cv: Condvar,
-}
-
-enum WorkerSignal {
-    Run { epoch: u64, publish_at: Timestamp },
-    Stop,
-}
-
-impl PhaseBarrier {
-    fn new() -> Arc<Self> {
-        Arc::new(PhaseBarrier {
-            state: Mutex::new(PhaseState {
-                epoch: 0,
-                publish_at: 0,
-                running: 0,
-                stop: false,
-                poisoned: None,
-            }),
-            begin_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    /// Locks the state, recovering from mutex poisoning: the state is
-    /// plain counters, valid regardless of where a panicking thread
-    /// stopped, and worker panics are reported through `poisoned`.
-    fn lock(&self) -> MutexGuard<'_, PhaseState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    fn begin(&self, workers: usize, publish_at: Timestamp) {
-        let mut s = self.lock();
-        s.epoch = s.epoch.wrapping_add(1);
-        s.publish_at = publish_at.as_nanos();
-        s.running = workers;
-        drop(s);
-        self.begin_cv.notify_all();
-    }
-
-    fn wait_done(&self) -> Result<(), EngineError> {
-        let mut s = self.lock();
-        loop {
-            if let Some(worker) = s.poisoned {
-                return Err(EngineError::WorkerPanicked { worker });
-            }
-            if s.running == 0 {
-                return Ok(());
-            }
-            s = match self.done_cv.wait(s) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-        }
-    }
-
-    fn wait_begin(&self, last_epoch: u64) -> WorkerSignal {
-        let mut s = self.lock();
-        loop {
-            if s.stop {
-                return WorkerSignal::Stop;
-            }
-            if s.epoch != last_epoch {
-                return WorkerSignal::Run {
-                    epoch: s.epoch,
-                    publish_at: Timestamp::from_nanos(s.publish_at),
-                };
-            }
-            s = match self.begin_cv.wait(s) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-        }
-    }
-
-    fn done(&self) {
-        let mut s = self.lock();
-        s.running = s.running.saturating_sub(1);
-        let finished = s.running == 0;
-        drop(s);
-        if finished {
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn stop(&self) {
-        let mut s = self.lock();
-        s.stop = true;
-        drop(s);
-        self.begin_cv.notify_all();
-    }
-
-    fn poison(&self, worker: usize) {
-        let mut s = self.lock();
-        s.poisoned = Some(worker);
-        s.running = s.running.saturating_sub(1);
-        drop(s);
-        self.done_cv.notify_all();
-    }
-}
-
-/// Poisons the barrier and raises the worker's panic flag if the worker
-/// unwinds; a clean exit drops this without effect.
-struct WorkerPanicGuard {
-    worker: usize,
-    barrier: Option<Arc<PhaseBarrier>>,
-    shared: Arc<WorkerShared>,
-}
-
-impl Drop for WorkerPanicGuard {
+impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.shared.panicked.store(true, Ordering::Release);
-            if let Some(barrier) = &self.barrier {
-                barrier.poison(self.worker);
-            }
+            self.0.store(true, Ordering::Release);
         }
     }
 }
 
-/// Raises the intake panic flag if the intake thread unwinds.
-struct IntakePanicGuard {
-    shared: Arc<IntakeShared>,
-}
-
-impl Drop for IntakePanicGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.panicked.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// Raises a lane intake's panic flag if its thread unwinds.
-struct LanePanicGuard {
-    shared: Arc<LaneShared>,
-}
-
-impl Drop for LanePanicGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.intake.panicked.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// One running worker thread plus its observers (one ring watch per
-/// feeding intake — a single entry except in multi-lane runs).
+/// One running worker thread plus a watch on each ring that feeds it
+/// (one per lane).
 struct WorkerHandle<D> {
     handle: JoinHandle<Shard<D>>,
     watches: Vec<RingWatch>,
@@ -445,33 +260,17 @@ impl<D> WorkerHandle<D> {
 enum EngineState<T, D> {
     /// Threads down; shards owned inline. `watch`/`unwatch` live here.
     Idle { transport: T, shards: Vec<Shard<D>> },
-    /// Lockstep: driver owns the transport, rings, and tick barrier.
-    Lockstep {
-        transport: T,
-        batch: FrameBatch,
-        /// Per-destination scratch, one bucket per worker ring, reused
-        /// across ticks so grouping never allocates in steady state.
-        groups: Vec<Vec<Heartbeat>>,
-        producers: Vec<RingProducer>,
-        barrier: Arc<PhaseBarrier>,
-        workers: Vec<WorkerHandle<D>>,
-    },
-    /// Free-running: intake thread owns the transport (returned on join).
-    Free {
-        intake: JoinHandle<T>,
+    /// Lane and worker threads up.
+    Running {
+        /// The engine's own transport while caller-supplied lanes do the
+        /// intake; `None` while it runs as the lane itself (its thread
+        /// hands it back on join).
+        parked: Option<T>,
+        lanes: Vec<JoinHandle<Option<T>>>,
         stop: Arc<AtomicBool>,
         workers: Vec<WorkerHandle<D>>,
     },
-    /// Multi-lane free-running: one intake thread per lane owns its lane
-    /// transport; the engine's own transport `T` sits parked (its intake
-    /// loop never runs — heartbeats arrive on the lanes).
-    FreeLanes {
-        transport: T,
-        intakes: Vec<JoinHandle<Box<dyn Transport>>>,
-        stop: Arc<AtomicBool>,
-        workers: Vec<WorkerHandle<D>>,
-    },
-    /// A worker panicked and its shard state is gone; terminal.
+    /// A thread panicked and the state it owned is gone; terminal.
     Failed { worker: usize },
 }
 
@@ -479,33 +278,31 @@ enum EngineState<T, D> {
 /// worker thread per shard, lock-free epoch-snapshot reads.
 ///
 /// Build it stopped, [`watch`](ParallelShardEngine::watch) the peer set,
-/// then [`start`](ParallelShardEngine::start) in either mode. Readers
-/// obtained from [`reader`](ParallelShardEngine::reader) stay valid
-/// across start/shutdown cycles.
+/// then [`start`](ParallelShardEngine::start) it. Readers obtained from
+/// [`reader`](ParallelShardEngine::reader) stay valid across
+/// start/shutdown cycles.
 pub struct ParallelShardEngine<T, C, D> {
     clock: C,
     config: EngineConfig,
     cells: Arc<Vec<Arc<ShardCell>>>,
     state: EngineState<T, D>,
-    intake_shared: Arc<IntakeShared>,
-    /// One entry per lane while (and after) a multi-lane run; reset by
-    /// the next [`start_lanes`](Self::start_lanes).
+    /// One entry per lane of the current (or last) run; a lane index
+    /// keeps its counters across restarts, like the workers.
     lane_shared: Vec<Arc<LaneShared>>,
     worker_shared: Vec<Arc<WorkerShared>>,
+    /// Watched processes per shard as of the last start (a stopped
+    /// engine reads its shards directly).
     peers_per_shard: Vec<usize>,
     /// Ring drops accumulated from finished runs (live rings are read
     /// through their watches).
     ring_dropped_past: u64,
-    ticks: u64,
 }
 
 impl<T, C, D> fmt::Debug for ParallelShardEngine<T, C, D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = match &self.state {
             EngineState::Idle { .. } => "idle",
-            EngineState::Lockstep { .. } => "lockstep",
-            EngineState::Free { .. } => "free-running",
-            EngineState::FreeLanes { .. } => "free-lanes",
+            EngineState::Running { .. } => "running",
             EngineState::Failed { .. } => "failed",
         };
         f.debug_struct("ParallelShardEngine")
@@ -536,34 +333,21 @@ where
             batch_slots: config.batch_slots.max(1),
             publish_every: config.publish_every,
         };
-        let cells: Vec<Arc<ShardCell>> = (0..config.workers)
-            .map(|_| Arc::new(ShardCell::new(config.slots_per_shard)))
-            .collect();
-        let shards = cells
-            .iter()
-            .map(|cell| {
-                Shard::new(
-                    Box::new(factory.clone()) as DetectorFactory<D>,
-                    Arc::clone(cell),
-                )
-            })
-            .collect();
+        let (cells, shards) = build_shards(config.workers, config.slots_per_shard, factory);
         let worker_shared = (0..config.workers)
             .map(|_| Arc::new(WorkerShared::default()))
             .collect();
         ParallelShardEngine {
             clock,
             config,
-            cells: Arc::new(cells),
+            cells,
             state: EngineState::Idle { transport, shards },
-            intake_shared: Arc::new(IntakeShared::default()),
             // lint:allow(no-alloc-in-hot-path, one-time construction)
             lane_shared: Vec::new(),
             worker_shared,
             // lint:allow(no-alloc-in-hot-path, one-time construction)
-            peers_per_shard: vec![0; config.workers],
+            peers_per_shard: Vec::new(),
             ring_dropped_past: 0,
-            ticks: 0,
         }
     }
 
@@ -577,8 +361,17 @@ where
         shard_index(process, self.config.workers)
     }
 
-    /// Starts monitoring `process`. Only valid while stopped — the watch
+    /// The shards, which the engine holds only while stopped — the watch
     /// set is distributed to worker threads at [`start`](Self::start).
+    fn idle_shards(&mut self) -> Result<&mut [Shard<D>], EngineError> {
+        match &mut self.state {
+            EngineState::Idle { shards, .. } => Ok(shards),
+            EngineState::Failed { worker } => Err(EngineError::WorkerPanicked { worker: *worker }),
+            EngineState::Running { .. } => Err(EngineError::Running),
+        }
+    }
+
+    /// Starts monitoring `process`. Only valid while stopped.
     ///
     /// # Errors
     ///
@@ -586,58 +379,29 @@ where
     /// [`EngineError::WorkerPanicked`] if the engine already failed, and
     /// [`EngineError::Capacity`] if the target shard is full.
     pub fn watch(&mut self, process: ProcessId) -> Result<bool, EngineError> {
-        let idx = shard_index(process, self.config.workers);
-        let shard = match &mut self.state {
-            EngineState::Idle { shards, .. } => &mut shards[idx],
-            EngineState::Failed { worker } => {
-                return Err(EngineError::WorkerPanicked { worker: *worker })
-            }
-            _ => return Err(EngineError::Running),
-        };
-        if !shard.service.is_watching(process) && shard.service.len() >= self.config.slots_per_shard
-        {
-            return Err(EngineError::Capacity(ShardCapacityError {
-                shard: idx,
-                capacity: self.config.slots_per_shard,
-            }));
-        }
-        let newly = shard.service.watch(process);
-        if newly {
-            self.peers_per_shard[idx] += 1;
-        }
-        Ok(newly)
+        let idx = self.shard_of(process);
+        Ok(self.idle_shards()?[idx].watch(process)?)
     }
 
     /// Stops monitoring `process`. Only valid while stopped.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Running`] if workers are up.
+    /// [`EngineError::Running`] if workers are up,
+    /// [`EngineError::WorkerPanicked`] if the engine already failed.
     pub fn unwatch(&mut self, process: ProcessId) -> Result<Option<D>, EngineError> {
-        let idx = shard_index(process, self.config.workers);
-        match &mut self.state {
-            EngineState::Idle { shards, .. } => {
-                let gone = shards[idx].service.unwatch(process);
-                if gone.is_some() {
-                    self.peers_per_shard[idx] = self.peers_per_shard[idx].saturating_sub(1);
-                }
-                Ok(gone)
-            }
-            EngineState::Failed { worker } => Err(EngineError::WorkerPanicked { worker: *worker }),
-            _ => Err(EngineError::Running),
-        }
+        let idx = self.shard_of(process);
+        Ok(self.idle_shards()?[idx].unwatch(process))
     }
 
     /// Dumps the currently published epoch snapshots as a new checkpoint
     /// generation through `ckpt`.
     ///
     /// Valid in **any** state: the dump reads only the double-buffered
-    /// snapshot cells, never worker-owned detector state, so in
-    /// [`EngineMode::FreeRunning`] it runs concurrently with intake and
-    /// workers (a [`CheckpointDaemon`](crate::persist::CheckpointDaemon)
-    /// over [`reader`](Self::reader) gives the periodic cadence), and in
-    /// [`EngineMode::Lockstep`] it is called explicitly between
-    /// [`tick`](Self::tick)s.
+    /// snapshot cells, never worker-owned detector state, so on a running
+    /// engine it proceeds concurrently with lanes and workers (a
+    /// [`CheckpointDaemon`](crate::persist::CheckpointDaemon) over
+    /// [`reader`](Self::reader) gives the periodic cadence).
     ///
     /// # Errors
     ///
@@ -654,180 +418,38 @@ where
     /// [`Checkpointer::restore`](crate::persist::Checkpointer::restore):
     /// re-watches each, seeds its detector with the saved window moments,
     /// re-arms replay rejection, and publishes every shard so readers see
-    /// pre-crash-quality levels before the first worker tick. Peers whose
-    /// shard is full are counted in
-    /// [`RestoreImport::capacity_rejected`](crate::persist::RestoreImport).
+    /// pre-crash-quality levels before the first worker loop. Peers whose
+    /// shard is full are counted in [`RestoreImport::capacity_rejected`].
     ///
-    /// Only valid while stopped, like [`watch`](Self::watch) — the watch
-    /// set is distributed to worker threads at [`start`](Self::start).
+    /// Only valid while stopped, like [`watch`](Self::watch).
     ///
     /// # Errors
     ///
     /// [`EngineError::Running`] if workers are up,
     /// [`EngineError::WorkerPanicked`] if the engine already failed.
-    pub fn restore(
-        &mut self,
-        peers: &[crate::persist::RestoredPeer],
-    ) -> Result<crate::persist::RestoreImport, EngineError> {
-        match &self.state {
-            EngineState::Idle { .. } => {}
-            EngineState::Failed { worker } => {
-                return Err(EngineError::WorkerPanicked { worker: *worker })
-            }
-            _ => return Err(EngineError::Running),
-        }
-        let mut import = crate::persist::RestoreImport::default();
-        for peer in peers {
-            match self.watch(peer.process) {
-                Ok(_) => import.watched += 1,
-                Err(EngineError::Capacity(_)) => {
-                    import.capacity_rejected += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            let idx = self.shard_of(peer.process);
-            let EngineState::Idle { shards, .. } = &mut self.state else {
-                return Err(EngineError::Running);
-            };
-            if let Some(seq) = peer.highest_seq {
-                shards[idx].highest_seq.insert(peer.process, seq);
-            }
-            if let Some(seed) = &peer.seed {
-                if let Some(d) = shards[idx].service.detector_mut(peer.process) {
-                    d.restore_seed(seed);
-                    import.seeded += 1;
-                }
-            }
-        }
+    pub fn restore(&mut self, peers: &[RestoredPeer]) -> Result<RestoreImport, EngineError> {
         let now = self.clock.now();
-        if let EngineState::Idle { shards, .. } = &mut self.state {
-            for shard in shards {
-                shard.publish(now);
-            }
-        }
-        Ok(import)
+        Ok(import_peers(self.idle_shards()?, peers, now))
     }
 
-    /// Spawns the rings and worker threads (plus the intake thread in
-    /// [`EngineMode::FreeRunning`]).
+    /// Spawns the worker threads and one lane thread draining the
+    /// engine's own transport, which [`shutdown`](Self::shutdown) hands
+    /// back.
     ///
     /// # Errors
     ///
     /// [`EngineError::Running`] if already started,
     /// [`EngineError::WorkerPanicked`] if the engine already failed.
-    pub fn start(&mut self, mode: EngineMode) -> Result<(), EngineError> {
-        match &self.state {
-            EngineState::Idle { .. } => {}
-            EngineState::Failed { worker } => {
-                return Err(EngineError::WorkerPanicked { worker: *worker })
-            }
-            _ => return Err(EngineError::Running),
-        }
-        let (transport, shards) =
-            match mem::replace(&mut self.state, EngineState::Failed { worker: usize::MAX }) {
-                EngineState::Idle { transport, shards } => (transport, shards),
-                // Unreachable: checked Idle above; the placeholder keeps the
-                // state machine total without panicking.
-                other => {
-                    self.state = other;
-                    return Err(EngineError::Running);
-                }
-            };
-
-        let mut producers = Vec::with_capacity(self.config.workers);
-        let mut consumers = Vec::with_capacity(self.config.workers);
-        for _ in 0..self.config.workers {
-            let (tx, rx) = heartbeat_ring(self.config.ring_capacity);
-            producers.push(tx);
-            consumers.push(rx);
-        }
-
-        match mode {
-            EngineMode::Lockstep => {
-                let barrier = PhaseBarrier::new();
-                let workers = shards
-                    .into_iter()
-                    .zip(consumers)
-                    .enumerate()
-                    .map(|(idx, (shard, ring))| {
-                        let watch = ring.watch();
-                        let barrier = Arc::clone(&barrier);
-                        let shared = Arc::clone(&self.worker_shared[idx]);
-                        let handle = std::thread::spawn(move || {
-                            lockstep_worker(idx, shard, ring, barrier, shared)
-                        });
-                        WorkerHandle {
-                            handle,
-                            // lint:allow(no-alloc-in-hot-path, one-time construction at start)
-                            watches: vec![watch],
-                        }
-                    })
-                    .collect();
-                self.state = EngineState::Lockstep {
-                    transport,
-                    batch: FrameBatch::with_capacity(self.config.batch_slots),
-                    groups: (0..self.config.workers)
-                        .map(|_| Vec::with_capacity(self.config.batch_slots))
-                        .collect(),
-                    producers,
-                    barrier,
-                    workers,
-                };
-            }
-            EngineMode::FreeRunning => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let workers = shards
-                    .into_iter()
-                    .zip(consumers)
-                    .enumerate()
-                    .map(|(idx, (shard, ring))| {
-                        let watch = ring.watch();
-                        let stop = Arc::clone(&stop);
-                        let shared = Arc::clone(&self.worker_shared[idx]);
-                        let clock = self.clock.clone();
-                        let publish_every = self.config.publish_every;
-                        let handle = std::thread::spawn(move || {
-                            // lint:allow(no-alloc-in-hot-path, one-time construction at start)
-                            free_worker(shard, vec![ring], clock, stop, shared, publish_every)
-                        });
-                        WorkerHandle {
-                            handle,
-                            // lint:allow(no-alloc-in-hot-path, one-time construction at start)
-                            watches: vec![watch],
-                        }
-                    })
-                    .collect();
-                let clock = self.clock.clone();
-                let shared = Arc::clone(&self.intake_shared);
-                let intake_stop = Arc::clone(&stop);
-                let batch_slots = self.config.batch_slots;
-                let intake = std::thread::spawn(move || {
-                    intake_loop(
-                        transport,
-                        clock,
-                        producers,
-                        shared,
-                        intake_stop,
-                        batch_slots,
-                    )
-                });
-                self.state = EngineState::Free {
-                    intake,
-                    stop,
-                    workers,
-                };
-            }
-        }
+    pub fn start(&mut self) -> Result<(), EngineError> {
+        let (transport, shards) = self.take_idle()?;
+        // lint:allow(no-alloc-in-hot-path, one-time construction at start)
+        self.spawn(None, shards, vec![transport], Some);
         Ok(())
     }
 
-    /// Spawns one intake thread per transport *lane* plus free-running
-    /// workers, wired through lane×worker SPSC rings (see the module
-    /// docs). The engine's own transport sits parked until
-    /// [`shutdown`](Self::shutdown); heartbeats arrive on the lanes,
-    /// decoded through a per-lane [`WireDecoder`] that accepts both v1
-    /// and compact v2 delta frames.
+    /// Spawns the worker threads and one lane thread per transport in
+    /// `lanes`. The engine's own transport sits parked until
+    /// [`shutdown`](Self::shutdown); heartbeats arrive on the lanes.
     ///
     /// Lane transports are consumed: shutdown drops them (they are bound
     /// sockets), so each `start_lanes` takes freshly bound lanes —
@@ -842,39 +464,50 @@ where
         &mut self,
         lanes: Vec<L>,
     ) -> Result<(), EngineError> {
-        match &self.state {
-            EngineState::Idle { .. } => {}
-            EngineState::Failed { worker } => {
-                return Err(EngineError::WorkerPanicked { worker: *worker })
-            }
-            _ => return Err(EngineError::Running),
-        }
         if lanes.is_empty() {
             return Err(EngineError::Transport(TransportError::Io(
                 "start_lanes requires at least one lane".into(),
             )));
         }
-        let (transport, shards) =
-            match mem::replace(&mut self.state, EngineState::Failed { worker: usize::MAX }) {
-                EngineState::Idle { transport, shards } => (transport, shards),
-                // Unreachable: checked Idle above; the placeholder keeps the
-                // state machine total without panicking.
-                other => {
-                    self.state = other;
-                    return Err(EngineError::Running);
-                }
-            };
+        let (transport, shards) = self.take_idle()?;
+        self.spawn(Some(transport), shards, lanes, |_| None);
+        Ok(())
+    }
 
-        // One ring per lane×worker pair: lane l's intake is the only
+    /// Moves the transport and shards out of a stopped engine.
+    fn take_idle(&mut self) -> Result<(T, Vec<Shard<D>>), EngineError> {
+        self.idle_shards()?;
+        match mem::replace(&mut self.state, EngineState::Failed { worker: usize::MAX }) {
+            EngineState::Idle { transport, shards } => Ok((transport, shards)),
+            // Unreachable: checked Idle above; the placeholder keeps the
+            // state machine total without panicking.
+            other => {
+                self.state = other;
+                Err(EngineError::Running)
+            }
+        }
+    }
+
+    /// Wires `lanes` to the shards through lane×worker rings and spawns
+    /// every thread. `hand_back` says what a lane thread returns of its
+    /// transport on exit.
+    fn spawn<L: Transport + 'static>(
+        &mut self,
+        parked: Option<T>,
+        shards: Vec<Shard<D>>,
+        lanes: Vec<L>,
+        hand_back: fn(L) -> Option<T>,
+    ) {
+        // One ring per lane×worker pair: lane l's thread is the only
         // producer and worker w the only consumer of ring (l, w), so the
         // SPSC invariant holds with no cross-lane locking.
-        let workers_n = self.config.workers;
         let mut lane_producers: Vec<Vec<RingProducer>> = Vec::with_capacity(lanes.len());
-        let mut worker_rings: Vec<Vec<RingConsumer>> = (0..workers_n)
+        let mut worker_rings: Vec<Vec<RingConsumer>> = shards
+            .iter()
             .map(|_| Vec::with_capacity(lanes.len()))
             .collect();
         for _ in 0..lanes.len() {
-            let mut producers = Vec::with_capacity(workers_n);
+            let mut producers = Vec::with_capacity(shards.len());
             for rings in worker_rings.iter_mut() {
                 let (tx, rx) = heartbeat_ring(self.config.ring_capacity);
                 producers.push(tx);
@@ -882,146 +515,49 @@ where
             }
             lane_producers.push(producers);
         }
-        self.lane_shared = (0..lanes.len())
-            .map(|_| Arc::new(LaneShared::default()))
-            .collect();
+        self.lane_shared.resize_with(lanes.len(), Arc::default);
+        for lane in &self.lane_shared {
+            *lane.fault() = None;
+        }
+        self.peers_per_shard = shards.iter().map(Shard::len).collect();
 
         let stop = Arc::new(AtomicBool::new(false));
         let workers = shards
             .into_iter()
             .zip(worker_rings)
-            .enumerate()
-            .map(|(idx, (shard, rings))| {
+            .zip(&self.worker_shared)
+            .map(|((shard, rings), shared)| {
                 let watches = rings.iter().map(RingConsumer::watch).collect();
                 let stop = Arc::clone(&stop);
-                let shared = Arc::clone(&self.worker_shared[idx]);
+                let shared = Arc::clone(shared);
                 let clock = self.clock.clone();
                 let publish_every = self.config.publish_every;
                 let handle = std::thread::spawn(move || {
-                    free_worker(shard, rings, clock, stop, shared, publish_every)
+                    worker_loop(shard, rings, clock, stop, shared, publish_every)
                 });
                 WorkerHandle { handle, watches }
             })
             .collect();
-
-        let intakes = lanes
+        let lanes = lanes
             .into_iter()
             .zip(lane_producers)
-            .enumerate()
-            .map(|(idx, (lane, producers))| {
-                let shared = Arc::clone(&self.lane_shared[idx]);
+            .zip(&self.lane_shared)
+            .map(|((lane, producers), shared)| {
+                let shared = Arc::clone(shared);
                 let stop = Arc::clone(&stop);
                 let clock = self.clock.clone();
                 let batch_slots = self.config.batch_slots;
                 std::thread::spawn(move || {
-                    lane_intake_loop(
-                        Box::new(lane) as Box<dyn Transport>,
-                        clock,
-                        producers,
-                        shared,
-                        stop,
-                        batch_slots,
-                    )
+                    hand_back(lane_loop(lane, clock, producers, shared, stop, batch_slots))
                 })
             })
             .collect();
-
-        self.state = EngineState::FreeLanes {
-            transport,
-            intakes,
+        self.state = EngineState::Running {
+            parked,
+            lanes,
             stop,
             workers,
         };
-        Ok(())
-    }
-
-    /// Runs one lockstep epoch: drain the transport, route every frame,
-    /// release all workers through the barrier, wait for them.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NotRunning`] / [`EngineError::NotLockstep`] in the
-    /// wrong state, [`EngineError::Transport`] if the transport failed,
-    /// [`EngineError::WorkerPanicked`] if a worker died.
-    pub fn tick(&mut self) -> Result<EngineTickReport, EngineError> {
-        let (transport, batch, groups, producers, barrier, workers) = match &mut self.state {
-            EngineState::Lockstep {
-                transport,
-                batch,
-                groups,
-                producers,
-                barrier,
-                workers,
-            } => (transport, batch, groups, producers, barrier, workers),
-            EngineState::Idle { .. } => return Err(EngineError::NotRunning),
-            EngineState::Free { .. } | EngineState::FreeLanes { .. } => {
-                return Err(EngineError::NotLockstep)
-            }
-            EngineState::Failed { worker } => {
-                return Err(EngineError::WorkerPanicked { worker: *worker })
-            }
-        };
-        IntakeShared::add(&self.intake_shared.liveness, 1);
-        let mut drained = 0usize;
-        let mut corrupt = 0u64;
-        let mut frames = 0u64;
-        loop {
-            batch.clear();
-            let got = transport
-                .recv_batch(batch)
-                .map_err(EngineError::Transport)?;
-            drained += got;
-            // One stamp per drained batch. Under the frozen virtual
-            // clock of a lockstep tick this is byte-identical to the
-            // per-frame stamps `ShardedMonitor::tick` takes — the
-            // equivalence proptest holds the engine to that.
-            let now = self.clock.now();
-            for frame in batch.iter() {
-                match <&[u8; FRAME_LEN]>::try_from(frame) {
-                    Ok(exact) => match Heartbeat::decode_exact(exact) {
-                        Ok(hb) => {
-                            frames += 1;
-                            groups[shard_index(hb.sender, producers.len())].push(hb);
-                        }
-                        Err(_) => corrupt += 1,
-                    },
-                    Err(_) => corrupt += 1,
-                }
-            }
-            // Publish each destination's group with one seqlock/tail
-            // advance; per-ring FIFO order is batch order, as before.
-            for (idx, group) in groups.iter_mut().enumerate() {
-                if !group.is_empty() {
-                    producers[idx].push_batch(group, now);
-                    group.clear();
-                }
-            }
-            if got < batch.capacity() {
-                break;
-            }
-        }
-        IntakeShared::add(&self.intake_shared.frames, frames);
-        IntakeShared::add(&self.intake_shared.corrupt, corrupt);
-
-        // Workers are parked between epochs, so their published stats are
-        // quiescent on both sides of the barrier.
-        let before: u64 = self
-            .worker_shared
-            .iter()
-            .map(|w| w.accepted.load(Ordering::Acquire))
-            .sum();
-        barrier.begin(workers.len(), self.clock.now());
-        barrier.wait_done()?;
-        let after: u64 = self
-            .worker_shared
-            .iter()
-            .map(|w| w.accepted.load(Ordering::Acquire))
-            .sum();
-        self.ticks += 1;
-        Ok(EngineTickReport {
-            drained,
-            accepted: after.saturating_sub(before),
-        })
     }
 
     /// Joins every thread and returns the engine to the stopped state,
@@ -1031,70 +567,43 @@ where
     /// # Errors
     ///
     /// [`EngineError::WorkerPanicked`] if any thread died — the engine is
-    /// then terminally failed, since the dead worker's shard is gone.
+    /// then terminally failed, since the dead thread's state is gone.
     pub fn shutdown(&mut self) -> Result<(), EngineError> {
-        let state = mem::replace(&mut self.state, EngineState::Failed { worker: usize::MAX });
-        match state {
-            EngineState::Idle { .. } => {
-                self.state = state;
-                Ok(())
+        match mem::replace(&mut self.state, EngineState::Failed { worker: usize::MAX }) {
+            EngineState::Running {
+                parked,
+                lanes,
+                stop,
+                workers,
+            } => {
+                stop.store(true, Ordering::Release);
+                // Caller-supplied lanes are dropped here (they are bound
+                // sockets); the engine's own transport comes back from
+                // its lane thread or from the parking slot.
+                let mut transport = parked;
+                let mut lane_panicked = false;
+                for lane in lanes {
+                    match lane.join() {
+                        Ok(back) => transport = transport.or(back),
+                        Err(_) => lane_panicked = true,
+                    }
+                }
+                let shards = self.join_workers(workers)?;
+                match transport {
+                    Some(transport) if !lane_panicked => {
+                        self.state = EngineState::Idle { transport, shards };
+                        Ok(())
+                    }
+                    // A lane thread died, and what it owned with it.
+                    _ => Err(EngineError::WorkerPanicked { worker: usize::MAX }),
+                }
             }
             EngineState::Failed { worker } => {
                 self.state = EngineState::Failed { worker };
                 Err(EngineError::WorkerPanicked { worker })
             }
-            EngineState::Lockstep {
-                transport,
-                batch: _,
-                groups: _,
-                producers,
-                barrier,
-                workers,
-            } => {
-                barrier.stop();
-                // Rings must outlive the workers' final drain.
-                let shards = self.join_workers(workers)?;
-                drop(producers);
-                self.state = EngineState::Idle { transport, shards };
-                Ok(())
-            }
-            EngineState::Free {
-                intake,
-                stop,
-                workers,
-            } => {
-                stop.store(true, Ordering::Release);
-                let transport = match intake.join() {
-                    Ok(t) => t,
-                    Err(_) => {
-                        // Intake owned the transport; both are gone.
-                        self.state = EngineState::Failed { worker: usize::MAX };
-                        return Err(EngineError::WorkerPanicked { worker: usize::MAX });
-                    }
-                };
-                let shards = self.join_workers(workers)?;
-                self.state = EngineState::Idle { transport, shards };
-                Ok(())
-            }
-            EngineState::FreeLanes {
-                transport,
-                intakes,
-                stop,
-                workers,
-            } => {
-                stop.store(true, Ordering::Release);
-                let mut lane_panicked = false;
-                for intake in intakes {
-                    // Lane transports are dropped here: lanes are bound
-                    // sockets, so a later `start_lanes` rebinds fresh ones.
-                    lane_panicked |= intake.join().is_err();
-                }
-                if lane_panicked {
-                    self.state = EngineState::Failed { worker: usize::MAX };
-                    return Err(EngineError::WorkerPanicked { worker: usize::MAX });
-                }
-                let shards = self.join_workers(workers)?;
-                self.state = EngineState::Idle { transport, shards };
+            idle @ EngineState::Idle { .. } => {
+                self.state = idle;
                 Ok(())
             }
         }
@@ -1125,8 +634,8 @@ where
     }
 
     /// The transport, readable while the engine is stopped (a running
-    /// engine's intake side owns it). Useful for draining fault-injector
-    /// statistics after [`shutdown`](Self::shutdown).
+    /// engine's lane thread may own it). Useful for draining
+    /// fault-injector statistics after [`shutdown`](Self::shutdown).
     pub fn transport(&self) -> Option<&T> {
         match &self.state {
             EngineState::Idle { transport, .. } => Some(transport),
@@ -1140,52 +649,34 @@ where
         SnapshotReader::from_cells(Arc::clone(&self.cells))
     }
 
-    /// A transport fault the free-running intake thread hit, if any.
-    /// The intake thread stops on the first fault; workers keep serving
-    /// reads until [`shutdown`](Self::shutdown).
+    /// A transport fault a lane thread hit, if any. A lane stops on its
+    /// first fault; workers keep serving reads until
+    /// [`shutdown`](Self::shutdown).
     pub fn intake_fault(&self) -> Option<TransportError> {
-        let own = match self.intake_shared.fault.lock() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        };
-        if own.is_some() {
-            return own;
-        }
         self.lane_shared
             .iter()
-            .find_map(|lane| match lane.intake.fault.lock() {
-                Ok(g) => g.clone(),
-                Err(p) => p.into_inner().clone(),
-            })
+            .find_map(|lane| lane.fault().clone())
+    }
+
+    /// The workers of a running engine.
+    fn live_workers(&self) -> &[WorkerHandle<D>] {
+        match &self.state {
+            EngineState::Running { workers, .. } => workers,
+            _ => &[],
+        }
     }
 
     /// Aggregated counters. Callable in any state; while running, values
-    /// are the workers' latest published snapshots.
+    /// are the threads' latest published snapshots.
     pub fn stats(&self) -> EngineStats {
-        let mut totals = MonitorStats {
-            corrupt: self.intake_shared.corrupt.load(Ordering::Relaxed),
-            ..MonitorStats::default()
-        };
-        let mut per_worker = Vec::with_capacity(self.worker_shared.len());
-        for shared in &self.worker_shared {
-            let stats = shared.load_stats();
-            totals.accepted += stats.accepted;
-            totals.stale += stats.stale;
-            totals.duplicate += stats.duplicate;
-            totals.unwatched += stats.unwatched;
-            per_worker.push(stats);
-        }
+        let per_worker: Vec<MonitorStats> =
+            self.worker_shared.iter().map(|w| w.load_stats()).collect();
+        let mut stage = StageNanos::default();
         let mut per_lane_frames = Vec::with_capacity(self.lane_shared.len());
         let mut per_lane_corrupt = Vec::with_capacity(self.lane_shared.len());
-        let mut stage = StageNanos::default();
-        let mut lane_frames_total = 0u64;
         for lane in &self.lane_shared {
-            let frames = lane.intake.frames.load(Ordering::Relaxed);
-            let corrupt = lane.intake.corrupt.load(Ordering::Relaxed);
-            per_lane_frames.push(frames);
-            per_lane_corrupt.push(corrupt);
-            lane_frames_total += frames;
-            totals.corrupt += corrupt;
+            per_lane_frames.push(lane.frames.load(Ordering::Relaxed));
+            per_lane_corrupt.push(lane.corrupt.load(Ordering::Relaxed));
             stage.decode += lane.decode_nanos.load(Ordering::Relaxed);
             stage.route += lane.route_nanos.load(Ordering::Relaxed);
         }
@@ -1193,12 +684,14 @@ where
             stage.update += shared.update_nanos.load(Ordering::Relaxed);
         }
         EngineStats {
-            totals,
+            totals: MonitorStats::totals(per_lane_corrupt.iter().sum(), &per_worker),
             per_worker,
-            peers_per_shard: self.peers_per_shard.clone(),
+            peers_per_shard: match &self.state {
+                EngineState::Idle { shards, .. } => shards.iter().map(Shard::len).collect(),
+                _ => self.peers_per_shard.clone(),
+            },
             ring_dropped: self.ring_dropped_total(),
-            intake_frames: self.intake_shared.frames.load(Ordering::Relaxed) + lane_frames_total,
-            ticks: self.ticks,
+            intake_frames: per_lane_frames.iter().sum(),
             per_lane_frames,
             per_lane_corrupt,
             stage,
@@ -1208,25 +701,24 @@ where
     /// Total frames evicted by drop-oldest ring backpressure, across all
     /// workers and surviving engine restarts.
     pub fn ring_dropped_total(&self) -> u64 {
-        let live: u64 = match &self.state {
-            EngineState::Lockstep { workers, .. }
-            | EngineState::Free { workers, .. }
-            | EngineState::FreeLanes { workers, .. } => {
-                workers.iter().map(WorkerHandle::ring_dropped).sum()
-            }
-            _ => 0,
-        };
+        let live: u64 = self
+            .live_workers()
+            .iter()
+            .map(WorkerHandle::ring_dropped)
+            .sum();
         self.ring_dropped_past.wrapping_add(live)
     }
 
-    /// Tracks the intake thread and every worker on `board`, labeled
-    /// `engine.intake` and `engine.worker.<i>`.
+    /// Tracks every lane and worker thread on `board`, labeled
+    /// `engine.lane.<i>` and `engine.worker.<i>`.
     pub fn register_health(&self, board: &mut HealthBoard, now: Timestamp) {
-        board.track(
-            "engine.intake",
-            Arc::clone(&self.intake_shared.liveness),
-            now,
-        );
+        for (idx, lane) in self.lane_shared.iter().enumerate() {
+            board.track(
+                format!("engine.lane.{idx}"),
+                Arc::clone(&lane.liveness),
+                now,
+            );
+        }
         for (idx, shared) in self.worker_shared.iter().enumerate() {
             board.track(
                 format!("engine.worker.{idx}"),
@@ -1234,29 +726,19 @@ where
                 now,
             );
         }
-        for (idx, lane) in self.lane_shared.iter().enumerate() {
-            board.track(
-                format!("engine.lane.{idx}"),
-                Arc::clone(&lane.intake.liveness),
-                now,
-            );
-        }
     }
 
-    /// `Some(worker)` if any worker (or the intake thread) has panicked
-    /// since the last start — the poisoned-worker signal the watchdog
-    /// layer consumes without blocking on a join.
+    /// `Some(worker)` if any worker (or, as `usize::MAX`, a lane thread)
+    /// has panicked — the poisoned-thread signal the watchdog layer
+    /// consumes without blocking on a join.
     pub fn poisoned(&self) -> Option<usize> {
         if let EngineState::Failed { worker } = &self.state {
             return Some(*worker);
         }
-        if self.intake_shared.panicked.load(Ordering::Acquire) {
-            return Some(usize::MAX);
-        }
         if self
             .lane_shared
             .iter()
-            .any(|lane| lane.intake.panicked.load(Ordering::Acquire))
+            .any(|lane| lane.panicked.load(Ordering::Acquire))
         {
             return Some(usize::MAX);
         }
@@ -1266,8 +748,9 @@ where
     }
 
     /// Publishes the engine's counters into `registry` under `engine.*`:
-    /// aggregate totals, per-worker ring depth/drop gauges, and per-worker
-    /// utilization (fraction of loop iterations that processed frames).
+    /// aggregate totals, the per-stage profile, per-lane counters,
+    /// per-worker ring depth/drop gauges, and per-worker utilization
+    /// (fraction of loop iterations that processed frames).
     pub fn export_metrics(&self, registry: &afd_obs::Registry) {
         let stats = self.stats();
         registry
@@ -1287,28 +770,33 @@ where
         registry
             .counter("engine.ring.dropped")
             .set(stats.ring_dropped);
-        registry.counter("engine.ticks").set(stats.ticks);
         registry
             .gauge("engine.workers")
             .set(self.config.workers as f64);
         registry
             .gauge("engine.peers")
             .set(stats.peers_per_shard.iter().sum::<usize>() as f64);
-        let live_workers: Option<&Vec<WorkerHandle<D>>> = match &self.state {
-            EngineState::Lockstep { workers, .. }
-            | EngineState::Free { workers, .. }
-            | EngineState::FreeLanes { workers, .. } => Some(workers),
-            _ => None,
-        };
+        registry
+            .gauge("engine.lanes")
+            .set(self.lane_shared.len() as f64);
+        registry
+            .counter("engine.stage.decode_nanos")
+            .set(stats.stage.decode);
+        registry
+            .counter("engine.stage.route_nanos")
+            .set(stats.stage.route);
+        registry
+            .counter("engine.stage.update_nanos")
+            .set(stats.stage.update);
+        for (idx, worker) in self.live_workers().iter().enumerate() {
+            registry
+                .gauge(&format!("engine.worker.{idx}.ring_depth"))
+                .set(worker.ring_depth() as f64);
+            registry
+                .counter(&format!("engine.worker.{idx}.ring_dropped"))
+                .set(worker.ring_dropped());
+        }
         for (idx, shared) in self.worker_shared.iter().enumerate() {
-            if let Some(workers) = live_workers {
-                registry
-                    .gauge(&format!("engine.worker.{idx}.ring_depth"))
-                    .set(workers[idx].ring_depth() as f64);
-                registry
-                    .counter(&format!("engine.worker.{idx}.ring_dropped"))
-                    .set(workers[idx].ring_dropped());
-            }
             let loops = shared.loops.load(Ordering::Relaxed);
             let busy = shared.busy_loops.load(Ordering::Relaxed);
             let utilization = if loops == 0 {
@@ -1326,30 +814,16 @@ where
         for (idx, lane) in self.lane_shared.iter().enumerate() {
             registry
                 .counter(&format!("engine.lane.{idx}.frames"))
-                .set(lane.intake.frames.load(Ordering::Relaxed));
+                .set(lane.frames.load(Ordering::Relaxed));
             registry
                 .counter(&format!("engine.lane.{idx}.corrupt"))
-                .set(lane.intake.corrupt.load(Ordering::Relaxed));
+                .set(lane.corrupt.load(Ordering::Relaxed));
             registry
                 .counter(&format!("engine.lane.{idx}.decode_nanos"))
                 .set(lane.decode_nanos.load(Ordering::Relaxed));
             registry
                 .counter(&format!("engine.lane.{idx}.route_nanos"))
                 .set(lane.route_nanos.load(Ordering::Relaxed));
-        }
-        if !self.lane_shared.is_empty() {
-            registry
-                .gauge("engine.lanes")
-                .set(self.lane_shared.len() as f64);
-            registry
-                .counter("engine.stage.decode_nanos")
-                .set(stats.stage.decode);
-            registry
-                .counter("engine.stage.route_nanos")
-                .set(stats.stage.route);
-            registry
-                .counter("engine.stage.update_nanos")
-                .set(stats.stage.update);
         }
     }
 }
@@ -1358,87 +832,29 @@ impl<T, C, D> Drop for ParallelShardEngine<T, C, D> {
     /// Join-on-drop backstop: stops and joins any running threads so an
     /// engine falling out of scope never leaks spinning workers.
     fn drop(&mut self) {
-        match mem::replace(&mut self.state, EngineState::Failed { worker: usize::MAX }) {
-            EngineState::Lockstep {
-                barrier, workers, ..
-            } => {
-                barrier.stop();
-                for worker in workers {
-                    let _ = worker.handle.join();
-                }
+        if let EngineState::Running {
+            lanes,
+            stop,
+            workers,
+            ..
+        } = mem::replace(&mut self.state, EngineState::Failed { worker: usize::MAX })
+        {
+            stop.store(true, Ordering::Release);
+            for lane in lanes {
+                let _ = lane.join();
             }
-            EngineState::Free {
-                intake,
-                stop,
-                workers,
-            } => {
-                stop.store(true, Ordering::Release);
-                let _ = intake.join();
-                for worker in workers {
-                    let _ = worker.handle.join();
-                }
+            for worker in workers {
+                let _ = worker.handle.join();
             }
-            EngineState::FreeLanes {
-                intakes,
-                stop,
-                workers,
-                ..
-            } => {
-                stop.store(true, Ordering::Release);
-                for intake in intakes {
-                    let _ = intake.join();
-                }
-                for worker in workers {
-                    let _ = worker.handle.join();
-                }
-            }
-            EngineState::Idle { .. } | EngineState::Failed { .. } => {}
         }
     }
 }
 
-/// Lockstep worker: park on the barrier, run exactly one drain+publish
-/// per epoch, report done. Returns its shard on stop for state handback.
-fn lockstep_worker<D: AccrualFailureDetector>(
-    idx: usize,
-    mut shard: Shard<D>,
-    mut ring: RingConsumer,
-    barrier: Arc<PhaseBarrier>,
-    shared: Arc<WorkerShared>,
-) -> Shard<D> {
-    let _guard = WorkerPanicGuard {
-        worker: idx,
-        barrier: Some(Arc::clone(&barrier)),
-        shared: Arc::clone(&shared),
-    };
-    let mut epoch = 0u64;
-    loop {
-        match barrier.wait_begin(epoch) {
-            WorkerSignal::Stop => break,
-            WorkerSignal::Run {
-                epoch: next,
-                publish_at,
-            } => {
-                epoch = next;
-                while let Some((hb, at)) = ring.pop() {
-                    shard.accept(hb, at);
-                }
-                shard.publish(publish_at);
-                shared.store_stats(&shard.stats);
-                IntakeShared::add(&shared.liveness, 1);
-                barrier.done();
-            }
-        }
-    }
-    shard
-}
-
-/// Free-running worker: drain its rings round-robin (bounded total per
-/// iteration), publish on the configured cadence, yield when idle. On
-/// stop, drain what's left and publish one final epoch. Takes one ring
-/// per feeding intake — a single ring normally, one per lane under
-/// [`ParallelShardEngine::start_lanes`].
-fn free_worker<C: Clock, D: AccrualFailureDetector>(
+/// A worker thread: drain its rings round-robin (bounded total per
+/// iteration) into the shard, publish on the configured cadence, yield
+/// when idle. On stop, drain what's left and publish one final epoch.
+/// Takes one ring per lane; returns its shard for state handback.
+fn worker_loop<C: Clock, D: AccrualFailureDetector>(
     mut shard: Shard<D>,
     mut rings: Vec<RingConsumer>,
     clock: C,
@@ -1446,11 +862,7 @@ fn free_worker<C: Clock, D: AccrualFailureDetector>(
     shared: Arc<WorkerShared>,
     publish_every: Duration,
 ) -> Shard<D> {
-    let _guard = WorkerPanicGuard {
-        worker: 0,
-        barrier: None,
-        shared: Arc::clone(&shared),
-    };
+    let _guard = PanicGuard(&shared.panicked);
     // Publish the initial (all-watched, no-heartbeat) epoch so readers
     // see the watch set immediately.
     let mut last_publish = clock.now();
@@ -1479,7 +891,7 @@ fn free_worker<C: Clock, D: AccrualFailureDetector>(
         let now = clock.now();
         let due = now.saturating_duration_since(last_publish) >= publish_every;
         if processed > 0 {
-            IntakeShared::add(
+            add(
                 &shared.update_nanos,
                 now.saturating_duration_since(drain_start).as_nanos(),
             );
@@ -1489,12 +901,12 @@ fn free_worker<C: Clock, D: AccrualFailureDetector>(
                 shard.publish(now);
                 last_publish = now;
             }
-            shared.store_stats(&shard.stats);
+            shared.store_stats(&shard.stats());
         }
-        IntakeShared::add(&shared.liveness, 1);
-        IntakeShared::add(&shared.loops, 1);
+        add(&shared.liveness, 1);
+        add(&shared.loops, 1);
         if processed > 0 {
-            IntakeShared::add(&shared.busy_loops, 1);
+            add(&shared.busy_loops, 1);
         } else if stopping {
             break;
         } else {
@@ -1504,176 +916,79 @@ fn free_worker<C: Clock, D: AccrualFailureDetector>(
     shard
 }
 
-/// Free-running intake: drain the transport through the reusable arena,
-/// decode, stamp, route. Stops on the cooperative flag or the first
-/// transport fault (recorded for [`ParallelShardEngine::intake_fault`]).
-/// Returns the transport on exit for state handback.
-fn intake_loop<T: Transport, C: Clock>(
-    mut transport: T,
-    clock: C,
-    mut producers: Vec<RingProducer>,
-    shared: Arc<IntakeShared>,
-    stop: Arc<AtomicBool>,
-    batch_slots: usize,
-) -> T {
-    let _guard = IntakePanicGuard {
-        shared: Arc::clone(&shared),
-    };
-    let mut batch = FrameBatch::with_capacity(batch_slots);
-    let shards = producers.len();
-    // Per-destination scratch, reused across batches: grouping a batch
-    // by worker ring is allocation-free in steady state.
-    let mut groups: Vec<Vec<Heartbeat>> = (0..shards)
-        .map(|_| Vec::with_capacity(batch_slots))
-        .collect();
-    while !stop.load(Ordering::Acquire) {
-        batch.clear();
-        match transport.recv_batch(&mut batch) {
-            Ok(0) => {
-                IntakeShared::add(&shared.liveness, 1);
-                std::thread::yield_now();
-            }
-            Ok(got) => {
-                let mut corrupt = 0u64;
-                let mut frames = 0u64;
-                // One stamp per drained batch: every frame in it shares
-                // this arrival. The skew a frame can see is bounded by
-                // the batch's own decode+route time (see DESIGN.md §7j).
-                let now = clock.now();
-                for frame in batch.iter() {
-                    match <&[u8; FRAME_LEN]>::try_from(frame) {
-                        Ok(exact) => match Heartbeat::decode_exact(exact) {
-                            Ok(hb) => {
-                                frames += 1;
-                                groups[shard_index(hb.sender, shards)].push(hb);
-                            }
-                            Err(_) => corrupt += 1,
-                        },
-                        Err(_) => corrupt += 1,
-                    }
-                }
-                for (idx, group) in groups.iter_mut().enumerate() {
-                    if !group.is_empty() {
-                        producers[idx].push_batch(group, now);
-                        group.clear();
-                    }
-                }
-                let _ = got;
-                IntakeShared::add(&shared.frames, frames);
-                IntakeShared::add(&shared.corrupt, corrupt);
-                IntakeShared::add(&shared.liveness, 1);
-            }
-            Err(fault) => {
-                let mut slot = match shared.fault.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                *slot = Some(fault);
-                break;
-            }
-        }
-    }
-    transport
-}
-
-/// One lane's intake: drain the lane transport through a reusable arena,
-/// decode every frame through a per-lane [`WireDecoder`] (v1 and v2
-/// delta frames mix freely), stamp, and hash-route into this lane's
-/// per-worker rings. Each batch is timed in two passes on the engine
-/// clock — decode, then stamp+route — feeding the per-stage profile in
-/// [`EngineStats::stage`]. Stops on the cooperative flag or the first
-/// transport fault.
-fn lane_intake_loop<C: Clock>(
-    mut transport: Box<dyn Transport>,
+/// A lane thread: refill the arena from `lane`, decode and group by
+/// destination worker, stamp, publish each group into its ring. Each
+/// batch is timed in two passes on the engine clock — decode, then
+/// route — feeding the per-stage profile in [`EngineStats::stage`].
+/// Stops on the cooperative flag or the first transport fault (recorded
+/// for [`ParallelShardEngine::intake_fault`]); returns the transport.
+fn lane_loop<L: Transport, C: Clock>(
+    mut lane: L,
     clock: C,
     mut producers: Vec<RingProducer>,
     shared: Arc<LaneShared>,
     stop: Arc<AtomicBool>,
     batch_slots: usize,
-) -> Box<dyn Transport> {
-    let _guard = LanePanicGuard {
-        shared: Arc::clone(&shared),
-    };
-    let mut batch = FrameBatch::with_capacity(batch_slots);
-    let mut decoder = WireDecoder::new();
-    // Scratch for the decode pass, reused across batches: allocation-free
-    // in steady state (capacity equals the arena's slot count).
-    let mut scratch: Vec<Heartbeat> = Vec::with_capacity(batch_slots);
-    let shards = producers.len();
-    // Per-destination scratch for the route pass, also reused: a drained
-    // batch publishes with one seqlock advance per (ring, group) instead
-    // of one per frame.
-    let mut groups: Vec<Vec<Heartbeat>> = (0..shards)
+) -> L {
+    let _guard = PanicGuard(&shared.panicked);
+    let mut intake = Intake::new(batch_slots);
+    // Per-destination scratch, reused across batches: grouping is
+    // allocation-free in steady state, and a drained batch publishes with
+    // one seqlock advance per (ring, group) instead of one per frame.
+    let mut groups: Vec<Vec<Heartbeat>> = (0..producers.len())
         .map(|_| Vec::with_capacity(batch_slots))
         .collect();
     while !stop.load(Ordering::Acquire) {
-        batch.clear();
-        match transport.recv_batch(&mut batch) {
+        match intake.recv(&mut lane) {
             Ok(0) => {
-                IntakeShared::add(&shared.intake.liveness, 1);
+                add(&shared.liveness, 1);
                 std::thread::yield_now();
             }
-            Ok(_) => {
-                let mut corrupt = 0u64;
-                scratch.clear();
+            Ok(got) => {
                 let decode_start = clock.now();
-                for frame in batch.iter() {
-                    match decoder.decode(frame) {
-                        Ok(hb) => scratch.push(hb),
-                        Err(_) => corrupt += 1,
-                    }
-                }
+                let corrupt = intake.decode(groups.len(), |idx, hb| groups[idx].push(hb));
                 // One stamp per batch, doubling as the stage boundary:
-                // every frame of this batch arrives at `route_start`.
-                // The skew against its true socket-drain moment is
-                // bounded by the batch's decode time (DESIGN.md §7j).
-                let route_start = clock.now();
-                let frames = scratch.len() as u64;
-                for hb in scratch.drain(..) {
-                    groups[shard_index(hb.sender, shards)].push(hb);
-                }
-                for (idx, group) in groups.iter_mut().enumerate() {
+                // every frame of this batch arrives at `stamp`. The skew
+                // against its true drain moment is bounded by the batch's
+                // own decode time.
+                let stamp = clock.now();
+                for (producer, group) in producers.iter_mut().zip(&mut groups) {
                     if !group.is_empty() {
-                        producers[idx].push_batch(group, route_start);
+                        producer.push_batch(group, stamp);
                         group.clear();
                     }
                 }
                 let route_end = clock.now();
-                IntakeShared::add(
+                add(
                     &shared.decode_nanos,
-                    route_start
-                        .saturating_duration_since(decode_start)
-                        .as_nanos(),
+                    stamp.saturating_duration_since(decode_start).as_nanos(),
                 );
-                IntakeShared::add(
+                add(
                     &shared.route_nanos,
-                    route_end.saturating_duration_since(route_start).as_nanos(),
+                    route_end.saturating_duration_since(stamp).as_nanos(),
                 );
-                IntakeShared::add(&shared.intake.frames, frames);
-                IntakeShared::add(&shared.intake.corrupt, corrupt);
-                IntakeShared::add(&shared.intake.liveness, 1);
+                add(&shared.frames, got as u64 - corrupt);
+                add(&shared.corrupt, corrupt);
+                add(&shared.liveness, 1);
             }
             Err(fault) => {
-                let mut slot = match shared.intake.fault.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                *slot = Some(fault);
+                *shared.fault() = Some(fault);
                 break;
             }
         }
     }
-    transport
+    lane
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use crate::transport::ChannelTransport;
+    use crate::transport::{ChannelTransport, NullTransport};
+    use crate::wire::{DeltaEncoder, MAX_V2_FRAME};
     use afd_detectors::simple::SimpleAccrual;
 
-    type Engine = ParallelShardEngine<ChannelTransport, VirtualClock, SimpleAccrual>;
+    type Engine<T = ChannelTransport> = ParallelShardEngine<T, VirtualClock, SimpleAccrual>;
 
     fn rig(config: EngineConfig) -> (ChannelTransport, Engine, VirtualClock) {
         let (tx, rx) = ChannelTransport::pair();
@@ -1684,34 +999,60 @@ mod tests {
         (tx, engine, clock)
     }
 
-    fn frame(sender: u32, seq: u64) -> Vec<u8> {
+    fn two_workers() -> EngineConfig {
+        EngineConfig {
+            workers: 2,
+            publish_every: Duration::ZERO,
+            ..EngineConfig::default()
+        }
+    }
+
+    fn heartbeat(sender: u32, seq: u64) -> Heartbeat {
         Heartbeat {
             sender: ProcessId::new(sender),
             seq,
             sent_at: Timestamp::from_secs(seq),
         }
-        .encode()
-        .to_vec()
+    }
+
+    fn frame(sender: u32, seq: u64) -> Vec<u8> {
+        heartbeat(sender, seq).encode().to_vec()
+    }
+
+    /// Acceptance is asynchronous: spin until `done` holds.
+    fn wait_for<T>(engine: &Engine<T>, done: impl Fn(&EngineStats) -> bool)
+    where
+        T: Transport + Send + 'static,
+    {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let stats = engine.stats();
+            if done(&stats) {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "stalled: {stats:?}");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
-    fn lockstep_tick_accepts_and_publishes() {
+    fn started_engine_accepts_and_publishes() {
         let (mut tx, mut engine, clock) = rig(EngineConfig {
             workers: 3,
+            publish_every: Duration::ZERO,
             ..EngineConfig::default()
         });
         for id in 0..6u32 {
             engine.watch(ProcessId::new(id)).unwrap();
         }
-        engine.start(EngineMode::Lockstep).unwrap();
+        engine.start().unwrap();
         clock.set(Timestamp::from_secs(5));
         for id in 0..6u32 {
             tx.send(&frame(id, 1)).unwrap();
         }
         tx.send(b"garbage").unwrap();
-        let report = engine.tick().unwrap();
-        assert_eq!(report.drained, 7);
-        assert_eq!(report.accepted, 6);
+        wait_for(&engine, |s| s.totals.accepted == 6 && s.totals.corrupt == 1);
+        engine.shutdown().unwrap();
 
         let reader = engine.reader();
         assert_eq!(reader.published_at(), Timestamp::from_secs(5));
@@ -1720,9 +1061,45 @@ mod tests {
             assert_eq!(reader.level(ProcessId::new(id)).unwrap().value(), 0.0);
         }
         let stats = engine.stats();
-        assert_eq!(stats.totals.accepted, 6);
-        assert_eq!(stats.totals.corrupt, 1);
-        assert_eq!(stats.ticks, 1);
+        assert_eq!(stats.intake_frames, 6);
+        assert_eq!(stats.peers_per_shard.iter().sum::<usize>(), 6);
+    }
+
+    /// Regression: `start()` used to decode with the v1-only exact-length
+    /// decoder, so a wire-v2 sender on the engine's own transport was
+    /// counted 100 % corrupt while `start_lanes` accepted the same frames.
+    #[test]
+    fn own_transport_intake_mixes_v1_and_v2_frames() {
+        let (mut tx, mut engine, clock) = rig(two_workers());
+        for id in 0..3u32 {
+            engine.watch(ProcessId::new(id)).unwrap();
+        }
+        engine.start().unwrap();
+        clock.set(Timestamp::from_secs(1));
+
+        // Peers 0 and 1 speak v2 (an intern frame, then compact deltas);
+        // peer 2 interleaves plain v1 frames on the same transport.
+        let mut encoders: Vec<DeltaEncoder> = (0..2u32)
+            .map(|id| {
+                DeltaEncoder::new(ProcessId::new(id), id, std::time::Duration::from_secs(1), 4)
+            })
+            .collect();
+        let mut buf = [0u8; MAX_V2_FRAME];
+        let mut sent = 0u64;
+        for seq in 1..=10u64 {
+            for (id, enc) in encoders.iter_mut().enumerate() {
+                let n = enc.encode(&heartbeat(id as u32, seq), &mut buf);
+                assert!(n > 0, "encoder produced a frame");
+                tx.send(&buf[..n]).unwrap();
+                sent += 1;
+            }
+            tx.send(&frame(2, seq)).unwrap();
+            sent += 1;
+        }
+        wait_for(&engine, |s| s.totals.accepted + s.totals.corrupt >= sent);
+        let stats = engine.stats();
+        assert_eq!(stats.totals.corrupt, 0, "{stats:?}");
+        assert_eq!(stats.totals.accepted, sent, "{stats:?}");
         engine.shutdown().unwrap();
     }
 
@@ -1730,12 +1107,13 @@ mod tests {
     fn watch_is_rejected_while_running_and_resumes_after_shutdown() {
         let (_tx, mut engine, _clock) = rig(EngineConfig::default());
         engine.watch(ProcessId::new(1)).unwrap();
-        engine.start(EngineMode::Lockstep).unwrap();
+        engine.start().unwrap();
         assert_eq!(engine.watch(ProcessId::new(2)), Err(EngineError::Running));
         assert!(matches!(
             engine.unwatch(ProcessId::new(1)),
             Err(EngineError::Running)
         ));
+        assert_eq!(engine.start(), Err(EngineError::Running));
         engine.shutdown().unwrap();
         assert_eq!(engine.watch(ProcessId::new(2)), Ok(true));
         // Detector state survived the stop/start cycle.
@@ -1757,62 +1135,13 @@ mod tests {
     }
 
     #[test]
-    fn tick_requires_lockstep_mode() {
-        let (_tx, mut engine, _clock) = rig(EngineConfig {
-            workers: 2,
-            publish_every: Duration::ZERO,
-            ..EngineConfig::default()
-        });
-        assert_eq!(engine.tick().unwrap_err(), EngineError::NotRunning);
-        engine.start(EngineMode::FreeRunning).unwrap();
-        assert_eq!(engine.tick().unwrap_err(), EngineError::NotLockstep);
-        engine.shutdown().unwrap();
-    }
-
-    #[test]
-    fn free_running_processes_without_ticks() {
-        let (mut tx, mut engine, clock) = rig(EngineConfig {
-            workers: 2,
-            publish_every: Duration::ZERO,
-            ..EngineConfig::default()
-        });
-        for id in 0..4u32 {
-            engine.watch(ProcessId::new(id)).unwrap();
-        }
-        engine.start(EngineMode::FreeRunning).unwrap();
-        clock.set(Timestamp::from_secs(1));
-        for id in 0..4u32 {
-            tx.send(&frame(id, 1)).unwrap();
-        }
-        // Settle: free-running acceptance is asynchronous.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while engine.stats().totals.accepted < 4 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "stalled: {:?}",
-                engine.stats()
-            );
-            std::thread::yield_now();
-        }
-        engine.shutdown().unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.totals.accepted, 4);
-        assert_eq!(stats.intake_frames, 4);
-        let reader = engine.reader();
-        assert_eq!(reader.snapshot().len(), 4);
-    }
-
-    #[test]
-    fn export_metrics_and_health_registration_cover_every_worker() {
-        let (mut tx, mut engine, clock) = rig(EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        });
+    fn export_metrics_and_health_registration_cover_every_thread() {
+        let (mut tx, mut engine, clock) = rig(two_workers());
         engine.watch(ProcessId::new(1)).unwrap();
-        engine.start(EngineMode::Lockstep).unwrap();
+        engine.start().unwrap();
         clock.set(Timestamp::from_secs(1));
         tx.send(&frame(1, 1)).unwrap();
-        engine.tick().unwrap();
+        wait_for(&engine, |s| s.totals.accepted == 1);
 
         let registry = afd_obs::Registry::new();
         engine.export_metrics(&registry);
@@ -1821,6 +1150,7 @@ mod tests {
         assert_eq!(snap.counter("engine.intake.frames"), Some(1));
         assert_eq!(snap.counter("engine.ring.dropped"), Some(0));
         assert_eq!(snap.gauge("engine.workers"), Some(2.0));
+        assert_eq!(snap.gauge("engine.lanes"), Some(1.0));
         for idx in 0..2 {
             assert!(snap
                 .gauge(&format!("engine.worker.{idx}.ring_depth"))
@@ -1832,31 +1162,24 @@ mod tests {
 
         let mut board = HealthBoard::new(Duration::from_secs(5));
         engine.register_health(&mut board, clock.now());
-        assert_eq!(board.len(), 3, "intake + two workers");
-        // Ticking keeps every label alive on the board's timeline.
+        assert_eq!(board.len(), 3, "one lane + two workers");
+        // The engine's threads keep every label alive on the board's
+        // timeline.
         clock.advance(Duration::from_secs(4));
-        engine.tick().unwrap();
-        assert!(board.observe(clock.now()).is_empty());
+        let stalled = board.observe(clock.now());
+        assert!(stalled.is_empty(), "{stalled:?}");
         engine.shutdown().unwrap();
     }
 
     #[test]
     fn multi_lane_udp_intake_mixes_v1_and_v2_frames() {
         use crate::lane::MultiUdpTransport;
-        use crate::transport::NullTransport;
-        use crate::wire::{DeltaEncoder, MAX_V2_FRAME};
 
         let clock = VirtualClock::new();
-        let mut engine = ParallelShardEngine::new(
-            NullTransport,
-            clock.clone(),
-            EngineConfig {
-                workers: 2,
-                publish_every: Duration::ZERO,
-                ..EngineConfig::default()
-            },
-            |_| SimpleAccrual::new(Timestamp::ZERO),
-        );
+        let mut engine: Engine<NullTransport> =
+            ParallelShardEngine::new(NullTransport, clock.clone(), two_workers(), |_| {
+                SimpleAccrual::new(Timestamp::ZERO)
+            });
         for id in 0..6u32 {
             engine.watch(ProcessId::new(id)).unwrap();
         }
@@ -1878,27 +1201,14 @@ mod tests {
             DeltaEncoder::new(ProcessId::new(0), 7, std::time::Duration::from_secs(1), 64);
         let mut buf = [0u8; MAX_V2_FRAME];
         for seq in 1..=2u64 {
-            let hb = Heartbeat {
-                sender: ProcessId::new(0),
-                seq,
-                sent_at: Timestamp::from_secs(seq),
-            };
-            let n = enc.encode(&hb, &mut buf);
+            let n = enc.encode(&heartbeat(0, seq), &mut buf);
             assert!(n > 0, "encoder produced a frame");
             sock.send_to(&buf[..n], addrs[lane0]).unwrap();
         }
         // Garbage long enough to clear the lane's short-datagram filter.
         sock.send_to(&[0xAAu8; 16], addrs[lane0]).unwrap();
 
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            let stats = engine.stats();
-            if stats.totals.accepted >= 7 && stats.totals.corrupt >= 1 {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "stalled: {stats:?}");
-            std::thread::yield_now();
-        }
+        wait_for(&engine, |s| s.totals.accepted >= 7 && s.totals.corrupt >= 1);
         let stats = engine.stats();
         assert_eq!(stats.per_lane_frames.len(), 2);
         assert_eq!(stats.per_lane_frames.iter().sum::<u64>(), 7);
@@ -1923,7 +1233,7 @@ mod tests {
 
         let mut board = HealthBoard::new(Duration::from_secs(5));
         engine.register_health(&mut board, clock.now());
-        assert_eq!(board.len(), 5, "intake + 2 workers + 2 lanes");
+        assert_eq!(board.len(), 4, "2 lanes + 2 workers");
 
         engine.shutdown().unwrap();
         // The parked engine transport came back through shutdown.
@@ -1939,7 +1249,7 @@ mod tests {
             engine.start_lanes(Vec::<crate::lane::UdpLane>::new()),
             Err(EngineError::Transport(_))
         ));
-        engine.start(EngineMode::Lockstep).unwrap();
+        engine.start().unwrap();
         let lane = crate::lane::UdpLane::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         assert!(matches!(
             engine.start_lanes(vec![lane]),
@@ -1949,43 +1259,34 @@ mod tests {
     }
 
     #[test]
-    fn multi_lane_engine_restarts_in_plain_modes() {
+    fn multi_lane_engine_restarts_on_its_own_transport() {
         use crate::lane::MultiUdpTransport;
-        use crate::transport::NullTransport;
 
         let clock = VirtualClock::new();
-        let mut engine = ParallelShardEngine::new(
-            NullTransport,
-            clock.clone(),
-            EngineConfig {
-                workers: 2,
-                publish_every: Duration::ZERO,
-                ..EngineConfig::default()
-            },
-            |_| SimpleAccrual::new(Timestamp::ZERO),
-        );
+        let mut engine: Engine<NullTransport> =
+            ParallelShardEngine::new(NullTransport, clock.clone(), two_workers(), |_| {
+                SimpleAccrual::new(Timestamp::ZERO)
+            });
         engine.watch(ProcessId::new(1)).unwrap();
         let multi = MultiUdpTransport::bind("127.0.0.1:0".parse().unwrap(), 2).unwrap();
         engine.start_lanes(multi.into_lanes()).unwrap();
-        assert!(matches!(engine.tick(), Err(EngineError::NotLockstep)));
         engine.shutdown().unwrap();
-        // Detector state survives; a plain free-running start still works
-        // against the (null) engine transport.
+        // Detector state survives; a plain start still works against the
+        // (null) engine transport, and hands it back again.
         assert_eq!(engine.watch(ProcessId::new(1)), Ok(false));
-        engine.start(EngineMode::FreeRunning).unwrap();
+        engine.start().unwrap();
+        assert!(engine.transport().is_none(), "lane 0's thread owns it");
         engine.shutdown().unwrap();
+        assert!(engine.transport().is_some());
     }
 
     #[test]
     fn shutdown_and_drop_are_idempotent_and_clean() {
-        let (_tx, mut engine, _clock) = rig(EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        });
+        let (_tx, mut engine, _clock) = rig(two_workers());
         engine.shutdown().unwrap(); // idle: no-op
-        engine.start(EngineMode::Lockstep).unwrap();
+        engine.start().unwrap();
         engine.shutdown().unwrap();
-        engine.start(EngineMode::Lockstep).unwrap();
+        engine.start().unwrap();
         // Dropped while running: Drop joins everything.
     }
 }

@@ -82,11 +82,6 @@ pub enum EngineError {
     /// The operation requires the engine to be stopped, but workers are
     /// running (e.g. `watch` after `start`).
     Running,
-    /// The operation requires running workers, but the engine is stopped.
-    NotRunning,
-    /// `tick` was called on a free-running engine; lockstep ticks only
-    /// exist in [`EngineMode::Lockstep`](crate::engine::EngineMode).
-    NotLockstep,
     /// A worker thread panicked; the engine is poisoned and must be shut
     /// down.
     WorkerPanicked {
@@ -105,10 +100,6 @@ impl fmt::Display for EngineError {
                     f,
                     "operation requires a stopped engine, but workers are running"
                 )
-            }
-            EngineError::NotRunning => write!(f, "operation requires running workers"),
-            EngineError::NotLockstep => {
-                write!(f, "tick() is only meaningful in lockstep mode")
             }
             EngineError::WorkerPanicked { worker } => {
                 write!(f, "shard worker {worker} panicked; engine poisoned")

@@ -24,36 +24,35 @@
 //! until `EWOULDBLOCK`, the batch fills, or a per-call syscall budget is
 //! spent — the budget bounds how long one drain can monopolize the
 //! intake thread when a lane is firehosed, keeping liveness ticks and
-//! stop-flag checks timely. Datagrams are received straight into the
-//! probe-sized arena slots ([`PROBE_LEN`]): an oversize datagram
-//! (> [`MAX_DATAGRAM`]) is detected and counted, never truncated into a
-//! decodable-looking frame, and a runt shorter than any wire frame
-//! ([`MIN_FRAME`](crate::wire::MIN_FRAME)) is dropped before decode.
-//! Unlike [`UdpTransport`](crate::transport::UdpTransport)'s
-//! single-peer filter, lanes accept datagrams from **any** source — a
-//! million senders cannot share one known address; authenticity is the
-//! checksum's job, liveness the detector's.
+//! stop-flag checks timely. The receive loop itself is the one
+//! [`UdpTransport`](crate::transport::UdpTransport) uses (`drain_socket`
+//! in `transport.rs`): datagrams land straight in the probe-sized arena
+//! slots ([`PROBE_LEN`](crate::transport::PROBE_LEN)), so an oversize
+//! datagram (> [`MAX_DATAGRAM`](crate::transport::MAX_DATAGRAM)) is
+//! detected and counted, never truncated into a decodable-looking frame.
+//! The lane's accept predicate drops a runt shorter than any wire frame
+//! ([`MIN_FRAME`](crate::wire::MIN_FRAME)) before decode and, unlike
+//! `UdpTransport`'s single-peer filter, takes datagrams from **any**
+//! source — a million senders cannot share one known address;
+//! authenticity is the checksum's job, liveness the detector's.
 //!
 //! Every counter is published through [`UdpLaneStats`] (single-writer:
 //! only the lane's intake thread stores) and exported as
 //! `udp.lane.<i>.*` metrics plus `udp.*` totals by
 //! [`MultiUdpStats::export_metrics`].
 //!
-//! Downstream, the engine's lane intake stamps every heartbeat of a
+//! Downstream, the engine's lane thread stamps every heartbeat of a
 //! drained batch with **one** clock read and publishes per-worker
-//! groups through `push_batch` — see the batch-stamping and grouped
-//! seqlock publish notes in `engine.rs` and DESIGN.md §7j for the
-//! stamp-skew bound.
+//! groups through `push_batch` — see `engine.rs` for the stamp-skew
+//! bound.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::TransportError;
-use crate::transport::{FrameBatch, Transport, MAX_DATAGRAM, PROBE_LEN};
+use crate::transport::{drain_socket, recv_one, FrameBatch, Transport};
 use crate::wire::MIN_FRAME;
-
-use std::io::ErrorKind;
 
 /// Default per-`recv_batch` syscall budget for a lane.
 pub const DEFAULT_RECV_BUDGET: usize = 4096;
@@ -84,7 +83,8 @@ impl UdpLaneStats {
         self.datagrams.load(Ordering::Relaxed)
     }
 
-    /// Datagrams dropped for exceeding [`MAX_DATAGRAM`].
+    /// Datagrams dropped for exceeding
+    /// [`MAX_DATAGRAM`](crate::transport::MAX_DATAGRAM).
     pub fn oversize_dropped(&self) -> u64 {
         self.oversize.load(Ordering::Relaxed)
     }
@@ -160,6 +160,18 @@ impl UdpLane {
     pub fn set_recv_budget(&mut self, budget: usize) {
         self.recv_budget = budget.max(1);
     }
+
+    /// One [`drain_socket`] pass of at most `budget` syscalls, accepting
+    /// any source but no runt shorter than a wire frame, with every
+    /// tally folded into the lane's counters.
+    fn drain(&mut self, batch: &mut FrameBatch, budget: usize) -> Result<usize, TransportError> {
+        let (tally, outcome) = drain_socket(&self.socket, batch, budget, |n, _| n >= MIN_FRAME);
+        UdpLaneStats::add(&self.stats.syscalls, tally.syscalls);
+        UdpLaneStats::add(&self.stats.oversize, tally.oversize);
+        UdpLaneStats::add(&self.stats.short, tally.rejected);
+        UdpLaneStats::add(&self.stats.datagrams, tally.got as u64);
+        outcome.map(|()| tally.got)
+    }
 }
 
 impl Transport for UdpLane {
@@ -173,84 +185,19 @@ impl Transport for UdpLane {
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut buf = [0u8; PROBE_LEN];
-        loop {
-            UdpLaneStats::add(&self.stats.syscalls, 1);
-            return match self.socket.recv_from(&mut buf) {
-                Ok((n, _from)) => {
-                    if n > MAX_DATAGRAM {
-                        UdpLaneStats::add(&self.stats.oversize, 1);
-                        continue;
-                    }
-                    if n < MIN_FRAME {
-                        UdpLaneStats::add(&self.stats.short, 1);
-                        continue;
-                    }
-                    UdpLaneStats::add(&self.stats.datagrams, 1);
-                    // lint:allow(no-alloc-in-hot-path, legacy per-frame path; batched intake uses recv_batch)
-                    Ok(Some(buf[..n].to_vec()))
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-                Err(e) if e.kind() == ErrorKind::ConnectionRefused => Ok(None),
-                Err(e) => Err(e.into()),
-            };
-        }
+        recv_one(|one| self.drain(one, usize::MAX))
     }
 
     /// Budgeted drain-until-`EWOULDBLOCK` straight into the arena slots:
     /// one syscall per datagram, zero copies beyond the kernel's, zero
     /// heap allocations.
     fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
-        let mut got = 0usize;
-        let mut oversize = 0u64;
-        let mut short = 0u64;
-        let mut syscalls = 0u64;
-        let mut failure: Option<TransportError> = None;
-        let mut drained = false;
-        let socket = &self.socket;
-        while !batch.is_full()
-            && !drained
-            && failure.is_none()
-            && syscalls < self.recv_budget as u64
-        {
-            batch.push_with(|buf| {
-                syscalls += 1;
-                match socket.recv_from(buf) {
-                    Ok((n, _from)) => {
-                        if n > MAX_DATAGRAM {
-                            oversize += 1;
-                            return None;
-                        }
-                        if n < MIN_FRAME {
-                            short += 1;
-                            return None;
-                        }
-                        got += 1;
-                        Some(n)
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        drained = true;
-                        None
-                    }
-                    Err(e) if e.kind() == ErrorKind::ConnectionRefused => None,
-                    Err(e) => {
-                        failure = Some(e.into());
-                        None
-                    }
-                }
-            });
-        }
-        UdpLaneStats::add(&self.stats.syscalls, syscalls);
-        UdpLaneStats::add(&self.stats.oversize, oversize);
-        UdpLaneStats::add(&self.stats.short, short);
-        if got > 0 {
-            UdpLaneStats::add(&self.stats.datagrams, got as u64);
+        let before = batch.len();
+        let outcome = self.drain(batch, self.recv_budget);
+        if batch.len() > before {
             UdpLaneStats::add(&self.stats.batches, 1);
         }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(got),
-        }
+        outcome
     }
 }
 
@@ -411,6 +358,7 @@ impl MultiUdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::MAX_DATAGRAM;
     use std::net::{Ipv4Addr, SocketAddrV4};
     use std::time::Duration;
 

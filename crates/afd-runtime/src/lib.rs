@@ -5,8 +5,17 @@
 //! runs the monitor/monitored protocol of Défago et al. §5.1 *live*:
 //! threaded heartbeat senders push framed, checksummed heartbeats through a
 //! pluggable [`Transport`](transport::Transport) (in-process channels or
-//! UDP loopback), and a [`RuntimeMonitor`](monitor::RuntimeMonitor) drains
-//! them into the existing `MonitoringService` machinery.
+//! UDP sockets), and **one monitor pipeline** — intake, stamp, accept,
+//! publish; see [`shard`] — turns them into suspicion levels that readers
+//! query lock-free. The pipeline has two executors:
+//!
+//! - [`ShardedMonitor`](shard::ShardedMonitor) runs every stage inline on
+//!   the caller's thread, one [`tick`](shard::ShardedMonitor::tick) at a
+//!   time: deterministic under a virtual clock, and with `shards: 1` the
+//!   plain single-stream reading of Algorithm 4;
+//! - [`ParallelShardEngine`](engine::ParallelShardEngine) runs the same
+//!   stages on lane threads and one worker thread per shard, joined by
+//!   SPSC rings — the multi-core deployment.
 //!
 //! Robustness is the point, not an afterthought:
 //!
@@ -37,7 +46,6 @@ pub mod error;
 pub mod fault;
 pub mod intern;
 pub mod lane;
-pub mod monitor;
 pub mod persist;
 pub mod retry;
 pub mod ring;
@@ -56,12 +64,11 @@ pub use chaos::{
 };
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use degrade::{DegradeConfig, GracefulDegradation};
-pub use engine::{EngineConfig, EngineMode, EngineStats, EngineTickReport, ParallelShardEngine};
+pub use engine::{EngineConfig, EngineStats, ParallelShardEngine};
 pub use error::{EngineError, RuntimeError, TransportError};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use intern::{InternEntry, InternSlab};
 pub use lane::{MultiUdpStats, MultiUdpTransport, UdpLane, UdpLaneStats, DEFAULT_RECV_BUDGET};
-pub use monitor::{MonitorStats, RuntimeMonitor};
 pub use persist::{
     CheckpointConfig, CheckpointDaemon, CheckpointReport, Checkpointer, DirSink, FaultySink,
     FaultySinkPlan, FaultySinkStats, MemSink, PersistError, RestoreImport, Restored, RestoredPeer,
@@ -72,7 +79,8 @@ pub use ring::{heartbeat_ring, RingConsumer, RingProducer, RingWatch};
 pub use sender::{spawn_sender, SenderConfig, SenderCore, SenderHandle, WireVersion};
 pub use seq::{classify, SeqVerdict};
 pub use shard::{
-    ShardCapacityError, ShardConfig, ShardedMonitor, ShardedStats, SnapshotReader, TickReport,
+    MonitorStats, ShardCapacityError, ShardConfig, ShardedMonitor, ShardedStats, SnapshotReader,
+    TickReport,
 };
 pub use supervisor::{HealthBoard, SupervisedThread, Supervisor, Watchdog};
 pub use transport::{

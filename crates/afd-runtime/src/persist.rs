@@ -1096,13 +1096,13 @@ impl<S: SegmentSink> Checkpointer<S> {
 }
 
 // ---------------------------------------------------------------------------
-// CheckpointDaemon: periodic cadence for FreeRunning engines
+// CheckpointDaemon: periodic cadence for running engines
 // ---------------------------------------------------------------------------
 
 /// A background thread checkpointing a [`SnapshotReader`] on a fixed
-/// cadence — the FreeRunning-mode counterpart of calling
+/// cadence — the periodic counterpart of calling
 /// [`checkpoint`](crate::engine::ParallelShardEngine::checkpoint)
-/// between Lockstep ticks. Reads go through the epoch snapshots only, so
+/// explicitly. Reads go through the epoch snapshots only, so
 /// the daemon never contends with intake or workers.
 pub struct CheckpointDaemon<S> {
     stop: Arc<AtomicBool>,

@@ -1,40 +1,52 @@
-//! A sharded many-peer monitor with lock-free suspicion reads.
+//! The monitor pipeline's shared stages and its inline executor.
 //!
-//! [`RuntimeMonitor`](crate::monitor::RuntimeMonitor) keeps every watched
-//! process behind one `&mut self`, which is exactly right for tens of
-//! peers and exactly wrong for ten thousand: every `level()` query
-//! contends with intake, and a snapshot walks the whole detector map
-//! while frames queue up. [`ShardedMonitor`] splits the watch set across
-//! `N` shards (hash of the [`ProcessId`]), drains the transport **once**
-//! per [`tick`](ShardedMonitor::tick), dispatches decoded heartbeats to
-//! shards in per-shard batches, and then *publishes* each shard's
-//! suspicion levels into a double-buffered epoch snapshot that
-//! [`SnapshotReader`]s consume without taking any lock — readers never
-//! block intake, and intake never blocks readers.
+//! Algorithm 4's receive rule — a heartbeat fresher than the freshest
+//! seen records an arrival — runs here as one pipeline of four stages:
+//!
+//! 1. **intake** ([`Intake`]): refill a reusable [`FrameBatch`] arena
+//!    from the transport, decode every frame through one
+//!    [`WireDecoder`] (v1 and compact v2 frames mix freely; corrupt
+//!    frames are counted, never panicked on) and route each heartbeat to
+//!    its shard by [`shard_index`];
+//! 2. **stamp**: the *executor* attaches the arrival time — the stage
+//!    takes the stamp from its caller and picks no policy;
+//! 3. **accept** ([`Shard::accept`]): serial-number freshness, then the
+//!    watch check, then the detector update;
+//! 4. **publish** ([`Shard::publish`]): each shard's suspicion levels and
+//!    durable rows go into a double-buffered epoch snapshot that
+//!    [`SnapshotReader`]s consume without taking any lock.
+//!
+//! [`Shard`] owns every per-shard operation (watch with capacity,
+//! unwatch, import of a restored peer, accept, publish, counters), so the
+//! two executors share them by construction:
+//!
+//! - [`ShardedMonitor`] is the **inline executor**: one
+//!   [`tick`](ShardedMonitor::tick) runs all four stages on the calling
+//!   thread. It re-reads the clock for every decoded frame — stamping a
+//!   drained backlog (say, after a partition heals) with one arrival
+//!   time would collapse its inter-arrival samples to zero and poison
+//!   adaptive windows. Deterministic under a virtual clock; the chaos
+//!   harness and the model-checker replay run on it with `shards: 1`.
+//! - [`ParallelShardEngine`](crate::engine::ParallelShardEngine) is the
+//!   **threaded executor**: lane threads run stage 1, stamp once per
+//!   batch, and hand heartbeats over SPSC rings to one worker thread per
+//!   shard that runs stages 3–4.
 //!
 //! # Epoch snapshots
 //!
 //! Each shard owns a [`ShardCell`]: two banks of atomics (peer ids and
-//! suspicion levels as `f64` bits) plus a `front` selector. The tick
-//! writer fills the *back* bank under a seqlock word (odd while writing),
-//! then flips `front`. Readers load `front`, verify the seqlock word is
-//! even and unchanged around their reads, and retry on a straddle. The
-//! writer is wait-free (it never observes readers); readers are
-//! obstruction-free (they retry only if a publish overlaps their read).
-//! Everything is plain atomics — no locks, no unsafe code.
+//! suspicion levels as `f64` bits) plus a `front` selector. The
+//! publishing thread fills the *back* bank under a seqlock word (odd
+//! while writing), then flips `front`. Readers load `front`, verify the
+//! seqlock word is even and unchanged around their reads, and retry on a
+//! straddle. The writer is wait-free (it never observes readers);
+//! readers are obstruction-free (they retry only if a publish overlaps
+//! their read). Everything is plain atomics — no locks, no unsafe code.
 //!
-//! Published levels are as of the last tick, so a reader's view lags real
-//! time by at most one tick interval; callers that need exact-`now`
+//! Published levels are as of the last publish, so a reader's view lags
+//! real time by at most one tick interval; callers that need exact-`now`
 //! values use the `&mut` paths ([`ShardedMonitor::level`] /
 //! [`ShardedMonitor::snapshot`]), which evaluate detectors directly.
-//!
-//! # Equivalence
-//!
-//! With `shards = 1` the intake pipeline is behaviourally identical to
-//! `RuntimeMonitor`: frames are stamped per decode in drain order and the
-//! accept path (serial-number freshness, then watch check, then detector
-//! update) is the same code shape — property tests in `tests/sharded.rs`
-//! assert equality against a `RuntimeMonitor` fed the same frames.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -49,7 +61,7 @@ use afd_detectors::service::MonitoringService;
 
 use crate::clock::Clock;
 use crate::error::TransportError;
-use crate::monitor::MonitorStats;
+use crate::persist::{RestoreImport, RestoredPeer};
 use crate::seq::{classify, SeqVerdict};
 use crate::transport::{FrameBatch, Transport};
 use crate::wire::{Heartbeat, WireDecoder};
@@ -112,6 +124,42 @@ impl fmt::Display for ShardCapacityError {
 }
 
 impl std::error::Error for ShardCapacityError {}
+
+/// Outcome counters of the accept stage: every decoded frame lands in
+/// exactly one of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MonitorStats {
+    /// Valid, fresh heartbeats fed to detectors.
+    pub accepted: u64,
+    /// Frames that failed decoding (bad length, checksum, …).
+    pub corrupt: u64,
+    /// Valid frames whose sequence number was behind the freshest seen
+    /// (reordered or replayed).
+    pub stale: u64,
+    /// Valid frames redelivering exactly the freshest sequence number
+    /// seen — a duplicating network, not a reordering one.
+    pub duplicate: u64,
+    /// Valid frames from processes nobody watches.
+    pub unwatched: u64,
+}
+
+impl MonitorStats {
+    /// Totals over per-shard counters plus the pre-shard `corrupt` count
+    /// (decoding fails before any shard is chosen).
+    pub(crate) fn totals(corrupt: u64, per_shard: &[MonitorStats]) -> MonitorStats {
+        let mut totals = MonitorStats {
+            corrupt,
+            ..MonitorStats::default()
+        };
+        for s in per_shard {
+            totals.accepted += s.accepted;
+            totals.stale += s.stale;
+            totals.duplicate += s.duplicate;
+            totals.unwatched += s.unwatched;
+        }
+        totals
+    }
+}
 
 /// What one [`tick`](ShardedMonitor::tick) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -332,9 +380,14 @@ impl ShardCell {
         }
     }
 
+    /// Peers one bank can hold — the shard's watch capacity.
+    fn slots(&self) -> usize {
+        self.banks[0].peers.len()
+    }
+
     /// Publishes `entries` (ascending by id, at most `slots` long) as the
     /// new front bank, together with the parallel `durable` records.
-    /// Single writer: callers hold `&mut ShardedMonitor`.
+    /// Single writer: the thread that owns the [`Shard`].
     fn publish(
         &self,
         entries: &[(ProcessId, SuspicionLevel)],
@@ -521,38 +574,138 @@ impl SnapshotReader {
 }
 
 /// One shard: a detector service plus its freshness state and counters.
-/// Crate-visible so [`ParallelShardEngine`](crate::engine::ParallelShardEngine)
-/// workers can own shards and run the *same* accept/publish code the
-/// single-threaded monitor runs — equivalence by construction.
+/// The only owner of the per-shard operations — both executors run this
+/// code, the inline one on the caller's thread and the threaded one on
+/// the shard's worker.
 pub(crate) struct Shard<D> {
-    pub(crate) service: MonitoringService<D, DetectorFactory<D>>,
-    pub(crate) highest_seq: BTreeMap<ProcessId, u64>,
-    pub(crate) stats: MonitorStats,
-    pub(crate) cell: Arc<ShardCell>,
+    index: usize,
+    service: MonitoringService<D, DetectorFactory<D>>,
+    highest_seq: BTreeMap<ProcessId, u64>,
+    stats: MonitorStats,
+    cell: Arc<ShardCell>,
     /// Reusable publish buffer: (peer, level) rows for the epoch banks.
     snap_scratch: Vec<(ProcessId, SuspicionLevel)>,
     /// Reusable publish buffer: parallel durable rows.
     durable_scratch: Vec<PeerDurable>,
 }
 
-impl<D: AccrualFailureDetector> Shard<D> {
-    /// Builds an empty shard publishing into `cell`.
-    pub(crate) fn new(factory: DetectorFactory<D>, cell: Arc<ShardCell>) -> Self {
-        Shard {
-            service: MonitoringService::new(factory),
+/// Builds `shards` empty shards of `slots` peers each plus the epoch
+/// cells they publish into; `factory` is cloned once per shard. Callers
+/// floor both counts at one.
+pub(crate) fn build_shards<D: AccrualFailureDetector>(
+    shards: usize,
+    slots: usize,
+    factory: impl FnMut(ProcessId) -> D + Send + Clone + 'static,
+) -> (Arc<Vec<Arc<ShardCell>>>, Vec<Shard<D>>) {
+    let cells: Vec<Arc<ShardCell>> = (0..shards)
+        .map(|_| Arc::new(ShardCell::new(slots)))
+        .collect();
+    let shards = cells
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| Shard {
+            index,
+            service: MonitoringService::new(Box::new(factory.clone()) as DetectorFactory<D>),
             highest_seq: BTreeMap::new(),
             stats: MonitorStats::default(),
-            cell,
+            cell: Arc::clone(cell),
             // lint:allow(no-alloc-in-hot-path, one-time construction; both scratch buffers are reused across every publish)
             snap_scratch: Vec::new(),
             // lint:allow(no-alloc-in-hot-path, one-time construction; both scratch buffers are reused across every publish)
             durable_scratch: Vec::new(),
+        })
+        .collect();
+    (Arc::new(cells), shards)
+}
+
+/// Bulk-imports checkpointed `peers` into `shards` (routing by the
+/// *current* shard count, so a checkpoint survives a shard-count change
+/// across restarts), then publishes every shard at `now` so the first
+/// post-restore reader query already serves the restored levels.
+pub(crate) fn import_peers<D: AccrualFailureDetector>(
+    shards: &mut [Shard<D>],
+    peers: &[RestoredPeer],
+    now: Timestamp,
+) -> RestoreImport {
+    let mut import = RestoreImport::default();
+    for peer in peers {
+        let idx = shard_index(peer.process, shards.len());
+        shards[idx].import(peer, &mut import);
+    }
+    for shard in shards {
+        shard.publish(now);
+    }
+    import
+}
+
+impl<D: AccrualFailureDetector> Shard<D> {
+    /// Starts monitoring `process`: `Ok(true)` if newly watched,
+    /// `Ok(false)` if already watched.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardCapacityError`] if the snapshot bank is full — published
+    /// banks are fixed-size atomic arrays shared with readers and cannot
+    /// grow.
+    pub(crate) fn watch(&mut self, process: ProcessId) -> Result<bool, ShardCapacityError> {
+        let capacity = self.cell.slots();
+        if !self.service.is_watching(process) && self.service.len() >= capacity {
+            return Err(ShardCapacityError {
+                shard: self.index,
+                capacity,
+            });
+        }
+        Ok(self.service.watch(process))
+    }
+
+    /// Stops monitoring `process`. The highest sequence number seen from
+    /// it is deliberately retained: if the process is watched again
+    /// later, replayed frames from before the unwatch are still rejected
+    /// instead of being accepted as fresh. The map grows with the number
+    /// of distinct senders ever seen, which is bounded by the system's
+    /// `Π`.
+    pub(crate) fn unwatch(&mut self, process: ProcessId) -> Option<D> {
+        self.service.unwatch(process)
+    }
+
+    /// Re-watches one checkpointed peer, seeds its detector with the
+    /// saved window moments and re-arms replay rejection with the saved
+    /// highest sequence number. A peer that does not fit is counted in
+    /// [`RestoreImport::capacity_rejected`].
+    fn import(&mut self, peer: &RestoredPeer, import: &mut RestoreImport) {
+        if self.watch(peer.process).is_err() {
+            import.capacity_rejected += 1;
+            return;
+        }
+        import.watched += 1;
+        if let Some(seq) = peer.highest_seq {
+            self.highest_seq.insert(peer.process, seq);
+        }
+        if let Some(seed) = &peer.seed {
+            if let Some(d) = self.service.detector_mut(peer.process) {
+                d.restore_seed(seed);
+                import.seeded += 1;
+            }
         }
     }
 
-    /// Algorithm 4, lines 8–10 — the same accept path as
-    /// [`RuntimeMonitor`](crate::monitor::RuntimeMonitor), against this
-    /// shard's own freshness map.
+    /// Watched processes.
+    pub(crate) fn len(&self) -> usize {
+        self.service.len()
+    }
+
+    /// Accept-stage counters (`corrupt` is always 0: decoding fails
+    /// before a shard is chosen).
+    pub(crate) fn stats(&self) -> MonitorStats {
+        self.stats
+    }
+
+    /// Algorithm 4, lines 8–10: only heartbeats fresher than the
+    /// freshest seen so far update the detector, so detectors always see
+    /// non-decreasing arrival times. Freshness is serial-number
+    /// arithmetic ([`crate::seq`]): duplicates and reordered frames are
+    /// dropped (and counted apart), while a sender whose counter wraps
+    /// past `u64::MAX` keeps being accepted.
     pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
         if let Some(&highest) = self.highest_seq.get(&hb.sender) {
             match classify(hb.seq, highest) {
@@ -598,6 +751,62 @@ impl<D: AccrualFailureDetector> Shard<D> {
     }
 }
 
+/// The intake stage both executors share: one reusable zero-allocation
+/// arena and one wire decoder (holding the v2 intern table across
+/// drains). [`recv`](Intake::recv) is the only `recv_batch` call on the
+/// intake path and [`decode`](Intake::decode) the only decode/route
+/// loop; the caller's `deliver` attaches the arrival stamp, so each
+/// executor keeps its own clock policy.
+pub(crate) struct Intake {
+    arena: FrameBatch,
+    decoder: WireDecoder,
+}
+
+impl Intake {
+    /// An intake stage draining up to `slots` frames per refill.
+    pub(crate) fn new(slots: usize) -> Self {
+        Intake {
+            arena: FrameBatch::with_capacity(slots),
+            decoder: WireDecoder::new(),
+        }
+    }
+
+    /// Refills the arena from `transport`, returning the frames stored;
+    /// fewer than [`capacity`](Intake::capacity) means the transport is
+    /// drained.
+    pub(crate) fn recv<T: Transport + ?Sized>(
+        &mut self,
+        transport: &mut T,
+    ) -> Result<usize, TransportError> {
+        self.arena.clear();
+        transport.recv_batch(&mut self.arena)
+    }
+
+    /// Arena slots per refill.
+    pub(crate) fn capacity(&self) -> usize {
+        self.arena.capacity()
+    }
+
+    /// Decodes the arena's frames in arrival order and hands each
+    /// heartbeat, with the shard (of `shards`) it routes to, to
+    /// `deliver`. Returns how many frames failed decoding.
+    #[inline]
+    pub(crate) fn decode(
+        &mut self,
+        shards: usize,
+        mut deliver: impl FnMut(usize, Heartbeat),
+    ) -> u64 {
+        let mut corrupt = 0u64;
+        for frame in self.arena.iter() {
+            match self.decoder.decode(frame) {
+                Ok(hb) => deliver(shard_index(hb.sender, shards), hb),
+                Err(_) => corrupt += 1,
+            }
+        }
+        corrupt
+    }
+}
+
 /// A monitor for many peers: sharded intake, epoch-published reads.
 ///
 /// Drive it by calling [`tick`](ShardedMonitor::tick) on whatever cadence
@@ -610,12 +819,10 @@ pub struct ShardedMonitor<T, C, D> {
     config: ShardConfig,
     shards: Vec<Shard<D>>,
     reader: SnapshotReader,
-    /// Reusable zero-allocation intake arena.
-    intake: FrameBatch,
+    /// The shared intake stage: arena plus wire decoder.
+    intake: Intake,
     /// Per-shard dispatch batches, reused across ticks.
     batches: Vec<Vec<(Heartbeat, Timestamp)>>,
-    /// Wire decoder holding the v2 intern table across ticks.
-    decoder: WireDecoder,
     corrupt: u64,
     ticks: u64,
     liveness: Arc<AtomicU64>,
@@ -639,8 +846,11 @@ where
     D: AccrualFailureDetector,
 {
     /// Creates a sharded monitor; `factory` is cloned once per shard and
-    /// builds one detector per watched process (as in
-    /// [`RuntimeMonitor::new`](crate::monitor::RuntimeMonitor::new)).
+    /// builds one detector per watched process.
+    ///
+    /// Compose resilience in the factory: e.g.
+    /// `|p| GracefulDegradation::new(PhiAccrual::with_defaults(), cfg)`
+    /// gives every watched process the starved-window fallback.
     pub fn new(
         transport: T,
         clock: C,
@@ -651,18 +861,7 @@ where
             shards: config.shards.max(1),
             slots_per_shard: config.slots_per_shard.max(1),
         };
-        let cells: Vec<Arc<ShardCell>> = (0..config.shards)
-            .map(|_| Arc::new(ShardCell::new(config.slots_per_shard)))
-            .collect();
-        let shards = cells
-            .iter()
-            .map(|cell| {
-                Shard::new(
-                    Box::new(factory.clone()) as DetectorFactory<D>,
-                    Arc::clone(cell),
-                )
-            })
-            .collect();
+        let (cells, shards) = build_shards(config.shards, config.slots_per_shard, factory);
         // lint:allow(no-alloc-in-hot-path, one-time construction; the batches are reused across every tick)
         let batches = (0..config.shards).map(|_| Vec::new()).collect();
         ShardedMonitor {
@@ -670,10 +869,9 @@ where
             clock,
             config,
             shards,
-            reader: SnapshotReader::from_cells(Arc::new(cells)),
-            intake: FrameBatch::with_capacity(INTAKE_BATCH_SLOTS),
+            reader: SnapshotReader::from_cells(cells),
+            intake: Intake::new(INTAKE_BATCH_SLOTS),
             batches,
-            decoder: WireDecoder::new(),
             corrupt: 0,
             ticks: 0,
             liveness: Arc::new(AtomicU64::new(0)),
@@ -704,25 +902,15 @@ where
     /// readers and cannot grow.
     pub fn watch(&mut self, process: ProcessId) -> Result<bool, ShardCapacityError> {
         let idx = self.shard_of(process);
-        let shard = &mut self.shards[idx];
-        if !shard.service.is_watching(process) && shard.service.len() >= self.config.slots_per_shard
-        {
-            return Err(ShardCapacityError {
-                shard: idx,
-                capacity: self.config.slots_per_shard,
-            });
-        }
-        Ok(shard.service.watch(process))
+        self.shards[idx].watch(process)
     }
 
-    /// Stops monitoring `process`. As with
-    /// [`RuntimeMonitor::unwatch`](crate::monitor::RuntimeMonitor::unwatch),
-    /// the highest sequence number seen from it is retained so replays
-    /// after a re-watch stay rejected. The published entry disappears at
-    /// the next tick.
+    /// Stops monitoring `process`. The highest sequence number seen from
+    /// it is retained so replays after a re-watch stay rejected. The
+    /// published entry disappears at the next tick.
     pub fn unwatch(&mut self, process: ProcessId) -> Option<D> {
         let idx = self.shard_of(process);
-        self.shards[idx].service.unwatch(process)
+        self.shards[idx].unwatch(process)
     }
 
     /// Drains the transport once, dispatches decoded heartbeats to their
@@ -740,23 +928,16 @@ where
             batch.clear();
         }
         let mut drained = 0usize;
+        let (batches, clock) = (&mut self.batches, &self.clock);
         loop {
-            self.intake.clear();
-            let got = self.transport.recv_batch(&mut self.intake)?;
+            let got = self.intake.recv(&mut self.transport)?;
             drained += got;
-            for frame in self.intake.iter() {
-                match self.decoder.decode(frame) {
-                    Ok(hb) => {
-                        // Stamp per decoded frame (not per tick): one "now"
-                        // for a whole drained backlog would collapse its
-                        // inter-arrival samples to zero.
-                        let now = self.clock.now();
-                        let idx = shard_index(hb.sender, self.shards.len());
-                        self.batches[idx].push((hb, now));
-                    }
-                    Err(_) => self.corrupt += 1,
-                }
-            }
+            // Stamp per decoded frame (not per tick): one "now" for a
+            // whole drained backlog would collapse its inter-arrival
+            // samples to zero.
+            self.corrupt += self.intake.decode(batches.len(), |idx, hb| {
+                batches[idx].push((hb, clock.now()));
+            });
             // A short batch means the transport is drained.
             if got < self.intake.capacity() {
                 break;
@@ -835,8 +1016,8 @@ where
     /// Publishes a fresh epoch snapshot of every shard and dumps it as a
     /// new checkpoint generation through `ckpt`.
     ///
-    /// This is the explicit Lockstep-style cadence; FreeRunning
-    /// deployments hand [`reader`](ShardedMonitor::reader) to a
+    /// This is the explicit cadence; for a periodic one hand
+    /// [`reader`](ShardedMonitor::reader) to a
     /// [`CheckpointDaemon`](crate::persist::CheckpointDaemon) instead.
     ///
     /// # Errors
@@ -865,33 +1046,8 @@ where
     ///
     /// Peers whose target shard is full are dropped and counted in
     /// [`RestoreImport::capacity_rejected`](crate::persist::RestoreImport).
-    pub fn restore(
-        &mut self,
-        peers: &[crate::persist::RestoredPeer],
-    ) -> crate::persist::RestoreImport {
-        let mut import = crate::persist::RestoreImport::default();
-        for peer in peers {
-            if self.watch(peer.process).is_err() {
-                import.capacity_rejected += 1;
-                continue;
-            }
-            import.watched += 1;
-            let idx = self.shard_of(peer.process);
-            if let Some(seq) = peer.highest_seq {
-                self.shards[idx].highest_seq.insert(peer.process, seq);
-            }
-            if let Some(seed) = &peer.seed {
-                if let Some(d) = self.shards[idx].service.detector_mut(peer.process) {
-                    d.restore_seed(seed);
-                    import.seeded += 1;
-                }
-            }
-        }
-        let now = self.clock.now();
-        for shard in &mut self.shards {
-            shard.publish(now);
-        }
-        import
+    pub fn restore(&mut self, peers: &[RestoredPeer]) -> RestoreImport {
+        import_peers(&mut self.shards, peers, self.clock.now())
     }
 
     /// Direct access to the detector for `process`.
@@ -912,24 +1068,11 @@ where
 
     /// Aggregated and per-shard counters.
     pub fn stats(&self) -> ShardedStats {
-        let mut totals = MonitorStats {
-            corrupt: self.corrupt,
-            ..MonitorStats::default()
-        };
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        let mut peers_per_shard = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            totals.accepted += shard.stats.accepted;
-            totals.stale += shard.stats.stale;
-            totals.duplicate += shard.stats.duplicate;
-            totals.unwatched += shard.stats.unwatched;
-            per_shard.push(shard.stats);
-            peers_per_shard.push(shard.service.len());
-        }
+        let per_shard: Vec<MonitorStats> = self.shards.iter().map(Shard::stats).collect();
         ShardedStats {
-            totals,
+            totals: MonitorStats::totals(self.corrupt, &per_shard),
             per_shard,
-            peers_per_shard,
+            peers_per_shard: self.shards.iter().map(Shard::len).collect(),
             ticks: self.ticks,
         }
     }
@@ -1008,11 +1151,18 @@ mod tests {
         (tx, mon, clock)
     }
 
+    /// The single-stream reading of Algorithm 4: one shard.
+    const SINGLE: ShardConfig = ShardConfig {
+        shards: 1,
+        slots_per_shard: 8,
+    };
+
     fn frame(sender: u32, seq: u64) -> Vec<u8> {
         Heartbeat {
             sender: ProcessId::new(sender),
             seq,
-            sent_at: Timestamp::from_secs(seq),
+            // from_nanos: seq values near u64::MAX must stay representable.
+            sent_at: Timestamp::from_nanos(seq),
         }
         .encode()
         .to_vec()
@@ -1151,6 +1301,141 @@ mod tests {
         let idx = mon.shard_of(p);
         assert_eq!(stats.per_shard[idx].accepted, 2);
         assert_eq!(stats.per_shard[idx].corrupt, 0, "corrupt is pre-shard");
+    }
+
+    #[test]
+    fn corrupt_frames_are_counted_not_panicked() {
+        let (mut tx, mut mon, _clock) = rig(SINGLE);
+        mon.watch(ProcessId::new(1)).unwrap();
+        tx.send(b"garbage").unwrap();
+        let mut bad = frame(1, 1);
+        bad[10] ^= 0xFF;
+        tx.send(&bad).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 0);
+        assert_eq!(mon.stats().totals.corrupt, 2);
+    }
+
+    #[test]
+    fn unwatched_senders_are_ignored() {
+        let (mut tx, mut mon, _clock) = rig(SINGLE);
+        mon.watch(ProcessId::new(1)).unwrap();
+        tx.send(&frame(9, 1)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 0);
+        assert_eq!(mon.stats().totals.unwatched, 1);
+    }
+
+    #[test]
+    fn sequence_wraparound_keeps_a_live_sender_accepted() {
+        // A sender whose counter wraps past u64::MAX must not be rejected
+        // forever: u64::MAX → 0 is a forward step of one in serial-number
+        // arithmetic.
+        let (mut tx, mut mon, clock) = rig(SINGLE);
+        let p = ProcessId::new(1);
+        mon.watch(p).unwrap();
+        clock.set(Timestamp::from_secs(1));
+        tx.send(&frame(1, u64::MAX - 1)).unwrap();
+        tx.send(&frame(1, u64::MAX)).unwrap();
+        tx.send(&frame(1, u64::MAX)).unwrap(); // redelivered duplicate
+        tx.send(&frame(1, 0)).unwrap(); // wraparound: fresh
+        tx.send(&frame(1, 1)).unwrap(); // life goes on
+        tx.send(&frame(1, u64::MAX)).unwrap(); // replay from before the wrap
+        assert_eq!(mon.tick().unwrap().accepted, 4);
+        let s = mon.stats().totals;
+        assert_eq!(s.accepted, 4);
+        assert_eq!(s.duplicate, 1);
+        assert_eq!(s.stale, 1);
+    }
+
+    #[test]
+    fn injected_duplicates_are_counted_as_duplicates() {
+        // Drive the dup fault through the FaultInjector: every frame is
+        // delivered twice, and the monitor must accept exactly one copy of
+        // each while counting the other as a duplicate.
+        use crate::fault::{FaultInjector, FaultPlan};
+
+        let (mut tx, rx) = ChannelTransport::pair();
+        let clock = VirtualClock::new();
+        let injected =
+            FaultInjector::new(rx, clock.clone(), FaultPlan::new().with_duplicate(1.0), 42);
+        let mut mon = ShardedMonitor::new(injected, clock.clone(), SINGLE, |_| {
+            SimpleAccrual::new(Timestamp::ZERO)
+        });
+        let p = ProcessId::new(1);
+        mon.watch(p).unwrap();
+        clock.set(Timestamp::from_secs(1));
+        for seq in 1..=5u64 {
+            tx.send(&frame(1, seq)).unwrap();
+        }
+        assert_eq!(mon.tick().unwrap().accepted, 5);
+        let s = mon.stats().totals;
+        assert_eq!(s.accepted, 5);
+        assert_eq!(s.duplicate, 5, "each injected copy rejected as duplicate");
+        assert_eq!(s.stale, 0);
+        assert_eq!(mon.transport().stats().duplicated, 5);
+    }
+
+    /// A clock that advances by a fixed step on every read, exposing code
+    /// that caches "now" instead of re-reading it per frame.
+    #[derive(Clone)]
+    struct SteppingClock {
+        now: Arc<AtomicU64>,
+        step: u64,
+    }
+
+    impl Clock for SteppingClock {
+        fn now(&self) -> Timestamp {
+            Timestamp::from_nanos(self.now.fetch_add(self.step, Ordering::SeqCst))
+        }
+    }
+
+    #[test]
+    fn burst_frames_get_distinct_arrival_times() {
+        // Three frames drained in ONE tick must not share an arrival
+        // timestamp: each decoded frame re-reads the clock. With a cached
+        // "now" the detector's last arrival would stay at the first read.
+        let (mut tx, rx) = ChannelTransport::pair();
+        let clock = SteppingClock {
+            now: Arc::new(AtomicU64::new(Timestamp::from_secs(100).as_nanos())),
+            step: Duration::from_secs(1).as_nanos(),
+        };
+        let mut mon =
+            ShardedMonitor::new(rx, clock, SINGLE, |_| SimpleAccrual::new(Timestamp::ZERO));
+        let p = ProcessId::new(1);
+        mon.watch(p).unwrap();
+        tx.send(&frame(1, 1)).unwrap();
+        tx.send(&frame(1, 2)).unwrap();
+        tx.send(&frame(1, 3)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 3);
+        // Clock reads: 100 s, 101 s, 102 s — the last accepted heartbeat
+        // must carry the last read, not the first.
+        let last = mon.detector_mut(p).unwrap().last_heartbeat();
+        assert_eq!(last, Timestamp::from_secs(102));
+    }
+
+    #[test]
+    fn rewatched_process_rejects_replayed_sequences() {
+        let (mut tx, mut mon, clock) = rig(SINGLE);
+        let p = ProcessId::new(1);
+        mon.watch(p).unwrap();
+        clock.set(Timestamp::from_secs(1));
+        tx.send(&frame(1, 5)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 1);
+
+        // Unwatch and watch again: the highest seen sequence number must
+        // survive, or an attacker (or a confused network) could replay old
+        // frames as fresh.
+        mon.unwatch(p);
+        mon.watch(p).unwrap();
+        clock.set(Timestamp::from_secs(2));
+        tx.send(&frame(1, 5)).unwrap(); // replay of the newest frame
+        tx.send(&frame(1, 4)).unwrap(); // even staler
+        assert_eq!(mon.tick().unwrap().accepted, 0);
+        assert_eq!(mon.stats().totals.duplicate, 1);
+        assert_eq!(mon.stats().totals.stale, 1);
+
+        // Genuinely fresh frames still get through.
+        tx.send(&frame(1, 6)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A monitoring loop that silently wedges is worse than one that dies: the
 //! detectors' levels freeze and every application above trusts a corpse.
 //! [`Watchdog`] is the pure stall-detection logic — it observes a liveness
-//! counter (bumped by [`RuntimeMonitor::poll`](crate::monitor::RuntimeMonitor::poll))
+//! counter (bumped by [`ShardedMonitor::tick`](crate::shard::ShardedMonitor::tick))
 //! and flags a loop whose counter stops moving. [`Supervisor`] owns a
 //! respawnable thread and uses a watchdog plus thread-exit detection to
 //! restart it, counting restarts so operators can see the churn.
@@ -64,7 +64,7 @@ impl Watchdog {
 /// Stall detection across a set of labeled liveness counters — the
 /// multi-thread face of [`Watchdog`], used by the
 /// [`ParallelShardEngine`](crate::engine::ParallelShardEngine) to watch
-/// its intake thread and every shard worker at once.
+/// its lane threads and every shard worker at once.
 ///
 /// Register each thread's counter with [`track`](HealthBoard::track);
 /// call [`observe`](HealthBoard::observe) periodically and act on the

@@ -23,9 +23,9 @@
 //! inline queue entries). After the arena is built, steady-state intake
 //! performs **zero heap allocations per frame** — enforced by the
 //! `no-alloc-in-hot-path` afd-lint rule over this file. Batches are
-//! also the clock-amortization unit: intake paths take one arrival
-//! stamp per `recv_batch` call and apply it to every frame in the
-//! batch (skew bounded by one batch's handling time — DESIGN.md §7j).
+//! also the engine's clock-amortization unit: a lane thread takes one
+//! arrival stamp per `recv_batch` call and applies it to every frame in
+//! the batch (skew bounded by one batch's handling time).
 //!
 //! # Bounded, lossy channels
 //!
@@ -446,6 +446,83 @@ impl Transport for ChannelTransport {
     }
 }
 
+/// What one [`drain_socket`] call did.
+#[derive(Debug, Default)]
+pub(crate) struct SocketDrain {
+    /// Datagrams committed to the batch.
+    pub(crate) got: usize,
+    /// Datagrams dropped for exceeding [`MAX_DATAGRAM`].
+    pub(crate) oversize: u64,
+    /// Datagrams the caller's `accept` predicate turned away.
+    pub(crate) rejected: u64,
+    /// `recv_from` calls issued, including a terminal `WouldBlock` probe.
+    pub(crate) syscalls: u64,
+}
+
+/// The one UDP receive loop, behind both socket transports: drains
+/// `socket` straight into `batch`'s probe-sized slots — one `recv_from`
+/// per datagram, zero copies beyond the kernel's, zero heap allocations —
+/// until the socket would block, the batch fills, `budget` syscalls are
+/// spent, or a hard error (returned beside the tallies, which stay
+/// valid). `accept(len, from)` filters datagrams first; one that passes
+/// but fills the whole probe-sized slot exceeded [`MAX_DATAGRAM`] and is
+/// counted and dropped rather than committed as a truncated frame.
+pub(crate) fn drain_socket(
+    socket: &UdpSocket,
+    batch: &mut FrameBatch,
+    budget: usize,
+    mut accept: impl FnMut(usize, SocketAddr) -> bool,
+) -> (SocketDrain, Result<(), TransportError>) {
+    let mut tally = SocketDrain::default();
+    let mut outcome = Ok(());
+    let mut drained = false;
+    while !batch.is_full() && !drained && outcome.is_ok() && tally.syscalls < budget as u64 {
+        batch.push_with(|buf| {
+            tally.syscalls += 1;
+            match socket.recv_from(buf) {
+                Ok((n, from)) if !accept(n, from) => {
+                    tally.rejected += 1;
+                    None
+                }
+                Ok((n, _)) if n > MAX_DATAGRAM => {
+                    tally.oversize += 1;
+                    None
+                }
+                Ok((n, _)) => {
+                    tally.got += 1;
+                    Some(n)
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    drained = true;
+                    None
+                }
+                // A prior send to an unbound peer can surface here as
+                // ECONNREFUSED; the peer being down is the detector's
+                // business, not a transport failure.
+                Err(e) if e.kind() == ErrorKind::ConnectionRefused => None,
+                Err(e) => {
+                    outcome = Err(e.into());
+                    None
+                }
+            }
+        });
+    }
+    (tally, outcome)
+}
+
+/// The legacy per-frame `try_recv` of a socket transport: one pass of
+/// its `drain` over a one-slot arena, returning the frame it stored, if
+/// any, as an owned buffer.
+pub(crate) fn recv_one(
+    drain: impl FnOnce(&mut FrameBatch) -> Result<usize, TransportError>,
+) -> Result<Option<Vec<u8>>, TransportError> {
+    let mut one = FrameBatch::with_capacity(1);
+    drain(&mut one)?;
+    // lint:allow(no-alloc-in-hot-path, legacy per-frame path; batched intake uses recv_batch)
+    let frame = one.iter().next().map(<[u8]>::to_vec);
+    Ok(frame)
+}
+
 /// A non-blocking UDP transport between two socket addresses.
 #[derive(Debug)]
 pub struct UdpTransport {
@@ -538,75 +615,20 @@ impl Transport for UdpTransport {
     }
 
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        // Probe-sized buffer: n == PROBE_LEN proves the datagram was
-        // bigger than MAX_DATAGRAM (the kernel truncated it to fit), and
-        // n == MAX_DATAGRAM is now unambiguously a full-size valid frame.
-        let mut buf = [0u8; PROBE_LEN];
-        loop {
-            return match self.socket.recv_from(&mut buf) {
-                Ok((n, from)) => {
-                    // Datagrams from strangers are noise, not heartbeats.
-                    if from != self.peer {
-                        continue;
-                    }
-                    if n > MAX_DATAGRAM {
-                        self.oversize += 1;
-                        continue;
-                    }
-                    // lint:allow(no-alloc-in-hot-path, legacy per-frame path; batched intake uses recv_batch)
-                    Ok(Some(buf[..n].to_vec()))
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-                // A prior send to an unbound peer can surface here as
-                // ECONNREFUSED; the peer being down is the detector's
-                // business, not a transport failure.
-                Err(e) if e.kind() == ErrorKind::ConnectionRefused => Ok(None),
-                Err(e) => Err(e.into()),
-            };
-        }
+        recv_one(|one| self.recv_batch(one))
     }
 
-    /// Drains queued datagrams directly into the arena slots — one
-    /// `recv_from` per datagram, zero copies beyond the kernel's, zero
-    /// heap allocations. A datagram filling the whole probe-sized slot
-    /// exceeded [`MAX_DATAGRAM`]: it is counted
-    /// ([`oversize_dropped`](UdpTransport::oversize_dropped)) and
-    /// dropped rather than silently accepted as a truncated frame.
+    /// Drains queued datagrams directly into the arena slots
+    /// ([`drain_socket`]). Datagrams from strangers are noise, not
+    /// heartbeats: consumed and discarded. An oversize datagram from the
+    /// peer is counted ([`oversize_dropped`](UdpTransport::oversize_dropped))
+    /// and dropped rather than silently accepted as a truncated frame.
     fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
-        let mut got = 0usize;
-        let mut oversize = 0u64;
-        let mut failure: Option<TransportError> = None;
-        let mut drained = false;
         let peer = self.peer;
-        let socket = &self.socket;
-        while !batch.is_full() && !drained && failure.is_none() {
-            batch.push_with(|buf| match socket.recv_from(buf) {
-                Ok((n, from)) if from == peer => {
-                    if n > MAX_DATAGRAM {
-                        oversize += 1;
-                        return None;
-                    }
-                    got += 1;
-                    Some(n)
-                }
-                // Stranger datagram: consume and discard, keep draining.
-                Ok(_) => None,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    drained = true;
-                    None
-                }
-                Err(e) if e.kind() == ErrorKind::ConnectionRefused => None,
-                Err(e) => {
-                    failure = Some(e.into());
-                    None
-                }
-            });
-        }
-        self.oversize += oversize;
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(got),
-        }
+        let (tally, outcome) =
+            drain_socket(&self.socket, batch, usize::MAX, |_, from| from == peer);
+        self.oversize += tally.oversize;
+        outcome.map(|()| tally.got)
     }
 }
 

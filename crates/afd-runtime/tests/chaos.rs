@@ -11,7 +11,8 @@ use afd_core::properties::{check_upper_bound, AccruementCheck};
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::phi::PhiAccrual;
 use afd_runtime::{
-    run_chaos, ChannelTransport, ChaosScenario, Clock, Heartbeat, RuntimeMonitor, Transport,
+    run_chaos, ChannelTransport, ChaosScenario, Clock, Heartbeat, ShardConfig, ShardedMonitor,
+    Transport,
 };
 
 /// Gilbert–Elliott bursts with mean length 4 and burst-start probability
@@ -135,9 +136,13 @@ fn backlog_drained_in_one_poll_keeps_interarrival_samples_positive() {
         now: Arc::new(AtomicU64::new(Timestamp::from_secs(10).as_nanos())),
         step: Duration::from_millis(200),
     };
-    let mut monitor = RuntimeMonitor::new(rx, clock, |_| PhiAccrual::with_defaults());
+    let single = ShardConfig {
+        shards: 1,
+        slots_per_shard: 1,
+    };
+    let mut monitor = ShardedMonitor::new(rx, clock, single, |_| PhiAccrual::with_defaults());
     let process = ProcessId::new(1);
-    monitor.watch(process);
+    monitor.watch(process).unwrap();
 
     // Ten heartbeats pile up (e.g. a partition healing) before one poll.
     for seq in 1..=10u64 {
@@ -151,7 +156,7 @@ fn backlog_drained_in_one_poll_keeps_interarrival_samples_positive() {
         )
         .unwrap();
     }
-    assert_eq!(monitor.poll().unwrap(), 10);
+    assert_eq!(monitor.tick().unwrap().accepted, 10);
 
     let phi = monitor.detector_mut(process).unwrap();
     assert!(
@@ -197,7 +202,7 @@ fn chaos_report_carries_observability_evidence() {
     // The metrics snapshot mirrors the struct-level counters and renders.
     let snap = &report.metrics;
     assert_eq!(
-        snap.counter("monitor.accepted"),
+        snap.counter("sharded.accepted"),
         Some(report.monitor_stats.accepted)
     );
     assert_eq!(

@@ -1,8 +1,11 @@
-//! Acceptance tests for the parallel shard-worker engine: lockstep
-//! equivalence with the single-threaded `ShardedMonitor` on randomized
-//! schedules, a free-running multi-threaded chaos run holding the
-//! paper's Accruement and Upper Bound properties per peer, drop-oldest
-//! ring backpressure accounting, and poisoned-worker detection.
+//! Acceptance tests for the parallel shard-worker engine: equivalence of
+//! the threaded executor with the inline one (`ShardedMonitor`) on
+//! randomized schedules under a frozen clock, a multi-threaded chaos run
+//! holding the paper's Accruement and Upper Bound properties per peer,
+//! drop-oldest ring backpressure accounting, and poisoned-worker
+//! detection.
+
+use std::sync::{Arc, Condvar, Mutex};
 
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::history::SuspicionTrace;
@@ -14,8 +17,9 @@ use afd_detectors::phi::PhiAccrual;
 use afd_detectors::simple::SimpleAccrual;
 use afd_obs::Registry;
 use afd_runtime::{
-    ChannelTransport, EngineConfig, EngineError, EngineMode, FaultInjector, FaultPlan, Heartbeat,
-    ParallelShardEngine, ShardConfig, ShardedMonitor, SnapshotReader, Transport, VirtualClock,
+    ChannelTransport, Clock, EngineConfig, EngineError, EngineStats, FaultInjector, FaultPlan,
+    Heartbeat, ParallelShardEngine, ShardConfig, ShardedMonitor, SnapshotReader, Transport,
+    VirtualClock,
 };
 use afd_sim::loss::GilbertElliottLoss;
 use proptest::prelude::*;
@@ -53,14 +57,42 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(op, 1..120)
 }
 
+/// Frames that have reached their one outcome counter.
+fn outcomes(stats: &EngineStats) -> u64 {
+    let t = stats.totals;
+    t.accepted + t.corrupt + t.stale + t.duplicate + t.unwatched + stats.ring_dropped
+}
+
+/// Blocks until every one of the `sent` frames is accounted for. A worker
+/// stores its counters only after the publish that covers them, so the
+/// published epoch then reflects all of them too.
+fn drain<T, C, D>(engine: &ParallelShardEngine<T, C, D>, sent: u64)
+where
+    T: Transport + Send + 'static,
+    C: Clock + Clone + Send + 'static,
+    D: AccrualFailureDetector + Send + 'static,
+{
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while outcomes(&engine.stats()) < sent {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{sent} frames sent, engine stuck at {:?}",
+            engine.stats()
+        );
+        std::thread::yield_now();
+    }
+}
+
 proptest! {
-    /// On any frame schedule and any worker count, a lockstep engine is
-    /// frame-for-frame equivalent to the single-threaded sharded
-    /// monitor: same per-tick acceptance, same per-shard counters, same
-    /// published snapshots, same lock-free point lookups — even though
-    /// every heartbeat crossed an SPSC ring into a real worker thread.
+    /// On any frame schedule and any worker count, the threaded executor
+    /// is frame-for-frame equivalent to the inline one: same per-tick
+    /// acceptance, same per-shard counters, same published snapshots,
+    /// same lock-free point lookups — even though every heartbeat crossed
+    /// an SPSC ring into a real worker thread. The clock is frozen while
+    /// frames are in flight (it moves only once both sides are drained),
+    /// so the lanes' per-batch stamps equal the inline per-frame stamps.
     #[test]
-    fn lockstep_engine_reproduces_sharded_monitor(ops in ops(), workers in 1usize..6) {
+    fn threaded_executor_reproduces_inline_executor(ops in ops(), workers in 1usize..6) {
         let clock = VirtualClock::new();
         clock.set(Timestamp::from_secs(1));
 
@@ -90,31 +122,41 @@ proptest! {
             sharded.watch(ProcessId::new(id)).unwrap();
             engine.watch(ProcessId::new(id)).unwrap();
         }
-        engine.start(EngineMode::Lockstep).unwrap();
+        let reader = engine.reader();
+        engine.start().unwrap();
 
+        let mut sent = 0u64;
+        let mut engine_accepted = 0u64;
+        // One tick of both executors at the current (frozen) time.
+        let mut tick = |sent: u64| {
+            let s = sharded.tick().unwrap();
+            drain(&engine, sent);
+            settle(&engine, &reader, clock.now(), workers);
+            let accepted = engine.stats().totals.accepted;
+            prop_assert_eq!(s.accepted as u64, accepted - engine_accepted);
+            engine_accepted = accepted;
+            prop_assert_eq!(sharded.reader().published_at(), reader.published_at());
+            prop_assert_eq!(sharded.reader().snapshot(), reader.snapshot());
+        };
         for op in ops {
             match op {
                 Op::Send { sender, seq } => {
                     mono_tx.send(&frame(sender, seq)).unwrap();
                     eng_tx.send(&frame(sender, seq)).unwrap();
+                    sent += 1;
                 }
                 Op::Corrupt => {
                     mono_tx.send(b"not a heartbeat").unwrap();
                     eng_tx.send(b"not a heartbeat").unwrap();
+                    sent += 1;
                 }
                 Op::Tick { advance_ms } => {
+                    tick(sent);
                     clock.advance(Duration::from_millis(u64::from(advance_ms)));
-                    let s = sharded.tick().unwrap();
-                    let e = engine.tick().unwrap();
-                    prop_assert_eq!(s.accepted as u64, e.accepted);
-                    prop_assert_eq!(s.drained, e.drained);
                 }
             }
         }
-        clock.advance(Duration::from_millis(1));
-        let s = sharded.tick().unwrap();
-        let e = engine.tick().unwrap();
-        prop_assert_eq!(s.accepted as u64, e.accepted);
+        tick(sent);
 
         let s_stats = sharded.stats();
         let e_stats = engine.stats();
@@ -122,21 +164,17 @@ proptest! {
         prop_assert_eq!(s_stats.per_shard, e_stats.per_worker);
         prop_assert_eq!(s_stats.peers_per_shard, e_stats.peers_per_shard);
         prop_assert_eq!(e_stats.ring_dropped, 0, "ring never overflowed");
+        prop_assert_eq!(outcomes(&e_stats), sent);
 
-        prop_assert_eq!(
-            sharded.reader().published_at(),
-            engine.reader().published_at()
-        );
-        prop_assert_eq!(sharded.reader().snapshot(), engine.reader().snapshot());
         for id in 0..6u32 {
             let p = ProcessId::new(id);
-            prop_assert_eq!(sharded.reader().level(p), engine.reader().level(p));
+            prop_assert_eq!(sharded.reader().level(p), reader.level(p));
         }
         engine.shutdown().unwrap();
     }
 }
 
-/// Blocks until a free-running engine has drained everything in flight:
+/// Blocks until a running engine has drained everything in flight:
 /// stats stable, every ring empty, and all shards published at `now`.
 fn settle<T, C, D>(
     engine: &ParallelShardEngine<T, C, D>,
@@ -183,13 +221,13 @@ fn bursty_loss() -> GilbertElliottLoss {
 }
 
 /// The sharded chaos scenario — partition, sustained burst loss, final
-/// crash — driven through the *free-running* engine: real intake and
-/// worker threads racing on OS scheduling, with only virtual time
-/// barriers per second. Every peer's suspicion trace, read through the
-/// lock-free published path, must satisfy Accruement after the crash
-/// and stay finite throughout (Upper Bound).
+/// crash — driven through the engine: real lane and worker threads
+/// racing on OS scheduling, with only virtual time barriers per second.
+/// Every peer's suspicion trace, read through the lock-free published
+/// path, must satisfy Accruement after the crash and stay finite
+/// throughout (Upper Bound).
 #[test]
-fn free_running_chaos_upholds_accruement_and_upper_bound_per_peer() {
+fn threaded_chaos_upholds_accruement_and_upper_bound_per_peer() {
     const PEERS: u32 = 32;
     const WORKERS: usize = 4;
     const PARTITION: (u64, u64) = (20, 30);
@@ -219,7 +257,7 @@ fn free_running_chaos_upholds_accruement_and_upper_bound_per_peer() {
         engine.watch(ProcessId::new(id)).unwrap();
     }
     let reader = engine.reader();
-    engine.start(EngineMode::FreeRunning).unwrap();
+    engine.start().unwrap();
 
     let mut seqs = vec![0u64; PEERS as usize];
     let mut traces: Vec<SuspicionTrace> = (0..PEERS).map(|_| SuspicionTrace::new()).collect();
@@ -273,13 +311,55 @@ fn free_running_chaos_upholds_accruement_and_upper_bound_per_peer() {
     }
 }
 
+/// A detector whose `record_heartbeat` parks on a test-held gate: the
+/// worker that owns it stalls mid-update until the test opens the gate.
+struct Gated {
+    inner: SimpleAccrual,
+    gate: Arc<Gate>,
+}
+
+#[derive(Default)]
+struct Gate {
+    /// (a worker is parked at the gate, the gate is open)
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn wait_until(&self, ready: impl Fn(&(bool, bool)) -> bool) {
+        let mut state = self.state.lock().unwrap();
+        while !ready(&state) {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn set(&self, update: impl FnOnce(&mut (bool, bool))) {
+        update(&mut self.state.lock().unwrap());
+        self.changed.notify_all();
+    }
+}
+
+impl AccrualFailureDetector for Gated {
+    fn record_heartbeat(&mut self, arrival: Timestamp) {
+        self.gate.set(|s| s.0 = true);
+        self.gate.wait_until(|s| s.1);
+        self.inner.record_heartbeat(arrival);
+    }
+    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
+        self.inner.suspicion_level(now)
+    }
+}
+
 /// Drop-oldest backpressure, observed end to end: flooding a tiny ring
-/// keeps exactly the newest frames, counts every eviction, and leaves
-/// the detector state as if only the survivors had ever been sent.
+/// behind a stalled worker keeps exactly the newest frames, counts every
+/// eviction, and leaves the detector state as if only the survivors had
+/// ever been sent.
 #[test]
 fn ring_overflow_drops_oldest_and_counts() {
     let clock = VirtualClock::new();
     let (mut tx, rx) = ChannelTransport::pair();
+    let gate = Arc::new(Gate::default());
+    let factory_gate = Arc::clone(&gate);
     let mut engine = ParallelShardEngine::new(
         rx,
         clock.clone(),
@@ -290,29 +370,46 @@ fn ring_overflow_drops_oldest_and_counts() {
             batch_slots: 16,
             publish_every: Duration::ZERO,
         },
-        |_| SimpleAccrual::new(Timestamp::ZERO),
+        move |_| Gated {
+            inner: SimpleAccrual::new(Timestamp::ZERO),
+            gate: Arc::clone(&factory_gate),
+        },
     );
     engine.watch(ProcessId::new(7)).unwrap();
-    engine.start(EngineMode::Lockstep).unwrap();
+    engine.start().unwrap();
 
-    // 40 frames land in one tick; the parked worker can't drain, so the
-    // 8-slot ring must evict the 32 oldest.
+    // A primer frame parks the worker inside `record_heartbeat`, its
+    // ring already popped empty.
     clock.set(Timestamp::from_secs(1));
+    tx.send(&frame(7, 0)).unwrap();
+    gate.wait_until(|s| s.0);
+
+    // 40 frames reach the lane; the stalled worker can't drain, so the
+    // 8-slot ring must evict the 32 oldest.
     for seq in 1..=40u64 {
         tx.send(&frame(7, seq)).unwrap();
     }
-    let report = engine.tick().unwrap();
-    assert_eq!(report.drained, 40);
-    assert_eq!(report.accepted, 8, "only the newest ring-capacity frames");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while engine.stats().intake_frames < 41 {
+        assert!(std::time::Instant::now() < deadline, "lane stalled");
+        std::thread::yield_now();
+    }
+    assert_eq!(engine.stats().ring_dropped, 32);
+    assert_eq!(engine.stats().totals.accepted, 0, "worker still parked");
+
+    gate.set(|s| s.1 = true);
+    drain(&engine, 41);
     let stats = engine.stats();
     assert_eq!(stats.ring_dropped, 32);
-    assert_eq!(stats.totals.accepted, 8);
+    assert_eq!(
+        stats.totals.accepted, 9,
+        "the primer plus only the newest ring-capacity frames"
+    );
     assert_eq!(stats.totals.stale, 0);
 
     // Proof the *newest* frames survived: seq 36 is now a stale replay.
     tx.send(&frame(7, 36)).unwrap();
-    clock.advance(Duration::from_secs(1));
-    engine.tick().unwrap();
+    drain(&engine, 42);
     assert_eq!(
         engine.stats().totals.stale,
         1,
@@ -367,40 +464,14 @@ fn poison_rig() -> (
     (tx, engine, clock, victim)
 }
 
-/// A worker panic in lockstep mode poisons the tick barrier: the driver
-/// gets a typed error instead of a deadlock, and the engine stays
+/// A worker panic trips the per-worker panic flag (the watchdog-facing
+/// signal) without anyone blocking on a join; shutdown then reports the
+/// casualty as a typed error instead of a deadlock, and the engine stays
 /// terminally failed.
 #[test]
-fn lockstep_worker_panic_is_reported_not_deadlocked() {
+fn worker_panic_raises_the_poison_flag_and_fails_the_engine() {
     let (mut tx, mut engine, clock, victim) = poison_rig();
-    engine.start(EngineMode::Lockstep).unwrap();
-
-    clock.set(POISON_AT);
-    tx.send(&frame(0, 1)).unwrap();
-    assert_eq!(
-        engine.tick(),
-        Err(EngineError::WorkerPanicked { worker: victim })
-    );
-    assert_eq!(engine.poisoned(), Some(victim));
-
-    // Shutdown reports the casualty; the engine is then terminally
-    // failed (the dead worker's detector state is unrecoverable).
-    assert_eq!(
-        engine.shutdown(),
-        Err(EngineError::WorkerPanicked { worker: victim })
-    );
-    assert!(matches!(
-        engine.watch(ProcessId::new(9)),
-        Err(EngineError::WorkerPanicked { .. })
-    ));
-}
-
-/// The same fault in free-running mode trips the per-worker panic flag
-/// (the watchdog-facing signal) without any tick to observe it.
-#[test]
-fn free_running_worker_panic_raises_the_poison_flag() {
-    let (mut tx, mut engine, clock, victim) = poison_rig();
-    engine.start(EngineMode::FreeRunning).unwrap();
+    engine.start().unwrap();
 
     clock.set(POISON_AT);
     tx.send(&frame(0, 1)).unwrap();
@@ -410,8 +481,16 @@ fn free_running_worker_panic_raises_the_poison_flag() {
         std::thread::yield_now();
     }
     assert_eq!(engine.poisoned(), Some(victim));
+
+    // Shutdown reports the casualty; the engine is then terminally
+    // failed (the dead worker's detector state is unrecoverable).
     assert_eq!(
         engine.shutdown(),
         Err(EngineError::WorkerPanicked { worker: victim })
     );
+    assert_eq!(engine.poisoned(), Some(victim));
+    assert!(matches!(
+        engine.watch(ProcessId::new(9)),
+        Err(EngineError::WorkerPanicked { .. })
+    ));
 }

@@ -23,8 +23,8 @@ use afd_detectors::phi::PhiAccrual;
 use afd_detectors::simple::SimpleAccrual;
 use afd_runtime::persist::CheckpointDaemon;
 use afd_runtime::{
-    ChannelTransport, CheckpointConfig, Checkpointer, EngineConfig, EngineError, EngineMode,
-    FaultySink, FaultySinkPlan, Heartbeat, MemSink, ParallelShardEngine, SegmentSink, ShardConfig,
+    ChannelTransport, CheckpointConfig, Checkpointer, EngineConfig, EngineError, FaultySink,
+    FaultySinkPlan, Heartbeat, MemSink, ParallelShardEngine, SegmentSink, ShardConfig,
     ShardedMonitor, SupervisedThread, Supervisor, Transport, VirtualClock,
 };
 use proptest::prelude::*;
@@ -408,11 +408,11 @@ fn short_written_and_missing_segments_are_rejected_not_imported() {
     assert!(restored.peers.iter().all(|p| mon.shard_of(p.process) != 1));
 }
 
-/// Engine wiring: explicit `checkpoint()` between Lockstep ticks, restore
-/// only while Idle (refused while running), and post-restore reads at
-/// pre-shutdown quality.
+/// Engine wiring: explicit `checkpoint()` on a running engine once its
+/// threads have settled, restore only while Idle (refused while running),
+/// and post-restore reads at pre-shutdown quality.
 #[test]
-fn engine_checkpoints_in_lockstep_and_restores_while_idle() {
+fn engine_checkpoints_while_running_and_restores_while_idle() {
     const PEERS: u32 = 8;
     let clock = VirtualClock::new();
     let store: SharedSink = Arc::new(Mutex::new(MemSink::new()));
@@ -428,15 +428,16 @@ fn engine_checkpoints_in_lockstep_and_restores_while_idle() {
     for id in 0..PEERS {
         engine.watch(ProcessId::new(id)).unwrap();
     }
-    engine.start(EngineMode::Lockstep).unwrap();
+    engine.start().unwrap();
     for second in 1..=30u64 {
         clock.set(Timestamp::from_secs(second));
         for id in 0..PEERS {
             tx.send(&frame(id, second)).unwrap();
         }
-        engine.tick().unwrap();
+        engine_settle(&engine, |s| s.totals.accepted >= u64::from(PEERS) * second);
     }
-    // Explicit checkpoint between ticks — the Lockstep cadence.
+    // Explicit checkpoint of the settled epoch (a worker stores its
+    // counters only after the publish that covers them).
     let mut ckpt = Checkpointer::new(Arc::clone(&store), CheckpointConfig::default());
     let report = engine.checkpoint(&mut ckpt).unwrap();
     assert_eq!(report.peers, PEERS as usize);
@@ -466,7 +467,7 @@ fn engine_checkpoints_in_lockstep_and_restores_while_idle() {
         );
     }
 
-    fresh.start(EngineMode::Lockstep).unwrap();
+    fresh.start().unwrap();
     assert_eq!(
         fresh.restore(&restored.peers).unwrap_err(),
         EngineError::Running,
@@ -477,7 +478,7 @@ fn engine_checkpoints_in_lockstep_and_restores_while_idle() {
     for id in 0..PEERS {
         tx2.send(&frame(id, 30)).unwrap();
     }
-    engine_settle(&mut fresh, |s| {
+    engine_settle(&fresh, |s| {
         s.totals.duplicate + s.totals.stale >= u64::from(PEERS)
     });
     assert_eq!(fresh.stats().totals.accepted, 0);
@@ -485,7 +486,7 @@ fn engine_checkpoints_in_lockstep_and_restores_while_idle() {
 }
 
 fn engine_settle<T, C, D>(
-    engine: &mut ParallelShardEngine<T, C, D>,
+    engine: &ParallelShardEngine<T, C, D>,
     done: impl Fn(&afd_runtime::EngineStats) -> bool,
 ) where
     T: Transport + Send + 'static,
@@ -494,7 +495,6 @@ fn engine_settle<T, C, D>(
 {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        engine.tick().unwrap();
         if done(&engine.stats()) {
             return;
         }
@@ -507,11 +507,11 @@ fn engine_settle<T, C, D>(
     }
 }
 
-/// FreeRunning cadence: a `CheckpointDaemon` over the engine's reader
+/// Periodic cadence: a `CheckpointDaemon` over the engine's reader
 /// dumps a new generation every period of virtual time, concurrently with
 /// the running workers.
 #[test]
-fn checkpoint_daemon_dumps_on_cadence_while_free_running() {
+fn checkpoint_daemon_dumps_on_cadence_while_engine_runs() {
     const PEERS: u32 = 4;
     let clock = VirtualClock::new();
     let store: SharedSink = Arc::new(Mutex::new(MemSink::new()));
@@ -529,7 +529,7 @@ fn checkpoint_daemon_dumps_on_cadence_while_free_running() {
     for id in 0..PEERS {
         engine.watch(ProcessId::new(id)).unwrap();
     }
-    engine.start(EngineMode::FreeRunning).unwrap();
+    engine.start().unwrap();
     clock.set(Timestamp::from_secs(1));
     for id in 0..PEERS {
         tx.send(&frame(id, 1)).unwrap();

@@ -1,7 +1,7 @@
-//! Acceptance tests for the sharded monitor: exact equivalence with
-//! `RuntimeMonitor` at one shard, the union property across shards, and a
-//! many-peer virtual-time chaos run (partition + burst loss) with the
-//! paper's Accruement and Upper Bound checkers applied per peer.
+//! Acceptance tests for the sharded monitor: the union property across
+//! shards, and a many-peer virtual-time chaos run (partition + burst
+//! loss) with the paper's Accruement and Upper Bound checkers applied per
+//! peer.
 
 use afd_core::history::SuspicionTrace;
 use afd_core::process::ProcessId;
@@ -10,8 +10,8 @@ use afd_core::time::{Duration, Timestamp};
 use afd_detectors::phi::PhiAccrual;
 use afd_detectors::simple::SimpleAccrual;
 use afd_runtime::{
-    ChannelTransport, FaultInjector, FaultPlan, Heartbeat, RuntimeMonitor, ShardConfig,
-    ShardedMonitor, Transport, VirtualClock,
+    ChannelTransport, FaultInjector, FaultPlan, Heartbeat, ShardConfig, ShardedMonitor, Transport,
+    VirtualClock,
 };
 use afd_sim::loss::GilbertElliottLoss;
 use proptest::prelude::*;
@@ -33,7 +33,7 @@ enum Op {
     Send { sender: u32, seq: u64 },
     /// Deliver an undecodable frame.
     Corrupt,
-    /// Advance virtual time and drain both monitors.
+    /// Advance virtual time and drain the monitor.
     Tick { advance_ms: u32 },
 }
 
@@ -54,67 +54,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    /// With one shard, the sharded monitor accepts, rejects, and scores
-    /// exactly as `RuntimeMonitor` does on any frame schedule.
-    #[test]
-    fn single_shard_reproduces_runtime_monitor(ops in ops()) {
-        let clock = VirtualClock::new();
-        clock.set(Timestamp::from_secs(1));
-
-        let (mut mono_tx, mono_rx) = ChannelTransport::pair();
-        let mut mono = RuntimeMonitor::new(mono_rx, clock.clone(), |_| {
-            SimpleAccrual::new(Timestamp::ZERO)
-        });
-        let (mut shard_tx, shard_rx) = ChannelTransport::pair();
-        let mut sharded = ShardedMonitor::new(
-            shard_rx,
-            clock.clone(),
-            ShardConfig { shards: 1, slots_per_shard: 8 },
-            |_| SimpleAccrual::new(Timestamp::ZERO),
-        );
-
-        // Watch senders 0..4; senders 4 and 5 stay unwatched.
-        for id in 0..4u32 {
-            mono.watch(ProcessId::new(id));
-            sharded.watch(ProcessId::new(id)).unwrap();
-        }
-
-        for op in ops {
-            match op {
-                Op::Send { sender, seq } => {
-                    mono_tx.send(&frame(sender, seq)).unwrap();
-                    shard_tx.send(&frame(sender, seq)).unwrap();
-                }
-                Op::Corrupt => {
-                    mono_tx.send(b"not a heartbeat").unwrap();
-                    shard_tx.send(b"not a heartbeat").unwrap();
-                }
-                Op::Tick { advance_ms } => {
-                    clock.advance(Duration::from_millis(u64::from(advance_ms)));
-                    let accepted = mono.poll().unwrap();
-                    let report = sharded.tick().unwrap();
-                    prop_assert_eq!(accepted, report.accepted);
-                }
-            }
-        }
-        // Drain whatever the schedule left queued.
-        let accepted = mono.poll().unwrap();
-        let report = sharded.tick().unwrap();
-        prop_assert_eq!(accepted, report.accepted);
-
-        let mono_stats = mono.stats();
-        let shard_stats = sharded.stats();
-        prop_assert_eq!(mono_stats, shard_stats.totals);
-        prop_assert_eq!(mono.snapshot(), sharded.snapshot());
-        // The published epoch equals the exact-now view at publish time
-        // (virtual time has not moved since the tick).
-        prop_assert_eq!(sharded.snapshot(), sharded.reader().snapshot());
-        for id in 0..6u32 {
-            let p = ProcessId::new(id);
-            prop_assert_eq!(mono.level(p), sharded.level(p));
-        }
-    }
-
     /// The global snapshot is exactly the union of the per-shard
     /// snapshots — no peer lost, duplicated, or mis-routed — under
     /// randomized interleavings of intake and time.

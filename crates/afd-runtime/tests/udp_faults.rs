@@ -3,7 +3,7 @@
 //! classified (not crashed on), oversize datagrams are detected and
 //! dropped rather than silently truncated into decodable frames (the
 //! truncation regression), and a v2 delta-wire sender interoperates
-//! with a `RuntimeMonitor` across a real socket.
+//! with a single-shard `ShardedMonitor` across a real socket.
 //!
 //! UDP gives no delivery guarantee even on loopback, so every
 //! expectation is polled under a deadline: the kernel queue is drained
@@ -15,11 +15,17 @@ use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::simple::SimpleAccrual;
 use afd_runtime::{
-    FrameBatch, Heartbeat, MonitorStats, RuntimeMonitor, SenderConfig, SenderCore, Transport,
-    UdpTransport, VirtualClock, WireVersion, MAX_DATAGRAM,
+    FrameBatch, Heartbeat, MonitorStats, SenderConfig, SenderCore, ShardConfig, ShardedMonitor,
+    Transport, UdpTransport, VirtualClock, WireVersion, MAX_DATAGRAM,
 };
 
 const DEADLINE: StdDuration = StdDuration::from_secs(10);
+
+/// The single-stream reading of Algorithm 4: one shard.
+const SINGLE: ShardConfig = ShardConfig {
+    shards: 1,
+    slots_per_shard: 4,
+};
 
 fn frame(sender: u32, seq: u64) -> [u8; afd_runtime::FRAME_LEN] {
     Heartbeat {
@@ -33,7 +39,7 @@ fn frame(sender: u32, seq: u64) -> [u8; afd_runtime::FRAME_LEN] {
 /// Polls `monitor` until `done(stats)` holds or the deadline passes;
 /// returns the final stats either way.
 fn settle<T, C, D>(
-    monitor: &mut RuntimeMonitor<T, C, D>,
+    monitor: &mut ShardedMonitor<T, C, D>,
     done: impl Fn(&MonitorStats) -> bool,
 ) -> MonitorStats
 where
@@ -43,8 +49,8 @@ where
 {
     let deadline = Instant::now() + DEADLINE;
     loop {
-        monitor.poll().expect("transport failed");
-        let stats = monitor.stats();
+        monitor.tick().expect("transport failed");
+        let stats = monitor.stats().totals;
         if done(&stats) || Instant::now() >= deadline {
             return stats;
         }
@@ -59,9 +65,10 @@ fn corrupt_duplicate_and_reordered_datagrams_are_classified() {
     let (mut tx, rx) = UdpTransport::loopback_pair().expect("loopback sockets");
     let clock = VirtualClock::new();
     clock.set(Timestamp::from_secs(1));
-    let mut monitor = RuntimeMonitor::new(rx, clock, |_| SimpleAccrual::new(Timestamp::ZERO));
+    let mut monitor =
+        ShardedMonitor::new(rx, clock, SINGLE, |_| SimpleAccrual::new(Timestamp::ZERO));
     let peer = ProcessId::new(1);
-    monitor.watch(peer);
+    monitor.watch(peer).unwrap();
 
     // In-order, then a datagram whose payload byte was flipped in
     // flight (checksum breaks), then a reordering (3 before 2), then an
@@ -152,16 +159,17 @@ fn oversize_datagrams_are_dropped_not_truncated() {
 }
 
 /// A v2 delta-wire sender heartbeating across a real UDP socket is
-/// fully understood by a `RuntimeMonitor`: every beat accepted, zero
+/// fully understood by a `ShardedMonitor`: every beat accepted, zero
 /// corrupt, and strictly fewer wire bytes than v1 would have spent.
 #[test]
-fn v2_sender_over_real_udp_feeds_runtime_monitor() {
+fn v2_sender_over_real_udp_feeds_a_monitor() {
     let (mut tx, rx) = UdpTransport::loopback_pair().expect("loopback sockets");
     let clock = VirtualClock::new();
-    let mut monitor =
-        RuntimeMonitor::new(rx, clock.clone(), |_| SimpleAccrual::new(Timestamp::ZERO));
+    let mut monitor = ShardedMonitor::new(rx, clock.clone(), SINGLE, |_| {
+        SimpleAccrual::new(Timestamp::ZERO)
+    });
     let peer = ProcessId::new(11);
-    monitor.watch(peer);
+    monitor.watch(peer).unwrap();
 
     let interval = Duration::from_secs(1);
     let mut sender = SenderCore::new(

@@ -1,6 +1,6 @@
 //! Acceptance tests for the compact v2 delta wire format: exact
 //! encoder→decoder roundtrips on randomized jittered schedules, v1/v2
-//! interop through one decoder (and through one `RuntimeMonitor` fed by
+//! interop through one decoder (and through one `ShardedMonitor` fed by
 //! mixed-version senders), and the slot-reuse regression — a long frame
 //! followed by a shorter one through the same intake slot must never
 //! decode by reading the previous occupant's stale arena tail.
@@ -9,8 +9,8 @@ use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::simple::SimpleAccrual;
 use afd_runtime::{
-    ChannelTransport, DeltaEncoder, FrameBatch, Heartbeat, RuntimeMonitor, SenderConfig,
-    SenderCore, VirtualClock, WireDecoder, WireError, WireVersion, FRAME_LEN, INTERN_LEN,
+    ChannelTransport, DeltaEncoder, FrameBatch, Heartbeat, SenderConfig, SenderCore, ShardConfig,
+    ShardedMonitor, VirtualClock, WireDecoder, WireError, WireVersion, FRAME_LEN, INTERN_LEN,
     MAX_V2_FRAME,
 };
 use proptest::prelude::*;
@@ -213,18 +213,23 @@ fn delta_before_intern_bounces_until_resync() {
 }
 
 /// A v1 sender and a v2 sender share one transport into one
-/// `RuntimeMonitor`: every heartbeat from both is accepted, nothing is
+/// `ShardedMonitor`: every heartbeat from both is accepted, nothing is
 /// miscounted as corrupt, and the v2 sender moved strictly fewer bytes.
 #[test]
-fn mixed_version_senders_share_one_runtime_monitor() {
+fn mixed_version_senders_share_one_monitor() {
     let (mut tx, rx) = ChannelTransport::pair();
     let clock = VirtualClock::new();
-    let mut monitor =
-        RuntimeMonitor::new(rx, clock.clone(), |_| SimpleAccrual::new(Timestamp::ZERO));
+    let single = ShardConfig {
+        shards: 1,
+        slots_per_shard: 2,
+    };
+    let mut monitor = ShardedMonitor::new(rx, clock.clone(), single, |_| {
+        SimpleAccrual::new(Timestamp::ZERO)
+    });
     let p1 = ProcessId::new(1);
     let p2 = ProcessId::new(2);
-    monitor.watch(p1);
-    monitor.watch(p2);
+    monitor.watch(p1).unwrap();
+    monitor.watch(p2).unwrap();
 
     let interval = Duration::from_secs(1);
     let mut v1 = SenderCore::new(SenderConfig::new(p1, interval), Timestamp::ZERO, 1);
@@ -241,11 +246,11 @@ fn mixed_version_senders_share_one_runtime_monitor() {
         clock.set(now);
         v1.poll(now, &mut tx, |_| {}).expect("v1 send");
         v2.poll(now, &mut tx, |_| {}).expect("v2 send");
-        accepted += monitor.poll().expect("monitor poll");
+        accepted += monitor.tick().expect("monitor tick").accepted;
     }
 
     assert_eq!(accepted as u64, 2 * rounds);
-    let stats = monitor.stats();
+    let stats = monitor.stats().totals;
     assert_eq!(stats.corrupt, 0);
     assert_eq!(stats.stale, 0);
     assert_eq!(stats.duplicate, 0);

@@ -3,9 +3,9 @@
 //! heals, and the monitored process crashes and recovers.
 //!
 //! A sender thread beats every 100 ms through one side of an in-process
-//! transport; the main thread polls a [`RuntimeMonitor`] on the other side,
-//! behind a [`FaultInjector`] scripted with a partition and light burst
-//! loss. The φ detector sits inside a [`GracefulDegradation`] wrapper, so
+//! transport; the main thread ticks a single-shard [`ShardedMonitor`] on
+//! the other side, behind a [`FaultInjector`] scripted with a partition
+//! and light burst loss. The φ detector sits inside a [`GracefulDegradation`] wrapper, so
 //! when the partition starves its sampling window the timeline shows the
 //! fallback engage (marked `degraded`) instead of the estimate going stale.
 //!
@@ -23,8 +23,8 @@ use accrual_fd::core::binary::TransitionDetector;
 use accrual_fd::obs::{EventKind, EventRing, ObsEvent, Registry};
 use accrual_fd::prelude::*;
 use accrual_fd::runtime::{
-    spawn_sender, DegradeConfig, FaultInjector, FaultPlan, GracefulDegradation, RuntimeMonitor,
-    SenderConfig, SystemClock,
+    spawn_sender, DegradeConfig, FaultInjector, FaultPlan, GracefulDegradation, SenderConfig,
+    ShardConfig, ShardedMonitor, SystemClock,
 };
 use accrual_fd::runtime::{ChannelTransport, Clock};
 use accrual_fd::sim::loss::GilbertElliottLoss;
@@ -42,9 +42,13 @@ fn main() {
         .with_partition(partition.0, partition.1);
 
     let (sender_side, monitor_side) = ChannelTransport::pair();
-    let mut monitor = RuntimeMonitor::new(
+    let mut monitor = ShardedMonitor::new(
         FaultInjector::new(monitor_side, clock, plan, 42),
         clock,
+        ShardConfig {
+            shards: 1,
+            slots_per_shard: 1,
+        },
         move |_| {
             GracefulDegradation::new(
                 PhiAccrual::with_defaults(),
@@ -52,7 +56,7 @@ fn main() {
             )
         },
     );
-    monitor.watch(process);
+    monitor.watch(process).expect("one slot, one process");
     let sender = spawn_sender(sender_side, clock, SenderConfig::new(process, interval), 42);
 
     let crash_at = Timestamp::from_millis(4000);
@@ -85,7 +89,7 @@ fn main() {
             recovered = true;
             println!("        -- monitored process recovers --");
         }
-        if let Err(e) = monitor.poll() {
+        if let Err(e) = monitor.tick() {
             eprintln!("transport failed: {e}");
             break;
         }
@@ -154,7 +158,7 @@ fn main() {
 
     sender.stop().expect("sender thread failed");
     let fault = monitor.transport().stats();
-    let intake = monitor.stats();
+    let intake = monitor.stats().totals;
     println!(
         "\ninjector: {} delivered, {} lost to partition, {} lost to bursts",
         fault.delivered, fault.dropped_partition, fault.dropped_loss

@@ -93,7 +93,8 @@ pub mod prelude {
     pub use afd_detectors::service::{InterpreterBank, MonitoringService};
     pub use afd_detectors::simple::SimpleAccrual;
     pub use afd_runtime::{
-        DegradeConfig, FaultInjector, FaultPlan, GracefulDegradation, RuntimeMonitor, Transport,
+        DegradeConfig, FaultInjector, FaultPlan, GracefulDegradation, ShardConfig, ShardedMonitor,
+        Transport,
     };
 }
 
