@@ -81,7 +81,6 @@ fn run_one(workers: usize, sizes: &Sizes, wall_clock: &SystemClock) -> Measureme
             // descheduled for the entire round: drops would be honest
             // backpressure, but they'd muddy the scaling comparison.
             ring_capacity: 16_384,
-            batch_slots: 512,
             // One epoch publish per virtual-second round.
             publish_every: Duration::from_millis(500),
         },

@@ -2,7 +2,7 @@
 //!
 //! All six detectors — simple, Chen, Bertier, φ, Akka φ, adaptive — run
 //! lock-step over the same virtual-time chaos scenarios via
-//! [`run_chaos_zoo`]: every member sees the identical heartbeat stream and
+//! [`run_chaos`]: every member sees the identical heartbeat stream and
 //! fault schedule, so QoS differences are attributable to the detector
 //! math alone. Scenarios:
 //!
@@ -31,7 +31,7 @@ use afd_detectors::adaptive::{AdaptiveAccrual, AdaptiveConfig};
 use afd_detectors::akka::{AkkaPhi, AkkaPhiConfig};
 use afd_obs::qos::QosReport;
 use afd_qos::experiment::{cell, Table};
-use afd_runtime::{run_chaos_zoo, ChaosScenario, Clock, SystemClock};
+use afd_runtime::{run_chaos, ChaosScenario, Clock, SystemClock};
 
 struct Sizes {
     horizon: Duration,
@@ -107,7 +107,7 @@ struct RaceRow {
 fn race(scenario: &ChaosScenario, seeds: &[u64]) -> Vec<RaceRow> {
     let mut rows: Vec<RaceRow> = Vec::new();
     for &seed in seeds {
-        let report = run_chaos_zoo(scenario, seed);
+        let report = run_chaos(scenario, seed);
         assert_eq!(report.transport_errors, 0, "in-process transport");
         for (i, d) in report.detectors.into_iter().enumerate() {
             if rows.len() <= i {

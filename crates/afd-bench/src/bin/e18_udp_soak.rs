@@ -177,7 +177,6 @@ fn main() {
             workers: WORKERS,
             slots_per_shard: (sizes.peers as usize).div_ceil(WORKERS) * 2,
             ring_capacity: 16_384,
-            batch_slots: 512,
             publish_every: afd_core::time::Duration::from_millis(5),
         },
         |_| SimpleAccrual::new(Timestamp::ZERO),

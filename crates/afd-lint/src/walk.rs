@@ -4,8 +4,8 @@
 //!
 //! - `target/` — build output, not source;
 //! - `vendor/` — offline stand-ins for external crates (`rand`,
-//!   `proptest`, `criterion`); they mimic third-party APIs and are not
-//!   subject to project invariants;
+//!   `proptest`); they mimic third-party APIs and are not subject to
+//!   project invariants;
 //! - `.git/` and other dotdirs;
 //! - `tests/fixtures/` — the lint crate's own known-bad snippets, which
 //!   exist precisely to violate the rules.

@@ -2,13 +2,20 @@
 //!
 //! One lock-step loop drives a [`SenderCore`], a [`FaultInjector`]-wrapped
 //! channel transport, and a single-shard [`ShardedMonitor`] (the inline
-//! executor of the monitor pipeline) holding three
-//! degradation-wrapped detectors (simple, Chen, φ) over a scripted
-//! scenario of partitions, burst loss, and crash/recover cycles. All
-//! randomness flows from the scenario seed through [`SimRng`] streams and
-//! all time from a [`VirtualClock`], so a `(scenario, seed)` pair yields a
-//! bit-identical suspicion timeline on every run — chaos tests assert on
-//! exact replays, not on sleeps and hope.
+//! executor of the monitor pipeline) holding the [`DetectorZoo`] — every
+//! detector this repository implements, each degradation-wrapped and
+//! thresholded on its own scale — over a scripted scenario of partitions,
+//! burst loss, and crash/recover cycles ([`run_chaos`]). All randomness
+//! flows from the scenario seed through [`SimRng`](afd_sim::rng::SimRng)
+//! streams and all time from a [`VirtualClock`], so a `(scenario, seed)`
+//! pair yields a bit-identical suspicion timeline on every run — chaos
+//! tests assert on exact replays, not on sleeps and hope.
+//!
+//! This module is the runtime's virtual-time world. `afd-sim` is the
+//! paper-experiment simulator over bare detectors and lends this harness
+//! its loss, delay, and random-stream models; `afd-model` is the
+//! reference transition system whose schedules are replayed against the
+//! real pipeline through [`run_chaos_script`].
 
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::binary::{Status, Transition, TransitionDetector};
@@ -32,7 +39,7 @@ use crate::error::TransportError;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::sender::{SenderConfig, SenderCore};
 use crate::shard::{MonitorStats, ShardConfig, ShardedMonitor};
-use crate::transport::{ChannelTransport, Transport};
+use crate::transport::{ChannelTransport, FrameBatch, Transport};
 
 /// A scripted chaos run: what the network and the monitored process do,
 /// and when.
@@ -69,10 +76,6 @@ pub struct ChaosScenario {
     /// heartbeats slower than the monitor expects, above 1 faster. The
     /// monitor side always observes true time.
     pub clock_drift: f64,
-    /// Threshold applied to sampled suspicion levels to produce the binary
-    /// stream the online QoS estimators and the event trace consume
-    /// (suspect iff level > threshold, Equation 2).
-    pub qos_threshold: SuspicionLevel,
 }
 
 impl ChaosScenario {
@@ -92,7 +95,6 @@ impl ChaosScenario {
             jitter: None,
             crashes: Vec::new(),
             clock_drift: 1.0,
-            qos_threshold: SuspicionLevel::clamped(2.0),
         }
     }
 
@@ -151,124 +153,12 @@ impl ChaosScenario {
     }
 }
 
-/// The three reference detectors, each behind its own graceful-degradation
-/// wrapper, observing the same heartbeat stream.
-#[derive(Debug)]
-pub struct DetectorTrio {
-    simple: GracefulDegradation<SimpleAccrual>,
-    chen: GracefulDegradation<ChenAccrual>,
-    phi: GracefulDegradation<PhiAccrual>,
-}
-
-impl DetectorTrio {
-    /// Creates the trio with a shared degradation policy.
-    pub fn new(start: Timestamp, degrade: DegradeConfig) -> Self {
-        DetectorTrio {
-            simple: GracefulDegradation::new(SimpleAccrual::new(start), degrade),
-            chen: GracefulDegradation::new(ChenAccrual::with_defaults(), degrade),
-            phi: GracefulDegradation::new(PhiAccrual::with_defaults(), degrade),
-        }
-    }
-
-    /// The simple elapsed-time detector.
-    pub fn simple(&mut self) -> &mut GracefulDegradation<SimpleAccrual> {
-        &mut self.simple
-    }
-
-    /// Chen's estimator.
-    pub fn chen(&mut self) -> &mut GracefulDegradation<ChenAccrual> {
-        &mut self.chen
-    }
-
-    /// The φ detector.
-    pub fn phi(&mut self) -> &mut GracefulDegradation<PhiAccrual> {
-        &mut self.phi
-    }
-
-    /// Total degraded-mode entries across the trio.
-    pub fn degrade_events(&self) -> u64 {
-        self.simple.degrade_events() + self.chen.degrade_events() + self.phi.degrade_events()
-    }
-}
-
-impl AccrualFailureDetector for DetectorTrio {
-    fn record_heartbeat(&mut self, arrival: Timestamp) {
-        self.simple.record_heartbeat(arrival);
-        self.chen.record_heartbeat(arrival);
-        self.phi.record_heartbeat(arrival);
-    }
-
-    /// The trio's headline level is φ's (the others are sampled
-    /// individually by the harness).
-    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        self.phi.suspicion_level(now)
-    }
-}
-
-/// Everything a chaos run produced.
-#[derive(Debug)]
-pub struct ChaosReport {
-    /// Suspicion timeline of the simple detector.
-    pub simple: SuspicionTrace,
-    /// Suspicion timeline of Chen's detector.
-    pub chen: SuspicionTrace,
-    /// Suspicion timeline of the φ detector.
-    pub phi: SuspicionTrace,
-    /// What the fault injector did.
-    pub fault_stats: FaultStats,
-    /// What the monitor's intake saw.
-    pub monitor_stats: MonitorStats,
-    /// Degraded-mode entries across all detectors.
-    pub degrade_events: u64,
-    /// Heartbeats the sender emitted.
-    pub heartbeats_sent: u64,
-    /// Transport errors the steady-state loop absorbed (expected 0 for the
-    /// in-process transport).
-    pub transport_errors: u64,
-    /// Per-detector streaming QoS estimates, computed live at every query
-    /// point from the thresholded output (same order as [`traces`]).
-    ///
-    /// [`traces`]: ChaosReport::traces
-    pub online_qos: Vec<(&'static str, QosReport)>,
-    /// The structured event trace: S-/T-transitions and degradation
-    /// switches, in observation order.
-    pub events: Vec<ObsEvent>,
-    /// Events evicted from the bounded ring before the run ended.
-    pub events_dropped: u64,
-    /// Final metrics snapshot: monitor intake, fault injector, sender
-    /// retries, degradation counters.
-    pub metrics: Snapshot,
-}
-
-impl ChaosReport {
-    /// The three traces with their detector names.
-    pub fn traces(&self) -> [(&'static str, &SuspicionTrace); 3] {
-        [
-            ("simple", &self.simple),
-            ("chen", &self.chen),
-            ("phi", &self.phi),
-        ]
-    }
-
-    /// A compact fingerprint of the full suspicion timeline: exact
-    /// (timestamp, level-bits) pairs, suitable for determinism assertions.
-    pub fn fingerprint(&self) -> Vec<(u64, u64)> {
-        self.traces()
-            .iter()
-            .flat_map(|(_, trace)| {
-                trace
-                    .iter()
-                    .map(|s| (s.at.as_nanos(), s.level.value().to_bits()))
-            })
-            .collect()
-    }
-}
-
 /// Per-detector observability state: the suspicion trace, the live QoS
 /// estimator, and the transition/degradation trackers feeding the event
 /// ring.
 struct DetectorTracker {
     name: &'static str,
+    threshold: SuspicionLevel,
     trace: SuspicionTrace,
     qos: OnlineQos,
     transitions: TransitionDetector,
@@ -276,9 +166,10 @@ struct DetectorTracker {
 }
 
 impl DetectorTracker {
-    fn new(name: &'static str, crash: Option<Timestamp>) -> Self {
+    fn new(name: &'static str, threshold: SuspicionLevel, crash: Option<Timestamp>) -> Self {
         DetectorTracker {
             name,
+            threshold,
             trace: SuspicionTrace::new(),
             qos: OnlineQos::new(crash),
             transitions: TransitionDetector::new(),
@@ -291,7 +182,6 @@ impl DetectorTracker {
         at: Timestamp,
         level: SuspicionLevel,
         degraded_now: bool,
-        threshold: SuspicionLevel,
         process: ProcessId,
         events: &mut EventRing,
     ) {
@@ -299,7 +189,7 @@ impl DetectorTracker {
         // Same interpretation as SuspicionTrace::threshold (Equation 2),
         // applied sample-by-sample so the online QoS numbers match an
         // offline analysis of the recorded trace exactly.
-        let status = if level > threshold {
+        let status = if level > self.threshold {
             Status::Suspected
         } else {
             Status::Trusted
@@ -354,21 +244,19 @@ fn single_shard_monitor<T: Transport, D: AccrualFailureDetector>(
     monitor
 }
 
-/// Drives the lock-step schedule shared by [`run_chaos`] and
-/// [`run_chaos_zoo`]: for every tick of `scenario.tick` up to the horizon
-/// it sets the virtual clock, applies the scenario's crash/recover
-/// schedule to the sender, polls the sender by its (possibly drifting)
-/// local clock, drains every delivery due at the tick, and invokes
-/// `on_query` at each `query_every` boundary. Returns the number of
-/// transport errors absorbed (expected 0 for in-process transports).
+/// Drives [`run_chaos`]'s lock-step schedule: for every tick of
+/// `scenario.tick` up to the horizon it sets the virtual clock, applies
+/// the scenario's crash/recover schedule to the sender, polls the sender
+/// by its (possibly drifting) local clock, drains every delivery due at
+/// the tick, and invokes `on_query` at each `query_every` boundary.
+/// Returns the number of transport errors absorbed (expected 0 for
+/// in-process transports).
 ///
-/// This is the one transition relation behind every chaos engine in this
-/// crate: the scenario engines differ only in which detectors they mount
-/// and how they sample them, never in scheduling. The bounded model
-/// checker replays its counterexamples through the same primitive
-/// operations via [`run_chaos_script`], so a schedule found in the model
-/// exercises bit-identical runtime code here.
-pub fn drive_lock_step<T, D>(
+/// The bounded model checker replays its counterexamples through the same
+/// primitive operations (sender poll, monitor tick) via
+/// [`run_chaos_script`], so a schedule found in the model exercises
+/// bit-identical runtime code here.
+fn drive_lock_step<T, D>(
     scenario: &ChaosScenario,
     clock: &VirtualClock,
     core: &mut SenderCore,
@@ -415,94 +303,6 @@ where
         t += scenario.tick;
     }
     transport_errors
-}
-
-/// Runs `scenario` under `seed` to completion in virtual time.
-pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
-    let clock = VirtualClock::new();
-    let (mut sender_side, monitor_side) = ChannelTransport::pair();
-    let injector = FaultInjector::new(
-        monitor_side,
-        clock.clone(),
-        scenario.build_plan(),
-        seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1),
-    );
-    let degrade = DegradeConfig::for_interval(scenario.heartbeat_interval, 3);
-    let process = ProcessId::new(1);
-    let mut monitor = single_shard_monitor(injector, &clock, std::iter::once(process), move |_| {
-        DetectorTrio::new(Timestamp::ZERO, degrade)
-    });
-
-    let mut core = SenderCore::new(
-        SenderConfig::new(process, scenario.heartbeat_interval),
-        Timestamp::ZERO,
-        seed,
-    );
-
-    let crash = scenario.permanent_crash();
-    let mut trackers = [
-        DetectorTracker::new("simple", crash),
-        DetectorTracker::new("chen", crash),
-        DetectorTracker::new("phi", crash),
-    ];
-    let mut events = EventRing::new(4096);
-    let transport_errors = drive_lock_step(
-        scenario,
-        &clock,
-        &mut core,
-        &mut sender_side,
-        &mut monitor,
-        |t, monitor| {
-            // `process` is watched at harness setup and never unwatched; a
-            // missing detector would mean the harness itself is broken, so
-            // skip the query rather than abort the run.
-            debug_assert!(monitor.detector_mut(process).is_some(), "process watched");
-            if let Some(trio) = monitor.detector_mut(process) {
-                let thr = scenario.qos_threshold;
-                let level = trio.simple().suspicion_level(t);
-                let degraded = trio.simple().is_degraded();
-                trackers[0].observe(t, level, degraded, thr, process, &mut events);
-                let level = trio.chen().suspicion_level(t);
-                let degraded = trio.chen().is_degraded();
-                trackers[1].observe(t, level, degraded, thr, process, &mut events);
-                let level = trio.phi().suspicion_level(t);
-                let degraded = trio.phi().is_degraded();
-                trackers[2].observe(t, level, degraded, thr, process, &mut events);
-            }
-        },
-    );
-
-    let registry = Registry::new();
-    monitor.export_metrics(&registry);
-    monitor.transport().export_metrics(&registry);
-    core.export_metrics(&registry);
-    let degrade_events = monitor.detector_mut(process).map_or(0, |trio| {
-        trio.simple().export_metrics(&registry, "simple");
-        trio.chen().export_metrics(&registry, "chen");
-        trio.phi().export_metrics(&registry, "phi");
-        trio.degrade_events()
-    });
-    let monitor_stats = monitor.stats().totals;
-    let fault_stats = monitor.transport().stats();
-    let online_qos = trackers
-        .iter()
-        .map(|tr| (tr.name, tr.qos.report()))
-        .collect();
-    let [simple, chen, phi] = trackers.map(|tr| tr.trace);
-    ChaosReport {
-        simple,
-        chen,
-        phi,
-        fault_stats,
-        monitor_stats,
-        degrade_events,
-        heartbeats_sent: core.sent(),
-        transport_errors,
-        online_qos,
-        events_dropped: events.dropped(),
-        events: events.drain(),
-        metrics: registry.snapshot(),
-    }
 }
 
 /// One zoo inhabitant: a named, degradation-wrapped detector plus the
@@ -565,7 +365,7 @@ pub struct DetectorZoo {
 }
 
 /// Index of the φ member inside [`DetectorZoo::standard`], whose level is
-/// the zoo's headline output (mirroring [`DetectorTrio`]).
+/// the zoo's headline output.
 const ZOO_HEADLINE: usize = 3;
 
 impl DetectorZoo {
@@ -616,11 +416,6 @@ impl DetectorZoo {
         DetectorZoo { members }
     }
 
-    /// The member names, in observation order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.name).collect()
-    }
-
     /// The members, mutably (for querying levels individually).
     pub fn members_mut(&mut self) -> &mut [ZooMember] {
         &mut self.members
@@ -649,7 +444,7 @@ impl AccrualFailureDetector for DetectorZoo {
     }
 }
 
-/// One detector's outcome from a zoo run.
+/// One detector's outcome from a chaos run.
 #[derive(Debug)]
 pub struct ZooDetectorReport {
     /// The detector's name.
@@ -663,9 +458,9 @@ pub struct ZooDetectorReport {
     pub qos: QosReport,
 }
 
-/// Everything a zoo chaos run produced.
+/// Everything a chaos run produced.
 #[derive(Debug)]
-pub struct ZooReport {
+pub struct ChaosReport {
     /// Per-detector traces and QoS, in zoo observation order.
     pub detectors: Vec<ZooDetectorReport>,
     /// What the fault injector did.
@@ -676,18 +471,21 @@ pub struct ZooReport {
     pub degrade_events: u64,
     /// Heartbeats the sender emitted.
     pub heartbeats_sent: u64,
-    /// Transport errors the loop absorbed (expected 0 in-process).
+    /// Transport errors the steady-state loop absorbed (expected 0 for the
+    /// in-process transport).
     pub transport_errors: u64,
     /// The structured event trace across all members.
     pub events: Vec<ObsEvent>,
     /// Events evicted from the bounded ring before the run ended.
     pub events_dropped: u64,
-    /// Final metrics snapshot.
+    /// Final metrics snapshot: monitor intake, fault injector, sender
+    /// retries, degradation counters.
     pub metrics: Snapshot,
 }
 
-impl ZooReport {
-    /// A compact determinism fingerprint over every member's timeline.
+impl ChaosReport {
+    /// A compact fingerprint of every member's suspicion timeline: exact
+    /// (timestamp, level-bits) pairs, suitable for determinism assertions.
     pub fn fingerprint(&self) -> Vec<(u64, u64)> {
         self.detectors
             .iter()
@@ -700,13 +498,10 @@ impl ZooReport {
     }
 }
 
-/// Runs `scenario` under `seed` with the full six-detector zoo observing
-/// the same heartbeat stream — the engine behind the e16 detector race.
-///
-/// Identical lock-step structure to [`run_chaos`]; the only differences
-/// are the member set and that each member is thresholded on its own
-/// scale rather than by `scenario.qos_threshold`.
-pub fn run_chaos_zoo(scenario: &ChaosScenario, seed: u64) -> ZooReport {
+/// Runs `scenario` under `seed` to completion in virtual time, with the
+/// full six-detector zoo observing the same heartbeat stream and each
+/// member thresholded on its own scale.
+pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
     let clock = VirtualClock::new();
     let (mut sender_side, monitor_side) = ChannelTransport::pair();
     let injector = FaultInjector::new(
@@ -729,9 +524,9 @@ pub fn run_chaos_zoo(scenario: &ChaosScenario, seed: u64) -> ZooReport {
 
     let crash = scenario.permanent_crash();
     let mut trackers: Vec<DetectorTracker> = DetectorZoo::standard(degrade)
-        .names()
-        .into_iter()
-        .map(|name| DetectorTracker::new(name, crash))
+        .members
+        .iter()
+        .map(|member| DetectorTracker::new(member.name, member.threshold, crash))
         .collect();
     let mut events = EventRing::new(8192);
     let transport_errors = drive_lock_step(
@@ -741,12 +536,15 @@ pub fn run_chaos_zoo(scenario: &ChaosScenario, seed: u64) -> ZooReport {
         &mut sender_side,
         &mut monitor,
         |t, monitor| {
+            // `process` is watched at harness setup and never unwatched; a
+            // missing detector would mean the harness itself is broken, so
+            // skip the query rather than abort the run.
             debug_assert!(monitor.detector_mut(process).is_some(), "process watched");
             if let Some(zoo) = monitor.detector_mut(process) {
                 for (member, tracker) in zoo.members_mut().iter_mut().zip(trackers.iter_mut()) {
                     let level = member.detector.suspicion_level(t);
                     let degraded = member.detector.is_degraded();
-                    tracker.observe(t, level, degraded, member.threshold, process, &mut events);
+                    tracker.observe(t, level, degraded, process, &mut events);
                 }
             }
         },
@@ -766,15 +564,14 @@ pub fn run_chaos_zoo(scenario: &ChaosScenario, seed: u64) -> ZooReport {
     let fault_stats = monitor.transport().stats();
     let detectors = trackers
         .into_iter()
-        .zip(DetectorZoo::standard(degrade).members)
-        .map(|(tracker, member)| ZooDetectorReport {
+        .map(|tracker| ZooDetectorReport {
             name: tracker.name,
-            threshold: member.threshold,
+            threshold: tracker.threshold,
             qos: tracker.qos.report(),
             trace: tracker.trace,
         })
         .collect();
-    ZooReport {
+    ChaosReport {
         detectors,
         fault_stats,
         monitor_stats,
@@ -864,8 +661,8 @@ impl Transport for CaptureTransport {
         Ok(())
     }
 
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        Ok(None)
+    fn recv_batch(&mut self, _batch: &mut FrameBatch) -> Result<usize, TransportError> {
+        Ok(0)
     }
 }
 
@@ -1027,42 +824,21 @@ mod tests {
         assert!(report.heartbeats_sent >= 29);
         assert_eq!(report.transport_errors, 0);
         assert_eq!(report.monitor_stats.corrupt, 0);
-        for (name, trace) in report.traces() {
-            let max = trace.max_level().unwrap();
+        for d in &report.detectors {
+            let max = d.trace.max_level().unwrap();
             assert!(
                 max.value() < 5.0,
-                "{name}: quiet run should stay calm, peaked at {max}"
+                "{}: quiet run should stay calm, peaked at {max}",
+                d.name
             );
         }
     }
 
     #[test]
-    fn crash_makes_every_detector_accrue() {
+    fn all_six_detectors_run_and_accrue_after_a_crash() {
         let mut scenario = ChaosScenario::new(Duration::from_secs(60));
         scenario.crashes.push((Timestamp::from_secs(30), None));
-        let report = run_chaos(&scenario, 2);
-        for (name, trace) in report.traces() {
-            let last = trace.samples().last().unwrap();
-            let at_crash = trace
-                .iter()
-                .find(|s| s.at >= Timestamp::from_secs(30))
-                .unwrap();
-            assert!(
-                last.level.value() > at_crash.level.value(),
-                "{name}: no accrual after crash"
-            );
-        }
-        assert!(
-            report.degrade_events > 0,
-            "long silence must trigger fallback"
-        );
-    }
-
-    #[test]
-    fn zoo_runs_all_six_detectors_and_all_accrue_after_crash() {
-        let mut scenario = ChaosScenario::new(Duration::from_secs(60));
-        scenario.crashes.push((Timestamp::from_secs(30), None));
-        let report = run_chaos_zoo(&scenario, 7);
+        let report = run_chaos(&scenario, 7);
         assert_eq!(report.transport_errors, 0);
         let names: Vec<_> = report.detectors.iter().map(|d| d.name).collect();
         assert_eq!(
@@ -1090,26 +866,18 @@ mod tests {
                 d.name
             );
         }
-    }
-
-    #[test]
-    fn zoo_same_seed_is_bit_identical() {
-        let mut scenario = ChaosScenario::new(Duration::from_secs(30));
-        scenario.jitter = Some((Duration::from_millis(5), Duration::from_millis(120)));
-        scenario.bernoulli_loss = Some(0.05);
-        let a = run_chaos_zoo(&scenario, 11);
-        let b = run_chaos_zoo(&scenario, 11);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = run_chaos_zoo(&scenario, 12);
-        assert_ne!(a.fingerprint(), c.fingerprint(), "seed must matter");
+        assert!(
+            report.degrade_events > 0,
+            "long silence must trigger fallback"
+        );
     }
 
     #[test]
     fn slow_sender_clock_stretches_heartbeat_pacing() {
         let mut slow = ChaosScenario::new(Duration::from_secs(60));
         slow.clock_drift = 0.8; // sender's seconds are 1.25 true seconds
-        let drifted = run_chaos_zoo(&slow, 3);
-        let baseline = run_chaos_zoo(&ChaosScenario::new(Duration::from_secs(60)), 3);
+        let drifted = run_chaos(&slow, 3);
+        let baseline = run_chaos(&ChaosScenario::new(Duration::from_secs(60)), 3);
         assert!(
             drifted.heartbeats_sent < baseline.heartbeats_sent,
             "slow clock must emit fewer heartbeats: {} vs {}",

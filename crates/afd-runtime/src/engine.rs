@@ -79,7 +79,7 @@ use crate::error::{EngineError, TransportError};
 use crate::persist::{RestoreImport, RestoredPeer};
 use crate::ring::{heartbeat_ring, RingConsumer, RingProducer, RingWatch};
 use crate::shard::{build_shards, import_peers, shard_index, Intake, MonitorStats, Shard};
-use crate::shard::{ShardCell, SnapshotReader, INTAKE_BATCH_SLOTS};
+use crate::shard::{ShardCell, SnapshotReader};
 use crate::supervisor::HealthBoard;
 use crate::transport::Transport;
 use crate::wire::Heartbeat;
@@ -99,8 +99,6 @@ pub struct EngineConfig {
     pub slots_per_shard: usize,
     /// Slots per lane→worker ring (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Slots in each lane thread's reusable intake arena.
-    pub batch_slots: usize,
     /// How often a worker republishes its epoch snapshot, on the engine
     /// clock's timeline. Zero republishes every loop.
     pub publish_every: Duration,
@@ -112,7 +110,6 @@ impl Default for EngineConfig {
             workers: 4,
             slots_per_shard: 4096,
             ring_capacity: 1024,
-            batch_slots: INTAKE_BATCH_SLOTS,
             publish_every: Duration::from_millis(1),
         }
     }
@@ -330,7 +327,6 @@ where
             workers: config.workers.max(1),
             slots_per_shard: config.slots_per_shard.max(1),
             ring_capacity: config.ring_capacity.max(2),
-            batch_slots: config.batch_slots.max(1),
             publish_every: config.publish_every,
         };
         let (cells, shards) = build_shards(config.workers, config.slots_per_shard, factory);
@@ -546,9 +542,8 @@ where
                 let shared = Arc::clone(shared);
                 let stop = Arc::clone(&stop);
                 let clock = self.clock.clone();
-                let batch_slots = self.config.batch_slots;
                 std::thread::spawn(move || {
-                    hand_back(lane_loop(lane, clock, producers, shared, stop, batch_slots))
+                    hand_back(lane_loop(lane, clock, producers, shared, stop))
                 })
             })
             .collect();
@@ -928,15 +923,14 @@ fn lane_loop<L: Transport, C: Clock>(
     mut producers: Vec<RingProducer>,
     shared: Arc<LaneShared>,
     stop: Arc<AtomicBool>,
-    batch_slots: usize,
 ) -> L {
     let _guard = PanicGuard(&shared.panicked);
-    let mut intake = Intake::new(batch_slots);
+    let mut intake = Intake::new();
     // Per-destination scratch, reused across batches: grouping is
     // allocation-free in steady state, and a drained batch publishes with
     // one seqlock advance per (ring, group) instead of one per frame.
     let mut groups: Vec<Vec<Heartbeat>> = (0..producers.len())
-        .map(|_| Vec::with_capacity(batch_slots))
+        .map(|_| Vec::with_capacity(intake.capacity()))
         .collect();
     while !stop.load(Ordering::Acquire) {
         match intake.recv(&mut lane) {

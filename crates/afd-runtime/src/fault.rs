@@ -8,12 +8,16 @@
 //! chaos tests are replayable bit-for-bit.
 //!
 //! Faults are applied when frames are *pulled* from the inner transport:
-//! delayed frames sit in a staging heap keyed by virtual delivery time and
-//! surface once the injector's clock passes them, which is also how
-//! reordering arises (a delayed frame is overtaken by later ones).
+//! every [`recv_batch`](Transport::recv_batch) first drains the medium
+//! through the plan into a staging heap keyed by virtual delivery time,
+//! then releases the frames whose time has come — which is also how
+//! reordering arises (a delayed frame is overtaken by later ones). A
+//! failure of the inner transport never strands what was already staged:
+//! due frames are released first, and the error surfaces only from a call
+//! that had nothing to deliver.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use afd_core::time::Timestamp;
 use afd_sim::delay::DelayModel;
@@ -22,7 +26,7 @@ use afd_sim::rng::SimRng;
 
 use crate::clock::Clock;
 use crate::error::TransportError;
-use crate::transport::Transport;
+use crate::transport::{FrameBatch, Transport};
 
 /// What faults to inject, and when.
 ///
@@ -144,23 +148,26 @@ impl Ord for Staged {
     }
 }
 
+/// Slots in the private arena the inner transport is drained through
+/// (the drain repeats until the medium is empty, so this bounds memory,
+/// not throughput).
+const PULL_SLOTS: usize = 64;
+
 /// A [`Transport`] wrapper injecting a seeded fault schedule on receive.
 pub struct FaultInjector<T, C> {
     inner: T,
     clock: C,
-    plan: FaultPlan,
-    rng: SimRng,
-    staged: BinaryHeap<Staged>,
-    tie: u64,
-    stats: FaultStats,
+    /// Reusable arena the inner transport is drained through.
+    pulled: FrameBatch,
+    schedule: Schedule,
 }
 
 impl<T, C> std::fmt::Debug for FaultInjector<T, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjector")
-            .field("plan", &self.plan)
-            .field("staged", &self.staged.len())
-            .field("stats", &self.stats)
+            .field("plan", &self.schedule.plan)
+            .field("staged", &self.schedule.staged.len())
+            .field("stats", &self.schedule.stats)
             .finish_non_exhaustive()
     }
 }
@@ -171,47 +178,57 @@ impl<T: Transport, C: Clock> FaultInjector<T, C> {
         FaultInjector {
             inner,
             clock,
-            plan,
-            rng: SimRng::seed_from_u64(seed),
-            staged: BinaryHeap::new(),
-            tie: 0,
-            stats: FaultStats::default(),
+            pulled: FrameBatch::with_capacity(PULL_SLOTS),
+            schedule: Schedule {
+                plan,
+                rng: SimRng::seed_from_u64(seed),
+                staged: BinaryHeap::new(),
+                tie: 0,
+                stats: FaultStats::default(),
+            },
         }
     }
 
     /// What the injector has done so far.
     pub fn stats(&self) -> FaultStats {
-        self.stats
+        self.schedule.stats
     }
 
     /// Frames currently held back waiting for their delivery time.
     pub fn in_flight(&self) -> usize {
-        self.staged.len()
+        self.schedule.staged.len()
     }
 
     /// Publishes the injector counters into `registry` under `fault.*`.
     pub fn export_metrics(&self, registry: &afd_obs::Registry) {
-        registry
-            .counter("fault.delivered")
-            .set(self.stats.delivered);
+        let stats = self.schedule.stats;
+        registry.counter("fault.delivered").set(stats.delivered);
         registry
             .counter("fault.dropped_loss")
-            .set(self.stats.dropped_loss);
+            .set(stats.dropped_loss);
         registry
             .counter("fault.dropped_partition")
-            .set(self.stats.dropped_partition);
-        registry
-            .counter("fault.duplicated")
-            .set(self.stats.duplicated);
-        registry
-            .counter("fault.corrupted")
-            .set(self.stats.corrupted);
+            .set(stats.dropped_partition);
+        registry.counter("fault.duplicated").set(stats.duplicated);
+        registry.counter("fault.corrupted").set(stats.corrupted);
         registry
             .gauge("fault.in_flight")
-            .set(self.staged.len() as f64);
+            .set(self.in_flight() as f64);
     }
+}
 
-    fn stage(&mut self, frame: Vec<u8>, now: Timestamp) {
+/// The plan, its random stream, and the frames it is holding back.
+struct Schedule {
+    plan: FaultPlan,
+    rng: SimRng,
+    staged: BinaryHeap<Staged>,
+    tie: u64,
+    stats: FaultStats,
+}
+
+impl Schedule {
+    /// Runs one pulled frame through the plan at time `now`.
+    fn stage(&mut self, frame: &[u8], now: Timestamp) {
         if self.plan.partitioned_at(now) {
             self.stats.dropped_partition += 1;
             return;
@@ -233,7 +250,7 @@ impl<T: Transport, C: Clock> FaultInjector<T, C> {
                 Some(delay) => now + delay.sample(&mut self.rng),
                 None => now,
             };
-            let mut frame = frame.clone();
+            let mut frame = frame.to_vec();
             if self.plan.corrupt > 0.0 && self.rng.bernoulli(self.plan.corrupt) {
                 if !frame.is_empty() {
                     let i = self.rng.index(frame.len());
@@ -249,6 +266,27 @@ impl<T: Transport, C: Clock> FaultInjector<T, C> {
             });
         }
     }
+
+    /// Moves staged frames due at `now` into `batch`, earliest first,
+    /// until it fills; returns how many were released.
+    fn release_due(&mut self, batch: &mut FrameBatch, now: Timestamp) -> usize {
+        let mut released = 0usize;
+        while let Some(next) = self.staged.peek_mut() {
+            if next.deliver_at > now.as_nanos() || batch.is_full() {
+                break;
+            }
+            // Staged frames came out of a `FrameBatch`, so they fit a slot.
+            released += usize::from(batch.push(&PeekMut::pop(next).frame));
+        }
+        self.stats.delivered += released as u64;
+        released
+    }
+
+    fn has_due(&self, now: Timestamp) -> bool {
+        self.staged
+            .peek()
+            .is_some_and(|next| next.deliver_at <= now.as_nanos())
+    }
 }
 
 impl<T: Transport, C: Clock> Transport for FaultInjector<T, C> {
@@ -257,24 +295,33 @@ impl<T: Transport, C: Clock> Transport for FaultInjector<T, C> {
         self.inner.send(frame)
     }
 
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+    fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
         let now = self.clock.now();
-        // Pull everything the medium has and run it through the plan.
-        while let Some(frame) = self.inner.try_recv()? {
-            self.stage(frame, now);
-        }
-        // Surface the earliest staged frame whose time has come.
-        let due = self
-            .staged
-            .peek()
-            .is_some_and(|next| next.deliver_at <= now.as_nanos());
-        if due {
-            if let Some(staged) = self.staged.pop() {
-                self.stats.delivered += 1;
-                return Ok(Some(staged.frame));
+        // Pull everything the medium has and run it through the plan. A
+        // failing medium ends the pull but not the call: what it
+        // surrendered before failing is staged like any other frame.
+        let mut pull = Ok(());
+        loop {
+            self.pulled.clear();
+            let outcome = self.inner.recv_batch(&mut self.pulled);
+            for frame in self.pulled.iter() {
+                self.schedule.stage(frame, now);
+            }
+            match outcome {
+                // A full arena means the medium may hold more.
+                Ok(_) if self.pulled.is_full() => {}
+                Ok(_) => break,
+                Err(fault) => {
+                    pull = Err(fault);
+                    break;
+                }
             }
         }
-        Ok(None)
+        let released = self.schedule.release_due(batch, now);
+        if released == 0 && !self.schedule.has_due(now) {
+            pull?;
+        }
+        Ok(released)
     }
 }
 
@@ -282,7 +329,7 @@ impl<T: Transport, C: Clock> Transport for FaultInjector<T, C> {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use crate::transport::ChannelTransport;
+    use crate::transport::{drain_frames, ChannelTransport};
     use afd_core::time::Duration;
     use afd_sim::delay::ConstantDelay;
     use afd_sim::loss::BernoulliLoss;
@@ -307,10 +354,7 @@ mod tests {
         for k in 0..10u8 {
             tx.send(&[k]).unwrap();
         }
-        let mut got = Vec::new();
-        while let Some(f) = rx.try_recv().unwrap() {
-            got.push(f[0]);
-        }
+        let got: Vec<u8> = drain_frames(&mut rx).iter().map(|f| f[0]).collect();
         assert_eq!(got, (0..10).collect::<Vec<u8>>());
         assert_eq!(rx.stats().delivered, 10);
     }
@@ -321,7 +365,7 @@ mod tests {
         for _ in 0..50 {
             tx.send(b"x").unwrap();
         }
-        assert_eq!(rx.try_recv().unwrap(), None);
+        assert!(drain_frames(&mut rx).is_empty());
         assert_eq!(rx.stats().dropped_loss, 50);
     }
 
@@ -333,15 +377,15 @@ mod tests {
 
         clock.set(Timestamp::from_secs(5));
         tx.send(b"before").unwrap();
-        assert!(rx.try_recv().unwrap().is_some());
+        assert_eq!(drain_frames(&mut rx), vec![b"before".to_vec()]);
 
         clock.set(Timestamp::from_secs(15));
         tx.send(b"inside").unwrap();
-        assert_eq!(rx.try_recv().unwrap(), None);
+        assert!(drain_frames(&mut rx).is_empty());
 
         clock.set(Timestamp::from_secs(25));
         tx.send(b"after").unwrap();
-        assert_eq!(rx.try_recv().unwrap(), Some(b"after".to_vec()));
+        assert_eq!(drain_frames(&mut rx), vec![b"after".to_vec()]);
         assert_eq!(rx.stats().dropped_partition, 1);
     }
 
@@ -350,10 +394,10 @@ mod tests {
         let plan = FaultPlan::new().with_delay(ConstantDelay::new(Duration::from_secs(2)));
         let (mut tx, mut rx, clock) = rig(plan, 4);
         tx.send(b"slow").unwrap();
-        assert_eq!(rx.try_recv().unwrap(), None, "not due yet");
+        assert!(drain_frames(&mut rx).is_empty(), "not due yet");
         assert_eq!(rx.in_flight(), 1);
         clock.advance(Duration::from_secs(3));
-        assert_eq!(rx.try_recv().unwrap(), Some(b"slow".to_vec()));
+        assert_eq!(drain_frames(&mut rx), vec![b"slow".to_vec()]);
     }
 
     #[test]
@@ -361,13 +405,13 @@ mod tests {
         let plan = FaultPlan::new().with_duplicate(1.0).with_corrupt(1.0);
         let (mut tx, mut rx, _clock) = rig(plan, 5);
         tx.send(&[0x00, 0x00]).unwrap();
-        let first = rx.try_recv().unwrap().expect("original");
-        let second = rx.try_recv().unwrap().expect("duplicate");
-        assert_eq!(first.len(), 2);
-        assert_eq!(second.len(), 2);
-        // Corruption flips one byte of each copy.
-        assert!(first.contains(&0xFF));
-        assert!(second.contains(&0xFF));
+        let copies = drain_frames(&mut rx);
+        assert_eq!(copies.len(), 2, "original and duplicate");
+        for copy in &copies {
+            assert_eq!(copy.len(), 2);
+            // Corruption flips one byte of each copy.
+            assert!(copy.contains(&0xFF));
+        }
         let stats = rx.stats();
         assert_eq!(stats.duplicated, 1);
         assert_eq!(stats.corrupted, 2);
@@ -382,13 +426,52 @@ mod tests {
             for k in 0..100u8 {
                 tx.send(&[k]).unwrap();
             }
-            let mut got = Vec::new();
-            while let Some(f) = rx.try_recv().unwrap() {
-                got.push(f[0]);
-            }
-            got
+            drain_frames(&mut rx)
+                .iter()
+                .map(|f| f[0])
+                .collect::<Vec<u8>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8), "different seeds should differ");
+    }
+
+    /// Regression: the pull loop used to `?` the inner transport's error
+    /// before surfacing anything, so frames a sender got out before dying
+    /// were stranded in the staging heap on that call and every later one.
+    #[test]
+    fn disconnect_does_not_strand_staged_frames() {
+        let delay = Duration::from_secs(2);
+        for delayed in [false, true] {
+            let plan = if delayed {
+                FaultPlan::new().with_delay(ConstantDelay::new(delay))
+            } else {
+                FaultPlan::new()
+            };
+            let (mut tx, mut rx, clock) = rig(plan, 6);
+            tx.send(b"last").unwrap();
+            tx.send(b"words").unwrap();
+            drop(tx);
+
+            let mut batch = FrameBatch::with_capacity(8);
+            if delayed {
+                // Pulled and held back; the medium still had frames, so
+                // it has not reported its dead peer yet.
+                assert_eq!(rx.recv_batch(&mut batch), Ok(0));
+                assert_eq!(rx.in_flight(), 2);
+                clock.advance(delay);
+            }
+            // The pull may now fail, but what is due comes out first.
+            assert_eq!(rx.recv_batch(&mut batch), Ok(2));
+            let got: Vec<&[u8]> = batch.iter().collect();
+            assert_eq!(got, [&b"last"[..], &b"words"[..]]);
+            assert_eq!(rx.stats().delivered, 2);
+            assert_eq!(rx.in_flight(), 0);
+            batch.clear();
+            assert_eq!(
+                rx.recv_batch(&mut batch),
+                Err(TransportError::Disconnected),
+                "drained and dead: the error surfaces"
+            );
+        }
     }
 }

@@ -24,17 +24,22 @@
 //! until `EWOULDBLOCK`, the batch fills, or a per-call syscall budget is
 //! spent — the budget bounds how long one drain can monopolize the
 //! intake thread when a lane is firehosed, keeping liveness ticks and
-//! stop-flag checks timely. The receive loop itself is the one
-//! [`UdpTransport`](crate::transport::UdpTransport) uses (`drain_socket`
-//! in `transport.rs`): datagrams land straight in the probe-sized arena
+//! stop-flag checks timely. The receive loop is `drain_socket` in
+//! `transport.rs`: datagrams land straight in the probe-sized arena
 //! slots ([`PROBE_LEN`](crate::transport::PROBE_LEN)), so an oversize
 //! datagram (> [`MAX_DATAGRAM`](crate::transport::MAX_DATAGRAM)) is
-//! detected and counted, never truncated into a decodable-looking frame.
-//! The lane's accept predicate drops a runt shorter than any wire frame
-//! ([`MIN_FRAME`](crate::wire::MIN_FRAME)) before decode and, unlike
-//! `UdpTransport`'s single-peer filter, takes datagrams from **any**
-//! source — a million senders cannot share one known address;
-//! authenticity is the checksum's job, liveness the detector's.
+//! detected and counted, never truncated into a decodable-looking frame,
+//! and a runt shorter than any wire frame
+//! ([`MIN_FRAME`](crate::wire::MIN_FRAME)) is dropped before decode.
+//!
+//! A lane made with [`UdpLane::bind`] is receive-only and takes
+//! datagrams from **any** source — a million senders cannot share one
+//! known address; authenticity is the checksum's job, liveness the
+//! detector's. One made with [`UdpLane::connect`] is the point-to-point
+//! endpoint (a heartbeat sender's socket, or a monitor with one known
+//! peer): [`send`](Transport::send) goes to the peer and datagrams from
+//! anyone else are dropped and counted apart from runts
+//! ([`UdpLaneStats::foreign_dropped`]).
 //!
 //! Every counter is published through [`UdpLaneStats`] (single-writer:
 //! only the lane's intake thread stores) and exported as
@@ -51,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::TransportError;
-use crate::transport::{drain_socket, recv_one, FrameBatch, Transport};
+use crate::transport::{drain_socket, FrameBatch, Transport, MAX_DATAGRAM};
 use crate::wire::MIN_FRAME;
 
 /// Default per-`recv_batch` syscall budget for a lane.
@@ -64,6 +69,7 @@ pub struct UdpLaneStats {
     datagrams: AtomicU64,
     oversize: AtomicU64,
     short: AtomicU64,
+    foreign: AtomicU64,
     syscalls: AtomicU64,
     batches: AtomicU64,
 }
@@ -83,8 +89,7 @@ impl UdpLaneStats {
         self.datagrams.load(Ordering::Relaxed)
     }
 
-    /// Datagrams dropped for exceeding
-    /// [`MAX_DATAGRAM`](crate::transport::MAX_DATAGRAM).
+    /// Datagrams dropped for exceeding [`MAX_DATAGRAM`].
     pub fn oversize_dropped(&self) -> u64 {
         self.oversize.load(Ordering::Relaxed)
     }
@@ -92,6 +97,12 @@ impl UdpLaneStats {
     /// Datagrams dropped for being shorter than any wire frame.
     pub fn short_dropped(&self) -> u64 {
         self.short.load(Ordering::Relaxed)
+    }
+
+    /// Datagrams a [connected](UdpLane::connect) lane dropped because they
+    /// did not come from its peer.
+    pub fn foreign_dropped(&self) -> u64 {
+        self.foreign.load(Ordering::Relaxed)
     }
 
     /// `recv_from` syscalls issued (including the terminal
@@ -115,27 +126,49 @@ impl UdpLaneStats {
     }
 }
 
-/// One intake lane: a non-blocking any-source UDP socket with budgeted
-/// batch draining and per-lane counters.
+/// One non-blocking UDP socket with budgeted batch draining and
+/// per-lane counters: an any-source intake lane ([`bind`](UdpLane::bind))
+/// or a point-to-point endpoint ([`connect`](UdpLane::connect)).
 #[derive(Debug)]
 pub struct UdpLane {
     socket: UdpSocket,
+    /// Where sends go and the only source receives accept; `None` for an
+    /// any-source, receive-only intake lane.
+    peer: Option<SocketAddr>,
     stats: Arc<UdpLaneStats>,
+    /// `recv_from` syscalls one `recv_batch` call may spend.
     recv_budget: usize,
 }
 
 impl UdpLane {
-    /// Binds one lane on `local` (port 0 = OS-chosen).
+    /// Binds a receive-only, any-source lane on `local` (port 0 =
+    /// OS-chosen).
     ///
     /// # Errors
     ///
     /// Returns [`TransportError`] if the socket cannot be bound or made
     /// non-blocking.
     pub fn bind(local: SocketAddr) -> Result<Self, TransportError> {
+        UdpLane::open(local, None)
+    }
+
+    /// Binds `local` as one end of a point-to-point link: sends go to
+    /// `peer`, and only datagrams from `peer` are received.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError`] if the socket cannot be bound or made
+    /// non-blocking.
+    pub fn connect(local: SocketAddr, peer: SocketAddr) -> Result<Self, TransportError> {
+        UdpLane::open(local, Some(peer))
+    }
+
+    fn open(local: SocketAddr, peer: Option<SocketAddr>) -> Result<Self, TransportError> {
         let socket = UdpSocket::bind(local)?;
         socket.set_nonblocking(true)?;
         Ok(UdpLane {
             socket,
+            peer,
             stats: Arc::new(UdpLaneStats::default()),
             recv_budget: DEFAULT_RECV_BUDGET,
         })
@@ -155,49 +188,55 @@ impl UdpLane {
     pub fn stats(&self) -> Arc<UdpLaneStats> {
         Arc::clone(&self.stats)
     }
-
-    /// Caps `recv_from` syscalls per `recv_batch` call (floored at 1).
-    pub fn set_recv_budget(&mut self, budget: usize) {
-        self.recv_budget = budget.max(1);
-    }
-
-    /// One [`drain_socket`] pass of at most `budget` syscalls, accepting
-    /// any source but no runt shorter than a wire frame, with every
-    /// tally folded into the lane's counters.
-    fn drain(&mut self, batch: &mut FrameBatch, budget: usize) -> Result<usize, TransportError> {
-        let (tally, outcome) = drain_socket(&self.socket, batch, budget, |n, _| n >= MIN_FRAME);
-        UdpLaneStats::add(&self.stats.syscalls, tally.syscalls);
-        UdpLaneStats::add(&self.stats.oversize, tally.oversize);
-        UdpLaneStats::add(&self.stats.short, tally.rejected);
-        UdpLaneStats::add(&self.stats.datagrams, tally.got as u64);
-        outcome.map(|()| tally.got)
-    }
 }
 
 impl Transport for UdpLane {
-    /// Lanes are receive-only; heartbeat *sending* goes through
-    /// [`UdpTransport`](crate::transport::UdpTransport) aimed at a
-    /// lane's address.
-    fn send(&mut self, _frame: &[u8]) -> Result<(), TransportError> {
-        Err(TransportError::Io(
-            "UDP intake lane is receive-only".to_owned(),
-        ))
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        recv_one(|one| self.drain(one, usize::MAX))
+    /// Sends `frame` to the peer of a [connected](UdpLane::connect)
+    /// lane; a [bound](UdpLane::bind) lane is receive-only and refuses.
+    /// Oversize frames are rejected here: the receive side would drop
+    /// them anyway, and surfacing the error at the source names the bug.
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        let Some(peer) = self.peer else {
+            return Err(TransportError::Io(
+                "UDP intake lane is receive-only".to_owned(),
+            ));
+        };
+        if frame.len() > MAX_DATAGRAM {
+            return Err(TransportError::Io(format!(
+                "frame of {} bytes exceeds MAX_DATAGRAM ({MAX_DATAGRAM})",
+                frame.len()
+            )));
+        }
+        // A full send buffer is a transient fault: it surfaces as an I/O
+        // error and the retry layer backs off.
+        self.socket.send_to(frame, peer)?;
+        Ok(())
     }
 
     /// Budgeted drain-until-`EWOULDBLOCK` straight into the arena slots:
     /// one syscall per datagram, zero copies beyond the kernel's, zero
-    /// heap allocations.
+    /// heap allocations. Datagrams from anyone but a connected lane's
+    /// peer are noise, not heartbeats: consumed, counted, discarded — as
+    /// are runts shorter than a wire frame and oversize datagrams.
     fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
-        let before = batch.len();
-        let outcome = self.drain(batch, self.recv_budget);
-        if batch.len() > before {
+        let peer = self.peer;
+        let mut foreign = 0u64;
+        let (tally, outcome) = drain_socket(&self.socket, batch, self.recv_budget, |n, from| {
+            if peer.is_some_and(|peer| peer != from) {
+                foreign += 1;
+                return false;
+            }
+            n >= MIN_FRAME
+        });
+        UdpLaneStats::add(&self.stats.syscalls, tally.syscalls);
+        UdpLaneStats::add(&self.stats.oversize, tally.oversize);
+        UdpLaneStats::add(&self.stats.foreign, foreign);
+        UdpLaneStats::add(&self.stats.short, tally.rejected - foreign);
+        UdpLaneStats::add(&self.stats.datagrams, tally.got as u64);
+        if tally.got > 0 {
             UdpLaneStats::add(&self.stats.batches, 1);
         }
-        outcome
+        outcome.map(|()| tally.got)
     }
 }
 
@@ -234,6 +273,11 @@ impl MultiUdpStats {
         self.per_lane.iter().map(|l| l.short_dropped()).sum()
     }
 
+    /// Sum of not-from-the-peer drops across (connected) lanes.
+    pub fn foreign_dropped(&self) -> u64 {
+        self.per_lane.iter().map(|l| l.foreign_dropped()).sum()
+    }
+
     /// Sum of `recv_from` syscalls across lanes.
     pub fn syscalls(&self) -> u64 {
         self.per_lane.iter().map(|l| l.syscalls()).sum()
@@ -253,6 +297,9 @@ impl MultiUdpStats {
                 .counter(&format!("udp.lane.{i}.short_dropped"))
                 .set(lane.short_dropped());
             registry
+                .counter(&format!("udp.lane.{i}.foreign_dropped"))
+                .set(lane.foreign_dropped());
+            registry
                 .counter(&format!("udp.lane.{i}.syscalls"))
                 .set(lane.syscalls());
             registry
@@ -266,6 +313,9 @@ impl MultiUdpStats {
         registry
             .counter("udp.short_dropped")
             .set(self.short_dropped());
+        registry
+            .counter("udp.foreign_dropped")
+            .set(self.foreign_dropped());
         registry.counter("udp.syscalls").set(self.syscalls());
         registry.gauge("udp.lanes").set(self.lanes() as f64);
     }
@@ -333,13 +383,6 @@ impl MultiUdpTransport {
         crate::shard::shard_index(afd_core::process::ProcessId::new(id), lanes.max(1))
     }
 
-    /// Caps every lane's per-`recv_batch` syscall budget.
-    pub fn set_recv_budget(&mut self, budget: usize) {
-        for lane in &mut self.lanes {
-            lane.set_recv_budget(budget);
-        }
-    }
-
     /// Cloneable counter handles that outlive the lanes' move into an
     /// engine.
     pub fn stats(&self) -> MultiUdpStats {
@@ -358,7 +401,6 @@ impl MultiUdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::MAX_DATAGRAM;
     use std::net::{Ipv4Addr, SocketAddrV4};
     use std::time::Duration;
 
@@ -426,7 +468,7 @@ mod tests {
         let addr = multi.local_addrs().unwrap()[0];
         let mut lanes = multi.into_lanes();
         let lane = &mut lanes[0];
-        lane.set_recv_budget(3);
+        lane.recv_budget = 3;
 
         let s = UdpSocket::bind(loopback_any()).unwrap();
         for _ in 0..10 {
@@ -465,6 +507,126 @@ mod tests {
         assert!(matches!(lanes[0].send(b"nope"), Err(TransportError::Io(_))));
     }
 
+    /// A receive-only lane and a lane connected to it.
+    fn link() -> (UdpLane, UdpLane) {
+        let rx = UdpLane::bind(loopback_any()).unwrap();
+        let tx = UdpLane::connect(loopback_any(), rx.local_addr().unwrap()).unwrap();
+        (tx, rx)
+    }
+
+    /// A raw socket and a lane connected to it, so the test can put any
+    /// bytes on the wire as "the peer".
+    fn raw_peer() -> (UdpSocket, UdpLane, SocketAddr) {
+        let raw = UdpSocket::bind(loopback_any()).unwrap();
+        let lane = UdpLane::connect(loopback_any(), raw.local_addr().unwrap()).unwrap();
+        let addr = lane.local_addr().unwrap();
+        (raw, lane, addr)
+    }
+
+    fn frames(batch: &FrameBatch) -> Vec<Vec<u8>> {
+        batch.iter().map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn connected_lane_roundtrips_over_loopback() {
+        let (mut tx, mut rx) = link();
+        tx.send(b"heartbeat").unwrap();
+        let mut batch = FrameBatch::with_capacity(4);
+        assert_eq!(drain_expect(&mut rx, &mut batch, 1), 1);
+        assert_eq!(frames(&batch), vec![b"heartbeat".to_vec()]);
+        batch.clear();
+        assert_eq!(rx.recv_batch(&mut batch).unwrap(), 0);
+    }
+
+    #[test]
+    fn connected_lane_drops_and_counts_strangers() {
+        let (_peer, mut lane, addr) = raw_peer();
+        let stats = lane.stats();
+        let stranger = UdpSocket::bind(loopback_any()).unwrap();
+        stranger.send_to(b"mallory", addr).unwrap();
+        let mut batch = FrameBatch::with_capacity(4);
+        for _ in 0..200 {
+            assert_eq!(lane.recv_batch(&mut batch).unwrap(), 0);
+            if stats.foreign_dropped() > 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(batch.is_empty(), "a stranger's datagram is not a frame");
+        assert_eq!(stats.foreign_dropped(), 1);
+        // One outcome counter per datagram: nothing else moved.
+        assert_eq!(stats.datagrams(), 0);
+        assert_eq!(stats.short_dropped(), 0);
+        assert_eq!(stats.oversize_dropped(), 0);
+        assert_eq!(stats.batches(), 0);
+    }
+
+    #[test]
+    fn oversize_datagram_from_the_peer_is_dropped_and_counted_not_truncated() {
+        // Regression: before the probe-sized receive buffer, a datagram
+        // of MAX_DATAGRAM+1 bytes was silently truncated to MAX_DATAGRAM
+        // and accepted as a frame. Send one from the peer's raw socket
+        // (bypassing the send-side size guard) and a valid one after it.
+        let (peer, mut lane, addr) = raw_peer();
+        let stats = lane.stats();
+        let big = [0u8; MAX_DATAGRAM + 1];
+        peer.send_to(&big, addr).unwrap();
+        peer.send_to(b"in-size", addr).unwrap();
+        let mut batch = FrameBatch::with_capacity(8);
+        assert_eq!(
+            drain_expect(&mut lane, &mut batch, 1),
+            1,
+            "only the valid datagram is a frame"
+        );
+        assert_eq!(stats.oversize_dropped(), 1, "the oversize one was counted");
+        assert_eq!(frames(&batch), vec![b"in-size".to_vec()]);
+        assert_eq!(stats.foreign_dropped(), 0);
+        // A one-slot arena detects it too.
+        peer.send_to(&big, addr).unwrap();
+        let mut one = FrameBatch::with_capacity(1);
+        for _ in 0..200 {
+            assert_eq!(lane.recv_batch(&mut one).unwrap(), 0);
+            if stats.oversize_dropped() == 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(stats.oversize_dropped(), 2);
+    }
+
+    #[test]
+    fn connected_lane_send_rejects_oversize_frames() {
+        let (mut tx, _rx) = link();
+        let big = [0u8; MAX_DATAGRAM + 1];
+        assert!(matches!(tx.send(&big), Err(TransportError::Io(_))));
+    }
+
+    #[test]
+    fn connected_lane_drains_many_datagrams_in_order() {
+        let (mut tx, mut rx) = link();
+        for i in 0..8u8 {
+            tx.send(&[i; 8]).unwrap();
+        }
+        let mut batch = FrameBatch::with_capacity(16);
+        assert_eq!(drain_expect(&mut rx, &mut batch, 8), 8);
+        assert_eq!(
+            frames(&batch),
+            (0..8u8).map(|i| vec![i; 8]).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_dead_peer_is_not_a_transport_error() {
+        // Nothing listens on the peer's port once the raw socket is gone;
+        // the ICMP refusal a send may provoke is the detector's business.
+        let (peer, mut lane, _addr) = raw_peer();
+        drop(peer);
+        lane.send(b"anyone?").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let mut batch = FrameBatch::with_capacity(2);
+        assert_eq!(lane.recv_batch(&mut batch), Ok(0));
+    }
+
     #[test]
     fn metrics_export_names_every_lane() {
         let multi = MultiUdpTransport::bind(loopback_any(), 2).unwrap();
@@ -474,6 +636,8 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("udp.lane.0.datagrams"), Some(0));
         assert_eq!(snap.counter("udp.lane.1.syscalls"), Some(0));
+        assert_eq!(snap.counter("udp.lane.1.foreign_dropped"), Some(0));
+        assert_eq!(snap.counter("udp.foreign_dropped"), Some(0));
         assert_eq!(snap.counter("udp.datagrams"), Some(0));
         assert_eq!(snap.gauge("udp.lanes"), Some(2.0));
     }

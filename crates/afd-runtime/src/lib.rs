@@ -4,8 +4,9 @@
 //! Where `afd-sim` replays scripted heartbeat histories offline, this crate
 //! runs the monitor/monitored protocol of Défago et al. §5.1 *live*:
 //! threaded heartbeat senders push framed, checksummed heartbeats through a
-//! pluggable [`Transport`](transport::Transport) (in-process channels or
-//! UDP sockets), and **one monitor pipeline** — intake, stamp, accept,
+//! pluggable [`Transport`](transport::Transport) — two calls, `send` and
+//! `recv_batch`, over an in-process [`ChannelTransport`] or a UDP
+//! [`UdpLane`] — and **one monitor pipeline** — intake, stamp, accept,
 //! publish; see [`shard`] — turns them into suspicion levels that readers
 //! query lock-free. The pipeline has two executors:
 //!
@@ -58,9 +59,8 @@ pub mod varint;
 pub mod wire;
 
 pub use chaos::{
-    drive_lock_step, run_chaos, run_chaos_script, run_chaos_zoo, ChaosReport, ChaosScenario,
-    ChaosScript, DetectorTrio, DetectorZoo, ScriptEvent, ScriptReport, ScriptSample,
-    ZooDetectorReport, ZooMember, ZooReport,
+    run_chaos, run_chaos_script, ChaosReport, ChaosScenario, ChaosScript, DetectorZoo, ScriptEvent,
+    ScriptReport, ScriptSample, ZooDetectorReport, ZooMember,
 };
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use degrade::{DegradeConfig, GracefulDegradation};
@@ -84,7 +84,7 @@ pub use shard::{
 };
 pub use supervisor::{HealthBoard, SupervisedThread, Supervisor, Watchdog};
 pub use transport::{
-    ChannelTransport, FrameBatch, NullTransport, Transport, UdpTransport, MAX_DATAGRAM, PROBE_LEN,
+    ChannelTransport, FrameBatch, NullTransport, Transport, MAX_DATAGRAM, PROBE_LEN,
 };
 pub use wire::{
     DeltaEncoder, Heartbeat, WireDecoder, WireError, DELTA_MAGIC, FRAME_LEN, INTERN_LEN,

@@ -319,7 +319,7 @@ mod tests {
     use super::*;
     use crate::clock::{SystemClock, VirtualClock};
     use crate::error::TransportError;
-    use crate::transport::ChannelTransport;
+    use crate::transport::{drain_frames, ChannelTransport};
     use crate::wire::Heartbeat;
 
     fn config() -> SenderConfig {
@@ -337,10 +337,10 @@ mod tests {
             assert!(sent, "beat due at t={s}");
         }
         assert_eq!(core.sent(), 10);
-        let mut seqs = Vec::new();
-        while let Ok(Some(f)) = side_b.try_recv() {
-            seqs.push(Heartbeat::decode(&f).unwrap().seq);
-        }
+        let seqs: Vec<u64> = drain_frames(&mut side_b)
+            .iter()
+            .map(|f| Heartbeat::decode(f).unwrap().seq)
+            .collect();
         assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
     }
 
@@ -360,11 +360,7 @@ mod tests {
         assert!(core
             .poll(Timestamp::from_secs(5), &mut side_a, |_| {})
             .unwrap());
-        let mut count = 0;
-        while let Ok(Some(_)) = side_b.try_recv() {
-            count += 1;
-        }
-        assert_eq!(count, 2);
+        assert_eq!(drain_frames(&mut side_b).len(), 2);
     }
 
     #[test]
@@ -378,11 +374,7 @@ mod tests {
         assert!(!core
             .poll(Timestamp::from_secs(100), &mut side_a, |_| {})
             .unwrap());
-        let mut count = 0;
-        while let Ok(Some(_)) = side_b.try_recv() {
-            count += 1;
-        }
-        assert_eq!(count, 1);
+        assert_eq!(drain_frames(&mut side_b).len(), 1);
     }
 
     #[test]
@@ -449,7 +441,7 @@ mod tests {
         // heartbeat stream through the receiver-side decoder.
         let mut dec = crate::wire::WireDecoder::new();
         let mut seqs = Vec::new();
-        while let Ok(Some(f)) = side_b.try_recv() {
+        for f in drain_frames(&mut side_b) {
             let hb = dec.decode(&f).unwrap();
             assert_eq!(hb.sender, ProcessId::new(1));
             assert_eq!(hb.sent_at, Timestamp::from_secs(hb.seq - 1));
@@ -465,12 +457,11 @@ mod tests {
         let handle = spawn_sender(side_a, SystemClock::new(), cfg, 7);
         std::thread::sleep(std::time::Duration::from_millis(80));
         handle.stop().expect("clean shutdown");
-        let mut count = 0;
-        while let Ok(Some(f)) = side_b.try_recv() {
-            let hb = Heartbeat::decode(&f).unwrap();
-            assert_eq!(hb.sender, ProcessId::new(3));
-            count += 1;
+        let frames = drain_frames(&mut side_b);
+        for f in &frames {
+            assert_eq!(Heartbeat::decode(f).unwrap().sender, ProcessId::new(3));
         }
+        let count = frames.len();
         assert!(count >= 3, "expected several beats in 80 ms, got {count}");
     }
 
@@ -483,23 +474,14 @@ mod tests {
         handle.crash();
         std::thread::sleep(std::time::Duration::from_millis(30));
         // Drain what was sent before/at the crash.
-        let mut before = 0;
-        while let Ok(Some(_)) = side_b.try_recv() {
-            before += 1;
-        }
+        let before = drain_frames(&mut side_b).len();
         std::thread::sleep(std::time::Duration::from_millis(40));
-        let mut during = 0;
-        while let Ok(Some(_)) = side_b.try_recv() {
-            during += 1;
-        }
+        let during = drain_frames(&mut side_b).len();
         assert_eq!(during, 0, "no beats while crashed");
         handle.recover();
         std::thread::sleep(std::time::Duration::from_millis(40));
         handle.stop().expect("clean shutdown");
-        let mut after = 0;
-        while let Ok(Some(_)) = side_b.try_recv() {
-            after += 1;
-        }
+        let after = drain_frames(&mut side_b).len();
         assert!(before >= 1);
         assert!(after >= 1, "beats must resume after recovery");
     }

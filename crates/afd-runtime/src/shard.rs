@@ -68,7 +68,7 @@ use crate::wire::{Heartbeat, WireDecoder};
 
 /// Slots in the reusable intake arena drained per
 /// [`recv_batch`](Transport::recv_batch) call.
-pub(crate) const INTAKE_BATCH_SLOTS: usize = 512;
+const INTAKE_BATCH_SLOTS: usize = 512;
 
 pub(crate) type DetectorFactory<D> = Box<dyn FnMut(ProcessId) -> D + Send>;
 
@@ -763,10 +763,11 @@ pub(crate) struct Intake {
 }
 
 impl Intake {
-    /// An intake stage draining up to `slots` frames per refill.
-    pub(crate) fn new(slots: usize) -> Self {
+    /// An intake stage draining up to [`INTAKE_BATCH_SLOTS`] frames per
+    /// refill.
+    pub(crate) fn new() -> Self {
         Intake {
-            arena: FrameBatch::with_capacity(slots),
+            arena: FrameBatch::with_capacity(INTAKE_BATCH_SLOTS),
             decoder: WireDecoder::new(),
         }
     }
@@ -870,7 +871,7 @@ where
             config,
             shards,
             reader: SnapshotReader::from_cells(cells),
-            intake: Intake::new(INTAKE_BATCH_SLOTS),
+            intake: Intake::new(),
             batches,
             corrupt: 0,
             ticks: 0,

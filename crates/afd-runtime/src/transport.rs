@@ -1,44 +1,43 @@
 //! Pluggable heartbeat transports.
 //!
 //! A [`Transport`] moves opaque frames between a heartbeat sender and a
-//! monitor. Two implementations ship: [`ChannelTransport`] (in-process
-//! bounded lossy queue, used by the deterministic chaos harness and by
-//! same-process deployments) and [`UdpTransport`] (a non-blocking
-//! `std::net::UdpSocket`, the paper's actual deployment medium —
-//! heartbeats tolerate loss, so UDP is the right fit).
+//! monitor through two calls: [`send`](Transport::send) and
+//! [`recv_batch`](Transport::recv_batch). Two media ship:
+//! [`ChannelTransport`] (in-process bounded lossy queue, used by the
+//! deterministic chaos harness and by same-process deployments) and
+//! [`UdpLane`](crate::lane::UdpLane) (a non-blocking `std::net::UdpSocket`,
+//! the paper's actual deployment medium — heartbeats tolerate loss, so
+//! UDP is the right fit).
 //!
-//! Both are polling transports: `try_recv` never blocks, which lets one
+//! Both are polling transports: `recv_batch` never blocks, which lets one
 //! loop service the transport, the detectors, and the watchdog tick
 //! without extra threads.
 //!
-//! # The zero-allocation batched path
+//! # Zero-allocation batched receive
 //!
-//! The per-frame `try_recv` returns an owned `Vec<u8>` — one heap
-//! allocation per 28-byte heartbeat, which is pure garbage at intake
-//! rates of millions of frames per second. The hot path is
-//! [`Transport::recv_batch`]: the caller keeps a reusable [`FrameBatch`]
-//! arena of inline `[u8; MAX_DATAGRAM]` slots and the transport copies
-//! pending frames straight into it ([`UdpTransport`] receives datagrams
-//! directly into the slots; [`ChannelTransport`] copies out of its
-//! inline queue entries). After the arena is built, steady-state intake
-//! performs **zero heap allocations per frame** — enforced by the
-//! `no-alloc-in-hot-path` afd-lint rule over this file. Batches are
-//! also the engine's clock-amortization unit: a lane thread takes one
-//! arrival stamp per `recv_batch` call and applies it to every frame in
-//! the batch (skew bounded by one batch's handling time).
+//! The caller keeps a reusable [`FrameBatch`] arena of inline
+//! `[u8; PROBE_LEN]` slots and the transport copies pending frames
+//! straight into it (a UDP lane receives datagrams directly into the
+//! slots; [`ChannelTransport`] copies out of its inline queue entries).
+//! After the arena is built, steady-state intake performs **zero heap
+//! allocations per frame** — enforced by the `no-alloc-in-hot-path`
+//! afd-lint rule over this file. Batches are also the engine's
+//! clock-amortization unit: a lane thread takes one arrival stamp per
+//! `recv_batch` call and applies it to every frame in the batch (skew
+//! bounded by one batch's handling time).
 //!
 //! # Bounded, lossy channels
 //!
-//! [`ChannelTransport`] used to sit on an unbounded `mpsc` channel: a
-//! stalled monitor grew the queue without bound. It is now a bounded
-//! deque with **drop-oldest** overflow — the same policy as a full UDP
-//! socket buffer, and the right one for heartbeats (the newest frame is
-//! the evidence a detector wants; the oldest is the most superseded).
-//! Drops are counted and exportable via [`ChannelTransport::export_metrics`].
+//! [`ChannelTransport`] is a bounded deque with **drop-oldest** overflow
+//! — the same policy as a full UDP socket buffer, and the right one for
+//! heartbeats (the newest frame is the evidence a detector wants; the
+//! oldest is the most superseded), so a stalled monitor cannot grow the
+//! queue without bound. Drops are counted and exportable via
+//! [`ChannelTransport::export_metrics`].
 
 use std::collections::VecDeque;
 use std::io::ErrorKind;
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::TransportError;
@@ -142,7 +141,7 @@ impl FrameBatch {
     /// [`MAX_DATAGRAM`] — a fill of all [`PROBE_LEN`] bytes means the
     /// datagram was oversize and must be dropped, not truncated. This is
     /// the receive-directly-into-the-arena path used by
-    /// [`UdpTransport`].
+    /// [`UdpLane`](crate::lane::UdpLane).
     pub fn push_with(&mut self, fill: impl FnOnce(&mut [u8; PROBE_LEN]) -> Option<usize>) -> bool {
         if self.is_full() {
             return false;
@@ -177,52 +176,24 @@ pub trait Transport: Send {
     /// lose the frame, which is exactly what failure detectors exist for.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
 
-    /// Receives one pending frame, if any, without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] if the medium itself failed (as opposed
-    /// to simply having nothing to deliver).
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
-
     /// Drains pending frames into `batch` (up to its free capacity)
-    /// without blocking, returning how many were stored.
-    ///
-    /// The default implementation loops over [`try_recv`](Transport::try_recv)
-    /// — correct for any transport (wrappers like
-    /// [`FaultInjector`](crate::fault::FaultInjector) get per-frame fault
-    /// semantics for free) but it allocates per frame. Transports on the
-    /// hot path override it with a zero-allocation drain. Frames longer
-    /// than [`MAX_DATAGRAM`] are discarded, matching UDP's MTU.
+    /// without blocking, returning how many were stored. Implementations
+    /// copy straight into the arena's slots and allocate nothing per
+    /// frame.
     ///
     /// A return of `batch.capacity()` means the medium may hold more;
     /// anything less means it was drained.
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError`] if the medium itself failed.
-    fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
-        let mut got = 0usize;
-        while !batch.is_full() {
-            match self.try_recv()? {
-                Some(frame) => {
-                    if batch.push(&frame) {
-                        got += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-        Ok(got)
-    }
+    /// Returns [`TransportError`] if the medium itself failed (as opposed
+    /// to simply having nothing to deliver).
+    fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError>;
 }
 
 impl<T: Transport + ?Sized> Transport for Box<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         (**self).send(frame)
-    }
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        (**self).try_recv()
     }
     fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
         (**self).recv_batch(batch)
@@ -408,22 +379,6 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut q = self.rx.lock();
-        match q.frames.pop_front() {
-            // lint:allow(no-alloc-in-hot-path, legacy per-frame path; batched intake uses recv_batch)
-            Some(frame) => Ok(Some(frame.as_slice().to_vec())),
-            None => {
-                drop(q);
-                if ChannelTransport::peer_alive(&self.rx) {
-                    Ok(None)
-                } else {
-                    Err(TransportError::Disconnected)
-                }
-            }
-        }
-    }
-
     fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
         let mut got = 0usize;
         let mut q = self.rx.lock();
@@ -459,9 +414,9 @@ pub(crate) struct SocketDrain {
     pub(crate) syscalls: u64,
 }
 
-/// The one UDP receive loop, behind both socket transports: drains
-/// `socket` straight into `batch`'s probe-sized slots — one `recv_from`
-/// per datagram, zero copies beyond the kernel's, zero heap allocations —
+/// The one UDP receive loop, behind [`UdpLane`](crate::lane::UdpLane):
+/// drains `socket` straight into `batch`'s probe-sized slots — one
+/// `recv_from` per datagram, zero copies beyond the kernel's, zero heap allocations —
 /// until the socket would block, the batch fills, `budget` syscalls are
 /// spent, or a hard error (returned beside the tallies, which stay
 /// valid). `accept(len, from)` filters datagrams first; one that passes
@@ -510,128 +465,6 @@ pub(crate) fn drain_socket(
     (tally, outcome)
 }
 
-/// The legacy per-frame `try_recv` of a socket transport: one pass of
-/// its `drain` over a one-slot arena, returning the frame it stored, if
-/// any, as an owned buffer.
-pub(crate) fn recv_one(
-    drain: impl FnOnce(&mut FrameBatch) -> Result<usize, TransportError>,
-) -> Result<Option<Vec<u8>>, TransportError> {
-    let mut one = FrameBatch::with_capacity(1);
-    drain(&mut one)?;
-    // lint:allow(no-alloc-in-hot-path, legacy per-frame path; batched intake uses recv_batch)
-    let frame = one.iter().next().map(<[u8]>::to_vec);
-    Ok(frame)
-}
-
-/// A non-blocking UDP transport between two socket addresses.
-#[derive(Debug)]
-pub struct UdpTransport {
-    socket: UdpSocket,
-    peer: SocketAddr,
-    /// Datagrams dropped because they exceeded [`MAX_DATAGRAM`]. Before
-    /// this counter existed the receive path read into a
-    /// `MAX_DATAGRAM`-sized buffer, so the kernel silently truncated
-    /// oversize datagrams and the tail-less frame could still decode —
-    /// now the probe-sized receive detects and drops them.
-    oversize: u64,
-}
-
-impl UdpTransport {
-    /// Binds `local` and directs sends at `peer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] if the socket cannot be bound or put into
-    /// non-blocking mode.
-    pub fn bind(local: SocketAddr, peer: SocketAddr) -> Result<Self, TransportError> {
-        let socket = UdpSocket::bind(local)?;
-        socket.set_nonblocking(true)?;
-        Ok(UdpTransport {
-            socket,
-            peer,
-            oversize: 0,
-        })
-    }
-
-    /// Creates two connected endpoints on loopback with OS-chosen ports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] if loopback sockets cannot be created.
-    pub fn loopback_pair() -> Result<(UdpTransport, UdpTransport), TransportError> {
-        let any = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0));
-        let a = UdpSocket::bind(any)?;
-        let b = UdpSocket::bind(any)?;
-        a.set_nonblocking(true)?;
-        b.set_nonblocking(true)?;
-        let a_addr = a.local_addr()?;
-        let b_addr = b.local_addr()?;
-        Ok((
-            UdpTransport {
-                socket: a,
-                peer: b_addr,
-                oversize: 0,
-            },
-            UdpTransport {
-                socket: b,
-                peer: a_addr,
-                oversize: 0,
-            },
-        ))
-    }
-
-    /// The local socket address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] if the OS cannot report the address.
-    pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
-        Ok(self.socket.local_addr()?)
-    }
-
-    /// Datagrams dropped because they exceeded [`MAX_DATAGRAM`] —
-    /// detected, not silently truncated.
-    pub fn oversize_dropped(&self) -> u64 {
-        self.oversize
-    }
-}
-
-impl Transport for UdpTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        // Reject oversize frames at the sender: the receive side would
-        // drop them anyway, and surfacing the error here names the bug.
-        if frame.len() > MAX_DATAGRAM {
-            return Err(TransportError::Io(format!(
-                "frame of {} bytes exceeds MAX_DATAGRAM ({MAX_DATAGRAM})",
-                frame.len()
-            )));
-        }
-        match self.socket.send_to(frame, self.peer) {
-            Ok(_) => Ok(()),
-            // A full send buffer is a transient fault: report it as an I/O
-            // error and let the retry layer back off.
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        recv_one(|one| self.recv_batch(one))
-    }
-
-    /// Drains queued datagrams directly into the arena slots
-    /// ([`drain_socket`]). Datagrams from strangers are noise, not
-    /// heartbeats: consumed and discarded. An oversize datagram from the
-    /// peer is counted ([`oversize_dropped`](UdpTransport::oversize_dropped))
-    /// and dropped rather than silently accepted as a truncated frame.
-    fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
-        let peer = self.peer;
-        let (tally, outcome) =
-            drain_socket(&self.socket, batch, usize::MAX, |_, from| from == peer);
-        self.oversize += tally.oversize;
-        outcome.map(|()| tally.got)
-    }
-}
-
 /// A transport connected to nothing: sends are accepted and discarded,
 /// receives never yield a frame.
 ///
@@ -647,13 +480,26 @@ impl Transport for NullTransport {
         Ok(())
     }
 
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        Ok(None)
-    }
-
     fn recv_batch(&mut self, _batch: &mut FrameBatch) -> Result<usize, TransportError> {
         Ok(0)
     }
+}
+
+/// Test helper: everything `transport` will surrender right now, as owned
+/// frames — repeated [`recv_batch`](Transport::recv_batch) until a call
+/// stores nothing or fails.
+#[cfg(test)]
+pub(crate) fn drain_frames(transport: &mut impl Transport) -> Vec<Vec<u8>> {
+    let mut batch = FrameBatch::with_capacity(64);
+    let mut frames = Vec::new();
+    while let Ok(got) = transport.recv_batch(&mut batch) {
+        if got == 0 {
+            break;
+        }
+        frames.extend(batch.iter().map(<[u8]>::to_vec));
+        batch.clear();
+    }
+    frames
 }
 
 #[cfg(test)]
@@ -665,9 +511,9 @@ mod tests {
         let (mut a, mut b) = ChannelTransport::pair();
         a.send(b"ping").unwrap();
         b.send(b"pong").unwrap();
-        assert_eq!(b.try_recv().unwrap(), Some(b"ping".to_vec()));
-        assert_eq!(a.try_recv().unwrap(), Some(b"pong".to_vec()));
-        assert_eq!(a.try_recv().unwrap(), None);
+        assert_eq!(drain_frames(&mut b), vec![b"ping".to_vec()]);
+        assert_eq!(drain_frames(&mut a), vec![b"pong".to_vec()]);
+        assert!(drain_frames(&mut a).is_empty());
     }
 
     #[test]
@@ -675,16 +521,8 @@ mod tests {
         let (mut a, b) = ChannelTransport::pair();
         drop(b);
         assert_eq!(a.send(b"x"), Err(TransportError::Disconnected));
-        assert_eq!(a.try_recv(), Err(TransportError::Disconnected));
-    }
-
-    #[test]
-    fn channel_buffered_frames_arrive_before_disconnect() {
-        let (mut a, mut b) = ChannelTransport::pair();
-        a.send(b"last words").unwrap();
-        drop(a);
-        assert_eq!(b.try_recv().unwrap(), Some(b"last words".to_vec()));
-        assert_eq!(b.try_recv(), Err(TransportError::Disconnected));
+        let mut batch = FrameBatch::with_capacity(1);
+        assert_eq!(a.recv_batch(&mut batch), Err(TransportError::Disconnected));
     }
 
     #[test]
@@ -696,10 +534,7 @@ mod tests {
         assert_eq!(a.tx_dropped(), 2);
         assert_eq!(b.rx_dropped(), 2);
         // Survivors are the newest three, in order.
-        assert_eq!(b.try_recv().unwrap(), Some(vec![2]));
-        assert_eq!(b.try_recv().unwrap(), Some(vec![3]));
-        assert_eq!(b.try_recv().unwrap(), Some(vec![4]));
-        assert_eq!(b.try_recv().unwrap(), None);
+        assert_eq!(drain_frames(&mut b), vec![vec![2], vec![3], vec![4]]);
     }
 
     #[test]
@@ -729,12 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn channel_recv_batch_signals_disconnect_only_when_drained() {
+    fn channel_buffered_frames_arrive_before_disconnect() {
         let (mut a, mut b) = ChannelTransport::pair();
-        a.send(b"x").unwrap();
+        a.send(b"last words").unwrap();
         drop(a);
         let mut batch = FrameBatch::with_capacity(4);
         assert_eq!(b.recv_batch(&mut batch).unwrap(), 1);
+        assert_eq!(batch.iter().next(), Some(&b"last words"[..]));
         batch.clear();
         assert_eq!(b.recv_batch(&mut batch), Err(TransportError::Disconnected));
     }
@@ -744,7 +580,7 @@ mod tests {
         let (mut a, mut b) = ChannelTransport::pair();
         let frame: Vec<u8> = (0..200u8).collect();
         a.send(&frame).unwrap();
-        assert_eq!(b.try_recv().unwrap(), Some(frame));
+        assert_eq!(drain_frames(&mut b), vec![frame]);
     }
 
     #[test]
@@ -761,56 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn default_recv_batch_falls_back_to_try_recv() {
-        // A minimal transport that only implements the scalar methods.
-        struct Scalar(VecDeque<Vec<u8>>);
-        impl Transport for Scalar {
-            fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-                self.0.push_back(frame.to_vec());
-                Ok(())
-            }
-            fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-                Ok(self.0.pop_front())
-            }
-        }
-        let mut t = Scalar(VecDeque::new());
-        t.send(b"one").unwrap();
-        t.send(b"two").unwrap();
-        let mut batch = FrameBatch::with_capacity(8);
-        assert_eq!(t.recv_batch(&mut batch).unwrap(), 2);
-        let got: Vec<Vec<u8>> = batch.iter().map(<[u8]>::to_vec).collect();
-        assert_eq!(got, vec![b"one".to_vec(), b"two".to_vec()]);
-    }
-
-    #[test]
-    fn udp_loopback_roundtrip() {
-        let (mut a, mut b) = UdpTransport::loopback_pair().expect("loopback sockets");
-        a.send(b"heartbeat").unwrap();
-        // Loopback delivery is fast but asynchronous; poll briefly.
-        let mut got = None;
-        for _ in 0..200 {
-            if let Some(frame) = b.try_recv().unwrap() {
-                got = Some(frame);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(got, Some(b"heartbeat".to_vec()));
-        assert_eq!(b.try_recv().unwrap(), None);
-    }
-
-    #[test]
-    fn udp_ignores_frames_from_strangers() {
-        let (_a, mut b) = UdpTransport::loopback_pair().expect("loopback sockets");
-        let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
-        stranger
-            .send_to(b"mallory", b.local_addr().unwrap())
-            .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(b.try_recv().unwrap(), None);
-    }
-
-    #[test]
     fn push_with_refuses_probe_sized_commit() {
         let mut batch = FrameBatch::with_capacity(2);
         assert!(
@@ -822,69 +608,11 @@ mod tests {
     }
 
     #[test]
-    fn udp_oversize_datagram_is_dropped_and_counted_not_truncated() {
-        // Regression: before the probe-sized receive buffer, a datagram
-        // of MAX_DATAGRAM+1 bytes was silently truncated to MAX_DATAGRAM
-        // and accepted as a frame. Send one from the peer's own socket
-        // (bypassing the send-side size guard) and a valid one after it.
-        let (a, mut b) = UdpTransport::loopback_pair().expect("loopback sockets");
-        let big = [0u8; MAX_DATAGRAM + 1];
-        a.socket.send_to(&big, a.peer).unwrap();
-        a.socket.send_to(b"ok", a.peer).unwrap();
-        let mut batch = FrameBatch::with_capacity(8);
-        let mut got = 0usize;
-        for _ in 0..200 {
-            got += b.recv_batch(&mut batch).unwrap();
-            if got >= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(got, 1, "only the valid datagram is a frame");
-        assert_eq!(b.oversize_dropped(), 1, "the oversize one was counted");
-        let frames: Vec<Vec<u8>> = batch.iter().map(<[u8]>::to_vec).collect();
-        assert_eq!(frames, vec![b"ok".to_vec()]);
-        // The scalar path detects it too.
-        a.socket.send_to(&big, a.peer).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(b.try_recv().unwrap(), None);
-        assert_eq!(b.oversize_dropped(), 2);
-    }
-
-    #[test]
-    fn udp_send_rejects_oversize_frames() {
-        let (mut a, _b) = UdpTransport::loopback_pair().expect("loopback sockets");
-        let big = [0u8; MAX_DATAGRAM + 1];
-        assert!(matches!(a.send(&big), Err(TransportError::Io(_))));
-    }
-
-    #[test]
     fn null_transport_is_a_black_hole() {
         let mut t = NullTransport;
         t.send(b"into the void").unwrap();
-        assert_eq!(t.try_recv().unwrap(), None);
         let mut batch = FrameBatch::with_capacity(2);
         assert_eq!(t.recv_batch(&mut batch).unwrap(), 0);
         assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn udp_recv_batch_drains_many_datagrams() {
-        let (mut a, mut b) = UdpTransport::loopback_pair().expect("loopback sockets");
-        for i in 0..8u8 {
-            a.send(&[i]).unwrap();
-        }
-        let mut batch = FrameBatch::with_capacity(16);
-        let mut got = 0usize;
-        for _ in 0..200 {
-            got += b.recv_batch(&mut batch).unwrap();
-            if got >= 8 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(got, 8);
-        let frames: Vec<Vec<u8>> = batch.iter().map(<[u8]>::to_vec).collect();
-        assert_eq!(frames, (0..8u8).map(|i| vec![i]).collect::<Vec<_>>());
     }
 }

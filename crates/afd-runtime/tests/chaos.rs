@@ -70,7 +70,8 @@ fn acceptance_scenario_satisfies_accruement_and_upper_bound() {
         min_increases: 10,
         min_suffix_fraction: 0.2,
     };
-    for (name, trace) in report.traces() {
+    for d in &report.detectors {
+        let (name, trace) = (d.name, &d.trace);
         // Property 1 on the post-crash suffix: the level stabilizes into a
         // monotone climb with regular strict increases.
         let witness = check
@@ -97,7 +98,8 @@ fn healed_faults_leave_a_correct_process_trusted() {
     let mut scenario = acceptance_scenario();
     scenario.crashes.pop();
     let report = run_chaos(&scenario, 7);
-    for (name, trace) in report.traces() {
+    for d in &report.detectors {
+        let (name, trace) = (d.name, &d.trace);
         check_upper_bound(trace, None)
             .unwrap_or_else(|e| panic!("{name}: Upper Bound violated: {e}"));
         let last = trace.samples().last().unwrap();
@@ -174,10 +176,11 @@ fn backlog_drained_in_one_poll_keeps_interarrival_samples_positive() {
 fn chaos_report_carries_observability_evidence() {
     let report = run_chaos(&acceptance_scenario(), 7);
 
-    // The online QoS estimators ran for all three detectors and saw the
+    // The online QoS estimators ran for all six detectors and saw the
     // whole run.
-    assert_eq!(report.online_qos.len(), 3);
-    for (name, qos) in &report.online_qos {
+    assert_eq!(report.detectors.len(), 6);
+    for d in &report.detectors {
+        let (name, qos) = (d.name, &d.qos);
         assert!(
             qos.observed_alive > 0.0,
             "{name}: empty alive window in online QoS"

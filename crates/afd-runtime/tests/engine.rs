@@ -111,7 +111,6 @@ proptest! {
                 workers,
                 slots_per_shard: 8,
                 ring_capacity: 1024,
-                batch_slots: 32,
                 publish_every: Duration::ZERO,
             },
             |_| SimpleAccrual::new(Timestamp::ZERO),
@@ -248,7 +247,6 @@ fn threaded_chaos_upholds_accruement_and_upper_bound_per_peer() {
             workers: WORKERS,
             slots_per_shard: 16,
             ring_capacity: 1024,
-            batch_slots: 64,
             publish_every: Duration::ZERO,
         },
         |_| PhiAccrual::with_defaults(),
@@ -367,7 +365,6 @@ fn ring_overflow_drops_oldest_and_counts() {
             workers: 1,
             slots_per_shard: 4,
             ring_capacity: 8,
-            batch_slots: 16,
             publish_every: Duration::ZERO,
         },
         move |_| Gated {

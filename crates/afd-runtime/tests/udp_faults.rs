@@ -16,7 +16,7 @@ use afd_core::time::{Duration, Timestamp};
 use afd_detectors::simple::SimpleAccrual;
 use afd_runtime::{
     FrameBatch, Heartbeat, MonitorStats, SenderConfig, SenderCore, ShardConfig, ShardedMonitor,
-    Transport, UdpTransport, VirtualClock, WireVersion, MAX_DATAGRAM,
+    Transport, UdpLane, VirtualClock, WireVersion, MAX_DATAGRAM,
 };
 
 const DEADLINE: StdDuration = StdDuration::from_secs(10);
@@ -26,6 +26,15 @@ const SINGLE: ShardConfig = ShardConfig {
     shards: 1,
     slots_per_shard: 4,
 };
+
+/// A receive-only lane on an OS-chosen loopback port and a lane
+/// connected to it: the monitor's socket and a sender's.
+fn loopback_link() -> (UdpLane, UdpLane) {
+    let any = "127.0.0.1:0".parse().expect("addr");
+    let rx = UdpLane::bind(any).expect("bind receiver");
+    let tx = UdpLane::connect(any, rx.local_addr().expect("receiver addr")).expect("bind sender");
+    (tx, rx)
+}
 
 fn frame(sender: u32, seq: u64) -> [u8; afd_runtime::FRAME_LEN] {
     Heartbeat {
@@ -62,7 +71,7 @@ where
 /// each counted into their own bucket and kept away from detectors.
 #[test]
 fn corrupt_duplicate_and_reordered_datagrams_are_classified() {
-    let (mut tx, rx) = UdpTransport::loopback_pair().expect("loopback sockets");
+    let (mut tx, rx) = loopback_link();
     let clock = VirtualClock::new();
     clock.set(Timestamp::from_secs(1));
     let mut monitor =
@@ -103,35 +112,38 @@ fn oversize_datagrams_are_dropped_not_truncated() {
     let raw = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind raw");
     let raw_addr = raw.local_addr().expect("raw addr");
     let mut rx =
-        UdpTransport::bind("127.0.0.1:0".parse().expect("addr"), raw_addr).expect("bind receiver");
+        UdpLane::connect("127.0.0.1:0".parse().expect("addr"), raw_addr).expect("bind receiver");
     let rx_addr = rx.local_addr().expect("receiver addr");
+    let rx_stats = rx.stats();
 
     let mut oversize = vec![0u8; MAX_DATAGRAM + 200];
     oversize[..frame(1, 1).len()].copy_from_slice(&frame(1, 1));
     raw.send_to(&oversize, rx_addr).expect("send oversize");
     raw.send_to(&frame(1, 2), rx_addr).expect("send good");
 
-    // Drain via the per-frame path until the good frame arrives.
+    // Drain through a one-slot arena until the good frame arrives.
+    let mut one = FrameBatch::with_capacity(1);
     let deadline = Instant::now() + DEADLINE;
-    let mut got = Vec::new();
-    while got.is_empty() && Instant::now() < deadline {
-        while let Some(f) = rx.try_recv().expect("recv") {
-            got.push(f);
-        }
+    while one.is_empty() && Instant::now() < deadline {
+        rx.recv_batch(&mut one).expect("recv");
         std::thread::sleep(StdDuration::from_millis(2));
     }
-    assert_eq!(got.len(), 1, "only the in-size datagram may surface");
     assert_eq!(
-        Heartbeat::decode(&got[0]),
-        Ok(Heartbeat {
+        one.iter().next().map(Heartbeat::decode),
+        Some(Ok(Heartbeat {
             sender: ProcessId::new(1),
             seq: 2,
             sent_at: Timestamp::from_millis(200),
-        })
+        })),
+        "only the in-size datagram may surface"
     );
-    assert_eq!(rx.oversize_dropped(), 1, "oversize is counted, not eaten");
+    assert_eq!(
+        rx_stats.oversize_dropped(),
+        1,
+        "oversize is counted, not eaten"
+    );
 
-    // Same property through the batched arena path.
+    // Same property through a roomy arena.
     raw.send_to(&oversize, rx_addr)
         .expect("send oversize again");
     raw.send_to(&frame(1, 3), rx_addr).expect("send good again");
@@ -149,7 +161,9 @@ fn oversize_datagrams_are_dropped_not_truncated() {
         Ok(3),
         "the truncated head of the oversize datagram must not decode"
     );
-    assert_eq!(rx.oversize_dropped(), 2);
+    assert_eq!(rx_stats.oversize_dropped(), 2);
+    assert_eq!(rx_stats.datagrams(), 2);
+    assert_eq!(rx_stats.foreign_dropped() + rx_stats.short_dropped(), 0);
 
     // Send side refuses outright — the bug is named at the source.
     assert!(
@@ -163,7 +177,7 @@ fn oversize_datagrams_are_dropped_not_truncated() {
 /// corrupt, and strictly fewer wire bytes than v1 would have spent.
 #[test]
 fn v2_sender_over_real_udp_feeds_a_monitor() {
-    let (mut tx, rx) = UdpTransport::loopback_pair().expect("loopback sockets");
+    let (mut tx, rx) = loopback_link();
     let clock = VirtualClock::new();
     let mut monitor = ShardedMonitor::new(rx, clock.clone(), SINGLE, |_| {
         SimpleAccrual::new(Timestamp::ZERO)

@@ -16,7 +16,7 @@
 
 use accrual_fd::core::properties::{check_upper_bound, AccruementCheck};
 use accrual_fd::prelude::*;
-use accrual_fd::runtime::{run_chaos_zoo, ChaosScenario};
+use accrual_fd::runtime::{run_chaos, ChaosScenario};
 
 /// The six zoo members behind the common trait object, in zoo order.
 fn zoo() -> Vec<(&'static str, Box<dyn AccrualFailureDetector>)> {
@@ -113,7 +113,7 @@ fn querying_at_the_arrival_instant_is_finite_and_non_negative() {
 fn all_zoo_members_satisfy_accruement_after_a_crash() {
     let mut scenario = ChaosScenario::new(Duration::from_secs(90));
     scenario.crashes.push((Timestamp::from_secs(30), None));
-    let report = run_chaos_zoo(&scenario, 42);
+    let report = run_chaos(&scenario, 42);
     let check = AccruementCheck {
         epsilon: 1e-9,
         min_increases: 10,
@@ -135,7 +135,7 @@ fn all_zoo_members_satisfy_accruement_after_a_crash() {
 #[test]
 fn all_zoo_members_stay_bounded_while_the_sender_lives() {
     let scenario = ChaosScenario::new(Duration::from_secs(90));
-    let report = run_chaos_zoo(&scenario, 42);
+    let report = run_chaos(&scenario, 42);
     for d in &report.detectors {
         let witness = check_upper_bound(&d.trace, None);
         assert!(

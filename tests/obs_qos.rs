@@ -4,8 +4,9 @@
 //! `run_chaos` feeds every sampled suspicion level through an
 //! [`accrual_fd::obs::OnlineQos`] at observation time; this test replays the
 //! recorded traces through the offline [`accrual_fd::qos::analyze`] path
-//! (threshold interpretation, then metric extraction) and demands the two
-//! agree on every Chen et al. metric, across several seeded fault scripts.
+//! (each detector's own threshold interpretation, then metric extraction)
+//! and demands the two agree on every Chen et al. metric, for all six
+//! detectors, across several seeded fault scripts.
 
 use accrual_fd::core::time::{Duration, Timestamp};
 use accrual_fd::qos::analyze;
@@ -32,10 +33,10 @@ fn assert_opt_close(context: &str, online: Option<f64>, offline: Option<f64>) {
 fn check_agreement(scenario: &ChaosScenario, seed: u64) {
     let report = run_chaos(scenario, seed);
     let crash = scenario.permanent_crash();
-    assert_eq!(report.online_qos.len(), 3);
-    for ((name, online), (trace_name, trace)) in report.online_qos.iter().zip(report.traces()) {
-        assert_eq!(*name, trace_name, "detector order mismatch");
-        let offline = analyze(&trace.threshold(scenario.qos_threshold), crash);
+    assert_eq!(report.detectors.len(), 6);
+    for d in &report.detectors {
+        let (name, online) = (d.name, &d.qos);
+        let offline = analyze(&d.trace.threshold(d.threshold), crash);
         assert_opt_close(
             &format!("{name}.detection_time"),
             online.detection_time,
@@ -107,7 +108,8 @@ fn online_matches_offline_when_the_process_stays_up() {
         .push((Timestamp::from_secs(35), Timestamp::from_secs(45)));
     check_agreement(&s, 3);
     let report = run_chaos(&s, 3);
-    for (name, online) in &report.online_qos {
+    for d in &report.detectors {
+        let (name, online) = (d.name, &d.qos);
         assert!(
             online.detection_time.is_none(),
             "{name}: detected a crash that never happened"
