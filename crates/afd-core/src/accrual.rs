@@ -84,6 +84,13 @@ pub trait AccrualFailureDetector {
     /// fresh instance with the same configuration reproduces
     /// [`suspicion_level`] to within floating-point error.
     ///
+    /// The seed is a function of the arrivals recorded and the seed
+    /// restored, never of the queries answered: between two calls to
+    /// [`record_heartbeat`] or [`restore_seed`] it must not change. A
+    /// monitor relies on that to republish a peer's durable state only
+    /// after one of them ran.
+    ///
+    /// [`record_heartbeat`]: AccrualFailureDetector::record_heartbeat
     /// [`restore_seed`]: AccrualFailureDetector::restore_seed
     /// [`suspicion_level`]: AccrualFailureDetector::suspicion_level
     fn save_seed(&self) -> Option<DetectorSeed> {

@@ -1,124 +1,239 @@
 //! Error-function machinery for the normal tail.
 //!
 //! The φ detector (§5.3 of the paper) computes `−log₁₀(P_later)` where
-//! `P_later` is a normal tail probability. Two requirements shape this
-//! module:
+//! `P_later` is a normal tail probability, once per watched peer per
+//! publish. Three requirements shape this module:
 //!
 //! 1. **Accuracy deep into the tail** — a suspicion threshold of Φ = 12
-//!    corresponds to a tail of 10⁻¹², far beyond what a polynomial
-//!    approximation of the CDF delivers. We therefore evaluate `erfc` by a
-//!    Maclaurin series for small arguments and a continued fraction
-//!    (modified Lentz) for large ones.
+//!    corresponds to a tail of 10⁻¹², so the *relative* error of `erfc`
+//!    must stay small where `erfc` itself is tiny.
 //! 2. **No premature saturation** — `erfc` underflows to zero near `x ≈ 27`
 //!    (normal z ≈ 38), which would freeze the suspicion level and violate
 //!    Accruement. [`ln_erfc`] computes the *logarithm* of the tail directly,
 //!    so φ keeps growing (quadratically) forever.
+//! 3. **Bounded cost** — every function here runs a fixed number of steps
+//!    whatever its argument, so a publish over many peers costs the same
+//!    however long each has been silent. No loop has a data-dependent trip
+//!    count.
+//!
+//! # Regimes
+//!
+//! | argument | evaluation |
+//! |---|---|
+//! | `\|x\| < 0.5` | `erf(x) = x·P(x²)`, `P` a degree-10 polynomial |
+//! | `x ≥ 0.5` | `erfc(x) = t·exp(−x² + g(t))`, `t = 2/(2 + x)`, with `g` a degree-10 polynomial on each of eight equal pieces of `t ∈ [0, 0.8]` |
+//! | `x ≤ −0.5` | `erfc(x) = 2 − erfc(−x)`; below `−6` that is `2` to the last bit |
+//!
+//! `ln_erfc(x)` for `x ≥ 0.5` is `−x² + g(t) − ln(1 + x/2)`: no `exp`, so
+//! nothing underflows. The tables live in `erf_table.rs`, written by
+//! `scripts/gen_erfc_table.py` from 60-digit arithmetic.
+//!
+//! # Accuracy contract
+//!
+//! Against the iterative evaluation this module used before (a Maclaurin
+//! series below 2, a modified-Lentz continued fraction above; kept under
+//! `#[cfg(test)]` as `oracle`): `erfc` within 1e-13 relative on `[−6, 27]`,
+//! `ln_erfc` within `1e-12·max(1, |value|)` on `[−6, 200]`, and `ln_erfc`
+//! strictly decreasing across every regime and piece boundary. The tests
+//! below hold the kernel to that and re-derive the tables from the oracle.
 
-use core::f64::consts::PI;
+use core::f64::consts::LN_2;
 
-/// Threshold between the series and continued-fraction regimes.
-const SPLIT: f64 = 2.0;
-/// Convergence tolerance for both expansions.
-const EPS: f64 = 1e-16;
-/// Tiny value guarding Lentz's algorithm against division by zero.
-const TINY: f64 = 1e-300;
+use super::erf_table::{ERFC_TAIL, ERF_SMALL, SMALL_MID, SMALL_X, TAIL_SCALE, TAIL_STEP};
+
+/// Below this, `2 − erfc(−x)` rounds to exactly 2 (`erfc(6) ≈ 2e-17`).
+const SATURATED: f64 = -6.0;
 
 /// The error function `erf(x) = (2/√π) ∫₀ˣ e^{−t²} dt`.
 ///
 /// Accurate to ~1e-15 over the full real line.
 pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        return -erf(-x);
-    }
-    if x < SPLIT {
-        erf_series(x)
+    if x.abs() < SMALL_X {
+        erf_small(x)
+    } else if x < 0.0 {
+        erfc_tail(-x) - 1.0
     } else {
-        1.0 - erfc_cf(x)
+        1.0 - erfc_tail(x)
     }
 }
 
 /// The complementary error function `erfc(x) = 1 − erf(x)`.
 pub fn erfc(x: f64) -> f64 {
-    if x < 0.0 {
-        return 2.0 - erfc(-x);
-    }
-    if x < SPLIT {
-        1.0 - erf_series(x)
+    if x.abs() < SMALL_X {
+        1.0 - erf_small(x)
+    } else if x < 0.0 {
+        2.0 - erfc_tail(-x)
     } else {
-        erfc_cf(x)
+        erfc_tail(x)
     }
 }
 
 /// The natural logarithm of `erfc(x)`, stable for arbitrarily large `x`
 /// (where `erfc(x)` itself underflows to zero).
-///
-/// For `x ≥ 2` this is `−x² + ln f(x) − ½ ln π` with `f` the continued
-/// fraction, which never underflows; for smaller `x` it is the plain log.
 pub fn ln_erfc(x: f64) -> f64 {
-    if x < SPLIT {
-        return erfc(x).ln();
+    if x < SATURATED {
+        LN_2
+    } else if x < SMALL_X {
+        erfc(x).ln()
+    } else {
+        -x * x + tail_poly(tail_t(x)) - (1.0 + 0.5 * x).ln()
     }
-    let f = erfc_cf_factor(x);
-    -x * x + f.ln() - 0.5 * PI.ln()
 }
 
-/// Maclaurin series for `erf`, valid (fast) for `0 ≤ x < ~3`.
-fn erf_series(x: f64) -> f64 {
-    // erf(x) = (2/√π) e^{−x²} Σ_{n≥0} x^{2n+1} 2ⁿ / (1·3·…·(2n+1))
-    // (the "scaled" series: all terms positive, so no cancellation).
-    let x2 = x * x;
-    let mut term = x;
-    let mut sum = x;
-    let mut n = 0u32;
-    loop {
-        n += 1;
-        term *= 2.0 * x2 / (2.0 * n as f64 + 1.0);
-        sum += term;
-        if term < EPS * sum || n > 200 {
-            break;
-        }
-    }
-    (2.0 / PI.sqrt()) * (-x2).exp() * sum
+/// `erf` for `|x| < SMALL_X`.
+#[inline]
+fn erf_small(x: f64) -> f64 {
+    x * poly10(&ERF_SMALL, x * x - SMALL_MID)
 }
 
-/// Continued-fraction evaluation of `erfc` for `x ≥ 2`.
-fn erfc_cf(x: f64) -> f64 {
-    let f = erfc_cf_factor(x);
-    (-x * x).exp() * f / PI.sqrt()
+/// `erfc` for `x ≥ SMALL_X`.
+#[inline]
+fn erfc_tail(x: f64) -> f64 {
+    let t = tail_t(x);
+    t * (-x * x + tail_poly(t)).exp()
 }
 
-/// The factor `f(x)` in `erfc(x) = e^{−x²} f(x) / √π`, via the classical
-/// continued fraction `f(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + …))))`
-/// evaluated with the modified Lentz algorithm.
-fn erfc_cf_factor(x: f64) -> f64 {
-    // b₀ = x, a_n = n/2 for n ≥ 1, b_n = x.
-    let b = x;
-    let mut f = b.max(TINY);
-    let mut c = f;
-    let mut d = 0.0;
-    for n in 1..500 {
-        let a = n as f64 / 2.0;
-        d = b + a * d;
-        if d.abs() < TINY {
-            d = TINY;
+/// The tail fit's variable: `[SMALL_X, ∞]` ↦ `[0.8, 0]`.
+#[inline]
+fn tail_t(x: f64) -> f64 {
+    2.0 / (2.0 + x)
+}
+
+/// `g(t) = ln(erfc(x)·e^{x²}/t)` from the piecewise table.
+#[inline]
+fn tail_poly(t: f64) -> f64 {
+    // `as` saturates, so a NaN lands in piece 0 and stays a NaN.
+    let i = ((t * TAIL_SCALE) as usize).min(ERFC_TAIL.len() - 1);
+    poly10(&ERFC_TAIL[i], t - (i as f64 + 0.5) * TAIL_STEP)
+}
+
+/// One table row at offset `d` from its interval's centre. Estrin's
+/// grouping rather than Horner's: the dependency chain is five operations
+/// long instead of twenty, and a publish is latency-bound. The generator's
+/// `poly10` mirrors the grouping to bound its rounding error.
+#[inline]
+fn poly10(c: &[f64; 11], d: f64) -> f64 {
+    let d2 = d * d;
+    let d4 = d2 * d2;
+    let d8 = d4 * d4;
+    let lo = (c[0] + c[1] * d) + (c[2] + c[3] * d) * d2;
+    let mid = (c[4] + c[5] * d) + (c[6] + c[7] * d) * d2;
+    let hi = (c[8] + c[9] * d) + c[10] * d2;
+    lo + mid * d4 + hi * d8
+}
+
+/// The iterative evaluation the kernel replaced: exact to ~1e-15 but with a
+/// trip count that grows with the argument. Kept as the reference the
+/// tests compare the kernel and its tables against.
+#[cfg(test)]
+mod oracle {
+    use core::f64::consts::PI;
+
+    /// Threshold between the series and continued-fraction regimes.
+    const SPLIT: f64 = 2.0;
+    /// Convergence tolerance for both expansions.
+    const EPS: f64 = 1e-16;
+    /// Tiny value guarding Lentz's algorithm against division by zero.
+    const TINY: f64 = 1e-300;
+
+    /// The error function `erf(x) = (2/√π) ∫₀ˣ e^{−t²} dt`.
+    ///
+    /// Accurate to ~1e-15 over the full real line.
+    pub(super) fn erf(x: f64) -> f64 {
+        if x < 0.0 {
+            return -erf(-x);
         }
-        c = b + a / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let delta = c * d;
-        f *= delta;
-        if (delta - 1.0).abs() < EPS {
-            break;
+        if x < SPLIT {
+            erf_series(x)
+        } else {
+            1.0 - erfc_cf(x)
         }
     }
-    1.0 / f
+
+    /// The complementary error function `erfc(x) = 1 − erf(x)`.
+    pub(super) fn erfc(x: f64) -> f64 {
+        if x < 0.0 {
+            return 2.0 - erfc(-x);
+        }
+        if x < SPLIT {
+            1.0 - erf_series(x)
+        } else {
+            erfc_cf(x)
+        }
+    }
+
+    /// The natural logarithm of `erfc(x)`, stable for arbitrarily large `x`
+    /// (where `erfc(x)` itself underflows to zero).
+    ///
+    /// For `x ≥ 2` this is `−x² + ln f(x) − ½ ln π` with `f` the continued
+    /// fraction, which never underflows; for smaller `x` it is the plain log.
+    pub(super) fn ln_erfc(x: f64) -> f64 {
+        if x < SPLIT {
+            return erfc(x).ln();
+        }
+        let f = erfc_cf_factor(x);
+        -x * x + f.ln() - 0.5 * PI.ln()
+    }
+
+    /// Maclaurin series for `erf`, valid (fast) for `0 ≤ x < ~3`.
+    fn erf_series(x: f64) -> f64 {
+        // erf(x) = (2/√π) e^{−x²} Σ_{n≥0} x^{2n+1} 2ⁿ / (1·3·…·(2n+1))
+        // (the "scaled" series: all terms positive, so no cancellation).
+        let x2 = x * x;
+        let mut term = x;
+        let mut sum = x;
+        let mut n = 0u32;
+        loop {
+            n += 1;
+            term *= 2.0 * x2 / (2.0 * n as f64 + 1.0);
+            sum += term;
+            if term < EPS * sum || n > 200 {
+                break;
+            }
+        }
+        (2.0 / PI.sqrt()) * (-x2).exp() * sum
+    }
+
+    /// Continued-fraction evaluation of `erfc` for `x ≥ 2`.
+    fn erfc_cf(x: f64) -> f64 {
+        let f = erfc_cf_factor(x);
+        (-x * x).exp() * f / PI.sqrt()
+    }
+
+    /// The factor `f(x)` in `erfc(x) = e^{−x²} f(x) / √π`, via the classical
+    /// continued fraction `f(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + …))))`
+    /// evaluated with the modified Lentz algorithm.
+    pub(super) fn erfc_cf_factor(x: f64) -> f64 {
+        // b₀ = x, a_n = n/2 for n ≥ 1, b_n = x.
+        let b = x;
+        let mut f = b.max(TINY);
+        let mut c = f;
+        let mut d = 0.0;
+        for n in 1..500 {
+            let a = n as f64 / 2.0;
+            d = b + a * d;
+            if d.abs() < TINY {
+                d = TINY;
+            }
+            c = b + a / c;
+            if c.abs() < TINY {
+                c = TINY;
+            }
+            d = 1.0 / d;
+            let delta = c * d;
+            f *= delta;
+            if (delta - 1.0).abs() < EPS {
+                break;
+            }
+        }
+        1.0 / f
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::f64::consts::PI;
 
     // Reference values computed with mpmath at 50 digits.
     const ERF_TABLE: &[(f64, f64)] = &[
@@ -213,6 +328,208 @@ mod tests {
         let xs: Vec<f64> = (0..600).map(|i| i as f64 * 0.01).collect();
         for w in xs.windows(2) {
             assert!(erfc(w[1]) <= erfc(w[0]), "erfc not monotone at {}", w[0]);
+        }
+    }
+
+    // ---- the kernel against the iterative oracle ----
+
+    /// `g(t) = ln(erfc(x)·e^{x²}/t)` from the oracle alone. In the tail the
+    /// continued fraction gives `erfc(x)·e^{x²}` directly, so no `x²` is
+    /// added back and nothing cancels at small `t`.
+    fn oracle_g(t: f64) -> f64 {
+        let x = 2.0 / t - 2.0;
+        let ln_scaled = if x < 2.0 {
+            oracle::ln_erfc(x) + x * x
+        } else {
+            oracle::erfc_cf_factor(x).ln() - 0.5 * PI.ln()
+        };
+        ln_scaled - t.ln()
+    }
+
+    /// Re-derives a table row from `f` in f64: Chebyshev interpolation at
+    /// 11 nodes of `[a, b]`, converted to monomial coefficients in
+    /// `s = (v − mid)/half`. Conversion amplifies the oracle's error (up to
+    /// 3e-15 where it computes `1 − erf`) by the Chebyshev polynomials' own
+    /// coefficients (≤ 1280 at degree 10), so a re-derived coefficient is
+    /// good to ~1e-11 of the row's value; the comparison allows 1e-10.
+    fn rederive_row(f: impl Fn(f64) -> f64, a: f64, b: f64) -> [f64; 11] {
+        const N: usize = 11;
+        let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
+        let theta: Vec<f64> = (0..N).map(|k| PI * (k as f64 + 0.5) / N as f64).collect();
+        let fv: Vec<f64> = theta.iter().map(|th| f(mid + half * th.cos())).collect();
+        let mut cheb = [0.0; N];
+        for (j, c) in cheb.iter_mut().enumerate() {
+            let sum: f64 = (0..N).map(|k| fv[k] * (j as f64 * theta[k]).cos()).sum();
+            *c = 2.0 * sum / N as f64;
+        }
+        cheb[0] *= 0.5;
+        // T₀ = 1, T₁ = s, T_{j+1} = 2s·T_j − T_{j−1}, as coefficient rows.
+        let mut mono = [0.0; N];
+        let (mut prev, mut cur) = ([0.0; N], [0.0; N]);
+        prev[0] = 1.0;
+        cur[1] = 1.0;
+        mono[0] = cheb[0];
+        for &c in &cheb[1..] {
+            let mut next = [0.0; N];
+            for k in 0..N {
+                mono[k] += c * cur[k];
+                if k + 1 < N {
+                    next[k + 1] += 2.0 * cur[k];
+                }
+                next[k] -= prev[k];
+            }
+            prev = cur;
+            cur = next;
+        }
+        mono
+    }
+
+    fn assert_row_matches(name: &str, row: &[f64; 11], half: f64, want: [f64; 11]) {
+        for (k, (&c, &w)) in row.iter().zip(&want).enumerate() {
+            // The table is in d = v − mid, the re-derivation in s = d/half.
+            let got = c * half.powi(k as i32);
+            assert!(
+                (got - w).abs() < 1e-10,
+                "{name}[{k}]: table {got:e} vs re-derived {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn tables_are_rederivable_from_the_oracle() {
+        for (i, row) in ERFC_TAIL.iter().enumerate() {
+            let (a, b) = (i as f64 * TAIL_STEP, (i + 1) as f64 * TAIL_STEP);
+            // Piece 0 starts at t = 0 (x = ∞); its nodes do not reach it.
+            assert_row_matches(
+                &format!("ERFC_TAIL[{i}]"),
+                row,
+                0.5 * TAIL_STEP,
+                rederive_row(oracle_g, a, b),
+            );
+            // The constant term is g at the centre: a much tighter check.
+            let mid = 0.5 * (a + b);
+            assert!((row[0] - oracle_g(mid)).abs() < 1e-14, "g({mid})");
+        }
+        let erf_over_x = |y: f64| oracle::erf(y.sqrt()) / y.sqrt();
+        assert_row_matches(
+            "ERF_SMALL",
+            &ERF_SMALL,
+            SMALL_MID,
+            rederive_row(erf_over_x, 0.0, 2.0 * SMALL_MID),
+        );
+        assert_eq!(2.0 * SMALL_MID, SMALL_X * SMALL_X);
+        assert_eq!(TAIL_STEP * TAIL_SCALE, 1.0);
+        assert_eq!(
+            ERFC_TAIL.len() as f64 * TAIL_STEP,
+            tail_t(SMALL_X),
+            "pieces end where the small-argument regime begins"
+        );
+    }
+
+    /// Every argument at which the evaluation changes regime or table row.
+    fn boundaries() -> Vec<f64> {
+        let mut xs = vec![SATURATED, -SMALL_X, SMALL_X];
+        // Piece boundaries t = i·TAIL_STEP ⇔ x = 2/t − 2.
+        xs.extend((1..ERFC_TAIL.len()).map(|i| 2.0 / (i as f64 * TAIL_STEP) - 2.0));
+        xs
+    }
+
+    #[test]
+    fn ln_erfc_is_strictly_decreasing_across_every_boundary() {
+        // Below ≈ −5 the slope of ln erfc is under 1e-11 and the value sits
+        // within a few ulps of ln 2, so there only "never increases" can
+        // hold; from there on every step must strictly decrease.
+        for b in boundaries() {
+            let mut prev = ln_erfc(b - 1e-3);
+            for k in -999..=1000 {
+                let x = b + k as f64 * 1e-6;
+                let cur = ln_erfc(x);
+                if x < -5.0 {
+                    assert!(cur <= prev, "ln_erfc rose at {x}: {prev} -> {cur}");
+                } else {
+                    assert!(cur < prev, "ln_erfc not decreasing at {x}: {prev} -> {cur}");
+                }
+                prev = cur;
+            }
+        }
+        // And on a coarse grid over the whole contract range.
+        let mut prev = ln_erfc(-5.0);
+        for k in 1..=205_000 {
+            let x = -5.0 + k as f64 * 1e-3;
+            let cur = ln_erfc(x);
+            assert!(cur < prev, "ln_erfc not decreasing at {x}");
+            prev = cur;
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_at_the_boundaries_and_extremes() {
+        for b in boundaries() {
+            for x in [b - 1e-9, b, b + 1e-9] {
+                let (got, want) = (ln_erfc(x), oracle::ln_erfc(x));
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                    "ln_erfc({x}) = {got}, oracle {want}"
+                );
+            }
+        }
+        assert_eq!(ln_erfc(-40.0), oracle::ln_erfc(-40.0));
+        assert_eq!(erfc(-40.0), 2.0);
+        assert_eq!(erf(-40.0), -1.0);
+        assert_eq!(erf(40.0), 1.0);
+        assert_eq!(ln_erfc(f64::INFINITY), f64::NEG_INFINITY);
+        assert_eq!(erfc(f64::INFINITY), 0.0);
+        assert!(ln_erfc(f64::NAN).is_nan() && erfc(f64::NAN).is_nan() && erf(f64::NAN).is_nan());
+        // Far past anything a detector will see, still finite and ordered.
+        assert!(ln_erfc(1e6) < ln_erfc(1e5) && ln_erfc(1e6).is_finite());
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            #[test]
+            fn erfc_matches_oracle(x in -6.0f64..27.0) {
+                let (got, want) = (erfc(x), oracle::erfc(x));
+                // Past x ≈ 26.55 erfc is subnormal and carries no 13 digits;
+                // there the two may differ by a few units of the last place.
+                prop_assert!(
+                    (got - want).abs() <= 1e-13 * want + 1e-322,
+                    "erfc({}) = {:e}, oracle {:e}", x, got, want
+                );
+            }
+
+            #[test]
+            fn erf_matches_oracle(x in -6.0f64..6.0) {
+                let (got, want) = (erf(x), oracle::erf(x));
+                prop_assert!(
+                    (got - want).abs() <= 1e-15 + 1e-13 * want.abs(),
+                    "erf({}) = {:e}, oracle {:e}", x, got, want
+                );
+            }
+
+            #[test]
+            fn ln_erfc_matches_oracle(x in -6.0f64..200.0) {
+                let (got, want) = (ln_erfc(x), oracle::ln_erfc(x));
+                prop_assert!(
+                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                    "ln_erfc({}) = {}, oracle {}", x, got, want
+                );
+            }
+
+            /// The hot range of a monitor — peers between two heartbeats sit
+            /// at u ∈ [−7, 0], suspects a little above — sampled densely.
+            #[test]
+            fn ln_erfc_matches_oracle_where_monitors_live(x in -7.5f64..8.0) {
+                let (got, want) = (ln_erfc(x), oracle::ln_erfc(x));
+                prop_assert!(
+                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                    "ln_erfc({}) = {}, oracle {}", x, got, want
+                );
+            }
         }
     }
 }

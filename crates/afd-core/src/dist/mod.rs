@@ -17,6 +17,7 @@
 
 mod empirical;
 mod erf;
+mod erf_table;
 mod erlang;
 mod exponential;
 mod normal;

@@ -1,6 +1,6 @@
 //! The normal inter-arrival model named by §5.3 of the paper.
 
-use core::f64::consts::LN_10;
+use core::f64::consts::{LN_2, LOG10_E};
 
 use crate::error::ConfigError;
 
@@ -27,6 +27,10 @@ const SQRT_2: f64 = core::f64::consts::SQRT_2;
 pub struct Normal {
     mean: f64,
     std: f64,
+    /// `1/(std·√2)`, so a tail query is a subtract and a multiply away from
+    /// `erfc`'s argument: callers that query one model many times (a
+    /// detector between two heartbeats) pay the divisions once, here.
+    erfc_scale: f64,
 }
 
 impl Normal {
@@ -47,7 +51,13 @@ impl Normal {
                 "normal std dev must be finite and positive, got {std}"
             )));
         }
-        Ok(Normal { mean, std })
+        Ok(Normal {
+            mean,
+            std,
+            // A subnormal σ would make this ∞ and the tail at the mean
+            // `0·∞`; the largest finite scale keeps it at 0.
+            erfc_scale: (1.0 / (std * SQRT_2)).min(f64::MAX),
+        })
     }
 
     /// The mean.
@@ -66,21 +76,27 @@ impl Normal {
         (x - self.mean) / self.std
     }
 
+    /// `z/√2`: the argument `erfc` takes for the upper tail at `x`.
+    #[inline]
+    fn u(&self, x: f64) -> f64 {
+        (x - self.mean) * self.erfc_scale
+    }
+
     /// The cumulative distribution function `P(X ≤ x)`.
     pub fn cdf(&self, x: f64) -> f64 {
-        0.5 * erfc(-self.z(x) / SQRT_2)
+        0.5 * erfc(-self.u(x))
     }
 }
 
 impl ArrivalDistribution for Normal {
     fn sf(&self, x: f64) -> f64 {
-        0.5 * erfc(self.z(x) / SQRT_2)
+        0.5 * erfc(self.u(x))
     }
 
+    #[inline]
     fn log10_sf(&self, x: f64) -> f64 {
-        let u = self.z(x) / SQRT_2;
         // ln(0.5 · erfc(u)); ln_erfc stays finite long after erfc underflows.
-        ((-core::f64::consts::LN_2) + ln_erfc(u)) / LN_10
+        (ln_erfc(self.u(x)) - LN_2) * LOG10_E
     }
 }
 
@@ -137,6 +153,15 @@ mod tests {
         assert!(a.is_finite() && b.is_finite() && c.is_finite());
         assert!(b < a && c < b);
         assert!(c < -1000.0, "far tail should be enormous, got {c}");
+    }
+
+    #[test]
+    fn subnormal_std_dev_keeps_the_tail_at_the_mean_defined() {
+        let n = Normal::new(1.0, 5e-324).unwrap();
+        assert_eq!(n.sf(1.0), 0.5);
+        assert_eq!(n.sf(0.5), 1.0);
+        assert_eq!(n.log10_sf(1.5), f64::NEG_INFINITY);
+        assert!((n.log10_sf(1.0) - 0.5f64.log10()).abs() < 1e-15);
     }
 
     #[test]

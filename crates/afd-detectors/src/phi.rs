@@ -23,6 +23,14 @@
 //!
 //! Tail evaluation happens in log space, so φ keeps growing (and
 //! Accruement keeps holding) long after the raw probability underflows.
+//!
+//! A monitor queries every watched peer at every publish but records an
+//! arrival only when one lands, so the work is split accordingly: whatever
+//! depends on the window alone — the σ estimate and its floor, the
+//! bootstrap prior, the distribution's validation and its reciprocals — is
+//! done once per arrival (or restore) and cached as the tail; a query is
+//! one subtraction, one multiplication and one bounded-cost
+//! [`ln_erfc`](afd_core::dist::ln_erfc).
 
 use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
 use afd_core::dist::{ArrivalDistribution, Empirical, Exponential, Normal};
@@ -147,6 +155,22 @@ pub struct PhiAccrual {
     gaps: SlidingWindow,
     empirical: Option<Empirical>,
     last_heartbeat: Option<Timestamp>,
+    /// The tail [`phi`](Self::phi) evaluates: a function of the window
+    /// alone, so it is rebuilt where the window changes (an arrival, a
+    /// restore) and a query — one per watched peer per publish — pays for
+    /// no square root, floor, validation or division.
+    tail: Tail,
+}
+
+/// The distribution whose upper tail at the elapsed time is the φ value.
+#[derive(Debug, Clone, Copy)]
+enum Tail {
+    /// The normal model, or the bootstrap prior of the empirical one.
+    Normal(Normal),
+    /// The exponential model.
+    Exponential(Exponential),
+    /// The empirical histogram, once it holds enough samples.
+    Histogram,
 }
 
 impl PhiAccrual {
@@ -171,12 +195,16 @@ impl PhiAccrual {
             ),
             _ => None,
         };
-        Ok(PhiAccrual {
+        let mut fd = PhiAccrual {
             config,
             gaps: SlidingWindow::new(config.window_size),
             empirical,
             last_heartbeat: None,
-        })
+            // Placeholder: the real one is a function of the fields above.
+            tail: Tail::Histogram,
+        };
+        fd.tail = fd.tail_from(fd.window_estimates());
+        Ok(fd)
     }
 
     /// The detector with default (normal-model) configuration.
@@ -256,23 +284,15 @@ impl PhiAccrual {
         self.config
     }
 
-    /// Evaluates φ at `now` from an explicit (mean, σ) estimate. Both the
-    /// O(1) query path and the O(window) reference path funnel through
-    /// here, so they can only disagree on the moments themselves.
-    fn phi_from(&self, now: Timestamp, mean: f64, std: f64) -> f64 {
-        let Some(last) = self.last_heartbeat else {
-            return 0.0;
-        };
-        let elapsed = now.saturating_duration_since(last).as_secs_f64();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        let log_tail = match self.config.model {
-            PhiModel::Normal => {
-                let dist =
-                    Normal::new(mean, std).expect("estimator yields finite positive parameters");
-                dist.log10_sf(elapsed)
-            }
+    /// Builds the tail a (mean, σ) estimate stands for. Both the O(1)
+    /// query path (through the cached [`Tail`]) and the O(window) reference
+    /// path come through here and through [`phi_of`](Self::phi_of), so
+    /// they can only disagree on the moments themselves.
+    fn tail_from(&self, (mean, std): (f64, f64)) -> Tail {
+        match self.config.model {
+            PhiModel::Normal => Tail::Normal(
+                Normal::new(mean, std).expect("estimator yields finite positive parameters"),
+            ),
             PhiModel::Exponential => {
                 // A degenerate window (all-zero gaps from coincident
                 // arrivals) can estimate a zero mean. Falling back to a
@@ -286,19 +306,37 @@ impl PhiAccrual {
                 } else {
                     self.config.initial_interval.as_secs_f64()
                 };
-                let dist = Exponential::from_mean(mean).expect("positive mean");
-                dist.log10_sf(elapsed)
+                Tail::Exponential(Exponential::from_mean(mean).expect("positive mean"))
             }
             PhiModel::Empirical { .. } => {
                 let hist = self.empirical.as_ref().expect("empirical model present");
                 if (hist.count() as usize) < self.bootstrap_below() {
                     // Fall back to the bootstrap normal prior.
-                    let dist = Normal::new(mean, std).expect("bootstrap parameters valid");
-                    dist.log10_sf(elapsed)
+                    Tail::Normal(Normal::new(mean, std).expect("bootstrap parameters valid"))
                 } else {
-                    hist.log10_sf(elapsed)
+                    Tail::Histogram
                 }
             }
+        }
+    }
+
+    /// Evaluates φ at `now` against `tail`.
+    fn phi_of(&self, now: Timestamp, tail: &Tail) -> f64 {
+        let Some(last) = self.last_heartbeat else {
+            return 0.0;
+        };
+        let elapsed = now.saturating_duration_since(last).as_secs_f64();
+        if elapsed <= 0.0 {
+            return 0.0;
+        }
+        let log_tail = match tail {
+            Tail::Normal(dist) => dist.log10_sf(elapsed),
+            Tail::Exponential(dist) => dist.log10_sf(elapsed),
+            Tail::Histogram => self
+                .empirical
+                .as_ref()
+                .expect("empirical model present")
+                .log10_sf(elapsed),
         };
         (-log_tail).max(0.0)
     }
@@ -311,8 +349,7 @@ impl PhiAccrual {
     /// window happens here. [`Self::phi_naive`] is the O(window) reference
     /// implementation it is property-tested against.
     pub fn phi(&self, now: Timestamp) -> f64 {
-        let (mean, std) = self.window_estimates();
-        self.phi_from(now, mean, std)
+        self.phi_of(now, &self.tail)
     }
 
     /// Reference φ that recomputes the window moments from scratch by
@@ -324,12 +361,12 @@ impl PhiAccrual {
     #[cfg(any(test, feature = "naive-stats"))]
     pub fn phi_naive(&self, now: Timestamp) -> f64 {
         let moments: afd_core::stats::RunningMoments = self.gaps.iter().collect();
-        let (mean, std) = self.estimates(
+        let tail = self.tail_from(self.estimates(
             moments.count() as usize,
             moments.mean(),
             moments.population_std_dev(),
-        );
-        self.phi_from(now, mean, std)
+        ));
+        self.phi_of(now, &tail)
     }
 }
 
@@ -344,6 +381,7 @@ impl AccrualFailureDetector for PhiAccrual {
             }
         }
         self.last_heartbeat = Some(self.last_heartbeat.map_or(arrival, |l| l.max(arrival)));
+        self.tail = self.tail_from(self.window_estimates());
     }
 
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
@@ -372,6 +410,7 @@ impl AccrualFailureDetector for PhiAccrual {
         self.gaps
             .seed_from_moments(seed.samples, seed.mean, seed.population_variance);
         self.last_heartbeat = seed.last_heartbeat;
+        self.tail = self.tail_from(self.window_estimates());
     }
 }
 
@@ -746,6 +785,26 @@ mod tests {
                 "φ must grow strictly through and past the range: {phi} !> {prev}"
             );
             prev = phi;
+        }
+    }
+
+    #[test]
+    fn restored_seed_reproduces_phi_through_the_cached_tail() {
+        // A restore changes the window without an arrival, so it must also
+        // rebuild the cached tail: a fresh detector that kept its bootstrap
+        // tail would answer with the prior, not the seeded moments.
+        let mut live = PhiAccrual::with_defaults();
+        let mut t = 0.0;
+        for k in 0..200 {
+            t += 0.1 + 0.02 * f64::from(k % 7);
+            live.record_heartbeat(ts(t));
+        }
+        let seed = live.save_seed().unwrap();
+        let mut restored = PhiAccrual::with_defaults();
+        restored.restore_seed(&seed);
+        for late in [0.05, 0.2, 0.5, 2.0, 60.0] {
+            let (a, b) = (live.phi(ts(t + late)), restored.phi(ts(t + late)));
+            assert!((a - b).abs() <= 1e-9 * a.max(1.0), "+{late}s: {a} vs {b}");
         }
     }
 

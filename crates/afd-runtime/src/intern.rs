@@ -8,15 +8,20 @@
 //! as the intern index (see [`DeltaEncoder`](crate::wire::DeltaEncoder))
 //! — so the map can be a flat slab indexed directly by `intern_idx`:
 //!
-//! - **probe = one bounds check + one bit test + one load** — no
-//!   hashing, no collision chains;
-//! - **zero allocation after construction** — the entry array, the
-//!   generation tags, and the occupancy bitset are all sized up front
-//!   from the capacity;
+//! - **probe = one bounds check + one 32-byte row load** — no hashing, no
+//!   collision chains, one cache line: the row carries its own liveness
+//!   tag beside the sender id, so there is no side array to consult;
+//! - **zero allocation after construction, and no resident memory before
+//!   use** — the row array is sized up front from the capacity, but as a
+//!   *zeroed* allocation (`vec![[0u64; 4]; n]`), which the allocator
+//!   satisfies with untouched pages: what [`InternSlab::new`] reserves is
+//!   address space (32 MB at the default capacity), and a page becomes
+//!   resident when the first intern frame lands in it. A decoder that
+//!   serves 4 096 peers holds 128 KB of table, not 32 MB;
 //! - **O(1) reset** — restarting a decoder bumps a generation counter
-//!   instead of touching a million slots; a slot is live only if its
-//!   tag matches the current generation (the rare u32 generation wrap
-//!   falls back to an explicit clear);
+//!   instead of touching a million rows; a row is live only if its tag is
+//!   the current generation (tag 0, the zeroed state, is never current;
+//!   the rare u32 generation wrap falls back to an explicit clear);
 //! - **last-entry hot cache** — a paced-sender burst lands several
 //!   deltas from one sender back to back, so the previous hit answers
 //!   the next probe without touching the (multi-megabyte) slab at all.
@@ -45,16 +50,9 @@ pub struct InternEntry {
     pub interval_nanos: u64,
 }
 
-const VACANT: InternEntry = InternEntry {
-    sender: 0,
-    ckpt_seq: 0,
-    ckpt_sent_at_nanos: 0,
-    interval_nanos: 0,
-};
-
-/// A flat intern table: `Vec<InternEntry>` indexed directly by the
-/// intern index, with an occupancy bitset, generation-tagged slots for
-/// O(1) [`reset`](InternSlab::reset), and a one-entry hot cache.
+/// A flat intern table: one `[u64; 4]` row per intern index, indexed
+/// directly, generation-tagged for O(1) [`reset`](InternSlab::reset), with
+/// a one-entry hot cache.
 ///
 /// Indices `0..capacity` always insert (first fill or overwrite);
 /// indices at or past capacity are rejected — the slab's form of the
@@ -62,14 +60,12 @@ const VACANT: InternEntry = InternEntry {
 /// the old `HashMap` bound under the dense-index convention.
 #[derive(Debug)]
 pub struct InternSlab {
-    entries: Box<[InternEntry]>,
-    /// Generation each slot was last written in; a slot is live only if
-    /// this matches `generation` (and its occupancy bit is set), which
-    /// is what lets `reset` retire every slot without touching them.
-    gens: Box<[u32]>,
-    /// One bit per slot: a cheap first test that keeps a miss on a
-    /// vacant index from loading the (cold) entry array at all.
-    occupied: Box<[u64]>,
+    /// Row `i`: `[generation << 32 | sender, ckpt_seq, ckpt_sent_at_nanos,
+    /// interval_nanos]`. Plain integers and not a struct so that the
+    /// allocation can be requested zeroed (see the module docs); a zeroed
+    /// row has generation 0 and is therefore vacant.
+    rows: Box<[[u64; 4]]>,
+    /// The generation rows are live in; never 0.
     generation: u32,
     live: usize,
     /// The last entry hit or inserted: a paced-sender burst probes the
@@ -77,18 +73,19 @@ pub struct InternSlab {
     hot: Option<(u32, InternEntry)>,
 }
 
+/// The generation `row` was last written in; 0 if never.
+#[inline]
+fn written_in(row: &[u64; 4]) -> u32 {
+    (row[0] >> 32) as u32
+}
+
 impl InternSlab {
     /// Creates a slab holding intern indices `0..capacity` (floored at
     /// 1). All storage is allocated here; no later call allocates.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
         InternSlab {
             // lint:allow(no-alloc-in-hot-path, one-time construction)
-            entries: vec![VACANT; cap].into_boxed_slice(),
-            // lint:allow(no-alloc-in-hot-path, one-time construction)
-            gens: vec![0u32; cap].into_boxed_slice(),
-            // lint:allow(no-alloc-in-hot-path, one-time construction)
-            occupied: vec![0u64; cap.div_ceil(64)].into_boxed_slice(),
+            rows: vec![[0u64; 4]; capacity.max(1)].into_boxed_slice(),
             generation: 1,
             live: 0,
             hot: None,
@@ -97,7 +94,7 @@ impl InternSlab {
 
     /// The index bound: the slab stores exactly indices `0..capacity`.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// Live entries.
@@ -110,11 +107,6 @@ impl InternSlab {
         self.live == 0
     }
 
-    #[inline]
-    fn is_live(&self, i: usize) -> bool {
-        (self.occupied[i / 64] >> (i % 64)) & 1 == 1 && self.gens[i] == self.generation
-    }
-
     /// Looks up `idx`, refreshing the hot cache on a slab hit. Returns
     /// `None` for vacant and out-of-capacity indices alike — neither
     /// has an entry to decode against.
@@ -125,11 +117,16 @@ impl InternSlab {
                 return Some(entry);
             }
         }
-        let i = idx as usize;
-        if i >= self.entries.len() || !self.is_live(i) {
+        let row = self.rows.get(idx as usize)?;
+        if written_in(row) != self.generation {
             return None;
         }
-        let entry = self.entries[i];
+        let entry = InternEntry {
+            sender: row[0] as u32,
+            ckpt_seq: row[1],
+            ckpt_sent_at_nanos: row[2],
+            interval_nanos: row[3],
+        };
         self.hot = Some((idx, entry));
         Some(entry)
     }
@@ -140,23 +137,26 @@ impl InternSlab {
     /// construction.
     #[inline]
     pub fn insert(&mut self, idx: u32, entry: InternEntry) -> bool {
-        let i = idx as usize;
-        if i >= self.entries.len() {
+        let generation = self.generation;
+        let Some(row) = self.rows.get_mut(idx as usize) else {
             return false;
-        }
-        if !self.is_live(i) {
+        };
+        if written_in(row) != generation {
             self.live += 1;
         }
-        self.occupied[i / 64] |= 1 << (i % 64);
-        self.gens[i] = self.generation;
-        self.entries[i] = entry;
+        *row = [
+            u64::from(generation) << 32 | u64::from(entry.sender),
+            entry.ckpt_seq,
+            entry.ckpt_sent_at_nanos,
+            entry.interval_nanos,
+        ];
         self.hot = Some((idx, entry));
         true
     }
 
     /// Retires every entry in O(1) by advancing the generation: stale
-    /// slots keep their bits and bytes but no longer match, so the next
-    /// `get` misses and the next `insert` refills them. Only on the
+    /// rows keep their bytes but no longer match, so the next `get`
+    /// misses and the next `insert` refills them. Only on the
     /// (effectively unreachable) u32 generation wrap does reset pay for
     /// an explicit clear, to keep ancient tags from false-matching.
     pub fn reset(&mut self) {
@@ -165,11 +165,8 @@ impl InternSlab {
         match self.generation.checked_add(1) {
             Some(g) => self.generation = g,
             None => {
-                for word in self.occupied.iter_mut() {
-                    *word = 0;
-                }
-                for gen in self.gens.iter_mut() {
-                    *gen = 0;
+                for row in self.rows.iter_mut() {
+                    row[0] = 0;
                 }
                 self.generation = 1;
             }

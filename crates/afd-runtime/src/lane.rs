@@ -441,10 +441,12 @@ mod tests {
 
         let s1 = UdpSocket::bind(loopback_any()).unwrap();
         let s2 = UdpSocket::bind(loopback_any()).unwrap();
-        s1.send_to(b"abcdef", addr).unwrap();
-        s2.send_to(b"ghijkl", addr).unwrap();
+        // The shortest datagram a frame can be is kept; one byte fewer is
+        // a runt.
+        s1.send_to(&[b'a'; MIN_FRAME], addr).unwrap();
+        s2.send_to(&[b'g'; MIN_FRAME], addr).unwrap();
         s1.send_to(&[0u8; MAX_DATAGRAM + 1], addr).unwrap(); // oversize
-        s2.send_to(b"x", addr).unwrap(); // runt
+        s2.send_to(&[b'x'; MIN_FRAME - 1], addr).unwrap(); // runt
 
         let mut batch = FrameBatch::with_capacity(16);
         assert_eq!(drain_expect(lane, &mut batch, 2), 2);

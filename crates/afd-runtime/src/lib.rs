@@ -87,6 +87,5 @@ pub use transport::{
     ChannelTransport, FrameBatch, NullTransport, Transport, MAX_DATAGRAM, PROBE_LEN,
 };
 pub use wire::{
-    DeltaEncoder, Heartbeat, WireDecoder, WireError, DELTA_MAGIC, FRAME_LEN, INTERN_LEN,
-    MAX_V2_FRAME,
+    DeltaEncoder, Heartbeat, WireDecoder, WireError, DELTA_TAG, FRAME_LEN, INTERN_LEN, MAX_V2_FRAME,
 };

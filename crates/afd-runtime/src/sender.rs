@@ -28,7 +28,7 @@ pub enum WireVersion {
     V1,
     /// Compact v2 delta frames through a [`DeltaEncoder`]: a
     /// self-describing intern/checkpoint frame every `resync_every`
-    /// heartbeats, varint deltas (typically 6–8 bytes) in between. The
+    /// heartbeats, varint deltas (typically 5–7 bytes) in between. The
     /// sender's intern index is its own process id, so indices are
     /// collision-free across any sender population.
     V2 {

@@ -14,7 +14,9 @@
 //!    watch check, then the detector update;
 //! 4. **publish** ([`Shard::publish`]): each shard's suspicion levels and
 //!    durable rows go into a double-buffered epoch snapshot that
-//!    [`SnapshotReader`]s consume without taking any lock.
+//!    [`SnapshotReader`]s consume without taking any lock. Every level is
+//!    re-evaluated at every publish; a durable row is rewritten only
+//!    after its peer's state changed (see *What a publish writes*).
 //!
 //! [`Shard`] owns every per-shard operation (watch with capacity,
 //! unwatch, import of a restored peer, accept, publish, counters), so the
@@ -42,6 +44,26 @@
 //! straddle. The writer is wait-free (it never observes readers);
 //! readers are obstruction-free (they retry only if a publish overlaps
 //! their read). Everything is plain atomics — no locks, no unsafe code.
+//!
+//! # What a publish writes
+//!
+//! A peer's row is its id, its suspicion level and seven durable words
+//! (detector seed, sequence watermark) for the checkpointer. The level is
+//! a function of the query time, so every publish re-evaluates and stores
+//! it for every peer. The durable words change only when an arrival is
+//! accepted, a peer is imported, or a caller borrows the detector
+//! mutably — so each such change marks the peer for the next *two*
+//! publishes, one into each bank: the back bank missed the previous
+//! publish, and what an incremental publish writes is therefore the union
+//! of this and the previous publish's changed peers. For everyone else
+//! the bank still holds, from two publishes ago, exactly the row a
+//! rewrite would produce, and `save_seed`, the watermark lookup and the
+//! seven stores are skipped. A peer's slot is its rank by id, so `watch`
+//! and `unwatch` (and an import that watches) move every later slot: they
+//! make the next two publishes rewrite every row. The seqlock and the
+//! bank flip are per bank, as before; a reader cannot tell an incremental
+//! publish from a full one (the `incremental_publish` proptest holds the
+//! front bank to a full recomputation, bit for bit).
 //!
 //! Published levels are as of the last publish, so a reader's view lags
 //! real time by at most one tick interval; callers that need exact-`now`
@@ -362,6 +384,17 @@ impl Bank {
             durable: DurableBank::new(slots),
         }
     }
+
+    /// Plain store of row `i`'s id and level; callers hold the seqlock odd.
+    fn store_level(&self, i: usize, peer: ProcessId, level: SuspicionLevel) {
+        self.peers[i].store(u64::from(peer.as_u32()), Ordering::Relaxed);
+        self.levels[i].store(level.value().to_bits(), Ordering::Relaxed);
+    }
+
+    /// The epoch this bank was published at; callers re-verify the seqlock.
+    fn published_at(&self) -> Timestamp {
+        Timestamp::from_nanos(self.published_at.load(Ordering::Relaxed))
+    }
 }
 
 /// A double-buffered epoch snapshot: the tick writer publishes into the
@@ -385,37 +418,28 @@ impl ShardCell {
         self.banks[0].peers.len()
     }
 
-    /// Publishes `entries` (ascending by id, at most `slots` long) as the
-    /// new front bank, together with the parallel `durable` records.
-    /// Single writer: the thread that owns the [`Shard`].
-    fn publish(
-        &self,
-        entries: &[(ProcessId, SuspicionLevel)],
-        durable: &[PeerDurable],
-        at: Timestamp,
-    ) {
+    /// Publishes a new front bank: `fill` writes rows straight into the
+    /// back bank (ascending by id) and returns how many are live. Rows it
+    /// leaves alone keep what the previous publish *into this bank* — two
+    /// publishes ago — wrote there. Single writer: the thread that owns
+    /// the [`Shard`].
+    fn publish(&self, at: Timestamp, fill: impl FnOnce(&Bank) -> usize) {
         let back = (self.front.load(Ordering::Relaxed) & 1) ^ 1;
         let bank = &self.banks[back];
         // Seqlock enter: mark odd, then fence so slot writes cannot be
         // observed before the mark. Plain stores suffice — the tick
-        // writer is the only writer.
-        let s = bank.wseq.load(Ordering::Relaxed);
-        bank.wseq.store(s.wrapping_add(1), Ordering::Relaxed);
+        // writer is the only writer. `| 1` rather than `+ 1`: a `fill`
+        // that unwound (a detector panicked) left the word odd, and the
+        // next publish must not flip it to even while it writes.
+        let writing = bank.wseq.load(Ordering::Relaxed) | 1;
+        bank.wseq.store(writing, Ordering::Relaxed);
         fence(Ordering::Release);
-        let n = entries.len().min(bank.peers.len());
-        let blank = PeerDurable::default();
-        for (i, ((slot_p, slot_l), (p, lvl))) in
-            bank.peers.iter().zip(&bank.levels).zip(entries).enumerate()
-        {
-            slot_p.store(u64::from(p.as_u32()), Ordering::Relaxed);
-            slot_l.store(lvl.value().to_bits(), Ordering::Relaxed);
-            bank.durable.store(i, durable.get(i).unwrap_or(&blank));
-        }
+        let n = fill(bank).min(bank.peers.len());
         bank.len.store(n, Ordering::Relaxed);
         bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
         // Seqlock exit (even again): release-orders every slot write
         // before the mark readers synchronize with.
-        bank.wseq.store(s.wrapping_add(2), Ordering::Release);
+        bank.wseq.store(writing.wrapping_add(1), Ordering::Release);
         self.front.store(back, Ordering::Release);
     }
 
@@ -473,7 +497,7 @@ impl ShardCell {
                 let lvl = SuspicionLevel::clamped(f64::from_bits(slot_l.load(Ordering::Relaxed)));
                 out.push((p, lvl));
             }
-            Timestamp::from_nanos(bank.published_at.load(Ordering::Relaxed))
+            bank.published_at()
         })
     }
 
@@ -488,7 +512,29 @@ impl ShardCell {
                 let p = ProcessId::new(slot_p.load(Ordering::Relaxed) as u32);
                 out.push((p, bank.durable.load(i)));
             }
-            Timestamp::from_nanos(bank.published_at.load(Ordering::Relaxed))
+            bank.published_at()
+        })
+    }
+
+    /// The epoch of the front bank.
+    fn published_at(&self) -> Timestamp {
+        self.with_consistent(|bank, _| bank.published_at())
+    }
+
+    /// The epoch plus level and durable record of every row, all from one
+    /// consistent read.
+    #[cfg(test)]
+    fn read_rows(&self) -> (Timestamp, Vec<(ProcessId, SuspicionLevel, PeerDurable)>) {
+        self.with_consistent(|bank, len| {
+            let rows = (0..len)
+                .map(|i| {
+                    let p = ProcessId::new(bank.peers[i].load(Ordering::Relaxed) as u32);
+                    let bits = bank.levels[i].load(Ordering::Relaxed);
+                    let level = SuspicionLevel::clamped(f64::from_bits(bits));
+                    (p, level, bank.durable.load(i))
+                })
+                .collect();
+            (bank.published_at(), rows)
         })
     }
 }
@@ -544,11 +590,9 @@ impl SnapshotReader {
     /// The oldest publish timestamp across shards: every published level
     /// is at least this fresh. `Timestamp::ZERO` before the first tick.
     pub fn published_at(&self) -> Timestamp {
-        // lint:allow(no-alloc-in-hot-path, query-path scratch; not on the frame intake path)
-        let mut scratch = Vec::new();
         self.cells
             .iter()
-            .map(|cell| cell.read_all(&mut scratch))
+            .map(|cell| cell.published_at())
             .min()
             .unwrap_or(Timestamp::ZERO)
     }
@@ -579,14 +623,50 @@ impl SnapshotReader {
 /// the shard's worker.
 pub(crate) struct Shard<D> {
     index: usize,
-    service: MonitoringService<D, DetectorFactory<D>>,
+    service: MonitoringService<Tracked<D>, DetectorFactory<Tracked<D>>>,
     highest_seq: BTreeMap<ProcessId, u64>,
     stats: MonitorStats,
     cell: Arc<ShardCell>,
-    /// Reusable publish buffer: (peer, level) rows for the epoch banks.
-    snap_scratch: Vec<(ProcessId, SuspicionLevel)>,
-    /// Reusable publish buffer: parallel durable rows.
-    durable_scratch: Vec<PeerDurable>,
+    /// Publishes still to come that must rewrite every durable row: set
+    /// to [`BANKS`] whenever the watch set changes, because a peer's slot
+    /// is its rank by id and every later slot moves in both banks.
+    full_publishes: u8,
+}
+
+/// Banks of a [`ShardCell`] — how many publishes it takes for a change to
+/// have been written everywhere a reader may later look.
+const BANKS: u8 = 2;
+
+/// A watched detector plus how many of the coming publishes must rewrite
+/// its durable row. A detector's seed and its sequence watermark change
+/// only where [`Shard::accept`], an import or a caller holding
+/// [`ShardedMonitor::detector_mut`] changes them, and each such change
+/// has to reach both banks: this publish writes one, the next the other.
+struct Tracked<D> {
+    detector: D,
+    stale_banks: u8,
+}
+
+impl<D> Tracked<D> {
+    fn touched(&mut self) -> &mut D {
+        self.stale_banks = BANKS;
+        &mut self.detector
+    }
+}
+
+impl<D: AccrualFailureDetector> AccrualFailureDetector for Tracked<D> {
+    fn record_heartbeat(&mut self, arrival: Timestamp) {
+        self.touched().record_heartbeat(arrival);
+    }
+    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
+        self.detector.suspicion_level(now)
+    }
+    fn save_seed(&self) -> Option<DetectorSeed> {
+        self.detector.save_seed()
+    }
+    fn restore_seed(&mut self, seed: &DetectorSeed) {
+        self.touched().restore_seed(seed);
+    }
 }
 
 /// Builds `shards` empty shards of `slots` peers each plus the epoch
@@ -603,16 +683,20 @@ pub(crate) fn build_shards<D: AccrualFailureDetector>(
     let shards = cells
         .iter()
         .enumerate()
-        .map(|(index, cell)| Shard {
-            index,
-            service: MonitoringService::new(Box::new(factory.clone()) as DetectorFactory<D>),
-            highest_seq: BTreeMap::new(),
-            stats: MonitorStats::default(),
-            cell: Arc::clone(cell),
-            // lint:allow(no-alloc-in-hot-path, one-time construction; both scratch buffers are reused across every publish)
-            snap_scratch: Vec::new(),
-            // lint:allow(no-alloc-in-hot-path, one-time construction; both scratch buffers are reused across every publish)
-            durable_scratch: Vec::new(),
+        .map(|(index, cell)| {
+            let mut factory = factory.clone();
+            let tracked: DetectorFactory<Tracked<D>> = Box::new(move |p| Tracked {
+                detector: factory(p),
+                stale_banks: BANKS,
+            });
+            Shard {
+                index,
+                service: MonitoringService::new(tracked),
+                highest_seq: BTreeMap::new(),
+                stats: MonitorStats::default(),
+                cell: Arc::clone(cell),
+                full_publishes: BANKS,
+            }
         })
         .collect();
     (Arc::new(cells), shards)
@@ -655,7 +739,11 @@ impl<D: AccrualFailureDetector> Shard<D> {
                 capacity,
             });
         }
-        Ok(self.service.watch(process))
+        let newly = self.service.watch(process);
+        if newly {
+            self.full_publishes = BANKS;
+        }
+        Ok(newly)
     }
 
     /// Stops monitoring `process`. The highest sequence number seen from
@@ -665,7 +753,9 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// of distinct senders ever seen, which is bounded by the system's
     /// `Π`.
     pub(crate) fn unwatch(&mut self, process: ProcessId) -> Option<D> {
-        self.service.unwatch(process)
+        let tracked = self.service.unwatch(process)?;
+        self.full_publishes = BANKS;
+        Some(tracked.detector)
     }
 
     /// Re-watches one checkpointed peer, seeds its detector with the
@@ -681,8 +771,10 @@ impl<D: AccrualFailureDetector> Shard<D> {
         if let Some(seq) = peer.highest_seq {
             self.highest_seq.insert(peer.process, seq);
         }
-        if let Some(seed) = &peer.seed {
-            if let Some(d) = self.service.detector_mut(peer.process) {
+        // Taken even without a seed: the watermark above is part of the
+        // peer's durable row, and the peer may have been watched already.
+        if let Some(d) = self.detector_mut(peer.process) {
+            if let Some(seed) = &peer.seed {
                 d.restore_seed(seed);
                 import.seeded += 1;
             }
@@ -692,6 +784,12 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// Watched processes.
     pub(crate) fn len(&self) -> usize {
         self.service.len()
+    }
+
+    /// The detector for `process`, handed out for the caller to change:
+    /// its durable row is rewritten by the next [`BANKS`] publishes.
+    fn detector_mut(&mut self, process: ProcessId) -> Option<&mut D> {
+        self.service.detector_mut(process).map(Tracked::touched)
     }
 
     /// Accept-stage counters (`corrupt` is always 0: decoding fails
@@ -734,20 +832,30 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// checkpointer reading the cell gets detector seeds and replay state
     /// consistent with the published levels — without ever borrowing the
     /// (worker-owned) detectors themselves.
+    ///
+    /// Every level is re-evaluated at `now` — it is a function of the
+    /// query time. A durable row is a function of the peer's arrivals
+    /// alone, so it is rewritten only while one of the two banks still
+    /// holds an older version of it ([`Tracked`]), or for every peer
+    /// while slots are moving (`full_publishes`).
     pub(crate) fn publish(&mut self, now: Timestamp) {
-        self.snap_scratch.clear();
-        self.durable_scratch.clear();
-        let snap = &mut self.snap_scratch;
-        let durable = &mut self.durable_scratch;
-        let highest = &self.highest_seq;
-        self.service.for_each_mut(|p, d| {
-            snap.push((p, d.suspicion_level(now)));
-            durable.push(PeerDurable::from_state(
-                d.save_seed(),
-                highest.get(&p).copied(),
-            ));
+        let full = self.full_publishes > 0;
+        self.full_publishes = self.full_publishes.saturating_sub(1);
+        let (service, highest) = (&mut self.service, &self.highest_seq);
+        self.cell.publish(now, |bank| {
+            let mut slot = 0usize;
+            service.for_each_mut(|p, tracked| {
+                bank.store_level(slot, p, tracked.detector.suspicion_level(now));
+                if full || tracked.stale_banks > 0 {
+                    tracked.stale_banks = tracked.stale_banks.saturating_sub(1);
+                    let seed = tracked.detector.save_seed();
+                    let row = PeerDurable::from_state(seed, highest.get(&p).copied());
+                    bank.durable.store(slot, &row);
+                }
+                slot += 1;
+            });
+            slot
         });
-        self.cell.publish(snap, durable, now);
     }
 }
 
@@ -1054,7 +1162,7 @@ where
     /// Direct access to the detector for `process`.
     pub fn detector_mut(&mut self, process: ProcessId) -> Option<&mut D> {
         let idx = self.shard_of(process);
-        self.shards[idx].service.detector_mut(process)
+        self.shards[idx].detector_mut(process)
     }
 
     /// The transport the monitor drains.
@@ -1450,42 +1558,63 @@ mod tests {
             mon.watch(ProcessId::new(id)).unwrap();
         }
         let reader = mon.reader();
-        let done = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let reader = reader.clone();
-                let done = Arc::clone(&done);
+                let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    for _ in 0..300 {
+                    let mut reads = 0u64;
+                    while !stop.load(Ordering::SeqCst) {
                         let snap = reader.snapshot();
                         // Published tables are always a full, id-sorted
                         // epoch: never a partial write.
                         assert!(snap.len() <= 16);
                         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
-                        for (_, lvl) in &snap {
-                            assert!(lvl.value().is_finite());
+                        for cell in reader.cells.iter() {
+                            // A row's level and its durable record come
+                            // from one publish, even when that publish
+                            // left the record alone: SimpleAccrual's
+                            // level *is* the epoch minus the last arrival.
+                            let (at, rows) = cell.read_rows();
+                            for (p, level, durable) in rows {
+                                assert!(level.value().is_finite());
+                                let last = durable.seed().and_then(|s| s.last_heartbeat);
+                                let last = last.expect("simple detectors always have one");
+                                let elapsed = at.saturating_duration_since(last).as_secs_f64();
+                                assert_eq!(level.value(), elapsed, "{p:?} at {at:?}");
+                            }
                         }
+                        reads += 1;
                     }
-                    done.fetch_add(1, Ordering::SeqCst);
+                    reads
                 })
             })
             .collect();
 
-        // Keep publishing until every reader has finished its reads, so
-        // the readers genuinely race ongoing publishes.
-        let mut round = 0u64;
-        while done.load(Ordering::SeqCst) < 4 {
-            round += 1;
+        // The readers race these publishes for as long as they last. Each
+        // round only every third peer sends and every fourth round nobody
+        // does, so after the two full publishes that follow the watches
+        // every publish is incremental and the two banks are never
+        // written alike. A reader that fails stops reading; the rounds
+        // still end and the join below reports it.
+        let rounds = if cfg!(miri) { 40 } else { 2_000 };
+        let mut sent = 0u64;
+        for round in 1..=rounds {
             clock.set(Timestamp::from_secs(round));
-            for &id in &peers {
-                tx.send(&frame(id, round)).unwrap();
+            if round % 4 != 0 {
+                for &id in peers.iter().filter(|&&id| u64::from(id) % 3 == round % 3) {
+                    tx.send(&frame(id, round)).unwrap();
+                    sent += 1;
+                }
             }
             mon.tick().unwrap();
         }
+        stop.store(true, Ordering::SeqCst);
         for h in handles {
-            h.join().unwrap();
+            assert!(h.join().unwrap() > 0, "every reader read at least once");
         }
-        assert_eq!(mon.stats().totals.accepted, 16 * round);
+        assert_eq!(mon.stats().totals.accepted, sent);
     }
 
     #[test]
@@ -1538,5 +1667,171 @@ mod tests {
         assert_eq!(mon.shard_count(), 1);
         mon.watch(ProcessId::new(1)).unwrap();
         assert!(mon.watch(ProcessId::new(2)).is_err(), "slots floored to 1");
+    }
+
+    mod incremental_publish {
+        use super::*;
+        use afd_detectors::phi::{PhiAccrual, PhiConfig};
+        use proptest::prelude::*;
+
+        /// Peers the operations draw from; more than the shard holds, so
+        /// capacity refusals are part of the mix.
+        const POOL: u64 = 12;
+        const SLOTS: usize = 8;
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Accept {
+                peer: u32,
+                skip: u64,
+            },
+            Watch(u32),
+            Unwatch(u32),
+            Import {
+                peer: u32,
+                seq: Option<u64>,
+                seeded: bool,
+            },
+            DetectorMut(u32),
+            Publish,
+        }
+
+        fn ops() -> impl Strategy<Value = Vec<Op>> {
+            let op = proptest::FnStrategy::new(|rng: &mut TestRng| {
+                let peer = rng.below(POOL) as u32;
+                match rng.below(16) {
+                    0..=6 => Op::Accept {
+                        peer,
+                        skip: rng.below(3),
+                    },
+                    7 | 8 => Op::Watch(peer),
+                    9 => Op::Unwatch(peer),
+                    10 => Op::Import {
+                        peer,
+                        seq: (rng.below(2) == 0).then(|| rng.below(50)),
+                        seeded: rng.below(2) == 0,
+                    },
+                    11 => Op::DetectorMut(peer),
+                    _ => Op::Publish,
+                }
+            });
+            prop::collection::vec(op, 0..48)
+        }
+
+        fn phi_shard() -> Shard<PhiAccrual> {
+            let config = PhiConfig {
+                window_size: 4,
+                ..PhiConfig::default()
+            };
+            let (_cells, mut shards) = build_shards(1, SLOTS, move |_| {
+                PhiAccrual::new(config).expect("valid phi config")
+            });
+            shards.pop().expect("one shard")
+        }
+
+        /// What a publish that rewrote every row would have put in the
+        /// bank: recomputed from the live detectors, which for φ is a pure
+        /// function of their state and `now`.
+        fn recomputed(
+            shard: &mut Shard<PhiAccrual>,
+            now: Timestamp,
+        ) -> Vec<(ProcessId, SuspicionLevel, PeerDurable)> {
+            let mut rows = Vec::new();
+            let highest = &shard.highest_seq;
+            shard.service.for_each_mut(|p, t| {
+                let durable = PeerDurable::from_state(t.save_seed(), highest.get(&p).copied());
+                rows.push((p, t.suspicion_level(now), durable));
+            });
+            rows
+        }
+
+        fn publish_and_check(shard: &mut Shard<PhiAccrual>, now: Timestamp) {
+            shard.publish(now);
+            let want = recomputed(shard, now);
+            let (at, rows) = shard.cell.read_rows();
+            assert_eq!(at, now);
+            assert_eq!(rows.len(), want.len());
+            for (got, want) in rows.iter().zip(&want) {
+                assert_eq!(got.0, want.0);
+                assert_eq!(
+                    got.1.value().to_bits(),
+                    want.1.value().to_bits(),
+                    "{:?}",
+                    got.0
+                );
+                assert_eq!(got.2, want.2, "{:?}", got.0);
+            }
+            // The accessors readers and the checkpointer use see the same.
+            let (mut levels, mut durable) = (Vec::new(), Vec::new());
+            assert_eq!(shard.cell.read_all(&mut levels), now);
+            assert_eq!(shard.cell.read_durable(&mut durable), now);
+            let want_levels: Vec<_> = want.iter().map(|r| (r.0, r.1)).collect();
+            let want_durable: Vec<_> = want.iter().map(|r| (r.0, r.2)).collect();
+            assert_eq!(levels, want_levels);
+            assert_eq!(durable, want_durable);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Whatever happened between publishes, the front bank holds
+            /// exactly what a publish that rewrote every row would hold —
+            /// through the full publishes a membership change forces, the
+            /// incremental ones after them, and both banks.
+            #[test]
+            fn front_bank_equals_a_full_recomputation(ops in ops()) {
+                let mut shard = phi_shard();
+                let mut now = Timestamp::from_secs(1);
+                let mut next_seq = [0u64; POOL as usize];
+                for op in ops {
+                    now = now.saturating_add(Duration::from_millis(130));
+                    match op {
+                        Op::Accept { peer, skip } => {
+                            let seq = &mut next_seq[peer as usize];
+                            *seq += 1 + skip;
+                            let hb = Heartbeat {
+                                sender: ProcessId::new(peer),
+                                seq: *seq,
+                                sent_at: now,
+                            };
+                            shard.accept(hb, now);
+                        }
+                        Op::Watch(peer) => {
+                            let _ = shard.watch(ProcessId::new(peer));
+                        }
+                        Op::Unwatch(peer) => {
+                            shard.unwatch(ProcessId::new(peer));
+                        }
+                        Op::Import { peer, seq, seeded } => {
+                            let restored = RestoredPeer {
+                                process: ProcessId::new(peer),
+                                highest_seq: seq,
+                                seed: seeded.then_some(DetectorSeed {
+                                    last_heartbeat: Some(now),
+                                    samples: 3,
+                                    mean: 0.2,
+                                    population_variance: 0.01,
+                                    heartbeats_seen: 0,
+                                }),
+                            };
+                            shard.import(&restored, &mut RestoreImport::default());
+                        }
+                        Op::DetectorMut(peer) => {
+                            if let Some(d) = shard.detector_mut(ProcessId::new(peer)) {
+                                d.record_heartbeat(now);
+                            }
+                        }
+                        Op::Publish => publish_and_check(&mut shard, now),
+                    }
+                }
+                // Four in a row: at most two are full, so each bank is
+                // also read after an incremental publish into it.
+                for _ in 0..4 {
+                    now = now.saturating_add(Duration::from_millis(130));
+                    publish_and_check(&mut shard, now);
+                }
+                prop_assert_eq!(shard.full_publishes, 0);
+            }
+        }
     }
 }

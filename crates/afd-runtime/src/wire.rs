@@ -11,13 +11,24 @@
 //! periodically emits a 40-byte [`INTERN`](INTERN_LEN) checkpoint frame
 //! (which both registers `intern index → (sender id, checkpoint seq,
 //! checkpoint send time, nominal interval)` at the receiver and counts
-//! as a heartbeat itself) and encodes every other heartbeat as a
-//! [`DELTA`](DELTA_MAGIC) frame: a one-byte magic, the varint intern
-//! index, the varint seq delta from the checkpoint, and the zigzag
-//! varint *residual* of the send time against the checkpoint's
-//! arithmetic prediction `ckpt_sent_at + seq_delta × interval` — near
-//! zero for a periodic sender, so the typical frame is 6 bytes against
-//! v1's 28 (≥ 3× smaller; see the `wire_v2` integration tests).
+//! as a heartbeat itself) and encodes every other heartbeat as a delta
+//! frame:
+//!
+//! ```text
+//! tag  ++  varint intern_idx  ++  [varint seq_delta]  ++  zigzag residual  ++  FNV-16
+//! ```
+//!
+//! The tag byte's high bit ([`DELTA_TAG`]) marks a delta — v1 and intern
+//! frames start with `b'A'` = 0x41, high bit clear — and its low seven
+//! bits carry the seq delta from the checkpoint when that is below
+//! [`SEQ_DELTA_ESCAPE`] (it nearly always is: a sender re-interns every
+//! `resync_every` frames); the value 127 means the seq delta follows the
+//! index as a varint of its own. The *residual* is the send time against
+//! the checkpoint's arithmetic prediction `ckpt_sent_at + seq_delta ×
+//! interval` — near zero for a periodic sender, so the typical frame is
+//! 5–7 bytes against v1's 28 (≥ 4× smaller; see the `wire_v2`
+//! integration tests). No delta is longer than 33 bytes, so none can be
+//! taken for a 40-byte intern frame by its length.
 //!
 //! Deltas are relative to the last *checkpoint*, never the previous
 //! frame, so any subset of frames may be lost, duplicated, or reordered
@@ -64,14 +75,19 @@ pub const INTERN_LEN: usize = 40;
 /// `MAX_V2_FRAME.max(FRAME_LEN)` to hold any frame either version emits.
 pub const MAX_V2_FRAME: usize = INTERN_LEN;
 
-/// First byte of a v2 delta frame. Distinct from `b'A'` (0x41, the v1 /
-/// intern magic) so a one-byte peek dispatches the format.
-pub const DELTA_MAGIC: u8 = 0xAD;
+/// High bit of a frame's first byte: set on a v2 delta frame, clear on
+/// `b'A'` (0x41, the v1 / intern magic), so a one-bit peek dispatches the
+/// format. The other seven bits of a delta's first byte are its seq delta.
+pub const DELTA_TAG: u8 = 0x80;
+
+/// Value of a delta tag's low seven bits meaning "the seq delta does not
+/// fit here; it follows the intern index as a varint".
+pub const SEQ_DELTA_ESCAPE: u8 = 0x7f;
 
 /// Shortest frame any wire version can produce: a delta with one-byte
-/// varints (magic + 3 varints + 2 checksum bytes). Anything shorter is
+/// varints (tag + 2 varints + 2 checksum bytes). Anything shorter is
 /// droppable without decoding.
-pub const MIN_FRAME: usize = 6;
+pub const MIN_FRAME: usize = 5;
 
 const MAGIC: [u8; 2] = *b"AF";
 const VERSION: u8 = 1;
@@ -301,7 +317,13 @@ impl DeltaEncoder {
             .sent_at_nanos
             .wrapping_add(seq_delta.wrapping_mul(self.interval_nanos));
         let residual = hb.sent_at.as_nanos().wrapping_sub(expected) as i64;
-        buf[0] = DELTA_MAGIC;
+        let inline = seq_delta < u64::from(SEQ_DELTA_ESCAPE);
+        buf[0] = DELTA_TAG
+            | if inline {
+                seq_delta as u8
+            } else {
+                SEQ_DELTA_ESCAPE
+            };
         let mut at = 1usize;
         // Buffer is MAX_V2_FRAME (40) ≥ 1 + 3×10 + 2 worst case, so the
         // encodes cannot fail; treat None defensively as a resync.
@@ -309,10 +331,12 @@ impl DeltaEncoder {
             Some(n) => n,
             None => return self.encode_intern(hb, buf),
         };
-        at += match varint::encode_u64(seq_delta, &mut buf[at..]) {
-            Some(n) => n,
-            None => return self.encode_intern(hb, buf),
-        };
+        if !inline {
+            at += match varint::encode_u64(seq_delta, &mut buf[at..]) {
+                Some(n) => n,
+                None => return self.encode_intern(hb, buf),
+            };
+        }
         at += match varint::encode_i64(residual, &mut buf[at..]) {
             Some(n) => n,
             None => return self.encode_intern(hb, buf),
@@ -347,7 +371,7 @@ impl DeltaEncoder {
 
 /// Receiver-side decoder for any mix of v1 and v2 frames on one socket.
 ///
-/// Dispatches on the leading bytes: [`DELTA_MAGIC`] → delta, `"AF"` +
+/// Dispatches on the leading bytes: [`DELTA_TAG`] set → delta, `"AF"` +
 /// version byte → v1 heartbeat or v2 intern frame. The intern table is
 /// a flat [`InternSlab`] indexed directly by the intern index — one
 /// bounds check and one load per delta, no hashing — and it is bounded:
@@ -423,7 +447,7 @@ impl WireDecoder {
     pub fn decode(&mut self, frame: &[u8]) -> Result<Heartbeat, WireError> {
         match frame.first() {
             None => Err(WireError::ShortFrame),
-            Some(&DELTA_MAGIC) => self.decode_delta(frame),
+            Some(&tag) if tag & DELTA_TAG != 0 => self.decode_delta(tag, frame),
             Some(_) => {
                 if frame.len() < 4 {
                     return Err(WireError::ShortFrame);
@@ -485,16 +509,23 @@ impl WireDecoder {
         })
     }
 
-    fn decode_delta(&mut self, frame: &[u8]) -> Result<Heartbeat, WireError> {
-        let mut at = 1usize; // past DELTA_MAGIC
+    fn decode_delta(&mut self, tag: u8, frame: &[u8]) -> Result<Heartbeat, WireError> {
+        let mut at = 1usize; // past the tag
         let (idx, n) = varint::decode_u64(&frame[at..]).map_err(|_| WireError::ShortFrame)?;
         at += n;
         // An index beyond u32 space can never have been interned: that
         // is corruption, not a healable miss, and the error carries the
         // raw value rather than masquerading as index `u32::MAX`.
         let intern_idx = u32::try_from(idx).map_err(|_| WireError::InternOutOfRange(idx))?;
-        let (seq_delta, n) = varint::decode_u64(&frame[at..]).map_err(|_| WireError::ShortFrame)?;
-        at += n;
+        let seq_delta = match tag & !DELTA_TAG {
+            SEQ_DELTA_ESCAPE => {
+                let (wide, n) =
+                    varint::decode_u64(&frame[at..]).map_err(|_| WireError::ShortFrame)?;
+                at += n;
+                wide
+            }
+            inline => u64::from(inline),
+        };
         let (residual, n) = varint::decode_i64(&frame[at..]).map_err(|_| WireError::ShortFrame)?;
         at += n;
         // The declared structure must end in exactly the two checksum
@@ -606,8 +637,8 @@ mod tests {
             if seq == 0 {
                 assert_eq!(n, INTERN_LEN);
             } else {
-                assert!(n <= 8, "perfectly periodic delta should be tiny, got {n}");
-                assert_eq!(buf[0], DELTA_MAGIC);
+                assert_eq!(n, MIN_FRAME, "a perfectly periodic delta is the minimum");
+                assert_eq!(buf[0], DELTA_TAG | seq as u8);
             }
             assert_eq!(dec.decode(&buf[..n]), Ok(hb), "seq {seq}");
         }
@@ -627,6 +658,64 @@ mod tests {
             let hb = hb_at(i as u64, nanos);
             let n = enc.encode(&hb, &mut buf);
             assert_eq!(dec.decode(&buf[..n]), Ok(hb), "frame {i}");
+        }
+    }
+
+    /// Seq deltas on both sides of the tag's seven bits and of every
+    /// varint width the escape can take.
+    const SEQ_DELTAS: [u64; 8] = [0, 1, 126, 127, 128, 1 << 14, u32::MAX as u64, u64::MAX];
+
+    #[test]
+    fn v2_seq_delta_rides_the_tag_until_it_needs_the_escape() {
+        let step = INTERVAL.as_nanos() as u64;
+        for delta in SEQ_DELTAS {
+            // resync_every = MAX: the encoder never re-interns on its own.
+            let (mut enc, mut dec) = v2_pair(u32::MAX);
+            let mut buf = [0u8; MAX_V2_FRAME];
+            let n = enc.encode(&hb_at(0, 1_000), &mut buf);
+            assert_eq!(dec.decode(&buf[..n]), Ok(hb_at(0, 1_000)));
+            let hb = hb_at(delta, 1_000u64.wrapping_add(delta.wrapping_mul(step)));
+            let n = enc.encode(&hb, &mut buf);
+            assert_eq!(dec.decode(&buf[..n]), Ok(hb), "seq delta {delta}");
+            let wide = match delta {
+                0..=126 => 0,
+                _ => varint::encode_u64(delta, &mut [0u8; 10]).unwrap(),
+            };
+            assert_eq!(n, MIN_FRAME + wide, "seq delta {delta}");
+            let low = if wide == 0 {
+                delta as u8
+            } else {
+                SEQ_DELTA_ESCAPE
+            };
+            assert_eq!(buf[0], DELTA_TAG | low, "seq delta {delta}");
+            assert_ne!(n, INTERN_LEN, "a delta must never pass for an intern frame");
+        }
+    }
+
+    #[test]
+    fn previous_delta_layout_is_rejected_not_misread() {
+        // The layout this one replaced: 0xAD, idx, seq delta, residual,
+        // FNV-16 over all of it and the sender. Its magic has the high bit
+        // set, so it parses as a delta whose seq delta (0x2D) sits in the
+        // tag — and then always has one varint too many before the end.
+        let (mut enc, mut dec) = v2_pair(64);
+        let mut buf = [0u8; MAX_V2_FRAME];
+        let n = enc.encode(&hb_at(0, 1_000), &mut buf);
+        dec.decode(&buf[..n]).unwrap();
+        for (delta, residual) in [(1u64, 0i64), (45, 0), (45, 70_000), (300, -5)] {
+            let mut old = [0u8; MAX_V2_FRAME];
+            old[0] = 0xAD;
+            let mut at = 1;
+            at += varint::encode_u64(7, &mut old[at..]).unwrap();
+            at += varint::encode_u64(delta, &mut old[at..]).unwrap();
+            at += varint::encode_i64(residual, &mut old[at..]).unwrap();
+            let sum = fnv16_bound(&old[..at], 7);
+            old[at..at + 2].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                dec.decode(&old[..at + 2]),
+                Err(WireError::TrailingBytes),
+                "old-layout frame (delta {delta}, residual {residual})"
+            );
         }
     }
 
@@ -778,10 +867,9 @@ mod tests {
         // raw value instead of masquerading as index u32::MAX.
         let raw = u64::from(u32::MAX) + 1;
         let mut buf = [0u8; MAX_V2_FRAME];
-        buf[0] = DELTA_MAGIC;
+        buf[0] = DELTA_TAG | 1;
         let mut at = 1;
         at += varint::encode_u64(raw, &mut buf[at..]).unwrap();
-        at += varint::encode_u64(1, &mut buf[at..]).unwrap();
         at += varint::encode_i64(0, &mut buf[at..]).unwrap();
         assert_eq!(
             dec.decode(&buf[..at + 2]),
@@ -792,10 +880,9 @@ mod tests {
         // must still say so — before the fix both cases collapsed into
         // UnknownIntern(u32::MAX).
         let mut buf = [0u8; MAX_V2_FRAME];
-        buf[0] = DELTA_MAGIC;
+        buf[0] = DELTA_TAG | 1;
         let mut at = 1;
         at += varint::encode_u64(u64::from(u32::MAX), &mut buf[at..]).unwrap();
-        at += varint::encode_u64(1, &mut buf[at..]).unwrap();
         at += varint::encode_i64(0, &mut buf[at..]).unwrap();
         assert_eq!(
             dec.decode(&buf[..at + 2]),

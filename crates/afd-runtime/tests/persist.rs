@@ -637,6 +637,70 @@ fn new_detectors_roundtrip_through_sharded_checkpoint() {
     run("adaptive", |_| AdaptiveAccrual::with_defaults());
 }
 
+/// A publish rewrites a peer's durable row only while one of the two
+/// banks still holds an older version of it. A checkpoint reads whichever
+/// bank is in front, so after many publishes in which different peers
+/// arrived — none of them a full rewrite — it must still dump every
+/// peer's latest window and watermark.
+#[test]
+fn checkpoint_after_incremental_publishes_restores_within_1e9() {
+    const PEERS: u32 = 24;
+    let clock = VirtualClock::new();
+    let (mut tx, rx) = ChannelTransport::pair();
+    let mut mon = phi_monitor(rx, &clock, 2);
+    for id in 0..PEERS {
+        mon.watch(ProcessId::new(id)).unwrap();
+    }
+    // Two empty ticks use up the full publishes the watches asked for.
+    clock.set(ts(0.5));
+    mon.tick().unwrap();
+    mon.tick().unwrap();
+    let mut last_seq = [0u64; PEERS as usize];
+    for step in 1..=90u64 {
+        clock.set(ts(1.0 + 0.37 * step as f64));
+        // Peer `id` sends on every (2 + id % 5)-th step, so each tick a
+        // different handful arrives and most rows are left alone; every
+        // seventh tick nothing arrives at all.
+        if step % 7 != 0 {
+            for id in (0..PEERS).filter(|id| step % u64::from(2 + id % 5) == 0) {
+                tx.send(&frame(id, step)).unwrap();
+                last_seq[id as usize] = step;
+            }
+        }
+        mon.tick().unwrap();
+    }
+
+    let store: SharedSink = Arc::new(Mutex::new(MemSink::new()));
+    let mut ckpt = Checkpointer::new(Arc::clone(&store), CheckpointConfig::default());
+    mon.checkpoint(&mut ckpt).unwrap();
+    let restored = ckpt.restore(&clock).unwrap();
+    assert_eq!(restored.segments_rejected, 0);
+    assert_eq!(restored.peers.len(), PEERS as usize);
+    for peer in &restored.peers {
+        let seq = last_seq[peer.process.as_u32() as usize];
+        assert_eq!(peer.highest_seq, Some(seq), "{:?}", peer.process);
+    }
+
+    clock.set(ts(36.0));
+    let (mut tx2, rx2) = ChannelTransport::pair();
+    let mut fresh = phi_monitor(rx2, &clock, 2);
+    assert_eq!(fresh.restore(&restored.peers).seeded, u64::from(PEERS));
+    for id in 0..PEERS {
+        let p = ProcessId::new(id);
+        let (a, b) = (
+            mon.level(p).unwrap().value(),
+            fresh.level(p).unwrap().value(),
+        );
+        assert!((a - b).abs() < 1e-9, "peer {id}: {a} vs restored {b}");
+    }
+    // Replays of each peer's newest frame stay rejected after the restore.
+    for id in 0..PEERS {
+        tx2.send(&frame(id, last_seq[id as usize])).unwrap();
+    }
+    assert_eq!(fresh.tick().unwrap().accepted, 0);
+    assert_eq!(fresh.stats().totals.duplicate, u64::from(PEERS));
+}
+
 fn heartbeat_times(gaps: &[f64]) -> Vec<Timestamp> {
     let mut t = 1.0;
     let mut out = vec![ts(t)];

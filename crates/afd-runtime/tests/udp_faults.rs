@@ -14,6 +14,7 @@ use std::time::{Duration as StdDuration, Instant};
 use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::simple::SimpleAccrual;
+use afd_runtime::wire::MIN_FRAME;
 use afd_runtime::{
     FrameBatch, Heartbeat, MonitorStats, SenderConfig, SenderCore, ShardConfig, ShardedMonitor,
     Transport, UdpLane, VirtualClock, WireVersion, MAX_DATAGRAM,
@@ -72,6 +73,7 @@ where
 #[test]
 fn corrupt_duplicate_and_reordered_datagrams_are_classified() {
     let (mut tx, rx) = loopback_link();
+    let rx_stats = rx.stats();
     let clock = VirtualClock::new();
     clock.set(Timestamp::from_secs(1));
     let mut monitor =
@@ -81,7 +83,9 @@ fn corrupt_duplicate_and_reordered_datagrams_are_classified() {
 
     // In-order, then a datagram whose payload byte was flipped in
     // flight (checksum breaks), then a reordering (3 before 2), then an
-    // exact duplicate of the freshest frame.
+    // exact duplicate of the freshest frame; last, garbage of the
+    // shortest length a frame can have (the decoder's to reject) and one
+    // byte shorter (a runt: the lane drops it before any decode).
     tx.send(&frame(1, 1)).expect("send seq 1");
     let mut corrupt = frame(1, 9);
     corrupt[20] ^= 0xFF;
@@ -89,12 +93,22 @@ fn corrupt_duplicate_and_reordered_datagrams_are_classified() {
     tx.send(&frame(1, 3)).expect("send seq 3");
     tx.send(&frame(1, 2)).expect("send stale seq 2");
     tx.send(&frame(1, 3)).expect("send duplicate seq 3");
+    tx.send(&[0xEE; MIN_FRAME]).expect("send shortest garbage");
+    tx.send(&[0xEE; MIN_FRAME - 1]).expect("send runt");
 
     let stats = settle(&mut monitor, |s| {
-        s.accepted + s.corrupt + s.stale + s.duplicate >= 5
+        s.accepted + s.corrupt + s.stale + s.duplicate >= 6 && rx_stats.short_dropped() >= 1
     });
     assert_eq!(stats.accepted, 2, "seq 1 and seq 3: {stats:?}");
-    assert_eq!(stats.corrupt, 1, "{stats:?}");
+    assert_eq!(
+        stats.corrupt, 2,
+        "flipped frame and shortest garbage: {stats:?}"
+    );
+    assert_eq!(
+        rx_stats.short_dropped(),
+        1,
+        "the runt never reached the decoder"
+    );
     assert_eq!(stats.stale, 1, "reordered seq 2: {stats:?}");
     assert_eq!(stats.duplicate, 1, "redelivered seq 3: {stats:?}");
     assert_eq!(stats.unwatched, 0, "{stats:?}");

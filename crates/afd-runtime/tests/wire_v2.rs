@@ -8,6 +8,7 @@
 use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::simple::SimpleAccrual;
+use afd_runtime::wire::MIN_FRAME;
 use afd_runtime::{
     ChannelTransport, DeltaEncoder, FrameBatch, Heartbeat, SenderConfig, SenderCore, ShardConfig,
     ShardedMonitor, VirtualClock, WireDecoder, WireError, WireVersion, FRAME_LEN, INTERN_LEN,
@@ -67,10 +68,43 @@ proptest! {
             let hb = heartbeat(sender, seq, step.jitter_nanos);
             let n = enc.encode(&hb, &mut buf);
             prop_assert!(n > 0, "encoder refused a well-formed heartbeat");
-            prop_assert!(n <= MAX_V2_FRAME);
+            // A frame is the 40-byte intern frame or a delta that its
+            // length alone tells apart from one.
+            prop_assert!(n == INTERN_LEN || (MIN_FRAME..=33).contains(&n), "{} bytes", n);
             let got = dec.decode(&buf[..n]);
             prop_assert_eq!(got, Ok(hb));
         }
+    }
+
+    /// The seq delta rides the tag byte below 127 and a varint of its
+    /// own from there on: both sides of that edge and of every varint
+    /// width, under any residual, decode back exactly.
+    #[test]
+    fn v2_roundtrips_across_the_seq_delta_escape(
+        which in 0usize..6,
+        ckpt_seq in 0u64..1_000,
+        jitter_nanos in -10_000_000i64..10_000_000,
+    ) {
+        let seq_delta = [1, 126, 127, 128, 1 << 14, u64::from(u32::MAX)][which];
+        let sender = ProcessId::new(42);
+        let mut enc = DeltaEncoder::new(
+            sender,
+            sender.as_u32(),
+            std::time::Duration::from_nanos(INTERVAL_NANOS),
+            u32::MAX,
+        );
+        let mut dec = WireDecoder::new();
+        let mut buf = [0u8; MAX_V2_FRAME];
+        let ckpt = heartbeat(sender, ckpt_seq, 0);
+        let n = enc.encode(&ckpt, &mut buf);
+        prop_assert_eq!(n, INTERN_LEN);
+        prop_assert_eq!(dec.decode(&buf[..n]), Ok(ckpt));
+        let hb = heartbeat(sender, ckpt_seq + seq_delta, jitter_nanos);
+        let n = enc.encode(&hb, &mut buf);
+        prop_assert!((MIN_FRAME..=33).contains(&n), "{} bytes", n);
+        prop_assert_eq!(buf[0] & 0x80, 0x80, "a delta's tag has the high bit set");
+        prop_assert_eq!(buf[0] & 0x7f == 0x7f, seq_delta >= 127);
+        prop_assert_eq!(dec.decode(&buf[..n]), Ok(hb));
     }
 
     /// Slot-reuse regression: after a long frame occupied an intake
