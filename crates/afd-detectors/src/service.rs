@@ -125,19 +125,6 @@ where
             .map(|d| d.suspicion_level(now))
     }
 
-    /// Visits every watched detector mutably, in id order.
-    ///
-    /// This is the allocation-free sibling of [`Self::snapshot`]: callers
-    /// that need more than the suspicion level per peer (e.g. a
-    /// checkpointer capturing each detector's durable seed alongside its
-    /// level) fold into their own reusable buffers instead of receiving a
-    /// fresh `Vec`.
-    pub fn for_each_mut(&mut self, mut visit: impl FnMut(ProcessId, &mut D)) {
-        for (&p, d) in self.detectors.iter_mut() {
-            visit(p, d);
-        }
-    }
-
     /// The full accrual output `H(q, now)`: every watched process and its
     /// current suspicion level, in id order.
     pub fn snapshot(&mut self, now: Timestamp) -> Vec<(ProcessId, SuspicionLevel)> {

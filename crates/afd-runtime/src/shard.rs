@@ -10,7 +10,8 @@
 //!    its shard by [`shard_index`];
 //! 2. **stamp**: the *executor* attaches the arrival time — the stage
 //!    takes the stamp from its caller and picks no policy;
-//! 3. **accept** ([`Shard::accept`]): serial-number freshness, then the
+//! 3. **accept** ([`Shard::accept`]): one probe of the shard's id→slot
+//!    index finds the peer's entry; serial-number freshness, then the
 //!    watch check, then the detector update;
 //! 4. **publish** ([`Shard::publish`]): each shard's suspicion levels and
 //!    durable rows go into a double-buffered epoch snapshot that
@@ -34,36 +35,63 @@
 //!   batch, and hand heartbeats over SPSC rings to one worker thread per
 //!   shard that runs stages 3–4.
 //!
+//! # Stable slots
+//!
+//! A watched peer lives in one *slot* of its shard's slab from `watch`
+//! to `unwatch`, and the slot's position is the peer's row in both
+//! snapshot banks. An `unwatch` vacates the slot and the next `watch`
+//! reuses the most recently vacated one, so a membership change touches
+//! one slot and no other peer's row ever moves. Each [`ShardCell`]
+//! carries one open-addressed id→slot table ([`SlotIndex`]) that the
+//! three layers share: accept probes it to find the entry, publish walks
+//! the slab it indexes, a reader probes it to find the row.
+//!
 //! # Epoch snapshots
 //!
-//! Each shard owns a [`ShardCell`]: two banks of atomics (peer ids and
-//! suspicion levels as `f64` bits) plus a `front` selector. The
-//! publishing thread fills the *back* bank under a seqlock word (odd
-//! while writing), then flips `front`. Readers load `front`, verify the
-//! seqlock word is even and unchanged around their reads, and retry on a
-//! straddle. The writer is wait-free (it never observes readers);
-//! readers are obstruction-free (they retry only if a publish overlaps
-//! their read). Everything is plain atomics — no locks, no unsafe code.
+//! Each shard owns a [`ShardCell`]: two banks of atomics (one row per
+//! slot: peer id, suspicion level as `f64` bits, durable words) plus a
+//! `front` selector. The publishing thread fills the *back* bank under a
+//! seqlock word (odd while writing), then flips `front`. Readers load
+//! `front`, verify the seqlock word is even and unchanged around their
+//! reads, and retry on a straddle. The writer is wait-free (it never
+//! observes readers); readers are obstruction-free (they retry only if a
+//! publish overlaps their read). Everything is plain atomics — no locks,
+//! no unsafe code.
+//!
+//! A point read ([`SnapshotReader::level`]) takes two steps. It probes
+//! the index for the peer's slot — under the index's own seqlock word,
+//! because an `unwatch` closes the gap it leaves by moving later entries
+//! of the probe sequence back, and a reader that raced the move could
+//! otherwise walk past a key that is there; it retries instead. Then,
+//! under the front bank's seqlock, it checks that the row *holds that
+//! peer's id* before it takes the level. The index says where a peer
+//! lives now and the bank what was there at the last publish, and the id
+//! check is what reconciles the two: a slot that changed hands since the
+//! publish answers `None`, never the previous tenant's level. So a peer
+//! that is watched but not yet published reads `None`, an unwatched peer
+//! reads `None` from the `unwatch` on (its row leaves
+//! [`SnapshotReader::snapshot`] at the next publish), and a peer that
+//! stays watched never does.
 //!
 //! # What a publish writes
 //!
 //! A peer's row is its id, its suspicion level and seven durable words
 //! (detector seed, sequence watermark) for the checkpointer. The level is
 //! a function of the query time, so every publish re-evaluates and stores
-//! it for every peer. The durable words change only when an arrival is
-//! accepted, a peer is imported, or a caller borrows the detector
-//! mutably — so each such change marks the peer for the next *two*
-//! publishes, one into each bank: the back bank missed the previous
-//! publish, and what an incremental publish writes is therefore the union
-//! of this and the previous publish's changed peers. For everyone else
-//! the bank still holds, from two publishes ago, exactly the row a
-//! rewrite would produce, and `save_seed`, the watermark lookup and the
-//! seven stores are skipped. A peer's slot is its rank by id, so `watch`
-//! and `unwatch` (and an import that watches) move every later slot: they
-//! make the next two publishes rewrite every row. The seqlock and the
-//! bank flip are per bank, as before; a reader cannot tell an incremental
-//! publish from a full one (the `incremental_publish` proptest holds the
-//! front bank to a full recomputation, bit for bit).
+//! it for every live slot. The id and the durable words change only when
+//! the slot changes hands, an arrival is accepted, a peer is imported, or
+//! a caller borrows the detector mutably — so each such change marks
+//! *that slot* for the next two publishes, one into each bank: the back
+//! bank missed the previous publish, and what a publish writes is
+//! therefore the union of this and the previous publish's changed slots.
+//! For every other slot the bank still holds, from two publishes ago,
+//! exactly the row a rewrite would produce, and `save_seed` and the eight
+//! stores are skipped. A vacated slot writes [`VACANT`] — an id outside
+//! the `u32` id space — once per bank and then costs one branch per
+//! publish; `read_all`/`read_durable` skip such rows. Nothing makes a
+//! publish rewrite every row: the `incremental_publish` proptest holds
+//! the front bank to a full recomputation, bit for bit, through slot
+//! reuse, and checks that a `watch` or `unwatch` marks one slot.
 //!
 //! Published levels are as of the last publish, so a reader's view lags
 //! real time by at most one tick interval; callers that need exact-`now`
@@ -72,6 +100,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -79,7 +108,6 @@ use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
-use afd_detectors::service::MonitoringService;
 
 use crate::clock::Clock;
 use crate::error::TransportError;
@@ -94,13 +122,16 @@ const INTAKE_BATCH_SLOTS: usize = 512;
 
 pub(crate) type DetectorFactory<D> = Box<dyn FnMut(ProcessId) -> D + Send>;
 
+/// 2⁶⁴/φ, the multiplier of a Fibonacci hash.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Fibonacci-hashes a process id onto a shard index. A multiplicative
 /// hash (rather than `id % shards`) keeps sequentially assigned ids from
 /// striding into the same shard when the shard count shares a factor
 /// with the id allocation pattern.
 #[inline]
 pub(crate) fn shard_index(process: ProcessId, shards: usize) -> usize {
-    let h = u64::from(process.as_u32()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let h = u64::from(process.as_u32()).wrapping_mul(FIBONACCI);
     ((h >> 32) as usize) % shards.max(1)
 }
 
@@ -355,17 +386,60 @@ impl DurableBank {
     }
 }
 
-/// One bank of a [`ShardCell`]: a published (peer, level) table plus the
-/// seqlock word guarding it.
+/// A sequence lock over plain atomics: its one writer holds the word odd
+/// while it stores, and a read that saw the word odd, or changed, is
+/// discarded.
+struct SeqLock(AtomicU64);
+
+impl SeqLock {
+    fn new() -> Self {
+        SeqLock(AtomicU64::new(0))
+    }
+
+    /// Runs the single writer's `stores` with the word odd.
+    fn write<R>(&self, stores: impl FnOnce() -> R) -> R {
+        // Enter: mark odd, then fence so the stores cannot be observed
+        // before the mark. Plain stores suffice — there is one writer.
+        // `| 1` rather than `+ 1`: `stores` that unwound (a detector
+        // panicked) left the word odd, and the next write must not flip
+        // it to even while it stores.
+        let writing = self.0.load(Ordering::Relaxed) | 1;
+        self.0.store(writing, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let out = stores();
+        // Exit (even again): release-orders every store before the mark
+        // readers synchronize with.
+        self.0.store(writing.wrapping_add(1), Ordering::Release);
+        out
+    }
+
+    /// One read attempt: what `loads` returned, or `None` if a write
+    /// overlapped it.
+    fn try_read<R>(&self, loads: impl FnOnce() -> R) -> Option<R> {
+        let before = self.0.load(Ordering::Acquire);
+        if before & 1 == 1 {
+            return None;
+        }
+        let out = loads();
+        // Acquire fence keeps the loads above the re-check.
+        fence(Ordering::Acquire);
+        (self.0.load(Ordering::Relaxed) == before).then_some(out)
+    }
+}
+
+/// The id a vacated row holds: outside the `u32` id space, so no lookup
+/// matches it and the copying reads skip it.
+const VACANT: u64 = u64::MAX;
+
+/// One bank of a [`ShardCell`]: one published row per slab slot plus the
+/// seqlock word guarding them.
 struct Bank {
-    /// Seqlock: odd while the writer fills this bank.
-    wseq: AtomicU64,
-    /// Number of live slots.
+    seq: SeqLock,
+    /// Rows in use: the slab's length at the publish.
     len: AtomicUsize,
     /// Publish timestamp, in nanoseconds.
     published_at: AtomicU64,
-    /// Peer ids, ascending (service snapshots iterate a `BTreeMap`), so
-    /// readers can binary-search.
+    /// Peer ids by slot, [`VACANT`] where the slot is empty.
     peers: Vec<AtomicU64>,
     /// Suspicion levels as `f64` bit patterns, parallel to `peers`.
     levels: Vec<AtomicU64>,
@@ -376,33 +450,154 @@ struct Bank {
 impl Bank {
     fn new(slots: usize) -> Self {
         Bank {
-            wseq: AtomicU64::new(0),
+            seq: SeqLock::new(),
             len: AtomicUsize::new(0),
             published_at: AtomicU64::new(0),
-            peers: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            peers: (0..slots).map(|_| AtomicU64::new(VACANT)).collect(),
             levels: (0..slots).map(|_| AtomicU64::new(0)).collect(),
             durable: DurableBank::new(slots),
         }
-    }
-
-    /// Plain store of row `i`'s id and level; callers hold the seqlock odd.
-    fn store_level(&self, i: usize, peer: ProcessId, level: SuspicionLevel) {
-        self.peers[i].store(u64::from(peer.as_u32()), Ordering::Relaxed);
-        self.levels[i].store(level.value().to_bits(), Ordering::Relaxed);
     }
 
     /// The epoch this bank was published at; callers re-verify the seqlock.
     fn published_at(&self) -> Timestamp {
         Timestamp::from_nanos(self.published_at.load(Ordering::Relaxed))
     }
+
+    /// The live rows among the first `len`: slot, peer and level. Callers
+    /// re-verify the seqlock.
+    fn live_rows(
+        &self,
+        len: usize,
+    ) -> impl Iterator<Item = (usize, ProcessId, SuspicionLevel)> + '_ {
+        let rows = self.peers.iter().zip(&self.levels).take(len).enumerate();
+        rows.filter_map(|(slot, (peer, level))| {
+            let id = u32::try_from(peer.load(Ordering::Relaxed)).ok()?;
+            let level = f64::from_bits(level.load(Ordering::Relaxed));
+            Some((slot, ProcessId::new(id), SuspicionLevel::clamped(level)))
+        })
+    }
 }
 
-/// A double-buffered epoch snapshot: the tick writer publishes into the
-/// back bank and flips `front`; readers verify the seqlock around their
-/// reads and retry on a straddle.
+/// The id→slot table of one shard: open addressing with linear probing
+/// over plain atomics, at most half full. The accept stage, the
+/// membership operations and the readers all find a peer's slot with the
+/// same [`lookup`](Self::lookup).
+///
+/// The shard's thread is the only writer. It mutates under a seqlock
+/// word of the table's own — a removal moves later entries of the probe
+/// sequence back to close the gap, and a reader that overlapped the move
+/// retries instead of missing a key that is there.
+struct SlotIndex {
+    seq: SeqLock,
+    /// `id << 32 | slot + 1`; zero is an empty entry. The length is a
+    /// power of two.
+    entries: Vec<AtomicU64>,
+    /// `64 − log2(entries.len())`: a home bucket is the *top* bits of the
+    /// Fibonacci product. [`shard_index`] consumed its bits 32 and up, so
+    /// every id of a shard agrees on those, and a table that reused them
+    /// would crowd the shard's peers into a fraction of its buckets.
+    shift: u32,
+}
+
+impl SlotIndex {
+    /// A table for up to `slots` peers: at least twice as many entries.
+    fn new(slots: usize) -> Self {
+        debug_assert!(
+            slots < u32::MAX as usize,
+            "an entry packs slot + 1 into 32 bits"
+        );
+        let len = (2 * slots).next_power_of_two().max(2);
+        SlotIndex {
+            seq: SeqLock::new(),
+            entries: (0..len).map(|_| AtomicU64::new(0)).collect(),
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    fn home(&self, id: u64) -> usize {
+        (id.wrapping_mul(FIBONACCI) >> self.shift) as usize
+    }
+
+    /// Walks `id`'s probe sequence to its entry (`Ok`: position and slot)
+    /// or to the first empty entry (`Err`: its position). The walk is
+    /// bounded by the table so a reader racing the writer cannot spin on
+    /// entries that keep moving under it; its seqlock discards the result.
+    fn probe(&self, id: u64) -> Result<(usize, usize), usize> {
+        let mask = self.entries.len() - 1;
+        let mut at = self.home(id);
+        for _ in 0..=mask {
+            let entry = self.entries[at].load(Ordering::Relaxed);
+            if entry == 0 {
+                break;
+            }
+            if entry >> 32 == id {
+                return Ok((at, (entry as u32 - 1) as usize));
+            }
+            at = (at + 1) & mask;
+        }
+        Err(at)
+    }
+
+    /// The slot `process` lives in, if it is watched.
+    #[inline]
+    fn lookup(&self, process: ProcessId) -> Option<usize> {
+        let id = u64::from(process.as_u32());
+        loop {
+            if let Some(found) = self.seq.try_read(|| self.probe(id)) {
+                return found.ok().map(|(_, slot)| slot);
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Maps `process`, which must not be in the table, to `slot`. The
+    /// table has an empty entry for it: it holds one entry per live slot
+    /// and is twice the slab's capacity.
+    fn insert(&self, process: ProcessId, slot: usize) {
+        let id = u64::from(process.as_u32());
+        self.seq.write(|| {
+            if let Err(at) = self.probe(id) {
+                self.entries[at].store(id << 32 | (slot as u64 + 1), Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// Unmaps `process`, returning the slot it lived in.
+    fn remove(&self, process: ProcessId) -> Option<usize> {
+        let (at, slot) = self.probe(u64::from(process.as_u32())).ok()?;
+        let mask = self.entries.len() - 1;
+        self.seq.write(|| {
+            // Backward-shift delete: an entry further along the run may
+            // fill the hole iff its home bucket is not past the hole —
+            // otherwise a probe for it would stop at the hole.
+            let mut hole = at;
+            let mut next = (at + 1) & mask;
+            loop {
+                let entry = self.entries[next].load(Ordering::Relaxed);
+                if entry == 0 {
+                    break;
+                }
+                let from_home = next.wrapping_sub(self.home(entry >> 32)) & mask;
+                if from_home >= (next.wrapping_sub(hole) & mask) {
+                    self.entries[hole].store(entry, Ordering::Relaxed);
+                    hole = next;
+                }
+                next = (next + 1) & mask;
+            }
+            self.entries[hole].store(0, Ordering::Relaxed);
+        });
+        Some(slot)
+    }
+}
+
+/// A double-buffered epoch snapshot plus the index into it: the shard's
+/// thread publishes into the back bank and flips `front`; readers verify
+/// the seqlock around their reads and retry on a straddle.
 pub(crate) struct ShardCell {
     front: AtomicUsize,
     banks: [Bank; 2],
+    slot_of: SlotIndex,
 }
 
 impl ShardCell {
@@ -410,36 +605,28 @@ impl ShardCell {
         ShardCell {
             front: AtomicUsize::new(0),
             banks: [Bank::new(slots), Bank::new(slots)],
+            slot_of: SlotIndex::new(slots),
         }
     }
 
-    /// Peers one bank can hold — the shard's watch capacity.
+    /// Rows one bank can hold — the shard's watch capacity.
     fn slots(&self) -> usize {
         self.banks[0].peers.len()
     }
 
     /// Publishes a new front bank: `fill` writes rows straight into the
-    /// back bank (ascending by id) and returns how many are live. Rows it
-    /// leaves alone keep what the previous publish *into this bank* — two
-    /// publishes ago — wrote there. Single writer: the thread that owns
-    /// the [`Shard`].
+    /// back bank and returns how many are in use. Rows it leaves alone
+    /// keep what the previous publish *into this bank* — two publishes
+    /// ago — wrote there. Single writer: the thread that owns the
+    /// [`Shard`].
     fn publish(&self, at: Timestamp, fill: impl FnOnce(&Bank) -> usize) {
         let back = (self.front.load(Ordering::Relaxed) & 1) ^ 1;
         let bank = &self.banks[back];
-        // Seqlock enter: mark odd, then fence so slot writes cannot be
-        // observed before the mark. Plain stores suffice — the tick
-        // writer is the only writer. `| 1` rather than `+ 1`: a `fill`
-        // that unwound (a detector panicked) left the word odd, and the
-        // next publish must not flip it to even while it writes.
-        let writing = bank.wseq.load(Ordering::Relaxed) | 1;
-        bank.wseq.store(writing, Ordering::Relaxed);
-        fence(Ordering::Release);
-        let n = fill(bank).min(bank.peers.len());
-        bank.len.store(n, Ordering::Relaxed);
-        bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
-        // Seqlock exit (even again): release-orders every slot write
-        // before the mark readers synchronize with.
-        bank.wseq.store(writing.wrapping_add(1), Ordering::Release);
+        bank.seq.write(|| {
+            let n = fill(bank).min(bank.peers.len());
+            bank.len.store(n, Ordering::Relaxed);
+            bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
+        });
         self.front.store(back, Ordering::Release);
     }
 
@@ -447,40 +634,26 @@ impl ShardCell {
     /// publish straddles the attempt.
     fn with_consistent<R>(&self, mut read: impl FnMut(&Bank, usize) -> R) -> R {
         loop {
-            let f = self.front.load(Ordering::Acquire) & 1;
-            let bank = &self.banks[f];
-            let s1 = bank.wseq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let len = bank.len.load(Ordering::Relaxed).min(bank.peers.len());
-            let out = read(bank, len);
-            // Acquire fence keeps the slot loads above the re-check.
-            fence(Ordering::Acquire);
-            if bank.wseq.load(Ordering::Relaxed) == s1 {
+            let bank = &self.banks[self.front.load(Ordering::Acquire) & 1];
+            let attempt = bank.seq.try_read(|| {
+                let len = bank.len.load(Ordering::Relaxed).min(bank.peers.len());
+                read(bank, len)
+            });
+            if let Some(out) = attempt {
                 return out;
             }
             std::hint::spin_loop();
         }
     }
 
-    /// Binary-searches the published table for `process`.
+    /// The published level of `process`: the index names its slot, and
+    /// the row answers only if the last publish wrote it for this peer.
     fn lookup(&self, process: ProcessId) -> Option<SuspicionLevel> {
-        let target = u64::from(process.as_u32());
+        let slot = self.slot_of.lookup(process)?;
+        let id = u64::from(process.as_u32());
         self.with_consistent(|bank, len| {
-            let mut lo = 0usize;
-            let mut hi = len;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if bank.peers[mid].load(Ordering::Relaxed) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            if lo < len && bank.peers[lo].load(Ordering::Relaxed) == target {
-                let bits = bank.levels[lo].load(Ordering::Relaxed);
+            if slot < len && bank.peers[slot].load(Ordering::Relaxed) == id {
+                let bits = bank.levels[slot].load(Ordering::Relaxed);
                 Some(SuspicionLevel::clamped(f64::from_bits(bits)))
             } else {
                 None
@@ -488,30 +661,26 @@ impl ShardCell {
         })
     }
 
-    /// Copies the whole published table (ascending by id).
+    /// Copies every published live row's peer and level, in slot order.
     fn read_all(&self, out: &mut Vec<(ProcessId, SuspicionLevel)>) -> Timestamp {
         self.with_consistent(|bank, len| {
             out.clear();
-            for (slot_p, slot_l) in bank.peers.iter().zip(&bank.levels).take(len) {
-                let p = ProcessId::new(slot_p.load(Ordering::Relaxed) as u32);
-                let lvl = SuspicionLevel::clamped(f64::from_bits(slot_l.load(Ordering::Relaxed)));
-                out.push((p, lvl));
-            }
+            out.extend(bank.live_rows(len).map(|(_, p, level)| (p, level)));
             bank.published_at()
         })
     }
 
-    /// Copies the whole published durable table (ascending by id),
+    /// Copies every published live row's durable record, in slot order,
     /// returning the epoch it was published at. Consistency comes from
     /// the same seqlock as [`read_all`](Self::read_all): the records are
     /// exactly those of one publish, never a mix of two epochs.
     pub(crate) fn read_durable(&self, out: &mut Vec<(ProcessId, PeerDurable)>) -> Timestamp {
         self.with_consistent(|bank, len| {
             out.clear();
-            for (i, slot_p) in bank.peers.iter().take(len).enumerate() {
-                let p = ProcessId::new(slot_p.load(Ordering::Relaxed) as u32);
-                out.push((p, bank.durable.load(i)));
-            }
+            out.extend(
+                bank.live_rows(len)
+                    .map(|(slot, p, _)| (p, bank.durable.load(slot))),
+            );
             bank.published_at()
         })
     }
@@ -521,18 +690,14 @@ impl ShardCell {
         self.with_consistent(|bank, _| bank.published_at())
     }
 
-    /// The epoch plus level and durable record of every row, all from one
-    /// consistent read.
+    /// The epoch plus level and durable record of every live row, all
+    /// from one consistent read.
     #[cfg(test)]
     fn read_rows(&self) -> (Timestamp, Vec<(ProcessId, SuspicionLevel, PeerDurable)>) {
         self.with_consistent(|bank, len| {
-            let rows = (0..len)
-                .map(|i| {
-                    let p = ProcessId::new(bank.peers[i].load(Ordering::Relaxed) as u32);
-                    let bits = bank.levels[i].load(Ordering::Relaxed);
-                    let level = SuspicionLevel::clamped(f64::from_bits(bits));
-                    (p, level, bank.durable.load(i))
-                })
+            let rows = bank
+                .live_rows(len)
+                .map(|(slot, p, level)| (p, level, bank.durable.load(slot)))
                 .collect();
             (bank.published_at(), rows)
         })
@@ -544,7 +709,7 @@ impl ShardCell {
 /// Readers never block the tick writer and never take a lock; each read
 /// retries only if it overlaps a publish of the same shard (two flips in
 /// one read — the writer alternates banks, so a single publish never
-/// invalidates the bank a reader is on).
+/// invalidates the bank a reader is on) or an `unwatch` in it.
 #[derive(Clone)]
 pub struct SnapshotReader {
     cells: Arc<Vec<Arc<ShardCell>>>,
@@ -567,7 +732,13 @@ impl SnapshotReader {
     }
 
     /// The published suspicion level of `process`, as of that shard's
-    /// last tick (`None` if unwatched at publish time).
+    /// last tick: O(1), one index probe and one row.
+    ///
+    /// `None` for a process that is not watched — from the `unwatch` on,
+    /// not from the next publish — and for one watched since the last
+    /// publish, whose row does not exist yet. A process that stays
+    /// watched never reads `None` once published, whatever is watched or
+    /// unwatched around it.
     pub fn level(&self, process: ProcessId) -> Option<SuspicionLevel> {
         let idx = shard_index(process, self.cells.len());
         self.cells.get(idx)?.lookup(process)
@@ -603,7 +774,10 @@ impl SnapshotReader {
     }
 
     /// Copies shard `shard`'s published durable table into `out`,
-    /// returning its publish epoch (`None` for an out-of-range shard).
+    /// ascending by id, returning its publish epoch (`None` for an
+    /// out-of-range shard). Sorted because rows sit in slot order, which
+    /// records the watch/unwatch history; a checkpoint's bytes are a
+    /// function of the state alone.
     ///
     /// This is the accessor the checkpointer dumps through: it reads only
     /// the double-buffered epoch banks, so the dump never touches
@@ -613,60 +787,66 @@ impl SnapshotReader {
         shard: usize,
         out: &mut Vec<(ProcessId, PeerDurable)>,
     ) -> Option<Timestamp> {
-        self.cells.get(shard).map(|cell| cell.read_durable(out))
+        let at = self.cells.get(shard)?.read_durable(out);
+        out.sort_unstable_by_key(|&(p, _)| p);
+        Some(at)
     }
-}
-
-/// One shard: a detector service plus its freshness state and counters.
-/// The only owner of the per-shard operations — both executors run this
-/// code, the inline one on the caller's thread and the threaded one on
-/// the shard's worker.
-pub(crate) struct Shard<D> {
-    index: usize,
-    service: MonitoringService<Tracked<D>, DetectorFactory<Tracked<D>>>,
-    highest_seq: BTreeMap<ProcessId, u64>,
-    stats: MonitorStats,
-    cell: Arc<ShardCell>,
-    /// Publishes still to come that must rewrite every durable row: set
-    /// to [`BANKS`] whenever the watch set changes, because a peer's slot
-    /// is its rank by id and every later slot moves in both banks.
-    full_publishes: u8,
 }
 
 /// Banks of a [`ShardCell`] — how many publishes it takes for a change to
 /// have been written everywhere a reader may later look.
 const BANKS: u8 = 2;
 
-/// A watched detector plus how many of the coming publishes must rewrite
-/// its durable row. A detector's seed and its sequence watermark change
-/// only where [`Shard::accept`], an import or a caller holding
-/// [`ShardedMonitor::detector_mut`] changes them, and each such change
-/// has to reach both banks: this publish writes one, the next the other.
-struct Tracked<D> {
-    detector: D,
+/// One slot of a shard's slab; its position is its row in both banks.
+///
+/// `stale_banks` counts the coming publishes that must rewrite the row's
+/// id and durable words. A detector's seed and its sequence watermark
+/// change only where [`Shard::accept`], an import or a caller holding
+/// [`ShardedMonitor::detector_mut`] changes them, and each such change —
+/// like the slot changing hands — has to reach both banks: this publish
+/// writes one, the next the other.
+enum Slot<D> {
+    Live(Watched<D>),
+    Vacant { stale_banks: u8 },
+}
+
+/// What a live slot holds: everything accept and publish need of a peer.
+struct Watched<D> {
+    id: ProcessId,
+    /// Highest heartbeat sequence accepted (Algorithm 4's freshness
+    /// state), carried over from [`Shard::retired`] on a re-watch.
+    highest_seq: Option<u64>,
     stale_banks: u8,
+    detector: D,
 }
 
-impl<D> Tracked<D> {
-    fn touched(&mut self) -> &mut D {
-        self.stale_banks = BANKS;
-        &mut self.detector
+impl<D> Slot<D> {
+    fn live(&mut self) -> Option<&mut Watched<D>> {
+        match self {
+            Slot::Live(watched) => Some(watched),
+            Slot::Vacant { .. } => None,
+        }
     }
 }
 
-impl<D: AccrualFailureDetector> AccrualFailureDetector for Tracked<D> {
-    fn record_heartbeat(&mut self, arrival: Timestamp) {
-        self.touched().record_heartbeat(arrival);
-    }
-    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        self.detector.suspicion_level(now)
-    }
-    fn save_seed(&self) -> Option<DetectorSeed> {
-        self.detector.save_seed()
-    }
-    fn restore_seed(&mut self, seed: &DetectorSeed) {
-        self.touched().restore_seed(seed);
-    }
+/// One shard: a slab of watched peers, the watermarks of unwatched ones
+/// and the outcome counters. The only owner of the per-shard operations —
+/// both executors run this code, the inline one on the caller's thread
+/// and the threaded one on the shard's worker.
+pub(crate) struct Shard<D> {
+    index: usize,
+    factory: DetectorFactory<D>,
+    /// Allocated to the cell's capacity once: `watch` never reallocates.
+    slab: Vec<Slot<D>>,
+    /// Vacant slots, most recently vacated last.
+    free: Vec<usize>,
+    /// Sequence watermarks of peers no longer watched, so that replays
+    /// stay rejected across unwatch → re-watch. Touched only by `watch`,
+    /// `unwatch` and frames from unwatched senders. Grows with the number
+    /// of distinct senders ever unwatched, which the system's `Π` bounds.
+    retired: BTreeMap<ProcessId, u64>,
+    stats: MonitorStats,
+    cell: Arc<ShardCell>,
 }
 
 /// Builds `shards` empty shards of `slots` peers each plus the epoch
@@ -683,20 +863,14 @@ pub(crate) fn build_shards<D: AccrualFailureDetector>(
     let shards = cells
         .iter()
         .enumerate()
-        .map(|(index, cell)| {
-            let mut factory = factory.clone();
-            let tracked: DetectorFactory<Tracked<D>> = Box::new(move |p| Tracked {
-                detector: factory(p),
-                stale_banks: BANKS,
-            });
-            Shard {
-                index,
-                service: MonitoringService::new(tracked),
-                highest_seq: BTreeMap::new(),
-                stats: MonitorStats::default(),
-                cell: Arc::clone(cell),
-                full_publishes: BANKS,
-            }
+        .map(|(index, cell)| Shard {
+            index,
+            factory: Box::new(factory.clone()),
+            slab: Vec::with_capacity(slots),
+            free: Vec::with_capacity(slots),
+            retired: BTreeMap::new(),
+            stats: MonitorStats::default(),
+            cell: Arc::clone(cell),
         })
         .collect();
     (Arc::new(cells), shards)
@@ -724,7 +898,8 @@ pub(crate) fn import_peers<D: AccrualFailureDetector>(
 
 impl<D: AccrualFailureDetector> Shard<D> {
     /// Starts monitoring `process`: `Ok(true)` if newly watched,
-    /// `Ok(false)` if already watched.
+    /// `Ok(false)` if already watched. The peer takes the most recently
+    /// vacated slot, or the next unused one.
     ///
     /// # Errors
     ///
@@ -732,30 +907,58 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// banks are fixed-size atomic arrays shared with readers and cannot
     /// grow.
     pub(crate) fn watch(&mut self, process: ProcessId) -> Result<bool, ShardCapacityError> {
+        if self.cell.slot_of.lookup(process).is_some() {
+            return Ok(false);
+        }
         let capacity = self.cell.slots();
-        if !self.service.is_watching(process) && self.service.len() >= capacity {
+        if self.len() >= capacity {
             return Err(ShardCapacityError {
                 shard: self.index,
                 capacity,
             });
         }
-        let newly = self.service.watch(process);
-        if newly {
-            self.full_publishes = BANKS;
-        }
-        Ok(newly)
+        let live = Slot::Live(Watched {
+            id: process,
+            highest_seq: self.retired.remove(&process),
+            stale_banks: BANKS,
+            detector: (self.factory)(process),
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = live;
+                slot
+            }
+            None => {
+                self.slab.push(live);
+                self.slab.len() - 1
+            }
+        };
+        self.cell.slot_of.insert(process, slot);
+        Ok(true)
     }
 
-    /// Stops monitoring `process`. The highest sequence number seen from
-    /// it is deliberately retained: if the process is watched again
-    /// later, replayed frames from before the unwatch are still rejected
-    /// instead of being accepted as fresh. The map grows with the number
-    /// of distinct senders ever seen, which is bounded by the system's
-    /// `Π`.
+    /// Stops monitoring `process` and vacates its slot. The highest
+    /// sequence number seen from it is deliberately retained (in
+    /// `retired`): if the process is watched again later, replayed frames
+    /// from before the unwatch are still rejected instead of being
+    /// accepted as fresh.
     pub(crate) fn unwatch(&mut self, process: ProcessId) -> Option<D> {
-        let tracked = self.service.unwatch(process)?;
-        self.full_publishes = BANKS;
-        Some(tracked.detector)
+        let slot = self.cell.slot_of.remove(process)?;
+        let vacant = Slot::Vacant { stale_banks: BANKS };
+        let Slot::Live(watched) = mem::replace(&mut self.slab[slot], vacant) else {
+            return None;
+        };
+        if let Some(seq) = watched.highest_seq {
+            self.retired.insert(process, seq);
+        }
+        self.free.push(slot);
+        Some(watched.detector)
+    }
+
+    /// The entry of `process`, if it is watched: one index probe.
+    fn entry(&mut self, process: ProcessId) -> Option<&mut Watched<D>> {
+        let slot = self.cell.slot_of.lookup(process)?;
+        self.slab.get_mut(slot)?.live()
     }
 
     /// Re-watches one checkpointed peer, seeds its detector with the
@@ -768,28 +971,45 @@ impl<D: AccrualFailureDetector> Shard<D> {
             return;
         }
         import.watched += 1;
-        if let Some(seq) = peer.highest_seq {
-            self.highest_seq.insert(peer.process, seq);
-        }
-        // Taken even without a seed: the watermark above is part of the
+        let Some(watched) = self.entry(peer.process) else {
+            return;
+        };
+        // Marked even without a seed: the watermark is part of the
         // peer's durable row, and the peer may have been watched already.
-        if let Some(d) = self.detector_mut(peer.process) {
-            if let Some(seed) = &peer.seed {
-                d.restore_seed(seed);
-                import.seeded += 1;
-            }
+        watched.stale_banks = BANKS;
+        if peer.highest_seq.is_some() {
+            watched.highest_seq = peer.highest_seq;
+        }
+        if let Some(seed) = &peer.seed {
+            watched.detector.restore_seed(seed);
+            import.seeded += 1;
         }
     }
 
     /// Watched processes.
     pub(crate) fn len(&self) -> usize {
-        self.service.len()
+        self.slab.len() - self.free.len()
     }
 
     /// The detector for `process`, handed out for the caller to change:
     /// its durable row is rewritten by the next [`BANKS`] publishes.
     fn detector_mut(&mut self, process: ProcessId) -> Option<&mut D> {
-        self.service.detector_mut(process).map(Tracked::touched)
+        let watched = self.entry(process)?;
+        watched.stale_banks = BANKS;
+        Some(&mut watched.detector)
+    }
+
+    /// The exact-`now` level of `process`, straight from its detector.
+    fn level(&mut self, process: ProcessId, now: Timestamp) -> Option<SuspicionLevel> {
+        Some(self.entry(process)?.detector.suspicion_level(now))
+    }
+
+    /// Appends the exact-`now` level of every watched process, in slot
+    /// order.
+    fn levels(&mut self, now: Timestamp, out: &mut Vec<(ProcessId, SuspicionLevel)>) {
+        for watched in self.slab.iter_mut().filter_map(Slot::live) {
+            out.push((watched.id, watched.detector.suspicion_level(now)));
+        }
     }
 
     /// Accept-stage counters (`corrupt` is always 0: decoding fails
@@ -804,57 +1024,79 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// arithmetic ([`crate::seq`]): duplicates and reordered frames are
     /// dropped (and counted apart), while a sender whose counter wraps
     /// past `u64::MAX` keeps being accepted.
+    ///
+    /// One index probe finds a watched sender's entry, which holds its
+    /// watermark and its detector. A sender nobody watches is judged
+    /// against the watermark it retired with, if any, so a replay counts
+    /// as a replay whether or not its sender is watched right now; a
+    /// fresh frame from it counts `unwatched` and moves no watermark.
     pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
-        if let Some(&highest) = self.highest_seq.get(&hb.sender) {
-            match classify(hb.seq, highest) {
-                SeqVerdict::Fresh => {}
-                SeqVerdict::Duplicate => {
-                    self.stats.duplicate += 1;
-                    return false;
-                }
-                SeqVerdict::Stale => {
-                    self.stats.stale += 1;
-                    return false;
-                }
+        let slot = self.cell.slot_of.lookup(hb.sender);
+        let entry = slot.and_then(|slot| self.slab.get_mut(slot)?.live());
+        let watermark = match &entry {
+            Some(watched) => watched.highest_seq,
+            None => self.retired.get(&hb.sender).copied(),
+        };
+        match watermark.map(|highest| classify(hb.seq, highest)) {
+            None | Some(SeqVerdict::Fresh) => {}
+            Some(SeqVerdict::Duplicate) => {
+                self.stats.duplicate += 1;
+                return false;
+            }
+            Some(SeqVerdict::Stale) => {
+                self.stats.stale += 1;
+                return false;
             }
         }
-        if !self.service.heartbeat(hb.sender, now) {
+        let Some(watched) = entry else {
             self.stats.unwatched += 1;
             return false;
-        }
-        self.highest_seq.insert(hb.sender, hb.seq);
+        };
+        watched.detector.record_heartbeat(now);
+        watched.highest_seq = Some(hb.seq);
+        watched.stale_banks = BANKS;
         self.stats.accepted += 1;
         true
     }
 
     /// Publishes the shard's levels *and* durable rows into its epoch
-    /// cell. The durable rows ride the same seqlocked publish, so a
-    /// checkpointer reading the cell gets detector seeds and replay state
-    /// consistent with the published levels — without ever borrowing the
-    /// (worker-owned) detectors themselves.
+    /// cell: one walk of the slab. The durable rows ride the same
+    /// seqlocked publish, so a checkpointer reading the cell gets
+    /// detector seeds and replay state consistent with the published
+    /// levels — without ever borrowing the (worker-owned) detectors
+    /// themselves.
     ///
-    /// Every level is re-evaluated at `now` — it is a function of the
-    /// query time. A durable row is a function of the peer's arrivals
-    /// alone, so it is rewritten only while one of the two banks still
-    /// holds an older version of it ([`Tracked`]), or for every peer
-    /// while slots are moving (`full_publishes`).
+    /// Every live slot's level is re-evaluated at `now` — it is a
+    /// function of the query time. A row's id and durable words are a
+    /// function of who holds the slot and of that peer's arrivals, so
+    /// they are rewritten only while one of the two banks still holds an
+    /// older version of them ([`Slot`]).
     pub(crate) fn publish(&mut self, now: Timestamp) {
-        let full = self.full_publishes > 0;
-        self.full_publishes = self.full_publishes.saturating_sub(1);
-        let (service, highest) = (&mut self.service, &self.highest_seq);
+        let slab = &mut self.slab;
         self.cell.publish(now, |bank| {
-            let mut slot = 0usize;
-            service.for_each_mut(|p, tracked| {
-                bank.store_level(slot, p, tracked.detector.suspicion_level(now));
-                if full || tracked.stale_banks > 0 {
-                    tracked.stale_banks = tracked.stale_banks.saturating_sub(1);
-                    let seed = tracked.detector.save_seed();
-                    let row = PeerDurable::from_state(seed, highest.get(&p).copied());
-                    bank.durable.store(slot, &row);
+            let rows = bank.peers.iter().zip(&bank.levels);
+            for (row, (slot, (peer, level))) in slab.iter_mut().zip(rows).enumerate() {
+                match slot {
+                    Slot::Live(watched) => {
+                        let bits = watched.detector.suspicion_level(now).value().to_bits();
+                        level.store(bits, Ordering::Relaxed);
+                        if watched.stale_banks > 0 {
+                            watched.stale_banks -= 1;
+                            peer.store(u64::from(watched.id.as_u32()), Ordering::Relaxed);
+                            let seed = watched.detector.save_seed();
+                            let durable = PeerDurable::from_state(seed, watched.highest_seq);
+                            bank.durable.store(row, &durable);
+                        }
+                    }
+                    Slot::Vacant { stale_banks } => {
+                        if *stale_banks > 0 {
+                            *stale_banks -= 1;
+                            peer.store(VACANT, Ordering::Relaxed);
+                        }
+                    }
                 }
-                slot += 1;
-            });
-            slot
+            }
+            slab.len()
         });
     }
 }
@@ -1015,8 +1257,10 @@ where
     }
 
     /// Stops monitoring `process`. The highest sequence number seen from
-    /// it is retained so replays after a re-watch stay rejected. The
-    /// published entry disappears at the next tick.
+    /// it is retained so replays after a re-watch stay rejected. Readers'
+    /// [`level`](SnapshotReader::level) answers `None` from here on; the
+    /// published row leaves [`snapshot`](SnapshotReader::snapshot) at the
+    /// next tick.
     pub fn unwatch(&mut self, process: ProcessId) -> Option<D> {
         let idx = self.shard_of(process);
         self.shards[idx].unwatch(process)
@@ -1090,7 +1334,7 @@ where
     pub fn level(&mut self, process: ProcessId) -> Option<SuspicionLevel> {
         let now = self.clock.now();
         let idx = self.shard_of(process);
-        self.shards[idx].service.suspicion_level(process, now)
+        self.shards[idx].level(process, now)
     }
 
     /// The exact-`now` accrual snapshot of every watched process across
@@ -1100,21 +1344,23 @@ where
         // lint:allow(no-alloc-in-hot-path, owned-snapshot API; callers on the query path, not the intake path)
         let mut out = Vec::new();
         for shard in &mut self.shards {
-            out.extend(shard.service.snapshot(now));
+            shard.levels(now, &mut out);
         }
         out.sort_unstable_by_key(|&(p, _)| p);
         out
     }
 
-    /// The exact-`now` snapshot of one shard, for balance inspection and
-    /// the union property tests.
+    /// The exact-`now` snapshot of one shard, ascending by id, for
+    /// balance inspection and the union property tests.
     pub fn shard_snapshot(&mut self, shard: usize) -> Vec<(ProcessId, SuspicionLevel)> {
         let now = self.clock.now();
-        match self.shards.get_mut(shard) {
-            Some(s) => s.service.snapshot(now),
-            // lint:allow(no-alloc-in-hot-path, empty vec on the out-of-range query path)
-            None => Vec::new(),
+        // lint:allow(no-alloc-in-hot-path, owned-snapshot API; empty for an out-of-range shard)
+        let mut out = Vec::new();
+        if let Some(s) = self.shards.get_mut(shard) {
+            s.levels(now, &mut out);
+            out.sort_unstable_by_key(|&(p, _)| p);
         }
+        out
     }
 
     /// A cloneable lock-free reader over the published epoch snapshots.
@@ -1548,29 +1794,276 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_readers_never_observe_torn_snapshots() {
-        let (mut tx, mut mon, clock) = rig(ShardConfig {
-            shards: 2,
-            slots_per_shard: 32,
+    fn retired_watermark_judges_frames_and_returns_on_rewatch() {
+        let (mut tx, mut mon, clock) = rig(SINGLE);
+        let p = ProcessId::new(1);
+        mon.watch(p).unwrap();
+        clock.set(Timestamp::from_secs(1));
+        tx.send(&frame(1, 5)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 1);
+
+        // Nobody watches the sender, but what it replays is still a
+        // replay; a fresh frame is merely unwatched.
+        mon.unwatch(p);
+        tx.send(&frame(1, 5)).unwrap();
+        tx.send(&frame(1, 4)).unwrap();
+        tx.send(&frame(1, 9)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 0);
+        let s = mon.stats().totals;
+        assert_eq!((s.duplicate, s.stale, s.unwatched), (1, 1, 1));
+
+        // The watermark comes back as it was retired: the unwatched
+        // frame 9 did not advance it, so 7 is fresh, once.
+        mon.watch(p).unwrap();
+        tx.send(&frame(1, 7)).unwrap();
+        tx.send(&frame(1, 7)).unwrap();
+        tx.send(&frame(1, 5)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 1);
+        let s = mon.stats().totals;
+        assert_eq!(
+            (s.accepted, s.duplicate, s.stale, s.unwatched),
+            (2, 2, 2, 1)
+        );
+    }
+
+    #[test]
+    fn reader_answers_only_for_the_published_tenant_of_a_slot() {
+        let (mut tx, mut mon, clock) = rig(SINGLE);
+        let (a, b, c) = (ProcessId::new(1), ProcessId::new(2), ProcessId::new(3));
+        let reader = mon.reader();
+        mon.watch(a).unwrap();
+        mon.watch(b).unwrap();
+        // Watched but not yet published: no row to read.
+        assert_eq!(reader.level(a), None);
+        clock.set(Timestamp::from_secs(10));
+        tx.send(&frame(1, 1)).unwrap();
+        mon.tick().unwrap();
+        clock.set(Timestamp::from_secs(13));
+        mon.tick().unwrap();
+        assert_eq!(reader.level(a).unwrap().value(), 3.0);
+        assert_eq!(reader.level(b).unwrap().value(), 13.0);
+
+        // Unwatched: `level` says so at once, the table at the next tick.
+        mon.unwatch(a);
+        assert_eq!(reader.level(a), None);
+        assert_eq!(reader.snapshot().len(), 2);
+        // `c` takes over the slot `a` left; until a publish writes the
+        // row for `c` it still holds `a`'s level, and nobody gets it.
+        mon.watch(c).unwrap();
+        assert_eq!(mon.shards[0].slab.len(), 2, "slot reused");
+        assert_eq!(reader.level(c), None);
+        assert_eq!(reader.level(a), None);
+        assert_eq!(reader.level(b).unwrap().value(), 13.0);
+
+        mon.tick().unwrap();
+        assert_eq!(reader.level(c).unwrap().value(), 13.0);
+        assert_eq!(reader.level(a), None);
+        let ids: Vec<_> = reader.snapshot().iter().map(|r| r.0).collect();
+        assert_eq!(ids, [b, c]);
+
+        // A slot left empty drops out of the table and stays out.
+        mon.unwatch(b);
+        for _ in 0..3 {
+            mon.tick().unwrap();
+            assert_eq!(reader.snapshot().len(), 1);
+            assert_eq!(reader.level(b), None);
+        }
+    }
+
+    #[test]
+    fn sequential_ids_spread_over_the_slot_index() {
+        // The ledger's shape: ids 1..=4096 over four shards, tables a
+        // quarter full. Each shard's ids agree on the hash bits
+        // `shard_index` took; an index that reused those would have a
+        // quarter of its buckets for homes and leave one entry in three
+        // displaced. With bits of its own, one in sixty is.
+        let (_tx, mut mon, _clock) = rig(ShardConfig {
+            shards: 4,
+            slots_per_shard: 1040,
         });
-        let peers: Vec<u32> = (1..=16).collect();
-        for &id in &peers {
+        for id in 1..=4096 {
             mon.watch(ProcessId::new(id)).unwrap();
         }
-        let reader = mon.reader();
+        for shard in &mon.shards {
+            let index = &shard.cell.slot_of;
+            let mask = index.entries.len() - 1;
+            let displaced: Vec<usize> = (shard.slab.iter().enumerate())
+                .map(|(slot, entry)| {
+                    let Slot::Live(watched) = entry else {
+                        panic!("nothing was unwatched");
+                    };
+                    let id = u64::from(watched.id.as_u32());
+                    let (at, found) = index.probe(id).expect("watched");
+                    assert_eq!(found, slot);
+                    at.wrapping_sub(index.home(id)) & mask
+                })
+                .filter(|&steps| steps > 0)
+                .collect();
+            assert!(
+                displaced.len() * 16 <= shard.len() && displaced.iter().all(|&steps| steps <= 2),
+                "shard {}: {} of {} displaced, by {displaced:?}",
+                shard.index,
+                displaced.len(),
+                shard.len()
+            );
+        }
+    }
+
+    mod slot_index {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::btree_map::Entry;
+
+        const SLOTS: usize = 8;
+
+        /// Sixteen ids for a sixteen-entry table, chosen by where they
+        /// hash: six share the last bucket (their run wraps around the
+        /// table's end), four the one before, two the first, four land
+        /// elsewhere.
+        fn pool() -> Vec<u32> {
+            let index = SlotIndex::new(SLOTS);
+            let last = index.entries.len() - 1;
+            let homed = |bucket: usize, n: usize| {
+                let index = &index;
+                (0..u32::MAX)
+                    .filter(move |&id| index.home(u64::from(id)) == bucket)
+                    .take(n)
+            };
+            let elsewhere = (0..u32::MAX)
+                .filter(|&id| (1..last - 1).contains(&index.home(u64::from(id))))
+                .take(4);
+            homed(last, 6)
+                .chain(homed(last - 1, 4))
+                .chain(homed(0, 2))
+                .chain(elsewhere)
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+
+            /// The table agrees with a `BTreeMap` through any sequence of
+            /// inserts and removes — up to every slot in use (load ½),
+            /// through colliding runs, wrap-around and reinsertion — and
+            /// after every step, for every id: a removal must leave each
+            /// remaining key reachable from its home bucket.
+            #[test]
+            fn agrees_with_a_btreemap(
+                steps in prop::collection::vec((0usize..16, 0u8..8), 0..96),
+            ) {
+                let pool = pool();
+                let index = SlotIndex::new(SLOTS);
+                let mut oracle: BTreeMap<u32, usize> = BTreeMap::new();
+                let mut free: Vec<usize> = (0..SLOTS).collect();
+                for (pick, action) in steps {
+                    let id = pool[pick];
+                    let p = ProcessId::new(id);
+                    // Inserts outnumber removes, so the table fills up.
+                    if action < 5 {
+                        if let Entry::Vacant(unmapped) = oracle.entry(id) {
+                            if let Some(slot) = free.pop() {
+                                index.insert(p, slot);
+                                unmapped.insert(slot);
+                            }
+                        }
+                    } else {
+                        // A removal moves entries, so it must advance the
+                        // word that makes an overlapping reader retry.
+                        let before = index.seq.0.load(Ordering::Relaxed);
+                        let removed = index.remove(p);
+                        prop_assert_eq!(removed, oracle.remove(&id));
+                        let after = index.seq.0.load(Ordering::Relaxed);
+                        prop_assert_eq!(after, before + 2 * removed.iter().len() as u64);
+                        free.extend(removed);
+                    }
+                    for &id in &pool {
+                        let got = index.lookup(ProcessId::new(id));
+                        prop_assert_eq!(got, oracle.get(&id).copied(), "id {}", id);
+                    }
+                    let used = index.entries.iter().filter(|e| e.load(Ordering::Relaxed) != 0);
+                    prop_assert_eq!(used.count(), oracle.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_never_observe_torn_snapshots() {
+        // Readers race publishes *and* membership changes. Every arrival
+        // of peer `id` is stamped `id` nanoseconds past a whole second
+        // (a never-heard detector starts there too) and every publish
+        // half a second past one, so a level alone says whose it is:
+        // (level + id) mod 1 s = ½ s.
+        const SECOND: u64 = 1_000_000_000;
+        const STEADY: u32 = 16;
+        const CHURNING: usize = 4;
+        const READERS: usize = 4;
+        let owner_matches = |p: ProcessId, level: SuspicionLevel| {
+            let nanos = (level.value() * 1e9).round() as u64;
+            (nanos + u64::from(p.as_u32())) % SECOND == SECOND / 2
+        };
+        let (cells, mut shards) = build_shards(2, 32, |p: ProcessId| {
+            SimpleAccrual::new(Timestamp::from_nanos(u64::from(p.as_u32())))
+        });
+        let shard_of = |id: u32| shard_index(ProcessId::new(id), 2);
+        let arrival = |id: u32, round: u64| Heartbeat {
+            sender: ProcessId::new(id),
+            seq: round,
+            sent_at: Timestamp::from_nanos(round * SECOND + u64::from(id)),
+        };
+
+        // Ids from 100 up take turns in the slots the steady peers leave.
+        let rounds: u64 = if cfg!(miri) { 40 } else { 2_000 };
+        let mut next_id = 100u32;
+        let mut churning = std::collections::VecDeque::new();
+        for id in 1..=STEADY {
+            shards[shard_of(id)].watch(ProcessId::new(id)).unwrap();
+        }
+        while churning.len() < CHURNING {
+            shards[shard_of(next_id)]
+                .watch(ProcessId::new(next_id))
+                .unwrap();
+            churning.push_back(next_id);
+            next_id += 1;
+        }
+        for shard in &mut shards {
+            shard.publish(Timestamp::from_nanos(SECOND / 2));
+        }
+
+        let reader = SnapshotReader::from_cells(cells);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let handles: Vec<_> = (0..4)
+        let reading = Arc::new(AtomicUsize::new(0));
+        // One past the newest churning id, so readers poll the ids that
+        // are coming and going right now.
+        let frontier = Arc::new(AtomicUsize::new(next_id as usize));
+        let handles: Vec<_> = (0..READERS)
             .map(|_| {
                 let reader = reader.clone();
                 let stop = Arc::clone(&stop);
+                let reading = Arc::clone(&reading);
+                let frontier = Arc::clone(&frontier);
                 std::thread::spawn(move || {
                     let mut reads = 0u64;
                     while !stop.load(Ordering::SeqCst) {
+                        // Published tables are whole epochs, never a
+                        // partial write, and hold no vacant row.
                         let snap = reader.snapshot();
-                        // Published tables are always a full, id-sorted
-                        // epoch: never a partial write.
-                        assert!(snap.len() <= 16);
+                        assert!(snap.len() <= STEADY as usize + CHURNING);
                         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
+                        for &(p, level) in &snap {
+                            assert!(owner_matches(p, level), "{p:?} in snapshot: {level:?}");
+                        }
+                        // A peer that stays watched always has a level,
+                        // whoever comes and goes around it; nobody ever
+                        // gets a level published for another peer.
+                        let newest = frontier.load(Ordering::SeqCst) as u32;
+                        for id in (1..=STEADY).chain(newest - 3 * CHURNING as u32..newest) {
+                            let p = ProcessId::new(id);
+                            match reader.level(p) {
+                                Some(level) => assert!(owner_matches(p, level), "{p:?}: {level:?}"),
+                                None => assert!(id > STEADY, "steady {p:?} read None"),
+                            }
+                        }
                         for cell in reader.cells.iter() {
                             // A row's level and its durable record come
                             // from one publish, even when that publish
@@ -1578,43 +2071,70 @@ mod tests {
                             // level *is* the epoch minus the last arrival.
                             let (at, rows) = cell.read_rows();
                             for (p, level, durable) in rows {
-                                assert!(level.value().is_finite());
                                 let last = durable.seed().and_then(|s| s.last_heartbeat);
                                 let last = last.expect("simple detectors always have one");
+                                assert_eq!(last.as_nanos() % SECOND, u64::from(p.as_u32()));
                                 let elapsed = at.saturating_duration_since(last).as_secs_f64();
                                 assert_eq!(level.value(), elapsed, "{p:?} at {at:?}");
                             }
                         }
                         reads += 1;
+                        if reads == 1 {
+                            reading.fetch_add(1, Ordering::SeqCst);
+                        }
                     }
                     reads
                 })
             })
             .collect();
+        // The rounds start once every reader has read: at release speed
+        // they could otherwise be over before a reader thread is up.
+        while reading.load(Ordering::SeqCst) < READERS {
+            assert!(handles.iter().all(|h| !h.is_finished()), "a reader failed");
+            std::thread::yield_now();
+        }
 
-        // The readers race these publishes for as long as they last. Each
-        // round only every third peer sends and every fourth round nobody
-        // does, so after the two full publishes that follow the watches
-        // every publish is incremental and the two banks are never
-        // written alike. A reader that fails stops reading; the rounds
+        // Each round only every third steady peer sends and every fourth
+        // round nobody does, so most publishes write few durable rows and
+        // the two banks are never written alike; every third round one
+        // churning peer leaves and a fresh id of the same shard takes
+        // over its slot. A reader that fails stops reading; the rounds
         // still end and the join below reports it.
-        let rounds = if cfg!(miri) { 40 } else { 2_000 };
         let mut sent = 0u64;
         for round in 1..=rounds {
-            clock.set(Timestamp::from_secs(round));
+            if round % 3 == 0 {
+                let old = churning.pop_front().expect("CHURNING > 0");
+                while shard_of(next_id) != shard_of(old) {
+                    next_id += 1;
+                }
+                let shard = &mut shards[shard_of(old)];
+                assert!(shard.unwatch(ProcessId::new(old)).is_some());
+                assert_eq!(shard.watch(ProcessId::new(next_id)), Ok(true));
+                churning.push_back(next_id);
+                next_id += 1;
+                frontier.store(next_id as usize, Ordering::SeqCst);
+            }
             if round % 4 != 0 {
-                for &id in peers.iter().filter(|&&id| u64::from(id) % 3 == round % 3) {
-                    tx.send(&frame(id, round)).unwrap();
+                let steady = (1..=STEADY).filter(|&id| u64::from(id) % 3 == round % 3);
+                for id in steady.chain(churning.front().copied()) {
+                    let hb = arrival(id, round);
+                    assert!(shards[shard_of(id)].accept(hb, hb.sent_at));
                     sent += 1;
                 }
             }
-            mon.tick().unwrap();
+            for shard in &mut shards {
+                shard.publish(Timestamp::from_nanos(round * SECOND + SECOND / 2));
+            }
         }
         stop.store(true, Ordering::SeqCst);
         for h in handles {
             assert!(h.join().unwrap() > 0, "every reader read at least once");
         }
-        assert_eq!(mon.stats().totals.accepted, sent);
+        let accepted: u64 = shards.iter().map(|s| s.stats().accepted).sum();
+        assert_eq!(accepted, sent);
+        // Every newcomer took a vacated slot: the slabs never grew.
+        let slots: usize = shards.iter().map(|s| s.slab.len()).sum();
+        assert_eq!(slots, STEADY as usize + CHURNING);
     }
 
     #[test]
@@ -1730,27 +2250,30 @@ mod tests {
         }
 
         /// What a publish that rewrote every row would have put in the
-        /// bank: recomputed from the live detectors, which for φ is a pure
-        /// function of their state and `now`.
+        /// bank, ascending by id: recomputed from the live detectors,
+        /// which for φ is a pure function of their state and `now`.
         fn recomputed(
             shard: &mut Shard<PhiAccrual>,
             now: Timestamp,
         ) -> Vec<(ProcessId, SuspicionLevel, PeerDurable)> {
             let mut rows = Vec::new();
-            let highest = &shard.highest_seq;
-            shard.service.for_each_mut(|p, t| {
-                let durable = PeerDurable::from_state(t.save_seed(), highest.get(&p).copied());
-                rows.push((p, t.suspicion_level(now), durable));
-            });
+            for w in shard.slab.iter_mut().filter_map(Slot::live) {
+                let durable = PeerDurable::from_state(w.detector.save_seed(), w.highest_seq);
+                rows.push((w.id, w.detector.suspicion_level(now), durable));
+            }
+            rows.sort_unstable_by_key(|r| r.0);
             rows
         }
 
+        /// Rows sit in slot order, which records the watch/unwatch
+        /// history: every comparison is by id.
         fn publish_and_check(shard: &mut Shard<PhiAccrual>, now: Timestamp) {
             shard.publish(now);
             let want = recomputed(shard, now);
-            let (at, rows) = shard.cell.read_rows();
+            let (at, mut rows) = shard.cell.read_rows();
+            rows.sort_unstable_by_key(|r| r.0);
             assert_eq!(at, now);
-            assert_eq!(rows.len(), want.len());
+            assert_eq!(rows.len(), want.len(), "vacant rows are skipped");
             for (got, want) in rows.iter().zip(&want) {
                 assert_eq!(got.0, want.0);
                 assert_eq!(
@@ -1765,10 +2288,42 @@ mod tests {
             let (mut levels, mut durable) = (Vec::new(), Vec::new());
             assert_eq!(shard.cell.read_all(&mut levels), now);
             assert_eq!(shard.cell.read_durable(&mut durable), now);
+            levels.sort_unstable_by_key(|r| r.0);
+            durable.sort_unstable_by_key(|r| r.0);
             let want_levels: Vec<_> = want.iter().map(|r| (r.0, r.1)).collect();
             let want_durable: Vec<_> = want.iter().map(|r| (r.0, r.2)).collect();
             assert_eq!(levels, want_levels);
             assert_eq!(durable, want_durable);
+            for &(p, level) in &want_levels {
+                assert_eq!(shard.cell.lookup(p), Some(level), "{p:?}");
+            }
+        }
+
+        /// Every slot's count of publishes still owed to it.
+        fn marks(shard: &Shard<PhiAccrual>) -> Vec<u8> {
+            shard
+                .slab
+                .iter()
+                .map(|slot| match slot {
+                    Slot::Live(watched) => watched.stale_banks,
+                    Slot::Vacant { stale_banks } => *stale_banks,
+                })
+                .collect()
+        }
+
+        /// Runs one membership change and holds it to marking one slot:
+        /// every other slot owes exactly the publishes it owed before.
+        fn changes_one_slot(
+            shard: &mut Shard<PhiAccrual>,
+            change: impl FnOnce(&mut Shard<PhiAccrual>),
+        ) {
+            let before = marks(shard);
+            change(shard);
+            let after = marks(shard);
+            let moved = (0..after.len())
+                .filter(|&i| before.get(i) != Some(&after[i]))
+                .count();
+            assert!(moved <= 1, "marks {before:?} -> {after:?}");
         }
 
         proptest! {
@@ -1776,8 +2331,8 @@ mod tests {
 
             /// Whatever happened between publishes, the front bank holds
             /// exactly what a publish that rewrote every row would hold —
-            /// through the full publishes a membership change forces, the
-            /// incremental ones after them, and both banks.
+            /// through slots vacated and reused, and in both banks —
+            /// while a membership change marks one slot and no other.
             #[test]
             fn front_bank_equals_a_full_recomputation(ops in ops()) {
                 let mut shard = phi_shard();
@@ -1796,12 +2351,12 @@ mod tests {
                             };
                             shard.accept(hb, now);
                         }
-                        Op::Watch(peer) => {
+                        Op::Watch(peer) => changes_one_slot(&mut shard, |shard| {
                             let _ = shard.watch(ProcessId::new(peer));
-                        }
-                        Op::Unwatch(peer) => {
+                        }),
+                        Op::Unwatch(peer) => changes_one_slot(&mut shard, |shard| {
                             shard.unwatch(ProcessId::new(peer));
-                        }
+                        }),
                         Op::Import { peer, seq, seeded } => {
                             let restored = RestoredPeer {
                                 process: ProcessId::new(peer),
@@ -1824,13 +2379,28 @@ mod tests {
                         Op::Publish => publish_and_check(&mut shard, now),
                     }
                 }
-                // Four in a row: at most two are full, so each bank is
-                // also read after an incremental publish into it.
+                // Four in a row: each bank is also read after a publish
+                // that wrote no id and no durable word into it.
                 for _ in 0..4 {
                     now = now.saturating_add(Duration::from_millis(130));
                     publish_and_check(&mut shard, now);
                 }
-                prop_assert_eq!(shard.full_publishes, 0);
+                // Two publishes settle every slot, so from here a
+                // membership change that went back to rewriting
+                // everything would show on every other slot.
+                prop_assert!(marks(&shard).iter().all(|&owed| owed == 0));
+                for peer in 0..POOL as u32 {
+                    let p = ProcessId::new(peer);
+                    // The watch takes the slot the unwatch vacated, if any.
+                    shard.unwatch(p);
+                    let _ = shard.watch(p);
+                    let owed = marks(&shard).iter().filter(|&&owed| owed > 0).count();
+                    prop_assert!(owed <= 1, "peer {}: {:?}", peer, marks(&shard));
+                    for _ in 0..BANKS {
+                        now = now.saturating_add(Duration::from_millis(130));
+                        publish_and_check(&mut shard, now);
+                    }
+                }
             }
         }
     }

@@ -640,8 +640,7 @@ fn new_detectors_roundtrip_through_sharded_checkpoint() {
 /// A publish rewrites a peer's durable row only while one of the two
 /// banks still holds an older version of it. A checkpoint reads whichever
 /// bank is in front, so after many publishes in which different peers
-/// arrived — none of them a full rewrite — it must still dump every
-/// peer's latest window and watermark.
+/// arrived it must still dump every peer's latest window and watermark.
 #[test]
 fn checkpoint_after_incremental_publishes_restores_within_1e9() {
     const PEERS: u32 = 24;
@@ -651,7 +650,7 @@ fn checkpoint_after_incremental_publishes_restores_within_1e9() {
     for id in 0..PEERS {
         mon.watch(ProcessId::new(id)).unwrap();
     }
-    // Two empty ticks use up the full publishes the watches asked for.
+    // Two empty ticks put the rows the watches marked into both banks.
     clock.set(ts(0.5));
     mon.tick().unwrap();
     mon.tick().unwrap();
@@ -699,6 +698,75 @@ fn checkpoint_after_incremental_publishes_restores_within_1e9() {
     }
     assert_eq!(fresh.tick().unwrap().accepted, 0);
     assert_eq!(fresh.stats().totals.duplicate, u64::from(PEERS));
+}
+
+/// A checkpoint's bytes are a function of the monitor's state, not of
+/// the order it was reached in. Rows sit in slot order, and which slot a
+/// peer holds records every watch and unwatch before it: two monitors
+/// with the same watch set and the same arrivals but different histories
+/// must still dump identical segments and manifests at the same epoch.
+#[test]
+fn checkpoint_bytes_do_not_depend_on_the_watch_history() {
+    const PEERS: u32 = 12;
+    let clock = VirtualClock::new();
+    let (mut tx_a, rx_a) = ChannelTransport::pair();
+    let (mut tx_b, rx_b) = ChannelTransport::pair();
+    let mut a = phi_monitor(rx_a, &clock, 2);
+    let mut b = phi_monitor(rx_b, &clock, 2);
+    // `a` watches in id order. `b` watches four decoys first, the peers
+    // in reverse, then drops the decoys: vacant slots up front, every
+    // peer somewhere else than in `a`.
+    for id in 0..PEERS {
+        a.watch(ProcessId::new(id)).unwrap();
+    }
+    for id in (100..104).chain((0..PEERS).rev()) {
+        b.watch(ProcessId::new(id)).unwrap();
+    }
+    for id in 100..104 {
+        b.unwatch(ProcessId::new(id)).unwrap();
+    }
+    let mut round = |a: &mut PhiMonitor, b: &mut PhiMonitor, step: u64, ids: &[u32]| {
+        clock.set(ts(1.0 + 0.41 * step as f64));
+        for &id in ids
+            .iter()
+            .filter(|&&id| step.is_multiple_of(u64::from(1 + id % 3)))
+        {
+            tx_a.send(&frame(id, step)).unwrap();
+            tx_b.send(&frame(id, step)).unwrap();
+        }
+        a.tick().unwrap();
+        b.tick().unwrap();
+    };
+    let mut ids: Vec<u32> = (0..PEERS).collect();
+    for step in 1..=30 {
+        round(&mut a, &mut b, step, &ids);
+    }
+    // Peer 5 is replaced by peer 50 in both; in `b` another decoy comes
+    // and goes first, so 50 does not land where 5 was.
+    b.watch(ProcessId::new(104)).unwrap();
+    for mon in [&mut a, &mut b] {
+        mon.unwatch(ProcessId::new(5)).unwrap();
+        mon.watch(ProcessId::new(50)).unwrap();
+    }
+    b.unwatch(ProcessId::new(104)).unwrap();
+    ids.retain(|&id| id != 5);
+    ids.push(50);
+    for step in 31..=60 {
+        round(&mut a, &mut b, step, &ids);
+    }
+
+    let dump = |mon: &mut PhiMonitor| {
+        let mut ckpt = Checkpointer::new(MemSink::new(), CheckpointConfig::default());
+        assert_eq!(mon.checkpoint(&mut ckpt).unwrap().peers, PEERS as usize);
+        let sink = ckpt.into_sink();
+        let names = sink.list().unwrap();
+        let blobs: Vec<_> = names.iter().map(|n| sink.get(n).unwrap()).collect();
+        (names, blobs)
+    };
+    clock.set(ts(26.0));
+    let (dump_a, dump_b) = (dump(&mut a), dump(&mut b));
+    assert_eq!(dump_a.0.len(), 3, "two segments and a manifest");
+    assert_eq!(dump_a, dump_b);
 }
 
 fn heartbeat_times(gaps: &[f64]) -> Vec<Timestamp> {

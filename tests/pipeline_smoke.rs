@@ -3,12 +3,14 @@
 //! unwatched and corrupt frames — goes to the inline executor
 //! (`ShardedMonitor`) and to the threaded one (a 2-worker
 //! `ParallelShardEngine`). Both must account for every frame in exactly
-//! one outcome counter and publish identical reader snapshots.
+//! one outcome counter and publish identical reader snapshots. A second
+//! case takes the inline executor through a change of membership into
+//! reused slots, the lock-free read side, a checkpoint and a restore.
 
 use accrual_fd::prelude::*;
 use accrual_fd::runtime::{
-    ChannelTransport, DeltaEncoder, EngineConfig, Heartbeat, MonitorStats, ParallelShardEngine,
-    VirtualClock, MAX_V2_FRAME,
+    ChannelTransport, CheckpointConfig, Checkpointer, DeltaEncoder, EngineConfig, Heartbeat,
+    MemSink, MonitorStats, ParallelShardEngine, VirtualClock, MAX_V2_FRAME,
 };
 
 const SENDERS: u32 = 5;
@@ -182,4 +184,144 @@ fn inline_and_threaded_executors_agree_on_a_seeded_v2_schedule() {
     }
     assert_eq!(inline.reader().snapshot(), engine.reader().snapshot());
     assert_eq!(reader.snapshot().len(), WATCHED as usize);
+}
+
+type PhiMonitor = ShardedMonitor<ChannelTransport, VirtualClock, PhiAccrual>;
+
+fn phi_monitor(clock: &VirtualClock, config: ShardConfig) -> (ChannelTransport, PhiMonitor) {
+    let (tx, rx) = ChannelTransport::pair();
+    let mon = ShardedMonitor::new(rx, clock.clone(), config, |_| PhiAccrual::with_defaults());
+    (tx, mon)
+}
+
+/// A plain (wire v1) heartbeat frame.
+fn plain_frame(id: u32, seq: u64) -> Vec<u8> {
+    let hb = Heartbeat {
+        sender: ProcessId::new(id),
+        seq,
+        sent_at: Timestamp::from_secs(seq),
+    };
+    hb.encode().to_vec()
+}
+
+/// One second of the run: every id in `ids` sends heartbeat number
+/// `second`, spread over its first quarter in `ids` order, and the
+/// monitor ticks after each.
+fn beat(
+    clock: &VirtualClock,
+    tx: &mut ChannelTransport,
+    mon: &mut PhiMonitor,
+    ids: &[u32],
+    second: u64,
+) {
+    for (k, &id) in ids.iter().enumerate() {
+        clock.set(Timestamp::from_millis(
+            second * 1000 + 250 * k as u64 / ids.len() as u64,
+        ));
+        tx.send(&plain_frame(id, second)).unwrap();
+        mon.tick().unwrap();
+    }
+}
+
+#[test]
+fn reused_slots_serve_readers_and_survive_a_checkpoint_into_other_shards() {
+    let clock = VirtualClock::new();
+    // Both shards get filled to the last slot, so that a later watch can
+    // only succeed in a slot an unwatch vacated.
+    let tight = ShardConfig {
+        shards: 2,
+        slots_per_shard: 4,
+    };
+    let (mut tx, mut mon) = phi_monitor(&clock, tight);
+    let mut ids: Vec<u32> = Vec::new();
+    let mut next_id = 0u32;
+    while ids.len() < 8 {
+        if mon.watch(ProcessId::new(next_id)).is_ok() {
+            ids.push(next_id);
+        }
+        next_id += 1;
+    }
+    for second in 1..=12 {
+        beat(&clock, &mut tx, &mut mon, &ids, second);
+    }
+
+    // In each shard one peer leaves and a fresh id takes over its slot.
+    let reader = mon.reader();
+    let mut gone = Vec::new();
+    for shard in 0..2 {
+        let at = ids
+            .iter()
+            .position(|&id| mon.shard_of(ProcessId::new(id)) == shard)
+            .unwrap();
+        let old = ids.remove(at);
+        while mon.shard_of(ProcessId::new(next_id)) != shard {
+            next_id += 1;
+        }
+        assert!(mon.watch(ProcessId::new(next_id)).is_err(), "shard is full");
+        assert!(mon.unwatch(ProcessId::new(old)).is_some());
+        assert_eq!(mon.watch(ProcessId::new(next_id)), Ok(true));
+        // From the unwatch on, and until a publish: nobody answers here.
+        assert_eq!(reader.level(ProcessId::new(old)), None);
+        assert_eq!(reader.level(ProcessId::new(next_id)), None);
+        ids.push(next_id);
+        gone.push(old);
+        next_id += 1;
+    }
+    for second in 13..=24 {
+        beat(&clock, &mut tx, &mut mon, &ids, second);
+    }
+
+    // At the publish instant the lock-free side and the detectors agree.
+    clock.set(Timestamp::from_millis(24_700));
+    mon.tick().unwrap();
+    let exact = mon.snapshot();
+    assert_eq!(reader.snapshot(), exact);
+    assert!(exact.windows(2).all(|w| w[0].0 < w[1].0), "ascending ids");
+    let mut watched = ids.clone();
+    watched.sort_unstable();
+    let published: Vec<u32> = exact.iter().map(|r| r.0.as_u32()).collect();
+    assert_eq!(published, watched, "no vacant row, no unwatched id");
+    for &id in &ids {
+        let p = ProcessId::new(id);
+        assert_eq!(reader.level(p), mon.level(p), "peer {id}");
+    }
+    for &id in &gone {
+        assert_eq!(reader.level(ProcessId::new(id)), None);
+    }
+
+    // Checkpoint, then restore into a monitor with another shard count.
+    let mut ckpt = Checkpointer::new(MemSink::new(), CheckpointConfig::default());
+    assert_eq!(mon.checkpoint(&mut ckpt).unwrap().peers, ids.len());
+    let restored = ckpt.restore(&clock).unwrap();
+    let roomy = ShardConfig {
+        shards: 3,
+        slots_per_shard: 8,
+    };
+    let (mut tx2, mut twin) = phi_monitor(&clock, roomy);
+    let import = twin.restore(&restored.peers);
+    assert_eq!(import.watched, ids.len() as u64);
+    assert_eq!(import.capacity_rejected, 0);
+    clock.set(Timestamp::from_millis(25_400));
+    for &id in &ids {
+        let p = ProcessId::new(id);
+        let (was, is) = (mon.level(p).unwrap(), twin.level(p).unwrap());
+        assert!(
+            (was.value() - is.value()).abs() <= 1e-9,
+            "peer {id}: {was:?} vs {is:?}"
+        );
+        assert_eq!(
+            twin.reader().level(p).map(|l| l.value().is_finite()),
+            Some(true)
+        );
+    }
+    // The restored watermarks still reject what was already seen.
+    for &id in &ids {
+        for seq in [24, 20, 25] {
+            tx2.send(&plain_frame(id, seq)).unwrap();
+        }
+    }
+    assert_eq!(twin.tick().unwrap().accepted, ids.len());
+    let stats = twin.stats().totals;
+    let n = ids.len() as u64;
+    assert_eq!((stats.duplicate, stats.stale, stats.accepted), (n, n, n));
 }
