@@ -1,6 +1,6 @@
 //! **E14 — parallel shard-worker engine at scale: 10 000 peers.**
 //!
-//! The companion to E13: the same 10 000-peer workload, but driven
+//! A 10 000-peer workload driven
 //! through the `ParallelShardEngine`'s threaded topology — one lane
 //! thread decoding through the zero-allocation `FrameBatch`
 //! arena (the afd-lint `no-alloc-in-hot-path` rule enforces the

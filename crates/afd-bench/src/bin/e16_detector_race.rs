@@ -16,8 +16,8 @@
 //!
 //! Every scenario ends in a permanent crash, so the full Chen et al. QoS
 //! vector (T_D, T_MR, T_M, λ_M, P_A, T_G) is defined for every cell; rows
-//! are means over seeds. The second section repeats E13's O(1) evidence
-//! for the two PR-7 detectors: per-query cost at window 100 vs 3 200 must
+//! are means over seeds. The second section is the O(1) evidence for
+//! the Akka φ and adaptive detectors: per-query cost at window 100 vs 3 200 must
 //! be flat for the incremental path and grow for the naive rescan
 //! (compiled via the `naive-stats` feature).
 //!
@@ -295,7 +295,7 @@ fn query_cost(sizes: &Sizes, wall_clock: &SystemClock) -> (Table, Vec<Json>) {
                     .build(),
             );
         }
-        // Same O(1) evidence and slack as E13: a 32× larger window must
+        // With slack for a noisy host: a 32× larger window must
         // not make the incremental query meaningfully slower, while the
         // rescan must scale with it.
         let (small, large) = (&rows[0], &rows[1]);

@@ -2,7 +2,7 @@
 //!
 //! Two sections:
 //!
-//! 1. **Exhaustive sweep** — [`explore`] runs the real (unmutated) system
+//! 1. **Exhaustive sweep** — [`explore()`] runs the real (unmutated) system
 //!    for each of the six zoo detectors, counting canonical states,
 //!    transitions, and states/second. The run must be violation-free, each
 //!    kind must expand a non-degenerate search (> 10 000 states), and the

@@ -39,7 +39,7 @@ pub enum DetectorKind {
     Simple,
     /// The §5.2 Chen estimator.
     Chen,
-    /// Bertier et al.'s dynamic-margin detector (paper reference [3]).
+    /// Bertier et al.'s dynamic-margin detector (paper reference \[3\]).
     Bertier,
     /// The §5.3 φ detector (normal model).
     PhiNormal,

@@ -1,4 +1,4 @@
-//! The Bertier–Marin–Sens adaptive detector (reference [3] of the paper)
+//! The Bertier–Marin–Sens adaptive detector (reference \[3\] of the paper)
 //! in accrual form.
 //!
 //! Bertier et al.'s detector (DSN 2002) combines Chen's expected-arrival

@@ -1,13 +1,13 @@
 //! Implementations of accrual failure detectors (§5 of the paper).
 //!
-//! Four detectors, in increasing sophistication, exactly as the paper
-//! presents them:
+//! The four detectors of §5, in increasing sophistication as the paper
+//! presents them, plus three from the literature around it:
 //!
 //! | Module | Detector | Suspicion level |
 //! |--------|----------|-----------------|
 //! | [`simple`] | elapsed time (§5.1, Algorithm 4) | `t − t_last` |
 //! | [`chen`] | Chen's estimator as accrual (§5.2) | `max(0, t − EA)` |
-//! | [`bertier`] | Bertier et al.'s dynamic margin (ref. [3]) | `max(0, t − (EA + α))` |
+//! | [`bertier`] | Bertier et al.'s dynamic margin (ref. \[3\]) | `max(0, t − (EA + α))` |
 //! | [`phi`] | the φ detector (§5.3) | `−log₁₀ P_later(t − t_last)` |
 //! | [`akka`] | Akka/Cassandra's production φ | logistic-CDF φ with pause padding |
 //! | [`adaptive`] | Satzger et al.'s adaptive accrual | `P(gap < t − t_last)`, histogram CDF |
@@ -15,13 +15,11 @@
 //!
 //! Plus the architectural and adversarial pieces:
 //!
-//! - [`service`]: one-monitor-per-peer, one-interpreter-per-application
-//!   (Fig. 2);
+//! - [`service`]: the application side of Fig. 2 — one private
+//!   interpreter per monitored process, fed from the snapshots of the one
+//!   monitor (`afd-runtime`'s `ShardedMonitor` and its `SnapshotReader`s);
 //! - [`adversary`]: the Appendix A.5 adversary showing Weak Accruement is
-//!   not enough;
-//! - [`obs`]: pull-based export of detector internals (sample counts,
-//!   window occupancy, suspicion-level histograms) into an
-//!   [`afd_obs::Registry`].
+//!   not enough.
 //!
 //! All detectors implement [`afd_core::accrual::AccrualFailureDetector`]:
 //! they take explicit timestamps, never read clocks, and can therefore be
@@ -41,10 +39,8 @@ pub mod bertier;
 pub mod chen;
 pub mod kappa;
 pub mod kappa_seq;
-pub mod obs;
 pub mod phi;
 pub mod service;
-pub mod shared;
 pub mod simple;
 pub mod slowness;
 
@@ -54,9 +50,7 @@ pub use bertier::{BertierAccrual, BertierConfig};
 pub use chen::{ChenAccrual, ChenConfig};
 pub use kappa::{KappaAccrual, KappaConfig};
 pub use kappa_seq::{SeqKappaAccrual, SeqKappaConfig};
-pub use obs::{export_service, DetectorMetrics};
 pub use phi::{PhiAccrual, PhiConfig, PhiModel};
-pub use service::{InterpreterBank, MonitoringService};
-pub use shared::SharedMonitoringService;
+pub use service::InterpreterBank;
 pub use simple::SimpleAccrual;
 pub use slowness::SlownessOracle;

@@ -400,7 +400,7 @@ impl AccrualFailureDetector for PhiAccrual {
 
     /// Re-seeds the gap window and last-arrival time from `seed`.
     ///
-    /// The empirical histogram (when [`GapModel::Empirical`] is
+    /// The empirical histogram (when [`PhiModel::Empirical`] is
     /// configured) is *not* persisted: after a restore it restarts below
     /// its bootstrap count, so φ falls back to the normal model over the
     /// seeded moments until enough fresh gaps re-populate the histogram —

@@ -13,10 +13,22 @@
 //! decreases during continued silence, so Accruement (Property 1) is
 //! preserved across the switch; and the moment heartbeats refill the
 //! window, the wrapper hands back to the inner detector.
+//!
+//! # Checkpoints
+//!
+//! The wrapper's durable state is the inner detector's: `save_seed` and
+//! `restore_seed` forward. A seed carries window moments, not arrival
+//! stamps, so a restore re-arms the wrapper's own recency state from what
+//! the seed vouches for — `max(samples + 1, heartbeats_seen)` arrivals,
+//! all taken to have landed at `last_heartbeat` — in nominal mode. The
+//! restored wrapper therefore starves `horizon` after the last pre-crash
+//! heartbeat, up to `min_samples − 1` intervals later than the
+//! uninterrupted one, which knew the older stamps; until then it answers
+//! with the inner detector's level rather than the fallback's.
 
 use std::collections::VecDeque;
 
-use afd_core::accrual::AccrualFailureDetector;
+use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
 
@@ -69,6 +81,10 @@ enum Mode {
 pub struct GracefulDegradation<D> {
     inner: D,
     config: DegradeConfig,
+    /// The last `config.min_samples` arrivals, oldest first: the window
+    /// is healthy iff the ring is full and its oldest stamp is within
+    /// `horizon`, which is all "at least `min_samples` arrivals within
+    /// `horizon`" needs of the arrival history.
     recent: VecDeque<Timestamp>,
     last_heartbeat: Option<Timestamp>,
     mode: Mode,
@@ -114,23 +130,13 @@ impl<D: AccrualFailureDetector> GracefulDegradation<D> {
         &self.inner
     }
 
-    /// The wrapped detector, mutably.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
-    fn prune(&mut self, now: Timestamp) {
-        while let Some(&front) = self.recent.front() {
-            if now.saturating_duration_since(front) > self.config.horizon {
-                self.recent.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn starved(&self) -> bool {
-        self.recent.len() < self.config.min_samples
+    /// Fewer than `min_samples` arrivals within `horizon` of `now`.
+    fn starved(&self, now: Timestamp) -> bool {
+        let oldest_is_stale = self
+            .recent
+            .front()
+            .is_some_and(|&oldest| now.saturating_duration_since(oldest) > self.config.horizon);
+        self.recent.len() < self.config.min_samples || oldest_is_stale
     }
 }
 
@@ -139,12 +145,13 @@ impl<D: AccrualFailureDetector> AccrualFailureDetector for GracefulDegradation<D
         self.inner.record_heartbeat(arrival);
         self.last_heartbeat = Some(self.last_heartbeat.map_or(arrival, |l| l.max(arrival)));
         self.recent.push_back(arrival);
-        self.prune(arrival);
+        if self.recent.len() > self.config.min_samples {
+            self.recent.pop_front();
+        }
     }
 
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        self.prune(now);
-        let starved = self.starved();
+        let starved = self.starved(now);
         match self.mode {
             Mode::Nominal if starved => {
                 // Capture the inner level as the continuity offset before
@@ -171,6 +178,24 @@ impl<D: AccrualFailureDetector> AccrualFailureDetector for GracefulDegradation<D
             }
         }
     }
+
+    fn save_seed(&self) -> Option<DetectorSeed> {
+        self.inner.save_seed()
+    }
+
+    /// Re-seeds the inner detector and re-arms the recency ring from the
+    /// arrivals the seed vouches for (see the module docs).
+    fn restore_seed(&mut self, seed: &DetectorSeed) {
+        self.inner.restore_seed(seed);
+        self.last_heartbeat = seed.last_heartbeat;
+        self.mode = Mode::Nominal;
+        self.recent.clear();
+        if let Some(last) = seed.last_heartbeat {
+            let vouched = seed.samples.saturating_add(1).max(seed.heartbeats_seen);
+            let kept = vouched.min(self.config.min_samples as u64) as usize;
+            self.recent.extend(std::iter::repeat_n(last, kept));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +203,7 @@ mod tests {
     use super::*;
     use afd_detectors::phi::{PhiAccrual, PhiConfig};
     use afd_detectors::simple::SimpleAccrual;
+    use proptest::prelude::*;
 
     fn ts(s: f64) -> Timestamp {
         Timestamp::from_secs_f64(s)
@@ -273,6 +299,137 @@ mod tests {
         let b = d.suspicion_level(ts(5.0)).value();
         assert!(d.is_degraded(), "empty window is starved by definition");
         assert!(b > a);
+    }
+
+    /// A wrapper that kept the trait's `None` default would silently drop
+    /// its peers' windows from every checkpoint.
+    #[test]
+    fn wrappers_save_the_inner_detectors_seed() {
+        fn seed_of(detector: impl AccrualFailureDetector) -> Option<DetectorSeed> {
+            detector.save_seed()
+        }
+        let mut wrapped = wrapped_phi();
+        for k in 1..=20 {
+            wrapped.record_heartbeat(ts(k as f64));
+        }
+        let mut phi = wrapped.inner().clone();
+        let seed = phi.save_seed();
+        assert!(seed.is_some());
+        assert_eq!(seed_of(&mut phi), seed);
+        assert_eq!(seed_of(Box::new(phi)), seed);
+        assert_eq!(seed_of(wrapped), seed);
+    }
+
+    #[test]
+    fn wrapped_detectors_survive_a_checkpoint_at_pre_crash_quality() {
+        use crate::persist::{CheckpointConfig, Checkpointer, MemSink};
+        use crate::transport::Transport;
+        use crate::{ChannelTransport, Heartbeat, ShardConfig, ShardedMonitor, VirtualClock};
+        use afd_core::process::ProcessId;
+
+        let clock = VirtualClock::new();
+        // The composition `ShardedMonitor::new` recommends.
+        let monitor = |rx| {
+            ShardedMonitor::new(rx, clock.clone(), ShardConfig::default(), |_| {
+                GracefulDegradation::new(PhiAccrual::with_defaults(), DegradeConfig::default())
+            })
+        };
+        let frame = |sender, seq| {
+            let sent_at = Timestamp::from_secs(seq);
+            Heartbeat {
+                sender,
+                seq,
+                sent_at,
+            }
+            .encode()
+        };
+        let peers = [1, 2, 3].map(ProcessId::new);
+        let (mut tx, rx) = ChannelTransport::pair();
+        let mut live = monitor(rx);
+        for p in peers {
+            live.watch(p).unwrap();
+        }
+        for seq in 1..=20u64 {
+            for p in peers {
+                // Jittered cadence, so the windows hold real variance.
+                let jitter = u64::from(p.as_u32()) * 37 + seq * 11 % 90;
+                clock.set(Timestamp::from_millis(seq * 1000 + jitter));
+                tx.send(&frame(p, seq)).unwrap();
+                live.tick().unwrap();
+            }
+        }
+        let mut ckpt = Checkpointer::new(MemSink::new(), CheckpointConfig::default());
+        live.checkpoint(&mut ckpt).unwrap();
+
+        let (mut tx, rx) = ChannelTransport::pair();
+        let mut twin = monitor(rx);
+        let import = twin.restore(&ckpt.restore(&clock).unwrap().peers);
+        assert_eq!(import.seeded, 3, "every window travelled");
+        clock.set(Timestamp::from_millis(21_400));
+        for p in peers {
+            let (was, is) = (live.level(p).unwrap(), twin.level(p).unwrap());
+            assert!(
+                (was.value() - is.value()).abs() <= 1e-9,
+                "{p}: {was:?} vs {is:?}"
+            );
+            assert!(!twin.detector_mut(p).unwrap().is_degraded());
+            // The restored watermarks still reject what was already seen.
+            for seq in [20, 13, 21] {
+                tx.send(&frame(p, seq)).unwrap();
+            }
+        }
+        assert_eq!(twin.tick().unwrap().accepted, 3);
+        let stats = twin.stats().totals;
+        assert_eq!((stats.duplicate, stats.stale, stats.accepted), (3, 3, 3));
+    }
+
+    #[test]
+    fn a_restored_wrapper_starves_one_horizon_after_the_last_heartbeat() {
+        let mut live = wrapped_phi();
+        for k in 1..=20 {
+            live.record_heartbeat(ts(k as f64));
+        }
+        let mut restored = wrapped_phi();
+        restored.restore_seed(&live.save_seed().unwrap());
+        // Arrivals 18, 19, 20 and a 5 s horizon: the live wrapper starves
+        // once 18 s ages out, the restored one — which takes all three to
+        // have landed at 20 s — two intervals later.
+        live.suspicion_level(ts(23.5));
+        let before = restored.suspicion_level(ts(24.9)).value();
+        assert!(live.is_degraded() && !restored.is_degraded());
+        let after = restored.suspicion_level(ts(25.1)).value();
+        assert!(restored.is_degraded());
+        assert!(after >= before, "the switch stays offset-continuous");
+    }
+
+    proptest! {
+        /// Over any schedule of arrivals and queries in time order —
+        /// bursts at one instant, gaps below, at and beyond the horizon —
+        /// the ring of the last `min_samples` stamps answers what the
+        /// full arrival history, pruned on every call, used to answer.
+        #[test]
+        fn the_ring_answers_what_the_full_history_answered(
+            min_samples in 0usize..6,
+            steps in prop::collection::vec((0u64..8, any::<bool>()), 0..120),
+        ) {
+            let horizon = Duration::from_millis(10);
+            let config = DegradeConfig { min_samples, horizon };
+            let mut ring = GracefulDegradation::new(SimpleAccrual::new(Timestamp::ZERO), config);
+            let mut history: VecDeque<Timestamp> = VecDeque::new();
+            let mut now = Timestamp::ZERO;
+            for (gap, arrival) in steps {
+                now += Duration::from_millis(2 * gap);
+                if arrival {
+                    ring.record_heartbeat(now);
+                    history.push_back(now);
+                }
+                while history.front().is_some_and(|&old| now - old > horizon) {
+                    history.pop_front();
+                }
+                prop_assert_eq!(ring.starved(now), history.len() < min_samples);
+                prop_assert!(ring.recent.len() <= min_samples);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Each lane thread owns one transport and one
-//! [`Intake`](crate::shard::Intake) stage: it refills the reusable arena
+//! `Intake` stage (`shard.rs`): it refills the reusable arena
 //! (zero heap allocations per frame), decodes and routes every frame
 //! (v1 and compact v2 frames mix freely on every lane), stamps the
 //! *batch's* arrival once — clock reads are amortized across the batch,
@@ -25,7 +25,7 @@
 //! ([`push_batch`](crate::ring::RingProducer::push_batch)). One ring per
 //! lane×worker pair keeps the single-producer/single-consumer invariant
 //! without any cross-lane locking; workers drain their rings round-robin.
-//! One worker thread per shard owns that [`Shard`] — its accept and
+//! One worker thread per shard owns that `Shard` — its accept and
 //! publish code is the code the inline executor runs — and publishes
 //! into the same double-buffered epoch snapshots, so [`SnapshotReader`]
 //! works unchanged against either executor.

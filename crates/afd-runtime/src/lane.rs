@@ -24,13 +24,11 @@
 //! until `EWOULDBLOCK`, the batch fills, or a per-call syscall budget is
 //! spent — the budget bounds how long one drain can monopolize the
 //! intake thread when a lane is firehosed, keeping liveness ticks and
-//! stop-flag checks timely. The receive loop is `drain_socket` in
-//! `transport.rs`: datagrams land straight in the probe-sized arena
-//! slots ([`PROBE_LEN`](crate::transport::PROBE_LEN)), so an oversize
-//! datagram (> [`MAX_DATAGRAM`](crate::transport::MAX_DATAGRAM)) is
-//! detected and counted, never truncated into a decodable-looking frame,
-//! and a runt shorter than any wire frame
-//! ([`MIN_FRAME`](crate::wire::MIN_FRAME)) is dropped before decode.
+//! stop-flag checks timely. Datagrams land straight in the probe-sized
+//! arena slots ([`PROBE_LEN`](crate::transport::PROBE_LEN)), so an
+//! oversize datagram (> [`MAX_DATAGRAM`]) is detected and counted, never
+//! truncated into a decodable-looking frame, and a runt shorter than any
+//! wire frame ([`MIN_FRAME`]) is dropped before decode.
 //!
 //! A lane made with [`UdpLane::bind`] is receive-only and takes
 //! datagrams from **any** source — a million senders cannot share one
@@ -51,12 +49,13 @@
 //! groups through `push_batch` — see `engine.rs` for the stamp-skew
 //! bound.
 
+use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::TransportError;
-use crate::transport::{drain_socket, FrameBatch, Transport, MAX_DATAGRAM};
+use crate::transport::{FrameBatch, Transport, MAX_DATAGRAM};
 use crate::wire::MIN_FRAME;
 
 /// Default per-`recv_batch` syscall budget for a lane.
@@ -213,30 +212,62 @@ impl Transport for UdpLane {
         Ok(())
     }
 
-    /// Budgeted drain-until-`EWOULDBLOCK` straight into the arena slots:
-    /// one syscall per datagram, zero copies beyond the kernel's, zero
-    /// heap allocations. Datagrams from anyone but a connected lane's
-    /// peer are noise, not heartbeats: consumed, counted, discarded — as
-    /// are runts shorter than a wire frame and oversize datagrams.
+    /// The one UDP receive loop: a budgeted drain-until-`EWOULDBLOCK`
+    /// straight into the arena slots — one syscall per datagram, zero
+    /// copies beyond the kernel's, zero heap allocations. Datagrams from
+    /// anyone but a connected lane's peer are noise, not heartbeats:
+    /// consumed, counted, discarded — as are runts shorter than a wire
+    /// frame and datagrams that fill the probe-sized slot (oversize). A
+    /// hard error is returned after the counters are stored.
     fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
-        let peer = self.peer;
-        let mut foreign = 0u64;
-        let (tally, outcome) = drain_socket(&self.socket, batch, self.recv_budget, |n, from| {
-            if peer.is_some_and(|peer| peer != from) {
-                foreign += 1;
-                return false;
-            }
-            n >= MIN_FRAME
-        });
-        UdpLaneStats::add(&self.stats.syscalls, tally.syscalls);
-        UdpLaneStats::add(&self.stats.oversize, tally.oversize);
+        let (socket, peer) = (&self.socket, self.peer);
+        let (mut got, mut syscalls) = (0usize, 0u64);
+        let (mut foreign, mut short, mut oversize) = (0u64, 0u64, 0u64);
+        let mut outcome = Ok(());
+        let mut drained = false;
+        while !batch.is_full() && !drained && outcome.is_ok() && syscalls < self.recv_budget as u64
+        {
+            syscalls += 1;
+            batch.push_with(|buf| match socket.recv_from(buf) {
+                Ok((_, from)) if peer.is_some_and(|peer| peer != from) => {
+                    foreign += 1;
+                    None
+                }
+                Ok((n, _)) if n < MIN_FRAME => {
+                    short += 1;
+                    None
+                }
+                Ok((n, _)) if n > MAX_DATAGRAM => {
+                    oversize += 1;
+                    None
+                }
+                Ok((n, _)) => {
+                    got += 1;
+                    Some(n)
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    drained = true;
+                    None
+                }
+                // A prior send to an unbound peer can surface here as
+                // ECONNREFUSED; the peer being down is the detector's
+                // business, not a transport failure.
+                Err(e) if e.kind() == ErrorKind::ConnectionRefused => None,
+                Err(e) => {
+                    outcome = Err(e.into());
+                    None
+                }
+            });
+        }
+        UdpLaneStats::add(&self.stats.syscalls, syscalls);
+        UdpLaneStats::add(&self.stats.oversize, oversize);
         UdpLaneStats::add(&self.stats.foreign, foreign);
-        UdpLaneStats::add(&self.stats.short, tally.rejected - foreign);
-        UdpLaneStats::add(&self.stats.datagrams, tally.got as u64);
-        if tally.got > 0 {
+        UdpLaneStats::add(&self.stats.short, short);
+        UdpLaneStats::add(&self.stats.datagrams, got as u64);
+        if got > 0 {
             UdpLaneStats::add(&self.stats.batches, 1);
         }
-        outcome.map(|()| tally.got)
+        outcome.map(|()| got)
     }
 }
 

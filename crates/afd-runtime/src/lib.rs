@@ -4,34 +4,33 @@
 //! Where `afd-sim` replays scripted heartbeat histories offline, this crate
 //! runs the monitor/monitored protocol of Défago et al. §5.1 *live*:
 //! threaded heartbeat senders push framed, checksummed heartbeats through a
-//! pluggable [`Transport`](transport::Transport) — two calls, `send` and
-//! `recv_batch`, over an in-process [`ChannelTransport`] or a UDP
-//! [`UdpLane`] — and **one monitor pipeline** — intake, stamp, accept,
-//! publish; see [`shard`] — turns them into suspicion levels that readers
-//! query lock-free. The pipeline has two executors:
+//! pluggable [`Transport`] — two calls, `send` and `recv_batch`, over an
+//! in-process [`ChannelTransport`] or a UDP [`UdpLane`] — and **one monitor
+//! pipeline** — intake, stamp, accept, publish; see [`shard`] — turns them
+//! into suspicion levels that readers query lock-free. The pipeline has two
+//! executors:
 //!
-//! - [`ShardedMonitor`](shard::ShardedMonitor) runs every stage inline on
-//!   the caller's thread, one [`tick`](shard::ShardedMonitor::tick) at a
-//!   time: deterministic under a virtual clock, and with `shards: 1` the
-//!   plain single-stream reading of Algorithm 4;
-//! - [`ParallelShardEngine`](engine::ParallelShardEngine) runs the same
-//!   stages on lane threads and one worker thread per shard, joined by
-//!   SPSC rings — the multi-core deployment.
+//! - [`ShardedMonitor`] runs every stage inline on the caller's thread,
+//!   one [`tick`](shard::ShardedMonitor::tick) at a time: deterministic
+//!   under a virtual clock, and with `shards: 1` the plain single-stream
+//!   reading of Algorithm 4;
+//! - [`ParallelShardEngine`] runs the same stages on lane threads and one
+//!   worker thread per shard, joined by SPSC rings — the multi-core
+//!   deployment.
 //!
 //! Robustness is the point, not an afterthought:
 //!
 //! - transport hiccups get bounded retry with exponential backoff and
 //!   jitter ([`retry`]), surfacing typed errors once the budget is spent;
-//! - a [`Watchdog`](supervisor::Watchdog) restarts wedged or dead monitor
-//!   threads ([`supervisor`]);
-//! - adaptive detectors behind
-//!   [`GracefulDegradation`](degrade::GracefulDegradation) fall back to
+//! - a [`Watchdog`] restarts wedged or dead monitor threads
+//!   ([`supervisor`]);
+//! - adaptive detectors behind [`GracefulDegradation`] fall back to
 //!   simple elapsed-time accrual when faults starve their sampling window,
 //!   without ever violating Accruement (Property 1);
-//! - the [`FaultInjector`](fault::FaultInjector) transport wrapper replays
-//!   seeded drop/duplicate/reorder/delay/corrupt/partition schedules so
-//!   every failure mode is exercised reproducibly, and the [`chaos`]
-//!   harness turns whole scenarios into deterministic virtual-time runs.
+//! - the [`FaultInjector`] transport wrapper replays seeded
+//!   drop/duplicate/reorder/delay/corrupt/partition schedules so every
+//!   failure mode is exercised reproducibly, and the [`chaos`] harness
+//!   turns whole scenarios into deterministic virtual-time runs.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

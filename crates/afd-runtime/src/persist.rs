@@ -11,12 +11,11 @@
 //! # Architecture
 //!
 //! - **Dump path**: [`Checkpointer::checkpoint`] reads each shard's
-//!   published epoch snapshot through
-//!   [`SnapshotReader`](crate::shard::SnapshotReader) — the double-buffered
-//!   seqlocked banks the tick writer publishes into. The dumper therefore
-//!   never touches worker-owned detector state and runs entirely off the
-//!   hot path; workers pay nothing beyond the durable columns they already
-//!   publish per tick.
+//!   published epoch snapshot through [`SnapshotReader`] — the
+//!   double-buffered seqlocked banks the tick writer publishes into. The
+//!   dumper therefore never touches worker-owned detector state and runs
+//!   entirely off the hot path; workers pay nothing beyond the durable
+//!   columns they already publish per tick.
 //! - **Format**: one *segment* per shard (length-prefixed record table,
 //!   CRC-32 trailer) plus a *manifest* binding the segment set to a
 //!   generation and epoch. Every file is installed atomically by the

@@ -140,69 +140,24 @@ impl RingInner {
 }
 
 impl RingProducer {
-    /// Pushes one heartbeat, evicting the oldest unread entry (and
-    /// counting it) if the ring is full. Never blocks, never fails.
-    pub fn push(&mut self, hb: Heartbeat, arrival: Timestamp) {
-        let inner = &*self.inner;
-        let cap = inner.slots.len() as u64;
-        let tail = inner.tail.load(Ordering::Relaxed);
-        loop {
-            let head = inner.head.load(Ordering::Acquire);
-            if tail.wrapping_sub(head) < cap {
-                break;
-            }
-            // Full: drop-oldest. The CAS races only the consumer's pop;
-            // whichever side advances `head`, space exists afterwards.
-            if inner
-                .head
-                .compare_exchange(
-                    head,
-                    head.wrapping_add(1),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                // Single-writer counter: a plain load+store is exact.
-                inner.dropped.store(
-                    inner.dropped.load(Ordering::Relaxed).wrapping_add(1),
-                    Ordering::Relaxed,
-                );
-            }
-        }
-        let slot = &inner.slots[(tail & inner.mask) as usize];
-        // Per-slot seqlock enter: odd marks the slot as mid-write, and
-        // the release fence keeps the payload stores after the mark.
-        let s = slot.wseq.load(Ordering::Relaxed);
-        slot.wseq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.sender
-            .store(u64::from(hb.sender.as_u32()), Ordering::Relaxed);
-        slot.seq.store(hb.seq, Ordering::Relaxed);
-        slot.sent_at.store(hb.sent_at.as_nanos(), Ordering::Relaxed);
-        slot.arrival.store(arrival.as_nanos(), Ordering::Relaxed);
-        // Seqlock exit (even): release-orders the payload before the mark.
-        slot.wseq.store(s.wrapping_add(2), Ordering::Release);
-        inner.tail.store(tail.wrapping_add(1), Ordering::Release);
-    }
-
     /// Pushes a batch of heartbeats that share one arrival stamp, with
     /// **one** tail advance for the whole batch instead of one per
     /// frame — the publish half of the batched intake fast path.
     ///
-    /// Semantics match a `push` loop exactly: never blocks, never
-    /// fails, evicts the oldest unread entries (counted as dropped)
-    /// when space runs short. A batch longer than the ring keeps only
-    /// its newest `capacity` heartbeats — the older ones would be
-    /// evicted by their own batchmates before any consumer could see
-    /// them, so they are counted as dropped without being written.
+    /// The outcome is that of pushing the heartbeats one at a time:
+    /// never blocks, never fails, evicts the oldest unread entries
+    /// (counted as dropped) when space runs short. A batch longer than
+    /// the ring keeps only its newest `capacity` heartbeats — the older
+    /// ones would be evicted by their own batchmates before any consumer
+    /// could see them, so they are counted as dropped without being
+    /// written.
     ///
     /// The seqlock protocol runs in three passes over the claimed
     /// slots: mark every slot mid-write (odd), release-fence, store
     /// every payload, release-fence, mark every slot done (even), then
     /// publish with a single release store of `tail`. A consumer that
     /// catches any slot of the batch mid-write sees an odd or changed
-    /// seqlock word and retries, exactly as with per-frame pushes.
+    /// seqlock word and retries.
     pub fn push_batch(&mut self, hbs: &[Heartbeat], arrival: Timestamp) {
         let inner = &*self.inner;
         let cap = inner.slots.len() as u64;
@@ -383,21 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_roundtrip_and_empty() {
-        let (mut tx, mut rx) = heartbeat_ring(8);
-        assert!(rx.pop().is_none());
-        for i in 0..5u64 {
-            tx.push(hb(1, i), Timestamp::from_secs(i));
-        }
-        for i in 0..5u64 {
-            let (h, at) = rx.pop().expect("queued");
-            assert_eq!(h.seq, i);
-            assert_eq!(at, Timestamp::from_secs(i));
-        }
-        assert!(rx.pop().is_none());
-    }
-
-    #[test]
     fn capacity_rounds_up_to_power_of_two() {
         let (tx, _rx) = heartbeat_ring(5);
         assert_eq!(tx.watch().capacity(), 8);
@@ -407,30 +347,19 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest_and_counts() {
-        let (mut tx, mut rx) = heartbeat_ring(8);
-        for i in 0..20u64 {
-            tx.push(hb(1, i), Timestamp::from_nanos(i));
+        // One heartbeat at a time or in batches that straddle the ring's
+        // end: the outcome is the same.
+        for batch_len in [1, 7] {
+            let (mut tx, mut rx) = heartbeat_ring(8);
+            for chunk in (0..20u64).collect::<Vec<_>>().chunks(batch_len) {
+                let batch: Vec<Heartbeat> = chunk.iter().map(|&i| hb(1, i)).collect();
+                tx.push_batch(&batch, Timestamp::from_nanos(chunk[0]));
+            }
+            assert_eq!(rx.watch().dropped(), 12, "20 pushed into 8 slots");
+            // The survivors are exactly the newest 8, in order.
+            let got: Vec<u64> = std::iter::from_fn(|| rx.pop().map(|(h, _)| h.seq)).collect();
+            assert_eq!(got, (12..20).collect::<Vec<u64>>());
         }
-        let watch = rx.watch();
-        assert_eq!(watch.dropped(), 12, "20 pushed into 8 slots");
-        // The survivors are exactly the newest 8, in order.
-        let got: Vec<u64> = std::iter::from_fn(|| rx.pop().map(|(h, _)| h.seq)).collect();
-        assert_eq!(got, (12..20).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn interleaved_eviction_keeps_order() {
-        let (mut tx, mut rx) = heartbeat_ring(4);
-        for i in 0..4u64 {
-            tx.push(hb(1, i), Timestamp::ZERO);
-        }
-        assert_eq!(rx.pop().map(|(h, _)| h.seq), Some(0));
-        for i in 4..8u64 {
-            tx.push(hb(1, i), Timestamp::ZERO); // evicts 1, 2, 3
-        }
-        let got: Vec<u64> = std::iter::from_fn(|| rx.pop().map(|(h, _)| h.seq)).collect();
-        assert_eq!(got, vec![4, 5, 6, 7]);
-        assert_eq!(tx.watch().dropped(), 3);
     }
 
     #[test]
@@ -440,28 +369,14 @@ mod tests {
         assert!(rx.pop().is_none());
         let batch: Vec<Heartbeat> = (0..5u64).map(|i| hb(1, i)).collect();
         tx.push_batch(&batch, Timestamp::from_secs(42));
-        for i in 0..5u64 {
+        tx.push_batch(&[hb(1, 5)], Timestamp::from_secs(43));
+        for i in 0..6u64 {
             let (h, at) = rx.pop().expect("queued");
             assert_eq!(h.seq, i);
-            assert_eq!(at, Timestamp::from_secs(42), "batch stamp shared");
+            assert_eq!(at, Timestamp::from_secs(42 + i / 5), "its batch's stamp");
         }
         assert!(rx.pop().is_none());
         assert_eq!(tx.watch().dropped(), 0);
-    }
-
-    #[test]
-    fn push_batch_matches_a_push_loop_on_overflow() {
-        // The exact scenario of `overflow_drops_oldest_and_counts`, in
-        // three batches: the observable outcome must be identical to
-        // 20 single pushes into 8 slots.
-        let (mut tx, mut rx) = heartbeat_ring(8);
-        for chunk in (0..20u64).collect::<Vec<_>>().chunks(7) {
-            let batch: Vec<Heartbeat> = chunk.iter().map(|&i| hb(1, i)).collect();
-            tx.push_batch(&batch, Timestamp::from_nanos(chunk[0]));
-        }
-        assert_eq!(tx.watch().dropped(), 12, "20 pushed into 8 slots");
-        let got: Vec<u64> = std::iter::from_fn(|| rx.pop().map(|(h, _)| h.seq)).collect();
-        assert_eq!(got, (12..20).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -556,7 +471,7 @@ mod tests {
                 while watch.len() >= capacity - 1 {
                     std::thread::yield_now();
                 }
-                tx.push(hb(7, i), Timestamp::from_nanos(i));
+                tx.push_batch(&[hb(7, i)], Timestamp::from_nanos(i));
             }
             tx
         });
@@ -572,52 +487,5 @@ mod tests {
         let tx = producer.join().expect("producer");
         assert_eq!(tx.watch().dropped(), 0);
         assert!(rx.pop().is_none());
-    }
-
-    #[test]
-    fn cross_thread_with_eviction_stays_consistent() {
-        // A tiny ring under sustained pressure: every popped frame must
-        // be internally consistent (seq == sent_at nanos == arrival
-        // nanos) and seqs must be strictly increasing (drop-oldest never
-        // reorders or duplicates).
-        use std::sync::atomic::AtomicBool;
-        let (mut tx, mut rx) = heartbeat_ring(8);
-        const N: u64 = 100_000;
-        let done = Arc::new(AtomicBool::new(false));
-        let p_done = Arc::clone(&done);
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                tx.push(hb(3, i), Timestamp::from_nanos(i));
-            }
-            p_done.store(true, Ordering::Release);
-            tx
-        });
-        let mut last: Option<u64> = None;
-        let mut got = 0u64;
-        loop {
-            match rx.pop() {
-                Some((h, at)) => {
-                    assert_eq!(h.sent_at.as_nanos(), h.seq, "torn slot read");
-                    assert_eq!(at.as_nanos(), h.seq, "torn arrival read");
-                    if let Some(prev) = last {
-                        assert!(h.seq > prev, "reordered: {} after {prev}", h.seq);
-                    }
-                    last = Some(h.seq);
-                    got += 1;
-                }
-                None => {
-                    // Only quit once the producer is done AND the ring
-                    // is still empty on a fresh look (the flag read and
-                    // the empty pop race the final pushes otherwise).
-                    if done.load(Ordering::Acquire) && rx.watch().is_empty() {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        let tx = producer.join().expect("producer");
-        // Everything was either delivered or counted as dropped.
-        assert_eq!(got + tx.watch().dropped(), N);
     }
 }

@@ -42,7 +42,8 @@ pub enum WireVersion {
 pub struct SenderConfig {
     /// The identity stamped on every heartbeat.
     pub id: ProcessId,
-    /// Target heartbeat cadence (Algorithm 4's Δ_i).
+    /// Target heartbeat cadence (Algorithm 4's Δ_i). Zero means "as fast
+    /// as the caller polls": every [`SenderCore::poll`] sends.
     pub interval: Duration,
     /// Retry policy for transport send failures.
     pub retry: RetryPolicy,
@@ -182,10 +183,15 @@ impl SenderCore {
             return Ok(false);
         }
         // Schedule the next beat first so a failed send cannot wedge the
-        // cadence; skip any intervals already missed.
-        while self.next_due <= now {
-            self.next_due += self.config.interval;
-        }
+        // cadence: the first point of the `next_due + k·interval` grid
+        // past `now`, however many beats were missed. A zero interval has
+        // no grid, and the next poll is due.
+        let late = now.saturating_duration_since(self.next_due).as_nanos();
+        let ahead = match self.config.interval.as_nanos() {
+            0 => 0,
+            interval => interval - late % interval,
+        };
+        self.next_due = now + Duration::from_nanos(ahead);
         self.seq += 1;
         let hb = Heartbeat {
             sender: self.config.id,
@@ -375,6 +381,31 @@ mod tests {
             .poll(Timestamp::from_secs(100), &mut side_a, |_| {})
             .unwrap());
         assert_eq!(drain_frames(&mut side_b).len(), 1);
+    }
+
+    #[test]
+    fn scheduling_the_next_beat_does_not_walk_the_missed_ones() {
+        const S: u64 = 1_000_000_000;
+        let core = |interval| {
+            let (mut side_a, side_b) = ChannelTransport::pair();
+            let config = SenderConfig::new(ProcessId::new(1), interval);
+            let mut core = SenderCore::new(config, Timestamp::ZERO, 1);
+            move |nanos| {
+                let _connected = &side_b;
+                core.poll(Timestamp::from_nanos(nanos), &mut side_a, |_| {})
+                    .unwrap()
+            }
+        };
+        // 10¹⁰ missed beats of a 1 ns cadence: one send, next due 1 ns on.
+        let mut fast = core(Duration::from_nanos(1));
+        assert!(fast(10 * S) && !fast(10 * S) && fast(10 * S + 1));
+        // A zero interval is due on every poll.
+        let mut eager = core(Duration::ZERO);
+        assert!(eager(10 * S) && eager(10 * S));
+        // A late poll stays on the grid of the start time: 0.3 s beats
+        // polled at 1.0 s are next due at 1.2 s, not at 1.3 s.
+        let mut late = core(Duration::from_millis(300));
+        assert!(late(S) && !late(S + S / 10) && late(S + S / 5));
     }
 
     #[test]

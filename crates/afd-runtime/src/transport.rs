@@ -36,8 +36,6 @@
 //! [`ChannelTransport::export_metrics`].
 
 use std::collections::VecDeque;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, UdpSocket};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::TransportError;
@@ -399,70 +397,6 @@ impl Transport for ChannelTransport {
         }
         Ok(got)
     }
-}
-
-/// What one [`drain_socket`] call did.
-#[derive(Debug, Default)]
-pub(crate) struct SocketDrain {
-    /// Datagrams committed to the batch.
-    pub(crate) got: usize,
-    /// Datagrams dropped for exceeding [`MAX_DATAGRAM`].
-    pub(crate) oversize: u64,
-    /// Datagrams the caller's `accept` predicate turned away.
-    pub(crate) rejected: u64,
-    /// `recv_from` calls issued, including a terminal `WouldBlock` probe.
-    pub(crate) syscalls: u64,
-}
-
-/// The one UDP receive loop, behind [`UdpLane`](crate::lane::UdpLane):
-/// drains `socket` straight into `batch`'s probe-sized slots — one
-/// `recv_from` per datagram, zero copies beyond the kernel's, zero heap allocations —
-/// until the socket would block, the batch fills, `budget` syscalls are
-/// spent, or a hard error (returned beside the tallies, which stay
-/// valid). `accept(len, from)` filters datagrams first; one that passes
-/// but fills the whole probe-sized slot exceeded [`MAX_DATAGRAM`] and is
-/// counted and dropped rather than committed as a truncated frame.
-pub(crate) fn drain_socket(
-    socket: &UdpSocket,
-    batch: &mut FrameBatch,
-    budget: usize,
-    mut accept: impl FnMut(usize, SocketAddr) -> bool,
-) -> (SocketDrain, Result<(), TransportError>) {
-    let mut tally = SocketDrain::default();
-    let mut outcome = Ok(());
-    let mut drained = false;
-    while !batch.is_full() && !drained && outcome.is_ok() && tally.syscalls < budget as u64 {
-        batch.push_with(|buf| {
-            tally.syscalls += 1;
-            match socket.recv_from(buf) {
-                Ok((n, from)) if !accept(n, from) => {
-                    tally.rejected += 1;
-                    None
-                }
-                Ok((n, _)) if n > MAX_DATAGRAM => {
-                    tally.oversize += 1;
-                    None
-                }
-                Ok((n, _)) => {
-                    tally.got += 1;
-                    Some(n)
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    drained = true;
-                    None
-                }
-                // A prior send to an unbound peer can surface here as
-                // ECONNREFUSED; the peer being down is the detector's
-                // business, not a transport failure.
-                Err(e) if e.kind() == ErrorKind::ConnectionRefused => None,
-                Err(e) => {
-                    outcome = Err(e.into());
-                    None
-                }
-            }
-        });
-    }
-    (tally, outcome)
 }
 
 /// A transport connected to nothing: sends are accepted and discarded,

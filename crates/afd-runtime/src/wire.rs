@@ -205,17 +205,6 @@ impl Heartbeat {
         let frame: &[u8; FRAME_LEN] = frame
             .try_into()
             .map_err(|_| WireError::BadLength(frame.len()))?;
-        Heartbeat::decode_exact(frame)
-    }
-
-    /// Decodes an exactly-sized frame — the batched intake path, where
-    /// the caller has already length-checked the slot and the borrow is
-    /// an array reference, skipping the fallible slice conversion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] if the frame is malformed or corrupted.
-    pub fn decode_exact(frame: &[u8; FRAME_LEN]) -> Result<Heartbeat, WireError> {
         if frame[0..2] != MAGIC {
             return Err(WireError::BadMagic);
         }
@@ -570,15 +559,6 @@ mod tests {
     fn roundtrip() {
         let frame = hb().encode();
         assert_eq!(Heartbeat::decode(&frame), Ok(hb()));
-        assert_eq!(Heartbeat::decode_exact(&frame), Ok(hb()));
-    }
-
-    #[test]
-    fn decode_exact_agrees_with_decode_on_bad_frames() {
-        let mut f = hb().encode();
-        f[5] ^= 0x40;
-        assert_eq!(Heartbeat::decode(&f), Heartbeat::decode_exact(&f));
-        assert!(Heartbeat::decode_exact(&f).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Fuzzy group membership and slowness ordering (§6 of the paper) on top
-//! of one accrual monitoring service.
+//! of one accrual monitor, read through a lock-free snapshot reader.
 //!
 //! Friedman's fuzzy membership classifies each member as trusted / fuzzy /
 //! suspected using two thresholds over a numeric level; Sampaio et al.'s
@@ -13,9 +13,9 @@
 
 use accrual_fd::core::transform::{FuzzyInterpreter, FuzzyStatus};
 use accrual_fd::detectors::kappa::PhiContribution;
-use accrual_fd::detectors::service::MonitoringService;
 use accrual_fd::detectors::slowness::SlownessOracle;
 use accrual_fd::prelude::*;
+use accrual_fd::runtime::{ChannelTransport, DeltaEncoder, Heartbeat, VirtualClock, MAX_V2_FRAME};
 use accrual_fd::sim::scenario::Scenario;
 use accrual_fd::sim::simulate;
 
@@ -42,12 +42,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the detector designed to count losses instead of panicking about
     // them (§5.4). Thresholds are in missed-heartbeat units: fuzzy past
     // ~1.5 missed, down past ~8.
-    let mut service = MonitoringService::new(|_| {
+    let clock = VirtualClock::new();
+    let (mut wire, intake) = ChannelTransport::pair();
+    let config = ShardConfig {
+        shards: 1,
+        slots_per_shard: traces.len(),
+    };
+    let mut monitor = ShardedMonitor::new(intake, clock.clone(), config, |_| {
         KappaAccrual::new(KappaConfig::default(), PhiContribution).expect("valid config")
     });
+    // The membership and slowness layers below see the monitor only
+    // through this reader.
+    let view = monitor.reader();
     let mut membership: Vec<FuzzyInterpreter> = Vec::new();
     for i in 0..traces.len() as u32 {
-        service.watch(ProcessId::new(i));
+        monitor.watch(ProcessId::new(i))?;
         membership.push(FuzzyInterpreter::new(
             SuspicionLevel::new(1.5)?,
             SuspicionLevel::new(8.0)?,
@@ -55,18 +64,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut slowness = SlownessOracle::new(0.3)?;
 
-    let mut cursors = vec![0usize; traces.len()];
+    // Each member encodes its heartbeats as wire-v2 frames in send order
+    // (lost ones included); the monitor receives the delivered ones in
+    // arrival order.
+    let mut schedule = Vec::new();
+    for (id, trace) in (0u32..).zip(&traces) {
+        let sender = ProcessId::new(id);
+        let interval = std::time::Duration::from_nanos(trace.interval().as_nanos());
+        let mut encoder = DeltaEncoder::new(sender, id, interval, 8);
+        for record in trace.records() {
+            let hb = Heartbeat {
+                sender,
+                seq: record.seq,
+                sent_at: record.sent_at,
+            };
+            let mut buf = [0u8; MAX_V2_FRAME];
+            let len = encoder.encode(&hb, &mut buf);
+            if let Some(arrival) = record.delivered_local {
+                schedule.push((arrival, buf[..len].to_vec()));
+            }
+        }
+    }
+    schedule.sort_by_key(|&(arrival, _)| arrival);
+
+    let mut due = schedule.iter().peekable();
     println!("  t(s)  membership view                         slowness order (fastest first)");
     for tick in 1..=90u64 {
         let now = Timestamp::from_secs(tick);
-        for (w, trace) in traces.iter().enumerate() {
-            let deliveries = trace.deliveries_in_arrival_order();
-            while cursors[w] < deliveries.len() && deliveries[cursors[w]].1 <= now {
-                service.heartbeat(ProcessId::new(w as u32), deliveries[cursors[w]].1);
-                cursors[w] += 1;
-            }
+        while let Some((arrival, frame)) = due.next_if(|(arrival, _)| *arrival <= now) {
+            clock.set(*arrival);
+            wire.send(frame)?;
+            monitor.tick()?;
         }
-        let snapshot = service.snapshot(now);
+        clock.set(now);
+        monitor.tick()?;
+        let snapshot = view.snapshot();
         slowness.observe_snapshot(now, &snapshot);
 
         if tick % 15 == 0 || tick == 47 || tick == 50 {

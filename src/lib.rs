@@ -16,9 +16,9 @@
 //! | Re-export | Contents |
 //! |-----------|----------|
 //! | [`core`] | the formalism: suspicion levels, detector traits, classes (◊P_ac …), Algorithms 1–3, property checkers, stats, distributions |
-//! | [`detectors`] | the four implementations of §5: simple, Chen, φ, κ — plus the monitoring service and the A.5 adversary |
+//! | [`detectors`] | the four implementations of §5: simple, Chen, φ, κ — plus the per-application `InterpreterBank` of Fig. 2 and the A.5 adversary |
 //! | [`sim`] | deterministic discrete-event network simulator: delay/loss models, clock drift, partial synchrony, heartbeat replay |
-//! | [`runtime`] | live Algorithm 4 over pluggable transports: heartbeat senders, fault injection, retry/backoff, watchdog supervision, graceful degradation, chaos harness |
+//! | [`runtime`] | live Algorithm 4 over pluggable transports: the monitor (`ShardedMonitor`) and its lock-free `SnapshotReader`s — the monitoring side of Fig. 2 — heartbeat senders, fault injection, retry/backoff, watchdog supervision, graceful degradation, chaos harness |
 //! | [`qos`] | Chen et al. QoS metrics (T_D, T_MR, T_M, λ_M, P_A, T_G) and the experiment harness |
 //! | [`obs`] | observability: metric registry (counters/gauges/histograms), structured event traces, and streaming online QoS estimators |
 //! | [`bot`] | the Bag-of-Tasks master/worker application of §1.3 |
@@ -90,11 +90,11 @@ pub mod prelude {
     pub use afd_detectors::chen::{ChenAccrual, ChenConfig};
     pub use afd_detectors::kappa::{KappaAccrual, KappaConfig};
     pub use afd_detectors::phi::{PhiAccrual, PhiConfig, PhiModel};
-    pub use afd_detectors::service::{InterpreterBank, MonitoringService};
+    pub use afd_detectors::service::InterpreterBank;
     pub use afd_detectors::simple::SimpleAccrual;
     pub use afd_runtime::{
         DegradeConfig, FaultInjector, FaultPlan, GracefulDegradation, ShardConfig, ShardedMonitor,
-        Transport,
+        SnapshotReader, Transport,
     };
 }
 
