@@ -9,8 +9,8 @@
 //!    must stay small where `erfc` itself is tiny.
 //! 2. **No premature saturation** — `erfc` underflows to zero near `x ≈ 27`
 //!    (normal z ≈ 38), which would freeze the suspicion level and violate
-//!    Accruement. [`ln_erfc`] computes the *logarithm* of the tail directly,
-//!    so φ keeps growing (quadratically) forever.
+//!    Accruement. [`ln_erfc`] and [`ln_half_erfc`] compute the *logarithm*
+//!    of the tail directly, so φ keeps growing (quadratically) forever.
 //! 3. **Bounded cost** — every function here runs a fixed number of steps
 //!    whatever its argument, so a publish over many peers costs the same
 //!    however long each has been silent. No loop has a data-dependent trip
@@ -18,31 +18,57 @@
 //!
 //! # Regimes
 //!
+//! `erf` and `erfc`:
+//!
 //! | argument | evaluation |
 //! |---|---|
-//! | `\|x\| < 0.5` | `erf(x) = x·P(x²)`, `P` a degree-10 polynomial |
-//! | `x ≥ 0.5` | `erfc(x) = t·exp(−x² + g(t))`, `t = 2/(2 + x)`, with `g` a degree-10 polynomial on each of eight equal pieces of `t ∈ [0, 0.8]` |
+//! | `\|x\| < 0.5` | `erf(x) = x·P(x²)`, `P` a degree-10 polynomial (`ERF_SMALL`) |
+//! | `x ≥ 0.5` | `erfc(x) = t·exp(−x² + g(t))`, `t = 2/(2 + x)`, with `g` a degree-10 polynomial on each of eight equal pieces of `t ∈ [0, 0.8]` (`ERFC_TAIL`) |
 //! | `x ≤ −0.5` | `erfc(x) = 2 − erfc(−x)`; below `−6` that is `2` to the last bit |
 //!
-//! `ln_erfc(x)` for `x ≥ 0.5` is `−x² + g(t) − ln(1 + x/2)`: no `exp`, so
-//! nothing underflows. The tables live in `erf_table.rs`, written by
+//! The logarithms, [`ln_half_erfc`]`(x) = ln(½·erfc(x))` — the log of a
+//! normal upper tail, which is what φ asks for — and
+//! [`ln_erfc`]` = ln_half_erfc + ln 2`:
+//!
+//! | argument | `ln_half_erfc` |
+//! |---|---|
+//! | `x < −6` | exactly `0`: the tail is `1` to the last bit |
+//! | `−6 ≤ x < 0.5` | a degree-10 polynomial in `x` on each of 26 pieces of width ¼ (`LN_HALF_ERFC`): no `exp`, no `ln` |
+//! | `x ≥ 0.5` | `−x² + g(t) − ln(1 + x/2) − ln 2`: no `exp`, so nothing underflows |
+//!
+//! The middle row is where a monitored process that is alive sits between
+//! two heartbeats (`x = (elapsed − mean)/(σ√2)` runs from about `−7` up to
+//! `0` and starts over), so it is the one a monitor evaluates for nearly
+//! every peer at every publish. There the value lies within 1.5 of zero;
+//! `ln(2 − erfc(−x))` would spend an `exp` and an `ln` to land next to
+//! `ln 2`, which the caller subtracts again — and lose the value's own
+//! digits in the cancellation. The direct fit costs one polynomial and
+//! keeps them. The tables live in `erf_table.rs`, written by
 //! `scripts/gen_erfc_table.py` from 60-digit arithmetic.
 //!
 //! # Accuracy contract
 //!
 //! Against the iterative evaluation this module used before (a Maclaurin
 //! series below 2, a modified-Lentz continued fraction above; kept under
-//! `#[cfg(test)]` as `oracle`): `erfc` within 1e-13 relative on `[−6, 27]`,
-//! `ln_erfc` within `1e-12·max(1, |value|)` on `[−6, 200]`, and `ln_erfc`
-//! strictly decreasing across every regime and piece boundary. The tests
-//! below hold the kernel to that and re-derive the tables from the oracle.
+//! `#[cfg(test)]` as `oracle`): `erfc` within 1e-13 relative on `[−6, 27]`;
+//! `ln_erfc` within `1e-12·max(1, |value|)` on `[−6, 200]` and strictly
+//! decreasing from `−5` up across every regime boundary and tail piece
+//! edge (below that its steps are smaller than an ulp of `ln 2`, and it
+//! never increases); `ln_half_erfc` — through `Normal::log10_sf`, its one
+//! caller — within 1e-14 absolute of `ln(½·erfc)` on `[−6, 0.5)` and
+//! strictly decreasing from `−6` up across those and all 25 inner edges of
+//! the direct fit: it has no `ln 2` to cancel against. The tests below hold
+//! the kernel to that and re-derive the tables from the oracle.
 
 use core::f64::consts::LN_2;
 
-use super::erf_table::{ERFC_TAIL, ERF_SMALL, SMALL_MID, SMALL_X, TAIL_SCALE, TAIL_STEP};
+use super::erf_table::{
+    ERFC_TAIL, ERF_SMALL, LIVE_LO, LIVE_SCALE, LIVE_STEP, LN_HALF_ERFC, SMALL_MID, SMALL_X,
+    TAIL_SCALE, TAIL_STEP,
+};
 
 /// Below this, `2 − erfc(−x)` rounds to exactly 2 (`erfc(6) ≈ 2e-17`).
-const SATURATED: f64 = -6.0;
+const SATURATED: f64 = LIVE_LO;
 
 /// The error function `erf(x) = (2/√π) ∫₀ˣ e^{−t²} dt`.
 ///
@@ -74,10 +100,41 @@ pub fn ln_erfc(x: f64) -> f64 {
     if x < SATURATED {
         LN_2
     } else if x < SMALL_X {
-        erfc(x).ln()
+        live_poly(x) + LN_2
     } else {
-        -x * x + tail_poly(tail_t(x)) - (1.0 + 0.5 * x).ln()
+        ln_erfc_tail(x)
     }
+}
+
+/// `ln(½·erfc(x))`: the natural logarithm of a normal distribution's upper
+/// tail at `x = z/√2`. Exactly zero below `−6`, one polynomial up to `0.5`
+/// — where a monitored process sits while it is alive — and stable for
+/// arbitrarily large `x`, like [`ln_erfc`].
+#[inline]
+pub(crate) fn ln_half_erfc(x: f64) -> f64 {
+    if x < SATURATED {
+        0.0
+    } else if x < SMALL_X {
+        live_poly(x)
+    } else {
+        ln_erfc_tail(x) - LN_2
+    }
+}
+
+/// `ln(erfc(x))` for `x ≥ SMALL_X` (and NaN for NaN).
+#[inline]
+fn ln_erfc_tail(x: f64) -> f64 {
+    -x * x + tail_poly(tail_t(x)) - (1.0 + 0.5 * x).ln()
+}
+
+/// `ln(½·erfc(x))` for `SATURATED ≤ x < SMALL_X` from the direct fit.
+#[inline]
+fn live_poly(x: f64) -> f64 {
+    let i = (((x - LIVE_LO) * LIVE_SCALE) as usize).min(LN_HALF_ERFC.len() - 1);
+    poly10(
+        &LN_HALF_ERFC[i],
+        x - (LIVE_LO + (i as f64 + 0.5) * LIVE_STEP),
+    )
 }
 
 /// `erf` for `|x| < SMALL_X`.
@@ -232,8 +289,9 @@ mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{ArrivalDistribution, Normal};
     use super::*;
-    use core::f64::consts::PI;
+    use core::f64::consts::{LOG10_E, PI};
 
     // Reference values computed with mpmath at 50 digits.
     const ERF_TABLE: &[(f64, f64)] = &[
@@ -346,6 +404,16 @@ mod tests {
         ln_scaled - t.ln()
     }
 
+    /// `ln(½·erfc(x))` from the oracle alone. Below zero through the lower
+    /// tail, so the value keeps its digits where `½·erfc` is `1 − 1e-17`.
+    fn oracle_ln_half_erfc(x: f64) -> f64 {
+        if x < 0.0 {
+            (-0.5 * oracle::erfc(-x)).ln_1p()
+        } else {
+            (0.5 * oracle::erfc(x)).ln()
+        }
+    }
+
     /// Re-derives a table row from `f` in f64: Chebyshev interpolation at
     /// 11 nodes of `[a, b]`, converted to monomial coefficients in
     /// `s = (v − mid)/half`. Conversion amplifies the oracle's error (up to
@@ -417,8 +485,28 @@ mod tests {
             SMALL_MID,
             rederive_row(erf_over_x, 0.0, 2.0 * SMALL_MID),
         );
+        for (i, row) in LN_HALF_ERFC.iter().enumerate() {
+            let a = LIVE_LO + i as f64 * LIVE_STEP;
+            assert_row_matches(
+                &format!("LN_HALF_ERFC[{i}]"),
+                row,
+                0.5 * LIVE_STEP,
+                rederive_row(oracle_ln_half_erfc, a, a + LIVE_STEP),
+            );
+            let mid = a + 0.5 * LIVE_STEP;
+            assert!(
+                (row[0] - oracle_ln_half_erfc(mid)).abs() < 1e-14,
+                "ln(½·erfc({mid}))"
+            );
+        }
         assert_eq!(2.0 * SMALL_MID, SMALL_X * SMALL_X);
         assert_eq!(TAIL_STEP * TAIL_SCALE, 1.0);
+        assert_eq!(LIVE_STEP * LIVE_SCALE, 1.0);
+        assert_eq!(
+            LIVE_LO + LN_HALF_ERFC.len() as f64 * LIVE_STEP,
+            SMALL_X,
+            "the direct fit ends where the tail form begins"
+        );
         assert_eq!(
             ERFC_TAIL.len() as f64 * TAIL_STEP,
             tail_t(SMALL_X),
@@ -434,37 +522,91 @@ mod tests {
         xs
     }
 
-    #[test]
-    fn ln_erfc_is_strictly_decreasing_across_every_boundary() {
-        // Below ≈ −5 the slope of ln erfc is under 1e-11 and the value sits
-        // within a few ulps of ln 2, so there only "never increases" can
-        // hold; from there on every step must strictly decrease.
-        for b in boundaries() {
-            let mut prev = ln_erfc(b - 1e-3);
+    /// [`boundaries`] plus the inner piece edges of the direct fit.
+    fn boundaries_and_live_edges() -> Vec<f64> {
+        let mut xs = boundaries();
+        xs.extend((1..LN_HALF_ERFC.len()).map(|i| LIVE_LO + i as f64 * LIVE_STEP));
+        xs
+    }
+
+    /// Walks the 10⁻⁶ grid a thousand steps either side of every one of
+    /// `boundaries`: `f` must never increase, and from `strict_from` up
+    /// every step must strictly decrease.
+    fn assert_decreasing_across(
+        boundaries: Vec<f64>,
+        name: &str,
+        f: impl Fn(f64) -> f64,
+        strict_from: f64,
+    ) {
+        for b in boundaries {
+            let mut prev = f(b - 1e-3);
             for k in -999..=1000 {
                 let x = b + k as f64 * 1e-6;
-                let cur = ln_erfc(x);
-                if x < -5.0 {
-                    assert!(cur <= prev, "ln_erfc rose at {x}: {prev} -> {cur}");
+                let cur = f(x);
+                if x < strict_from {
+                    assert!(cur <= prev, "{name} rose at {x}: {prev} -> {cur}");
                 } else {
-                    assert!(cur < prev, "ln_erfc not decreasing at {x}: {prev} -> {cur}");
+                    assert!(cur < prev, "{name} not decreasing at {x}: {prev} -> {cur}");
                 }
                 prev = cur;
             }
         }
-        // And on a coarse grid over the whole contract range.
-        let mut prev = ln_erfc(-5.0);
-        for k in 1..=205_000 {
-            let x = -5.0 + k as f64 * 1e-3;
-            let cur = ln_erfc(x);
-            assert!(cur < prev, "ln_erfc not decreasing at {x}");
+    }
+
+    /// And on a coarse grid, 10⁻³, from `from` to the end of the contract
+    /// range: every step must strictly decrease.
+    fn assert_strictly_decreasing_up_to_200(name: &str, f: impl Fn(f64) -> f64, from: f64) {
+        let mut prev = f(from);
+        for k in 1..=((200.0 - from) * 1e3) as u32 {
+            let x = from + f64::from(k) * 1e-3;
+            let cur = f(x);
+            assert!(cur < prev, "{name} not decreasing at {x}");
             prev = cur;
         }
     }
 
     #[test]
+    fn ln_erfc_is_strictly_decreasing_across_every_boundary() {
+        // Below ≈ −5 the slope of ln erfc is under 1e-11 and the value sits
+        // within a few ulps of ln 2, so there only "never increases" can
+        // hold; from there on every step must strictly decrease.
+        assert_decreasing_across(boundaries(), "ln_erfc", ln_erfc, -5.0);
+        assert_strictly_decreasing_up_to_200("ln_erfc", ln_erfc, -5.0);
+    }
+
+    /// The normal model whose `log10_sf(x)` is `log₁₀(½·erfc(x))` at exactly
+    /// `x`: mean 0 and an `erfc_scale` of exactly 1.
+    fn unit_scale_normal() -> Normal {
+        // 1/√2 rounded down: its product with √2 rounds to 1.
+        let std = f64::from_bits(core::f64::consts::FRAC_1_SQRT_2.to_bits() - 1);
+        let n = Normal::new(0.0, std).unwrap();
+        for x in [-5.9, -0.3, 0.7, 17.0] {
+            assert_eq!(n.log10_sf(x), ln_half_erfc(x) * LOG10_E, "scale is not 1");
+        }
+        n
+    }
+
+    #[test]
+    fn log10_sf_is_strictly_decreasing_from_saturation_up() {
+        // The direct fit has no ln 2 to cancel against: at −6 the value is
+        // −1e-17 and a 10⁻⁶ step moves its fifth digit, so every step from
+        // there up must show — across all 26 piece edges, the hand-over to
+        // the tail form and the tail's own pieces. Below −6 it is exactly 0.
+        let n = unit_scale_normal();
+        assert_decreasing_across(
+            boundaries_and_live_edges(),
+            "log10_sf",
+            |x| n.log10_sf(x),
+            SATURATED,
+        );
+        assert_strictly_decreasing_up_to_200("log10_sf", |x| n.log10_sf(x), SATURATED);
+        assert_eq!(n.log10_sf(SATURATED - 1e-9), 0.0);
+        assert!(n.log10_sf(SATURATED) < 0.0);
+    }
+
+    #[test]
     fn kernel_matches_oracle_at_the_boundaries_and_extremes() {
-        for b in boundaries() {
+        for b in boundaries_and_live_edges() {
             for x in [b - 1e-9, b, b + 1e-9] {
                 let (got, want) = (ln_erfc(x), oracle::ln_erfc(x));
                 assert!(
@@ -474,6 +616,9 @@ mod tests {
             }
         }
         assert_eq!(ln_erfc(-40.0), oracle::ln_erfc(-40.0));
+        assert_eq!(ln_half_erfc(-40.0), 0.0);
+        assert_eq!(ln_half_erfc(f64::INFINITY), f64::NEG_INFINITY);
+        assert!(ln_half_erfc(f64::NAN).is_nan());
         assert_eq!(erfc(-40.0), 2.0);
         assert_eq!(erf(-40.0), -1.0);
         assert_eq!(erf(40.0), 1.0);
@@ -528,6 +673,25 @@ mod tests {
                 prop_assert!(
                     (got - want).abs() <= 1e-12 * want.abs().max(1.0),
                     "ln_erfc({}) = {}, oracle {}", x, got, want
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 64 } else { 4096 }))]
+
+            /// Where a live peer sits between two heartbeats the log of the
+            /// tail comes from the direct fit, which has an absolute
+            /// contract: the value is within 1.5 of zero there.
+            #[test]
+            fn log10_sf_matches_oracle_where_live_peers_sit(x in -6.0f64..0.5) {
+                let want = oracle_ln_half_erfc(x);
+                let got = ln_half_erfc(x);
+                prop_assert!((got - want).abs() <= 1e-14, "ln_half_erfc({}) = {}, oracle {}", x, got, want);
+                let got = unit_scale_normal().log10_sf(x);
+                prop_assert!(
+                    (got - want * LOG10_E).abs() <= 1e-14,
+                    "log10_sf({}) = {}, oracle {}", x, got, want * LOG10_E
                 );
             }
         }

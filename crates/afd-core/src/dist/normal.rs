@@ -1,10 +1,17 @@
 //! The normal inter-arrival model named by §5.3 of the paper.
+//!
+//! A tail query is `½·erfc(u)` at `u = (x − mean)·1/(σ√2)`: the model
+//! pays its divisions once, at construction, and
+//! [`log10_sf`](ArrivalDistribution::log10_sf) is a subtract, a multiply and
+//! one `ln(½·erfc(u))` from the kernel in `erf.rs` — which, for the
+//! `u ∈ [−6, 0.5)` a live process occupies between two heartbeats, is a
+//! single polynomial.
 
-use core::f64::consts::{LN_2, LOG10_E};
+use core::f64::consts::LOG10_E;
 
 use crate::error::ConfigError;
 
-use super::erf::{erfc, ln_erfc};
+use super::erf::{erfc, ln_half_erfc};
 use super::ArrivalDistribution;
 
 const SQRT_2: f64 = core::f64::consts::SQRT_2;
@@ -95,8 +102,8 @@ impl ArrivalDistribution for Normal {
 
     #[inline]
     fn log10_sf(&self, x: f64) -> f64 {
-        // ln(0.5 · erfc(u)); ln_erfc stays finite long after erfc underflows.
-        (ln_erfc(self.u(x)) - LN_2) * LOG10_E
+        // ln(0.5 · erfc(u)); the log stays finite long after erfc underflows.
+        ln_half_erfc(self.u(x)) * LOG10_E
     }
 }
 

@@ -69,7 +69,7 @@ impl SlidingWindow {
         if self.len == self.capacity {
             let old = self.buf[self.head];
             self.buf[self.head] = x;
-            self.head = (self.head + 1) % self.capacity;
+            self.head = self.wrap(self.head + 1);
             self.moments.remove(old);
             self.moments.push(x);
             self.evictions += 1;
@@ -78,7 +78,7 @@ impl SlidingWindow {
             }
             Some(old)
         } else {
-            let idx = (self.head + self.len) % self.capacity;
+            let idx = self.wrap(self.head + self.len);
             self.buf[idx] = x;
             self.len += 1;
             self.moments.push(x);
@@ -88,6 +88,21 @@ impl SlidingWindow {
 
     fn recompute(&mut self) {
         self.moments = self.iter().collect();
+    }
+
+    /// Folds a ring position below `2·capacity` back into the buffer.
+    /// `head` and `len` never exceed `capacity`, so every position this
+    /// module forms is in that range and one compare-and-subtract is
+    /// exact — where `%` by a run-time capacity is a 64-bit division on
+    /// every accepted heartbeat.
+    #[inline]
+    fn wrap(&self, pos: usize) -> usize {
+        debug_assert!(pos < 2 * self.capacity);
+        if pos >= self.capacity {
+            pos - self.capacity
+        } else {
+            pos
+        }
     }
 
     /// Number of samples currently in the window.
@@ -135,14 +150,13 @@ impl SlidingWindow {
         if self.len == 0 {
             None
         } else {
-            let idx = (self.head + self.len - 1) % self.capacity;
-            Some(self.buf[idx])
+            Some(self.buf[self.wrap(self.head + self.len - 1)])
         }
     }
 
     /// Iterates over the samples from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.len).map(move |i| self.buf[(self.head + i) % self.capacity])
+        (0..self.len).map(move |i| self.buf[self.wrap(self.head + i)])
     }
 
     /// Copies the samples, oldest first.

@@ -30,7 +30,9 @@
 //! bootstrap prior, the distribution's validation and its reciprocals — is
 //! done once per arrival (or restore) and cached as the tail; a query is
 //! one subtraction, one multiplication and one bounded-cost
-//! [`ln_erfc`](afd_core::dist::ln_erfc).
+//! [`Normal::log10_sf`](ArrivalDistribution::log10_sf) — a single
+//! polynomial, with no `exp` and no `ln`, wherever a live peer sits
+//! between two heartbeats.
 
 use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
 use afd_core::dist::{ArrivalDistribution, Empirical, Exponential, Normal};
@@ -401,14 +403,18 @@ impl AccrualFailureDetector for PhiAccrual {
     /// Re-seeds the gap window and last-arrival time from `seed`.
     ///
     /// The empirical histogram (when [`PhiModel::Empirical`] is
-    /// configured) is *not* persisted: after a restore it restarts below
-    /// its bootstrap count, so φ falls back to the normal model over the
-    /// seeded moments until enough fresh gaps re-populate the histogram —
+    /// configured) is *not* persisted: a restore empties it, so it restarts
+    /// below its bootstrap count and φ falls back to the normal model over
+    /// the seeded moments until enough fresh gaps re-populate it —
     /// pre-crash quality under the normal model, graceful re-learning
-    /// under the empirical one.
+    /// under the empirical one, and the same answer whether or not the
+    /// detector had a history of its own before the restore.
     fn restore_seed(&mut self, seed: &DetectorSeed) {
         self.gaps
             .seed_from_moments(seed.samples, seed.mean, seed.population_variance);
+        if let Some(hist) = &mut self.empirical {
+            hist.clear();
+        }
         self.last_heartbeat = seed.last_heartbeat;
         self.tail = self.tail_from(self.window_estimates());
     }
@@ -805,6 +811,41 @@ mod tests {
         for late in [0.05, 0.2, 0.5, 2.0, 60.0] {
             let (a, b) = (live.phi(ts(t + late)), restored.phi(ts(t + late)));
             assert!((a - b).abs() <= 1e-9 * a.max(1.0), "+{late}s: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn restore_empties_the_empirical_histogram() {
+        // Regression: a restore re-seeded the window but kept the
+        // histogram, so a detector restored over a history of its own
+        // (`ShardedMonitor::restore` of an already-watched peer) went on
+        // answering from pre-restore gaps — 2.079 here, against the 0.0 of
+        // a fresh detector restored from the same seed.
+        let config = PhiConfig {
+            model: PhiModel::Empirical {
+                bins: 32,
+                max_intervals: 8.0,
+            },
+            ..PhiConfig::default()
+        };
+        let seed = DetectorSeed {
+            last_heartbeat: Some(ts(100.0)),
+            samples: 30,
+            mean: 5.0,
+            population_variance: 1.0,
+            heartbeats_seen: 0,
+        };
+        let mut fresh = PhiAccrual::new(config).unwrap();
+        let mut lived = PhiAccrual::new(config).unwrap();
+        for k in 1..=30 {
+            lived.record_heartbeat(ts(f64::from(k)));
+        }
+        fresh.restore_seed(&seed);
+        lived.restore_seed(&seed);
+        assert_eq!(fresh.save_seed(), lived.save_seed());
+        for at in [100.5, 103.0, 110.0, 500.0] {
+            let (a, b) = (fresh.phi(ts(at)), lived.phi(ts(at)));
+            assert_eq!(a.to_bits(), b.to_bits(), "t = {at}: {a} vs {b}");
         }
     }
 

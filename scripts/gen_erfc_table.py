@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
 """Generates crates/afd-core/src/dist/erf_table.rs (needs mpmath).
 
-Two tables, both rounded from 60-digit arithmetic to the nearest f64:
+Three tables, all rounded from 60-digit arithmetic to the nearest f64:
 
-  ERF_SMALL   for |x| < SMALL_X: erf(x)/x as a function of y = x^2 on
-              [0, SMALL_X^2].
-  ERFC_TAIL   for x >= SMALL_X: with t = 2/(2+x), the function
-                  g(t) = ln(erfc(x) * exp(x^2) / t)
-              is smooth on [0, T_MAX] (g(0) = -ln(2 sqrt(pi))). The interval
-              is cut into PIECES equal pieces, one row each.
+  ERF_SMALL     for |x| < SMALL_X: erf(x)/x as a function of y = x^2 on
+                [0, SMALL_X^2].
+  ERFC_TAIL     for x >= SMALL_X: with t = 2/(2+x), the function
+                    g(t) = ln(erfc(x) * exp(x^2) / t)
+                is smooth on [0, T_MAX] (g(0) = -ln(2 sqrt(pi))). The
+                interval is cut into PIECES equal pieces, one row each.
+  LN_HALF_ERFC  for LIVE_LO <= x < SMALL_X: ln(erfc(x)/2) itself, the log of
+                a normal upper tail, on LIVE_PIECES pieces of width
+                LIVE_STEP. A monitored process that is alive sits here
+                between two heartbeats, where the value is within 1.5 of
+                zero: fitting it directly needs no exp and no ln, and does
+                not cancel against ln 2 the way ln(2 - erfc(-x)) does.
 
 A row holds the monomial coefficients, in d = (variable - centre of the
 interval), of the degree-DEGREE Chebyshev interpolant on that interval.
@@ -18,7 +24,8 @@ Before writing anything the script rebuilds the classical single-piece fit
 its leading coefficients against their published values, so a broken g or a
 broken transform cannot produce a plausible-looking table. After rounding it
 evaluates the tables in plain f64 arithmetic, the way erf.rs does, against
-mpmath on a dense grid and fails if the error exceeds MAX_ERR.
+mpmath on a dense grid and fails if the error exceeds MAX_ERR, or if
+LN_HALF_ERFC does not step strictly downwards over its grid.
 
     python3 scripts/gen_erfc_table.py            # rewrite erf_table.rs
     python3 scripts/gen_erfc_table.py --check    # fail if the file differs
@@ -37,7 +44,11 @@ DEGREE = 10
 TAIL_SCALE = PIECES / float(T_MAX)  # pieces per unit of t
 TAIL_STEP = float(T_MAX) / PIECES  # width of a piece
 SMALL_MID = float(SMALL_X) ** 2 / 2  # centre of [0, SMALL_X^2]
-MAX_ERR = 6e-16  # ~2.5 ulp of g: evaluation rounding, not truncation
+MAX_ERR = 6e-16  # ~2.5 ulp of g or of ln(erfc(x)/2) at x = SMALL_X: evaluation rounding, not truncation
+LIVE_LO = mp.mpf(-6)  # below it erfc(x)/2 is 1 to the last bit
+LIVE_SCALE = 4.0  # pieces per unit of x
+LIVE_STEP = 1 / LIVE_SCALE  # width of a piece
+LIVE_PIECES = int((SMALL_X - LIVE_LO) * LIVE_SCALE)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "crates/afd-core/src/dist/erf_table.rs"
 
@@ -112,6 +123,17 @@ def erfc_tail():
     return [row(g, i * width, (i + 1) * width) for i in range(PIECES)]
 
 
+def ln_half_erfc(x):
+    x = mp.mpf(x)
+    # log1p of the lower tail: erfc(x)/2 is 1 - 1e-17 at the low end.
+    return mp.log1p(-mp.erfc(-x) / 2) if x < 0 else mp.log(mp.erfc(x) / 2)
+
+
+def ln_half_erfc_live():
+    step = mp.mpf(LIVE_STEP)
+    return [row(ln_half_erfc, LIVE_LO + i * step, LIVE_LO + (i + 1) * step) for i in range(LIVE_PIECES)]
+
+
 def poly10(c, d):
     """Plain-f64 mirror of erf.rs `poly10` (same Estrin grouping)."""
     d2 = d * d
@@ -130,6 +152,26 @@ def eval_small(table, x):
 def eval_tail(rows, t):
     i = min(int(t * TAIL_SCALE), PIECES - 1)
     return poly10(rows[i], t - (i + 0.5) * TAIL_STEP)
+
+
+def eval_live(rows, x):
+    i = min(int((x - float(LIVE_LO)) * LIVE_SCALE), LIVE_PIECES - 1)
+    return poly10(rows[i], x - (float(LIVE_LO) + (i + 0.5) * LIVE_STEP))
+
+
+def validate_live(rows):
+    worst, prev = 0.0, 0.0
+    points = 20000
+    for k in range(points):
+        x = float(LIVE_LO) + float(SMALL_X - LIVE_LO) * k / points
+        got = eval_live(rows, x)
+        if not got < prev:
+            sys.exit(f"LN_HALF_ERFC does not step down at {x!r}: {prev!r} -> {got!r}")
+        prev = got
+        worst = max(worst, float(abs(mp.mpf(got) - ln_half_erfc(x))))
+    if worst > MAX_ERR:
+        sys.exit(f"LN_HALF_ERFC error {worst:.3e} exceeds {MAX_ERR:.1e}")
+    return worst
 
 
 def validate(small, rows):
@@ -151,13 +193,23 @@ def validate(small, rows):
     return worst
 
 
-def render(small, rows, worst):
+def render_rows(rows):
+    lines = []
+    for row in rows:
+        lines.append("    [")
+        lines += [f"        {c!r}," for c in row]
+        lines.append("    ],")
+    return lines + ["];", ""]
+
+
+def render(small, rows, worst, live, live_worst):
     assert DEGREE == 10, "erf.rs hard-codes the degree-10 Estrin grouping"
     lines = [
         "// @generated by scripts/gen_erfc_table.py — do not edit by hand.",
         "//",
         f"// Worst error of the tables evaluated in f64 against mpmath: {worst:.2e}",
-        "// (relative for ERF_SMALL, absolute in g for ERFC_TAIL).",
+        "// (relative for ERF_SMALL, absolute in g for ERFC_TAIL) and",
+        f"// {live_worst:.2e} (absolute, LN_HALF_ERFC).",
         "",
         "/// Coefficients in `d = x² − SMALL_MID` of `erf(x)/x` for `|x| < SMALL_X`.",
         "#[rustfmt::skip]",
@@ -184,18 +236,30 @@ def render(small, rows, worst):
         "#[rustfmt::skip]",
         f"pub(super) const ERFC_TAIL: [[f64; {DEGREE + 1}]; {PIECES}] = [",
     ]
-    for row in rows:
-        lines.append("    [")
-        lines += [f"        {c!r}," for c in row]
-        lines.append("    ],")
-    lines += ["];", ""]
+    lines += render_rows(rows)
+    lines += [
+        "/// Where the direct fit of `ln(½·erfc(x))` starts; it ends at `SMALL_X`.",
+        f"pub(super) const LIVE_LO: f64 = {float(LIVE_LO)!r};",
+        "",
+        "/// Pieces per unit of `x`: piece `i` covers `LIVE_LO + [i, i + 1) / LIVE_SCALE`.",
+        f"pub(super) const LIVE_SCALE: f64 = {LIVE_SCALE!r};",
+        "",
+        "/// Width of a piece, `1/LIVE_SCALE`.",
+        f"pub(super) const LIVE_STEP: f64 = {LIVE_STEP!r};",
+        "",
+        "/// Row `i`: coefficients in `d = x − (LIVE_LO + (i + ½)·LIVE_STEP)` of",
+        "/// `ln(½·erfc(x))`.",
+        "#[rustfmt::skip]",
+        f"pub(super) const LN_HALF_ERFC: [[f64; {DEGREE + 1}]; {LIVE_PIECES}] = [",
+    ]
+    lines += render_rows(live)
     return "\n".join(lines)
 
 
 def main():
     check_against_published_fit()
-    small, rows = erf_small(), erfc_tail()
-    text = render(small, rows, validate(small, rows))
+    small, rows, live = erf_small(), erfc_tail(), ln_half_erfc_live()
+    text = render(small, rows, validate(small, rows), live, validate_live(live))
     if "--check" in sys.argv[1:]:
         if OUT.read_text() != text:
             sys.exit(f"{OUT} is stale; rerun scripts/gen_erfc_table.py")
