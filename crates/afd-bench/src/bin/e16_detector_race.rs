@@ -16,19 +16,14 @@
 //!
 //! Every scenario ends in a permanent crash, so the full Chen et al. QoS
 //! vector (T_D, T_MR, T_M, λ_M, P_A, T_G) is defined for every cell; rows
-//! are means over seeds. The second section is the O(1) evidence for
-//! the Akka φ and adaptive detectors: per-query cost at window 100 vs 3 200 must
-//! be flat for the incremental path and grow for the naive rescan
-//! (compiled via the `naive-stats` feature).
+//! are means over seeds. The run is in virtual time, so the tables and
+//! the JSON report are a pure function of the code and the seeds.
 //!
 //! `--smoke` shrinks horizons and seed counts so CI runs end-to-end in
 //! seconds.
 
 use afd_bench::report::{write_report, Json, JsonObject};
-use afd_core::accrual::AccrualFailureDetector;
 use afd_core::time::{Duration, Timestamp};
-use afd_detectors::adaptive::{AdaptiveAccrual, AdaptiveConfig};
-use afd_detectors::akka::{AkkaPhi, AkkaPhiConfig};
 use afd_obs::qos::QosReport;
 use afd_qos::experiment::{cell, Table};
 use afd_runtime::{run_chaos, ChaosScenario, Clock, SystemClock};
@@ -37,7 +32,6 @@ struct Sizes {
     horizon: Duration,
     crash_at: Timestamp,
     seeds: &'static [u64],
-    query_iters: u32,
 }
 
 fn wall(clock: &SystemClock, since: Timestamp) -> f64 {
@@ -217,130 +211,6 @@ fn race_all(sizes: &Sizes) -> (Vec<Table>, Vec<Json>) {
     (tables, json)
 }
 
-/// Per-query cost of the two PR-7 detectors across window sizes: the
-/// incremental path must be flat (O(1) in the window), the naive rescan
-/// must grow.
-fn query_cost(sizes: &Sizes, wall_clock: &SystemClock) -> (Table, Vec<Json>) {
-    let mut table = Table::new(
-        format!(
-            "E16b: query cost vs window size, {} calls each",
-            sizes.query_iters
-        ),
-        &[
-            "detector",
-            "window",
-            "fast (ns/call)",
-            "naive (ns/call)",
-            "naive/fast",
-        ],
-    );
-
-    fn jittered_fill(window_size: usize, mut record: impl FnMut(Timestamp)) -> Timestamp {
-        let mut t = 0.0f64;
-        for k in 0..(window_size * 2) {
-            t += 1.0 + 0.1 * ((k % 7) as f64 - 3.0);
-            record(Timestamp::from_secs_f64(t));
-        }
-        Timestamp::from_secs_f64(t + 2.5)
-    }
-
-    let mut json = Vec::new();
-    for detector in ["akka", "adaptive"] {
-        let mut rows = Vec::new();
-        for window_size in [100usize, 3_200] {
-            let (fast_ns, naive_ns) = match detector {
-                "akka" => {
-                    let mut fd = AkkaPhi::new(AkkaPhiConfig {
-                        window_size,
-                        ..AkkaPhiConfig::default()
-                    })
-                    .expect("valid config");
-                    let query_at = jittered_fill(window_size, |t| fd.record_heartbeat(t));
-                    time_pair(
-                        sizes.query_iters,
-                        wall_clock,
-                        || fd.phi(query_at),
-                        || fd.phi_naive(query_at),
-                    )
-                }
-                _ => {
-                    let mut fd = AdaptiveAccrual::new(AdaptiveConfig {
-                        window_size,
-                        ..AdaptiveConfig::default()
-                    })
-                    .expect("valid config");
-                    let query_at = jittered_fill(window_size, |t| fd.record_heartbeat(t));
-                    time_pair(
-                        sizes.query_iters,
-                        wall_clock,
-                        || fd.probability(query_at),
-                        || fd.suspicion_naive(query_at),
-                    )
-                }
-            };
-            rows.push((window_size, fast_ns, naive_ns));
-            table.push_row(vec![
-                detector.to_string(),
-                window_size.to_string(),
-                cell(fast_ns, 1),
-                cell(naive_ns, 1),
-                cell(naive_ns / fast_ns.max(1e-9), 1),
-            ]);
-            json.push(
-                JsonObject::new()
-                    .field("detector", detector)
-                    .field("window", window_size)
-                    .field("fast_ns", fast_ns)
-                    .field("naive_ns", naive_ns)
-                    .build(),
-            );
-        }
-        // With slack for a noisy host: a 32× larger window must
-        // not make the incremental query meaningfully slower, while the
-        // rescan must scale with it.
-        let (small, large) = (&rows[0], &rows[1]);
-        assert!(
-            large.1 < small.1 * 8.0 + 500.0,
-            "{detector}: query cost grew with the window: {:.1} ns @ {} vs {:.1} ns @ {}",
-            small.1,
-            small.0,
-            large.1,
-            large.0
-        );
-        assert!(
-            large.2 > small.2 * 4.0,
-            "{detector}: naive rescan should scale with the window: {:.1} ns @ {} vs {:.1} ns @ {}",
-            small.2,
-            small.0,
-            large.2,
-            large.0
-        );
-    }
-    (table, json)
-}
-
-/// Times `iters` calls of the fast and naive paths, in nanoseconds/call.
-fn time_pair(
-    iters: u32,
-    wall_clock: &SystemClock,
-    mut fast: impl FnMut() -> f64,
-    mut naive: impl FnMut() -> f64,
-) -> (f64, f64) {
-    let mut acc = 0.0f64;
-    let start = wall_clock.now();
-    for _ in 0..iters {
-        acc += fast();
-    }
-    let fast_ns = wall(wall_clock, start) * 1e9 / f64::from(iters);
-    let start = wall_clock.now();
-    for _ in 0..iters {
-        acc += naive();
-    }
-    let naive_ns = wall(wall_clock, start) * 1e9 / f64::from(iters);
-    assert!(acc.is_finite());
-    (fast_ns, naive_ns)
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let sizes = if smoke {
@@ -348,22 +218,18 @@ fn main() {
             horizon: Duration::from_secs(60),
             crash_at: Timestamp::from_secs(40),
             seeds: &[1],
-            query_iters: 50_000,
         }
     } else {
         Sizes {
             horizon: Duration::from_secs(120),
             crash_at: Timestamp::from_secs(90),
             seeds: &[1, 2, 3],
-            query_iters: 500_000,
         }
     };
     let wall_clock = SystemClock::new();
     let total = wall_clock.now();
 
     let (_tables, race_json) = race_all(&sizes);
-    let (cost_table, cost_json) = query_cost(&sizes, &wall_clock);
-    println!("{cost_table}");
 
     let report = JsonObject::new()
         .field("experiment", "e16_detector_race")
@@ -379,7 +245,6 @@ fn main() {
                 .collect::<Vec<_>>(),
         )
         .field("scenarios", race_json)
-        .field("query_cost", cost_json)
         .build();
     let path = write_report("e16", &report).expect("write results/BENCH_e16.json");
     println!("wrote {}", path.display());

@@ -11,10 +11,8 @@
 //! intern-table occupancy (25% / 100% of capacity) × arrival ordering
 //! (peers interleaved round-robin — the e18 sender-process pattern,
 //! hot-cache hostile — or per-peer bursts, the paced-sender pattern the
-//! hot cache is built for). Reported as ns/frame per config. The
-//! `HashMap`-backed decoder this one replaced used to race beside it
-//! here; its last figures are recorded in DESIGN.md §7j, and
-//! `tests/intern_equiv.rs` keeps it as the oracle the slab is held to.
+//! hot cache is built for). Reported as ns/frame per config.
+//! `tests/intern_equiv.rs` holds the slab to a map-backed oracle.
 //!
 //! **Part B — engine lane sweep.** A `ParallelShardEngine` in
 //! multi-lane mode drains the same peer population through 1/2/4

@@ -297,8 +297,8 @@ impl AdaptiveAccrual {
     }
 
     /// The suspicion probability at `now` — an O(bins) query, independent
-    /// of the window size. [`Self::suspicion_naive`] is the O(window)
-    /// reference it is property-tested against.
+    /// of the window size. The test-only `suspicion_naive` is the
+    /// O(window) reference it is property-tested against.
     pub fn probability(&self, now: Timestamp) -> f64 {
         let Some(last) = self.last_heartbeat else {
             return 0.0;
@@ -310,9 +310,8 @@ impl AdaptiveAccrual {
     /// Reference level that rebuilds the histogram and moments by
     /// rescanning every retained gap (O(window) per call) — the oracle
     /// proving the incrementally maintained histogram stays exactly in
-    /// sync through evictions. Compiled only for tests or under the
-    /// `naive-stats` feature.
-    #[cfg(any(test, feature = "naive-stats"))]
+    /// sync through evictions.
+    #[cfg(test)]
     pub fn suspicion_naive(&self, now: Timestamp) -> f64 {
         let Some(last) = self.last_heartbeat else {
             return 0.0;

@@ -206,16 +206,15 @@ impl AkkaPhi {
     }
 
     /// The raw φ value at `now` — an O(1) query off the incrementally
-    /// maintained window moments. [`Self::phi_naive`] is the O(window)
-    /// reference it is property-tested against.
+    /// maintained window moments. The test-only `phi_naive` is the
+    /// O(window) reference it is property-tested against.
     pub fn phi(&self, now: Timestamp) -> f64 {
         self.phi_from(now, self.mean_interval(), self.std_dev())
     }
 
     /// Reference φ that recomputes the window moments by rescanning every
-    /// retained gap. Exists purely as an oracle for the incremental path;
-    /// compiled only for tests or under the `naive-stats` feature.
-    #[cfg(any(test, feature = "naive-stats"))]
+    /// retained gap. Exists purely as an oracle for the incremental path.
+    #[cfg(test)]
     pub fn phi_naive(&self, now: Timestamp) -> f64 {
         let floor = self.config.min_std_dev.as_secs_f64();
         let (mean, std) = if self.gaps.is_empty() {

@@ -121,9 +121,8 @@ impl ChenAccrual {
 
     /// Reference `EA` that recomputes the mean gap by rescanning every
     /// retained sample (O(window) per call), as an oracle for the
-    /// incremental estimate in [`Self::expected_arrival`]. Compiled only
-    /// for tests or under the `naive-stats` feature.
-    #[cfg(any(test, feature = "naive-stats"))]
+    /// incremental estimate in [`Self::expected_arrival`].
+    #[cfg(test)]
     pub fn expected_arrival_naive(&self) -> Option<Timestamp> {
         let last = self.last_heartbeat?;
         let moments: afd_core::stats::RunningMoments = self.gaps.iter().collect();

@@ -348,8 +348,8 @@ impl PhiAccrual {
     ///
     /// This is an O(1) query: the window moments are maintained
     /// incrementally on insertion, so no per-call rescan of the sample
-    /// window happens here. [`Self::phi_naive`] is the O(window) reference
-    /// implementation it is property-tested against.
+    /// window happens here. The test-only `phi_naive` is the O(window)
+    /// reference implementation it is property-tested against.
     pub fn phi(&self, now: Timestamp) -> f64 {
         self.phi_of(now, &self.tail)
     }
@@ -359,8 +359,7 @@ impl PhiAccrual {
     ///
     /// Exists purely as an oracle for the incremental path: property tests
     /// assert `|phi − phi_naive| < 1e-9` across random heartbeat traces.
-    /// Compiled only for tests or under the `naive-stats` feature.
-    #[cfg(any(test, feature = "naive-stats"))]
+    #[cfg(test)]
     pub fn phi_naive(&self, now: Timestamp) -> f64 {
         let moments: afd_core::stats::RunningMoments = self.gaps.iter().collect();
         let tail = self.tail_from(self.estimates(

@@ -42,7 +42,7 @@ impl DetectorKind {
         DetectorKind::Adaptive,
     ];
 
-    /// The kind's display name (matches the runtime zoo's member names).
+    /// The kind's display name: the runtime zoo's member name.
     pub fn name(self) -> &'static str {
         match self {
             DetectorKind::Simple => "simple",
@@ -54,8 +54,9 @@ impl DetectorKind {
         }
     }
 
-    /// The interpretation threshold `T₁` for this kind's suspicion scale,
-    /// matching `DetectorZoo::standard` for a 1 s heartbeat cadence.
+    /// The interpretation threshold `T₁` for this kind's suspicion scale:
+    /// the one `DetectorZoo::standard` applies at a 1 s heartbeat cadence
+    /// (a test holds both to what a chaos run reports).
     pub fn threshold(self) -> f64 {
         match self {
             DetectorKind::Simple => 2.0,
@@ -259,6 +260,24 @@ mod tests {
             assert!(kind.threshold_low() < kind.threshold());
             assert!(kind.threshold() < kind.threshold_high());
         }
+    }
+
+    #[test]
+    fn kinds_carry_the_chaos_zoos_names_and_thresholds() {
+        // The §4.4 orderings the model checks are the ones chaos runs
+        // only while both zoos threshold the same detectors at the same
+        // levels, in the same order.
+        let scenario = afd_runtime::ChaosScenario::new(Duration::from_secs(2));
+        let chaos: Vec<(&str, f64)> = afd_runtime::run_chaos(&scenario, 1)
+            .detectors
+            .iter()
+            .map(|d| (d.name, d.threshold.value()))
+            .collect();
+        let model: Vec<(&str, f64)> = DetectorKind::ALL
+            .iter()
+            .map(|kind| (kind.name(), kind.threshold()))
+            .collect();
+        assert_eq!(model, chaos);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Dense, generation-tagged intern table for the v2 decode fast path.
 //!
 //! The receiver-side intern table maps a delta frame's `intern_idx` to
-//! the checkpoint it decodes against. PR 9's million-peer soak showed
-//! the `HashMap` backing that table dominating the intake profile: one
-//! hash + probe per delta frame, on the hottest path in the system. By
-//! convention the index space is *dense* — senders claim their own id
-//! as the intern index (see [`DeltaEncoder`](crate::wire::DeltaEncoder))
-//! — so the map can be a flat slab indexed directly by `intern_idx`:
+//! the checkpoint it decodes against — one lookup per delta frame, on the
+//! hottest path in the system, where a hash and a probe per frame would
+//! dominate intake. By convention the index space is *dense* — senders
+//! claim their own id as the intern index (see
+//! [`DeltaEncoder`](crate::wire::DeltaEncoder)) — so the table is a flat
+//! slab indexed directly by `intern_idx`:
 //!
 //! - **probe = one bounds check + one 32-byte row load** — no hashing, no
 //!   collision chains, one cache line: the row carries its own liveness
@@ -26,14 +26,15 @@
 //!   deltas from one sender back to back, so the previous hit answers
 //!   the next probe without touching the (multi-megabyte) slab at all.
 //!
-//! The capacity bound changes *shape* but not strength versus the old
-//! map: the slab stores exactly the indices `0..capacity`, so an index
-//! at or past capacity is rejected (and counted by the caller) just as
-//! an insert into a full `HashMap` was. Under the dense identity-index
-//! convention the two are observably identical — an in-range index can
-//! never hit the fullness rejection in either backing — and the
-//! `intern_equiv` proptest in `tests/` holds the slab-backed
-//! [`WireDecoder`](crate::wire::WireDecoder) to that, frame for frame.
+//! The table is bounded by index, not by count: the slab stores exactly
+//! the indices `0..capacity`, so an index at or past capacity is rejected
+//! (and counted by the caller) — the guarantee a bounded map gives by
+//! refusing inserts when full. Under the dense identity-index convention
+//! the two are observably identical — an in-range index can never hit the
+//! fullness rejection in either — and the `intern_equiv` proptest in
+//! `tests/` holds the slab-backed
+//! [`WireDecoder`](crate::wire::WireDecoder) to a map-backed reference,
+//! frame for frame.
 
 /// One receiver-side intern table entry: the checkpoint a sender's
 /// delta frames decode against, registered by an intern frame.
@@ -57,7 +58,7 @@ pub struct InternEntry {
 /// Indices `0..capacity` always insert (first fill or overwrite);
 /// indices at or past capacity are rejected — the slab's form of the
 /// bounded-table guarantee. See the module docs for why this matches
-/// the old `HashMap` bound under the dense-index convention.
+/// a map's fullness bound under the dense-index convention.
 #[derive(Debug)]
 pub struct InternSlab {
     /// Row `i`: `[generation << 32 | sender, ckpt_seq, ckpt_sent_at_nanos,

@@ -1,8 +1,8 @@
 //! Multi-socket UDP intake lanes: the million-peer fan-in path.
 //!
 //! A single `UdpSocket` serializes every peer's heartbeats through one
-//! kernel receive queue and one reader thread — e14 showed that socket,
-//! not the detectors, is the intake bottleneck. [`MultiUdpTransport`]
+//! kernel receive queue and one reader thread, and that socket — not the
+//! detectors — is what bounds intake. [`MultiUdpTransport`]
 //! shards the receive side across `L` independent non-blocking sockets
 //! (*lanes*), each drained by its own engine intake thread into its own
 //! [`FrameBatch`] arena, so datagram receive, decode, and ring routing
@@ -24,11 +24,14 @@
 //! until `EWOULDBLOCK`, the batch fills, or a per-call syscall budget is
 //! spent — the budget bounds how long one drain can monopolize the
 //! intake thread when a lane is firehosed, keeping liveness ticks and
-//! stop-flag checks timely. Datagrams land straight in the probe-sized
-//! arena slots ([`PROBE_LEN`](crate::transport::PROBE_LEN)), so an
-//! oversize datagram (> [`MAX_DATAGRAM`]) is detected and counted, never
-//! truncated into a decodable-looking frame, and a runt shorter than any
-//! wire frame ([`MIN_FRAME`]) is dropped before decode.
+//! stop-flag checks timely. Datagrams land straight in the arena's
+//! frame cells, which are one byte longer
+//! ([`PROBE_LEN`](crate::transport::PROBE_LEN)) than the longest frame a
+//! transport carries ([`MAX_DATAGRAM`], 64 bytes; no wire frame exceeds
+//! 40): a receive that fills a cell is an oversize datagram — detected
+//! and counted, never truncated into a decodable-looking frame — and a
+//! runt shorter than any wire frame ([`MIN_FRAME`]) is dropped before
+//! decode.
 //!
 //! A lane made with [`UdpLane::bind`] is receive-only and takes
 //! datagrams from **any** source — a million senders cannot share one

@@ -129,7 +129,8 @@ impl SenderCore {
         self.crashed
     }
 
-    /// Heartbeats sent so far.
+    /// Heartbeats attempted so far: every beat that came due while not
+    /// crashed, including those whose send exhausted its retries.
     pub fn sent(&self) -> u64 {
         self.seq
     }
@@ -145,8 +146,9 @@ impl SenderCore {
         self.backoff_total
     }
 
-    /// Bytes of heartbeat frames handed to the transport so far — the
-    /// number the v2 delta wire exists to shrink.
+    /// Bytes of heartbeat frames encoded so far — the number the v2 delta
+    /// wire exists to shrink. Each frame counts once, however many
+    /// attempts it took and whether or not the transport ever accepted it.
     pub fn wire_bytes(&self) -> u64 {
         self.wire_bytes
     }
@@ -229,6 +231,14 @@ impl SenderCore {
         // that is exactly when an operator wants to see it.
         self.retry_attempts += attempts.saturating_sub(1);
         self.backoff_total += backoff;
+        if result.is_err() {
+            // The frame never left. If it was a checkpoint, the receiver
+            // cannot decode a delta against it, so the next frame out is
+            // a checkpoint again.
+            if let Some(enc) = &mut self.encoder {
+                enc.forget_checkpoint();
+            }
+        }
         result?;
         Ok(true)
     }
@@ -479,6 +489,65 @@ mod tests {
             seqs.push(hb.seq);
         }
         assert_eq!(seqs, (1..=32).collect::<Vec<u64>>());
+    }
+
+    /// A medium whose send buffer is full for the first `refuse` sends.
+    struct RefuseFirst {
+        refuse: u32,
+        out: Vec<Vec<u8>>,
+    }
+
+    impl Transport for RefuseFirst {
+        fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+            if self.refuse > 0 {
+                self.refuse -= 1;
+                return Err(TransportError::Io("send buffer full".to_owned()));
+            }
+            self.out.push(frame.to_vec());
+            Ok(())
+        }
+
+        fn recv_batch(
+            &mut self,
+            _batch: &mut crate::transport::FrameBatch,
+        ) -> Result<usize, TransportError> {
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_that_was_never_sent_is_sent_again() {
+        // The first heartbeat — the intern frame — exhausts its five
+        // attempts. The receiver never saw that checkpoint, so the next
+        // frame out must be a checkpoint again, not a delta against it.
+        let cfg = config().with_wire(WireVersion::V2 { resync_every: 8 });
+        let mut core = SenderCore::new(cfg, Timestamp::ZERO, 1);
+        let mut medium = RefuseFirst {
+            refuse: 5,
+            out: Vec::new(),
+        };
+        assert!(matches!(
+            core.poll(Timestamp::ZERO, &mut medium, |_| {}),
+            Err(RuntimeError::RetriesExhausted { attempts: 5, .. })
+        ));
+        for s in 1..4u64 {
+            assert!(core
+                .poll(Timestamp::from_secs(s), &mut medium, |_| {})
+                .unwrap());
+        }
+        let mut dec = crate::wire::WireDecoder::new();
+        let seqs: Vec<_> = medium
+            .out
+            .iter()
+            .map(|f| dec.decode(f).map(|hb| hb.seq))
+            .collect();
+        assert_eq!(seqs, [Ok(2), Ok(3), Ok(4)]);
+        let lens: Vec<usize> = medium.out.iter().map(Vec::len).collect();
+        assert_eq!(lens, [crate::wire::INTERN_LEN, 5, 5]);
+        // The counters count what was attempted and encoded, the lost
+        // checkpoint included.
+        assert_eq!(core.sent(), 4);
+        assert_eq!(core.wire_bytes(), 40 + 40 + 5 + 5);
     }
 
     #[test]

@@ -118,7 +118,7 @@ use crate::wire::{Heartbeat, WireDecoder};
 
 /// Slots in the reusable intake arena drained per
 /// [`recv_batch`](Transport::recv_batch) call.
-const INTAKE_BATCH_SLOTS: usize = 512;
+pub(crate) const INTAKE_BATCH_SLOTS: usize = 512;
 
 pub(crate) type DetectorFactory<D> = Box<dyn FnMut(ProcessId) -> D + Send>;
 

@@ -1,7 +1,7 @@
 //! Pluggable heartbeat transports.
 //!
-//! A [`Transport`] moves opaque frames between a heartbeat sender and a
-//! monitor through two calls: [`send`](Transport::send) and
+//! A [`Transport`] moves heartbeat frames between a sender and a monitor
+//! through two calls: [`send`](Transport::send) and
 //! [`recv_batch`](Transport::recv_batch). Two media ship:
 //! [`ChannelTransport`] (in-process bounded lossy queue, used by the
 //! deterministic chaos harness and by same-process deployments) and
@@ -13,15 +13,26 @@
 //! loop service the transport, the detectors, and the watchdog tick
 //! without extra threads.
 //!
-//! # Zero-allocation batched receive
+//! # One frame bound, one frame cell
 //!
-//! The caller keeps a reusable [`FrameBatch`] arena of inline
-//! `[u8; PROBE_LEN]` slots and the transport copies pending frames
-//! straight into it (a UDP lane receives datagrams directly into the
-//! slots; [`ChannelTransport`] copies out of its inline queue entries).
-//! After the arena is built, steady-state intake performs **zero heap
+//! A transport carries wire frames and nothing else, so its bound is the
+//! wire's: [`MAX_DATAGRAM`] is 64 bytes, the power of two above the
+//! longest frame the [`wire`](crate::wire) module emits (the 40-byte v2
+//! checkpoint; the wire module asserts the fit at compile time). `send`
+//! refuses anything longer with a typed error, and a receive that finds
+//! more is an oversize datagram — counted and dropped, never truncated
+//! into something decodable.
+//!
+//! Every frame at rest — a slot of a [`FrameBatch`] arena, an entry of a
+//! [`ChannelTransport`] queue — is the same inline cell: a length and
+//! `[u8; PROBE_LEN]`, 68 bytes. The caller keeps a reusable
+//! [`FrameBatch`] and the transport copies pending frames straight into
+//! it (a UDP lane receives datagrams directly into the cells;
+//! [`ChannelTransport`] moves its queued cells over). Building the arena
+//! and the queue are the only allocations: intake performs **zero heap
 //! allocations per frame** — enforced by the `no-alloc-in-hot-path`
-//! afd-lint rule over this file. Batches are also the engine's
+//! afd-lint rule over this file — and a 512-cell arena is 34 KB, beside
+//! the slab it feeds in L1/L2. Batches are also the engine's
 //! clock-amortization unit: a lane thread takes one arrival stamp per
 //! `recv_batch` call and applies it to every frame in the batch (skew
 //! bounded by one batch's handling time).
@@ -40,35 +51,60 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::TransportError;
 
-/// Maximum frame size accepted by the transports.
-pub const MAX_DATAGRAM: usize = 1024;
+/// Longest frame a transport carries: the wire's longest frame
+/// ([`MAX_V2_FRAME`](crate::wire::MAX_V2_FRAME), 40 bytes) rounded up to
+/// a power of two, which leaves the checkpoint frame 24 bytes to grow
+/// into before this bound has to move.
+pub const MAX_DATAGRAM: usize = 64;
 
 /// Receive-buffer size: one byte more than [`MAX_DATAGRAM`], so that a
 /// `recv` filling the whole buffer *proves* the datagram exceeded the
 /// limit (portable truncation detection without platform `MSG_TRUNC`
-/// flags). A slot is only ever committed with ≤ [`MAX_DATAGRAM`] bytes.
+/// flags). A cell is only ever committed with ≤ [`MAX_DATAGRAM`] bytes.
 pub const PROBE_LEN: usize = MAX_DATAGRAM + 1;
 
 /// Frames an in-process channel holds before dropping the oldest
 /// (default for [`ChannelTransport::pair`]).
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 16 * 1024;
 
-/// One reusable intake slot: an inline buffer plus the received length.
-/// The buffer is probe-sized ([`PROBE_LEN`]) so receives can detect
-/// oversize datagrams, but committed lengths never exceed
-/// [`MAX_DATAGRAM`].
-struct FrameSlot {
+/// One frame at rest: an inline buffer plus the frame's length. The
+/// buffer is probe-sized ([`PROBE_LEN`]) so a receive into it can detect
+/// an oversize datagram, but `len` never exceeds [`MAX_DATAGRAM`].
+struct FrameCell {
     len: u16,
     buf: [u8; PROBE_LEN],
 }
 
-/// A reusable arena of inline frame slots for [`Transport::recv_batch`].
+impl FrameCell {
+    const EMPTY: FrameCell = FrameCell {
+        len: 0,
+        buf: [0u8; PROBE_LEN],
+    };
+
+    /// A cell holding a copy of `frame`, or `None` if it exceeds
+    /// [`MAX_DATAGRAM`].
+    fn new(frame: &[u8]) -> Option<Self> {
+        if frame.len() > MAX_DATAGRAM {
+            return None;
+        }
+        let mut cell = FrameCell::EMPTY;
+        cell.buf[..frame.len()].copy_from_slice(frame);
+        cell.len = frame.len() as u16;
+        Some(cell)
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
+/// A reusable arena of frame cells for [`Transport::recv_batch`].
 ///
 /// Allocated once (construction is the only allocation) and recycled
 /// with [`clear`](FrameBatch::clear) every drain round; filling and
 /// iterating it never touches the heap.
 pub struct FrameBatch {
-    slots: Box<[FrameSlot]>,
+    slots: Box<[FrameCell]>,
     len: usize,
 }
 
@@ -82,15 +118,12 @@ impl std::fmt::Debug for FrameBatch {
 }
 
 impl FrameBatch {
-    /// Creates an arena of `slots` inline buffers (floored at 1).
+    /// Creates an arena of `slots` cells (floored at 1).
     pub fn with_capacity(slots: usize) -> Self {
-        let slots: Box<[FrameSlot]> = (0..slots.max(1))
-            .map(|_| FrameSlot {
-                len: 0,
-                buf: [0u8; PROBE_LEN],
-            })
-            .collect();
-        FrameBatch { slots, len: 0 }
+        FrameBatch {
+            slots: (0..slots.max(1)).map(|_| FrameCell::EMPTY).collect(),
+            len: 0,
+        }
     }
 
     /// Number of frames currently held.
@@ -122,12 +155,15 @@ impl FrameBatch {
     /// stored) if the batch is full or the frame exceeds
     /// [`MAX_DATAGRAM`].
     pub fn push(&mut self, frame: &[u8]) -> bool {
-        if self.is_full() || frame.len() > MAX_DATAGRAM {
+        FrameCell::new(frame).is_some_and(|cell| self.push_cell(cell))
+    }
+
+    /// Stores `cell` in the next slot; `false` if the batch is full.
+    fn push_cell(&mut self, cell: FrameCell) -> bool {
+        let Some(slot) = self.slots.get_mut(self.len) else {
             return false;
-        }
-        let slot = &mut self.slots[self.len];
-        slot.buf[..frame.len()].copy_from_slice(frame);
-        slot.len = frame.len() as u16;
+        };
+        *slot = cell;
         self.len += 1;
         true
     }
@@ -157,9 +193,7 @@ impl FrameBatch {
 
     /// Iterates the held frames in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        self.slots[..self.len]
-            .iter()
-            .map(|s| &s.buf[..usize::from(s.len)])
+        self.slots[..self.len].iter().map(FrameCell::as_slice)
     }
 }
 
@@ -198,49 +232,9 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
     }
 }
 
-/// One queued in-process frame: heartbeat-sized payloads live inline;
-/// anything larger (rare, and never on the hot path) spills to the heap.
-struct QueuedFrame {
-    len: u16,
-    inline: [u8; INLINE_FRAME],
-    spill: Option<Vec<u8>>,
-}
-
-/// Inline capacity of a queued channel frame; covers every wire frame
-/// ([`FRAME_LEN`](crate::wire::FRAME_LEN) is 28) with room to spare.
-const INLINE_FRAME: usize = 64;
-
-impl QueuedFrame {
-    fn new(frame: &[u8]) -> Self {
-        if frame.len() <= INLINE_FRAME {
-            let mut inline = [0u8; INLINE_FRAME];
-            inline[..frame.len()].copy_from_slice(frame);
-            QueuedFrame {
-                len: frame.len() as u16,
-                inline,
-                spill: None,
-            }
-        } else {
-            QueuedFrame {
-                len: frame.len() as u16,
-                inline: [0u8; INLINE_FRAME],
-                // lint:allow(no-alloc-in-hot-path, oversize-frame spill; heartbeat frames are 28 bytes and stay inline)
-                spill: Some(frame.to_vec()),
-            }
-        }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        match &self.spill {
-            Some(v) => v,
-            None => &self.inline[..usize::from(self.len)],
-        }
-    }
-}
-
 /// The mutexed state of one channel direction.
 struct ChannelQueue {
-    frames: VecDeque<QueuedFrame>,
+    frames: VecDeque<FrameCell>,
     /// Frames evicted by drop-oldest overflow.
     dropped: u64,
 }
@@ -278,8 +272,8 @@ impl ChannelCore {
 /// What one endpoint sends, the other receives, FIFO, until the queue is
 /// full — then the **oldest** queued frame is dropped (and counted) to
 /// make room, exactly like a full UDP socket buffer. Memory is bounded
-/// by construction: a stalled monitor can no longer grow the queue
-/// without limit.
+/// by construction: `capacity` frame cells per direction, allocated when
+/// the pair is made.
 pub struct ChannelTransport {
     tx: Arc<ChannelCore>,
     rx: Arc<ChannelCore>,
@@ -362,18 +356,18 @@ impl Transport for ChannelTransport {
         if !ChannelTransport::peer_alive(&self.tx) {
             return Err(TransportError::Disconnected);
         }
-        if frame.len() > MAX_DATAGRAM {
+        let Some(cell) = FrameCell::new(frame) else {
             return Err(TransportError::Io(format!(
                 "frame of {} bytes exceeds MAX_DATAGRAM ({MAX_DATAGRAM})",
                 frame.len()
             )));
-        }
+        };
         let mut q = self.tx.lock();
         if q.frames.len() >= self.tx.capacity {
             q.frames.pop_front();
             q.dropped += 1;
         }
-        q.frames.push_back(QueuedFrame::new(frame));
+        q.frames.push_back(cell);
         Ok(())
     }
 
@@ -381,14 +375,11 @@ impl Transport for ChannelTransport {
         let mut got = 0usize;
         let mut q = self.rx.lock();
         while !batch.is_full() {
-            match q.frames.pop_front() {
-                Some(frame) => {
-                    if batch.push(frame.as_slice()) {
-                        got += 1;
-                    }
-                }
-                None => break,
-            }
+            let Some(cell) = q.frames.pop_front() else {
+                break;
+            };
+            batch.push_cell(cell);
+            got += 1;
         }
         let empty = q.frames.is_empty();
         drop(q);
@@ -472,10 +463,30 @@ mod tests {
     }
 
     #[test]
-    fn channel_rejects_oversize_frames() {
-        let (mut a, _b) = ChannelTransport::pair();
-        let big = [0u8; MAX_DATAGRAM + 1];
-        assert!(matches!(a.send(&big), Err(TransportError::Io(_))));
+    fn channel_carries_a_full_frame_and_refuses_one_byte_more() {
+        let (mut a, mut b) = ChannelTransport::pair();
+        let full: Vec<u8> = (0..MAX_DATAGRAM as u8).collect();
+        a.send(&full).unwrap();
+        assert_eq!(drain_frames(&mut b), vec![full]);
+        assert_eq!(
+            a.send(&[0u8; MAX_DATAGRAM + 1]),
+            Err(TransportError::Io(
+                "frame of 65 bytes exceeds MAX_DATAGRAM (64)".to_owned()
+            ))
+        );
+        assert!(
+            drain_frames(&mut b).is_empty(),
+            "a refused frame is not queued"
+        );
+    }
+
+    #[test]
+    fn frame_cells_stay_frame_sized() {
+        // The cell is what an arena and a channel queue are made of: if it
+        // grows, every intake stage's set-up memory grows 512-fold.
+        assert!(std::mem::size_of::<FrameCell>() <= 72);
+        let arena = FrameBatch::with_capacity(crate::shard::INTAKE_BATCH_SLOTS);
+        assert!(std::mem::size_of_val(&*arena.slots) < 40 * 1024);
     }
 
     #[test]
@@ -507,14 +518,6 @@ mod tests {
         assert_eq!(batch.iter().next(), Some(&b"last words"[..]));
         batch.clear();
         assert_eq!(b.recv_batch(&mut batch), Err(TransportError::Disconnected));
-    }
-
-    #[test]
-    fn channel_spills_large_frames_intact() {
-        let (mut a, mut b) = ChannelTransport::pair();
-        let frame: Vec<u8> = (0..200u8).collect();
-        a.send(&frame).unwrap();
-        assert_eq!(drain_frames(&mut b), vec![frame]);
     }
 
     #[test]

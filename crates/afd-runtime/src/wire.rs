@@ -59,6 +59,7 @@ use afd_core::process::ProcessId;
 use afd_core::time::Timestamp;
 
 use crate::intern::{InternEntry, InternSlab};
+use crate::transport::MAX_DATAGRAM;
 use crate::varint;
 
 /// Frame length in bytes: magic(2) + version(1) + kind(1) + sender(4) +
@@ -74,6 +75,11 @@ pub const INTERN_LEN: usize = 40;
 /// with all varints at maximum width is 33 bytes). Size send buffers to
 /// `MAX_V2_FRAME.max(FRAME_LEN)` to hold any frame either version emits.
 pub const MAX_V2_FRAME: usize = INTERN_LEN;
+
+// The transports carry frames of at most `MAX_DATAGRAM` bytes — their
+// cells, arenas and queues are sized by it — so every frame this module
+// emits has to fit. A longer frame is a change to that bound first.
+const _: () = assert!(MAX_V2_FRAME <= MAX_DATAGRAM && FRAME_LEN <= MAX_DATAGRAM);
 
 /// High bit of a frame's first byte: set on a v2 delta frame, clear on
 /// `b'A'` (0x41, the v1 / intern magic), so a one-bit peek dispatches the
@@ -336,6 +342,13 @@ impl DeltaEncoder {
         at + 2
     }
 
+    /// Forgets the checkpoint, so the next frame is an intern frame — for
+    /// a sender that knows its last frame never left: a delta is only
+    /// decodable against a checkpoint the receiver was sent.
+    pub(crate) fn forget_checkpoint(&mut self) {
+        self.ckpt = None;
+    }
+
     /// Emits the 40-byte intern/checkpoint frame for `hb` and rebases
     /// future deltas on it.
     fn encode_intern(&mut self, hb: &Heartbeat, buf: &mut [u8]) -> usize {
@@ -370,8 +383,8 @@ impl DeltaEncoder {
 /// deltas bounce with [`WireError::UnknownIntern`] until the peer falls
 /// back to v1. Under the dense identity-index convention (senders
 /// intern their own id, ids below the capacity) this is the same bound
-/// the PR 9 `HashMap` table enforced by fullness — see the `intern`
-/// module docs and the `intern_equiv` proptest.
+/// a map-backed table enforces by fullness — see the `intern` module
+/// docs and the `intern_equiv` proptest.
 #[derive(Debug)]
 pub struct WireDecoder {
     table: InternSlab,
@@ -487,7 +500,7 @@ impl WireDecoder {
         };
         // Single probe: the slab's insert is the bounds check. In-range
         // indices always store (fill or overwrite); out-of-bound ones
-        // are the rejection the old full-table check expressed.
+        // are the table's capacity rejection.
         if !self.table.insert(intern_idx, entry) {
             self.interns_rejected += 1;
         }

@@ -16,8 +16,9 @@ use afd_core::time::{Duration, Timestamp};
 use afd_detectors::simple::SimpleAccrual;
 use afd_runtime::wire::MIN_FRAME;
 use afd_runtime::{
-    FrameBatch, Heartbeat, MonitorStats, SenderConfig, SenderCore, ShardConfig, ShardedMonitor,
-    Transport, UdpLane, VirtualClock, WireVersion, MAX_DATAGRAM,
+    ChannelTransport, DeltaEncoder, FaultInjector, FaultPlan, FrameBatch, Heartbeat, MonitorStats,
+    SenderConfig, SenderCore, ShardConfig, ShardedMonitor, Transport, UdpLane, VirtualClock,
+    WireVersion, MAX_DATAGRAM,
 };
 
 const DEADLINE: StdDuration = StdDuration::from_secs(10);
@@ -64,6 +65,16 @@ where
         if done(&stats) || Instant::now() >= deadline {
             return stats;
         }
+        std::thread::sleep(StdDuration::from_millis(2));
+    }
+}
+
+/// Drains `rx` into `batch` until it holds `want` frames or the deadline
+/// passes.
+fn drain_until(rx: &mut (impl Transport + ?Sized), batch: &mut FrameBatch, want: usize) {
+    let deadline = Instant::now() + DEADLINE;
+    while batch.len() < want && Instant::now() < deadline {
+        rx.recv_batch(batch).expect("recv_batch");
         std::thread::sleep(StdDuration::from_millis(2));
     }
 }
@@ -179,10 +190,79 @@ fn oversize_datagrams_are_dropped_not_truncated() {
     assert_eq!(rx_stats.datagrams(), 2);
     assert_eq!(rx_stats.foreign_dropped() + rx_stats.short_dropped(), 0);
 
+    // The near miss: one byte over the bound, again headed by a valid
+    // frame. It fills the probe-sized cell exactly, which is what proves
+    // it oversize.
+    let mut near_miss = [0u8; MAX_DATAGRAM + 1];
+    near_miss[..frame(1, 4).len()].copy_from_slice(&frame(1, 4));
+    raw.send_to(&near_miss, rx_addr).expect("send near miss");
+    raw.send_to(&frame(1, 5), rx_addr)
+        .expect("send good after it");
+    batch.clear();
+    drain_until(&mut rx, &mut batch, 1);
+    let seqs: Vec<_> = batch
+        .iter()
+        .map(|f| Heartbeat::decode(f).map(|hb| hb.seq))
+        .collect();
+    assert_eq!(seqs, [Ok(5)], "seq 4 headed the oversize datagram");
+    assert_eq!(rx_stats.oversize_dropped(), 3);
+    assert_eq!(rx_stats.datagrams(), 3);
+
     // Send side refuses outright — the bug is named at the source.
     assert!(
         rx.send(&oversize).is_err(),
         "sender must reject frames over MAX_DATAGRAM"
+    );
+}
+
+/// Every frame the wire can emit — the 40-byte v2 checkpoint, the widest
+/// delta (five index bytes, an escaped ten-byte seq delta, a ten-byte
+/// residual) and a v1 frame — crosses each medium byte for byte: the
+/// in-process channel, and a real socket behind a fault injector with
+/// nothing to inject, where no lane drop counter moves.
+#[test]
+fn every_wire_frame_kind_crosses_every_medium_intact() {
+    let sender = ProcessId::new(u32::MAX);
+    let hb = |seq, nanos| Heartbeat {
+        sender,
+        seq,
+        sent_at: Timestamp::from_nanos(nanos),
+    };
+    let mut enc = DeltaEncoder::new(sender, u32::MAX, StdDuration::from_nanos(1), u32::MAX);
+    let mut buf = [0u8; afd_runtime::MAX_V2_FRAME];
+    let mut sent: Vec<Vec<u8>> = [hb(0, 0), hb(u64::MAX, i64::MAX as u64)]
+        .iter()
+        .map(|hb| {
+            let n = enc.encode(hb, &mut buf);
+            buf[..n].to_vec()
+        })
+        .collect();
+    sent.push(hb(7, 700).encode().to_vec());
+    let lens: Vec<usize> = sent.iter().map(Vec::len).collect();
+    assert_eq!(lens, [afd_runtime::INTERN_LEN, 28, afd_runtime::FRAME_LEN]);
+
+    // Both media keep the order of one sender's frames.
+    let crosses = |tx: &mut dyn Transport, rx: &mut dyn Transport| {
+        for frame in &sent {
+            tx.send(frame).expect("send");
+        }
+        let mut batch = FrameBatch::with_capacity(8);
+        drain_until(rx, &mut batch, sent.len());
+        let got: Vec<Vec<u8>> = batch.iter().map(<[u8]>::to_vec).collect();
+        assert_eq!(got, sent);
+    };
+
+    let (mut a, mut b) = ChannelTransport::pair();
+    crosses(&mut a, &mut b);
+
+    let (mut tx, rx) = loopback_link();
+    let rx_stats = rx.stats();
+    let mut rx = FaultInjector::new(rx, VirtualClock::new(), FaultPlan::default(), 1);
+    crosses(&mut tx, &mut rx);
+    assert_eq!(rx_stats.datagrams(), 3);
+    assert_eq!(
+        rx_stats.oversize_dropped() + rx_stats.short_dropped() + rx_stats.foreign_dropped(),
+        0
     );
 }
 
