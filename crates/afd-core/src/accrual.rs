@@ -109,6 +109,20 @@ pub trait AccrualFailureDetector {
     fn restore_seed(&mut self, seed: &DetectorSeed) {
         let _ = seed;
     }
+
+    /// Loads, and discards, state the next [`record_heartbeat`] will read
+    /// that lives outside the detector's own fields — in practice the
+    /// cell of a heap-allocated sample window the arrival overwrites.
+    ///
+    /// A monitor that is about to record arrivals for many detectors
+    /// calls this on each of them first, so their cache misses overlap
+    /// instead of being paid one after another. It must have **no
+    /// observable effect**: no level, seed or canonical state may differ
+    /// for its having run. The default does nothing, which is always
+    /// correct.
+    ///
+    /// [`record_heartbeat`]: AccrualFailureDetector::record_heartbeat
+    fn prefetch(&self) {}
 }
 
 impl<D: AccrualFailureDetector + ?Sized> AccrualFailureDetector for &mut D {
@@ -127,6 +141,9 @@ impl<D: AccrualFailureDetector + ?Sized> AccrualFailureDetector for &mut D {
     fn restore_seed(&mut self, seed: &DetectorSeed) {
         (**self).restore_seed(seed);
     }
+    fn prefetch(&self) {
+        (**self).prefetch();
+    }
 }
 
 impl<D: AccrualFailureDetector + ?Sized> AccrualFailureDetector for Box<D> {
@@ -141,6 +158,9 @@ impl<D: AccrualFailureDetector + ?Sized> AccrualFailureDetector for Box<D> {
     }
     fn restore_seed(&mut self, seed: &DetectorSeed) {
         (**self).restore_seed(seed);
+    }
+    fn prefetch(&self) {
+        (**self).prefetch();
     }
 }
 

@@ -105,6 +105,16 @@ impl SlidingWindow {
         }
     }
 
+    /// Loads, and discards, the cell the next [`push`](Self::push) writes
+    /// (and evicts, once the window is full): the ring lives on the heap,
+    /// a cache miss away from whoever holds the window. No observable
+    /// effect; callers about to push into many windows use it to overlap
+    /// those misses.
+    #[inline]
+    pub fn prefetch(&self) {
+        std::hint::black_box(self.buf[self.wrap(self.head + self.len)]);
+    }
+
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
         self.len

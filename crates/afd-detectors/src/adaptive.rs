@@ -343,6 +343,10 @@ impl AccrualFailureDetector for AdaptiveAccrual {
         SuspicionLevel::clamped(self.probability(now))
     }
 
+    fn prefetch(&self) {
+        self.gaps.prefetch();
+    }
+
     fn save_seed(&self) -> Option<DetectorSeed> {
         Some(DetectorSeed {
             last_heartbeat: self.last_heartbeat,

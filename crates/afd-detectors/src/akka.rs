@@ -253,6 +253,10 @@ impl AccrualFailureDetector for AkkaPhi {
         SuspicionLevel::clamped(self.phi(now))
     }
 
+    fn prefetch(&self) {
+        self.gaps.prefetch();
+    }
+
     fn save_seed(&self) -> Option<DetectorSeed> {
         Some(DetectorSeed {
             last_heartbeat: self.last_heartbeat,

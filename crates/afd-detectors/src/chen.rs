@@ -164,6 +164,10 @@ impl AccrualFailureDetector for ChenAccrual {
         }
     }
 
+    fn prefetch(&self) {
+        self.gaps.prefetch();
+    }
+
     fn save_seed(&self) -> Option<DetectorSeed> {
         Some(DetectorSeed {
             last_heartbeat: self.last_heartbeat,

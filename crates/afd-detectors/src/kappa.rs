@@ -295,6 +295,10 @@ impl<C: ContributionFunction> AccrualFailureDetector for KappaAccrual<C> {
         self.last_heartbeat = Some(self.last_heartbeat.map_or(arrival, |l| l.max(arrival)));
     }
 
+    fn prefetch(&self) {
+        self.gaps.prefetch();
+    }
+
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
         SuspicionLevel::clamped(self.kappa(now))
     }

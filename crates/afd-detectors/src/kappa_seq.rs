@@ -229,6 +229,10 @@ impl<C: ContributionFunction> AccrualFailureDetector for SeqKappaAccrual<C> {
         self.record_heartbeat_with_seq(next, arrival);
     }
 
+    fn prefetch(&self) {
+        self.per_seq_gaps.prefetch();
+    }
+
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
         SuspicionLevel::clamped(self.kappa(now))
     }

@@ -155,7 +155,10 @@ impl PhiConfig {
 pub struct PhiAccrual {
     config: PhiConfig,
     gaps: SlidingWindow,
-    empirical: Option<Empirical>,
+    /// The histogram behind [`PhiModel::Empirical`], boxed so the two
+    /// parametric models — a wide monitor holds thousands of them, and
+    /// every publish walks them all — do not carry 96 empty bytes each.
+    empirical: Option<Box<Empirical>>,
     last_heartbeat: Option<Timestamp>,
     /// The tail [`phi`](Self::phi) evaluates: a function of the window
     /// alone, so it is rebuilt where the window changes (an arrival, a
@@ -187,14 +190,14 @@ impl PhiAccrual {
             PhiModel::Empirical {
                 bins,
                 max_intervals,
-            } => Some(
+            } => Some(Box::new(
                 Empirical::new(
                     0.0,
                     config.initial_interval.as_secs_f64() * max_intervals,
                     bins,
                 )
                 .expect("validated empirical parameters"),
-            ),
+            )),
             _ => None,
         };
         let mut fd = PhiAccrual {
@@ -323,6 +326,7 @@ impl PhiAccrual {
     }
 
     /// Evaluates φ at `now` against `tail`.
+    #[inline]
     fn phi_of(&self, now: Timestamp, tail: &Tail) -> f64 {
         let Some(last) = self.last_heartbeat else {
             return 0.0;
@@ -350,6 +354,7 @@ impl PhiAccrual {
     /// incrementally on insertion, so no per-call rescan of the sample
     /// window happens here. The test-only `phi_naive` is the O(window)
     /// reference implementation it is property-tested against.
+    #[inline]
     pub fn phi(&self, now: Timestamp) -> f64 {
         self.phi_of(now, &self.tail)
     }
@@ -385,8 +390,13 @@ impl AccrualFailureDetector for PhiAccrual {
         self.tail = self.tail_from(self.window_estimates());
     }
 
+    #[inline]
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
         SuspicionLevel::clamped(self.phi(now))
+    }
+
+    fn prefetch(&self) {
+        self.gaps.prefetch();
     }
 
     fn save_seed(&self) -> Option<DetectorSeed> {
@@ -457,6 +467,13 @@ mod tests {
             fd.record_heartbeat(ts(k as f64));
         }
         fd
+    }
+
+    #[test]
+    fn detector_stays_within_three_cache_lines() {
+        // A monitor keeps one per watched peer and walks them all at
+        // every publish; the histogram only one model uses stays boxed.
+        assert!(std::mem::size_of::<PhiAccrual>() <= 192);
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //! - Monotonicity between heartbeats, and basic cross-detector sanity.
 
 use afd_core::accrual::AccrualFailureDetector;
+use afd_core::canonical::{digest_of, CanonicalState};
 use afd_core::history::SuspicionTrace;
 use afd_core::properties::{check_upper_bound, AccruementCheck};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
+use afd_detectors::adaptive::{AdaptiveAccrual, AdaptiveConfig};
+use afd_detectors::akka::{AkkaPhi, AkkaPhiConfig};
 use afd_detectors::bertier::BertierAccrual;
-use afd_detectors::chen::ChenAccrual;
+use afd_detectors::chen::{ChenAccrual, ChenConfig};
 use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution, StepContribution};
 use afd_detectors::phi::{PhiAccrual, PhiConfig, PhiModel};
 use afd_detectors::simple::SimpleAccrual;
@@ -230,6 +233,66 @@ fn crash_raises_level_above_healthy_maximum() {
             "{name}: crash max {crash_max} not above healthy max {healthy_max}"
         );
     }
+}
+
+/// Feeds two copies of `detector` the same jittered arrivals, running
+/// the monitor's warm reads — `save_seed` and `prefetch` — on one of them
+/// before every arrival (long enough that a four-sample window wraps
+/// several times), and holds the two to the same state.
+fn warm_reads_change_nothing<D>(name: &str, detector: D)
+where
+    D: AccrualFailureDetector + CanonicalState + Clone,
+{
+    let mut warmed = detector.clone();
+    let mut plain = detector;
+    let mut at = Timestamp::from_secs(1);
+    for k in 0..24u64 {
+        at = at.saturating_add(Duration::from_millis(900 + 40 * (k % 7)));
+        let _ = warmed.save_seed();
+        warmed.prefetch();
+        warmed.record_heartbeat(at);
+        plain.record_heartbeat(at);
+    }
+    warmed.prefetch();
+    assert_eq!(digest_of(&warmed), digest_of(&plain), "{name}: state");
+    assert_eq!(warmed.save_seed(), plain.save_seed(), "{name}: seed");
+    for late in [10, 1_500, 60_000] {
+        let now = at.saturating_add(Duration::from_millis(late));
+        let (a, b) = (warmed.suspicion_level(now), plain.suspicion_level(now));
+        assert_eq!(
+            a.value().to_bits(),
+            b.value().to_bits(),
+            "{name} +{late} ms"
+        );
+    }
+}
+
+#[test]
+fn warm_reads_have_no_observable_effect() {
+    // The six members of the runtime's `DetectorZoo::standard`, those
+    // with a sample window given a small one.
+    warm_reads_change_nothing("simple", SimpleAccrual::new(Timestamp::ZERO));
+    let chen = ChenConfig {
+        window_size: 4,
+        ..ChenConfig::default()
+    };
+    warm_reads_change_nothing("chen", ChenAccrual::new(chen).unwrap());
+    warm_reads_change_nothing("bertier", BertierAccrual::with_defaults());
+    let phi = PhiConfig {
+        window_size: 4,
+        ..PhiConfig::default()
+    };
+    warm_reads_change_nothing("phi", PhiAccrual::new(phi).unwrap());
+    let akka = AkkaPhiConfig {
+        window_size: 4,
+        ..AkkaPhiConfig::default()
+    };
+    warm_reads_change_nothing("akka", AkkaPhi::new(akka).unwrap());
+    let adaptive = AdaptiveConfig {
+        window_size: 4,
+        ..AdaptiveConfig::default()
+    };
+    warm_reads_change_nothing("adaptive", AdaptiveAccrual::new(adaptive).unwrap());
 }
 
 proptest! {

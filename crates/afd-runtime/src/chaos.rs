@@ -442,6 +442,12 @@ impl AccrualFailureDetector for DetectorZoo {
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
         self.members[ZOO_HEADLINE].detector.suspicion_level(now)
     }
+
+    fn prefetch(&self) {
+        for member in &self.members {
+            member.detector.prefetch();
+        }
+    }
 }
 
 /// One detector's outcome from a chaos run.

@@ -179,6 +179,10 @@ impl<D: AccrualFailureDetector> AccrualFailureDetector for GracefulDegradation<D
         }
     }
 
+    fn prefetch(&self) {
+        self.inner.prefetch();
+    }
+
     fn save_seed(&self) -> Option<DetectorSeed> {
         self.inner.save_seed()
     }

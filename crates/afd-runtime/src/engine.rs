@@ -78,8 +78,8 @@ use crate::clock::Clock;
 use crate::error::{EngineError, TransportError};
 use crate::persist::{RestoreImport, RestoredPeer};
 use crate::ring::{heartbeat_ring, RingConsumer, RingProducer, RingWatch};
-use crate::shard::{build_shards, import_peers, shard_index, Intake, MonitorStats, Shard};
-use crate::shard::{ShardCell, SnapshotReader};
+use crate::shard::{accept_batch, build_shards, import_peers, shard_index, Intake};
+use crate::shard::{MonitorStats, Shard, ShardCell, SnapshotReader, Stamped};
 use crate::supervisor::HealthBoard;
 use crate::transport::Transport;
 use crate::wire::Heartbeat;
@@ -846,9 +846,10 @@ impl<T, C, D> Drop for ParallelShardEngine<T, C, D> {
 }
 
 /// A worker thread: drain its rings round-robin (bounded total per
-/// iteration) into the shard, publish on the configured cadence, yield
-/// when idle. On stop, drain what's left and publish one final epoch.
-/// Takes one ring per lane; returns its shard for state handback.
+/// iteration), accept what they held as one batch, publish on the
+/// configured cadence, yield when idle. On stop, drain what's left and
+/// publish one final epoch. Takes one ring per lane; returns its shard
+/// for state handback.
 fn worker_loop<C: Clock, D: AccrualFailureDetector>(
     mut shard: Shard<D>,
     mut rings: Vec<RingConsumer>,
@@ -862,27 +863,32 @@ fn worker_loop<C: Clock, D: AccrualFailureDetector>(
     // see the watch set immediately.
     let mut last_publish = clock.now();
     shard.publish(last_publish);
+    // One drain's heartbeats, popped first and accepted as one batch —
+    // the accept stage overlaps a batch's cache misses; reused across
+    // iterations. Every frame routes to shard 0 of the one handed over.
+    let mut popped: Vec<Stamped> = Vec::with_capacity(WORKER_DRAIN_CAP);
     loop {
         // Order matters: read stop *before* the final drain so no frame
         // pushed before the stop store can be missed.
         let stopping = stop.load(Ordering::Acquire);
         let drain_start = clock.now();
-        let mut processed = 0usize;
         // Round-robin across rings; a dry pass over every ring ends the
         // drain even with budget left, so one empty lane can't spin.
         let mut dry = 0usize;
         let mut next = 0usize;
-        while processed < WORKER_DRAIN_CAP && dry < rings.len() {
+        while popped.len() < WORKER_DRAIN_CAP && dry < rings.len() {
             match rings[next].pop() {
                 Some((hb, at)) => {
-                    shard.accept(hb, at);
-                    processed += 1;
+                    popped.push(Stamped::new(0, hb, at));
                     dry = 0;
                 }
                 None => dry += 1,
             }
             next = (next + 1) % rings.len();
         }
+        let processed = popped.len();
+        accept_batch(std::slice::from_mut(&mut shard), &mut popped);
+        popped.clear();
         let now = clock.now();
         let due = now.saturating_duration_since(last_publish) >= publish_every;
         if processed > 0 {

@@ -107,8 +107,9 @@ impl UdpLaneStats {
         self.foreign.load(Ordering::Relaxed)
     }
 
-    /// `recv_from` syscalls issued (including the terminal
-    /// `EWOULDBLOCK` probe of each drain).
+    /// Receive syscalls issued — `recv` by an any-source lane,
+    /// `recv_from` by a connected one — including the terminal
+    /// `EWOULDBLOCK` probe of each drain.
     pub fn syscalls(&self) -> u64 {
         self.syscalls.load(Ordering::Relaxed)
     }
@@ -138,7 +139,7 @@ pub struct UdpLane {
     /// any-source, receive-only intake lane.
     peer: Option<SocketAddr>,
     stats: Arc<UdpLaneStats>,
-    /// `recv_from` syscalls one `recv_batch` call may spend.
+    /// Receive syscalls one `recv_batch` call may spend.
     recv_budget: usize,
 }
 
@@ -216,12 +217,15 @@ impl Transport for UdpLane {
     }
 
     /// The one UDP receive loop: a budgeted drain-until-`EWOULDBLOCK`
-    /// straight into the arena slots — one syscall per datagram, zero
-    /// copies beyond the kernel's, zero heap allocations. Datagrams from
-    /// anyone but a connected lane's peer are noise, not heartbeats:
-    /// consumed, counted, discarded — as are runts shorter than a wire
-    /// frame and datagrams that fill the probe-sized slot (oversize). A
-    /// hard error is returned after the counters are stored.
+    /// straight into the arena slots — one syscall per datagram (`recv`
+    /// on an any-source lane, `recv_from` on a connected one), zero
+    /// copies beyond the kernel's, zero heap allocations. An any-source
+    /// lane has no use for the source address, so it does not ask the
+    /// kernel to write one out. Datagrams from anyone but a connected
+    /// lane's peer are noise, not heartbeats: consumed, counted,
+    /// discarded — as are runts shorter than a wire frame and datagrams
+    /// that fill the probe-sized slot (oversize). A hard error is
+    /// returned after the counters are stored.
     fn recv_batch(&mut self, batch: &mut FrameBatch) -> Result<usize, TransportError> {
         let (socket, peer) = (&self.socket, self.peer);
         let (mut got, mut syscalls) = (0usize, 0u64);
@@ -231,34 +235,43 @@ impl Transport for UdpLane {
         while !batch.is_full() && !drained && outcome.is_ok() && syscalls < self.recv_budget as u64
         {
             syscalls += 1;
-            batch.push_with(|buf| match socket.recv_from(buf) {
-                Ok((_, from)) if peer.is_some_and(|peer| peer != from) => {
-                    foreign += 1;
-                    None
-                }
-                Ok((n, _)) if n < MIN_FRAME => {
-                    short += 1;
-                    None
-                }
-                Ok((n, _)) if n > MAX_DATAGRAM => {
-                    oversize += 1;
-                    None
-                }
-                Ok((n, _)) => {
-                    got += 1;
-                    Some(n)
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    drained = true;
-                    None
-                }
-                // A prior send to an unbound peer can surface here as
-                // ECONNREFUSED; the peer being down is the detector's
-                // business, not a transport failure.
-                Err(e) if e.kind() == ErrorKind::ConnectionRefused => None,
-                Err(e) => {
-                    outcome = Err(e.into());
-                    None
+            batch.push_with(|buf| {
+                // `None`: the datagram came from a stranger.
+                let received = match peer {
+                    None => socket.recv(buf).map(Some),
+                    Some(peer) => socket
+                        .recv_from(buf)
+                        .map(|(n, from)| (from == peer).then_some(n)),
+                };
+                match received {
+                    Ok(None) => {
+                        foreign += 1;
+                        None
+                    }
+                    Ok(Some(n)) if n < MIN_FRAME => {
+                        short += 1;
+                        None
+                    }
+                    Ok(Some(n)) if n > MAX_DATAGRAM => {
+                        oversize += 1;
+                        None
+                    }
+                    Ok(Some(n)) => {
+                        got += 1;
+                        Some(n)
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        drained = true;
+                        None
+                    }
+                    // A prior send to an unbound peer can surface here as
+                    // ECONNREFUSED; the peer being down is the detector's
+                    // business, not a transport failure.
+                    Err(e) if e.kind() == ErrorKind::ConnectionRefused => None,
+                    Err(e) => {
+                        outcome = Err(e.into());
+                        None
+                    }
                 }
             });
         }
@@ -312,7 +325,7 @@ impl MultiUdpStats {
         self.per_lane.iter().map(|l| l.foreign_dropped()).sum()
     }
 
-    /// Sum of `recv_from` syscalls across lanes.
+    /// Sum of receive syscalls across lanes.
     pub fn syscalls(&self) -> u64 {
         self.per_lane.iter().map(|l| l.syscalls()).sum()
     }
@@ -495,6 +508,8 @@ mod tests {
         assert_eq!(stats.datagrams(), 2);
         assert_eq!(stats.oversize_dropped(), 1);
         assert_eq!(stats.short_dropped(), 1);
+        // Two sources, and the lane never asked who: nobody is a stranger.
+        assert_eq!(stats.foreign_dropped(), 0);
         assert!(stats.syscalls() >= 3, "at least datagrams + final probe");
     }
 

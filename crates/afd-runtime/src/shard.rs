@@ -10,9 +10,12 @@
 //!    its shard by `shard_index`;
 //! 2. **stamp**: the *executor* attaches the arrival time — the stage
 //!    takes the stamp from its caller and picks no policy;
-//! 3. **accept** (`Shard::accept`): one probe of the shard's id→slot
-//!    index finds the peer's entry; serial-number freshness, then the
-//!    watch check, then the detector update;
+//! 3. **accept** (`accept_batch`): the drained, stamped batch goes
+//!    through in three passes — *resolve* (one probe of the id→slot index
+//!    per frame), *warm* (plain loads of what an arrival will read) and
+//!    *apply* (serial-number freshness, then the watch check, then the
+//!    detector update, strictly in arrival order) — see *The accept
+//!    stage*;
 //! 4. **publish** (`Shard::publish`): each shard's suspicion levels and
 //!    durable rows go into a double-buffered epoch snapshot that
 //!    [`SnapshotReader`]s consume without taking any lock. Every level is
@@ -34,6 +37,38 @@
 //!   **threaded executor**: lane threads run stage 1, stamp once per
 //!   batch, and hand heartbeats over SPSC rings to one worker thread per
 //!   shard that runs stages 3–4.
+//!
+//! # The accept stage
+//!
+//! The receive rule is stated per heartbeat and orders nothing between
+//! *different* senders, but an accept walks three dependent memory levels
+//! — the index entry, the slot, the detector's sample ring — and is long
+//! enough that the processor holds about two of them in flight: on a
+//! watch set that outgrows the cache, frame by frame, every miss is paid
+//! almost serially. So the stage takes the whole drained batch:
+//!
+//! - **resolve** probes the index once per frame and writes the slot
+//!   beside the frame. The iterations are short and independent, so a
+//!   batch's index misses overlap. Running ahead of the apply pass is
+//!   sound because only `watch`, `unwatch` and `import` change the index,
+//!   all three need the shard mutably, and whoever runs a batch holds it
+//!   — [`tick`](ShardedMonitor::tick) through `&mut self`, a worker by
+//!   owning its shard — so none can run between a batch's resolve and its
+//!   apply.
+//! - **warm** loads, for each resolved slot, the watermark and the
+//!   detector state an arrival reads, and discards them. It may do
+//!   nothing a peer, a reader or a later pass could observe: no store, no
+//!   counter, only loads whose values are thrown away.
+//! - **apply** is the receive rule itself, frame by frame in arrival
+//!   order, taking the resolved slot instead of probing again. The order
+//!   is what makes a sender that appears twice in a batch, a duplicate, a
+//!   stale frame and a stranger judged against its retired watermark end
+//!   in the counters and detector states one-at-a-time accepts give, bit
+//!   for bit (`staged_accept_equals_one_at_a_time`).
+//!
+//! Both executors call it — the inline one over a tick's mixed-shard
+//! batch as it stands, a worker over what it popped from its rings — and
+//! `Shard::accept` is its batch of one.
 //!
 //! # Stable slots
 //!
@@ -100,6 +135,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hint::black_box;
 use std::mem;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -796,7 +832,7 @@ const BANKS: u8 = 2;
 ///
 /// `stale_banks` counts the coming publishes that must rewrite the row's
 /// id and durable words. A detector's seed and its sequence watermark
-/// change only where [`Shard::accept`], an import or a caller holding
+/// change only where [`accept_batch`], an import or a caller holding
 /// [`ShardedMonitor::detector_mut`] changes them, and each such change —
 /// like the slot changing hands — has to reach both banks: this publish
 /// writes one, the next the other.
@@ -960,24 +996,38 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// saved window moments and re-arms replay rejection with the saved
     /// highest sequence number. A peer that does not fit is counted in
     /// [`RestoreImport::capacity_rejected`].
+    ///
+    /// The peer may be watched, and heard from, already: an import then
+    /// only ever moves it *forward*. The watermark advances if the saved
+    /// one is fresher and otherwise stays — lowering it would reopen the
+    /// replay window for frames already accepted — and the detector is
+    /// re-seeded unless it has heard an arrival later than the seed's
+    /// last, which would otherwise be followed by a gap that never
+    /// happened.
     fn import(&mut self, peer: &RestoredPeer, import: &mut RestoreImport) {
-        if self.watch(peer.process).is_err() {
+        let Ok(newly_watched) = self.watch(peer.process) else {
             import.capacity_rejected += 1;
             return;
-        }
+        };
         import.watched += 1;
         let Some(watched) = self.entry(peer.process) else {
             return;
         };
-        // Marked even without a seed: the watermark is part of the
-        // peer's durable row, and the peer may have been watched already.
+        // Marked whatever is applied below: the peer may hold a slot no
+        // publish has written yet.
         watched.stale_banks = BANKS;
-        if peer.highest_seq.is_some() {
-            watched.highest_seq = peer.highest_seq;
+        if let Some(restored) = peer.highest_seq {
+            let fresher = |live| classify(restored, live) == SeqVerdict::Fresh;
+            if watched.highest_seq.is_none_or(fresher) {
+                watched.highest_seq = Some(restored);
+            }
         }
         if let Some(seed) = &peer.seed {
-            watched.detector.restore_seed(seed);
-            import.seeded += 1;
+            let heard = || watched.detector.save_seed()?.last_heartbeat;
+            if newly_watched || heard() <= seed.last_heartbeat {
+                watched.detector.restore_seed(seed);
+                import.seeded += 1;
+            }
         }
     }
 
@@ -1013,6 +1063,27 @@ impl<D: AccrualFailureDetector> Shard<D> {
         self.stats
     }
 
+    /// Accepts one heartbeat: the batch of one.
+    #[cfg(test)]
+    pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
+        accept_batch(std::slice::from_mut(self), &mut [Stamped::new(0, hb, now)]) == 1
+    }
+
+    /// The warm pass for one resolved slot: loads the watermark and the
+    /// detector state an arrival reads and discards them, so that the
+    /// apply pass finds them in cache. `save_seed` reads what
+    /// `record_heartbeat` reads first of the detector's own fields (last
+    /// arrival, window count and moments); `prefetch` reaches what lies a
+    /// pointer further, the window cell the arrival overwrites. Both are
+    /// `&self` and neither has an observable effect.
+    #[inline]
+    fn warm(&self, slot: usize) {
+        if let Some(Slot::Live(watched)) = self.slab.get(slot) {
+            black_box((watched.highest_seq, watched.detector.save_seed()));
+            watched.detector.prefetch();
+        }
+    }
+
     /// Algorithm 4, lines 8–10: only heartbeats fresher than the
     /// freshest seen so far update the detector, so detectors always see
     /// non-decreasing arrival times. Freshness is serial-number
@@ -1020,13 +1091,13 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// dropped (and counted apart), while a sender whose counter wraps
     /// past `u64::MAX` keeps being accepted.
     ///
-    /// One index probe finds a watched sender's entry, which holds its
-    /// watermark and its detector. A sender nobody watches is judged
-    /// against the watermark it retired with, if any, so a replay counts
-    /// as a replay whether or not its sender is watched right now; a
-    /// fresh frame from it counts `unwatched` and moves no watermark.
-    pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
-        let slot = self.cell.slot_of.lookup(hb.sender);
+    /// `slot` is where the resolve pass found the sender in the index; a
+    /// watched sender's entry holds its watermark and its detector. A
+    /// sender nobody watches is judged against the watermark it retired
+    /// with, if any, so a replay counts as a replay whether or not its
+    /// sender is watched right now; a fresh frame from it counts
+    /// `unwatched` and moves no watermark.
+    fn apply(&mut self, hb: Heartbeat, now: Timestamp, slot: Option<usize>) -> bool {
         let entry = slot.and_then(|slot| self.slab.get_mut(slot)?.live());
         let watermark = match &entry {
             Some(watched) => watched.highest_seq,
@@ -1094,6 +1165,52 @@ impl<D: AccrualFailureDetector> Shard<D> {
             slab.len()
         });
     }
+}
+
+/// One decoded heartbeat on its way through the accept stage.
+pub(crate) struct Stamped {
+    /// Which of the shards handed to [`accept_batch`] it routes to.
+    shard: usize,
+    hb: Heartbeat,
+    /// Its arrival stamp.
+    at: Timestamp,
+    /// Where the resolve pass found its sender, if it is watched.
+    slot: Option<usize>,
+}
+
+impl Stamped {
+    pub(crate) fn new(shard: usize, hb: Heartbeat, at: Timestamp) -> Self {
+        Stamped {
+            shard,
+            hb,
+            at,
+            slot: None,
+        }
+    }
+}
+
+/// The accept stage: runs one drained batch through `shards` in three
+/// passes — resolve, warm, apply (see the module docs) — and returns how
+/// many heartbeats reached a detector. Every frame's `shard` must index
+/// `shards`, and `shards` must not change membership between the passes:
+/// the caller's `&mut` is what guarantees it.
+pub(crate) fn accept_batch<D: AccrualFailureDetector>(
+    shards: &mut [Shard<D>],
+    batch: &mut [Stamped],
+) -> usize {
+    for frame in batch.iter_mut() {
+        frame.slot = shards[frame.shard].cell.slot_of.lookup(frame.hb.sender);
+    }
+    for frame in batch.iter() {
+        if let Some(slot) = frame.slot {
+            shards[frame.shard].warm(slot);
+        }
+    }
+    let mut accepted = 0usize;
+    for frame in batch.iter() {
+        accepted += usize::from(shards[frame.shard].apply(frame.hb, frame.at, frame.slot));
+    }
+    accepted
 }
 
 /// The intake stage both executors share: one reusable zero-allocation
@@ -1166,9 +1283,10 @@ pub struct ShardedMonitor<T, C, D> {
     reader: SnapshotReader,
     /// The shared intake stage: arena plus wire decoder.
     intake: Intake,
-    /// One arena refill's heartbeats, each with the shard it routes to and
-    /// its arrival stamp; reused across ticks.
-    stamped: Vec<(usize, Heartbeat, Timestamp)>,
+    /// One arena refill's heartbeats, each with the shard it routes to,
+    /// its arrival stamp and room for its resolved slot; reused across
+    /// ticks.
+    stamped: Vec<Stamped>,
     corrupt: u64,
     ticks: u64,
     liveness: Arc<AtomicU64>,
@@ -1272,15 +1390,20 @@ where
             // whole drained backlog would collapse its inter-arrival
             // samples to zero.
             self.corrupt += self.intake.decode(shards.len(), |idx, hb| {
-                stamped.push((idx, hb, clock.now()));
+                stamped.push(Stamped::new(idx, hb, clock.now()));
             });
-            // Accept in a pass of its own: a clock read serialises the
+            // Accept in passes of its own: a clock read serialises the
             // pipeline, and one between every two accepts keeps different
             // peers' detector updates from overlapping — measured at
             // +20 ns a frame, 6–10 % of `ns_per_hb` on every workload.
-            for (idx, hb, at) in stamped.drain(..) {
-                report.accepted += usize::from(shards[idx].accept(hb, at));
-            }
+            // For the same reason the accept stage is itself split: the
+            // batch's index probes, then loads of the state its arrivals
+            // will read, then the updates in arrival order, so a wide
+            // watch set's cache misses overlap instead of each waiting
+            // behind the previous frame's update. The batch stays mixed:
+            // nothing groups it by shard.
+            report.accepted += accept_batch(shards, stamped);
+            stamped.clear();
             // A short batch means the transport is drained.
             if got < self.intake.capacity() {
                 break;
@@ -2137,9 +2260,252 @@ mod tests {
         assert!(mon.watch(ProcessId::new(2)).is_err(), "slots floored to 1");
     }
 
+    #[test]
+    fn a_slot_stays_within_four_cache_lines() {
+        // Every accept and every publish walks a slot; a φ slot was 304
+        // bytes before the detector boxed its histogram.
+        use afd_detectors::phi::PhiAccrual;
+        assert!(mem::size_of::<Slot<PhiAccrual>>() <= 216);
+    }
+
+    /// φ shards of `slots` peers each, their windows small enough to wrap.
+    fn phi_shards(shards: usize, slots: usize) -> Vec<Shard<afd_detectors::phi::PhiAccrual>> {
+        use afd_detectors::phi::{PhiAccrual, PhiConfig};
+        let config = PhiConfig {
+            window_size: 4,
+            ..PhiConfig::default()
+        };
+        let (_cells, shards) = build_shards(shards, slots, move |_| {
+            PhiAccrual::new(config).expect("valid phi config")
+        });
+        shards
+    }
+
+    fn beat(sender: u32, seq: u64) -> Heartbeat {
+        Heartbeat {
+            sender: ProcessId::new(sender),
+            seq,
+            sent_at: Timestamp::ZERO,
+        }
+    }
+
+    #[test]
+    fn import_over_a_live_peer_only_moves_it_forward() {
+        // Regression: an import assigned the saved watermark and seed
+        // unconditionally, so a restore over a peer that had been heard
+        // from since reopened its replay window (seq 15 below was
+        // accepted a second time) and rewound its detector's last
+        // arrival, making the next one record a gap that never happened.
+        let p = ProcessId::new(7);
+        let mut shard = phi_shards(1, 8).pop().expect("one shard");
+        shard.watch(p).unwrap();
+        for seq in 1..=20u64 {
+            assert!(shard.accept(beat(7, seq), Timestamp::from_secs(seq)));
+        }
+        let live = shard.entry(p).unwrap().detector.save_seed();
+        let older = DetectorSeed {
+            last_heartbeat: Some(Timestamp::from_secs(10)),
+            samples: 4,
+            mean: 1.0,
+            population_variance: 0.0,
+            heartbeats_seen: 0,
+        };
+        let mut import = RestoreImport::default();
+        let behind = RestoredPeer {
+            process: p,
+            highest_seq: Some(10),
+            seed: Some(older),
+        };
+        shard.import(&behind, &mut import);
+        assert_eq!((import.watched, import.seeded), (1, 0));
+        let watched = shard.entry(p).unwrap();
+        assert_eq!(watched.highest_seq, Some(20));
+        assert_eq!(watched.detector.save_seed(), live);
+        assert_eq!(
+            watched.stale_banks, BANKS,
+            "an import always marks the slot"
+        );
+        assert!(!shard.accept(beat(7, 15), Timestamp::from_secs(21)));
+        assert_eq!(shard.stats().accepted, 20);
+        assert_eq!(shard.stats().stale, 1);
+
+        // What is ahead of the live state still applies: the watermark
+        // advances and a seed that has heard a later arrival replaces the
+        // detector's.
+        let newer = DetectorSeed {
+            last_heartbeat: Some(Timestamp::from_secs(30)),
+            ..older
+        };
+        let ahead = RestoredPeer {
+            process: p,
+            highest_seq: Some(30),
+            seed: Some(newer),
+        };
+        shard.import(&ahead, &mut import);
+        assert_eq!((import.watched, import.seeded), (2, 1));
+        let watched = shard.entry(p).unwrap();
+        assert_eq!(watched.highest_seq, Some(30));
+        assert_eq!(watched.detector.save_seed(), Some(newer));
+        assert!(!shard.accept(beat(7, 25), Timestamp::from_secs(31)));
+        assert!(shard.accept(beat(7, 31), Timestamp::from_secs(31)));
+
+        // A watermark that retired with an unwatch is held to the same
+        // rule when the import re-watches the peer; the fresh detector
+        // takes the seed whatever its age.
+        shard.unwatch(p);
+        shard.import(&behind, &mut import);
+        assert_eq!((import.watched, import.seeded), (3, 2));
+        let watched = shard.entry(p).unwrap();
+        assert_eq!(watched.highest_seq, Some(31));
+        assert_eq!(watched.detector.save_seed(), Some(older));
+    }
+
+    #[test]
+    fn restore_over_a_live_peer_keeps_replays_rejected() {
+        let (mut tx, mut mon, clock) = rig(SINGLE);
+        let p = ProcessId::new(7);
+        mon.watch(p).unwrap();
+        for seq in 1..=20u64 {
+            clock.set(Timestamp::from_secs(seq));
+            tx.send(&frame(7, seq)).unwrap();
+            mon.tick().unwrap();
+        }
+        let import = mon.restore(&[RestoredPeer {
+            process: p,
+            highest_seq: Some(10),
+            seed: None,
+        }]);
+        assert_eq!((import.watched, import.seeded), (1, 0));
+        tx.send(&frame(7, 15)).unwrap();
+        assert_eq!(mon.tick().unwrap().accepted, 0);
+        let totals = mon.stats().totals;
+        assert_eq!(
+            (totals.accepted, totals.stale, totals.duplicate),
+            (20, 1, 0),
+            "a frame accepted before the restore is a replay after it"
+        );
+
+        // With a seed older than what the detector has heard since, the
+        // last arrival stays where it is: the level is the silence since
+        // second 20, not since the checkpoint.
+        mon.restore(&[RestoredPeer {
+            process: p,
+            highest_seq: None,
+            seed: Some(DetectorSeed {
+                last_heartbeat: Some(Timestamp::from_secs(10)),
+                ..DetectorSeed::default()
+            }),
+        }]);
+        clock.set(Timestamp::from_secs(23));
+        assert_eq!(mon.level(p).unwrap().value(), 3.0);
+    }
+
+    mod staged_accept {
+        use super::*;
+        use proptest::prelude::*;
+
+        const SHARDS: usize = 2;
+        /// Senders 0–2 are watched, 3 never was, 4 and 5 were and left a
+        /// watermark behind.
+        const SENDERS: u64 = 6;
+        /// Sequence numbers a frame may carry: both sides of the wrap
+        /// past `u64::MAX`, close enough together that duplicates and
+        /// stale frames are common.
+        const SEQS: [u64; 10] = [
+            u64::MAX - 3,
+            u64::MAX - 2,
+            u64::MAX - 1,
+            u64::MAX,
+            0,
+            1,
+            2,
+            3,
+            4,
+            5,
+        ];
+
+        /// Two shards with some history: sender 1 has been heard just
+        /// below the wrap, 4 and 5 were heard and unwatched.
+        fn shards_with_history() -> Vec<Shard<afd_detectors::phi::PhiAccrual>> {
+            let mut shards = phi_shards(SHARDS, 8);
+            let mut feed = |sender: u32, seq: u64, secs: u64| {
+                let shard = &mut shards[shard_index(ProcessId::new(sender), SHARDS)];
+                shard.watch(ProcessId::new(sender)).unwrap();
+                if secs > 0 {
+                    assert!(shard.accept(beat(sender, seq), Timestamp::from_secs(secs)));
+                }
+            };
+            feed(0, 0, 0);
+            feed(1, u64::MAX - 2, 1);
+            feed(2, 0, 0);
+            feed(4, u64::MAX - 1, 2);
+            feed(5, 1, 3);
+            for gone in [4, 5] {
+                let p = ProcessId::new(gone);
+                assert!(shards[shard_index(p, SHARDS)].unwatch(p).is_some());
+            }
+            shards
+        }
+
+        fn batches() -> impl Strategy<Value = Vec<(u32, u64)>> {
+            let frame = proptest::FnStrategy::new(|rng: &mut TestRng| {
+                let seq = SEQS[rng.below(SEQS.len() as u64) as usize];
+                (rng.below(SENDERS) as u32, seq)
+            });
+            prop::collection::vec(frame, 0..65)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+
+            /// A batch through the three passes ends exactly where the
+            /// same frames accepted one at a time end: the counters, the
+            /// retired watermarks and — bit for bit — every published
+            /// row, through repeated senders, duplicates, stale frames,
+            /// strangers and sequence numbers straddling the wrap.
+            #[test]
+            fn staged_accept_equals_one_at_a_time(frames in batches()) {
+                let mut staged = shards_with_history();
+                let mut single = shards_with_history();
+                let start = Timestamp::from_secs(4);
+                let mut batch: Vec<Stamped> = (frames.iter().enumerate())
+                    .map(|(i, &(sender, seq))| {
+                        let hb = beat(sender, seq);
+                        let at = start.saturating_add(Duration::from_millis(70 * i as u64));
+                        Stamped::new(shard_index(hb.sender, SHARDS), hb, at)
+                    })
+                    .collect();
+
+                let mut one_at_a_time = 0usize;
+                for frame in &batch {
+                    let accepted = single[frame.shard].accept(frame.hb, frame.at);
+                    one_at_a_time += usize::from(accepted);
+                }
+                prop_assert_eq!(accept_batch(&mut staged, &mut batch), one_at_a_time);
+
+                let now = start.saturating_add(Duration::from_secs(6));
+                for (staged, single) in staged.iter_mut().zip(&mut single) {
+                    prop_assert_eq!(staged.stats(), single.stats());
+                    prop_assert_eq!(&staged.retired, &single.retired);
+                    staged.publish(now);
+                    single.publish(now);
+                    let (at, rows) = staged.cell.read_rows();
+                    let (_, want) = single.cell.read_rows();
+                    prop_assert_eq!(at, now);
+                    prop_assert_eq!(rows.len(), want.len());
+                    for (got, want) in rows.iter().zip(&want) {
+                        prop_assert_eq!(got.0, want.0);
+                        prop_assert_eq!(got.1.value().to_bits(), want.1.value().to_bits());
+                        prop_assert_eq!(got.2, want.2);
+                    }
+                }
+            }
+        }
+    }
+
     mod incremental_publish {
         use super::*;
-        use afd_detectors::phi::{PhiAccrual, PhiConfig};
+        use afd_detectors::phi::PhiAccrual;
         use proptest::prelude::*;
 
         /// Peers the operations draw from; more than the shard holds, so
@@ -2187,14 +2553,7 @@ mod tests {
         }
 
         fn phi_shard() -> Shard<PhiAccrual> {
-            let config = PhiConfig {
-                window_size: 4,
-                ..PhiConfig::default()
-            };
-            let (_cells, mut shards) = build_shards(1, SLOTS, move |_| {
-                PhiAccrual::new(config).expect("valid phi config")
-            });
-            shards.pop().expect("one shard")
+            phi_shards(1, SLOTS).pop().expect("one shard")
         }
 
         /// What a publish that rewrote every row would have put in the
