@@ -46,6 +46,11 @@
 //! keeps them. The tables live in `erf_table.rs`, written by
 //! `scripts/gen_erfc_table.py` from 60-digit arithmetic.
 //!
+//! A monitor asks for that row once per watched peer per publish, so it
+//! also comes eight arguments at a time ([`ln_half_erfc_block`]): the same
+//! operations, bit for bit, regrouped by stage so that eight dependency
+//! chains overlap where one would fill the reorder window.
+//!
 //! # Accuracy contract
 //!
 //! Against the iterative evaluation this module used before (a Maclaurin
@@ -69,6 +74,21 @@ use super::erf_table::{
 
 /// Below this, `2 − erfc(−x)` rounds to exactly 2 (`erfc(6) ≈ 2e-17`).
 const SATURATED: f64 = LIVE_LO;
+
+/// The centre of each row of the direct fit. A table because the row comes
+/// out of a float-to-integer conversion, and converting it straight back
+/// to place the centre puts two more conversions on every query's
+/// dependency chain; every entry is exact in binary, so the table holds
+/// what the arithmetic gives.
+const LIVE_CENTRE: [f64; LN_HALF_ERFC.len()] = {
+    let mut centres = [0.0; LN_HALF_ERFC.len()];
+    let mut i = 0;
+    while i < centres.len() {
+        centres[i] = LIVE_LO + (i as f64 + 0.5) * LIVE_STEP;
+        i += 1;
+    }
+    centres
+};
 
 /// The error function `erf(x) = (2/√π) ∫₀ˣ e^{−t²} dt`.
 ///
@@ -121,6 +141,51 @@ pub(crate) fn ln_half_erfc(x: f64) -> f64 {
     }
 }
 
+/// Arguments one [`ln_half_erfc_block`] takes. Eight measured fastest
+/// stand-alone (ROADMAP, *closed*): four chains leave the processor
+/// waiting on them, sixteen and more spill its registers.
+pub(crate) const LANES: usize = 8;
+
+/// [`ln_half_erfc`] for [`LANES`] arguments at once, bit for bit, in *stages*:
+/// every lane's table piece, then every lane's polynomial, then the choice
+/// of regime, each a short loop of its own. One evaluation is a chain of
+/// some twenty dependent operations; a caller walking many arguments one
+/// by one fills the processor's reorder window with two or three such
+/// chains, where the eight chains of a stage are independent and overlap.
+/// The polynomial is evaluated for every lane — a lane outside
+/// `[−6, 0.5)` reads a clamped piece and its value is discarded — and a
+/// lane at `0.5` or above (or NaN) takes the scalar tail form.
+#[inline]
+pub(crate) fn ln_half_erfc_block(x: &[f64; LANES]) -> [f64; LANES] {
+    let mut pieces = [(0usize, 0.0f64); LANES];
+    for (piece, &x) in pieces.iter_mut().zip(x) {
+        *piece = live_piece(x);
+    }
+    let mut out = [0.0; LANES];
+    for (out, &(i, d)) in out.iter_mut().zip(&pieces) {
+        *out = poly10(&LN_HALF_ERFC[i], d);
+    }
+    for (out, &x) in out.iter_mut().zip(x) {
+        *out = if x < SATURATED {
+            0.0
+        } else if x < SMALL_X {
+            *out
+        } else {
+            suspect_tail(x)
+        };
+    }
+    out
+}
+
+/// [`ln_half_erfc`] at `0.5` and above, out of line: a block is sized for
+/// the peers that are alive, and eight inlined copies of the tail form
+/// would triple its code for the rare lane that is not.
+#[cold]
+#[inline(never)]
+fn suspect_tail(x: f64) -> f64 {
+    ln_erfc_tail(x) - LN_2
+}
+
 /// `ln(erfc(x))` for `x ≥ SMALL_X` (and NaN for NaN).
 #[inline]
 fn ln_erfc_tail(x: f64) -> f64 {
@@ -130,11 +195,20 @@ fn ln_erfc_tail(x: f64) -> f64 {
 /// `ln(½·erfc(x))` for `SATURATED ≤ x < SMALL_X` from the direct fit.
 #[inline]
 fn live_poly(x: f64) -> f64 {
-    let i = (((x - LIVE_LO) * LIVE_SCALE) as usize).min(LN_HALF_ERFC.len() - 1);
-    poly10(
-        &LN_HALF_ERFC[i],
-        x - (LIVE_LO + (i as f64 + 0.5) * LIVE_STEP),
-    )
+    let (i, d) = live_piece(x);
+    poly10(&LN_HALF_ERFC[i], d)
+}
+
+/// The row of the direct fit `x` falls in and its offset from that row's
+/// centre. `as` saturates and the row is clamped, so any `x` — below the
+/// fit, above it, NaN — lands in a row that exists. Through `i32`: x86 has
+/// no conversion to an unsigned integer, and emulating one costs more than
+/// the rest of this function.
+#[inline]
+fn live_piece(x: f64) -> (usize, f64) {
+    const LAST: i32 = LN_HALF_ERFC.len() as i32 - 1;
+    let i = (((x - LIVE_LO) * LIVE_SCALE) as i32).clamp(0, LAST) as usize;
+    (i, x - LIVE_CENTRE[i])
 }
 
 /// `erf` for `|x| < SMALL_X`.
@@ -629,6 +703,35 @@ mod tests {
         assert!(ln_erfc(1e6) < ln_erfc(1e5) && ln_erfc(1e6).is_finite());
     }
 
+    #[test]
+    fn the_block_is_the_scalar_lane_for_lane() {
+        // Every regime and both hand-overs side by side, then the edges of
+        // every row of the direct fit, a block at a time.
+        let mut xs = vec![
+            -40.0,
+            SATURATED,
+            -0.3,
+            SMALL_X,
+            17.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for edge in boundaries_and_live_edges() {
+            xs.extend([edge - 1e-9, edge, edge + 1e-9]);
+        }
+        xs.resize(xs.len().next_multiple_of(LANES), 0.0);
+        for block in xs.chunks(LANES) {
+            let block: &[f64; LANES] = block.try_into().unwrap();
+            for (x, got) in block.iter().zip(ln_half_erfc_block(block)) {
+                assert_eq!(got.to_bits(), ln_half_erfc(*x).to_bits(), "at {x}");
+            }
+        }
+        for (i, centre) in LIVE_CENTRE.iter().enumerate() {
+            assert_eq!(*centre, LIVE_LO + (i as f64 + 0.5) * LIVE_STEP);
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -693,6 +796,17 @@ mod tests {
                     (got - want * LOG10_E).abs() <= 1e-14,
                     "log10_sf({}) = {}, oracle {}", x, got, want * LOG10_E
                 );
+            }
+
+            /// Staging changes the order the work is done in, not the work.
+            #[test]
+            fn the_block_is_the_scalar_anywhere(
+                xs in prop::collection::vec(-8.0f64..2.0, LANES..LANES + 1),
+            ) {
+                let block: &[f64; LANES] = xs.as_slice().try_into().unwrap();
+                for (x, got) in block.iter().zip(ln_half_erfc_block(block)) {
+                    prop_assert_eq!(got.to_bits(), ln_half_erfc(*x).to_bits(), "at {}", x);
+                }
             }
         }
     }

@@ -24,6 +24,7 @@ mod normal;
 
 pub use empirical::Empirical;
 pub use erf::{erf, erfc, ln_erfc};
+pub(crate) use erf::{ln_half_erfc, ln_half_erfc_block, LANES};
 pub use erlang::Erlang;
 pub use exponential::Exponential;
 pub use normal::Normal;

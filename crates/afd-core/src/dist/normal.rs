@@ -77,6 +77,12 @@ impl Normal {
         self.std
     }
 
+    /// `1/(std·√2)`: what [`log10_sf`](ArrivalDistribution::log10_sf)
+    /// multiplies `x − mean` by to get `erfc`'s argument.
+    pub fn erfc_scale(&self) -> f64 {
+        self.erfc_scale
+    }
+
     /// The standard score `(x − mean) / std`.
     #[inline]
     pub fn z(&self, x: f64) -> f64 {

@@ -16,7 +16,7 @@
 //! windowed mean gap, which adapts to both load-induced delay and the
 //! actual heartbeat cadence.
 
-use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
+use afd_core::accrual::{AccrualFailureDetector, DetectorSeed, LevelCurve};
 use afd_core::error::ConfigError;
 use afd_core::stats::SlidingWindow;
 use afd_core::suspicion::SuspicionLevel;
@@ -134,6 +134,16 @@ impl ChenAccrual {
         Some(last + Duration::from_secs_f64(mean_gap.max(0.0)))
     }
 
+    /// `sl(t) = max(0, t − EA)`: one second of level per second of lateness.
+    fn curve(&self) -> LevelCurve {
+        match self.expected_arrival() {
+            // Before any heartbeat there is no estimate; Chen's detector
+            // starts trusting (level 0) until evidence accumulates.
+            None => LevelCurve::Zero,
+            Some(ea) => LevelCurve::seconds_since(ea),
+        }
+    }
+
     /// Number of inter-arrival samples currently in the estimation window.
     pub fn samples(&self) -> usize {
         self.gaps.len()
@@ -156,12 +166,11 @@ impl AccrualFailureDetector for ChenAccrual {
     }
 
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        match self.expected_arrival() {
-            // Before any heartbeat there is no estimate; Chen's detector
-            // starts trusting (level 0) until evidence accumulates.
-            None => SuspicionLevel::ZERO,
-            Some(ea) => SuspicionLevel::clamped(now.saturating_duration_since(ea).as_secs_f64()),
-        }
+        SuspicionLevel::clamped(self.curve().at(now))
+    }
+
+    fn level_curve(&self) -> Option<LevelCurve> {
+        Some(self.curve())
     }
 
     fn prefetch(&self) {

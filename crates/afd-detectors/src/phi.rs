@@ -28,13 +28,18 @@
 //! arrival only when one lands, so the work is split accordingly: whatever
 //! depends on the window alone — the σ estimate and its floor, the
 //! bootstrap prior, the distribution's validation and its reciprocals — is
-//! done once per arrival (or restore) and cached as the tail; a query is
-//! one subtraction, one multiplication and one bounded-cost
-//! [`Normal::log10_sf`](ArrivalDistribution::log10_sf) — a single
-//! polynomial, with no `exp` and no `ln`, wherever a live peer sits
-//! between two heartbeats.
+//! done once per arrival (or restore) and cached as the detector's
+//! [`LevelCurve`]; a query is that curve [`at`](LevelCurve::at) the query
+//! time — one subtraction, one multiplication and a single polynomial,
+//! with no `exp` and no `ln`, wherever a live peer sits between two
+//! heartbeats — and a monitor that holds the curve
+//! ([`level_curve`](AccrualFailureDetector::level_curve)) need not come
+//! back to the detector to ask. Only the empirical model, once its
+//! histogram answers, has no curve.
 
-use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
+use core::f64::consts::LN_10;
+
+use afd_core::accrual::{AccrualFailureDetector, DetectorSeed, LevelCurve};
 use afd_core::dist::{ArrivalDistribution, Empirical, Exponential, Normal};
 use afd_core::error::ConfigError;
 use afd_core::stats::SlidingWindow;
@@ -160,22 +165,13 @@ pub struct PhiAccrual {
     /// every publish walks them all — do not carry 96 empty bytes each.
     empirical: Option<Box<Empirical>>,
     last_heartbeat: Option<Timestamp>,
-    /// The tail [`phi`](Self::phi) evaluates: a function of the window
-    /// alone, so it is rebuilt where the window changes (an arrival, a
-    /// restore) and a query — one per watched peer per publish — pays for
-    /// no square root, floor, validation or division.
-    tail: Tail,
-}
-
-/// The distribution whose upper tail at the elapsed time is the φ value.
-#[derive(Debug, Clone, Copy)]
-enum Tail {
-    /// The normal model, or the bootstrap prior of the empirical one.
-    Normal(Normal),
-    /// The exponential model.
-    Exponential(Exponential),
-    /// The empirical histogram, once it holds enough samples.
-    Histogram,
+    /// φ as a function of the query time — what [`phi`](Self::phi)
+    /// evaluates; `None` once the empirical histogram holds enough samples
+    /// to answer instead. A function of the window and the last arrival
+    /// alone, so it is rebuilt where those change (an arrival, a restore)
+    /// and a query — one per watched peer per publish — pays for no square
+    /// root, floor, validation or division.
+    curve: Option<LevelCurve>,
 }
 
 impl PhiAccrual {
@@ -206,9 +202,9 @@ impl PhiAccrual {
             empirical,
             last_heartbeat: None,
             // Placeholder: the real one is a function of the fields above.
-            tail: Tail::Histogram,
+            curve: None,
         };
-        fd.tail = fd.tail_from(fd.window_estimates());
+        fd.curve = fd.curve_from(fd.window_estimates());
         Ok(fd)
     }
 
@@ -289,15 +285,25 @@ impl PhiAccrual {
         self.config
     }
 
-    /// Builds the tail a (mean, σ) estimate stands for. Both the O(1)
-    /// query path (through the cached [`Tail`]) and the O(window) reference
-    /// path come through here and through [`phi_of`](Self::phi_of), so
-    /// they can only disagree on the moments themselves.
-    fn tail_from(&self, (mean, std): (f64, f64)) -> Tail {
+    /// Builds the curve a (mean, σ) estimate stands for: `−log₁₀` of the
+    /// model's upper tail at the time elapsed since the last arrival, zero
+    /// before the first. Both the O(1) query path (through the cached
+    /// curve) and the O(window) reference path come through here and
+    /// through [`phi_of`](Self::phi_of), so they can only disagree on the
+    /// moments themselves.
+    fn curve_from(&self, (mean, std): (f64, f64)) -> Option<LevelCurve> {
+        let Some(last) = self.last_heartbeat else {
+            return Some(LevelCurve::Zero);
+        };
+        let normal_tail = |dist: Normal| LevelCurve::NormalTail {
+            last,
+            mean: dist.mean(),
+            scale: dist.erfc_scale(),
+        };
         match self.config.model {
-            PhiModel::Normal => Tail::Normal(
+            PhiModel::Normal => Some(normal_tail(
                 Normal::new(mean, std).expect("estimator yields finite positive parameters"),
-            ),
+            )),
             PhiModel::Exponential => {
                 // A degenerate window (all-zero gaps from coincident
                 // arrivals) can estimate a zero mean. Falling back to a
@@ -311,23 +317,31 @@ impl PhiAccrual {
                 } else {
                     self.config.initial_interval.as_secs_f64()
                 };
-                Tail::Exponential(Exponential::from_mean(mean).expect("positive mean"))
+                // `−log₁₀ e^{−λx}`, as `Exponential::log10_sf` spells it.
+                let dist = Exponential::from_mean(mean).expect("positive mean");
+                Some(LevelCurve::Linear {
+                    since: last,
+                    rate: dist.rate(),
+                    per: LN_10,
+                })
             }
             PhiModel::Empirical { .. } => {
                 let hist = self.empirical.as_ref().expect("empirical model present");
-                if (hist.count() as usize) < self.bootstrap_below() {
-                    // Fall back to the bootstrap normal prior.
-                    Tail::Normal(Normal::new(mean, std).expect("bootstrap parameters valid"))
-                } else {
-                    Tail::Histogram
-                }
+                // Below the bootstrap count, the normal prior.
+                ((hist.count() as usize) < self.bootstrap_below()).then(|| {
+                    normal_tail(Normal::new(mean, std).expect("bootstrap parameters valid"))
+                })
             }
         }
     }
 
-    /// Evaluates φ at `now` against `tail`.
+    /// Evaluates φ at `now` against `curve`, or against the empirical
+    /// histogram if there is none.
     #[inline]
-    fn phi_of(&self, now: Timestamp, tail: &Tail) -> f64 {
+    fn phi_of(&self, now: Timestamp, curve: Option<LevelCurve>) -> f64 {
+        if let Some(curve) = curve {
+            return curve.at(now);
+        }
         let Some(last) = self.last_heartbeat else {
             return 0.0;
         };
@@ -335,16 +349,8 @@ impl PhiAccrual {
         if elapsed <= 0.0 {
             return 0.0;
         }
-        let log_tail = match tail {
-            Tail::Normal(dist) => dist.log10_sf(elapsed),
-            Tail::Exponential(dist) => dist.log10_sf(elapsed),
-            Tail::Histogram => self
-                .empirical
-                .as_ref()
-                .expect("empirical model present")
-                .log10_sf(elapsed),
-        };
-        (-log_tail).max(0.0)
+        let hist = self.empirical.as_ref().expect("empirical model present");
+        (-hist.log10_sf(elapsed)).max(0.0)
     }
 
     /// The raw φ value at `now` (equal to the suspicion level, exposed for
@@ -356,7 +362,7 @@ impl PhiAccrual {
     /// reference implementation it is property-tested against.
     #[inline]
     pub fn phi(&self, now: Timestamp) -> f64 {
-        self.phi_of(now, &self.tail)
+        self.phi_of(now, self.curve)
     }
 
     /// Reference φ that recomputes the window moments from scratch by
@@ -367,12 +373,12 @@ impl PhiAccrual {
     #[cfg(test)]
     pub fn phi_naive(&self, now: Timestamp) -> f64 {
         let moments: afd_core::stats::RunningMoments = self.gaps.iter().collect();
-        let tail = self.tail_from(self.estimates(
+        let curve = self.curve_from(self.estimates(
             moments.count() as usize,
             moments.mean(),
             moments.population_std_dev(),
         ));
-        self.phi_of(now, &tail)
+        self.phi_of(now, curve)
     }
 }
 
@@ -387,7 +393,7 @@ impl AccrualFailureDetector for PhiAccrual {
             }
         }
         self.last_heartbeat = Some(self.last_heartbeat.map_or(arrival, |l| l.max(arrival)));
-        self.tail = self.tail_from(self.window_estimates());
+        self.curve = self.curve_from(self.window_estimates());
     }
 
     #[inline]
@@ -397,6 +403,10 @@ impl AccrualFailureDetector for PhiAccrual {
 
     fn prefetch(&self) {
         self.gaps.prefetch();
+    }
+
+    fn level_curve(&self) -> Option<LevelCurve> {
+        self.curve
     }
 
     fn save_seed(&self) -> Option<DetectorSeed> {
@@ -425,7 +435,7 @@ impl AccrualFailureDetector for PhiAccrual {
             hist.clear();
         }
         self.last_heartbeat = seed.last_heartbeat;
-        self.tail = self.tail_from(self.window_estimates());
+        self.curve = self.curve_from(self.window_estimates());
     }
 }
 

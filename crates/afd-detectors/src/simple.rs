@@ -11,7 +11,7 @@
 //! binary heartbeat detector with timeout `T` — the paper's observation
 //! that accrual detectors *decompose* binary ones.
 
-use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
+use afd_core::accrual::{AccrualFailureDetector, DetectorSeed, LevelCurve};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 
@@ -60,6 +60,11 @@ impl SimpleAccrual {
     pub fn heartbeats_seen(&self) -> u64 {
         self.heartbeats_seen
     }
+
+    /// `sl(t) = t − T_last`: one second of level per second of silence.
+    fn curve(&self) -> LevelCurve {
+        LevelCurve::seconds_since(self.last_heartbeat)
+    }
 }
 
 impl Default for SimpleAccrual {
@@ -81,10 +86,11 @@ impl AccrualFailureDetector for SimpleAccrual {
     }
 
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        SuspicionLevel::clamped(
-            now.saturating_duration_since(self.last_heartbeat)
-                .as_secs_f64(),
-        )
+        SuspicionLevel::clamped(self.curve().at(now))
+    }
+
+    fn level_curve(&self) -> Option<LevelCurve> {
+        Some(self.curve())
     }
 
     fn save_seed(&self) -> Option<DetectorSeed> {

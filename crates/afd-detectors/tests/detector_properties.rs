@@ -10,8 +10,9 @@
 //!   the run gets longer (the empirical signature of boundedness).
 //! - Monotonicity between heartbeats, and basic cross-detector sanity.
 
-use afd_core::accrual::AccrualFailureDetector;
+use afd_core::accrual::{AccrualFailureDetector, LevelCurve};
 use afd_core::canonical::{digest_of, CanonicalState};
+use afd_core::dist::{ArrivalDistribution, Exponential, Normal};
 use afd_core::history::SuspicionTrace;
 use afd_core::properties::{check_upper_bound, AccruementCheck};
 use afd_core::suspicion::SuspicionLevel;
@@ -348,4 +349,218 @@ proptest! {
             );
         }
     }
+}
+
+// ---- curve conformance ----
+//
+// A curve-bearing detector *defines* its level as its curve's, so holding
+// the two to each other would hold nothing. The references below are the
+// formulas each detector's `suspicion_level` spelled out before there was a
+// `LevelCurve` — elapsed time, lateness past `EA`, `−log₁₀` of the model's
+// tail through `ArrivalDistribution::log10_sf` — built from public accessors
+// only: the curve must land on their bits.
+
+/// What `SuspicionLevel::clamped` stores.
+fn clamped(level: f64) -> f64 {
+    SuspicionLevel::clamped(level).value()
+}
+
+fn elapsed(now: Timestamp, since: Timestamp) -> f64 {
+    now.saturating_duration_since(since).as_secs_f64()
+}
+
+/// φ from a distribution's log-tail, as the detector wrote it.
+fn phi_of_tail(fd: &PhiAccrual, now: Timestamp, log10_sf: impl Fn(f64) -> f64) -> f64 {
+    let Some(last) = fd.last_heartbeat() else {
+        return 0.0;
+    };
+    let elapsed = elapsed(now, last);
+    if elapsed <= 0.0 {
+        return 0.0;
+    }
+    clamped((-log10_sf(elapsed)).max(0.0))
+}
+
+fn phi_normal_reference(fd: &PhiAccrual, now: Timestamp) -> f64 {
+    let tail = Normal::new(fd.mean_interval(), fd.std_dev()).unwrap();
+    phi_of_tail(fd, now, |x| tail.log10_sf(x))
+}
+
+fn phi_exponential_reference(fd: &PhiAccrual, now: Timestamp) -> f64 {
+    let tail = Exponential::from_mean(fd.mean_interval()).unwrap();
+    phi_of_tail(fd, now, |x| tail.log10_sf(x))
+}
+
+fn phi(model: PhiModel) -> PhiAccrual {
+    PhiAccrual::new(PhiConfig {
+        model,
+        window_size: 16,
+        ..PhiConfig::default()
+    })
+    .unwrap()
+}
+
+const EMPIRICAL: PhiModel = PhiModel::Empirical {
+    bins: 32,
+    max_intervals: 8.0,
+};
+
+/// Query times around the last arrival `last` of a peer whose gaps have
+/// mean `mean` and deviation `std`: the arrival instant and just past it,
+/// the live range `u ∈ [−6, 0.5)` of the normal tail end to end, the tail
+/// regime past `0.5` that a block hands back to the scalar path, and so
+/// far out that φ passes 300 — plus `at`, wherever that falls.
+fn probes(last: Timestamp, mean: f64, std: f64, at: f64) -> Vec<Timestamp> {
+    let sigmas = [-9.0, -8.4, -6.0, -2.5, -0.1, 0.0, 0.6, 0.8, 3.0, 12.0, 45.0];
+    let mut offsets = vec![0.0, 1e-9, at, 1e4];
+    offsets.extend(sigmas.iter().map(|k| (mean + k * std).max(0.0)));
+    offsets
+        .iter()
+        .map(|&late| last.saturating_add(Duration::from_secs_f64(late)))
+        .collect()
+}
+
+fn assert_curve_is_the_level(
+    name: &str,
+    detector: &mut dyn AccrualFailureDetector,
+    now: Timestamp,
+    reference: f64,
+) -> LevelCurve {
+    let curve = detector
+        .level_curve()
+        .unwrap_or_else(|| panic!("{name}: no curve"));
+    let at = curve.at(now);
+    assert_eq!(at.to_bits(), reference.to_bits(), "{name} at {now}: curve");
+    let level = detector.suspicion_level(now).value();
+    assert_eq!(level.to_bits(), at.to_bits(), "{name} at {now}: level");
+    assert_eq!(
+        detector.level_curve(),
+        Some(curve),
+        "{name}: a query moved it"
+    );
+    curve
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `level_curve()` is `Some` exactly where the level is zero, linear or
+    /// a normal tail, and there `at(now)` is the level the detector always
+    /// gave, bit for bit — before the first heartbeat, at the arrival
+    /// instant, across the live range, in the tail regime and past φ = 300
+    /// — and `at_block` is `at`, lane for lane, for mixed kinds and
+    /// zero-curve padding.
+    #[test]
+    fn level_curve_is_the_level_bit_for_bit(
+        gaps in prop::collection::vec(0.01..3.0f64, 0..40),
+        at in 0.0..20.0f64,
+    ) {
+        let start = Timestamp::from_secs(3);
+        let mut simple = SimpleAccrual::new(start);
+        let mut chen = ChenAccrual::new(ChenConfig { window_size: 16, ..ChenConfig::default() }).unwrap();
+        let mut normal = phi(PhiModel::Normal);
+        let mut exponential = phi(PhiModel::Exponential);
+        let mut empirical = phi(EMPIRICAL);
+        let mut t = start;
+        for (k, gap) in gaps.iter().enumerate() {
+            // The first arrival opens the history; each later one adds a gap.
+            if k > 0 {
+                t = t.saturating_add(Duration::from_secs_f64(*gap));
+            }
+            simple.record_heartbeat(t);
+            chen.record_heartbeat(t);
+            normal.record_heartbeat(t);
+            exponential.record_heartbeat(t);
+            empirical.record_heartbeat(t);
+        }
+        // Five samples is the default bootstrap count: below it the
+        // empirical model answers from its normal prior, from there on
+        // from a histogram, which is no curve.
+        let bootstrapping = empirical.samples() < 5;
+        prop_assert_eq!(empirical.level_curve().is_some(), bootstrapping);
+        if gaps.is_empty() {
+            prop_assert_eq!(chen.level_curve(), Some(LevelCurve::Zero));
+            prop_assert_eq!(normal.level_curve(), Some(LevelCurve::Zero));
+            prop_assert_eq!(exponential.level_curve(), Some(LevelCurve::Zero));
+            prop_assert_eq!(empirical.level_curve(), Some(LevelCurve::Zero));
+        }
+
+        for now in probes(t, normal.mean_interval(), normal.std_dev(), at) {
+            let mut block = [LevelCurve::Zero; LevelCurve::BLOCK];
+            let want = clamped(elapsed(now, simple.last_heartbeat()));
+            block[0] = assert_curve_is_the_level("simple", &mut simple, now, want);
+            let lateness = chen.expected_arrival().map_or(0.0, |ea| elapsed(now, ea));
+            block[2] = assert_curve_is_the_level("chen", &mut chen, now, clamped(lateness));
+            let want = phi_normal_reference(&normal, now);
+            block[3] = assert_curve_is_the_level("phi-normal", &mut normal, now, want);
+            let want = phi_exponential_reference(&exponential, now);
+            block[5] = assert_curve_is_the_level("phi-exponential", &mut exponential, now, want);
+            if bootstrapping {
+                let want = phi_normal_reference(&empirical, now);
+                block[6] = assert_curve_is_the_level("phi-empirical", &mut empirical, now, want);
+            }
+            // Lanes 1, 4 and 7 stay the padding a short block gets.
+            let levels = LevelCurve::at_block(&block, now);
+            for (lane, (curve, level)) in block.iter().zip(levels).enumerate() {
+                prop_assert_eq!(level.to_bits(), curve.at(now).to_bits(), "lane {} at {}", lane, now);
+            }
+            // Past φ = 300 the normal tail is long past `erfc`'s underflow.
+            if elapsed(now, t) >= normal.mean_interval() + 45.0 * normal.std_dev() && !gaps.is_empty() {
+                prop_assert!(block[3].at(now) > 300.0, "φ = {}", block[3].at(now));
+            }
+        }
+    }
+}
+
+/// `level_curve` as a monitor generic over its detector type calls it: on
+/// `T` itself, so that a `&mut D` or a `Box<dyn _>` goes through the
+/// blanket impl for that type rather than auto-dereferencing past it.
+fn curve_through<T: AccrualFailureDetector>(detector: T) -> Option<LevelCurve> {
+    detector.level_curve()
+}
+
+#[test]
+fn detectors_without_a_closed_form_have_no_curve() {
+    // κ sums contributions of missed heartbeats, Bertier's and the
+    // adaptive detector's queries are steps, Akka's φ is a logistic
+    // approximation: none is zero, linear or a normal tail — fed or not,
+    // held directly, borrowed or boxed.
+    fn assert_none<D: AccrualFailureDetector + 'static>(name: &str, mut detector: D) {
+        assert_eq!(detector.level_curve(), None, "{name}: fresh");
+        for s in 1..=12 {
+            detector.record_heartbeat(Timestamp::from_secs(s));
+        }
+        assert_eq!(detector.level_curve(), None, "{name}");
+        assert_eq!(curve_through(&mut detector), None, "{name} through &mut");
+        let boxed: Box<dyn AccrualFailureDetector> = Box::new(detector);
+        assert_eq!(curve_through(boxed), None, "{name} through Box<dyn>");
+    }
+    assert_none(
+        "kappa-phi",
+        KappaAccrual::new(KappaConfig::default(), PhiContribution).unwrap(),
+    );
+    assert_none(
+        "kappa-step",
+        KappaAccrual::new(KappaConfig::default(), StepContribution::new(0.5)).unwrap(),
+    );
+    assert_none("adaptive", AdaptiveAccrual::with_defaults());
+    assert_none("akka", AkkaPhi::with_defaults());
+    assert_none("bertier", BertierAccrual::with_defaults());
+}
+
+#[test]
+fn a_curve_survives_indirection() {
+    // The blanket impls forward `level_curve`: a boxed or borrowed φ that
+    // answered with the `None` default would send a monitor back to
+    // walking it.
+    let mut fd = PhiAccrual::with_defaults();
+    for s in 1..=12 {
+        fd.record_heartbeat(Timestamp::from_secs(s));
+    }
+    let curve = fd.level_curve();
+    assert!(matches!(curve, Some(LevelCurve::NormalTail { .. })));
+    let borrowed: &mut dyn AccrualFailureDetector = &mut fd;
+    assert_eq!(curve_through(borrowed), curve);
+    let boxed: Box<dyn AccrualFailureDetector> = Box::new(fd);
+    assert_eq!(curve_through(boxed), curve);
 }

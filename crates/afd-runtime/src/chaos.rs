@@ -824,6 +824,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn the_zoo_has_no_curve() {
+        // Its headline member (φ) has one, but every member sits behind a
+        // `GracefulDegradation`, whose query is a step.
+        let mut zoo = DetectorZoo::standard(DegradeConfig::default());
+        assert_eq!(zoo.level_curve(), None);
+        for s in 1..=10 {
+            zoo.record_heartbeat(Timestamp::from_secs(s));
+        }
+        assert_eq!(zoo.level_curve(), None);
+        // As a shard generic over `&mut DetectorZoo` would ask.
+        fn through<D: AccrualFailureDetector>(d: D) -> Option<afd_core::accrual::LevelCurve> {
+            d.level_curve()
+        }
+        assert_eq!(through(&mut zoo), None);
+    }
+
+    #[test]
     fn quiet_run_keeps_levels_low() {
         let scenario = ChaosScenario::new(Duration::from_secs(30));
         let report = run_chaos(&scenario, 1);

@@ -224,6 +224,22 @@ mod tests {
     }
 
     #[test]
+    fn a_wrapped_detector_has_no_curve() {
+        // The wrapper's query is a step — it is where the mode switches —
+        // so even around a detector that has a curve it must not hand one
+        // out: a monitor evaluating φ's curve would never see the switch.
+        let mut d = wrapped_phi();
+        assert_eq!(d.level_curve(), None);
+        for k in 1..=20 {
+            d.record_heartbeat(ts(k as f64));
+        }
+        assert!(d.inner().level_curve().is_some());
+        assert_eq!(d.level_curve(), None);
+        let boxed: Box<dyn AccrualFailureDetector> = Box::new(d);
+        assert_eq!(boxed.level_curve(), None);
+    }
+
+    #[test]
     fn nominal_while_window_is_healthy() {
         let mut d = wrapped_phi();
         for k in 1..=20 {

@@ -18,9 +18,12 @@
 //!    stage*;
 //! 4. **publish** (`Shard::publish`): each shard's suspicion levels and
 //!    durable rows go into a double-buffered epoch snapshot that
-//!    [`SnapshotReader`]s consume without taking any lock. Every level is
-//!    re-evaluated at every publish; a durable row is rewritten only
-//!    after its peer's state changed (see *What a publish writes*).
+//!    [`SnapshotReader`]s consume without taking any lock, in two passes:
+//!    the *changed-slot* pass rewrites a durable row, and refreshes the
+//!    peer's [`LevelCurve`], only after that peer's state changed; the
+//!    *level* pass re-evaluates every level from the shard's dense column
+//!    of curves, eight peers at a time, without touching a slot (see
+//!    *What a publish writes*).
 //!
 //! `Shard` owns every per-shard operation (watch with capacity,
 //! unwatch, import of a restored peer, accept, publish, counters), so the
@@ -78,8 +81,9 @@
 //! reuses the most recently vacated one, so a membership change touches
 //! one slot and no other peer's row ever moves. Each `ShardCell`
 //! carries one open-addressed id→slot table (`SlotIndex`) that the
-//! three layers share: accept probes it to find the entry, publish walks
-//! the slab it indexes, a reader probes it to find the row.
+//! three layers share: accept probes it to find the entry, publish
+//! writes the rows of the slab it indexes, a reader probes it to find the
+//! row.
 //!
 //! # Epoch snapshots
 //!
@@ -102,31 +106,67 @@
 //! peer's id* before it takes the level. The index says where a peer
 //! lives now and the bank what was there at the last publish, and the id
 //! check is what reconciles the two: a slot that changed hands since the
-//! publish answers `None`, never the previous tenant's level. So a peer
-//! that is watched but not yet published reads `None`, an unwatched peer
-//! reads `None` from the `unwatch` on (its row leaves
-//! [`SnapshotReader::snapshot`] at the next publish), and a peer that
-//! stays watched never does.
+//! publish answers `None`, never the previous tenant's level. The
+//! previous tenant may be the peer itself: a peer unwatched and watched
+//! again before the next publish takes back the slot it just left, and the
+//! id check alone would pass it the level of the detector that was
+//! dropped. So an `unwatch` does not wait for a publish to retire the row:
+//! the shard's thread stores the vacant id into it in *both* banks there
+//! and then (*the re-watch rule*). One word a bank, so outside the seqlock
+//! — a reader that raced the store either got the row or did not, and both
+//! are answers it could have had. So a peer that is watched but not yet
+//! published reads `None` — whoever held the slot before, itself included
+//! — an unwatched peer reads `None` and is gone from
+//! [`SnapshotReader::snapshot`] and the checkpointer's view from the
+//! `unwatch` on, and a peer that stays watched never reads `None`.
 //!
 //! # What a publish writes
 //!
 //! A peer's row is its id, its suspicion level and seven durable words
-//! (detector seed, sequence watermark) for the checkpointer. The level is
-//! a function of the query time, so every publish re-evaluates and stores
-//! it for every live slot. The id and the durable words change only when
-//! the slot changes hands, an arrival is accepted, a peer is imported, or
-//! a caller borrows the detector mutably — so each such change marks
-//! *that slot* for the next two publishes, one into each bank: the back
-//! bank missed the previous publish, and what a publish writes is
-//! therefore the union of this and the previous publish's changed slots.
-//! For every other slot the bank still holds, from two publishes ago,
-//! exactly the row a rewrite would produce, and `save_seed` and the eight
-//! stores are skipped. A vacated slot writes `VACANT` — an id outside
-//! the `u32` id space — once per bank and then costs one branch per
-//! publish; `read_all`/`read_durable` skip such rows. Nothing makes a
-//! publish rewrite every row: the `incremental_publish` proptest holds
-//! the front bank to a full recomputation, bit for bit, through slot
-//! reuse, and checks that a `watch` or `unwatch` marks one slot.
+//! (detector seed, sequence watermark) for the checkpointer. A publish
+//! writes them in two passes.
+//!
+//! **The changed-slot pass.** The id and the durable words change only
+//! when the slot changes hands, an arrival is accepted, a peer is
+//! imported, or a caller borrows the detector mutably — so each such
+//! change marks *that slot* for the next two publishes, one into each
+//! bank: the back bank missed the previous publish, and what a publish
+//! writes is therefore the union of this and the previous publish's
+//! changed slots. For every other slot the bank still holds, from two
+//! publishes ago, exactly the row a rewrite would produce, and `save_seed`
+//! and the eight stores are skipped: the pass reads the mark and moves on.
+//! A vacated slot costs it one branch; its rows already hold `VACANT` —
+//! an id outside the `u32` id space, which `read_all`/`read_durable` skip
+//! — since the `unwatch`.
+//!
+//! **The level pass.** The level is a function of the query time
+//! (`sl_qp(t)`, §3 Definition 1), so every publish re-evaluates it for
+//! every slot — but not by asking the detector. Beside the slab the shard
+//! keeps a *curve column*: one [`LevelCurve`] a slot — zero, linear in the
+//! elapsed time, or a normal tail; 32 bytes where a φ slot is 216 — which
+//! is what the detector's
+//! [`level_curve`](AccrualFailureDetector::level_curve) returned when the
+//! slot last changed. A detector promises that its curve changes only
+//! where its seed can, so the same marks cover it and the changed-slot
+//! pass refreshes a row at the first of the two publishes a change is
+//! owed (there is one column, not one a bank). The level pass then runs
+//! [`LevelCurve::at_block`] down the column, eight rows at a time,
+//! straight into the bank's level words, and touches no slot: a block's
+//! eight evaluations are staged so that their dependency chains overlap,
+//! where a walk over the slots kept two or three peers in flight. A
+//! detector whose query is a step (Bertier, the adaptive detector,
+//! `GracefulDegradation`) or whose level has none of these shapes (κ,
+//! Akka's φ, the empirical φ once its histogram answers) returns `None`:
+//! its row holds the zero curve, its slot is *listed*, and after the
+//! column the listed slots are asked `suspicion_level(now)` one by one,
+//! as every slot used to be. A vacant row holds the zero curve too, and
+//! nobody reads its level.
+//!
+//! Nothing makes a publish rewrite every row: the `incremental_publish`
+//! proptest holds the front bank to a full recomputation, bit for bit,
+//! through slot reuse — for a shard whose rows all have curves, one whose
+//! rows have none and one whose rows change sides — and checks that a
+//! `watch` or `unwatch` marks one slot.
 //!
 //! Published levels are as of the last publish, so a reader's view lags
 //! real time by at most one tick interval; callers that need exact-`now`
@@ -140,7 +180,7 @@ use std::mem;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use afd_core::accrual::{AccrualFailureDetector, DetectorSeed};
+use afd_core::accrual::{AccrualFailureDetector, DetectorSeed, LevelCurve};
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
@@ -661,6 +701,22 @@ impl ShardCell {
         self.front.store(back, Ordering::Release);
     }
 
+    /// Makes row `slot` stop answering in both banks, between publishes:
+    /// its tenant is gone. One word a bank, so it needs no seqlock — a
+    /// reader that raced the store returns the row or skips it, and either
+    /// is an answer it could have had a moment earlier or later.
+    ///
+    /// Relaxed, because the store publishes nothing but itself. The one
+    /// ordering that matters — a reader led back to this row by a later
+    /// `watch` of the same peer must find it vacated — is the index's: the
+    /// `watch` leaves the index's seqlock with a release store, which the
+    /// lookup that finds the new entry has acquired.
+    fn vacate(&self, slot: usize) {
+        for bank in &self.banks {
+            bank.peers[slot].store(VACANT, Ordering::Relaxed);
+        }
+    }
+
     /// Runs `read` against a consistent front bank, retrying while a
     /// publish straddles the attempt.
     fn with_consistent<R>(&self, mut read: impl FnMut(&Bank, usize) -> R) -> R {
@@ -704,7 +760,8 @@ impl ShardCell {
     /// Copies every published live row's durable record, in slot order,
     /// returning the epoch it was published at. Consistency comes from
     /// the same seqlock as [`read_all`](Self::read_all): the records are
-    /// exactly those of one publish, never a mix of two epochs.
+    /// those of one publish — less the peers unwatched since — never a
+    /// mix of two epochs.
     pub(crate) fn read_durable(&self, out: &mut Vec<(ProcessId, PeerDurable)>) -> Timestamp {
         self.with_consistent(|bank, len| {
             out.clear();
@@ -767,15 +824,17 @@ impl SnapshotReader {
     ///
     /// `None` for a process that is not watched — from the `unwatch` on,
     /// not from the next publish — and for one watched since the last
-    /// publish, whose row does not exist yet. A process that stays
-    /// watched never reads `None` once published, whatever is watched or
-    /// unwatched around it.
+    /// publish, whose row does not exist yet: also when it was watched
+    /// before, and the row it left is the one it came back to. A process
+    /// that stays watched never reads `None` once published, whatever is
+    /// watched or unwatched around it.
     pub fn level(&self, process: ProcessId) -> Option<SuspicionLevel> {
         let idx = shard_index(process, self.cells.len());
         self.cells.get(idx)?.lookup(process)
     }
 
-    /// The union of every shard's published table, ascending by id.
+    /// The union of every shard's published table, ascending by id: the
+    /// peers of the last publish that are still watched.
     pub fn snapshot(&self) -> Vec<(ProcessId, SuspicionLevel)> {
         // lint:allow(no-alloc-in-hot-path, owned-snapshot API; callers on the query path, not the intake path)
         let mut out = Vec::new();
@@ -828,17 +887,12 @@ impl SnapshotReader {
 /// have been written everywhere a reader may later look.
 const BANKS: u8 = 2;
 
-/// One slot of a shard's slab; its position is its row in both banks.
-///
-/// `stale_banks` counts the coming publishes that must rewrite the row's
-/// id and durable words. A detector's seed and its sequence watermark
-/// change only where [`accept_batch`], an import or a caller holding
-/// [`ShardedMonitor::detector_mut`] changes them, and each such change —
-/// like the slot changing hands — has to reach both banks: this publish
-/// writes one, the next the other.
+/// One slot of a shard's slab; its position is its row in both banks and
+/// in the shard's curve column. A vacant slot owes the banks nothing: the
+/// `unwatch` that emptied it vacated both rows itself.
 enum Slot<D> {
     Live(Watched<D>),
-    Vacant { stale_banks: u8 },
+    Vacant,
 }
 
 /// What a live slot holds: everything accept and publish need of a peer.
@@ -847,6 +901,12 @@ struct Watched<D> {
     /// Highest heartbeat sequence accepted (Algorithm 4's freshness
     /// state), carried over from [`Shard::retired`] on a re-watch.
     highest_seq: Option<u64>,
+    /// The coming publishes that must rewrite the row's id and durable
+    /// words and refresh its curve. A detector's seed, its curve and its
+    /// sequence watermark change only where [`accept_batch`], an import or
+    /// a caller holding [`ShardedMonitor::detector_mut`] changes them, and
+    /// each such change — like the slot changing hands — has to reach both
+    /// banks: this publish writes one, the next the other.
     stale_banks: u8,
     detector: D,
 }
@@ -855,7 +915,56 @@ impl<D> Slot<D> {
     fn live(&mut self) -> Option<&mut Watched<D>> {
         match self {
             Slot::Live(watched) => Some(watched),
-            Slot::Vacant { .. } => None,
+            Slot::Vacant => None,
+        }
+    }
+}
+
+/// The curve column of a shard: for every slot of the slab, the level of
+/// the peer in it as a function of the query time. It is what a publish
+/// evaluates in place of the detectors — dense, 32 bytes a row where a φ
+/// slot is 216 — and it is kept here, not gathered from the slots at each
+/// publish: the second visit to the slots costs more than staging saves.
+///
+/// It grows a block at a time with the slab and, unlike the slab, reserves
+/// nothing ahead, so a shard pays for the peers it watches and not for its
+/// capacity. (Reserved room is not free where a heap has been lived in: the
+/// allocator hands out chunks that are already resident, and what would
+/// have gone there goes to fresh pages — on the ledger's 256-peer workload
+/// a column reserved to capacity cost 48 resident bytes a peer without one
+/// of them being written.)
+#[derive(Default)]
+struct CurveColumn {
+    /// Row `r` is `blocks[r / BLOCK][r % BLOCK]`, a block being what one
+    /// [`LevelCurve::at_block`] takes. A row is the zero curve while its
+    /// slot is vacant, not yet reached by the slab, or listed below.
+    blocks: Vec<[LevelCurve; LevelCurve::BLOCK]>,
+    /// The live slots whose detector has no curve, ascending: their level
+    /// is still asked of the detector, one by one, at every publish.
+    curveless: Vec<usize>,
+}
+
+impl CurveColumn {
+    /// Grows the column to hold a row for each of `slots` slots.
+    fn cover(&mut self, slots: usize) {
+        while self.blocks.len() * LevelCurve::BLOCK < slots {
+            self.blocks.push([LevelCurve::Zero; LevelCurve::BLOCK]);
+        }
+    }
+
+    /// Sets row `row` to a detector's answer: its curve, or — for `None`
+    /// — the zero curve and a place on the `curveless` list, which a row
+    /// that has a curve leaves.
+    #[inline]
+    fn set(&mut self, row: usize, curve: Option<LevelCurve>) {
+        self.blocks[row / LevelCurve::BLOCK][row % LevelCurve::BLOCK] =
+            curve.unwrap_or(LevelCurve::Zero);
+        match (self.curveless.binary_search(&row), curve) {
+            (Err(at), None) => self.curveless.insert(at, row),
+            (Ok(at), Some(_)) => {
+                self.curveless.remove(at);
+            }
+            _ => {}
         }
     }
 }
@@ -869,6 +978,9 @@ pub(crate) struct Shard<D> {
     factory: DetectorFactory<D>,
     /// Allocated to the cell's capacity once: `watch` never reallocates.
     slab: Vec<Slot<D>>,
+    /// One row per slab slot, refreshed where `stale_banks` says the slot
+    /// changed.
+    column: CurveColumn,
     /// Vacant slots, most recently vacated last.
     free: Vec<usize>,
     /// Sequence watermarks of peers no longer watched, so that replays
@@ -898,6 +1010,7 @@ pub(crate) fn build_shards<D: AccrualFailureDetector>(
             index,
             factory: Box::new(factory.clone()),
             slab: Vec::with_capacity(slots),
+            column: CurveColumn::default(),
             free: Vec::with_capacity(slots),
             retired: BTreeMap::new(),
             stats: MonitorStats::default(),
@@ -961,6 +1074,7 @@ impl<D: AccrualFailureDetector> Shard<D> {
             }
             None => {
                 self.slab.push(live);
+                self.column.cover(self.slab.len());
                 self.slab.len() - 1
             }
         };
@@ -968,17 +1082,21 @@ impl<D: AccrualFailureDetector> Shard<D> {
         Ok(true)
     }
 
-    /// Stops monitoring `process` and vacates its slot. The highest
-    /// sequence number seen from it is deliberately retained (in
-    /// `retired`): if the process is watched again later, replayed frames
-    /// from before the unwatch are still rejected instead of being
-    /// accepted as fresh.
+    /// Stops monitoring `process` and vacates its slot — and its row in
+    /// both banks, here rather than at the next publish: the next `watch`
+    /// takes this slot, and if it is `process` coming back the index would
+    /// lead a reader to a row still holding its id and the level of the
+    /// detector that was just dropped. The highest sequence number seen
+    /// from it is deliberately retained (in `retired`): if the process is
+    /// watched again later, replayed frames from before the unwatch are
+    /// still rejected instead of being accepted as fresh.
     pub(crate) fn unwatch(&mut self, process: ProcessId) -> Option<D> {
         let slot = self.cell.slot_of.remove(process)?;
-        let vacant = Slot::Vacant { stale_banks: BANKS };
-        let Slot::Live(watched) = mem::replace(&mut self.slab[slot], vacant) else {
+        let Slot::Live(watched) = mem::replace(&mut self.slab[slot], Slot::Vacant) else {
             return None;
         };
+        self.cell.vacate(slot);
+        self.column.set(slot, Some(LevelCurve::Zero));
         if let Some(seq) = watched.highest_seq {
             self.retired.insert(process, seq);
         }
@@ -1126,40 +1244,50 @@ impl<D: AccrualFailureDetector> Shard<D> {
     }
 
     /// Publishes the shard's levels *and* durable rows into its epoch
-    /// cell: one walk of the slab. The durable rows ride the same
-    /// seqlocked publish, so a checkpointer reading the cell gets
-    /// detector seeds and replay state consistent with the published
-    /// levels — without ever borrowing the (worker-owned) detectors
-    /// themselves.
+    /// cell, in two passes. The durable rows ride the same seqlocked
+    /// publish, so a checkpointer reading the cell gets detector seeds and
+    /// replay state consistent with the published levels — without ever
+    /// borrowing the (worker-owned) detectors themselves.
     ///
-    /// Every live slot's level is re-evaluated at `now` — it is a
-    /// function of the query time. A row's id and durable words are a
-    /// function of who holds the slot and of that peer's arrivals, so
-    /// they are rewritten only while one of the two banks still holds an
-    /// older version of them ([`Slot`]).
+    /// The *changed-slot* pass: a row's id, its durable words and its
+    /// curve are a function of who holds the slot and of that peer's
+    /// arrivals, so they are rewritten only while one of the two banks
+    /// still holds an older version of them ([`Watched::stale_banks`]).
+    ///
+    /// The *level* pass: every level is a function of the query time and
+    /// is re-evaluated at `now` — down the curve column a block at a
+    /// time, touching no slot. Only the slots listed as having no curve
+    /// are then asked one by one, as every slot was before there was a
+    /// column.
     pub(crate) fn publish(&mut self, now: Timestamp) {
-        let slab = &mut self.slab;
+        let (slab, column) = (&mut self.slab, &mut self.column);
         self.cell.publish(now, |bank| {
-            let rows = bank.peers.iter().zip(&bank.levels);
-            for (row, (slot, (peer, level))) in slab.iter_mut().zip(rows).enumerate() {
-                match slot {
-                    Slot::Live(watched) => {
-                        let bits = watched.detector.suspicion_level(now).value().to_bits();
-                        level.store(bits, Ordering::Relaxed);
-                        if watched.stale_banks > 0 {
-                            watched.stale_banks -= 1;
-                            peer.store(u64::from(watched.id.as_u32()), Ordering::Relaxed);
-                            let seed = watched.detector.save_seed();
-                            let durable = PeerDurable::from_state(seed, watched.highest_seq);
-                            bank.durable.store(row, &durable);
-                        }
-                    }
-                    Slot::Vacant { stale_banks } => {
-                        if *stale_banks > 0 {
-                            *stale_banks -= 1;
-                            peer.store(VACANT, Ordering::Relaxed);
-                        }
-                    }
+            for (row, slot) in slab.iter_mut().enumerate() {
+                let Slot::Live(watched) = slot else { continue };
+                if watched.stale_banks == 0 {
+                    continue;
+                }
+                // There is one column, not one a bank: the first of the
+                // two publishes a change is owed refreshes the curve.
+                if watched.stale_banks == BANKS {
+                    column.set(row, watched.detector.level_curve());
+                }
+                watched.stale_banks -= 1;
+                bank.peers[row].store(u64::from(watched.id.as_u32()), Ordering::Relaxed);
+                let seed = watched.detector.save_seed();
+                let durable = PeerDurable::from_state(seed, watched.highest_seq);
+                bank.durable.store(row, &durable);
+            }
+            let rows = bank.levels.chunks(LevelCurve::BLOCK);
+            for (block, levels) in column.blocks.iter().zip(rows) {
+                for (level, value) in levels.iter().zip(LevelCurve::at_block(block, now)) {
+                    level.store(value.to_bits(), Ordering::Relaxed);
+                }
+            }
+            for &row in &column.curveless {
+                if let Some(watched) = slab[row].live() {
+                    let bits = watched.detector.suspicion_level(now).value().to_bits();
+                    bank.levels[row].store(bits, Ordering::Relaxed);
                 }
             }
             slab.len()
@@ -1360,10 +1488,12 @@ where
     }
 
     /// Stops monitoring `process`. The highest sequence number seen from
-    /// it is retained so replays after a re-watch stay rejected. Readers'
-    /// [`level`](SnapshotReader::level) answers `None` from here on; the
-    /// published row leaves [`snapshot`](SnapshotReader::snapshot) at the
-    /// next tick.
+    /// it is retained so replays after a re-watch stay rejected. From here
+    /// on readers' [`level`](SnapshotReader::level) answers `None` and
+    /// the published row is gone from
+    /// [`snapshot`](SnapshotReader::snapshot) — also if the process is
+    /// watched again at once: its fresh detector is first served at the
+    /// next tick, its old one never again.
     pub fn unwatch(&mut self, process: ProcessId) -> Option<D> {
         let idx = self.shard_of(process);
         self.shards[idx].unwatch(process)
@@ -1915,12 +2045,12 @@ mod tests {
         assert_eq!(reader.level(a).unwrap().value(), 3.0);
         assert_eq!(reader.level(b).unwrap().value(), 13.0);
 
-        // Unwatched: `level` says so at once, the table at the next tick.
+        // Unwatched: `level` and the table say so at once.
         mon.unwatch(a);
         assert_eq!(reader.level(a), None);
-        assert_eq!(reader.snapshot().len(), 2);
+        assert_eq!(reader.snapshot().len(), 1);
         // `c` takes over the slot `a` left; until a publish writes the
-        // row for `c` it still holds `a`'s level, and nobody gets it.
+        // row for `c` it is vacant, and nobody gets `a`'s level.
         mon.watch(c).unwrap();
         assert_eq!(mon.shards[0].slab.len(), 2, "slot reused");
         assert_eq!(reader.level(c), None);
@@ -1940,6 +2070,35 @@ mod tests {
             assert_eq!(reader.snapshot().len(), 1);
             assert_eq!(reader.level(b), None);
         }
+    }
+
+    #[test]
+    fn rewatch_before_a_publish_reads_none() {
+        // Regression: a peer unwatched and watched again between two
+        // publishes takes its own slot back, where the front bank's row
+        // still held its id — so a reader was served the level of the
+        // detector the unwatch dropped (8.0 here) for a peer whose fresh
+        // detector says 0, until the next publish.
+        let (mut tx, mut mon, clock) = rig(SINGLE);
+        let p = ProcessId::new(1);
+        let reader = mon.reader();
+        mon.watch(p).unwrap();
+        clock.set(Timestamp::from_secs(2));
+        tx.send(&frame(1, 1)).unwrap();
+        mon.tick().unwrap();
+        clock.set(Timestamp::from_secs(10));
+        mon.tick().unwrap();
+        assert_eq!(reader.level(p).unwrap().value(), 8.0);
+
+        mon.unwatch(p);
+        mon.watch(p).unwrap();
+        assert_eq!(mon.shards[0].slab.len(), 1, "the same slot");
+        assert_eq!(reader.level(p), None);
+        assert_eq!(reader.snapshot(), []);
+
+        // The fresh detector starts at the epoch: level 10 at second 10.
+        mon.tick().unwrap();
+        assert_eq!(reader.level(p).unwrap().value(), 10.0);
     }
 
     #[test]
@@ -2084,7 +2243,8 @@ mod tests {
             sent_at: Timestamp::from_nanos(round * SECOND + u64::from(id)),
         };
 
-        // Ids from 100 up take turns in the slots the steady peers leave.
+        // Ids from 100 up take turns in the slots the steady peers leave,
+        // and every other one that leaves comes straight back.
         let rounds: u64 = if cfg!(miri) { 40 } else { 2_000 };
         let mut next_id = 100u32;
         let mut churning = std::collections::VecDeque::new();
@@ -2169,21 +2329,28 @@ mod tests {
         // Each round only every third steady peer sends and every fourth
         // round nobody does, so most publishes write few durable rows and
         // the two banks are never written alike; every third round one
-        // churning peer leaves and a fresh id of the same shard takes
-        // over its slot. A reader that fails stops reading; the rounds
-        // still end and the join below reports it.
+        // churning peer leaves and its slot is taken over — in turns by a
+        // fresh id of the same shard and by the peer that just left, whose
+        // index entry then leads to the row its previous incarnation
+        // published. A reader that fails stops reading; the rounds still
+        // end and the join below reports it.
         let mut sent = 0u64;
         for round in 1..=rounds {
             if round % 3 == 0 {
                 let old = churning.pop_front().expect("CHURNING > 0");
-                while shard_of(next_id) != shard_of(old) {
+                let new = if round % 2 == 0 {
+                    old
+                } else {
+                    while shard_of(next_id) != shard_of(old) {
+                        next_id += 1;
+                    }
                     next_id += 1;
-                }
+                    next_id - 1
+                };
                 let shard = &mut shards[shard_of(old)];
                 assert!(shard.unwatch(ProcessId::new(old)).is_some());
-                assert_eq!(shard.watch(ProcessId::new(next_id)), Ok(true));
-                churning.push_back(next_id);
-                next_id += 1;
+                assert_eq!(shard.watch(ProcessId::new(new)), Ok(true));
+                churning.push_back(new);
                 frontier.store(next_id as usize, Ordering::SeqCst);
             }
             if round % 4 != 0 {
@@ -2266,6 +2433,30 @@ mod tests {
         // bytes before the detector boxed its histogram.
         use afd_detectors::phi::PhiAccrual;
         assert!(mem::size_of::<Slot<PhiAccrual>>() <= 216);
+    }
+
+    #[test]
+    fn the_curve_column_is_sized_by_the_slab_not_the_capacity() {
+        // A publish reads a curve row per slot in place of the slot: two
+        // rows to a cache line where a slot takes four lines. And a shard
+        // keeps rows for the slots its slab has reached, not for the
+        // cell's capacity — the ledger's wide workload declares eight
+        // times the slots it fills, and a column filled to capacity cost
+        // it 216 bytes a peer.
+        assert!(mem::size_of::<LevelCurve>() <= 32);
+        let mut shard = phi_shards(1, 8192).pop().expect("one shard");
+        for id in 0..10 {
+            shard.watch(ProcessId::new(id)).unwrap();
+        }
+        shard.publish(Timestamp::from_secs(1));
+        assert!(shard.column.blocks.len() * LevelCurve::BLOCK <= 16);
+        // Slots vacated and taken again reach no further.
+        for id in 0..10 {
+            shard.unwatch(ProcessId::new(id));
+            shard.watch(ProcessId::new(id + 100)).unwrap();
+        }
+        assert_eq!(shard.slab.len(), 10);
+        assert!(shard.column.blocks.len() * LevelCurve::BLOCK <= 16);
     }
 
     /// φ shards of `slots` peers each, their windows small enough to wrap.
@@ -2505,7 +2696,8 @@ mod tests {
 
     mod incremental_publish {
         use super::*;
-        use afd_detectors::phi::PhiAccrual;
+        use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution};
+        use afd_detectors::phi::{PhiAccrual, PhiConfig, PhiModel};
         use proptest::prelude::*;
 
         /// Peers the operations draw from; more than the shard holds, so
@@ -2521,6 +2713,9 @@ mod tests {
             },
             Watch(u32),
             Unwatch(u32),
+            /// The peer leaves and comes straight back, into the slot it
+            /// left.
+            Rewatch(u32),
             Import {
                 peer: u32,
                 seq: Option<u64>,
@@ -2533,7 +2728,7 @@ mod tests {
         fn ops() -> impl Strategy<Value = Vec<Op>> {
             let op = proptest::FnStrategy::new(|rng: &mut TestRng| {
                 let peer = rng.below(POOL) as u32;
-                match rng.below(16) {
+                match rng.below(17) {
                     0..=6 => Op::Accept {
                         peer,
                         skip: rng.below(3),
@@ -2546,21 +2741,56 @@ mod tests {
                         seeded: rng.below(2) == 0,
                     },
                     11 => Op::DetectorMut(peer),
+                    12 => Op::Rewatch(peer),
                     _ => Op::Publish,
                 }
             });
             prop::collection::vec(op, 0..48)
         }
 
+        fn one_shard<D: AccrualFailureDetector>(
+            factory: impl FnMut(ProcessId) -> D + Send + Clone + 'static,
+        ) -> Shard<D> {
+            let (_cells, mut shards) = build_shards(1, SLOTS, factory);
+            shards.pop().expect("one shard")
+        }
+
+        /// A shard whose every level comes off the curve column.
         fn phi_shard() -> Shard<PhiAccrual> {
             phi_shards(1, SLOTS).pop().expect("one shard")
         }
 
+        /// A shard of detectors that have no curve: every level is still
+        /// asked of its detector.
+        fn kappa_shard() -> Shard<KappaAccrual<PhiContribution>> {
+            let config = KappaConfig {
+                window_size: 4,
+                ..KappaConfig::default()
+            };
+            one_shard(move |_| KappaAccrual::new(config, PhiContribution).expect("valid kappa"))
+        }
+
+        /// A shard whose rows change sides: the empirical model has a
+        /// curve (its normal prior) until its histogram holds two gaps,
+        /// none from there on, and one again after a restore emptied it.
+        fn empirical_shard() -> Shard<PhiAccrual> {
+            let config = PhiConfig {
+                window_size: 4,
+                min_samples: 2,
+                model: PhiModel::Empirical {
+                    bins: 16,
+                    max_intervals: 8.0,
+                },
+                ..PhiConfig::default()
+            };
+            one_shard(move |_| PhiAccrual::new(config).expect("valid phi config"))
+        }
+
         /// What a publish that rewrote every row would have put in the
         /// bank, ascending by id: recomputed from the live detectors,
-        /// which for φ is a pure function of their state and `now`.
-        fn recomputed(
-            shard: &mut Shard<PhiAccrual>,
+        /// whose level is a pure function of their state and `now`.
+        fn recomputed<D: AccrualFailureDetector>(
+            shard: &mut Shard<D>,
             now: Timestamp,
         ) -> Vec<(ProcessId, SuspicionLevel, PeerDurable)> {
             let mut rows = Vec::new();
@@ -2574,7 +2804,7 @@ mod tests {
 
         /// Rows sit in slot order, which records the watch/unwatch
         /// history: every comparison is by id.
-        fn publish_and_check(shard: &mut Shard<PhiAccrual>, now: Timestamp) {
+        fn publish_and_check<D: AccrualFailureDetector>(shard: &mut Shard<D>, now: Timestamp) {
             shard.publish(now);
             let want = recomputed(shard, now);
             let (at, mut rows) = shard.cell.read_rows();
@@ -2604,26 +2834,37 @@ mod tests {
             for &(p, level) in &want_levels {
                 assert_eq!(shard.cell.lookup(p), Some(level), "{p:?}");
             }
+            // The column says of every row what its detector says: the
+            // listed rows are exactly the live ones without a curve, and
+            // every row not holding a live curve is the zero curve.
+            let mut listed = Vec::new();
+            for (row, slot) in shard.slab.iter().enumerate() {
+                let curve = match slot {
+                    Slot::Live(watched) => watched.detector.level_curve(),
+                    Slot::Vacant => Some(LevelCurve::Zero),
+                };
+                listed.extend(curve.is_none().then_some(row));
+                let held = shard.column.blocks[row / LevelCurve::BLOCK][row % LevelCurve::BLOCK];
+                assert_eq!(held, curve.unwrap_or(LevelCurve::Zero), "row {row}");
+            }
+            assert_eq!(shard.column.curveless, listed);
         }
 
         /// Every slot's count of publishes still owed to it.
-        fn marks(shard: &Shard<PhiAccrual>) -> Vec<u8> {
+        fn marks<D>(shard: &Shard<D>) -> Vec<u8> {
             shard
                 .slab
                 .iter()
                 .map(|slot| match slot {
                     Slot::Live(watched) => watched.stale_banks,
-                    Slot::Vacant { stale_banks } => *stale_banks,
+                    Slot::Vacant => 0,
                 })
                 .collect()
         }
 
         /// Runs one membership change and holds it to marking one slot:
         /// every other slot owes exactly the publishes it owed before.
-        fn changes_one_slot(
-            shard: &mut Shard<PhiAccrual>,
-            change: impl FnOnce(&mut Shard<PhiAccrual>),
-        ) {
+        fn changes_one_slot<D>(shard: &mut Shard<D>, change: impl FnOnce(&mut Shard<D>)) {
             let before = marks(shard);
             change(shard);
             let after = marks(shard);
@@ -2633,81 +2874,99 @@ mod tests {
             assert!(moved <= 1, "marks {before:?} -> {after:?}");
         }
 
+        /// Runs `ops` on `shard`, holding every publish to a full
+        /// recomputation and every membership change to one slot.
+        fn front_bank_holds<D: AccrualFailureDetector>(mut shard: Shard<D>, ops: &[Op]) {
+            let mut now = Timestamp::from_secs(1);
+            let mut next_seq = [0u64; POOL as usize];
+            for &op in ops {
+                now = now.saturating_add(Duration::from_millis(130));
+                match op {
+                    Op::Accept { peer, skip } => {
+                        let seq = &mut next_seq[peer as usize];
+                        *seq += 1 + skip;
+                        let hb = Heartbeat {
+                            sender: ProcessId::new(peer),
+                            seq: *seq,
+                            sent_at: now,
+                        };
+                        shard.accept(hb, now);
+                    }
+                    Op::Watch(peer) => changes_one_slot(&mut shard, |shard| {
+                        let _ = shard.watch(ProcessId::new(peer));
+                    }),
+                    Op::Unwatch(peer) => changes_one_slot(&mut shard, |shard| {
+                        shard.unwatch(ProcessId::new(peer));
+                    }),
+                    Op::Rewatch(peer) => changes_one_slot(&mut shard, |shard| {
+                        let p = ProcessId::new(peer);
+                        if shard.unwatch(p).is_some() {
+                            assert_eq!(shard.watch(p), Ok(true));
+                            // Until a publish, nobody reads the row the
+                            // previous incarnation published.
+                            assert_eq!(shard.cell.lookup(p), None);
+                        }
+                    }),
+                    Op::Import { peer, seq, seeded } => {
+                        let restored = RestoredPeer {
+                            process: ProcessId::new(peer),
+                            highest_seq: seq,
+                            seed: seeded.then_some(DetectorSeed {
+                                last_heartbeat: Some(now),
+                                samples: 3,
+                                mean: 0.2,
+                                population_variance: 0.01,
+                                heartbeats_seen: 0,
+                            }),
+                        };
+                        shard.import(&restored, &mut RestoreImport::default());
+                    }
+                    Op::DetectorMut(peer) => {
+                        if let Some(d) = shard.detector_mut(ProcessId::new(peer)) {
+                            d.record_heartbeat(now);
+                        }
+                    }
+                    Op::Publish => publish_and_check(&mut shard, now),
+                }
+            }
+            // Four in a row: each bank is also read after a publish
+            // that wrote no id and no durable word into it.
+            for _ in 0..4 {
+                now = now.saturating_add(Duration::from_millis(130));
+                publish_and_check(&mut shard, now);
+            }
+            // Two publishes settle every slot, so from here a
+            // membership change that went back to rewriting
+            // everything would show on every other slot.
+            assert!(marks(&shard).iter().all(|&owed| owed == 0));
+            for peer in 0..POOL as u32 {
+                let p = ProcessId::new(peer);
+                // The watch takes the slot the unwatch vacated, if any.
+                shard.unwatch(p);
+                let _ = shard.watch(p);
+                let owed = marks(&shard).iter().filter(|&&owed| owed > 0).count();
+                assert!(owed <= 1, "peer {peer}: {:?}", marks(&shard));
+                for _ in 0..BANKS {
+                    now = now.saturating_add(Duration::from_millis(130));
+                    publish_and_check(&mut shard, now);
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Whatever happened between publishes, the front bank holds
             /// exactly what a publish that rewrote every row would hold —
             /// through slots vacated and reused, and in both banks —
-            /// while a membership change marks one slot and no other.
+            /// while a membership change marks one slot and no other:
+            /// for rows that come off the curve column, rows that are
+            /// asked of their detector, and rows that change sides.
             #[test]
             fn front_bank_equals_a_full_recomputation(ops in ops()) {
-                let mut shard = phi_shard();
-                let mut now = Timestamp::from_secs(1);
-                let mut next_seq = [0u64; POOL as usize];
-                for op in ops {
-                    now = now.saturating_add(Duration::from_millis(130));
-                    match op {
-                        Op::Accept { peer, skip } => {
-                            let seq = &mut next_seq[peer as usize];
-                            *seq += 1 + skip;
-                            let hb = Heartbeat {
-                                sender: ProcessId::new(peer),
-                                seq: *seq,
-                                sent_at: now,
-                            };
-                            shard.accept(hb, now);
-                        }
-                        Op::Watch(peer) => changes_one_slot(&mut shard, |shard| {
-                            let _ = shard.watch(ProcessId::new(peer));
-                        }),
-                        Op::Unwatch(peer) => changes_one_slot(&mut shard, |shard| {
-                            shard.unwatch(ProcessId::new(peer));
-                        }),
-                        Op::Import { peer, seq, seeded } => {
-                            let restored = RestoredPeer {
-                                process: ProcessId::new(peer),
-                                highest_seq: seq,
-                                seed: seeded.then_some(DetectorSeed {
-                                    last_heartbeat: Some(now),
-                                    samples: 3,
-                                    mean: 0.2,
-                                    population_variance: 0.01,
-                                    heartbeats_seen: 0,
-                                }),
-                            };
-                            shard.import(&restored, &mut RestoreImport::default());
-                        }
-                        Op::DetectorMut(peer) => {
-                            if let Some(d) = shard.detector_mut(ProcessId::new(peer)) {
-                                d.record_heartbeat(now);
-                            }
-                        }
-                        Op::Publish => publish_and_check(&mut shard, now),
-                    }
-                }
-                // Four in a row: each bank is also read after a publish
-                // that wrote no id and no durable word into it.
-                for _ in 0..4 {
-                    now = now.saturating_add(Duration::from_millis(130));
-                    publish_and_check(&mut shard, now);
-                }
-                // Two publishes settle every slot, so from here a
-                // membership change that went back to rewriting
-                // everything would show on every other slot.
-                prop_assert!(marks(&shard).iter().all(|&owed| owed == 0));
-                for peer in 0..POOL as u32 {
-                    let p = ProcessId::new(peer);
-                    // The watch takes the slot the unwatch vacated, if any.
-                    shard.unwatch(p);
-                    let _ = shard.watch(p);
-                    let owed = marks(&shard).iter().filter(|&&owed| owed > 0).count();
-                    prop_assert!(owed <= 1, "peer {}: {:?}", peer, marks(&shard));
-                    for _ in 0..BANKS {
-                        now = now.saturating_add(Duration::from_millis(130));
-                        publish_and_check(&mut shard, now);
-                    }
-                }
+                front_bank_holds(phi_shard(), &ops);
+                front_bank_holds(kappa_shard(), &ops);
+                front_bank_holds(empirical_shard(), &ops);
             }
         }
     }
