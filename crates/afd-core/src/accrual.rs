@@ -192,10 +192,16 @@ impl LevelCurve {
 ///
 /// The `&mut self` receiver on [`suspicion_level`] follows the paper's query
 /// model: a query is a *step* of the monitoring process and may update
-/// internal state (e.g. the Algorithm 2 transformation increments its level
-/// on every query while the underlying binary detector suspects).
-/// Implementations that are pure functions of `(state, now)` simply don't
-/// mutate.
+/// internal state. Three kinds of implementation use that step: the
+/// Algorithm 2 transformation ([`crate::transform`]), which raises its
+/// level by ε on every query while the underlying binary detector
+/// suspects; the Appendix A.5 adversary, which is query-driven by design;
+/// and scripted test detectors such as [`ScriptedAccrualDetector`], which
+/// replay one level per query. Every shipping detector — simple, Chen,
+/// Bertier, the φ and κ families, the adaptive detector, and the
+/// degradation wrapper around any of them — is pure: its level is a
+/// function of the arrivals it recorded (and the seed it restored) and
+/// `now`, whoever asks and however often.
 ///
 /// The trait is object-safe (`Box<dyn AccrualFailureDetector>` works), so a
 /// monitoring service can manage heterogeneous detectors.

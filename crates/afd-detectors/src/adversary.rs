@@ -66,6 +66,7 @@ impl AccrualFailureDetector for WeakAccruementAdversary {
             // Algorithm suspects → keep the level constant.
             Status::Suspected => {}
             // Algorithm trusts → raise by ε.
+            // lint:allow(pure-query, Appendix A.5's adversary is query-driven: ε per trusting query)
             Status::Trusted => self.level += self.epsilon,
         }
         SuspicionLevel::clamped(self.level)

@@ -19,7 +19,7 @@
 //! serves as the classical "adaptive baseline" the φ literature compares
 //! against.
 
-use afd_core::accrual::AccrualFailureDetector;
+use afd_core::accrual::{AccrualFailureDetector, LevelCurve};
 use afd_core::error::ConfigError;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
@@ -153,6 +153,15 @@ impl BertierAccrual {
     pub fn margin(&self) -> f64 {
         (self.config.beta * self.delay + self.config.phi * self.var).max(0.0)
     }
+
+    /// `sl(t) = max(0, t − (EA + α))`: one second of level per second past
+    /// the deadline; zero before the first heartbeat.
+    fn curve(&self) -> LevelCurve {
+        match self.expected_arrival() {
+            None => LevelCurve::Zero,
+            Some(ea) => LevelCurve::seconds_since(ea + Duration::from_secs_f64(self.margin())),
+        }
+    }
 }
 
 impl AccrualFailureDetector for BertierAccrual {
@@ -177,13 +186,11 @@ impl AccrualFailureDetector for BertierAccrual {
     }
 
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        match self.expected_arrival() {
-            None => SuspicionLevel::ZERO,
-            Some(ea) => {
-                let deadline = ea + Duration::from_secs_f64(self.margin());
-                SuspicionLevel::clamped(now.saturating_duration_since(deadline).as_secs_f64())
-            }
-        }
+        SuspicionLevel::clamped(self.curve().at(now))
+    }
+
+    fn level_curve(&self) -> Option<LevelCurve> {
+        Some(self.curve())
     }
 }
 

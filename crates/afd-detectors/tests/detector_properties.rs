@@ -458,6 +458,7 @@ proptest! {
         let start = Timestamp::from_secs(3);
         let mut simple = SimpleAccrual::new(start);
         let mut chen = ChenAccrual::new(ChenConfig { window_size: 16, ..ChenConfig::default() }).unwrap();
+        let mut bertier = BertierAccrual::with_defaults();
         let mut normal = phi(PhiModel::Normal);
         let mut exponential = phi(PhiModel::Exponential);
         let mut empirical = phi(EMPIRICAL);
@@ -469,6 +470,7 @@ proptest! {
             }
             simple.record_heartbeat(t);
             chen.record_heartbeat(t);
+            bertier.record_heartbeat(t);
             normal.record_heartbeat(t);
             exponential.record_heartbeat(t);
             empirical.record_heartbeat(t);
@@ -480,6 +482,7 @@ proptest! {
         prop_assert_eq!(empirical.level_curve().is_some(), bootstrapping);
         if gaps.is_empty() {
             prop_assert_eq!(chen.level_curve(), Some(LevelCurve::Zero));
+            prop_assert_eq!(bertier.level_curve(), Some(LevelCurve::Zero));
             prop_assert_eq!(normal.level_curve(), Some(LevelCurve::Zero));
             prop_assert_eq!(exponential.level_curve(), Some(LevelCurve::Zero));
             prop_assert_eq!(empirical.level_curve(), Some(LevelCurve::Zero));
@@ -491,6 +494,10 @@ proptest! {
             block[0] = assert_curve_is_the_level("simple", &mut simple, now, want);
             let lateness = chen.expected_arrival().map_or(0.0, |ea| elapsed(now, ea));
             block[2] = assert_curve_is_the_level("chen", &mut chen, now, clamped(lateness));
+            // Bertier's level as its detector wrote it before it had a curve.
+            let deadline = bertier.expected_arrival().map(|ea| ea + Duration::from_secs_f64(bertier.margin()));
+            let lateness = deadline.map_or(0.0, |deadline| elapsed(now, deadline));
+            block[1] = assert_curve_is_the_level("bertier", &mut bertier, now, clamped(lateness));
             let want = phi_normal_reference(&normal, now);
             block[3] = assert_curve_is_the_level("phi-normal", &mut normal, now, want);
             let want = phi_exponential_reference(&exponential, now);
@@ -499,7 +506,7 @@ proptest! {
                 let want = phi_normal_reference(&empirical, now);
                 block[6] = assert_curve_is_the_level("phi-empirical", &mut empirical, now, want);
             }
-            // Lanes 1, 4 and 7 stay the padding a short block gets.
+            // Lanes 4 and 7 stay the padding a short block gets.
             let levels = LevelCurve::at_block(&block, now);
             for (lane, (curve, level)) in block.iter().zip(levels).enumerate() {
                 prop_assert_eq!(level.to_bits(), curve.at(now).to_bits(), "lane {} at {}", lane, now);
@@ -521,10 +528,10 @@ fn curve_through<T: AccrualFailureDetector>(detector: T) -> Option<LevelCurve> {
 
 #[test]
 fn detectors_without_a_closed_form_have_no_curve() {
-    // κ sums contributions of missed heartbeats, Bertier's and the
-    // adaptive detector's queries are steps, Akka's φ is a logistic
-    // approximation: none is zero, linear or a normal tail — fed or not,
-    // held directly, borrowed or boxed.
+    // κ sums contributions of missed heartbeats, the adaptive detector's
+    // level is a histogram fraction, Akka's φ is a logistic approximation:
+    // none is zero, linear or a normal tail — fed or not, held directly,
+    // borrowed or boxed.
     fn assert_none<D: AccrualFailureDetector + 'static>(name: &str, mut detector: D) {
         assert_eq!(detector.level_curve(), None, "{name}: fresh");
         for s in 1..=12 {
@@ -545,7 +552,6 @@ fn detectors_without_a_closed_form_have_no_curve() {
     );
     assert_none("adaptive", AdaptiveAccrual::with_defaults());
     assert_none("akka", AkkaPhi::with_defaults());
-    assert_none("bertier", BertierAccrual::with_defaults());
 }
 
 #[test]

@@ -35,7 +35,7 @@ use diag::Report;
 /// Lints every workspace `.rs` file under `root`.
 ///
 /// Each file is lexed exactly once; the token stream is shared by the
-/// file-context derivation, all nine rules, and pragma collection. The
+/// file-context derivation, all ten rules, and pragma collection. The
 /// [`lexer::lex_calls`] probe makes that a testable equation (see
 /// `tests/single_pass.rs`), not a code-review hope.
 ///

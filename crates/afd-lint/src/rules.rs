@@ -1,4 +1,4 @@
-//! The nine project-invariant rules, run over a file's token stream.
+//! The ten project-invariant rules, run over a file's token stream.
 //!
 //! Each rule is a scoped token-pattern check. The scopes encode *why* the
 //! invariant exists:
@@ -14,6 +14,7 @@
 //! | `no-alloc-in-hot-path` | the per-frame intake files stay heap-allocation-free in steady state (`to_vec`/`Vec::new`/`vec!` need a written justification) |
 //! | `io-discipline` | filesystem access in `afd-runtime` happens only in `persist.rs`, so crash-safe install (tmp → fsync → rename) cannot be bypassed |
 //! | `determinism-discipline` | the model checker and the script replay harness never iterate `RandomState`-seeded containers, so explored-state counts and minimized counterexamples are bit-reproducible across runs and machines |
+//! | `pure-query` | a shipping detector's `suspicion_level` (`afd-detectors`, `afd-runtime`) writes no field of its own, so its level is a function of the arrivals and the query time, never of who asked when |
 //!
 //! Any rule can be silenced per line with `// lint:allow(rule, reason)` —
 //! see [`crate::pragma`]. A malformed pragma is reported under the
@@ -35,6 +36,7 @@ pub const RULE_NAMES: &[&str] = &[
     "no-alloc-in-hot-path",
     "io-discipline",
     "determinism-discipline",
+    "pure-query",
 ];
 
 /// Crates whose library code must be panic-free.
@@ -79,6 +81,7 @@ pub fn lint_tokens(ctx: &FileContext, tokens: &[Token]) -> (Vec<Finding>, usize)
     no_alloc_in_hot_path(ctx, &code, &mut raw);
     io_discipline(ctx, &code, &mut raw);
     determinism_discipline(ctx, &code, &mut raw);
+    pure_query(ctx, &code, &mut raw);
 
     let (pragmas, pragma_errors) = pragma::collect(tokens);
     let mut suppressed = 0usize;
@@ -434,6 +437,122 @@ fn determinism_discipline(ctx: &FileContext, code: &[&Token], out: &mut Vec<Find
     }
 }
 
+/// The crates whose detectors ship: their queries must be pure. afd-core's
+/// Algorithm 2 and afd-model's mutants step in the query by design.
+const PURE_QUERY_PREFIXES: &[&str] = &["crates/afd-detectors/src/", "crates/afd-runtime/src/"];
+
+/// Operators that write their left-hand side.
+const ASSIGN_OPS: &[&str] = &[
+    "=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<=", ">>=",
+];
+
+/// An assignment or compound assignment to `self.<field>` (or a place
+/// inside it) in the body of a library `fn suspicion_level` — one finding
+/// per body, at its first write. Forwarding to another detector's
+/// `suspicion_level` is a call, not a write, and passes; a write through a
+/// method call (`self.v.push(x)`) is beyond a token pattern.
+fn pure_query(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
+    if !PURE_QUERY_PREFIXES.iter().any(|p| ctx.path.starts_with(p)) {
+        return;
+    }
+    for (i, tok) in code.iter().enumerate() {
+        if tok.text != "suspicion_level"
+            || i == 0
+            || code[i - 1].text != "fn"
+            || !ctx.is_library_line(tok.line)
+        {
+            continue;
+        }
+        // The body: from the first `{` to its match; a `;` first means a
+        // declaration without one.
+        let Some(open) = code[i..]
+            .iter()
+            .position(|t| t.text == "{" || t.text == ";")
+            .map(|k| i + k)
+            .filter(|&k| code[k].text == "{")
+        else {
+            continue;
+        };
+        let mut depth = 0usize;
+        let mut close = code.len();
+        for (k, t) in code.iter().enumerate().skip(open) {
+            match t.text.as_str() {
+                "{" => depth += 1,
+                "}" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        close = k;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let body = &code[open..close];
+        let mut fields: Vec<&str> = Vec::new();
+        let mut first = None;
+        for (k, t) in body.iter().enumerate() {
+            if t.text != "self" || body.get(k + 1).map(|d| d.text.as_str()) != Some(".") {
+                continue;
+            }
+            let Some(field) = body.get(k + 2).filter(|f| f.kind == TokenKind::Ident) else {
+                continue;
+            };
+            if let Some(op) = place_end(body, k + 3) {
+                if !fields.contains(&field.text.as_str()) {
+                    fields.push(&field.text);
+                }
+                first.get_or_insert(body[op]);
+            }
+        }
+        if let Some(at) = first {
+            out.push(finding(
+                ctx,
+                "pure-query",
+                at,
+                format!(
+                    "`suspicion_level` writes `self.{}`; a query must be a function of the \
+                     arrivals and `now` — move the state change to `record_heartbeat`",
+                    fields.join("`, `self.")
+                ),
+            ));
+        }
+    }
+}
+
+/// If the place expression continuing at `code[k]` (`.field`, `[index]`,
+/// repeated) is followed by an assignment operator, that operator's index.
+fn place_end(code: &[&Token], mut k: usize) -> Option<usize> {
+    loop {
+        match code.get(k)?.text.as_str() {
+            "." if code.get(k + 1)?.kind == TokenKind::Ident
+                && code.get(k + 2).map(|t| t.text.as_str()) != Some("(") =>
+            {
+                k += 2;
+            }
+            "[" => {
+                let mut depth = 0usize;
+                while k < code.len() {
+                    match code[k].text.as_str() {
+                        "[" => depth += 1,
+                        "]" => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                    k += 1;
+                }
+                k += 1;
+            }
+            op if ASSIGN_OPS.contains(&op) => return Some(k),
+            _ => return None,
+        }
+    }
+}
+
 /// Crate roots must carry `#![forbid(unsafe_code)]`.
 fn crate_hygiene(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
     if !ctx.is_crate_root() {
@@ -701,5 +820,59 @@ mod tests {
         let src = "fn f(mut sleep: impl FnMut(u64)) { sleep(3); }\n";
         let (findings, _) = lint_source("crates/afd-runtime/src/x.rs", src);
         assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn pure_query_flags_a_write_to_self_in_the_query() {
+        let src = "impl AccrualFailureDetector for W {\n    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {\n        if self.starved(now) {\n            self.mode = Mode::Degraded;\n            self.events += 1;\n        }\n        self.mode = Mode::Nominal;\n        self.inner.suspicion_level(now)\n    }\n}\n";
+        let (findings, _) = lint_source("crates/afd-runtime/src/degrade.rs", src);
+        // One finding per query body, at its first write, naming every field.
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "pure-query");
+        assert_eq!(findings[0].line, 4);
+        assert!(findings[0].message.contains("`self.mode`, `self.events`"));
+    }
+
+    #[test]
+    fn pure_query_passes_forwarding_reads_and_comparisons() {
+        let src = "impl D for Z {\n    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {\n        let level = self.members[HEAD].detector.suspicion_level(now);\n        if self.level == level.value() { self.inner.suspicion_level(now) } else { level }\n    }\n    fn record_heartbeat(&mut self, at: Timestamp) {\n        self.last = at;\n    }\n}\n";
+        let (findings, _) = lint_source("crates/afd-detectors/src/x.rs", src);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn pure_query_catches_places_inside_a_field() {
+        let src = "fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {\n    self.cache[now.slot()].level <<= 1;\n    self.level\n}\n";
+        let (findings, _) = lint_source("crates/afd-detectors/src/x.rs", src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("`self.cache`"));
+    }
+
+    #[test]
+    fn pure_query_scopes_to_shipping_library_code() {
+        let src = "fn suspicion_level(&mut self, _now: Timestamp) -> SuspicionLevel {\n    self.level += self.epsilon;\n    SuspicionLevel::clamped(self.level)\n}\n";
+        // Algorithm 2 (afd-core) and the model's mutants step by design.
+        for path in [
+            "crates/afd-core/src/transform/x.rs",
+            "crates/afd-model/src/mutants.rs",
+        ] {
+            let (findings, _) = lint_source(path, src);
+            assert!(findings.is_empty(), "{path}: {findings:?}");
+        }
+        let test_only = format!("pub fn live() {{}}\n#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        let (findings, _) = lint_source("crates/afd-detectors/src/x.rs", &test_only);
+        assert!(findings.is_empty(), "{findings:?}");
+        // A trait's bodiless declaration has nothing to check.
+        let decl = "trait T {\n    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel;\n}\nfn f(s: &mut S) { s.x = 1; }\n";
+        let (findings, _) = lint_source("crates/afd-runtime/src/x.rs", decl);
+        assert!(findings.is_empty(), "{findings:?}");
+        let allowed = src.replacen(
+            "    self.level",
+            "    // lint:allow(pure-query, the adversary steps by design)\n    self.level",
+            1,
+        );
+        let (findings, suppressed) = lint_source("crates/afd-detectors/src/adversary.rs", &allowed);
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(suppressed, 1);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Lexing dominates the linter's runtime; the driver therefore lexes each
 //! file exactly once and shares the token stream across the file-context
-//! derivation, all nine rules, and pragma collection. A wall-clock
+//! derivation, all ten rules, and pragma collection. A wall-clock
 //! benchmark would assert this only probabilistically (and rot with
 //! hardware); the [`afd_lint::lexer::lex_calls`] probe instead counts lex
 //! invocations, so single-pass behavior is `lex calls == files scanned`,

@@ -33,7 +33,7 @@ use afd_obs::{EventKind, EventRing, ObsEvent, OnlineQos, QosReport, Registry, Sn
 use afd_sim::delay::UniformDelay;
 use afd_sim::loss::{BernoulliLoss, GilbertElliottLoss};
 
-use crate::clock::VirtualClock;
+use crate::clock::{Clock, VirtualClock};
 use crate::degrade::{DegradeConfig, GracefulDegradation};
 use crate::error::TransportError;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
@@ -421,11 +421,11 @@ impl DetectorZoo {
         &mut self.members
     }
 
-    /// Total degraded-mode entries across the zoo.
-    pub fn degrade_events(&self) -> u64 {
+    /// Total starvation episodes across the zoo by `now`.
+    pub fn degrade_events(&self, now: Timestamp) -> u64 {
         self.members
             .iter()
-            .map(|m| m.detector.degrade_events())
+            .map(|m| m.detector.degrade_events(now))
             .sum()
     }
 }
@@ -473,7 +473,7 @@ pub struct ChaosReport {
     pub fault_stats: FaultStats,
     /// What the monitor's intake saw.
     pub monitor_stats: MonitorStats,
-    /// Degraded-mode entries across all members.
+    /// Starvation episodes across all members, counted from the arrivals.
     pub degrade_events: u64,
     /// Heartbeats the sender emitted.
     pub heartbeats_sent: u64,
@@ -549,7 +549,7 @@ pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
             if let Some(zoo) = monitor.detector_mut(process) {
                 for (member, tracker) in zoo.members_mut().iter_mut().zip(trackers.iter_mut()) {
                     let level = member.detector.suspicion_level(t);
-                    let degraded = member.detector.is_degraded();
+                    let degraded = member.detector.is_degraded(t);
                     tracker.observe(t, level, degraded, process, &mut events);
                 }
             }
@@ -560,11 +560,12 @@ pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
     monitor.export_metrics(&registry);
     monitor.transport().export_metrics(&registry);
     core.export_metrics(&registry);
+    let end = clock.now();
     let degrade_events = monitor.detector_mut(process).map_or(0, |zoo| {
         for member in zoo.members_mut() {
-            member.detector.export_metrics(&registry, member.name);
+            member.detector.export_metrics(&registry, member.name, end);
         }
-        zoo.degrade_events()
+        zoo.degrade_events(end)
     });
     let monitor_stats = monitor.stats().totals;
     let fault_stats = monitor.transport().stats();
@@ -826,7 +827,7 @@ mod tests {
     #[test]
     fn the_zoo_has_no_curve() {
         // Its headline member (φ) has one, but every member sits behind a
-        // `GracefulDegradation`, whose query is a step.
+        // `GracefulDegradation`, whose level is piecewise.
         let mut zoo = DetectorZoo::standard(DegradeConfig::default());
         assert_eq!(zoo.level_curve(), None);
         for s in 1..=10 {

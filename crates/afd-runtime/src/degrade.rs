@@ -7,12 +7,16 @@
 //! the starvation and falls back to the one detector that needs no window
 //! at all: the simple elapsed-time detector of §5.1 (Algorithm 4).
 //!
-//! The fallback is *offset-continuous*: at the moment of the switch the
-//! degraded output starts from the inner detector's current level and adds
-//! elapsed time since the last heartbeat. The emitted level therefore never
-//! decreases during continued silence, so Accruement (Property 1) is
-//! preserved across the switch; and the moment heartbeats refill the
-//! window, the wrapper hands back to the inner detector.
+//! The window starves at `t*`, when the oldest of the last `min_samples`
+//! arrivals turns `horizon` old — never before the last arrival, so the
+//! inner detector is not asked about an instant it has heard past; a ring
+//! that never filled is starved from the last heartbeat (from
+//! `Timestamp::ZERO` before any). The level is `inner(t)` up to `t*` and
+//! `inner(t*) + (t − t*)` after: the fallback is *offset-continuous*, never
+//! decreases during silence — Accruement (Property 1) survives the switch —
+//! and, like `is_degraded` and `degrade_events`, is a function of the
+//! arrivals and `t` alone, whoever queries and however often. The inner
+//! detector must be pure in the query, as every shipping one is.
 //!
 //! # Checkpoints
 //!
@@ -20,11 +24,11 @@
 //! `restore_seed` forward. A seed carries window moments, not arrival
 //! stamps, so a restore re-arms the wrapper's own recency state from what
 //! the seed vouches for — `max(samples + 1, heartbeats_seen)` arrivals,
-//! all taken to have landed at `last_heartbeat` — in nominal mode. The
-//! restored wrapper therefore starves `horizon` after the last pre-crash
-//! heartbeat, up to `min_samples − 1` intervals later than the
-//! uninterrupted one, which knew the older stamps; until then it answers
-//! with the inner detector's level rather than the fallback's.
+//! all taken to have landed at `last_heartbeat`. The restored wrapper
+//! therefore starves `horizon` after the last pre-crash heartbeat, up to
+//! `min_samples − 1` intervals later than the uninterrupted one, which
+//! knew the older stamps; until then it answers with the inner detector's
+//! level rather than the fallback's.
 
 use std::collections::VecDeque;
 
@@ -63,19 +67,6 @@ impl DegradeConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mode {
-    Nominal,
-    Degraded {
-        /// Inner level at the moment of the switch — the floor of all
-        /// degraded output.
-        offset: f64,
-        /// When the switch happened (reference point if no heartbeat was
-        /// ever seen).
-        since: Timestamp,
-    },
-}
-
 /// An [`AccrualFailureDetector`] wrapper with a starved-window fallback.
 #[derive(Debug, Clone)]
 pub struct GracefulDegradation<D> {
@@ -87,8 +78,8 @@ pub struct GracefulDegradation<D> {
     /// `horizon`" needs of the arrival history.
     recent: VecDeque<Timestamp>,
     last_heartbeat: Option<Timestamp>,
-    mode: Mode,
-    degrade_events: u64,
+    /// Starvation episodes an arrival has ended.
+    ended_episodes: u64,
 }
 
 impl<D: AccrualFailureDetector> GracefulDegradation<D> {
@@ -99,30 +90,34 @@ impl<D: AccrualFailureDetector> GracefulDegradation<D> {
             config,
             recent: VecDeque::new(),
             last_heartbeat: None,
-            mode: Mode::Nominal,
-            degrade_events: 0,
+            ended_episodes: 0,
         }
     }
 
-    /// `true` while the fallback is active.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self.mode, Mode::Degraded { .. })
+    /// Fewer than `min_samples` arrivals within `horizon` of `now`: the
+    /// fallback answers.
+    pub fn is_degraded(&self, now: Timestamp) -> bool {
+        let oldest_is_stale = self
+            .recent
+            .front()
+            .is_some_and(|&oldest| now.saturating_duration_since(oldest) > self.config.horizon);
+        self.recent.len() < self.config.min_samples || oldest_is_stale
     }
 
-    /// How many times the wrapper has entered degraded mode.
-    pub fn degrade_events(&self) -> u64 {
-        self.degrade_events
+    /// How many times, by `now`, a window that had filled starved.
+    pub fn degrade_events(&self, now: Timestamp) -> u64 {
+        self.ended_episodes + u64::from(self.went_stale(now))
     }
 
-    /// Publishes degradation counters into `registry` as
+    /// Publishes degradation counters as of `now` into `registry` as
     /// `degrade.<name>.events` and `degrade.<name>.active`.
-    pub fn export_metrics(&self, registry: &afd_obs::Registry, name: &str) {
+    pub fn export_metrics(&self, registry: &afd_obs::Registry, name: &str, now: Timestamp) {
         registry
             .counter(&format!("degrade.{name}.events"))
-            .set(self.degrade_events);
+            .set(self.degrade_events(now));
         registry
             .gauge(&format!("degrade.{name}.active"))
-            .set(if self.is_degraded() { 1.0 } else { 0.0 });
+            .set(if self.is_degraded(now) { 1.0 } else { 0.0 });
     }
 
     /// The wrapped detector.
@@ -130,53 +125,41 @@ impl<D: AccrualFailureDetector> GracefulDegradation<D> {
         &self.inner
     }
 
-    /// Fewer than `min_samples` arrivals within `horizon` of `now`.
-    fn starved(&self, now: Timestamp) -> bool {
-        let oldest_is_stale = self
-            .recent
-            .front()
-            .is_some_and(|&oldest| now.saturating_duration_since(oldest) > self.config.horizon);
-        self.recent.len() < self.config.min_samples || oldest_is_stale
+    /// Degraded with a full ring: a starvation episode is open.
+    fn went_stale(&self, now: Timestamp) -> bool {
+        self.recent.len() == self.config.min_samples && self.is_degraded(now)
+    }
+
+    /// `t*`, the instant the window starves (see the module docs).
+    fn switch_instant(&self) -> Timestamp {
+        let last = self.last_heartbeat.unwrap_or(Timestamp::ZERO);
+        let full = self.recent.len() == self.config.min_samples;
+        let oldest = self.recent.front().filter(|_| full);
+        oldest.map_or(last, |&o| o.saturating_add(self.config.horizon).max(last))
     }
 }
 
 impl<D: AccrualFailureDetector> AccrualFailureDetector for GracefulDegradation<D> {
     fn record_heartbeat(&mut self, arrival: Timestamp) {
         self.inner.record_heartbeat(arrival);
+        let stale = self.went_stale(arrival);
         self.last_heartbeat = Some(self.last_heartbeat.map_or(arrival, |l| l.max(arrival)));
         self.recent.push_back(arrival);
         if self.recent.len() > self.config.min_samples {
             self.recent.pop_front();
         }
+        if stale && !self.went_stale(arrival) {
+            self.ended_episodes += 1;
+        }
     }
 
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        let starved = self.starved(now);
-        match self.mode {
-            Mode::Nominal if starved => {
-                // Capture the inner level as the continuity offset before
-                // abandoning its estimate.
-                let offset = self.inner.suspicion_level(now).value();
-                self.mode = Mode::Degraded { offset, since: now };
-                self.degrade_events += 1;
-            }
-            Mode::Degraded { .. } if !starved => {
-                // Window refilled: the inner estimate is trustworthy again.
-                self.mode = Mode::Nominal;
-            }
-            _ => {}
+        if !self.is_degraded(now) {
+            return self.inner.suspicion_level(now);
         }
-        match self.mode {
-            Mode::Nominal => self.inner.suspicion_level(now),
-            Mode::Degraded { offset, since } => {
-                // Simple elapsed-time accrual from the switch point. The
-                // output is clamped below by `offset`, so it never dips
-                // under what was already reported.
-                let anchor = self.last_heartbeat.unwrap_or(since);
-                let elapsed = now.saturating_duration_since(anchor).as_secs_f64();
-                SuspicionLevel::clamped(offset + elapsed)
-            }
-        }
+        let switch = self.switch_instant();
+        let offset = self.inner.suspicion_level(switch).value();
+        SuspicionLevel::clamped(offset + now.saturating_duration_since(switch).as_secs_f64())
     }
 
     fn prefetch(&self) {
@@ -192,7 +175,6 @@ impl<D: AccrualFailureDetector> AccrualFailureDetector for GracefulDegradation<D
     fn restore_seed(&mut self, seed: &DetectorSeed) {
         self.inner.restore_seed(seed);
         self.last_heartbeat = seed.last_heartbeat;
-        self.mode = Mode::Nominal;
         self.recent.clear();
         if let Some(last) = seed.last_heartbeat {
             let vouched = seed.samples.saturating_add(1).max(seed.heartbeats_seen);
@@ -214,20 +196,15 @@ mod tests {
     }
 
     fn wrapped_phi() -> GracefulDegradation<PhiAccrual> {
-        GracefulDegradation::new(
-            PhiAccrual::new(PhiConfig::default()).unwrap(),
-            DegradeConfig {
-                min_samples: 3,
-                horizon: Duration::from_secs(5),
-            },
-        )
+        wrapped(PhiAccrual::new(PhiConfig::default()).unwrap())
     }
 
     #[test]
     fn a_wrapped_detector_has_no_curve() {
-        // The wrapper's query is a step — it is where the mode switches —
-        // so even around a detector that has a curve it must not hand one
-        // out: a monitor evaluating φ's curve would never see the switch.
+        // The wrapper's level is piecewise — the inner curve up to `t*`, a
+        // line after — so even around a detector that has a curve it must
+        // not hand one out: a monitor evaluating φ's curve would never see
+        // the switch.
         let mut d = wrapped_phi();
         assert_eq!(d.level_curve(), None);
         for k in 1..=20 {
@@ -246,7 +223,7 @@ mod tests {
             d.record_heartbeat(ts(k as f64));
         }
         let level = d.suspicion_level(ts(20.5));
-        assert!(!d.is_degraded());
+        assert!(!d.is_degraded(ts(20.5)));
         assert!(level.value() < 1.0);
     }
 
@@ -258,8 +235,8 @@ mod tests {
         }
         // Silence for longer than the 5 s horizon: the window starves.
         let l1 = d.suspicion_level(ts(27.0));
-        assert!(d.is_degraded());
-        assert_eq!(d.degrade_events(), 1);
+        assert!(d.is_degraded(ts(27.0)));
+        assert_eq!(d.degrade_events(ts(27.0)), 1);
         assert!(l1.value() > 0.0);
 
         // Heartbeats resume; once 3 land inside the horizon, nominal again.
@@ -267,7 +244,8 @@ mod tests {
             d.record_heartbeat(ts(k));
         }
         let l2 = d.suspicion_level(ts(30.5));
-        assert!(!d.is_degraded());
+        assert!(!d.is_degraded(ts(30.5)));
+        assert_eq!(d.degrade_events(ts(30.5)), 1);
         assert!(l2.value() < l1.value(), "recovered level should drop");
     }
 
@@ -288,7 +266,7 @@ mod tests {
             assert!(level.is_finite());
             prev = level;
         }
-        assert!(d.is_degraded());
+        assert!(d.is_degraded(ts(109.5)));
     }
 
     #[test]
@@ -299,13 +277,35 @@ mod tests {
         }
         // Query while the window is still healthy ({8, 9, 10} in horizon).
         let before = d.suspicion_level(ts(12.0)).value();
-        assert!(!d.is_degraded());
-        // First starved query: must not be below the last nominal answer.
+        assert!(!d.is_degraded(ts(12.0)));
+        // The window starves at 13 s: from there the level is φ at 13 s
+        // plus the seconds since — not since the last heartbeat.
+        let at_switch = d.suspicion_level(ts(13.0)).value();
         let after = d.suspicion_level(ts(16.1)).value();
-        assert!(d.is_degraded());
+        assert!(d.is_degraded(ts(16.1)));
         assert!(
-            after >= before,
-            "degraded output {after} fell below nominal {before}"
+            (after - (at_switch + 3.1)).abs() <= 1e-9 * after.max(1.0),
+            "degraded output {after} is not φ(13 s) = {at_switch} + 3.1 s"
+        );
+        assert!(at_switch >= before && after >= at_switch);
+    }
+
+    #[test]
+    fn the_switch_is_continuous_at_the_starvation_instant() {
+        let mut d = wrapped_phi();
+        for k in 1..=10 {
+            d.record_heartbeat(ts(k as f64));
+        }
+        // Arrivals 8, 9, 10 and a 5 s horizon: `t*` is 13 s.
+        let switch = ts(13.0);
+        let at = d.suspicion_level(switch).value();
+        assert!(!d.is_degraded(switch));
+        let past = switch + Duration::from_nanos(1);
+        let just_after = d.suspicion_level(past).value();
+        assert!(d.is_degraded(past));
+        assert!(
+            (just_after - at).abs() <= 1e-6,
+            "the level jumped at the switch: {at} → {just_after}"
         );
     }
 
@@ -317,7 +317,10 @@ mod tests {
         );
         let a = d.suspicion_level(ts(1.0)).value();
         let b = d.suspicion_level(ts(5.0)).value();
-        assert!(d.is_degraded(), "empty window is starved by definition");
+        assert!(
+            d.is_degraded(ts(5.0)),
+            "empty window is starved by definition"
+        );
         assert!(b > a);
     }
 
@@ -392,7 +395,8 @@ mod tests {
                 (was.value() - is.value()).abs() <= 1e-9,
                 "{p}: {was:?} vs {is:?}"
             );
-            assert!(!twin.detector_mut(p).unwrap().is_degraded());
+            let now = Timestamp::from_millis(21_400);
+            assert!(!twin.detector_mut(p).unwrap().is_degraded(now));
             // The restored watermarks still reject what was already seen.
             for seq in [20, 13, 21] {
                 tx.send(&frame(p, seq)).unwrap();
@@ -414,11 +418,10 @@ mod tests {
         // Arrivals 18, 19, 20 and a 5 s horizon: the live wrapper starves
         // once 18 s ages out, the restored one — which takes all three to
         // have landed at 20 s — two intervals later.
-        live.suspicion_level(ts(23.5));
         let before = restored.suspicion_level(ts(24.9)).value();
-        assert!(live.is_degraded() && !restored.is_degraded());
+        assert!(live.is_degraded(ts(23.5)) && !restored.is_degraded(ts(24.9)));
         let after = restored.suspicion_level(ts(25.1)).value();
-        assert!(restored.is_degraded());
+        assert!(restored.is_degraded(ts(25.1)));
         assert!(after >= before, "the switch stays offset-continuous");
     }
 
@@ -446,9 +449,69 @@ mod tests {
                 while history.front().is_some_and(|&old| now - old > horizon) {
                     history.pop_front();
                 }
-                prop_assert_eq!(ring.starved(now), history.len() < min_samples);
+                prop_assert_eq!(ring.is_degraded(now), history.len() < min_samples);
                 prop_assert!(ring.recent.len() <= min_samples);
             }
+        }
+    }
+
+    /// The same wrapper as `wrapped_phi`, around any inner detector.
+    fn wrapped<D: AccrualFailureDetector>(inner: D) -> GracefulDegradation<D> {
+        GracefulDegradation::new(
+            inner,
+            DegradeConfig {
+                min_samples: 3,
+                horizon: Duration::from_secs(5),
+            },
+        )
+    }
+
+    /// Feeds `steps` — a gap in milliseconds, then a heartbeat unless the
+    /// second number is 7 or more — to two copies of `d`, asks one at every step and the other
+    /// at every `coarse`-th, and checks that wherever both answered they
+    /// answered the same, bit for bit, degradation counters included.
+    fn same_levels_at_two_cadences<D: AccrualFailureDetector + Clone>(
+        d: GracefulDegradation<D>,
+        steps: &[(u64, u8)],
+        coarse: usize,
+    ) {
+        let (mut fine, mut sparse) = (d.clone(), d);
+        let mut now = Timestamp::ZERO;
+        for (k, &(gap, silent)) in steps.iter().enumerate() {
+            now += Duration::from_millis(gap);
+            if silent < 7 {
+                fine.record_heartbeat(now);
+                sparse.record_heartbeat(now);
+            }
+            let level = fine.suspicion_level(now);
+            if k % coarse == 0 {
+                let other = sparse.suspicion_level(now);
+                prop_assert_eq!(
+                    level.value().to_bits(),
+                    other.value().to_bits(),
+                    "at {}",
+                    now
+                );
+                prop_assert_eq!(fine.degrade_events(now), sparse.degrade_events(now));
+                prop_assert_eq!(fine.is_degraded(now), sparse.is_degraded(now));
+            }
+        }
+    }
+
+    proptest! {
+        /// Arrivals at a jittered cadence with silences below, at and past
+        /// the 5 s horizon: a wrapper queried at every step and one queried
+        /// at every few give the same level wherever both were asked, and
+        /// count the same starvation episodes.
+        #[test]
+        fn a_level_does_not_depend_on_when_it_was_asked(
+            steps in prop::collection::vec((0u64..9_000, 0u8..10), 0..150),
+            coarse in 2usize..9,
+        ) {
+            let phi = wrapped(PhiAccrual::new(PhiConfig::default()).unwrap());
+            same_levels_at_two_cadences(phi, &steps, coarse);
+            let simple = wrapped(SimpleAccrual::new(Timestamp::ZERO));
+            same_levels_at_two_cadences(simple, &steps, coarse);
         }
     }
 

@@ -154,9 +154,9 @@
 //! straight into the bank's level words, and touches no slot: a block's
 //! eight evaluations are staged so that their dependency chains overlap,
 //! where a walk over the slots kept two or three peers in flight. A
-//! detector whose query is a step (Bertier, the adaptive detector,
-//! `GracefulDegradation`) or whose level has none of these shapes (κ,
-//! Akka's φ, the empirical φ once its histogram answers) returns `None`:
+//! detector whose level has none of these shapes (κ, the histograms of
+//! the adaptive and the mature empirical φ, Akka's logistic, and the two
+//! pieces of `GracefulDegradation` — inner curve, then a line) returns `None`:
 //! its row holds the zero curve, its slot is *listed*, and after the
 //! column the listed slots are asked `suspicion_level(now)` one by one,
 //! as every slot used to be. A vacant row holds the zero curve too, and

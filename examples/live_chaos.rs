@@ -114,7 +114,7 @@ fn main() {
             let degraded = monitor
                 .detector_mut(process)
                 .expect("watched")
-                .is_degraded();
+                .is_degraded(now);
             if degraded != was_degraded {
                 was_degraded = degraded;
                 events.push(ObsEvent {
@@ -136,7 +136,7 @@ fn main() {
             if now >= partition.0 && now < partition.1 {
                 state.push_str("partition ");
             }
-            if detector.is_degraded() {
+            if detector.is_degraded(now) {
                 state.push_str("degraded ");
             }
             if crashed && !recovered {
@@ -159,6 +159,7 @@ fn main() {
     sender.stop().expect("sender thread failed");
     let fault = monitor.transport().stats();
     let intake = monitor.stats().totals;
+    let end = clock.now();
     println!(
         "\ninjector: {} delivered, {} lost to partition, {} lost to bursts",
         fault.delivered, fault.dropped_partition, fault.dropped_loss
@@ -170,7 +171,7 @@ fn main() {
         intake.corrupt,
         monitor
             .detector_mut(process)
-            .map_or(0, |d| d.degrade_events()),
+            .map_or(0, |d| d.degrade_events(end)),
     );
 
     // The scrape a monitoring agent would take: every component mirrors its
@@ -179,7 +180,7 @@ fn main() {
     monitor.export_metrics(&registry);
     monitor.transport().export_metrics(&registry);
     if let Some(detector) = monitor.detector_mut(process) {
-        detector.export_metrics(&registry, "phi");
+        detector.export_metrics(&registry, "phi", end);
     }
     println!("\nfinal metrics snapshot:");
     println!("{}", registry.snapshot().to_text());
