@@ -33,7 +33,7 @@
 //! | argument | `ln_half_erfc` |
 //! |---|---|
 //! | `x < −6` | exactly `0`: the tail is `1` to the last bit |
-//! | `−6 ≤ x < 0.5` | a degree-10 polynomial in `x` on each of 26 pieces of width ¼ (`LN_HALF_ERFC`): no `exp`, no `ln` |
+//! | `−6 ≤ x < 0.5` | a degree-6 polynomial in `x` on each of 208 pieces of width 1/32 (`LN_HALF_ERFC`): no `exp`, no `ln` |
 //! | `x ≥ 0.5` | `−x² + g(t) − ln(1 + x/2) − ln 2`: no `exp`, so nothing underflows |
 //!
 //! The middle row is where a monitored process that is alive sits between
@@ -43,7 +43,9 @@
 //! `ln(2 − erfc(−x))` would spend an `exp` and an `ln` to land next to
 //! `ln 2`, which the caller subtracts again — and lose the value's own
 //! digits in the cancellation. The direct fit costs one polynomial and
-//! keeps them. The tables live in `erf_table.rs`, written by
+//! keeps them. Narrow pieces make it a short polynomial — degree 6 is
+//! three Estrin levels where degree 10 is four — for an 11.6 KB table. The
+//! tables live in `erf_table.rs`, written by
 //! `scripts/gen_erfc_table.py` from 60-digit arithmetic.
 //!
 //! A monitor asks for that row once per watched peer per publish, so it
@@ -61,7 +63,7 @@
 //! edge (below that its steps are smaller than an ulp of `ln 2`, and it
 //! never increases); `ln_half_erfc` — through `Normal::log10_sf`, its one
 //! caller — within 1e-14 absolute of `ln(½·erfc)` on `[−6, 0.5)` and
-//! strictly decreasing from `−6` up across those and all 25 inner edges of
+//! strictly decreasing from `−6` up across those and all 207 inner edges of
 //! the direct fit: it has no `ln 2` to cancel against. The tests below hold
 //! the kernel to that and re-derive the tables from the oracle.
 
@@ -163,7 +165,7 @@ pub(crate) fn ln_half_erfc_block(x: &[f64; LANES]) -> [f64; LANES] {
     }
     let mut out = [0.0; LANES];
     for (out, &(i, d)) in out.iter_mut().zip(&pieces) {
-        *out = poly10(&LN_HALF_ERFC[i], d);
+        *out = poly6(&LN_HALF_ERFC[i], d);
     }
     for (out, &x) in out.iter_mut().zip(x) {
         *out = if x < SATURATED {
@@ -196,7 +198,7 @@ fn ln_erfc_tail(x: f64) -> f64 {
 #[inline]
 fn live_poly(x: f64) -> f64 {
     let (i, d) = live_piece(x);
-    poly10(&LN_HALF_ERFC[i], d)
+    poly6(&LN_HALF_ERFC[i], d)
 }
 
 /// The row of the direct fit `x` falls in and its offset from that row's
@@ -251,6 +253,17 @@ fn poly10(c: &[f64; 11], d: f64) -> f64 {
     let mid = (c[4] + c[5] * d) + (c[6] + c[7] * d) * d2;
     let hi = (c[8] + c[9] * d) + c[10] * d2;
     lo + mid * d4 + hi * d8
+}
+
+/// [`poly10`]'s grouping for a row of the direct fit, which is degree 6:
+/// a chain of four operations. The generator's `poly6` mirrors it.
+#[inline]
+fn poly6(c: &[f64; 7], d: f64) -> f64 {
+    let d2 = d * d;
+    let d4 = d2 * d2;
+    let lo = (c[0] + c[1] * d) + (c[2] + c[3] * d) * d2;
+    let hi = (c[4] + c[5] * d) + c[6] * d2;
+    lo + hi * d4
 }
 
 /// The iterative evaluation the kernel replaced: exact to ~1e-15 but with a
@@ -488,14 +501,14 @@ mod tests {
         }
     }
 
-    /// Re-derives a table row from `f` in f64: Chebyshev interpolation at
-    /// 11 nodes of `[a, b]`, converted to monomial coefficients in
-    /// `s = (v − mid)/half`. Conversion amplifies the oracle's error (up to
-    /// 3e-15 where it computes `1 − erf`) by the Chebyshev polynomials' own
-    /// coefficients (≤ 1280 at degree 10), so a re-derived coefficient is
-    /// good to ~1e-11 of the row's value; the comparison allows 1e-10.
-    fn rederive_row(f: impl Fn(f64) -> f64, a: f64, b: f64) -> [f64; 11] {
-        const N: usize = 11;
+    /// Re-derives a table row of `N` coefficients from `f` in f64:
+    /// Chebyshev interpolation at `N` nodes of `[a, b]`, converted to
+    /// monomial coefficients in `s = (v − mid)/half`. Conversion amplifies
+    /// the oracle's error (up to 3e-15 where it computes `1 − erf`) by the
+    /// Chebyshev polynomials' own coefficients (≤ 1280 at degree 10), so a
+    /// re-derived coefficient is good to ~1e-11 of the row's value; the
+    /// comparison allows 1e-10.
+    fn rederive_row<const N: usize>(f: impl Fn(f64) -> f64, a: f64, b: f64) -> [f64; N] {
         let (mid, half) = (0.5 * (a + b), 0.5 * (b - a));
         let theta: Vec<f64> = (0..N).map(|k| PI * (k as f64 + 0.5) / N as f64).collect();
         let fv: Vec<f64> = theta.iter().map(|th| f(mid + half * th.cos())).collect();
@@ -526,7 +539,7 @@ mod tests {
         mono
     }
 
-    fn assert_row_matches(name: &str, row: &[f64; 11], half: f64, want: [f64; 11]) {
+    fn assert_row_matches<const N: usize>(name: &str, row: &[f64; N], half: f64, want: [f64; N]) {
         for (k, (&c, &w)) in row.iter().zip(&want).enumerate() {
             // The table is in d = v − mid, the re-derivation in s = d/half.
             let got = c * half.powi(k as i32);
@@ -664,7 +677,7 @@ mod tests {
     fn log10_sf_is_strictly_decreasing_from_saturation_up() {
         // The direct fit has no ln 2 to cancel against: at −6 the value is
         // −1e-17 and a 10⁻⁶ step moves its fifth digit, so every step from
-        // there up must show — across all 26 piece edges, the hand-over to
+        // there up must show — across all 208 piece edges, the hand-over to
         // the tail form and the tail's own pieces. Below −6 it is exactly 0.
         let n = unit_scale_normal();
         assert_decreasing_across(

@@ -89,7 +89,10 @@
 //!
 //! Each shard owns a `ShardCell`: two banks of atomics (one row per
 //! slot: peer id, suspicion level as `f64` bits, durable words) plus a
-//! `front` selector. The publishing thread fills the *back* bank under a
+//! `front` selector. The id and level columns are flat and as long as
+//! the shard's capacity, so a point read is one index probe and two
+//! loads; the durable rows come a chunk at a time (see *What a publish
+//! writes*). The publishing thread fills the *back* bank under a
 //! seqlock word (odd while writing), then flips `front`. Readers load
 //! `front`, verify the seqlock word is even and unchanged around their
 //! reads, and retry on a straddle. The writer is wait-free (it never
@@ -125,6 +128,18 @@
 //! A peer's row is its id, its suspicion level and seven durable words
 //! (detector seed, sequence watermark) for the checkpointer. A publish
 //! writes them in two passes.
+//!
+//! **The durable bank.** The seven words are one contiguous 56-byte
+//! record, so a row is stored or loaded in one or two cache lines. Records
+//! come in chunks of 256 that the slab's growth allocates: `watch`, the
+//! one place a row is born — an import and both executors go through it
+//! — gives the new row's chunk to both banks when the slab first reaches
+//! it. Only the chunk table is allocated with the cell, so a shard
+//! declared for many more peers than it watches pays for the rows it has
+//! used and not for its capacity; a chunk stays after an `unwatch`,
+//! because the free list reuses its rows. The id and level columns stay
+//! flat: they are what a point read touches, and a chunk lookup on that
+//! path would put one more dependent load on every query.
 //!
 //! **The changed-slot pass.** The id and the durable words change only
 //! when the slot changes hands, an arrival is accepted, a peer is
@@ -178,7 +193,7 @@ use std::fmt;
 use std::hint::black_box;
 use std::mem;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use afd_core::accrual::{AccrualFailureDetector, DetectorSeed, LevelCurve};
 use afd_core::process::ProcessId;
@@ -404,56 +419,98 @@ impl PeerDurable {
     }
 }
 
-/// The durable columns of a [`Bank`]: per-slot detector seeds and replay
+/// Durable rows a [`DurableBank`] chunk holds: a power of two, so a row's
+/// chunk and its place in it are a shift and a mask.
+const CHUNK: usize = 256;
+
+/// One durable row: a [`PeerDurable`]'s seven words, contiguous, so a
+/// store or a load touches one or two cache lines and not seven.
+type DurableRow = [AtomicU64; 7];
+
+/// The durable rows of a [`Bank`]: per-slot detector seeds and replay
 /// state, guarded by the same seqlock as the (peer, level) table so a
 /// checkpointer reads a view consistent with the published epoch — and
 /// never touches worker-owned detector state.
+///
+/// Rows come a chunk of [`CHUNK`] at a time, when the slab first reaches
+/// one ([`cover`](Self::cover)), so a bank pays for the rows its shard has
+/// used and not for its capacity: the chunk table is all that is allocated
+/// up front, 16 bytes a chunk. A chunk stays after its peers are
+/// unwatched, because the free list hands its rows out again.
 struct DurableBank {
-    flags: Vec<AtomicU64>,
-    highest_seq: Vec<AtomicU64>,
-    last_hb: Vec<AtomicU64>,
-    samples: Vec<AtomicU64>,
-    mean_bits: Vec<AtomicU64>,
-    var_bits: Vec<AtomicU64>,
-    heartbeats_seen: Vec<AtomicU64>,
+    chunks: Box<[OnceLock<Box<[DurableRow; CHUNK]>>]>,
 }
 
 impl DurableBank {
     fn new(slots: usize) -> Self {
-        let col = || (0..slots).map(|_| AtomicU64::new(0)).collect();
         DurableBank {
-            flags: col(),
-            highest_seq: col(),
-            last_hb: col(),
-            samples: col(),
-            mean_bits: col(),
-            var_bits: col(),
-            heartbeats_seen: col(),
+            chunks: (0..slots.div_ceil(CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
         }
+    }
+
+    /// Allocates the chunk holding row `i`, unless an earlier row did.
+    /// Only the shard's thread calls it, from `watch`, before any publish
+    /// can write the row.
+    fn cover(&self, i: usize) {
+        self.chunks[i / CHUNK]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| DurableRow::default())));
+    }
+
+    /// Row `i`, if its chunk has been allocated.
+    #[inline]
+    fn row(&self, i: usize) -> Option<&DurableRow> {
+        Some(&self.chunks[i / CHUNK].get()?[i % CHUNK])
     }
 
     /// Plain store of one record; callers hold the bank's seqlock odd.
+    /// The row's chunk exists: `watch` covered it before any publish could
+    /// reach the row.
     fn store(&self, i: usize, d: &PeerDurable) {
-        self.flags[i].store(d.flags, Ordering::Relaxed);
-        self.highest_seq[i].store(d.highest_seq, Ordering::Relaxed);
-        self.last_hb[i].store(d.last_hb_nanos, Ordering::Relaxed);
-        self.samples[i].store(d.samples, Ordering::Relaxed);
-        self.mean_bits[i].store(d.mean_bits, Ordering::Relaxed);
-        self.var_bits[i].store(d.var_bits, Ordering::Relaxed);
-        self.heartbeats_seen[i].store(d.heartbeats_seen, Ordering::Relaxed);
+        let Some(row) = self.row(i) else {
+            debug_assert!(false, "`watch` did not cover row {i}'s chunk");
+            return;
+        };
+        let words = [
+            d.flags,
+            d.highest_seq,
+            d.last_hb_nanos,
+            d.samples,
+            d.mean_bits,
+            d.var_bits,
+            d.heartbeats_seen,
+        ];
+        for (cell, word) in row.iter().zip(words) {
+            cell.store(word, Ordering::Relaxed);
+        }
     }
 
     /// Plain load of one record; callers re-verify the seqlock afterwards.
+    /// A row without a chunk reads as the empty record: a read can only
+    /// meet one while a publish overlaps it, and the seqlock discards it —
+    /// a row a publish wrote was covered before that publish began.
     fn load(&self, i: usize) -> PeerDurable {
+        let Some(row) = self.row(i) else {
+            return PeerDurable::default();
+        };
+        let [flags, highest_seq, last_hb_nanos, samples, mean_bits, var_bits, heartbeats_seen] =
+            row.each_ref().map(|cell| cell.load(Ordering::Relaxed));
         PeerDurable {
-            flags: self.flags[i].load(Ordering::Relaxed),
-            highest_seq: self.highest_seq[i].load(Ordering::Relaxed),
-            last_hb_nanos: self.last_hb[i].load(Ordering::Relaxed),
-            samples: self.samples[i].load(Ordering::Relaxed),
-            mean_bits: self.mean_bits[i].load(Ordering::Relaxed),
-            var_bits: self.var_bits[i].load(Ordering::Relaxed),
-            heartbeats_seen: self.heartbeats_seen[i].load(Ordering::Relaxed),
+            flags,
+            highest_seq,
+            last_hb_nanos,
+            samples,
+            mean_bits,
+            var_bits,
+            heartbeats_seen,
         }
+    }
+
+    /// Chunks allocated so far.
+    #[cfg(test)]
+    fn chunks_allocated(&self) -> usize {
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
     }
 }
 
@@ -514,7 +571,8 @@ struct Bank {
     peers: Vec<AtomicU64>,
     /// Suspicion levels as `f64` bit patterns, parallel to `peers`.
     levels: Vec<AtomicU64>,
-    /// Durable per-peer columns, parallel to `peers`.
+    /// Durable per-peer rows, parallel to `peers`, allocated as the slab
+    /// grows.
     durable: DurableBank,
 }
 
@@ -699,6 +757,14 @@ impl ShardCell {
             bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
         });
         self.front.store(back, Ordering::Release);
+    }
+
+    /// Gives row `slot` — the slab just grew to hold it — durable storage
+    /// in both banks, unless an earlier row's growth did.
+    fn cover(&self, slot: usize) {
+        for bank in &self.banks {
+            bank.durable.cover(slot);
+        }
     }
 
     /// Makes row `slot` stop answering in both banks, between publishes:
@@ -1075,6 +1141,7 @@ impl<D: AccrualFailureDetector> Shard<D> {
             None => {
                 self.slab.push(live);
                 self.column.cover(self.slab.len());
+                self.cell.cover(self.slab.len() - 1);
                 self.slab.len() - 1
             }
         };
@@ -2457,6 +2524,46 @@ mod tests {
         }
         assert_eq!(shard.slab.len(), 10);
         assert!(shard.column.blocks.len() * LevelCurve::BLOCK <= 16);
+    }
+
+    #[test]
+    fn durable_rows_are_allocated_by_the_slab_not_the_capacity() {
+        // Seven words a row in two banks were 112 bytes a slot of
+        // capacity, resident or not depending on the optimiser; the
+        // ledger's wide workload declares eight slots a peer.
+        assert_eq!(mem::size_of::<DurableRow>(), 56);
+        let mut shard = phi_shards(1, 1 << 20).pop().expect("one shard");
+        let chunks = |shard: &Shard<_>| {
+            shard
+                .cell
+                .banks
+                .each_ref()
+                .map(|b| b.durable.chunks_allocated())
+        };
+        assert_eq!(chunks(&shard), [0, 0], "construction allocates no row");
+        shard.watch(ProcessId::new(0)).unwrap();
+        shard.publish(Timestamp::from_secs(1));
+        assert_eq!(chunks(&shard), [1, 1]);
+        for id in 1..CHUNK as u32 {
+            shard.watch(ProcessId::new(id)).unwrap();
+        }
+        assert_eq!(chunks(&shard), [1, 1], "a chunk holds CHUNK rows");
+        shard.watch(ProcessId::new(CHUNK as u32)).unwrap();
+        assert_eq!(chunks(&shard), [2, 2], "row CHUNK opens the second");
+        // Rows vacated and taken again come from the chunks there are.
+        for id in 0..=CHUNK as u32 {
+            shard.unwatch(ProcessId::new(id));
+        }
+        for id in 0..=CHUNK as u32 {
+            shard.watch(ProcessId::new(id + 10_000)).unwrap();
+        }
+        shard.publish(Timestamp::from_secs(2));
+        assert_eq!(chunks(&shard), [2, 2]);
+        // The published bank carries every live row, past the first chunk
+        // included.
+        let (_, rows) = shard.cell.read_rows();
+        assert_eq!(rows.len(), CHUNK + 1);
+        assert!(rows.iter().all(|(_, _, d)| d.seed().is_some()));
     }
 
     /// φ shards of `slots` peers each, their windows small enough to wrap.

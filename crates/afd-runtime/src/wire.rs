@@ -32,16 +32,24 @@
 //!
 //! Deltas are relative to the last *checkpoint*, never the previous
 //! frame, so any subset of frames may be lost, duplicated, or reordered
-//! and each survivor still decodes on its own. A 16-bit folded FNV
-//! checksum covers the frame bytes **concatenated with the sender id
-//! from the receiver's intern table entry**, which binds the frame to
-//! the identity it was encoded against: if a table slot is clobbered by
-//! a different sender re-interning the same index, the old sender's
-//! in-flight deltas fail the checksum and are dropped rather than
-//! misattributed. Receivers that don't know an index (restart, table
-//! overflow, pre-handshake) reject the delta with
-//! [`WireError::UnknownIntern`]; the sender's periodic re-intern
-//! ([`DeltaEncoder`]'s `resync_every`) heals the gap. Unknown peers can
+//! and each survivor still decodes on its own — against the checkpoint it
+//! was encoded against, which need not be the one the receiver holds. A
+//! 16-bit folded FNV checksum covers the frame bytes **followed by the
+//! sender id and the checkpoint seq from the receiver's intern table
+//! entry**, which binds the frame to both at no wire cost. If a table
+//! slot is clobbered by a different sender re-interning the same index,
+//! the old sender's in-flight deltas fail the checksum and are dropped
+//! rather than misattributed. If the receiver's checkpoint is not the
+//! delta's — a delta that arrives after the next checkpoint, or after
+//! its own checkpoint was lost — the delta fails the checksum too,
+//! instead of decoding to a `seq` and `sent_at` the sender never sent. A
+//! mismatched delta passes with probability 2⁻¹⁶, the checksum's width;
+//! that residual is the same one a corrupted frame has. The seq is hashed
+//! as its eight bytes, like the sender id, not folded into the sender
+//! word: two XORed words collide for every swapped pair. Receivers that
+//! don't know an index (restart, table overflow, pre-handshake) reject
+//! the delta with [`WireError::UnknownIntern`]; the sender's periodic
+//! re-intern ([`DeltaEncoder`]'s `resync_every`) heals the gap. Unknown peers can
 //! keep sending plain v1 frames — [`WireDecoder`] accepts both formats
 //! on the same socket, dispatching on the leading bytes.
 //!
@@ -171,15 +179,17 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 }
 
 /// 16-bit delta-frame checksum: FNV-1a over the frame payload followed
-/// by the sender id (little-endian), folded to 16 bits. Including the
-/// sender id — which travels in the intern table, *not* in the delta
-/// frame — binds each delta to the identity it was encoded against.
-fn fnv16_bound(payload: &[u8], sender: u32) -> u16 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload.iter().chain(sender.to_le_bytes().iter()) {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// by the sender id and the checkpoint's seq (both little-endian), folded
+/// to 16 bits. Neither travels in the delta frame — both come from the
+/// intern table — so the sum binds each delta to the identity *and* the
+/// checkpoint it was encoded against.
+fn fnv16_bound(payload: &[u8], sender: u32, ckpt_seq: u64) -> u16 {
+    let step = |hash: u64, b: u8| (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let hash = payload
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| step(h, b));
+    let hash = sender.to_le_bytes().into_iter().fold(hash, step);
+    let hash = ckpt_seq.to_le_bytes().into_iter().fold(hash, step);
     let folded = (hash ^ (hash >> 32)) as u32;
     (folded ^ (folded >> 16)) as u16
 }
@@ -336,7 +346,7 @@ impl DeltaEncoder {
             Some(n) => n,
             None => return self.encode_intern(hb, buf),
         };
-        let sum = fnv16_bound(&buf[..at], self.sender.as_u32());
+        let sum = fnv16_bound(&buf[..at], self.sender.as_u32(), ckpt.seq);
         buf[at..at + 2].copy_from_slice(&sum.to_le_bytes());
         self.since_ckpt += 1;
         at + 2
@@ -542,7 +552,7 @@ impl WireDecoder {
             .get(intern_idx)
             .ok_or(WireError::UnknownIntern(intern_idx))?;
         let expected = u16::from_le_bytes([frame[at], frame[at + 1]]);
-        if fnv16_bound(&frame[..at], entry.sender) != expected {
+        if fnv16_bound(&frame[..at], entry.sender, entry.ckpt_seq) != expected {
             return Err(WireError::ChecksumMismatch);
         }
         let predicted = entry
@@ -702,7 +712,7 @@ mod tests {
             at += varint::encode_u64(7, &mut old[at..]).unwrap();
             at += varint::encode_u64(delta, &mut old[at..]).unwrap();
             at += varint::encode_i64(residual, &mut old[at..]).unwrap();
-            let sum = fnv16_bound(&old[..at], 7);
+            let sum = fnv16_bound(&old[..at], 7, 0);
             old[at..at + 2].copy_from_slice(&sum.to_le_bytes());
             assert_eq!(
                 dec.decode(&old[..at + 2]),
@@ -726,6 +736,48 @@ mod tests {
             assert_eq!(dec.decode(&buf[..n]), Ok(hb));
         }
         assert_eq!(interns, 3, "resync_every=4 over 12 frames");
+    }
+
+    /// Frames 1..=8 of a resync-every-4 stream whose seq `n` is
+    /// sent at `1 s + n × 100 ms`: interns at seqs 1, 5, 9, deltas between.
+    fn resync_every_4_stream() -> Vec<(Heartbeat, Vec<u8>)> {
+        let (mut enc, _) = v2_pair(4);
+        let step = INTERVAL.as_nanos() as u64;
+        (1..=8u64)
+            .map(|seq| {
+                let hb = hb_at(seq, 1_000_000_000 + seq * step);
+                let mut buf = [0u8; MAX_V2_FRAME];
+                let n = enc.encode(&hb, &mut buf);
+                assert_eq!(n == INTERN_LEN, seq % 4 == 1, "seq {seq}");
+                (hb, buf[..n].to_vec())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_late_delta_is_not_decoded_against_a_newer_checkpoint() {
+        // Regression: D3 reached the receiver after C5. Decoded against
+        // C5 it read as seq 7 sent at 1.7 s — a heartbeat not sent yet,
+        // which a shard accepts as the freshest.
+        let stream = resync_every_4_stream();
+        let frame = |seq: usize| &stream[seq - 1].1[..];
+        let mut dec = WireDecoder::new();
+        assert_eq!(dec.decode(frame(1)), Ok(stream[0].0));
+        assert_eq!(dec.decode(frame(5)), Ok(stream[4].0));
+        assert_eq!(dec.decode(frame(3)), Err(WireError::ChecksumMismatch));
+    }
+
+    #[test]
+    fn a_delta_after_a_lost_checkpoint_is_not_decoded_against_the_older_one() {
+        // Regression: C5 was lost, and D6 decoded against C1 read as seq 2.
+        let stream = resync_every_4_stream();
+        let frame = |seq: usize| &stream[seq - 1].1[..];
+        let mut dec = WireDecoder::new();
+        assert_eq!(dec.decode(frame(1)), Ok(stream[0].0));
+        assert_eq!(dec.decode(frame(6)), Err(WireError::ChecksumMismatch));
+        // The checkpoint the delta was encoded against heals it.
+        assert_eq!(dec.decode(frame(5)), Ok(stream[4].0));
+        assert_eq!(dec.decode(frame(6)), Ok(stream[5].0));
     }
 
     #[test]

@@ -48,9 +48,13 @@ fn fnv1a(bytes: &[u8]) -> u32 {
     (hash ^ (hash >> 32)) as u32
 }
 
-fn fnv16_bound(payload: &[u8], sender: u32) -> u16 {
+fn fnv16_bound(payload: &[u8], sender: u32, ckpt_seq: u64) -> u16 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload.iter().chain(sender.to_le_bytes().iter()) {
+    let bound = sender
+        .to_le_bytes()
+        .into_iter()
+        .chain(ckpt_seq.to_le_bytes());
+    for b in payload.iter().copied().chain(bound) {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -163,7 +167,7 @@ impl OracleDecoder {
             .get(&intern_idx)
             .ok_or(WireError::UnknownIntern(intern_idx))?;
         let expected = u16::from_le_bytes([frame[at], frame[at + 1]]);
-        if fnv16_bound(&frame[..at], entry.sender) != expected {
+        if fnv16_bound(&frame[..at], entry.sender, entry.ckpt_seq) != expected {
             return Err(WireError::ChecksumMismatch);
         }
         let predicted = entry

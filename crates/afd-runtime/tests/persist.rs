@@ -700,6 +700,67 @@ fn checkpoint_after_incremental_publishes_restores_within_1e9() {
     assert_eq!(fresh.stats().totals.duplicate, u64::from(PEERS));
 }
 
+/// A shard's durable rows come a chunk of 256 at a time as its slab
+/// grows, so a shard holding more peers than that carries rows in a
+/// second chunk — and those cross the checkpointer like the first.
+#[test]
+fn rows_past_the_first_durable_chunk_restore_within_1e9() {
+    const PEERS: u32 = 300;
+    let config = ShardConfig {
+        shards: 1,
+        slots_per_shard: 512,
+    };
+    let monitor = |rx, clock: &VirtualClock| {
+        ShardedMonitor::new(rx, clock.clone(), config, |_| PhiAccrual::with_defaults())
+    };
+    let clock = VirtualClock::new();
+    let (mut tx, rx) = ChannelTransport::pair();
+    let mut mon = monitor(rx, &clock);
+    for id in 0..PEERS {
+        mon.watch(ProcessId::new(id)).unwrap();
+    }
+    for step in 1..=12u64 {
+        clock.set(ts(step as f64 + 0.01 * f64::from(step as u32 % 3)));
+        for id in 0..PEERS {
+            tx.send(&frame(id, step * 10 + u64::from(id % 7))).unwrap();
+        }
+        mon.tick().unwrap();
+    }
+    // The last arrivals reach the second bank too.
+    mon.tick().unwrap();
+
+    let store: SharedSink = Arc::new(Mutex::new(MemSink::new()));
+    let mut ckpt = Checkpointer::new(Arc::clone(&store), CheckpointConfig::default());
+    mon.checkpoint(&mut ckpt).unwrap();
+    let restored = ckpt.restore(&clock).unwrap();
+    assert_eq!(restored.segments_rejected, 0);
+    assert_eq!(restored.peers.len(), PEERS as usize);
+    for peer in &restored.peers {
+        let id = peer.process.as_u32();
+        assert_eq!(peer.highest_seq, Some(120 + u64::from(id % 7)), "peer {id}");
+    }
+
+    clock.set(ts(14.5));
+    let (mut tx2, rx2) = ChannelTransport::pair();
+    let mut fresh = monitor(rx2, &clock);
+    assert_eq!(fresh.restore(&restored.peers).seeded, u64::from(PEERS));
+    for id in 0..PEERS {
+        let p = ProcessId::new(id);
+        let (a, b) = (
+            mon.level(p).unwrap().value(),
+            fresh.level(p).unwrap().value(),
+        );
+        assert!((a - b).abs() < 1e-9, "peer {id}: {a} vs restored {b}");
+    }
+    // Replays of each peer's newest frame stay rejected after the restore,
+    // in the second chunk as in the first.
+    for id in 0..PEERS {
+        tx2.send(&frame(id, 120 + u64::from(id % 7))).unwrap();
+    }
+    assert_eq!(fresh.tick().unwrap().accepted, 0);
+    assert_eq!(fresh.stats().totals.duplicate, u64::from(PEERS));
+}
+
 /// A checkpoint's bytes are a function of the monitor's state, not of
 /// the order it was reached in. Rows sit in slot order, and which slot a
 /// peer holds records every watch and unwatch before it: two monitors

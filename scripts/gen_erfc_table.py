@@ -11,13 +11,17 @@ Three tables, all rounded from 60-digit arithmetic to the nearest f64:
                 interval is cut into PIECES equal pieces, one row each.
   LN_HALF_ERFC  for LIVE_LO <= x < SMALL_X: ln(erfc(x)/2) itself, the log of
                 a normal upper tail, on LIVE_PIECES pieces of width
-                LIVE_STEP. A monitored process that is alive sits here
+                LIVE_STEP, at degree LIVE_DEGREE. A monitored process that
+                is alive sits here
                 between two heartbeats, where the value is within 1.5 of
                 zero: fitting it directly needs no exp and no ln, and does
                 not cancel against ln 2 the way ln(2 - erfc(-x)) does.
 
 A row holds the monomial coefficients, in d = (variable - centre of the
-interval), of the degree-DEGREE Chebyshev interpolant on that interval.
+interval), of the Chebyshev interpolant on that interval: degree DEGREE for
+ERF_SMALL and ERFC_TAIL, LIVE_DEGREE for LN_HALF_ERFC. The live fit is the
+one a monitor evaluates for nearly every peer at every publish, so it trades
+table size (208 rows of 7) for a shorter polynomial.
 
 Before writing anything the script rebuilds the classical single-piece fit
 (Chebyshev series of g in ty = 4t - 2 on t in [0, 1], degree 27) and checks
@@ -25,7 +29,8 @@ its leading coefficients against their published values, so a broken g or a
 broken transform cannot produce a plausible-looking table. After rounding it
 evaluates the tables in plain f64 arithmetic, the way erf.rs does, against
 mpmath on a dense grid and fails if the error exceeds MAX_ERR, or if
-LN_HALF_ERFC does not step strictly downwards over its grid.
+LN_HALF_ERFC does not step strictly downwards over its grid and across
+every edge between two of its pieces.
 
     python3 scripts/gen_erfc_table.py            # rewrite erf_table.rs
     python3 scripts/gen_erfc_table.py --check    # fail if the file differs
@@ -46,7 +51,8 @@ TAIL_STEP = float(T_MAX) / PIECES  # width of a piece
 SMALL_MID = float(SMALL_X) ** 2 / 2  # centre of [0, SMALL_X^2]
 MAX_ERR = 6e-16  # ~2.5 ulp of g or of ln(erfc(x)/2) at x = SMALL_X: evaluation rounding, not truncation
 LIVE_LO = mp.mpf(-6)  # below it erfc(x)/2 is 1 to the last bit
-LIVE_SCALE = 4.0  # pieces per unit of x
+LIVE_DEGREE = 6
+LIVE_SCALE = 32.0  # pieces per unit of x
 LIVE_STEP = 1 / LIVE_SCALE  # width of a piece
 LIVE_PIECES = int((SMALL_X - LIVE_LO) * LIVE_SCALE)
 
@@ -99,9 +105,9 @@ def check_against_published_fit():
             sys.exit(f"generator self-check failed: {mp.nstr(got, 20)} vs published {want}")
 
 
-def row(f, a, b):
+def row(f, a, b, degree=DEGREE):
     """f on [a, b] as f64 monomial coefficients in d = v - (a + b)/2."""
-    c = cheb_coeffs(f, a, b, DEGREE)
+    c = cheb_coeffs(f, a, b, degree)
     c[0] /= 2
     half = (b - a) / 2
     return [float(m / half**k) for k, m in enumerate(cheb_to_monomial(c))]
@@ -131,7 +137,10 @@ def ln_half_erfc(x):
 
 def ln_half_erfc_live():
     step = mp.mpf(LIVE_STEP)
-    return [row(ln_half_erfc, LIVE_LO + i * step, LIVE_LO + (i + 1) * step) for i in range(LIVE_PIECES)]
+    return [
+        row(ln_half_erfc, LIVE_LO + i * step, LIVE_LO + (i + 1) * step, LIVE_DEGREE)
+        for i in range(LIVE_PIECES)
+    ]
 
 
 def poly10(c, d):
@@ -145,6 +154,15 @@ def poly10(c, d):
     return lo + mid * d4 + hi * d8
 
 
+def poly6(c, d):
+    """Plain-f64 mirror of erf.rs `poly6` (same Estrin grouping)."""
+    d2 = d * d
+    d4 = d2 * d2
+    lo = (c[0] + c[1] * d) + (c[2] + c[3] * d) * d2
+    hi = (c[4] + c[5] * d) + c[6] * d2
+    return lo + hi * d4
+
+
 def eval_small(table, x):
     return x * poly10(table, x * x - SMALL_MID)
 
@@ -156,7 +174,7 @@ def eval_tail(rows, t):
 
 def eval_live(rows, x):
     i = min(int((x - float(LIVE_LO)) * LIVE_SCALE), LIVE_PIECES - 1)
-    return poly10(rows[i], x - (float(LIVE_LO) + (i + 0.5) * LIVE_STEP))
+    return poly6(rows[i], x - (float(LIVE_LO) + (i + 0.5) * LIVE_STEP))
 
 
 def validate_live(rows):
@@ -169,6 +187,12 @@ def validate_live(rows):
             sys.exit(f"LN_HALF_ERFC does not step down at {x!r}: {prev!r} -> {got!r}")
         prev = got
         worst = max(worst, float(abs(mp.mpf(got) - ln_half_erfc(x))))
+    # Across each edge between two pieces, on the 1e-6 grid erf.rs tests on.
+    for i in range(1, LIVE_PIECES):
+        edge = float(LIVE_LO) + i * LIVE_STEP
+        steps = [eval_live(rows, edge + k * 1e-6) for k in (-1, 0, 1)]
+        if not steps[0] > steps[1] > steps[2]:
+            sys.exit(f"LN_HALF_ERFC does not step down across the edge at {edge!r}: {steps!r}")
     if worst > MAX_ERR:
         sys.exit(f"LN_HALF_ERFC error {worst:.3e} exceeds {MAX_ERR:.1e}")
     return worst
@@ -204,6 +228,7 @@ def render_rows(rows):
 
 def render(small, rows, worst, live, live_worst):
     assert DEGREE == 10, "erf.rs hard-codes the degree-10 Estrin grouping"
+    assert LIVE_DEGREE == 6, "erf.rs hard-codes the degree-6 Estrin grouping"
     lines = [
         "// @generated by scripts/gen_erfc_table.py — do not edit by hand.",
         "//",
@@ -250,7 +275,7 @@ def render(small, rows, worst, live, live_worst):
         "/// Row `i`: coefficients in `d = x − (LIVE_LO + (i + ½)·LIVE_STEP)` of",
         "/// `ln(½·erfc(x))`.",
         "#[rustfmt::skip]",
-        f"pub(super) const LN_HALF_ERFC: [[f64; {DEGREE + 1}]; {LIVE_PIECES}] = [",
+        f"pub(super) const LN_HALF_ERFC: [[f64; {LIVE_DEGREE + 1}]; {LIVE_PIECES}] = [",
     ]
     lines += render_rows(live)
     return "\n".join(lines)
