@@ -131,14 +131,32 @@ pub fn level_trace(scenario: &Scenario, seed: u64, kind: DetectorKind) -> Suspic
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afd_core::canonical::StateDigest;
     use afd_core::time::Timestamp;
 
     #[test]
     fn all_kinds_build_and_run() {
         let scenario = Scenario::lan().with_horizon(Timestamp::from_secs(10));
-        for kind in DetectorKind::ALL {
+        // A digest of each kind's level bits: the tables E1–E12 print are
+        // functions of these traces.
+        let expected: [u128; 8] = [
+            0xa90b_679d_8b0b_8f09_51a7_3930_fa07_fb3f,
+            0xb336_4585_060d_c28c_4718_84d7_0ad6_ae3a,
+            0xa67f_e848_e09f_a0c6_e631_23a0_8827_4fbd,
+            0xebd4_735e_e3c1_e25d_e7f3_5cf4_89c6_0503,
+            0x124f_d8da_9326_0e52_9a2f_9f55_311b_3a05,
+            0xc7b4_4f32_1430_6ea4_d7b1_b034_8299_ad87,
+            0x4366_de56_118a_2ca0_0497_b28c_7c44_31f2,
+            0xa67f_e848_e09f_a0c6_e631_23a0_8827_4fbd,
+        ];
+        for (kind, want) in DetectorKind::ALL.into_iter().zip(expected) {
             let trace = level_trace(&scenario, 1, kind);
             assert!(!trace.is_empty(), "{} produced no samples", kind.name());
+            let mut digest = StateDigest::new();
+            for sample in trace.iter() {
+                digest.push_f64(sample.level.value());
+            }
+            assert_eq!(digest.finish(), want, "{}", kind.name());
         }
     }
 

@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use afd_core::canonical::StateDigest;
 use afd_core::process::ProcessId;
 use afd_core::properties::{check_upper_bound, AccruementCheck};
 use afd_core::time::{Duration, Timestamp};
@@ -49,6 +50,14 @@ fn acceptance_scenario_is_deterministic() {
     assert_eq!(a.monitor_stats, b.monitor_stats);
     assert_eq!(a.fault_stats, b.fault_stats);
     assert_eq!(a.degrade_events, b.degrade_events);
+
+    // And the same timeline as every earlier build: a digest of seed 1's.
+    let mut digest = StateDigest::new();
+    for (at, level) in run_chaos(&scenario, 1).fingerprint() {
+        digest.push_u64(at);
+        digest.push_u64(level);
+    }
+    assert_eq!(digest.finish(), 0x9211_f76d_c98e_c5fd_a8a5_97fd_332c_3157);
 }
 
 #[test]
