@@ -10,10 +10,11 @@
 //! - crash runs: the level accrues and detection succeeds (Lemma 13),
 //!   with drift only scaling the level's slope, not its divergence.
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::properties::{check_upper_bound, AccruementCheck};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
+use afd_detectors::spec;
 use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
 use afd_qos::metrics::analyze_at_threshold;
 use afd_sim::clock::DriftingClock;
@@ -50,7 +51,7 @@ fn main() {
         let mut pre_gst_max = 0.0f64;
         let mut post_gst_max = 0.0f64;
         for seed in SEEDS {
-            let trace = level_trace(&healthy, seed, DetectorKind::Simple);
+            let trace = level_trace(&healthy, seed, spec::simple().detector);
             check_upper_bound(&trace, None).expect("bounded");
             for s in trace.iter() {
                 if s.at < Timestamp::from_secs(140) {
@@ -69,7 +70,7 @@ fn main() {
         let mut accrue_pass = 0u32;
         let reports: Vec<_> = SEEDS
             .map(|seed| {
-                let trace = level_trace(&crashed, seed, DetectorKind::Simple);
+                let trace = level_trace(&crashed, seed, spec::simple().detector);
                 if checker.run(&trace).is_ok() {
                     accrue_pass += 1;
                 }

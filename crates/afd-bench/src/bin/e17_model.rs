@@ -20,10 +20,8 @@
 //! The ≥ 100 k floor holds in both modes.
 
 use afd_bench::report::{write_report, Json, JsonObject};
-use afd_model::{
-    explore, find_counterexample, minimize, replay, to_script, DetectorKind, ModelBounds, Mutant,
-    ZooDetector,
-};
+use afd_detectors::spec;
+use afd_model::{explore, find_counterexample, minimize, replay, to_script, ModelBounds, Mutant};
 use afd_runtime::{run_chaos_script, Clock, SystemClock};
 
 fn wall_s(clock: &SystemClock, since: afd_core::time::Timestamp) -> f64 {
@@ -42,36 +40,32 @@ fn sweep(bounds: ModelBounds, clock: &SystemClock) -> (u64, Vec<Json>) {
     );
     let mut total = 0u64;
     let mut json = Vec::new();
-    for kind in DetectorKind::ALL {
+    for zoo in spec::zoo() {
+        let name = zoo.detector.name();
         let start = clock.now();
-        let report = explore(kind, Mutant::None, bounds);
+        let report = explore(zoo, Mutant::None, bounds);
         let secs = wall_s(clock, start);
         assert!(
             report.counterexample.is_none(),
             "{}: the real system violated a property: {:?}",
-            kind.name(),
+            name,
             report.counterexample
         );
         assert!(
             report.states > 10_000,
             "{}: degenerate search ({} states)",
-            kind.name(),
+            name,
             report.states
         );
         let rate = report.states as f64 / secs.max(1e-9);
         println!(
             "{:<10} {:>10} {:>12} {:>6} {:>8.2} {:>12.0}",
-            kind.name(),
-            report.states,
-            report.transitions,
-            report.max_depth,
-            secs,
-            rate
+            name, report.states, report.transitions, report.max_depth, secs, rate
         );
         total += report.states;
         json.push(
             JsonObject::new()
-                .field("kind", kind.name())
+                .field("kind", name)
                 .field("states", Json::from(report.states))
                 .field("transitions", Json::from(report.transitions))
                 .field("max_depth", Json::from(report.max_depth as u64))
@@ -91,7 +85,7 @@ fn sweep(bounds: ModelBounds, clock: &SystemClock) -> (u64, Vec<Json>) {
 /// Section 2: every mutant caught, minimized, and replayed for real.
 fn hunt(clock: &SystemClock) -> Vec<Json> {
     let bounds = ModelBounds::mutant_hunt();
-    let kind = DetectorKind::Simple;
+    let simple = spec::simple();
     println!(
         "E17b: mutant hunt — {} proc(s), {} ticks",
         bounds.processes, bounds.max_ticks
@@ -103,11 +97,11 @@ fn hunt(clock: &SystemClock) -> Vec<Json> {
     let mut json = Vec::new();
     for mutant in Mutant::ALL {
         let start = clock.now();
-        let cex = find_counterexample(kind, mutant, bounds)
+        let cex = find_counterexample(simple, mutant, bounds)
             .unwrap_or_else(|| panic!("{}: mutant escaped the checker", mutant.name()));
-        let min = minimize(kind, mutant, bounds, &cex);
+        let min = minimize(simple, mutant, bounds, &cex);
         assert!(
-            replay(kind, mutant, bounds, &min.path).is_some(),
+            replay(simple, mutant, bounds, &min.path).is_some(),
             "{}: minimized schedule no longer violates",
             mutant.name()
         );
@@ -115,8 +109,11 @@ fn hunt(clock: &SystemClock) -> Vec<Json> {
         // The counterexample is an artifact, not a claim: replay it
         // through the real sender/monitor pipeline.
         let script = to_script(&bounds, &min.path);
-        let interval = script.heartbeat_interval;
-        let report = run_chaos_script(&script, move |_| ZooDetector::new(kind, interval));
+        let detector = simple
+            .detector
+            .model_sized(script.heartbeat_interval)
+            .expect("a model script's heartbeat interval is positive");
+        let report = run_chaos_script(&script, move |_| detector.build());
         assert_eq!(
             report.trace.len(),
             min.path.len(),

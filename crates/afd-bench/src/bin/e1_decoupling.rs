@@ -5,9 +5,10 @@
 //! latency — all derived from a single shared suspicion-level stream, with
 //! Theorem 1 containment verified across every pair at every query.
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
+use afd_detectors::spec;
 use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
 use afd_qos::metrics::analyze_at_threshold;
 use afd_sim::scenario::Scenario;
@@ -25,7 +26,7 @@ fn main() {
         let threshold = SuspicionLevel::new(phi).expect("valid threshold");
         let reports: Vec<_> = SEEDS
             .map(|seed| {
-                let levels = level_trace(&scenario, seed, DetectorKind::PhiNormal);
+                let levels = level_trace(&scenario, seed, spec::phi_normal());
                 analyze_at_threshold(&levels, threshold, Some(crash))
             })
             .collect();
@@ -34,7 +35,7 @@ fn main() {
     }
 
     // Verify Theorem 1 containment across adjacent thresholds on one run.
-    let levels = level_trace(&scenario, 0, DetectorKind::PhiNormal);
+    let levels = level_trace(&scenario, 0, spec::phi_normal());
     for pair in thresholds.windows(2) {
         let low = levels.threshold(SuspicionLevel::new(pair[0]).unwrap());
         let high = levels.threshold(SuspicionLevel::new(pair[1]).unwrap());

@@ -7,9 +7,10 @@
 //! - correct runs: the Upper Bound checker reports a finite SL_max, and
 //!   doubling the horizon does not grow it.
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::properties::{check_rate_bound, check_upper_bound, AccruementCheck};
 use afd_core::time::Timestamp;
+use afd_detectors::spec;
 use afd_qos::experiment::{cell, Table};
 use afd_sim::scenario::Scenario;
 
@@ -39,12 +40,12 @@ fn main() {
         ],
     );
 
-    for kind in DetectorKind::ALL {
+    for spec in spec::series() {
         let mut accrue_pass = 0u32;
         let mut rate_pass = 0u32;
         let mut max_plateau = 0usize;
         for seed in SEEDS {
-            let trace = level_trace(&crash_scenario, seed, kind);
+            let trace = level_trace(&crash_scenario, seed, spec);
             match checker.run(&trace) {
                 Ok(w) => {
                     accrue_pass += 1;
@@ -54,7 +55,7 @@ fn main() {
                         rate_pass += 1;
                     }
                 }
-                Err(e) => eprintln!("  [{}] seed {seed}: {e}", kind.name()),
+                Err(e) => eprintln!("  [{}] seed {seed}: {e}", spec.name()),
             }
         }
 
@@ -62,8 +63,8 @@ fn main() {
         let mut bound_short: f64 = 0.0;
         let mut bound_long: f64 = 0.0;
         for seed in SEEDS {
-            let short = level_trace(&healthy_short, seed, kind);
-            let long = level_trace(&healthy_long, seed, kind);
+            let short = level_trace(&healthy_short, seed, spec);
+            let long = level_trace(&healthy_long, seed, spec);
             if let (Ok(a), Ok(b)) = (
                 check_upper_bound(&short, None),
                 check_upper_bound(&long, None),
@@ -76,7 +77,7 @@ fn main() {
 
         let n = SEEDS.end - SEEDS.start;
         table.push_row(vec![
-            kind.name().to_string(),
+            spec.name().to_string(),
             format!("{accrue_pass}/{n}"),
             max_plateau.to_string(),
             format!("{rate_pass}/{n}"),

@@ -10,10 +10,11 @@
 //!   Strong Accuracy), along with the final self-adapted threshold
 //!   `SL_susp`.
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::binary::Status;
 use afd_core::time::Timestamp;
 use afd_core::transform::{AccrualToBinary, Interpreter};
+use afd_detectors::spec;
 use afd_qos::experiment::{cell, Table};
 use afd_sim::scenario::Scenario;
 
@@ -29,7 +30,7 @@ fn main() {
     let mut detected = 0u32;
     let mut latencies = Vec::new();
     for seed in SEEDS {
-        let levels = level_trace(&crash_scenario, seed, DetectorKind::PhiNormal);
+        let levels = level_trace(&crash_scenario, seed, spec::phi_normal());
         let mut alg = AccrualToBinary::new(epsilon);
         let statuses: Vec<(Timestamp, Status)> = levels
             .iter()
@@ -80,7 +81,7 @@ fn main() {
         ],
     );
     for seed in SEEDS.take(10) {
-        let levels = level_trace(&healthy, seed, DetectorKind::PhiNormal);
+        let levels = level_trace(&healthy, seed, spec::phi_normal());
         let mut alg = AccrualToBinary::new(epsilon);
         let statuses: Vec<Status> = levels.iter().map(|s| alg.observe(s.at, s.level)).collect();
         let n = statuses.len();

@@ -5,9 +5,10 @@
 //! non-decreasing in the threshold) and query accuracy (Corollary 3: P_A
 //! is non-decreasing too), under two jitter regimes.
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
+use afd_detectors::spec;
 use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
 use afd_qos::metrics::analyze_at_threshold;
 use afd_sim::delay::NormalDelay;
@@ -51,13 +52,13 @@ fn main() {
             let threshold = SuspicionLevel::new(thr).expect("valid");
             let crash_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    let levels = level_trace(&crash_scenario, s, DetectorKind::PhiNormal);
+                    let levels = level_trace(&crash_scenario, s, spec::phi_normal());
                     analyze_at_threshold(&levels, threshold, Some(crash))
                 })
                 .collect();
             let healthy_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    let levels = level_trace(&healthy_scenario, s, DetectorKind::PhiNormal);
+                    let levels = level_trace(&healthy_scenario, s, spec::phi_normal());
                     analyze_at_threshold(&levels, threshold, None)
                 })
                 .collect();

@@ -7,9 +7,10 @@
 //! paper explicitly notes *no* ordering holds (the ablation of §4.4's
 //! closing remark).
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
+use afd_detectors::spec;
 use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
 use afd_qos::metrics::analyze;
 use afd_sim::scenario::Scenario;
@@ -36,7 +37,7 @@ fn main() {
     for &high in &highs {
         let reports: Vec<_> = SEEDS
             .map(|seed| {
-                let levels = level_trace(&scenario, seed, DetectorKind::PhiNormal);
+                let levels = level_trace(&scenario, seed, spec::phi_normal());
                 let bin = levels.hysteresis(SuspicionLevel::new(high).expect("valid"), t0);
                 analyze(&bin, None)
             })

@@ -14,26 +14,13 @@
 //! faster (their curves sit below/left of the simple one) — most visibly
 //! at conservative settings under jitter.
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
+use afd_detectors::spec;
 use afd_qos::experiment::{aggregate, cell, cell_sci, Table};
 use afd_qos::metrics::analyze_at_threshold;
 use afd_sim::scenario::Scenario;
-
-/// Threshold grids per detector, spanning aggressive → conservative in
-/// each detector's own units (seconds, seconds-late, φ decades, missed
-/// heartbeats).
-fn grid(kind: DetectorKind) -> (&'static str, Vec<f64>) {
-    match kind {
-        DetectorKind::Simple => ("timeout s", vec![1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0]),
-        DetectorKind::Chen => ("alpha s", vec![0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0]),
-        DetectorKind::Bertier => ("slack s", vec![0.0, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0]),
-        DetectorKind::PhiNormal => ("phi", vec![0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
-        DetectorKind::KappaPhi => ("kappa", vec![0.6, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]),
-        _ => unreachable!("not part of E7"),
-    }
-}
 
 fn main() {
     let crash = Timestamp::from_secs(300);
@@ -42,16 +29,39 @@ fn main() {
         .with_crash_at(crash);
     let healthy_scenario = Scenario::wan_jitter().with_horizon(Timestamp::from_secs(600));
 
-    for kind in [
-        DetectorKind::Simple,
-        DetectorKind::Chen,
-        DetectorKind::Bertier,
-        DetectorKind::PhiNormal,
-        DetectorKind::KappaPhi,
-    ] {
-        let (unit, thresholds) = grid(kind);
+    // Threshold grids per detector, spanning aggressive → conservative in
+    // each detector's own units (seconds, seconds-late, φ decades, missed
+    // heartbeats).
+    let grids = [
+        (
+            spec::simple().detector,
+            "timeout s",
+            [1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0],
+        ),
+        (
+            spec::chen().detector,
+            "alpha s",
+            [0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0],
+        ),
+        (
+            spec::bertier().detector,
+            "slack s",
+            [0.0, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0],
+        ),
+        (
+            spec::phi_normal(),
+            "phi",
+            [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+        ),
+        (
+            spec::kappa_phi(),
+            "kappa",
+            [0.6, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0],
+        ),
+    ];
+    for (spec, unit, thresholds) in grids {
         let mut table = Table::new(
-            format!("E7: {} tradeoff curve (WAN jitter, 30 seeds)", kind.name()),
+            format!("E7: {} tradeoff curve (WAN jitter, 30 seeds)", spec.name()),
             &[unit, "T_D mean (s)", "lambda_M (/s)", "P_A", "detected"],
         );
         for &thr in &thresholds {
@@ -59,7 +69,7 @@ fn main() {
             let crash_reports: Vec<_> = SEEDS
                 .map(|s| {
                     analyze_at_threshold(
-                        &level_trace(&crash_scenario, s, kind),
+                        &level_trace(&crash_scenario, s, spec),
                         threshold,
                         Some(crash),
                     )
@@ -67,7 +77,7 @@ fn main() {
                 .collect();
             let healthy_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    analyze_at_threshold(&level_trace(&healthy_scenario, s, kind), threshold, None)
+                    analyze_at_threshold(&level_trace(&healthy_scenario, s, spec), threshold, None)
                 })
                 .collect();
             let c = aggregate(&crash_reports);
@@ -110,19 +120,19 @@ fn nonstationary() {
     );
     // Quiet-tuned thresholds with equal quiet-phase detection latency
     // (~1.2 s): simple timeout 1.2 s, chen alpha 0.2 s, phi 3.
-    let configs: [(DetectorKind, f64); 4] = [
-        (DetectorKind::Simple, 1.2),
-        (DetectorKind::Chen, 0.2),
-        (DetectorKind::Bertier, 0.05),
-        (DetectorKind::PhiNormal, 3.0),
+    let configs = [
+        (spec::simple().detector, 1.2),
+        (spec::chen().detector, 0.2),
+        (spec::bertier().detector, 0.05),
+        (spec::phi_normal(), 3.0),
     ];
-    for (kind, thr) in configs {
+    for (spec, thr) in configs {
         let threshold = SuspicionLevel::new(thr).expect("valid");
         let mut quiet_total = 0u32;
         let mut noisy_total = 0u32;
         for seed in 0..10u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let mut detector = kind.build();
+            let mut detector = spec.build();
             let mut t = 0.0f64;
             for k in 0..2_000u32 {
                 let sigma = if k >= 1_000 { 0.20 } else { 0.05 };
@@ -141,7 +151,7 @@ fn nonstationary() {
             }
         }
         table.push_row(vec![
-            kind.name().to_string(),
+            spec.name().to_string(),
             cell(thr, 1),
             format!("{:.1}", quiet_total as f64 / 10.0),
             format!("{:.1}", noisy_total as f64 / 10.0),

@@ -10,12 +10,13 @@
 //!    slowly than φ's — the experimental claim of §5.4 (and of the κ-FD
 //!    report it cites).
 
-use afd_bench::{level_trace, DetectorKind, SEEDS};
+use afd_bench::{level_trace, SEEDS};
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution, StepContribution};
 use afd_detectors::phi::PhiAccrual;
+use afd_detectors::spec;
 use afd_qos::experiment::{aggregate, cell, cell_sci, Table};
 use afd_qos::metrics::analyze_at_threshold;
 use afd_sim::loss::GilbertElliottLoss;
@@ -60,12 +61,12 @@ fn qos_sweep() {
     // Thresholds matched for roughly equal detection time on a clean
     // network: κ = 3 missed heartbeats ≈ φ after ~3 s of silence (clean
     // σ), ≈ simple timeout 3 s.
-    let configs: &[(DetectorKind, f64)] = &[
-        (DetectorKind::PhiNormal, 8.0),
-        (DetectorKind::PhiNormal, 2.0),
-        (DetectorKind::KappaPhi, 3.0),
-        (DetectorKind::KappaStep, 2.5),
-        (DetectorKind::Simple, 3.5),
+    let configs = [
+        (spec::phi_normal(), 8.0),
+        (spec::phi_normal(), 2.0),
+        (spec::kappa_phi(), 3.0),
+        (spec::kappa_step(), 2.5),
+        (spec::simple().detector, 3.5),
     ];
 
     for burst_start in [0.0, 0.005, 0.02, 0.05] {
@@ -92,12 +93,12 @@ fn qos_sweep() {
             format!("E8b: burst-loss sweep, burst start prob = {burst_start} (mean burst 5 heartbeats, 30 seeds)"),
             &["detector", "threshold", "T_D mean (s)", "lambda_M (/s)", "mistakes/run", "P_A"],
         );
-        for &(kind, thr) in configs {
+        for (spec, thr) in configs {
             let threshold = SuspicionLevel::new(thr).expect("valid");
             let crash_reports: Vec<_> = SEEDS
                 .map(|s| {
                     analyze_at_threshold(
-                        &level_trace(&crash_scenario, s, kind),
+                        &level_trace(&crash_scenario, s, spec),
                         threshold,
                         Some(crash),
                     )
@@ -105,13 +106,13 @@ fn qos_sweep() {
                 .collect();
             let healthy_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    analyze_at_threshold(&level_trace(&healthy_scenario, s, kind), threshold, None)
+                    analyze_at_threshold(&level_trace(&healthy_scenario, s, spec), threshold, None)
                 })
                 .collect();
             let c = aggregate(&crash_reports);
             let h = aggregate(&healthy_reports);
             table.push_row(vec![
-                kind.name().to_string(),
+                spec.name().to_string(),
                 cell(thr, 1),
                 c.detection_time.map_or("—".into(), |s| cell(s.mean, 2)),
                 cell_sci(h.mistake_rate.map_or(0.0, |s| s.mean)),

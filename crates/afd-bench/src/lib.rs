@@ -1,25 +1,20 @@
-//! Shared plumbing for the reproduction experiments (E1–E12 in DESIGN.md)
-//! and the Criterion benches.
+//! Shared plumbing for the reproduction experiments (E1–E12 in DESIGN.md).
 //!
 //! Each experiment is a binary in `src/bin/`; run one with
-//! `cargo run -p afd-bench --release --bin e5_threshold_qos`. The helpers
-//! here standardize how detectors are constructed, how level traces are
-//! produced from scenarios, and which seeds experiments use, so that every
-//! table in EXPERIMENTS.md is regenerated from the same machinery.
+//! `cargo run -p afd-bench --release --bin e5_threshold_qos`. The
+//! detectors come from the catalogue ([`afd_detectors::spec::series`]);
+//! the helpers here standardize how level traces are produced from
+//! scenarios and which seeds experiments use, so that every table in
+//! EXPERIMENTS.md is regenerated from the same machinery.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod report;
 
-use afd_core::accrual::AccrualFailureDetector;
 use afd_core::history::SuspicionTrace;
 use afd_core::time::Duration;
-use afd_detectors::bertier::BertierAccrual;
-use afd_detectors::chen::ChenAccrual;
-use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution, StepContribution};
-use afd_detectors::phi::{PhiAccrual, PhiConfig, PhiModel};
-use afd_detectors::simple::SimpleAccrual;
+use afd_detectors::spec::DetectorSpec;
 use afd_sim::replay::{replay, ReplayConfig};
 use afd_sim::scenario::Scenario;
 use afd_sim::simulate;
@@ -32,98 +27,15 @@ pub fn query_interval() -> Duration {
     Duration::from_millis(250)
 }
 
-/// Detector kinds the comparison experiments sweep over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// The §5.1 elapsed-time detector.
-    Simple,
-    /// The §5.2 Chen estimator.
-    Chen,
-    /// Bertier et al.'s dynamic-margin detector (paper reference \[3\]).
-    Bertier,
-    /// The §5.3 φ detector (normal model).
-    PhiNormal,
-    /// φ with the exponential (Cassandra-style) tail.
-    PhiExponential,
-    /// φ with the empirical histogram.
-    PhiEmpirical,
-    /// The §5.4 κ framework with the φ-style contribution.
-    KappaPhi,
-    /// κ with the step contribution.
-    KappaStep,
-}
-
-impl DetectorKind {
-    /// Every kind, in presentation order.
-    pub const ALL: [DetectorKind; 8] = [
-        DetectorKind::Simple,
-        DetectorKind::Chen,
-        DetectorKind::Bertier,
-        DetectorKind::PhiNormal,
-        DetectorKind::PhiExponential,
-        DetectorKind::PhiEmpirical,
-        DetectorKind::KappaPhi,
-        DetectorKind::KappaStep,
-    ];
-
-    /// The display name used in tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            DetectorKind::Simple => "simple",
-            DetectorKind::Chen => "chen",
-            DetectorKind::Bertier => "bertier",
-            DetectorKind::PhiNormal => "phi-normal",
-            DetectorKind::PhiExponential => "phi-exponential",
-            DetectorKind::PhiEmpirical => "phi-empirical",
-            DetectorKind::KappaPhi => "kappa-phi",
-            DetectorKind::KappaStep => "kappa-step",
-        }
-    }
-
-    /// Builds a fresh detector of this kind.
-    pub fn build(self) -> Box<dyn AccrualFailureDetector> {
-        match self {
-            DetectorKind::Simple => Box::new(SimpleAccrual::new(afd_core::time::Timestamp::ZERO)),
-            DetectorKind::Chen => Box::new(ChenAccrual::with_defaults()),
-            DetectorKind::Bertier => Box::new(BertierAccrual::with_defaults()),
-            DetectorKind::PhiNormal => Box::new(PhiAccrual::with_defaults()),
-            DetectorKind::PhiExponential => Box::new(
-                PhiAccrual::new(PhiConfig {
-                    model: PhiModel::Exponential,
-                    ..PhiConfig::default()
-                })
-                .expect("valid config"),
-            ),
-            DetectorKind::PhiEmpirical => Box::new(
-                PhiAccrual::new(PhiConfig {
-                    model: PhiModel::Empirical {
-                        bins: 200,
-                        max_intervals: 16.0,
-                    },
-                    ..PhiConfig::default()
-                })
-                .expect("valid config"),
-            ),
-            DetectorKind::KappaPhi => Box::new(
-                KappaAccrual::new(KappaConfig::default(), PhiContribution).expect("valid config"),
-            ),
-            DetectorKind::KappaStep => Box::new(
-                KappaAccrual::new(KappaConfig::default(), StepContribution::new(0.5))
-                    .expect("valid config"),
-            ),
-        }
-    }
-}
-
 /// Simulates `scenario` with `seed` and replays it through a fresh
-/// detector of `kind`, returning the suspicion-level history at the
-/// default query cadence.
-pub fn level_trace(scenario: &Scenario, seed: u64, kind: DetectorKind) -> SuspicionTrace {
+/// detector built from `spec`, returning the suspicion-level history at
+/// the default query cadence.
+pub fn level_trace(scenario: &Scenario, seed: u64, spec: DetectorSpec) -> SuspicionTrace {
     let arrivals = simulate(scenario, seed);
-    let mut detector = kind.build();
+    let mut detector = spec.build();
     replay(
         &arrivals,
-        detector.as_mut(),
+        &mut detector,
         ReplayConfig::every(query_interval()).with_clock(scenario.monitor_clock),
     )
 }
@@ -133,6 +45,7 @@ mod tests {
     use super::*;
     use afd_core::canonical::StateDigest;
     use afd_core::time::Timestamp;
+    use afd_detectors::spec;
 
     #[test]
     fn all_kinds_build_and_run() {
@@ -149,22 +62,22 @@ mod tests {
             0x4366_de56_118a_2ca0_0497_b28c_7c44_31f2,
             0xa67f_e848_e09f_a0c6_e631_23a0_8827_4fbd,
         ];
-        for (kind, want) in DetectorKind::ALL.into_iter().zip(expected) {
-            let trace = level_trace(&scenario, 1, kind);
-            assert!(!trace.is_empty(), "{} produced no samples", kind.name());
+        for (spec, want) in spec::series().into_iter().zip(expected) {
+            let trace = level_trace(&scenario, 1, spec);
+            assert!(!trace.is_empty(), "{} produced no samples", spec.name());
             let mut digest = StateDigest::new();
             for sample in trace.iter() {
                 digest.push_f64(sample.level.value());
             }
-            assert_eq!(digest.finish(), want, "{}", kind.name());
+            assert_eq!(digest.finish(), want, "{}", spec.name());
         }
     }
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<_> = DetectorKind::ALL.iter().map(|k| k.name()).collect();
+        let mut names: Vec<_> = spec::series().iter().map(DetectorSpec::name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), DetectorKind::ALL.len());
+        assert_eq!(names.len(), spec::series().len());
     }
 }

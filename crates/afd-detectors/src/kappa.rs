@@ -29,6 +29,7 @@
 //! layer's freshness filtering guarantees `t_last` never moves backwards.)
 
 use afd_core::accrual::AccrualFailureDetector;
+use afd_core::canonical::{CanonicalState, StateDigest};
 use afd_core::dist::{ArrivalDistribution, Normal};
 use afd_core::error::ConfigError;
 use afd_core::stats::SlidingWindow;
@@ -301,6 +302,29 @@ impl<C: ContributionFunction> AccrualFailureDetector for KappaAccrual<C> {
 
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
         SuspicionLevel::clamped(self.kappa(now))
+    }
+}
+
+impl CanonicalState for PhiContribution {
+    fn canonical_state(&self, _digest: &mut StateDigest) {}
+}
+
+impl CanonicalState for StepContribution {
+    fn canonical_state(&self, digest: &mut StateDigest) {
+        digest.push_f64(self.grace_intervals);
+    }
+}
+
+impl<C: CanonicalState> CanonicalState for KappaAccrual<C> {
+    fn canonical_state(&self, digest: &mut StateDigest) {
+        digest.push_usize(self.config.window_size);
+        digest.push_usize(self.config.min_samples);
+        self.config.min_std_dev.canonical_state(digest);
+        self.config.initial_interval.canonical_state(digest);
+        digest.push_usize(self.config.max_pending);
+        self.contribution.canonical_state(digest);
+        self.gaps.canonical_state(digest);
+        self.last_heartbeat.canonical_state(digest);
     }
 }
 

@@ -13,6 +13,10 @@
 //! | [`adaptive`] | Satzger et al.'s adaptive accrual | `P(gap < t − t_last)`, histogram CDF |
 //! | [`kappa`] | the κ framework (§5.4) | Σ contributions of missed heartbeats |
 //!
+//! [`spec`] is their catalogue: a named, validated configuration per
+//! detector, the lists the runtime's chaos zoo, the model checker and the
+//! E1–E12 experiments run, and [`AnyDetector`], one enum over every kind.
+//!
 //! Plus the architectural and adversarial pieces:
 //!
 //! - [`service`]: the application side of Fig. 2 — one private
@@ -43,6 +47,7 @@ pub mod phi;
 pub mod service;
 pub mod simple;
 pub mod slowness;
+pub mod spec;
 
 pub use adaptive::{AdaptiveAccrual, AdaptiveConfig};
 pub use akka::{AkkaPhi, AkkaPhiConfig};
@@ -54,3 +59,4 @@ pub use phi::{PhiAccrual, PhiConfig, PhiModel};
 pub use service::InterpreterBank;
 pub use simple::SimpleAccrual;
 pub use slowness::SlownessOracle;
+pub use spec::{AnyDetector, DetectorSpec, ZooSpec};

@@ -17,59 +17,25 @@ use afd_core::history::SuspicionTrace;
 use afd_core::properties::{check_upper_bound, AccruementCheck};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
-use afd_detectors::adaptive::{AdaptiveAccrual, AdaptiveConfig};
-use afd_detectors::akka::{AkkaPhi, AkkaPhiConfig};
+use afd_detectors::adaptive::AdaptiveAccrual;
+use afd_detectors::akka::AkkaPhi;
 use afd_detectors::bertier::BertierAccrual;
 use afd_detectors::chen::{ChenAccrual, ChenConfig};
 use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution, StepContribution};
 use afd_detectors::phi::{PhiAccrual, PhiConfig, PhiModel};
 use afd_detectors::simple::SimpleAccrual;
+use afd_detectors::spec::{self, AnyDetector};
 use afd_sim::replay::{replay, ReplayConfig};
 use afd_sim::scenario::Scenario;
 use afd_sim::simulate;
 use proptest::prelude::*;
 
-/// All detector constructors under test, boxed for uniform iteration.
-fn all_detectors() -> Vec<(&'static str, Box<dyn AccrualFailureDetector>)> {
-    vec![
-        ("simple", Box::new(SimpleAccrual::new(Timestamp::ZERO))),
-        ("chen", Box::new(ChenAccrual::with_defaults())),
-        ("bertier", Box::new(BertierAccrual::with_defaults())),
-        ("phi-normal", Box::new(PhiAccrual::with_defaults())),
-        (
-            "phi-exponential",
-            Box::new(
-                PhiAccrual::new(PhiConfig {
-                    model: PhiModel::Exponential,
-                    ..PhiConfig::default()
-                })
-                .unwrap(),
-            ),
-        ),
-        (
-            "phi-empirical",
-            Box::new(
-                PhiAccrual::new(PhiConfig {
-                    model: PhiModel::Empirical {
-                        bins: 200,
-                        max_intervals: 16.0,
-                    },
-                    ..PhiConfig::default()
-                })
-                .unwrap(),
-            ),
-        ),
-        (
-            "kappa-phi",
-            Box::new(KappaAccrual::new(KappaConfig::default(), PhiContribution).unwrap()),
-        ),
-        (
-            "kappa-step",
-            Box::new(
-                KappaAccrual::new(KappaConfig::default(), StepContribution::new(0.5)).unwrap(),
-            ),
-        ),
-    ]
+/// Every detector the E-series compares, built from the catalogue.
+fn all_detectors() -> Vec<(&'static str, AnyDetector)> {
+    spec::series()
+        .iter()
+        .map(|spec| (spec.name(), spec.build()))
+        .collect()
 }
 
 fn run_trace(
@@ -92,7 +58,7 @@ fn accruement_holds_after_crash_for_every_detector() {
         .with_crash_at(Timestamp::from_secs(120));
     for seed in [1, 2, 3] {
         for (name, mut detector) in all_detectors() {
-            let trace = run_trace(&scenario, seed, detector.as_mut());
+            let trace = run_trace(&scenario, seed, &mut detector);
             // Only judge the post-crash suffix plus some margin.
             let check = AccruementCheck {
                 epsilon: 1e-6,
@@ -115,7 +81,7 @@ fn upper_bound_holds_for_correct_process_for_every_detector() {
     let scenario = Scenario::wan_jitter().with_horizon(Timestamp::from_secs(300));
     for seed in [1, 2, 3] {
         for (name, mut detector) in all_detectors() {
-            let trace = run_trace(&scenario, seed, detector.as_mut());
+            let trace = run_trace(&scenario, seed, &mut detector);
             let witness = check_upper_bound(&trace, None)
                 .unwrap_or_else(|e| panic!("{name} (seed {seed}) violates Upper Bound: {e}"));
             // A sane bound for a healthy 1 Hz heartbeat stream. The cap is
@@ -151,7 +117,7 @@ fn observed_bound_does_not_grow_with_run_length() {
                 .into_iter()
                 .find(|(n, _)| *n == name)
                 .unwrap();
-            let trace = run_trace(&scenario, 7, detector.as_mut());
+            let trace = run_trace(&scenario, 7, &mut detector);
             bounds.push(
                 check_upper_bound(&trace, None)
                     .unwrap()
@@ -172,7 +138,7 @@ fn accruement_also_holds_under_bursty_loss() {
         .with_horizon(Timestamp::from_secs(300))
         .with_crash_at(Timestamp::from_secs(120));
     for (name, mut detector) in all_detectors() {
-        let trace = run_trace(&scenario, 11, detector.as_mut());
+        let trace = run_trace(&scenario, 11, &mut detector);
         let check = AccruementCheck {
             epsilon: 1e-6,
             min_increases: 10,
@@ -194,7 +160,7 @@ fn partially_synchronous_model_still_yields_diamond_p_ac() {
         .with_crash_at(Timestamp::from_secs(250));
     let healthy = Scenario::partially_synchronous().with_horizon(Timestamp::from_secs(400));
     for (name, mut detector) in all_detectors() {
-        let trace = run_trace(&crash, 3, detector.as_mut());
+        let trace = run_trace(&crash, 3, &mut detector);
         let check = AccruementCheck {
             epsilon: 1e-6,
             min_increases: 10,
@@ -205,7 +171,7 @@ fn partially_synchronous_model_still_yields_diamond_p_ac() {
             .unwrap_or_else(|e| panic!("{name} violates Accruement (partial synchrony): {e}"));
     }
     for (name, mut detector) in all_detectors() {
-        let trace = run_trace(&healthy, 3, detector.as_mut());
+        let trace = run_trace(&healthy, 3, &mut detector);
         check_upper_bound(&trace, None)
             .unwrap_or_else(|e| panic!("{name} violates Upper Bound (partial synchrony): {e}"));
     }
@@ -224,10 +190,10 @@ fn crash_raises_level_above_healthy_maximum() {
             .into_iter()
             .find(|(n, _)| *n == name)
             .unwrap();
-        let healthy_max = check_upper_bound(&run_trace(&healthy, 5, d1.as_mut()), None)
+        let healthy_max = check_upper_bound(&run_trace(&healthy, 5, &mut d1), None)
             .unwrap()
             .observed_bound;
-        let crash_trace = run_trace(&crashed, 5, d2.as_mut());
+        let crash_trace = run_trace(&crashed, 5, &mut d2);
         let crash_max = crash_trace.max_level().unwrap();
         assert!(
             crash_max > healthy_max,
@@ -236,16 +202,16 @@ fn crash_raises_level_above_healthy_maximum() {
     }
 }
 
-/// Feeds two copies of `detector` the same jittered arrivals, running
+/// Feeds two detectors from `build` the same jittered arrivals, running
 /// the monitor's warm reads — `save_seed` and `prefetch` — on one of them
 /// before every arrival (long enough that a four-sample window wraps
 /// several times), and holds the two to the same state.
-fn warm_reads_change_nothing<D>(name: &str, detector: D)
+fn warm_reads_change_nothing<D>(name: &str, build: impl Fn() -> D)
 where
-    D: AccrualFailureDetector + CanonicalState + Clone,
+    D: AccrualFailureDetector + CanonicalState,
 {
-    let mut warmed = detector.clone();
-    let mut plain = detector;
+    let mut warmed = build();
+    let mut plain = build();
     let mut at = Timestamp::from_secs(1);
     for k in 0..24u64 {
         at = at.saturating_add(Duration::from_millis(900 + 40 * (k % 7)));
@@ -270,30 +236,14 @@ where
 
 #[test]
 fn warm_reads_have_no_observable_effect() {
-    // The six members of the runtime's `DetectorZoo::standard`, those
-    // with a sample window given a small one.
-    warm_reads_change_nothing("simple", SimpleAccrual::new(Timestamp::ZERO));
-    let chen = ChenConfig {
-        window_size: 4,
-        ..ChenConfig::default()
-    };
-    warm_reads_change_nothing("chen", ChenAccrual::new(chen).unwrap());
-    warm_reads_change_nothing("bertier", BertierAccrual::with_defaults());
-    let phi = PhiConfig {
-        window_size: 4,
-        ..PhiConfig::default()
-    };
-    warm_reads_change_nothing("phi", PhiAccrual::new(phi).unwrap());
-    let akka = AkkaPhiConfig {
-        window_size: 4,
-        ..AkkaPhiConfig::default()
-    };
-    warm_reads_change_nothing("akka", AkkaPhi::new(akka).unwrap());
-    let adaptive = AdaptiveConfig {
-        window_size: 4,
-        ..AdaptiveConfig::default()
-    };
-    warm_reads_change_nothing("adaptive", AdaptiveAccrual::new(adaptive).unwrap());
+    // Every catalogued detector with a four-sample window, both as itself
+    // and behind `AnyDetector`, whose forwarding must change nothing.
+    let zoo = spec::zoo().map(|zoo| zoo.detector);
+    for spec in zoo.into_iter().chain(spec::series()) {
+        let small = spec.model_sized(Duration::from_secs(1)).unwrap();
+        warm_reads_change_nothing(spec.name(), || unwrapped(small.build()));
+        warm_reads_change_nothing(spec.name(), || small.build());
+    }
 }
 
 proptest! {
@@ -462,6 +412,13 @@ proptest! {
         let mut normal = phi(PhiModel::Normal);
         let mut exponential = phi(PhiModel::Exponential);
         let mut empirical = phi(EMPIRICAL);
+        // Every catalogued detector behind `AnyDetector`, beside itself.
+        let zoo = spec::zoo().map(|zoo| zoo.detector);
+        let mut twins: Vec<_> = zoo
+            .into_iter()
+            .chain(spec::series())
+            .map(|spec| (spec, spec.build(), unwrapped(spec.build())))
+            .collect();
         let mut t = start;
         for (k, gap) in gaps.iter().enumerate() {
             // The first arrival opens the history; each later one adds a gap.
@@ -474,6 +431,21 @@ proptest! {
             normal.record_heartbeat(t);
             exponential.record_heartbeat(t);
             empirical.record_heartbeat(t);
+            for (_, any, inner) in &mut twins {
+                any.record_heartbeat(t);
+                inner.record_heartbeat(t);
+            }
+        }
+        for (spec, any, inner) in &twins {
+            let seed = inner.save_seed();
+            prop_assert_eq!(any.save_seed(), seed, "{}: seed", spec.name());
+            // A restore reaches the detector inside, too.
+            if let Some(seed) = seed {
+                let (mut any, mut inner) = (spec.build(), unwrapped(spec.build()));
+                any.restore_seed(&seed);
+                inner.restore_seed(&seed);
+                prop_assert_eq!(any.save_seed(), inner.save_seed(), "{}: restore", spec.name());
+            }
         }
         // Five samples is the default bootstrap count: below it the
         // empirical model answers from its normal prior, from there on
@@ -506,6 +478,17 @@ proptest! {
                 let want = phi_normal_reference(&empirical, now);
                 block[6] = assert_curve_is_the_level("phi-empirical", &mut empirical, now, want);
             }
+            for (spec, any, inner) in &mut twins {
+                let name = spec.name();
+                let curve = any.level_curve();
+                prop_assert_eq!(curve, inner.level_curve(), "{} at {}: curve", name, now);
+                let level = any.suspicion_level(now).value();
+                let want = inner.suspicion_level(now).value();
+                prop_assert_eq!(level.to_bits(), want.to_bits(), "{} at {}: level", name, now);
+                if let Some(curve) = curve {
+                    prop_assert_eq!(curve.at(now).to_bits(), level.to_bits(), "{} at {}", name, now);
+                }
+            }
             // Lanes 4 and 7 stay the padding a short block gets.
             let levels = LevelCurve::at_block(&block, now);
             for (lane, (curve, level)) in block.iter().zip(levels).enumerate() {
@@ -516,6 +499,26 @@ proptest! {
                 prop_assert!(block[3].at(now) > 300.0, "φ = {}", block[3].at(now));
             }
         }
+    }
+}
+
+/// A detector whose state the tests can digest.
+trait Inspectable: AccrualFailureDetector + CanonicalState {}
+
+impl<D: AccrualFailureDetector + CanonicalState> Inspectable for D {}
+
+/// The detector inside `any`, boxed, so that its calls skip
+/// `AnyDetector`'s forwarding.
+fn unwrapped(any: AnyDetector) -> Box<dyn Inspectable> {
+    match any {
+        AnyDetector::Simple(d) => Box::new(d),
+        AnyDetector::Chen(d) => Box::new(d),
+        AnyDetector::Bertier(d) => Box::new(d),
+        AnyDetector::Phi(d) => Box::new(d),
+        AnyDetector::Akka(d) => Box::new(d),
+        AnyDetector::Adaptive(d) => Box::new(d),
+        AnyDetector::KappaPhi(d) => Box::new(d),
+        AnyDetector::KappaStep(d) => Box::new(d),
     }
 }
 

@@ -10,10 +10,11 @@
 
 use std::collections::BTreeSet;
 
+use afd_detectors::spec::ZooSpec;
+
 use crate::bounds::ModelBounds;
 use crate::mutants::Mutant;
 use crate::state::{ModelEvent, ModelState, Violation};
-use crate::zoo::DetectorKind;
 
 /// A violation plus the event path that reaches it from the initial state.
 #[derive(Debug, Clone)]
@@ -38,10 +39,10 @@ pub struct ExploreReport {
     pub counterexample: Option<Counterexample>,
 }
 
-/// Exhaustively explores every schedule within `bounds` for `kind` under
+/// Exhaustively explores every schedule within `bounds` for `spec` under
 /// `mutant`, stopping at the first violation.
-pub fn explore(kind: DetectorKind, mutant: Mutant, bounds: ModelBounds) -> ExploreReport {
-    let initial = ModelState::initial(kind, mutant, bounds);
+pub fn explore(spec: ZooSpec, mutant: Mutant, bounds: ModelBounds) -> ExploreReport {
+    let initial = ModelState::initial(spec, mutant, bounds);
     let mut seen: BTreeSet<u128> = BTreeSet::new();
     seen.insert(initial.digest());
 
@@ -101,7 +102,7 @@ pub fn explore(kind: DetectorKind, mutant: Mutant, bounds: ModelBounds) -> Explo
 /// counterexample short before [`crate::replay::minimize`] shrinks it
 /// further.
 pub fn find_counterexample(
-    kind: DetectorKind,
+    spec: ZooSpec,
     mutant: Mutant,
     bounds: ModelBounds,
 ) -> Option<Counterexample> {
@@ -110,7 +111,7 @@ pub fn find_counterexample(
             max_ticks: horizon,
             ..bounds
         };
-        let report = explore(kind, mutant, staged);
+        let report = explore(spec, mutant, staged);
         if report.counterexample.is_some() {
             return report.counterexample;
         }
@@ -122,6 +123,7 @@ pub fn find_counterexample(
 mod tests {
     use super::*;
     use crate::state::Property;
+    use afd_detectors::spec;
 
     #[test]
     fn clean_system_has_no_counterexample_at_tiny_bounds() {
@@ -129,7 +131,7 @@ mod tests {
             max_ticks: 6,
             ..ModelBounds::mutant_hunt()
         };
-        let report = explore(DetectorKind::Simple, Mutant::None, bounds);
+        let report = explore(spec::simple(), Mutant::None, bounds);
         assert!(
             report.counterexample.is_none(),
             "violation on the real system: {:?}",
@@ -148,7 +150,7 @@ mod tests {
             max_ticks: 6,
             ..ModelBounds::mutant_hunt()
         };
-        let report = explore(DetectorKind::Simple, Mutant::None, bounds);
+        let report = explore(spec::simple(), Mutant::None, bounds);
         assert!(report.counterexample.is_none());
         assert!(
             report.transitions > report.states,
@@ -159,7 +161,7 @@ mod tests {
     #[test]
     fn hysteresis_off_by_one_is_caught() {
         let cex = find_counterexample(
-            DetectorKind::Simple,
+            spec::simple(),
             Mutant::HysteresisOffByOne,
             ModelBounds::mutant_hunt(),
         )

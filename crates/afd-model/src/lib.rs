@@ -55,11 +55,9 @@ pub mod explore;
 pub mod mutants;
 pub mod replay;
 pub mod state;
-pub mod zoo;
 
 pub use bounds::ModelBounds;
 pub use explore::{explore, find_counterexample, Counterexample, ExploreReport};
 pub use mutants::Mutant;
 pub use replay::{minimize, model_trace, replay, to_script};
 pub use state::{Frame, ModelEvent, ModelState, Property, Violation};
-pub use zoo::{DetectorKind, ZooDetector};

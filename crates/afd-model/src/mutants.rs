@@ -15,9 +15,8 @@ use afd_core::canonical::{CanonicalState, StateDigest};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_core::transform::{AccrualToBinary, BinaryToAccrual, HysteresisInterpreter, Interpreter};
+use afd_detectors::spec::AnyDetector;
 use afd_runtime::seq::{classify, SeqVerdict};
-
-use crate::zoo::ZooDetector;
 
 /// Which planted defect (if any) the model run carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,17 +64,17 @@ impl Mutant {
     }
 }
 
-/// The detector under test: the real zoo detector, or the saw-tooth
+/// The detector under test: the real detector, or the saw-tooth
 /// mutant whose reported level alternates between the true value and a
 /// quarter of it.
 #[derive(Debug, Clone)]
 pub enum DetectorSut {
-    /// Unmodified zoo detector.
-    Real(ZooDetector),
+    /// Unmodified detector.
+    Real(AnyDetector),
     /// Saw-tooth level: every other query reports `level / 4`.
     Sawtooth {
         /// The real detector underneath.
-        inner: ZooDetector,
+        inner: AnyDetector,
         /// Queries answered so far (drives the parity).
         queries: u64,
     },
@@ -83,7 +82,7 @@ pub enum DetectorSut {
 
 impl DetectorSut {
     /// Builds the real or mutated detector.
-    pub fn new(detector: ZooDetector, mutant: Mutant) -> Self {
+    pub fn new(detector: AnyDetector, mutant: Mutant) -> Self {
         match mutant {
             Mutant::NonMonotoneAccrual => DetectorSut::Sawtooth {
                 inner: detector,
@@ -492,11 +491,8 @@ mod tests {
 
     #[test]
     fn sawtooth_alternates() {
-        let zoo = ZooDetector::new(
-            crate::zoo::DetectorKind::Simple,
-            afd_core::time::Duration::from_secs(1),
-        );
-        let mut sut = DetectorSut::new(zoo, Mutant::NonMonotoneAccrual);
+        let simple = afd_detectors::spec::simple().detector.build();
+        let mut sut = DetectorSut::new(simple, Mutant::NonMonotoneAccrual);
         let t = Timestamp::from_secs(4);
         let a = sut.suspicion_level(t).value();
         let b = sut.suspicion_level(t).value();

@@ -8,25 +8,25 @@
 //! through the real sender/monitor stack via
 //! [`afd_runtime::run_chaos_script`].
 
+use afd_detectors::spec::ZooSpec;
 use afd_runtime::{ChaosScript, ScriptEvent};
 
 use crate::bounds::ModelBounds;
 use crate::explore::Counterexample;
 use crate::mutants::Mutant;
 use crate::state::{ModelEvent, ModelState, Violation};
-use crate::zoo::DetectorKind;
 
-/// Replays `path` from the initial state of `(kind, mutant, bounds)`.
+/// Replays `path` from the initial state of `(spec, mutant, bounds)`.
 /// Returns the violation and the index of the event that fired it, or
 /// `None` if the path runs clean (or an event is disabled mid-way, which
 /// means the candidate schedule is invalid and cannot witness anything).
 pub fn replay(
-    kind: DetectorKind,
+    spec: ZooSpec,
     mutant: Mutant,
     bounds: ModelBounds,
     path: &[ModelEvent],
 ) -> Option<(usize, Violation)> {
-    let mut state = ModelState::initial(kind, mutant, bounds);
+    let mut state = ModelState::initial(spec, mutant, bounds);
     for (i, &event) in path.iter().enumerate() {
         if !state.is_enabled(event) {
             return None;
@@ -44,7 +44,7 @@ pub fn replay(
 /// its violation. Loops to a fixed point, so the result is 1-minimal: no
 /// single event can be removed without losing the violation.
 pub fn minimize(
-    kind: DetectorKind,
+    spec: ZooSpec,
     mutant: Mutant,
     bounds: ModelBounds,
     cex: &Counterexample,
@@ -53,7 +53,7 @@ pub fn minimize(
     let mut best_violation = cex.violation.clone();
     // The explorer's path ends at the violating event; still, normalize by
     // replaying so minimization starts from a validated baseline.
-    if let Some((i, v)) = replay(kind, mutant, bounds, &best_path) {
+    if let Some((i, v)) = replay(spec, mutant, bounds, &best_path) {
         best_path.truncate(i + 1);
         best_violation = v;
     }
@@ -63,7 +63,7 @@ pub fn minimize(
         while i < best_path.len() {
             let mut candidate = best_path.clone();
             candidate.remove(i);
-            if let Some((j, v)) = replay(kind, mutant, bounds, &candidate) {
+            if let Some((j, v)) = replay(spec, mutant, bounds, &candidate) {
                 candidate.truncate(j + 1);
                 best_path = candidate;
                 best_violation = v;
@@ -114,8 +114,8 @@ pub fn to_script(bounds: &ModelBounds, path: &[ModelEvent]) -> ChaosScript {
 ///
 /// Panics if the path is invalid or violates — trace extraction is for
 /// clean schedules.
-pub fn model_trace(kind: DetectorKind, bounds: ModelBounds, path: &[ModelEvent]) -> Vec<Vec<f64>> {
-    let mut state = ModelState::initial(kind, Mutant::None, bounds);
+pub fn model_trace(spec: ZooSpec, bounds: ModelBounds, path: &[ModelEvent]) -> Vec<Vec<f64>> {
+    let mut state = ModelState::initial(spec, Mutant::None, bounds);
     let mut trace = Vec::with_capacity(path.len());
     for &event in path {
         assert!(state.is_enabled(event), "trace path disabled at {event:?}");
@@ -130,14 +130,15 @@ mod tests {
     use super::*;
     use crate::explore::find_counterexample;
     use crate::state::Property;
+    use afd_detectors::spec;
 
     #[test]
     fn replay_reproduces_an_explorer_finding() {
         let bounds = ModelBounds::mutant_hunt();
-        let cex = find_counterexample(DetectorKind::Simple, Mutant::HysteresisOffByOne, bounds)
+        let cex = find_counterexample(spec::simple(), Mutant::HysteresisOffByOne, bounds)
             .expect("mutant must be caught");
         let (i, v) = replay(
-            DetectorKind::Simple,
+            spec::simple(),
             Mutant::HysteresisOffByOne,
             bounds,
             &cex.path,
@@ -150,17 +151,12 @@ mod tests {
     #[test]
     fn minimize_only_shrinks_and_still_violates() {
         let bounds = ModelBounds::mutant_hunt();
-        let cex = find_counterexample(DetectorKind::Simple, Mutant::HysteresisOffByOne, bounds)
+        let cex = find_counterexample(spec::simple(), Mutant::HysteresisOffByOne, bounds)
             .expect("mutant must be caught");
-        let min = minimize(
-            DetectorKind::Simple,
-            Mutant::HysteresisOffByOne,
-            bounds,
-            &cex,
-        );
+        let min = minimize(spec::simple(), Mutant::HysteresisOffByOne, bounds, &cex);
         assert!(min.path.len() <= cex.path.len());
         let (_, v) = replay(
-            DetectorKind::Simple,
+            spec::simple(),
             Mutant::HysteresisOffByOne,
             bounds,
             &min.path,
@@ -173,7 +169,7 @@ mod tests {
             candidate.remove(i);
             assert!(
                 replay(
-                    DetectorKind::Simple,
+                    spec::simple(),
                     Mutant::HysteresisOffByOne,
                     bounds,
                     &candidate
@@ -208,7 +204,7 @@ mod tests {
     fn model_trace_samples_after_every_event() {
         let bounds = ModelBounds::mutant_hunt();
         let path = [ModelEvent::Deliver(0), ModelEvent::Tick, ModelEvent::Tick];
-        let trace = model_trace(DetectorKind::Simple, bounds, &path);
+        let trace = model_trace(spec::simple(), bounds, &path);
         assert_eq!(trace.len(), 3);
         assert_eq!(trace[0].len(), 1, "one process per sample");
         // Simple detector: elapsed/interval == 0 right after delivery at
@@ -219,17 +215,12 @@ mod tests {
     #[test]
     fn accruement_sawtooth_is_caught_and_minimizes() {
         let bounds = ModelBounds::mutant_hunt();
-        let cex = find_counterexample(DetectorKind::Simple, Mutant::NonMonotoneAccrual, bounds)
+        let cex = find_counterexample(spec::simple(), Mutant::NonMonotoneAccrual, bounds)
             .expect("sawtooth mutant must be caught");
         assert_eq!(cex.violation.property, Property::Accruement);
-        let min = minimize(
-            DetectorKind::Simple,
-            Mutant::NonMonotoneAccrual,
-            bounds,
-            &cex,
-        );
+        let min = minimize(spec::simple(), Mutant::NonMonotoneAccrual, bounds, &cex);
         assert!(replay(
-            DetectorKind::Simple,
+            spec::simple(),
             Mutant::NonMonotoneAccrual,
             bounds,
             &min.path

@@ -19,10 +19,10 @@ use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_core::transform::{Interpreter, ThresholdInterpreter};
+use afd_detectors::spec::ZooSpec;
 
 use crate::bounds::ModelBounds;
 use crate::mutants::{really_fresh, Alg1Sut, Alg2Sut, DetectorSut, HystSut, Mutant, SeqSut};
-use crate::zoo::{DetectorKind, ZooDetector};
 
 /// One event of the model's alphabet. Mirrors
 /// [`afd_runtime::ScriptEvent`] one-to-one (minus `Recover`, which the
@@ -161,7 +161,7 @@ impl CanonicalState for ProcState {
 #[derive(Debug, Clone)]
 pub struct ModelState {
     bounds: ModelBounds,
-    kind: DetectorKind,
+    spec: ZooSpec,
     mutant: Mutant,
     seq_filter: SeqSut,
     tick: u32,
@@ -177,12 +177,17 @@ impl ModelState {
     /// The initial state: every sender emits its t = 0 heartbeat into the
     /// in-flight pool (SenderCore's first frame is due at start), and
     /// every process is queried once to seed the interpreter stack.
-    pub fn initial(kind: DetectorKind, mutant: Mutant, bounds: ModelBounds) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` space heartbeats zero apart.
+    pub fn initial(spec: ZooSpec, mutant: Mutant, bounds: ModelBounds) -> Self {
         let interval = bounds.tick.mul_f64(f64::from(bounds.heartbeat_every));
-        let t1 = kind.threshold();
-        let t2 = kind.threshold_high();
-        let t0 = kind.threshold_low();
-        let epsilon = kind.model_epsilon();
+        let detector = spec
+            .detector
+            .model_sized(interval)
+            .expect("model bounds space heartbeats a positive interval apart");
+        let (t0, t1, t2, epsilon) = (spec.low, spec.threshold, spec.high, spec.epsilon);
         let procs = (1..=bounds.processes)
             .map(|i| ProcState {
                 id: ProcessId::new(i),
@@ -190,7 +195,7 @@ impl ModelState {
                 next_due: 0,
                 last_seq: 0,
                 highest_seq: None,
-                detector: DetectorSut::new(ZooDetector::new(kind, interval), mutant),
+                detector: DetectorSut::new(detector.build(), mutant),
                 alg1: Alg1Sut::new(epsilon, mutant),
                 alg2: Alg2Sut::new(epsilon, mutant),
                 hyst: HystSut::new(t1, t0, mutant),
@@ -204,7 +209,7 @@ impl ModelState {
             .collect();
         let mut state = ModelState {
             bounds,
-            kind,
+            spec,
             mutant,
             seq_filter: SeqSut::new(mutant),
             tick: 0,
@@ -244,11 +249,6 @@ impl ModelState {
     /// The exploration bounds this state was built with.
     pub fn bounds(&self) -> &ModelBounds {
         &self.bounds
-    }
-
-    /// The detector kind under exploration.
-    pub fn kind(&self) -> DetectorKind {
-        self.kind
     }
 
     /// The planted mutant (or [`Mutant::None`] for the real system).
@@ -442,7 +442,7 @@ impl ModelState {
             // with bootstrap priors (adaptive) legitimately report a tiny
             // positive level at elapsed 0, so an increase only counts when
             // it also clears the floor (half the lowest threshold T₀).
-            let floor = self.kind.threshold_low() * 0.5;
+            let floor = self.spec.low * 0.5;
             let post_level = p.detector.suspicion_level(t).value();
             if post_level > pre_level + 1e-9 && post_level > floor {
                 return Err(Violation {
@@ -613,13 +613,10 @@ impl ModelState {
 mod tests {
     use super::*;
     use afd_core::time::Duration;
+    use afd_detectors::spec;
 
     fn state() -> ModelState {
-        ModelState::initial(
-            DetectorKind::Simple,
-            Mutant::None,
-            ModelBounds::mutant_hunt(),
-        )
+        ModelState::initial(spec::simple(), Mutant::None, ModelBounds::mutant_hunt())
     }
 
     #[test]
@@ -647,7 +644,7 @@ mod tests {
             processes: 2,
             ..ModelBounds::mutant_hunt()
         };
-        let mut a = ModelState::initial(DetectorKind::Simple, Mutant::None, bounds);
+        let mut a = ModelState::initial(spec::simple(), Mutant::None, bounds);
         let mut b = a.clone();
         // Two frames in flight (one per sender); delivery order must not
         // matter once both are delivered.

@@ -10,9 +10,10 @@
 //!    abstraction, not a parallel implementation drifting on its own.
 
 use afd_core::process::ProcessId;
+use afd_detectors::spec;
 use afd_model::{
-    explore, find_counterexample, minimize, model_trace, replay, to_script, DetectorKind,
-    ModelBounds, ModelEvent, Mutant, Property, ZooDetector,
+    explore, find_counterexample, minimize, model_trace, replay, to_script, ModelBounds,
+    ModelEvent, Mutant, Property,
 };
 use afd_runtime::run_chaos_script;
 
@@ -21,24 +22,17 @@ fn real_system_is_clean_and_smoke_bounds_are_nontrivial() {
     let bounds = ModelBounds::smoke();
     // The exact counts pin the search: a change to a detector's state, to
     // its digest or to the transition system moves them.
-    let expected = [
-        ("simple", 28_545),
-        ("chen", 74_083),
-        ("bertier", 71_936),
-        ("phi", 75_263),
-        ("akka", 75_977),
-        ("adaptive", 75_977),
-    ];
+    let expected = [28_545, 74_083, 71_936, 75_263, 75_977, 75_977];
     let mut total_states = 0u64;
-    for (kind, (name, states)) in DetectorKind::ALL.into_iter().zip(expected) {
-        let report = explore(kind, Mutant::None, bounds);
+    for (zoo, states) in spec::zoo().into_iter().zip(expected) {
+        let report = explore(zoo, Mutant::None, bounds);
         assert!(
             report.counterexample.is_none(),
             "{}: the real system violated a property: {:?}",
-            kind.name(),
+            zoo.detector.name(),
             report.counterexample
         );
-        assert_eq!((kind.name(), report.states), (name, states));
+        assert_eq!(report.states, states, "{}", zoo.detector.name());
         total_states += report.states;
     }
     assert_eq!(total_states, 401_781);
@@ -47,9 +41,9 @@ fn real_system_is_clean_and_smoke_bounds_are_nontrivial() {
 #[test]
 fn every_mutant_is_caught_minimized_and_replayable() {
     let bounds = ModelBounds::mutant_hunt();
-    let kind = DetectorKind::Simple;
+    let simple = spec::simple();
     for mutant in Mutant::ALL {
-        let cex = find_counterexample(kind, mutant, bounds)
+        let cex = find_counterexample(simple, mutant, bounds)
             .unwrap_or_else(|| panic!("{}: mutant escaped the checker", mutant.name()));
 
         let expected_property = match mutant {
@@ -67,10 +61,10 @@ fn every_mutant_is_caught_minimized_and_replayable() {
             mutant.name()
         );
 
-        let min = minimize(kind, mutant, bounds, &cex);
+        let min = minimize(simple, mutant, bounds, &cex);
         assert!(min.path.len() <= cex.path.len());
         assert!(
-            replay(kind, mutant, bounds, &min.path).is_some(),
+            replay(simple, mutant, bounds, &min.path).is_some(),
             "{}: minimized schedule no longer violates",
             mutant.name()
         );
@@ -78,7 +72,7 @@ fn every_mutant_is_caught_minimized_and_replayable() {
             let mut shorter = min.path.clone();
             shorter.remove(i);
             assert!(
-                replay(kind, mutant, bounds, &shorter).is_none(),
+                replay(simple, mutant, bounds, &shorter).is_none(),
                 "{}: not 1-minimal, event {i} is removable",
                 mutant.name()
             );
@@ -90,8 +84,11 @@ fn every_mutant_is_caught_minimized_and_replayable() {
         // clean — but every event must execute (no index drift between
         // model and runtime in-flight pools).
         let script = to_script(&bounds, &min.path);
-        let interval = script.heartbeat_interval;
-        let report = run_chaos_script(&script, move |_| ZooDetector::new(kind, interval));
+        let detector = simple
+            .detector
+            .model_sized(script.heartbeat_interval)
+            .unwrap();
+        let report = run_chaos_script(&script, move |_| detector.build());
         assert_eq!(
             report.trace.len(),
             min.path.len(),
@@ -123,11 +120,11 @@ fn model_and_runtime_agree_level_by_level_on_a_clean_schedule() {
         E::Tick,
         E::Deliver(0),
     ];
-    for kind in DetectorKind::ALL {
-        let trace = model_trace(kind, bounds, &path);
+    for zoo in spec::zoo() {
+        let trace = model_trace(zoo, bounds, &path);
         let script = to_script(&bounds, &path);
-        let interval = script.heartbeat_interval;
-        let report = run_chaos_script(&script, move |_| ZooDetector::new(kind, interval));
+        let detector = zoo.detector.model_sized(script.heartbeat_interval).unwrap();
+        let report = run_chaos_script(&script, move |_| detector.build());
         assert_eq!(report.trace.len(), trace.len());
         for (sample, model_levels) in report.trace.iter().zip(&trace) {
             assert_eq!(sample.levels.len(), model_levels.len());
@@ -135,7 +132,7 @@ fn model_and_runtime_agree_level_by_level_on_a_clean_schedule() {
                 assert!(
                     (runtime_level.value() - model_level).abs() < 1e-9,
                     "{}: divergence at event {} for {proc}: runtime {} vs model {}",
-                    kind.name(),
+                    zoo.detector.name(),
                     sample.event_index,
                     runtime_level.value(),
                     model_level

@@ -23,12 +23,7 @@ use afd_core::history::SuspicionTrace;
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
-use afd_detectors::adaptive::AdaptiveAccrual;
-use afd_detectors::akka::AkkaPhi;
-use afd_detectors::bertier::BertierAccrual;
-use afd_detectors::chen::ChenAccrual;
-use afd_detectors::phi::PhiAccrual;
-use afd_detectors::simple::SimpleAccrual;
+use afd_detectors::spec::{self, AnyDetector, ZooSpec};
 use afd_obs::{EventKind, EventRing, ObsEvent, OnlineQos, QosReport, Registry, Snapshot};
 use afd_sim::delay::UniformDelay;
 use afd_sim::loss::{BernoulliLoss, GilbertElliottLoss};
@@ -166,10 +161,10 @@ struct DetectorTracker {
 }
 
 impl DetectorTracker {
-    fn new(name: &'static str, threshold: SuspicionLevel, crash: Option<Timestamp>) -> Self {
+    fn new(zoo: &ZooSpec, crash: Option<Timestamp>) -> Self {
         DetectorTracker {
-            name,
-            threshold,
+            name: zoo.detector.name(),
+            threshold: SuspicionLevel::clamped(zoo.threshold),
             trace: SuspicionTrace::new(),
             qos: OnlineQos::new(crash),
             transitions: TransitionDetector::new(),
@@ -305,147 +300,67 @@ where
     transport_errors
 }
 
-/// One zoo inhabitant: a named, degradation-wrapped detector plus the
-/// interpretation threshold its suspicion scale calls for.
+/// Every detector of the catalogue's zoo ([`spec::zoo`]), observing one
+/// heartbeat stream side by side: simple (§5.1), Chen (§5.2), Bertier,
+/// φ (§5.3), the Akka/Cassandra production φ, and the Satzger adaptive
+/// accrual, each degradation-wrapped.
 ///
-/// Thresholds are per-member because the detectors speak different
-/// languages: the simple detector's level is raw elapsed seconds, Chen's
-/// and Bertier's are seconds past the expected arrival, the φ family's is
-/// `−log₁₀` of a tail probability, and the adaptive detector's is a plain
-/// probability in `[0, 1)`. A single scenario-wide threshold would compare
-/// apples to logarithms.
-pub struct ZooMember {
-    name: &'static str,
-    threshold: SuspicionLevel,
-    detector: GracefulDegradation<Box<dyn AccrualFailureDetector>>,
-}
-
-impl core::fmt::Debug for ZooMember {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // The boxed detector is a bare trait object (AccrualFailureDetector
-        // does not require Debug), so only the identifying fields print.
-        f.debug_struct("ZooMember")
-            .field("name", &self.name)
-            .field("threshold", &self.threshold)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ZooMember {
-    /// Wraps `detector` under `name`, interpreted with `threshold`.
-    pub fn new(
-        name: &'static str,
-        threshold: SuspicionLevel,
-        detector: Box<dyn AccrualFailureDetector>,
-        degrade: DegradeConfig,
-    ) -> Self {
-        ZooMember {
-            name,
-            threshold,
-            detector: GracefulDegradation::new(detector, degrade),
-        }
-    }
-
-    /// The member's display name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Every detector this repository implements, observing one heartbeat
-/// stream side by side: simple (§5.1), Chen (§5.2), Bertier, φ (§5.3),
-/// the Akka/Cassandra production φ, and the Satzger adaptive accrual.
+/// Each member is interpreted at its spec's own threshold, because the
+/// detectors speak different languages: the simple detector's level is
+/// raw elapsed seconds, Chen's and Bertier's are seconds past the expected
+/// arrival, the φ family's is `−log₁₀` of a tail probability, and the
+/// adaptive detector's is a plain probability in `[0, 1)`. A single
+/// scenario-wide threshold would compare apples to logarithms.
 ///
 /// The zoo is itself an [`AccrualFailureDetector`] (heartbeats broadcast
 /// to every member; the headline level is φ's), so it drops into
 /// [`ShardedMonitor`] unchanged.
 #[derive(Debug)]
 pub struct DetectorZoo {
-    members: Vec<ZooMember>,
+    /// In [`spec::zoo`]'s order.
+    members: Vec<GracefulDegradation<AnyDetector>>,
+    /// Index of the [`spec::phi`] member, whose level is the zoo's.
+    headline: usize,
 }
 
-/// Index of the φ member inside [`DetectorZoo::standard`], whose level is
-/// the zoo's headline output.
-const ZOO_HEADLINE: usize = 3;
-
 impl DetectorZoo {
-    /// The standard six-member zoo with a shared degradation policy and
-    /// per-member thresholds calibrated for a 1 s heartbeat cadence:
-    /// elapsed-time scales suspect at 2 s / 1 s of lateness, the φ family
-    /// at φ = 2 (tail odds 1:100), the adaptive detector at 0.9
-    /// (nine in ten past gaps were shorter).
+    /// The catalogue's zoo with a shared degradation policy.
     pub fn standard(degrade: DegradeConfig) -> Self {
-        let members = vec![
-            ZooMember::new(
-                "simple",
-                SuspicionLevel::clamped(2.0),
-                Box::new(SimpleAccrual::new(Timestamp::ZERO)),
-                degrade,
-            ),
-            ZooMember::new(
-                "chen",
-                SuspicionLevel::clamped(1.0),
-                Box::new(ChenAccrual::with_defaults()),
-                degrade,
-            ),
-            ZooMember::new(
-                "bertier",
-                SuspicionLevel::clamped(1.0),
-                Box::new(BertierAccrual::with_defaults()),
-                degrade,
-            ),
-            ZooMember::new(
-                "phi",
-                SuspicionLevel::clamped(2.0),
-                Box::new(PhiAccrual::with_defaults()),
-                degrade,
-            ),
-            ZooMember::new(
-                "akka",
-                SuspicionLevel::clamped(2.0),
-                Box::new(AkkaPhi::with_defaults()),
-                degrade,
-            ),
-            ZooMember::new(
-                "adaptive",
-                SuspicionLevel::clamped(0.9),
-                Box::new(AdaptiveAccrual::with_defaults()),
-                degrade,
-            ),
-        ];
-        DetectorZoo { members }
-    }
-
-    /// The members, mutably (for querying levels individually).
-    pub fn members_mut(&mut self) -> &mut [ZooMember] {
-        &mut self.members
+        let zoo = spec::zoo();
+        DetectorZoo {
+            members: zoo
+                .iter()
+                .map(|member| GracefulDegradation::new(member.detector.build(), degrade))
+                .collect(),
+            headline: zoo
+                .iter()
+                .position(|member| *member == spec::phi())
+                .unwrap_or_default(),
+        }
     }
 
     /// Total starvation episodes across the zoo by `now`.
     pub fn degrade_events(&self, now: Timestamp) -> u64 {
-        self.members
-            .iter()
-            .map(|m| m.detector.degrade_events(now))
-            .sum()
+        self.members.iter().map(|m| m.degrade_events(now)).sum()
     }
 }
 
 impl AccrualFailureDetector for DetectorZoo {
     fn record_heartbeat(&mut self, arrival: Timestamp) {
         for member in &mut self.members {
-            member.detector.record_heartbeat(arrival);
+            member.record_heartbeat(arrival);
         }
     }
 
     /// The zoo's headline level is φ's (every member is sampled
     /// individually by the harness).
     fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-        self.members[ZOO_HEADLINE].detector.suspicion_level(now)
+        self.members[self.headline].suspicion_level(now)
     }
 
     fn prefetch(&self) {
         for member in &self.members {
-            member.detector.prefetch();
+            member.prefetch();
         }
     }
 }
@@ -529,10 +444,9 @@ pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
     );
 
     let crash = scenario.permanent_crash();
-    let mut trackers: Vec<DetectorTracker> = DetectorZoo::standard(degrade)
-        .members
+    let mut trackers: Vec<DetectorTracker> = spec::zoo()
         .iter()
-        .map(|member| DetectorTracker::new(member.name, member.threshold, crash))
+        .map(|zoo| DetectorTracker::new(zoo, crash))
         .collect();
     let mut events = EventRing::new(8192);
     let transport_errors = drive_lock_step(
@@ -547,9 +461,9 @@ pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
             // skip the query rather than abort the run.
             debug_assert!(monitor.detector_mut(process).is_some(), "process watched");
             if let Some(zoo) = monitor.detector_mut(process) {
-                for (member, tracker) in zoo.members_mut().iter_mut().zip(trackers.iter_mut()) {
-                    let level = member.detector.suspicion_level(t);
-                    let degraded = member.detector.is_degraded(t);
+                for (member, tracker) in zoo.members.iter_mut().zip(trackers.iter_mut()) {
+                    let level = member.suspicion_level(t);
+                    let degraded = member.is_degraded(t);
                     tracker.observe(t, level, degraded, process, &mut events);
                 }
             }
@@ -562,8 +476,8 @@ pub fn run_chaos(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
     core.export_metrics(&registry);
     let end = clock.now();
     let degrade_events = monitor.detector_mut(process).map_or(0, |zoo| {
-        for member in zoo.members_mut() {
-            member.detector.export_metrics(&registry, member.name, end);
+        for (member, tracker) in zoo.members.iter().zip(&trackers) {
+            member.export_metrics(&registry, tracker.name, end);
         }
         zoo.degrade_events(end)
     });
@@ -823,6 +737,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afd_detectors::simple::SimpleAccrual;
 
     #[test]
     fn the_zoo_has_no_curve() {

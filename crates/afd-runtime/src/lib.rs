@@ -59,7 +59,7 @@ pub mod wire;
 
 pub use chaos::{
     run_chaos, run_chaos_script, ChaosReport, ChaosScenario, ChaosScript, DetectorZoo, ScriptEvent,
-    ScriptReport, ScriptSample, ZooDetectorReport, ZooMember,
+    ScriptReport, ScriptSample, ZooDetectorReport,
 };
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use degrade::{DegradeConfig, GracefulDegradation};

@@ -695,6 +695,12 @@ fn decode_manifest(buf: &[u8]) -> Result<ManifestData, PersistError> {
     let count = read_u32(buf, 12).ok_or_else(|| corrupt("missing count"))?;
     let generation = read_u64(buf, 16).ok_or_else(|| corrupt("missing generation"))?;
     let epoch = read_u64(buf, 24).ok_or_else(|| corrupt("missing epoch"))?;
+    // A CRC is no MAC: the count is outside input until the entries bear
+    // it out, so it may not size an allocation the body cannot fill. An
+    // entry with an empty name is 16 bytes.
+    if count as usize > (body - MANIFEST_HEADER) / 16 {
+        return Err(corrupt("entry count exceeds the body"));
+    }
     let mut segments = Vec::with_capacity(count as usize);
     let mut at = MANIFEST_HEADER;
     for _ in 0..count {
@@ -1338,6 +1344,32 @@ mod tests {
         assert_eq!(restored.generation, None);
         assert!(restored.peers.is_empty());
         assert_eq!(restored.segments_rejected, 0);
+    }
+
+    #[test]
+    fn a_manifest_claiming_more_entries_than_it_holds_is_rejected() {
+        // Header and checksum only, valid CRC, `u32::MAX` entries: it is
+        // rejected before anything is sized by the count, and restore
+        // falls back to the generation below it.
+        let mut forged = Vec::new();
+        forged.extend_from_slice(MANIFEST_MAGIC);
+        push_u32(&mut forged, FORMAT_VERSION);
+        push_u32(&mut forged, u32::MAX);
+        push_u64(&mut forged, 2);
+        push_u64(&mut forged, 0);
+        let crc = crc32(&forged);
+        push_u32(&mut forged, crc);
+        assert_eq!(forged.len(), MANIFEST_HEADER + 4);
+        assert!(decode_manifest(&forged).is_err());
+
+        let mut sink = MemSink::new();
+        let older = encode_manifest(1, Timestamp::from_secs(1), &[]);
+        sink.put(&manifest_name(1), &older).unwrap();
+        sink.put(&manifest_name(2), &forged).unwrap();
+        let mut ckpt = Checkpointer::new(sink, CheckpointConfig::default());
+        let restored = ckpt.restore(&VirtualClock::new()).unwrap();
+        assert_eq!(restored.manifests_rejected, 1);
+        assert_eq!(restored.generation, Some(1));
     }
 
     #[test]

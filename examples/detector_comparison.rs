@@ -15,15 +15,17 @@
 //! cargo run --example detector_comparison
 //! ```
 
-use accrual_fd::detectors::kappa::PhiContribution;
+use accrual_fd::detectors::spec;
 use accrual_fd::prelude::*;
 
 fn main() {
-    let mut simple = SimpleAccrual::new(Timestamp::ZERO);
-    let mut chen = ChenAccrual::with_defaults();
-    let mut phi = PhiAccrual::with_defaults();
-    let mut kappa =
-        KappaAccrual::new(KappaConfig::default(), PhiContribution).expect("valid config");
+    let specs = [
+        spec::simple().detector,
+        spec::chen().detector,
+        spec::phi_normal(),
+        spec::kappa_phi(),
+    ];
+    let mut detectors = specs.map(|spec| spec.build());
 
     // Phase 1: healthy 1 Hz heartbeats with ±50 ms of deterministic jitter.
     let mut arrivals: Vec<f64> = Vec::new();
@@ -43,10 +45,9 @@ fn main() {
         let now = Timestamp::from_secs(tick);
         while next < arrivals.len() && arrivals[next] <= tick as f64 {
             let at = Timestamp::from_secs_f64(arrivals[next]);
-            simple.record_heartbeat(at);
-            chen.record_heartbeat(at);
-            phi.record_heartbeat(at);
-            kappa.record_heartbeat(at);
+            for detector in &mut detectors {
+                detector.record_heartbeat(at);
+            }
             next += 1;
         }
         let note = match tick {
@@ -56,15 +57,10 @@ fn main() {
             _ => "",
         };
         if tick % 10 == 0 || (60..=68).contains(&tick) || tick >= 80 {
-            println!(
-                "  {:>4}   {:<8.2} {:<8.2} {:<8.2} {:<8.2} {}",
-                tick,
-                simple.suspicion_level(now).value().min(9999.0),
-                chen.suspicion_level(now).value().min(9999.0),
-                phi.suspicion_level(now).value().min(9999.0),
-                kappa.suspicion_level(now).value().min(9999.0),
-                note,
-            );
+            let [simple, chen, phi, kappa] = detectors
+                .each_mut()
+                .map(|d| d.suspicion_level(now).value().min(9999.0));
+            println!("  {tick:>4}   {simple:<8.2} {chen:<8.2} {phi:<8.2} {kappa:<8.2} {note}");
         }
     }
 

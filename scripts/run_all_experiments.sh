@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs every reproduction experiment (E1-E11) in sequence and saves the
+# Runs every reproduction experiment (E1-E12) in sequence and saves the
 # output under results/. See EXPERIMENTS.md for the experiment index.
 set -euo pipefail
 cd "$(dirname "$0")/.."

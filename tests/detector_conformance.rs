@@ -15,22 +15,15 @@
 //! 5. the PR-7 detectors round-trip through save/restore seeds.
 
 use accrual_fd::core::properties::{check_upper_bound, AccruementCheck};
+use accrual_fd::detectors::spec::{self, AnyDetector};
 use accrual_fd::prelude::*;
 use accrual_fd::runtime::{run_chaos, ChaosScenario};
 
-/// The six zoo members behind the common trait object, in zoo order.
-fn zoo() -> Vec<(&'static str, Box<dyn AccrualFailureDetector>)> {
-    vec![
-        (
-            "simple",
-            Box::new(SimpleAccrual::new(Timestamp::ZERO)) as Box<dyn AccrualFailureDetector>,
-        ),
-        ("chen", Box::new(ChenAccrual::with_defaults())),
-        ("bertier", Box::new(BertierAccrual::with_defaults())),
-        ("phi", Box::new(PhiAccrual::with_defaults())),
-        ("akka", Box::new(AkkaPhi::with_defaults())),
-        ("adaptive", Box::new(AdaptiveAccrual::with_defaults())),
-    ]
+/// The catalogue's six zoo members, built, in zoo order.
+fn zoo() -> impl Iterator<Item = (&'static str, AnyDetector)> {
+    spec::zoo()
+        .into_iter()
+        .map(|zoo| (zoo.detector.name(), zoo.detector.build()))
 }
 
 /// Feeds `beats` heartbeats on a regular 1 s cadence; returns the last
@@ -47,7 +40,7 @@ fn warm(fd: &mut dyn AccrualFailureDetector, beats: u64) -> Timestamp {
 #[test]
 fn levels_are_monotone_between_heartbeats_and_grow_over_silence() {
     for (name, mut fd) in zoo() {
-        let last = warm(fd.as_mut(), 30);
+        let last = warm(&mut fd, 30);
         let mut prev = fd.suspicion_level(last).value();
         for step in 1..=400u64 {
             let at = last.saturating_add(Duration::from_millis(step * 50));
@@ -72,7 +65,7 @@ fn levels_are_monotone_between_heartbeats_and_grow_over_silence() {
 #[test]
 fn a_fresh_heartbeat_resets_the_level() {
     for (name, mut fd) in zoo() {
-        let last = warm(fd.as_mut(), 30);
+        let last = warm(&mut fd, 30);
         let late = last.saturating_add(Duration::from_secs(10));
         let suspicious = fd.suspicion_level(late).value();
         fd.record_heartbeat(late);
@@ -91,7 +84,7 @@ fn a_fresh_heartbeat_resets_the_level() {
 #[test]
 fn querying_at_the_arrival_instant_is_finite_and_non_negative() {
     for (name, mut fd) in zoo() {
-        let last = warm(fd.as_mut(), 10);
+        let last = warm(&mut fd, 10);
         let level = fd.suspicion_level(last).value();
         assert!(
             level.is_finite() && level >= 0.0,
@@ -147,13 +140,18 @@ fn all_zoo_members_stay_bounded_while_the_sender_lives() {
     }
 }
 
-/// The two PR-7 detectors persist: save → restore → identical answers on a
-/// regular cadence (where the moments-only seed is lossless).
+/// Every zoo member that persists a seed round-trips it: save → restore →
+/// identical answers on a regular cadence (where the moments-only seed is
+/// lossless).
 #[test]
 fn new_detectors_roundtrip_their_seeds() {
-    fn roundtrip<D: AccrualFailureDetector>(name: &str, mut fd: D, mut fresh: D) {
+    for zoo in spec::zoo() {
+        let (name, mut fd) = (zoo.detector.name(), zoo.detector.build());
         let last = warm(&mut fd, 25);
-        let seed = fd.save_seed().expect("new detectors persist a seed");
+        let Some(seed) = fd.save_seed() else {
+            continue;
+        };
+        let mut fresh = zoo.detector.build();
         fresh.restore_seed(&seed);
         for late_ms in [0u64, 250, 1000, 4000, 12_000] {
             let q = last.saturating_add(Duration::from_millis(late_ms));
@@ -165,10 +163,4 @@ fn new_detectors_roundtrip_their_seeds() {
             );
         }
     }
-    roundtrip("akka", AkkaPhi::with_defaults(), AkkaPhi::with_defaults());
-    roundtrip(
-        "adaptive",
-        AdaptiveAccrual::with_defaults(),
-        AdaptiveAccrual::with_defaults(),
-    );
 }

@@ -10,29 +10,18 @@ use accrual_fd::core::accrual::AccrualFailureDetector;
 use accrual_fd::core::properties::{check_upper_bound, AccruementCheck};
 use accrual_fd::detectors::kappa::PhiContribution;
 use accrual_fd::detectors::kappa_seq::{SeqKappaAccrual, SeqKappaConfig};
+use accrual_fd::detectors::spec;
 use accrual_fd::prelude::*;
 use accrual_fd::sim::replay::{replay, ReplayConfig};
 use accrual_fd::sim::rng::SimRng;
 use accrual_fd::sim::trace::{ArrivalTrace, HeartbeatRecord};
 
 fn all_detectors() -> Vec<(&'static str, Box<dyn AccrualFailureDetector>)> {
-    vec![
-        ("simple", Box::new(SimpleAccrual::new(Timestamp::ZERO))),
-        ("chen", Box::new(ChenAccrual::with_defaults())),
-        (
-            "bertier",
-            Box::new(accrual_fd::detectors::bertier::BertierAccrual::with_defaults()),
-        ),
-        ("phi", Box::new(PhiAccrual::with_defaults())),
-        (
-            "kappa",
-            Box::new(KappaAccrual::new(KappaConfig::default(), PhiContribution).unwrap()),
-        ),
-        (
-            "kappa-seq",
-            Box::new(SeqKappaAccrual::new(SeqKappaConfig::default(), PhiContribution).unwrap()),
-        ),
-    ]
+    let series = spec::series().map(|spec| (spec.name(), Box::new(spec.build()) as Box<_>));
+    // The sequence-numbered κ is in no catalogue.
+    let kappa_seq = SeqKappaAccrual::new(SeqKappaConfig::default(), PhiContribution).unwrap();
+    let kappa_seq = ("kappa-seq", Box::new(kappa_seq) as Box<_>);
+    series.into_iter().chain([kappa_seq]).collect()
 }
 
 /// Builds a hand-crafted trace from (seq, sent, delivered) tuples.
