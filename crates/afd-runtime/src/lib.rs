@@ -52,6 +52,7 @@ pub mod ring;
 pub mod sender;
 pub mod seq;
 pub mod shard;
+pub mod snapshot;
 pub mod supervisor;
 pub mod transport;
 pub mod varint;
@@ -78,9 +79,9 @@ pub use ring::{heartbeat_ring, RingConsumer, RingProducer, RingWatch};
 pub use sender::{spawn_sender, SenderConfig, SenderCore, SenderHandle, WireVersion};
 pub use seq::{classify, SeqVerdict};
 pub use shard::{
-    MonitorStats, ShardCapacityError, ShardConfig, ShardedMonitor, ShardedStats, SnapshotReader,
-    TickReport,
+    MonitorStats, ShardCapacityError, ShardConfig, ShardedMonitor, ShardedStats, TickReport,
 };
+pub use snapshot::SnapshotReader;
 pub use supervisor::{HealthBoard, SupervisedThread, Supervisor, Watchdog};
 pub use transport::{
     ChannelTransport, FrameBatch, NullTransport, Transport, MAX_DATAGRAM, PROBE_LEN,

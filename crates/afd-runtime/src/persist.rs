@@ -44,7 +44,7 @@ use afd_core::time::{Duration, Timestamp};
 use afd_sim::rng::SimRng;
 
 use crate::clock::Clock;
-use crate::shard::{PeerDurable, SnapshotReader};
+use crate::snapshot::{PeerDurable, SnapshotReader};
 
 /// Magic prefix of a segment file.
 const SEGMENT_MAGIC: &[u8; 8] = b"AFDSEG01";
@@ -562,13 +562,9 @@ fn encode_segment(
     push_u64(&mut out, records.len() as u64);
     for (p, d) in records {
         push_u64(&mut out, u64::from(p.as_u32()));
-        push_u64(&mut out, d.flags);
-        push_u64(&mut out, d.highest_seq);
-        push_u64(&mut out, d.last_hb_nanos);
-        push_u64(&mut out, d.samples);
-        push_u64(&mut out, d.mean_bits);
-        push_u64(&mut out, d.var_bits);
-        push_u64(&mut out, d.heartbeats_seen);
+        for word in d.words() {
+            push_u64(&mut out, word);
+        }
     }
     let crc = crc32(&out);
     push_u32(&mut out, crc);
@@ -619,18 +615,11 @@ fn decode_segment(buf: &[u8]) -> Result<SegmentData, PersistError> {
     for _ in 0..count {
         let word = |k: usize| read_u64(buf, at + 8 * k).ok_or_else(|| corrupt("short record"));
         let peer = ProcessId::new(word(0)? as u32);
-        records.push((
-            peer,
-            PeerDurable {
-                flags: word(1)?,
-                highest_seq: word(2)?,
-                last_hb_nanos: word(3)?,
-                samples: word(4)?,
-                mean_bits: word(5)?,
-                var_bits: word(6)?,
-                heartbeats_seen: word(7)?,
-            },
-        ));
+        let mut words = [0u64; 7];
+        for (k, w) in words.iter_mut().enumerate() {
+            *w = word(k + 1)?;
+        }
+        records.push((peer, PeerDurable::from_words(words)));
         at += RECORD_BYTES;
     }
     Ok(SegmentData {

@@ -22,8 +22,9 @@
 //!    the *changed-slot* pass rewrites a durable row, and refreshes the
 //!    peer's [`LevelCurve`], only after that peer's state changed; the
 //!    *level* pass re-evaluates every level from the shard's dense column
-//!    of curves, eight peers at a time, without touching a slot (see
-//!    *What a publish writes*).
+//!    of curves, eight peers at a time, without touching a slot. The
+//!    protocol between this writer and the readers — slots, banks, the
+//!    index and their seqlocks — is [`snapshot`](crate::snapshot)'s.
 //!
 //! `Shard` owns every per-shard operation (watch with capacity,
 //! unwatch, import of a restored peer, accept, publish, counters), so the
@@ -72,130 +73,15 @@
 //! Both executors call it — the inline one over a tick's mixed-shard
 //! batch as it stands, a worker over what it popped from its rings — and
 //! `Shard::accept` is its batch of one.
-//!
-//! # Stable slots
-//!
-//! A watched peer lives in one *slot* of its shard's slab from `watch`
-//! to `unwatch`, and the slot's position is the peer's row in both
-//! snapshot banks. An `unwatch` vacates the slot and the next `watch`
-//! reuses the most recently vacated one, so a membership change touches
-//! one slot and no other peer's row ever moves. Each `ShardCell`
-//! carries one open-addressed id→slot table (`SlotIndex`) that the
-//! three layers share: accept probes it to find the entry, publish
-//! writes the rows of the slab it indexes, a reader probes it to find the
-//! row.
-//!
-//! # Epoch snapshots
-//!
-//! Each shard owns a `ShardCell`: two banks of atomics (one row per
-//! slot: peer id, suspicion level as `f64` bits, durable words) plus a
-//! `front` selector. The id and level columns are flat and as long as
-//! the shard's capacity, so a point read is one index probe and two
-//! loads; the durable rows come a chunk at a time (see *What a publish
-//! writes*). The publishing thread fills the *back* bank under a
-//! seqlock word (odd while writing), then flips `front`. Readers load
-//! `front`, verify the seqlock word is even and unchanged around their
-//! reads, and retry on a straddle. The writer is wait-free (it never
-//! observes readers); readers are obstruction-free (they retry only if a
-//! publish overlaps their read). Everything is plain atomics — no locks,
-//! no unsafe code.
-//!
-//! A point read ([`SnapshotReader::level`]) takes two steps. It probes
-//! the index for the peer's slot — under the index's own seqlock word,
-//! because an `unwatch` closes the gap it leaves by moving later entries
-//! of the probe sequence back, and a reader that raced the move could
-//! otherwise walk past a key that is there; it retries instead. Then,
-//! under the front bank's seqlock, it checks that the row *holds that
-//! peer's id* before it takes the level. The index says where a peer
-//! lives now and the bank what was there at the last publish, and the id
-//! check is what reconciles the two: a slot that changed hands since the
-//! publish answers `None`, never the previous tenant's level. The
-//! previous tenant may be the peer itself: a peer unwatched and watched
-//! again before the next publish takes back the slot it just left, and the
-//! id check alone would pass it the level of the detector that was
-//! dropped. So an `unwatch` does not wait for a publish to retire the row:
-//! the shard's thread stores the vacant id into it in *both* banks there
-//! and then (*the re-watch rule*). One word a bank, so outside the seqlock
-//! — a reader that raced the store either got the row or did not, and both
-//! are answers it could have had. So a peer that is watched but not yet
-//! published reads `None` — whoever held the slot before, itself included
-//! — an unwatched peer reads `None` and is gone from
-//! [`SnapshotReader::snapshot`] and the checkpointer's view from the
-//! `unwatch` on, and a peer that stays watched never reads `None`.
-//!
-//! # What a publish writes
-//!
-//! A peer's row is its id, its suspicion level and seven durable words
-//! (detector seed, sequence watermark) for the checkpointer. A publish
-//! writes them in two passes.
-//!
-//! **The durable bank.** The seven words are one contiguous 56-byte
-//! record, so a row is stored or loaded in one or two cache lines. Records
-//! come in chunks of 256 that the slab's growth allocates: `watch`, the
-//! one place a row is born — an import and both executors go through it
-//! — gives the new row's chunk to both banks when the slab first reaches
-//! it. Only the chunk table is allocated with the cell, so a shard
-//! declared for many more peers than it watches pays for the rows it has
-//! used and not for its capacity; a chunk stays after an `unwatch`,
-//! because the free list reuses its rows. The id and level columns stay
-//! flat: they are what a point read touches, and a chunk lookup on that
-//! path would put one more dependent load on every query.
-//!
-//! **The changed-slot pass.** The id and the durable words change only
-//! when the slot changes hands, an arrival is accepted, a peer is
-//! imported, or a caller borrows the detector mutably — so each such
-//! change marks *that slot* for the next two publishes, one into each
-//! bank: the back bank missed the previous publish, and what a publish
-//! writes is therefore the union of this and the previous publish's
-//! changed slots. For every other slot the bank still holds, from two
-//! publishes ago, exactly the row a rewrite would produce, and `save_seed`
-//! and the eight stores are skipped: the pass reads the mark and moves on.
-//! A vacated slot costs it one branch; its rows already hold `VACANT` —
-//! an id outside the `u32` id space, which `read_all`/`read_durable` skip
-//! — since the `unwatch`.
-//!
-//! **The level pass.** The level is a function of the query time
-//! (`sl_qp(t)`, §3 Definition 1), so every publish re-evaluates it for
-//! every slot — but not by asking the detector. Beside the slab the shard
-//! keeps a *curve column*: one [`LevelCurve`] a slot — zero, linear in the
-//! elapsed time, or a normal tail; 32 bytes where a φ slot is 216 — which
-//! is what the detector's
-//! [`level_curve`](AccrualFailureDetector::level_curve) returned when the
-//! slot last changed. A detector promises that its curve changes only
-//! where its seed can, so the same marks cover it and the changed-slot
-//! pass refreshes a row at the first of the two publishes a change is
-//! owed (there is one column, not one a bank). The level pass then runs
-//! [`LevelCurve::at_block`] down the column, eight rows at a time,
-//! straight into the bank's level words, and touches no slot: a block's
-//! eight evaluations are staged so that their dependency chains overlap,
-//! where a walk over the slots kept two or three peers in flight. A
-//! detector whose level has none of these shapes (κ, the histograms of
-//! the adaptive and the mature empirical φ, Akka's logistic, and the two
-//! pieces of `GracefulDegradation` — inner curve, then a line) returns `None`:
-//! its row holds the zero curve, its slot is *listed*, and after the
-//! column the listed slots are asked `suspicion_level(now)` one by one,
-//! as every slot used to be. A vacant row holds the zero curve too, and
-//! nobody reads its level.
-//!
-//! Nothing makes a publish rewrite every row: the `incremental_publish`
-//! proptest holds the front bank to a full recomputation, bit for bit,
-//! through slot reuse — for a shard whose rows all have curves, one whose
-//! rows have none and one whose rows change sides — and checks that a
-//! `watch` or `unwatch` marks one slot.
-//!
-//! Published levels are as of the last publish, so a reader's view lags
-//! real time by at most one tick interval; callers that need exact-`now`
-//! values use the `&mut` paths ([`ShardedMonitor::level`] /
-//! [`ShardedMonitor::snapshot`]), which evaluate detectors directly.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hint::black_box;
 use std::mem;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use afd_core::accrual::{AccrualFailureDetector, DetectorSeed, LevelCurve};
+use afd_core::accrual::{AccrualFailureDetector, LevelCurve};
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
@@ -204,6 +90,7 @@ use crate::clock::Clock;
 use crate::error::TransportError;
 use crate::persist::{RestoreImport, RestoredPeer};
 use crate::seq::{classify, SeqVerdict};
+use crate::snapshot::{shard_index, PeerDurable, ShardCell, SnapshotReader};
 use crate::transport::{FrameBatch, Transport};
 use crate::wire::{Heartbeat, WireDecoder};
 
@@ -212,19 +99,6 @@ use crate::wire::{Heartbeat, WireDecoder};
 pub(crate) const INTAKE_BATCH_SLOTS: usize = 512;
 
 pub(crate) type DetectorFactory<D> = Box<dyn FnMut(ProcessId) -> D + Send>;
-
-/// 2⁶⁴/φ, the multiplier of a Fibonacci hash.
-const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Fibonacci-hashes a process id onto a shard index. A multiplicative
-/// hash (rather than `id % shards`) keeps sequentially assigned ids from
-/// striding into the same shard when the shard count shares a factor
-/// with the id allocation pattern.
-#[inline]
-pub(crate) fn shard_index(process: ProcessId, shards: usize) -> usize {
-    let h = u64::from(process.as_u32()).wrapping_mul(FIBONACCI);
-    ((h >> 32) as usize) % shards.max(1)
-}
 
 /// Sizing for a [`ShardedMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,627 +200,6 @@ pub struct ShardedStats {
     pub peers_per_shard: Vec<usize>,
     /// Ticks executed so far.
     pub ticks: u64,
-}
-
-/// Bit in [`PeerDurable::flags`]: the detector produced a seed.
-pub(crate) const DURABLE_HAS_SEED: u64 = 1;
-/// Bit in [`PeerDurable::flags`]: the seed carries a last-heartbeat time.
-pub(crate) const DURABLE_HAS_LAST_HB: u64 = 1 << 1;
-/// Bit in [`PeerDurable::flags`]: a highest sequence number was recorded.
-pub(crate) const DURABLE_HAS_SEQ: u64 = 1 << 2;
-
-/// The durable state of one published peer, flattened to seven `u64`
-/// words so it can cross the epoch-snapshot banks as plain atomics (and
-/// land byte-for-byte in a checkpoint segment record).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PeerDurable {
-    /// `DURABLE_*` presence bits.
-    pub(crate) flags: u64,
-    /// Highest heartbeat sequence accepted (replay-rejection state).
-    pub(crate) highest_seq: u64,
-    /// Last heartbeat arrival, in nanoseconds.
-    pub(crate) last_hb_nanos: u64,
-    /// Inter-arrival samples in the detector window.
-    pub(crate) samples: u64,
-    /// Window mean, as `f64` bits.
-    pub(crate) mean_bits: u64,
-    /// Window population variance, as `f64` bits.
-    pub(crate) var_bits: u64,
-    /// Auxiliary detector counter (see [`DetectorSeed::heartbeats_seen`]).
-    pub(crate) heartbeats_seen: u64,
-}
-
-impl PeerDurable {
-    /// Flattens a detector seed plus replay state into one record.
-    pub(crate) fn from_state(seed: Option<DetectorSeed>, highest_seq: Option<u64>) -> Self {
-        let mut flags = 0u64;
-        if highest_seq.is_some() {
-            flags |= DURABLE_HAS_SEQ;
-        }
-        let mut last_hb_nanos = 0;
-        let mut samples = 0;
-        let mut mean_bits = 0;
-        let mut var_bits = 0;
-        let mut heartbeats_seen = 0;
-        if let Some(seed) = seed {
-            flags |= DURABLE_HAS_SEED;
-            if let Some(last) = seed.last_heartbeat {
-                flags |= DURABLE_HAS_LAST_HB;
-                last_hb_nanos = last.as_nanos();
-            }
-            samples = seed.samples;
-            mean_bits = seed.mean.to_bits();
-            var_bits = seed.population_variance.to_bits();
-            heartbeats_seen = seed.heartbeats_seen;
-        }
-        PeerDurable {
-            flags,
-            highest_seq: highest_seq.unwrap_or(0),
-            last_hb_nanos,
-            samples,
-            mean_bits,
-            var_bits,
-            heartbeats_seen,
-        }
-    }
-
-    /// The detector seed carried by this record, if any.
-    pub(crate) fn seed(&self) -> Option<DetectorSeed> {
-        if self.flags & DURABLE_HAS_SEED == 0 {
-            return None;
-        }
-        let last_heartbeat = if self.flags & DURABLE_HAS_LAST_HB != 0 {
-            Some(Timestamp::from_nanos(self.last_hb_nanos))
-        } else {
-            None
-        };
-        Some(DetectorSeed {
-            last_heartbeat,
-            samples: self.samples,
-            mean: f64::from_bits(self.mean_bits),
-            population_variance: f64::from_bits(self.var_bits),
-            heartbeats_seen: self.heartbeats_seen,
-        })
-    }
-
-    /// The recorded highest sequence number, if any.
-    pub(crate) fn highest(&self) -> Option<u64> {
-        if self.flags & DURABLE_HAS_SEQ != 0 {
-            Some(self.highest_seq)
-        } else {
-            None
-        }
-    }
-}
-
-/// Durable rows a [`DurableBank`] chunk holds: a power of two, so a row's
-/// chunk and its place in it are a shift and a mask.
-const CHUNK: usize = 256;
-
-/// One durable row: a [`PeerDurable`]'s seven words, contiguous, so a
-/// store or a load touches one or two cache lines and not seven.
-type DurableRow = [AtomicU64; 7];
-
-/// The durable rows of a [`Bank`]: per-slot detector seeds and replay
-/// state, guarded by the same seqlock as the (peer, level) table so a
-/// checkpointer reads a view consistent with the published epoch — and
-/// never touches worker-owned detector state.
-///
-/// Rows come a chunk of [`CHUNK`] at a time, when the slab first reaches
-/// one ([`cover`](Self::cover)), so a bank pays for the rows its shard has
-/// used and not for its capacity: the chunk table is all that is allocated
-/// up front, 16 bytes a chunk. A chunk stays after its peers are
-/// unwatched, because the free list hands its rows out again.
-struct DurableBank {
-    chunks: Box<[OnceLock<Box<[DurableRow; CHUNK]>>]>,
-}
-
-impl DurableBank {
-    fn new(slots: usize) -> Self {
-        DurableBank {
-            chunks: (0..slots.div_ceil(CHUNK))
-                .map(|_| OnceLock::new())
-                .collect(),
-        }
-    }
-
-    /// Allocates the chunk holding row `i`, unless an earlier row did.
-    /// Only the shard's thread calls it, from `watch`, before any publish
-    /// can write the row.
-    fn cover(&self, i: usize) {
-        self.chunks[i / CHUNK]
-            .get_or_init(|| Box::new(std::array::from_fn(|_| DurableRow::default())));
-    }
-
-    /// Row `i`, if its chunk has been allocated.
-    #[inline]
-    fn row(&self, i: usize) -> Option<&DurableRow> {
-        Some(&self.chunks[i / CHUNK].get()?[i % CHUNK])
-    }
-
-    /// Plain store of one record; callers hold the bank's seqlock odd.
-    /// The row's chunk exists: `watch` covered it before any publish could
-    /// reach the row.
-    fn store(&self, i: usize, d: &PeerDurable) {
-        let Some(row) = self.row(i) else {
-            debug_assert!(false, "`watch` did not cover row {i}'s chunk");
-            return;
-        };
-        let words = [
-            d.flags,
-            d.highest_seq,
-            d.last_hb_nanos,
-            d.samples,
-            d.mean_bits,
-            d.var_bits,
-            d.heartbeats_seen,
-        ];
-        for (cell, word) in row.iter().zip(words) {
-            cell.store(word, Ordering::Relaxed);
-        }
-    }
-
-    /// Plain load of one record; callers re-verify the seqlock afterwards.
-    /// A row without a chunk reads as the empty record: a read can only
-    /// meet one while a publish overlaps it, and the seqlock discards it —
-    /// a row a publish wrote was covered before that publish began.
-    fn load(&self, i: usize) -> PeerDurable {
-        let Some(row) = self.row(i) else {
-            return PeerDurable::default();
-        };
-        let [flags, highest_seq, last_hb_nanos, samples, mean_bits, var_bits, heartbeats_seen] =
-            row.each_ref().map(|cell| cell.load(Ordering::Relaxed));
-        PeerDurable {
-            flags,
-            highest_seq,
-            last_hb_nanos,
-            samples,
-            mean_bits,
-            var_bits,
-            heartbeats_seen,
-        }
-    }
-
-    /// Chunks allocated so far.
-    #[cfg(test)]
-    fn chunks_allocated(&self) -> usize {
-        self.chunks.iter().filter(|c| c.get().is_some()).count()
-    }
-}
-
-/// A sequence lock over plain atomics: its one writer holds the word odd
-/// while it stores, and a read that saw the word odd, or changed, is
-/// discarded.
-struct SeqLock(AtomicU64);
-
-impl SeqLock {
-    fn new() -> Self {
-        SeqLock(AtomicU64::new(0))
-    }
-
-    /// Runs the single writer's `stores` with the word odd.
-    fn write<R>(&self, stores: impl FnOnce() -> R) -> R {
-        // Enter: mark odd, then fence so the stores cannot be observed
-        // before the mark. Plain stores suffice — there is one writer.
-        // `| 1` rather than `+ 1`: `stores` that unwound (a detector
-        // panicked) left the word odd, and the next write must not flip
-        // it to even while it stores.
-        let writing = self.0.load(Ordering::Relaxed) | 1;
-        self.0.store(writing, Ordering::Relaxed);
-        fence(Ordering::Release);
-        let out = stores();
-        // Exit (even again): release-orders every store before the mark
-        // readers synchronize with.
-        self.0.store(writing.wrapping_add(1), Ordering::Release);
-        out
-    }
-
-    /// One read attempt: what `loads` returned, or `None` if a write
-    /// overlapped it.
-    fn try_read<R>(&self, loads: impl FnOnce() -> R) -> Option<R> {
-        let before = self.0.load(Ordering::Acquire);
-        if before & 1 == 1 {
-            return None;
-        }
-        let out = loads();
-        // Acquire fence keeps the loads above the re-check.
-        fence(Ordering::Acquire);
-        (self.0.load(Ordering::Relaxed) == before).then_some(out)
-    }
-}
-
-/// The id a vacated row holds: outside the `u32` id space, so no lookup
-/// matches it and the copying reads skip it.
-const VACANT: u64 = u64::MAX;
-
-/// One bank of a [`ShardCell`]: one published row per slab slot plus the
-/// seqlock word guarding them.
-struct Bank {
-    seq: SeqLock,
-    /// Rows in use: the slab's length at the publish.
-    len: AtomicUsize,
-    /// Publish timestamp, in nanoseconds.
-    published_at: AtomicU64,
-    /// Peer ids by slot, [`VACANT`] where the slot is empty.
-    peers: Vec<AtomicU64>,
-    /// Suspicion levels as `f64` bit patterns, parallel to `peers`.
-    levels: Vec<AtomicU64>,
-    /// Durable per-peer rows, parallel to `peers`, allocated as the slab
-    /// grows.
-    durable: DurableBank,
-}
-
-impl Bank {
-    fn new(slots: usize) -> Self {
-        Bank {
-            seq: SeqLock::new(),
-            len: AtomicUsize::new(0),
-            published_at: AtomicU64::new(0),
-            peers: (0..slots).map(|_| AtomicU64::new(VACANT)).collect(),
-            levels: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            durable: DurableBank::new(slots),
-        }
-    }
-
-    /// The epoch this bank was published at; callers re-verify the seqlock.
-    fn published_at(&self) -> Timestamp {
-        Timestamp::from_nanos(self.published_at.load(Ordering::Relaxed))
-    }
-
-    /// The live rows among the first `len`: slot, peer and level. Callers
-    /// re-verify the seqlock.
-    fn live_rows(
-        &self,
-        len: usize,
-    ) -> impl Iterator<Item = (usize, ProcessId, SuspicionLevel)> + '_ {
-        let rows = self.peers.iter().zip(&self.levels).take(len).enumerate();
-        rows.filter_map(|(slot, (peer, level))| {
-            let id = u32::try_from(peer.load(Ordering::Relaxed)).ok()?;
-            let level = f64::from_bits(level.load(Ordering::Relaxed));
-            Some((slot, ProcessId::new(id), SuspicionLevel::clamped(level)))
-        })
-    }
-}
-
-/// The id→slot table of one shard: open addressing with linear probing
-/// over plain atomics, at most half full. The accept stage, the
-/// membership operations and the readers all find a peer's slot with the
-/// same [`lookup`](Self::lookup).
-///
-/// The shard's thread is the only writer. It mutates under a seqlock
-/// word of the table's own — a removal moves later entries of the probe
-/// sequence back to close the gap, and a reader that overlapped the move
-/// retries instead of missing a key that is there.
-struct SlotIndex {
-    seq: SeqLock,
-    /// `id << 32 | slot + 1`; zero is an empty entry. The length is a
-    /// power of two.
-    entries: Vec<AtomicU64>,
-    /// `64 − log2(entries.len())`: a home bucket is the *top* bits of the
-    /// Fibonacci product. [`shard_index`] consumed its bits 32 and up, so
-    /// every id of a shard agrees on those, and a table that reused them
-    /// would crowd the shard's peers into a fraction of its buckets.
-    shift: u32,
-}
-
-impl SlotIndex {
-    /// A table for up to `slots` peers: at least twice as many entries.
-    fn new(slots: usize) -> Self {
-        debug_assert!(
-            slots < u32::MAX as usize,
-            "an entry packs slot + 1 into 32 bits"
-        );
-        let len = (2 * slots).next_power_of_two().max(2);
-        SlotIndex {
-            seq: SeqLock::new(),
-            entries: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            shift: 64 - len.trailing_zeros(),
-        }
-    }
-
-    fn home(&self, id: u64) -> usize {
-        (id.wrapping_mul(FIBONACCI) >> self.shift) as usize
-    }
-
-    /// Walks `id`'s probe sequence to its entry (`Ok`: position and slot)
-    /// or to the first empty entry (`Err`: its position). The walk is
-    /// bounded by the table so a reader racing the writer cannot spin on
-    /// entries that keep moving under it; its seqlock discards the result.
-    fn probe(&self, id: u64) -> Result<(usize, usize), usize> {
-        let mask = self.entries.len() - 1;
-        let mut at = self.home(id);
-        for _ in 0..=mask {
-            let entry = self.entries[at].load(Ordering::Relaxed);
-            if entry == 0 {
-                break;
-            }
-            if entry >> 32 == id {
-                return Ok((at, (entry as u32 - 1) as usize));
-            }
-            at = (at + 1) & mask;
-        }
-        Err(at)
-    }
-
-    /// The slot `process` lives in, if it is watched.
-    #[inline]
-    fn lookup(&self, process: ProcessId) -> Option<usize> {
-        let id = u64::from(process.as_u32());
-        loop {
-            if let Some(found) = self.seq.try_read(|| self.probe(id)) {
-                return found.ok().map(|(_, slot)| slot);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Maps `process`, which must not be in the table, to `slot`. The
-    /// table has an empty entry for it: it holds one entry per live slot
-    /// and is twice the slab's capacity.
-    fn insert(&self, process: ProcessId, slot: usize) {
-        let id = u64::from(process.as_u32());
-        self.seq.write(|| {
-            if let Err(at) = self.probe(id) {
-                self.entries[at].store(id << 32 | (slot as u64 + 1), Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Unmaps `process`, returning the slot it lived in.
-    fn remove(&self, process: ProcessId) -> Option<usize> {
-        let (at, slot) = self.probe(u64::from(process.as_u32())).ok()?;
-        let mask = self.entries.len() - 1;
-        self.seq.write(|| {
-            // Backward-shift delete: an entry further along the run may
-            // fill the hole iff its home bucket is not past the hole —
-            // otherwise a probe for it would stop at the hole.
-            let mut hole = at;
-            let mut next = (at + 1) & mask;
-            loop {
-                let entry = self.entries[next].load(Ordering::Relaxed);
-                if entry == 0 {
-                    break;
-                }
-                let from_home = next.wrapping_sub(self.home(entry >> 32)) & mask;
-                if from_home >= (next.wrapping_sub(hole) & mask) {
-                    self.entries[hole].store(entry, Ordering::Relaxed);
-                    hole = next;
-                }
-                next = (next + 1) & mask;
-            }
-            self.entries[hole].store(0, Ordering::Relaxed);
-        });
-        Some(slot)
-    }
-}
-
-/// A double-buffered epoch snapshot plus the index into it: the shard's
-/// thread publishes into the back bank and flips `front`; readers verify
-/// the seqlock around their reads and retry on a straddle.
-pub(crate) struct ShardCell {
-    front: AtomicUsize,
-    banks: [Bank; 2],
-    slot_of: SlotIndex,
-}
-
-impl ShardCell {
-    pub(crate) fn new(slots: usize) -> Self {
-        ShardCell {
-            front: AtomicUsize::new(0),
-            banks: [Bank::new(slots), Bank::new(slots)],
-            slot_of: SlotIndex::new(slots),
-        }
-    }
-
-    /// Rows one bank can hold — the shard's watch capacity.
-    fn slots(&self) -> usize {
-        self.banks[0].peers.len()
-    }
-
-    /// Publishes a new front bank: `fill` writes rows straight into the
-    /// back bank and returns how many are in use. Rows it leaves alone
-    /// keep what the previous publish *into this bank* — two publishes
-    /// ago — wrote there. Single writer: the thread that owns the
-    /// [`Shard`].
-    fn publish(&self, at: Timestamp, fill: impl FnOnce(&Bank) -> usize) {
-        let back = (self.front.load(Ordering::Relaxed) & 1) ^ 1;
-        let bank = &self.banks[back];
-        bank.seq.write(|| {
-            let n = fill(bank).min(bank.peers.len());
-            bank.len.store(n, Ordering::Relaxed);
-            bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
-        });
-        self.front.store(back, Ordering::Release);
-    }
-
-    /// Gives row `slot` — the slab just grew to hold it — durable storage
-    /// in both banks, unless an earlier row's growth did.
-    fn cover(&self, slot: usize) {
-        for bank in &self.banks {
-            bank.durable.cover(slot);
-        }
-    }
-
-    /// Makes row `slot` stop answering in both banks, between publishes:
-    /// its tenant is gone. One word a bank, so it needs no seqlock — a
-    /// reader that raced the store returns the row or skips it, and either
-    /// is an answer it could have had a moment earlier or later.
-    ///
-    /// Relaxed, because the store publishes nothing but itself. The one
-    /// ordering that matters — a reader led back to this row by a later
-    /// `watch` of the same peer must find it vacated — is the index's: the
-    /// `watch` leaves the index's seqlock with a release store, which the
-    /// lookup that finds the new entry has acquired.
-    fn vacate(&self, slot: usize) {
-        for bank in &self.banks {
-            bank.peers[slot].store(VACANT, Ordering::Relaxed);
-        }
-    }
-
-    /// Runs `read` against a consistent front bank, retrying while a
-    /// publish straddles the attempt.
-    fn with_consistent<R>(&self, mut read: impl FnMut(&Bank, usize) -> R) -> R {
-        loop {
-            let bank = &self.banks[self.front.load(Ordering::Acquire) & 1];
-            let attempt = bank.seq.try_read(|| {
-                let len = bank.len.load(Ordering::Relaxed).min(bank.peers.len());
-                read(bank, len)
-            });
-            if let Some(out) = attempt {
-                return out;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// The published level of `process`: the index names its slot, and
-    /// the row answers only if the last publish wrote it for this peer.
-    fn lookup(&self, process: ProcessId) -> Option<SuspicionLevel> {
-        let slot = self.slot_of.lookup(process)?;
-        let id = u64::from(process.as_u32());
-        self.with_consistent(|bank, len| {
-            if slot < len && bank.peers[slot].load(Ordering::Relaxed) == id {
-                let bits = bank.levels[slot].load(Ordering::Relaxed);
-                Some(SuspicionLevel::clamped(f64::from_bits(bits)))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Copies every published live row's peer and level, in slot order.
-    fn read_all(&self, out: &mut Vec<(ProcessId, SuspicionLevel)>) -> Timestamp {
-        self.with_consistent(|bank, len| {
-            out.clear();
-            out.extend(bank.live_rows(len).map(|(_, p, level)| (p, level)));
-            bank.published_at()
-        })
-    }
-
-    /// Copies every published live row's durable record, in slot order,
-    /// returning the epoch it was published at. Consistency comes from
-    /// the same seqlock as [`read_all`](Self::read_all): the records are
-    /// those of one publish — less the peers unwatched since — never a
-    /// mix of two epochs.
-    pub(crate) fn read_durable(&self, out: &mut Vec<(ProcessId, PeerDurable)>) -> Timestamp {
-        self.with_consistent(|bank, len| {
-            out.clear();
-            out.extend(
-                bank.live_rows(len)
-                    .map(|(slot, p, _)| (p, bank.durable.load(slot))),
-            );
-            bank.published_at()
-        })
-    }
-
-    /// The epoch of the front bank.
-    fn published_at(&self) -> Timestamp {
-        self.with_consistent(|bank, _| bank.published_at())
-    }
-
-    /// The epoch plus level and durable record of every live row, all
-    /// from one consistent read.
-    #[cfg(test)]
-    fn read_rows(&self) -> (Timestamp, Vec<(ProcessId, SuspicionLevel, PeerDurable)>) {
-        self.with_consistent(|bank, len| {
-            let rows = bank
-                .live_rows(len)
-                .map(|(slot, p, level)| (p, level, bank.durable.load(slot)))
-                .collect();
-            (bank.published_at(), rows)
-        })
-    }
-}
-
-/// A cloneable, lock-free view of the last published epoch snapshots.
-///
-/// Readers never block the tick writer and never take a lock; each read
-/// retries only if it overlaps a publish of the same shard (two flips in
-/// one read — the writer alternates banks, so a single publish never
-/// invalidates the bank a reader is on) or an `unwatch` in it.
-#[derive(Clone)]
-pub struct SnapshotReader {
-    cells: Arc<Vec<Arc<ShardCell>>>,
-}
-
-impl fmt::Debug for SnapshotReader {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapshotReader")
-            .field("shards", &self.cells.len())
-            .finish()
-    }
-}
-
-impl SnapshotReader {
-    /// Builds a reader over `cells` — shared with
-    /// [`ParallelShardEngine`](crate::engine::ParallelShardEngine), whose
-    /// workers publish into the same double-buffered cells.
-    pub(crate) fn from_cells(cells: Arc<Vec<Arc<ShardCell>>>) -> Self {
-        SnapshotReader { cells }
-    }
-
-    /// The published suspicion level of `process`, as of that shard's
-    /// last tick: O(1), one index probe and one row.
-    ///
-    /// `None` for a process that is not watched — from the `unwatch` on,
-    /// not from the next publish — and for one watched since the last
-    /// publish, whose row does not exist yet: also when it was watched
-    /// before, and the row it left is the one it came back to. A process
-    /// that stays watched never reads `None` once published, whatever is
-    /// watched or unwatched around it.
-    pub fn level(&self, process: ProcessId) -> Option<SuspicionLevel> {
-        let idx = shard_index(process, self.cells.len());
-        self.cells.get(idx)?.lookup(process)
-    }
-
-    /// The union of every shard's published table, ascending by id: the
-    /// peers of the last publish that are still watched.
-    pub fn snapshot(&self) -> Vec<(ProcessId, SuspicionLevel)> {
-        // lint:allow(no-alloc-in-hot-path, owned-snapshot API; callers on the query path, not the intake path)
-        let mut out = Vec::new();
-        // lint:allow(no-alloc-in-hot-path, owned-snapshot API; callers on the query path, not the intake path)
-        let mut scratch = Vec::new();
-        for cell in self.cells.iter() {
-            cell.read_all(&mut scratch);
-            out.append(&mut scratch);
-        }
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
-    }
-
-    /// The oldest publish timestamp across shards: every published level
-    /// is at least this fresh. `Timestamp::ZERO` before the first tick.
-    pub fn published_at(&self) -> Timestamp {
-        self.cells
-            .iter()
-            .map(|cell| cell.published_at())
-            .min()
-            .unwrap_or(Timestamp::ZERO)
-    }
-
-    /// Number of shards behind this reader.
-    pub fn shard_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Copies shard `shard`'s published durable table into `out`,
-    /// ascending by id, returning its publish epoch (`None` for an
-    /// out-of-range shard). Sorted because rows sit in slot order, which
-    /// records the watch/unwatch history; a checkpoint's bytes are a
-    /// function of the state alone.
-    ///
-    /// This is the accessor the checkpointer dumps through: it reads only
-    /// the double-buffered epoch banks, so the dump never touches
-    /// worker-owned detector state and runs entirely off the hot path.
-    pub(crate) fn durable_shard(
-        &self,
-        shard: usize,
-        out: &mut Vec<(ProcessId, PeerDurable)>,
-    ) -> Option<Timestamp> {
-        let at = self.cells.get(shard)?.read_durable(out);
-        out.sort_unstable_by_key(|&(p, _)| p);
-        Some(at)
-    }
 }
 
 /// Banks of a [`ShardCell`] — how many publishes it takes for a change to
@@ -1117,7 +370,7 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// banks are fixed-size atomic arrays shared with readers and cannot
     /// grow.
     pub(crate) fn watch(&mut self, process: ProcessId) -> Result<bool, ShardCapacityError> {
-        if self.cell.slot_of.lookup(process).is_some() {
+        if self.cell.slot(process).is_some() {
             return Ok(false);
         }
         let capacity = self.cell.slots();
@@ -1141,28 +394,24 @@ impl<D: AccrualFailureDetector> Shard<D> {
             None => {
                 self.slab.push(live);
                 self.column.cover(self.slab.len());
-                self.cell.cover(self.slab.len() - 1);
                 self.slab.len() - 1
             }
         };
-        self.cell.slot_of.insert(process, slot);
+        self.cell.occupy(process, slot);
         Ok(true)
     }
 
-    /// Stops monitoring `process` and vacates its slot — and its row in
-    /// both banks, here rather than at the next publish: the next `watch`
-    /// takes this slot, and if it is `process` coming back the index would
-    /// lead a reader to a row still holding its id and the level of the
-    /// detector that was just dropped. The highest sequence number seen
-    /// from it is deliberately retained (in `retired`): if the process is
-    /// watched again later, replayed frames from before the unwatch are
-    /// still rejected instead of being accepted as fresh.
+    /// Stops monitoring `process` and vacates its slot, and its row in
+    /// both banks at once (the re-watch rule of [`crate::snapshot`]). The
+    /// highest sequence number seen from it is deliberately retained (in
+    /// `retired`): if the process is watched again later, replayed frames
+    /// from before the unwatch are still rejected instead of being
+    /// accepted as fresh.
     pub(crate) fn unwatch(&mut self, process: ProcessId) -> Option<D> {
-        let slot = self.cell.slot_of.remove(process)?;
+        let slot = self.cell.vacate(process)?;
         let Slot::Live(watched) = mem::replace(&mut self.slab[slot], Slot::Vacant) else {
             return None;
         };
-        self.cell.vacate(slot);
         self.column.set(slot, Some(LevelCurve::Zero));
         if let Some(seq) = watched.highest_seq {
             self.retired.insert(process, seq);
@@ -1173,7 +422,7 @@ impl<D: AccrualFailureDetector> Shard<D> {
 
     /// The entry of `process`, if it is watched: one index probe.
     fn entry(&mut self, process: ProcessId) -> Option<&mut Watched<D>> {
-        let slot = self.cell.slot_of.lookup(process)?;
+        let slot = self.cell.slot(process)?;
         self.slab.get_mut(slot)?.live()
     }
 
@@ -1219,6 +468,12 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// Watched processes.
     pub(crate) fn len(&self) -> usize {
         self.slab.len() - self.free.len()
+    }
+
+    /// Slots the slab has reached, vacant ones included.
+    #[cfg(test)]
+    pub(crate) fn slots_used(&self) -> usize {
+        self.slab.len()
     }
 
     /// The detector for `process`, handed out for the caller to change:
@@ -1340,21 +595,14 @@ impl<D: AccrualFailureDetector> Shard<D> {
                     column.set(row, watched.detector.level_curve());
                 }
                 watched.stale_banks -= 1;
-                bank.peers[row].store(u64::from(watched.id.as_u32()), Ordering::Relaxed);
                 let seed = watched.detector.save_seed();
                 let durable = PeerDurable::from_state(seed, watched.highest_seq);
-                bank.durable.store(row, &durable);
+                bank.store_row(row, watched.id, &durable);
             }
-            let rows = bank.levels.chunks(LevelCurve::BLOCK);
-            for (block, levels) in column.blocks.iter().zip(rows) {
-                for (level, value) in levels.iter().zip(LevelCurve::at_block(block, now)) {
-                    level.store(value.to_bits(), Ordering::Relaxed);
-                }
-            }
+            bank.store_levels(&column.blocks, now);
             for &row in &column.curveless {
                 if let Some(watched) = slab[row].live() {
-                    let bits = watched.detector.suspicion_level(now).value().to_bits();
-                    bank.levels[row].store(bits, Ordering::Relaxed);
+                    bank.store_level(row, watched.detector.suspicion_level(now));
                 }
             }
             slab.len()
@@ -1394,7 +642,7 @@ pub(crate) fn accept_batch<D: AccrualFailureDetector>(
     batch: &mut [Stamped],
 ) -> usize {
     for frame in batch.iter_mut() {
-        frame.slot = shards[frame.shard].cell.slot_of.lookup(frame.hb.sender);
+        frame.slot = shards[frame.shard].cell.slot(frame.hb.sender);
     }
     for frame in batch.iter() {
         if let Some(slot) = frame.slot {
@@ -1756,7 +1004,9 @@ where
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+    use crate::snapshot::{DurableRow, CHUNK};
     use crate::transport::ChannelTransport;
+    use afd_core::accrual::DetectorSeed;
     use afd_core::time::Duration;
     use afd_detectors::simple::SimpleAccrual;
 
@@ -2183,17 +1433,14 @@ mod tests {
             mon.watch(ProcessId::new(id)).unwrap();
         }
         for shard in &mon.shards {
-            let index = &shard.cell.slot_of;
-            let mask = index.entries.len() - 1;
             let displaced: Vec<usize> = (shard.slab.iter().enumerate())
                 .map(|(slot, entry)| {
                     let Slot::Live(watched) = entry else {
                         panic!("nothing was unwatched");
                     };
-                    let id = u64::from(watched.id.as_u32());
-                    let (at, found) = index.probe(id).expect("watched");
+                    let (found, steps) = shard.cell.displacement(watched.id).expect("watched");
                     assert_eq!(found, slot);
-                    at.wrapping_sub(index.home(id)) & mask
+                    steps
                 })
                 .filter(|&steps| steps > 0)
                 .collect();
@@ -2205,242 +1452,6 @@ mod tests {
                 shard.len()
             );
         }
-    }
-
-    mod slot_index {
-        use super::*;
-        use proptest::prelude::*;
-        use std::collections::btree_map::Entry;
-
-        const SLOTS: usize = 8;
-
-        /// Sixteen ids for a sixteen-entry table, chosen by where they
-        /// hash: six share the last bucket (their run wraps around the
-        /// table's end), four the one before, two the first, four land
-        /// elsewhere.
-        fn pool() -> Vec<u32> {
-            let index = SlotIndex::new(SLOTS);
-            let last = index.entries.len() - 1;
-            let homed = |bucket: usize, n: usize| {
-                let index = &index;
-                (0..u32::MAX)
-                    .filter(move |&id| index.home(u64::from(id)) == bucket)
-                    .take(n)
-            };
-            let elsewhere = (0..u32::MAX)
-                .filter(|&id| (1..last - 1).contains(&index.home(u64::from(id))))
-                .take(4);
-            homed(last, 6)
-                .chain(homed(last - 1, 4))
-                .chain(homed(0, 2))
-                .chain(elsewhere)
-                .collect()
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
-
-            /// The table agrees with a `BTreeMap` through any sequence of
-            /// inserts and removes — up to every slot in use (load ½),
-            /// through colliding runs, wrap-around and reinsertion — and
-            /// after every step, for every id: a removal must leave each
-            /// remaining key reachable from its home bucket.
-            #[test]
-            fn agrees_with_a_btreemap(
-                steps in prop::collection::vec((0usize..16, 0u8..8), 0..96),
-            ) {
-                let pool = pool();
-                let index = SlotIndex::new(SLOTS);
-                let mut oracle: BTreeMap<u32, usize> = BTreeMap::new();
-                let mut free: Vec<usize> = (0..SLOTS).collect();
-                for (pick, action) in steps {
-                    let id = pool[pick];
-                    let p = ProcessId::new(id);
-                    // Inserts outnumber removes, so the table fills up.
-                    if action < 5 {
-                        if let Entry::Vacant(unmapped) = oracle.entry(id) {
-                            if let Some(slot) = free.pop() {
-                                index.insert(p, slot);
-                                unmapped.insert(slot);
-                            }
-                        }
-                    } else {
-                        // A removal moves entries, so it must advance the
-                        // word that makes an overlapping reader retry.
-                        let before = index.seq.0.load(Ordering::Relaxed);
-                        let removed = index.remove(p);
-                        prop_assert_eq!(removed, oracle.remove(&id));
-                        let after = index.seq.0.load(Ordering::Relaxed);
-                        prop_assert_eq!(after, before + 2 * removed.iter().len() as u64);
-                        free.extend(removed);
-                    }
-                    for &id in &pool {
-                        let got = index.lookup(ProcessId::new(id));
-                        prop_assert_eq!(got, oracle.get(&id).copied(), "id {}", id);
-                    }
-                    let used = index.entries.iter().filter(|e| e.load(Ordering::Relaxed) != 0);
-                    prop_assert_eq!(used.count(), oracle.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_readers_never_observe_torn_snapshots() {
-        // Readers race publishes *and* membership changes. Every arrival
-        // of peer `id` is stamped `id` nanoseconds past a whole second
-        // (a never-heard detector starts there too) and every publish
-        // half a second past one, so a level alone says whose it is:
-        // (level + id) mod 1 s = ½ s.
-        const SECOND: u64 = 1_000_000_000;
-        const STEADY: u32 = 16;
-        const CHURNING: usize = 4;
-        const READERS: usize = 4;
-        let owner_matches = |p: ProcessId, level: SuspicionLevel| {
-            let nanos = (level.value() * 1e9).round() as u64;
-            (nanos + u64::from(p.as_u32())) % SECOND == SECOND / 2
-        };
-        let (cells, mut shards) = build_shards(2, 32, |p: ProcessId| {
-            SimpleAccrual::new(Timestamp::from_nanos(u64::from(p.as_u32())))
-        });
-        let shard_of = |id: u32| shard_index(ProcessId::new(id), 2);
-        let arrival = |id: u32, round: u64| Heartbeat {
-            sender: ProcessId::new(id),
-            seq: round,
-            sent_at: Timestamp::from_nanos(round * SECOND + u64::from(id)),
-        };
-
-        // Ids from 100 up take turns in the slots the steady peers leave,
-        // and every other one that leaves comes straight back.
-        let rounds: u64 = if cfg!(miri) { 40 } else { 2_000 };
-        let mut next_id = 100u32;
-        let mut churning = std::collections::VecDeque::new();
-        for id in 1..=STEADY {
-            shards[shard_of(id)].watch(ProcessId::new(id)).unwrap();
-        }
-        while churning.len() < CHURNING {
-            shards[shard_of(next_id)]
-                .watch(ProcessId::new(next_id))
-                .unwrap();
-            churning.push_back(next_id);
-            next_id += 1;
-        }
-        for shard in &mut shards {
-            shard.publish(Timestamp::from_nanos(SECOND / 2));
-        }
-
-        let reader = SnapshotReader::from_cells(cells);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let reading = Arc::new(AtomicUsize::new(0));
-        // One past the newest churning id, so readers poll the ids that
-        // are coming and going right now.
-        let frontier = Arc::new(AtomicUsize::new(next_id as usize));
-        let handles: Vec<_> = (0..READERS)
-            .map(|_| {
-                let reader = reader.clone();
-                let stop = Arc::clone(&stop);
-                let reading = Arc::clone(&reading);
-                let frontier = Arc::clone(&frontier);
-                std::thread::spawn(move || {
-                    let mut reads = 0u64;
-                    while !stop.load(Ordering::SeqCst) {
-                        // Published tables are whole epochs, never a
-                        // partial write, and hold no vacant row.
-                        let snap = reader.snapshot();
-                        assert!(snap.len() <= STEADY as usize + CHURNING);
-                        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
-                        for &(p, level) in &snap {
-                            assert!(owner_matches(p, level), "{p:?} in snapshot: {level:?}");
-                        }
-                        // A peer that stays watched always has a level,
-                        // whoever comes and goes around it; nobody ever
-                        // gets a level published for another peer.
-                        let newest = frontier.load(Ordering::SeqCst) as u32;
-                        for id in (1..=STEADY).chain(newest - 3 * CHURNING as u32..newest) {
-                            let p = ProcessId::new(id);
-                            match reader.level(p) {
-                                Some(level) => assert!(owner_matches(p, level), "{p:?}: {level:?}"),
-                                None => assert!(id > STEADY, "steady {p:?} read None"),
-                            }
-                        }
-                        for cell in reader.cells.iter() {
-                            // A row's level and its durable record come
-                            // from one publish, even when that publish
-                            // left the record alone: SimpleAccrual's
-                            // level *is* the epoch minus the last arrival.
-                            let (at, rows) = cell.read_rows();
-                            for (p, level, durable) in rows {
-                                let last = durable.seed().and_then(|s| s.last_heartbeat);
-                                let last = last.expect("simple detectors always have one");
-                                assert_eq!(last.as_nanos() % SECOND, u64::from(p.as_u32()));
-                                let elapsed = at.saturating_duration_since(last).as_secs_f64();
-                                assert_eq!(level.value(), elapsed, "{p:?} at {at:?}");
-                            }
-                        }
-                        reads += 1;
-                        if reads == 1 {
-                            reading.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                    reads
-                })
-            })
-            .collect();
-        // The rounds start once every reader has read: at release speed
-        // they could otherwise be over before a reader thread is up.
-        while reading.load(Ordering::SeqCst) < READERS {
-            assert!(handles.iter().all(|h| !h.is_finished()), "a reader failed");
-            std::thread::yield_now();
-        }
-
-        // Each round only every third steady peer sends and every fourth
-        // round nobody does, so most publishes write few durable rows and
-        // the two banks are never written alike; every third round one
-        // churning peer leaves and its slot is taken over — in turns by a
-        // fresh id of the same shard and by the peer that just left, whose
-        // index entry then leads to the row its previous incarnation
-        // published. A reader that fails stops reading; the rounds still
-        // end and the join below reports it.
-        let mut sent = 0u64;
-        for round in 1..=rounds {
-            if round % 3 == 0 {
-                let old = churning.pop_front().expect("CHURNING > 0");
-                let new = if round % 2 == 0 {
-                    old
-                } else {
-                    while shard_of(next_id) != shard_of(old) {
-                        next_id += 1;
-                    }
-                    next_id += 1;
-                    next_id - 1
-                };
-                let shard = &mut shards[shard_of(old)];
-                assert!(shard.unwatch(ProcessId::new(old)).is_some());
-                assert_eq!(shard.watch(ProcessId::new(new)), Ok(true));
-                churning.push_back(new);
-                frontier.store(next_id as usize, Ordering::SeqCst);
-            }
-            if round % 4 != 0 {
-                let steady = (1..=STEADY).filter(|&id| u64::from(id) % 3 == round % 3);
-                for id in steady.chain(churning.front().copied()) {
-                    let hb = arrival(id, round);
-                    assert!(shards[shard_of(id)].accept(hb, hb.sent_at));
-                    sent += 1;
-                }
-            }
-            for shard in &mut shards {
-                shard.publish(Timestamp::from_nanos(round * SECOND + SECOND / 2));
-            }
-        }
-        stop.store(true, Ordering::SeqCst);
-        for h in handles {
-            assert!(h.join().unwrap() > 0, "every reader read at least once");
-        }
-        let accepted: u64 = shards.iter().map(|s| s.stats().accepted).sum();
-        assert_eq!(accepted, sent);
-        // Every newcomer took a vacated slot: the slabs never grew.
-        let slots: usize = shards.iter().map(|s| s.slab.len()).sum();
-        assert_eq!(slots, STEADY as usize + CHURNING);
     }
 
     #[test]
@@ -2533,13 +1544,7 @@ mod tests {
         // ledger's wide workload declares eight slots a peer.
         assert_eq!(mem::size_of::<DurableRow>(), 56);
         let mut shard = phi_shards(1, 1 << 20).pop().expect("one shard");
-        let chunks = |shard: &Shard<_>| {
-            shard
-                .cell
-                .banks
-                .each_ref()
-                .map(|b| b.durable.chunks_allocated())
-        };
+        let chunks = |shard: &Shard<_>| shard.cell.chunks_allocated();
         assert_eq!(chunks(&shard), [0, 0], "construction allocates no row");
         shard.watch(ProcessId::new(0)).unwrap();
         shard.publish(Timestamp::from_secs(1));
