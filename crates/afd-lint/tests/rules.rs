@@ -334,4 +334,11 @@ fn the_workspace_itself_is_clean() {
         report.render_text()
     );
     assert!(report.files_scanned > 100, "walker found too few files");
+    // A rule scoped to a file that no longer exists checks nothing.
+    for path in afd_lint::rules::named_files() {
+        assert!(
+            root.join(path).is_file(),
+            "a rule names {path}, which is gone"
+        );
+    }
 }
