@@ -25,9 +25,8 @@
 //!
 //! Detector time is virtual (one round = one virtual second); wall time
 //! comes from `afd_runtime::SystemClock`, the sanctioned monotonic
-//! entry point. Results land in `results/BENCH_e14.json`.
+//! entry point.
 
-use afd_bench::report::{write_report, Json, JsonObject};
 use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::phi::PhiAccrual;
@@ -223,30 +222,6 @@ fn main() {
     } else {
         println!("({cores} core(s): scaling assertions skipped)");
     }
-
-    let rows: Vec<Json> = results
-        .iter()
-        .map(|m| {
-            JsonObject::new()
-                .field("workers", m.workers)
-                .field("throughput_hb_per_s", m.throughput_hb_s)
-                .field("p50_query_ns", m.p50_query_ns)
-                .field("p99_query_ns", m.p99_query_ns)
-                .field("ring_dropped", m.ring_dropped)
-                .field("channel_dropped", m.channel_dropped)
-                .build()
-        })
-        .collect();
-    let report = JsonObject::new()
-        .field("experiment", "e14_parallel_scale")
-        .field("peers", u64::from(PEERS))
-        .field("rounds", sizes.rounds)
-        .field("smoke", smoke)
-        .field("host_cores", cores)
-        .field("results", rows)
-        .build();
-    let path = write_report("e14", &report).expect("write results/BENCH_e14.json");
-    println!("wrote {}", path.display());
 
     println!(
         "e14 total: {:.2} s{}",

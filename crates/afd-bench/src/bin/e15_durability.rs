@@ -27,7 +27,6 @@
 //! `--smoke` shrinks the peer count so CI can run the full
 //! checkpoint → corrupt → restore → recover pipeline in seconds.
 
-use afd_bench::report::{write_report, Json, JsonObject};
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
@@ -122,10 +121,7 @@ fn mean_phi_error(mon: &mut PhiMonitor, reference: &mut PhiMonitor, peers: u32) 
 }
 
 /// Checkpoint + restore cost against an in-memory sink.
-fn durability_cost(
-    sizes: &Sizes,
-    wall_clock: &SystemClock,
-) -> (Table, Json, Checkpointer<MemSink>) {
+fn durability_cost(sizes: &Sizes, wall_clock: &SystemClock) -> (Table, Checkpointer<MemSink>) {
     let peers = sizes.peers;
     let clock = VirtualClock::new();
     let (mut tx, rx) = ChannelTransport::pair();
@@ -202,26 +198,12 @@ fn durability_cost(
         cell(restore_peers_s, 0),
         retained.to_string(),
     ]);
-
-    let json = JsonObject::new()
-        .field("dump_ms", per_dump * 1e3)
-        .field("dump_peers_per_s", dump_peers_s)
-        .field("bytes_per_dump", bytes_per_dump)
-        .field("decode_ms", decode_secs * 1e3)
-        .field("import_ms", import_secs * 1e3)
-        .field("restore_peers_per_s", restore_peers_s)
-        .field("sink_objects_retained", retained)
-        .field(
-            "generations_kept",
-            CheckpointConfig::default().keep_generations,
-        )
-        .build();
-    (table, json, ckpt)
+    (table, ckpt)
 }
 
 /// Post-restart QoS: restored vs. cold monitor against an uncrashed
 /// reference, over offsets after the restart instant.
-fn qos_recovery(mut ckpt: Checkpointer<MemSink>, peers: u32) -> (Table, Json) {
+fn qos_recovery(mut ckpt: Checkpointer<MemSink>, peers: u32) -> Table {
     // A fresh virtual clock, re-advanced through the same warm rounds the
     // checkpointed monitor saw, so the restored seeds' absolute
     // timestamps line up. (Reusing the cost phase's clock would mean
@@ -261,7 +243,6 @@ fn qos_recovery(mut ckpt: Checkpointer<MemSink>, peers: u32) -> (Table, Json) {
         ),
         &["offset (s)", "restored |err|", "cold |err|"],
     );
-    let mut rows = Vec::new();
     let mut first = None;
     let mut last = None;
     for offset in [0u64, 5, 15, 30, 60] {
@@ -288,13 +269,6 @@ fn qos_recovery(mut ckpt: Checkpointer<MemSink>, peers: u32) -> (Table, Json) {
             format!("{warm_err:.3e}"),
             format!("{cold_err:.3e}"),
         ]);
-        rows.push(
-            JsonObject::new()
-                .field("offset_s", offset)
-                .field("restored_abs_err", warm_err)
-                .field("cold_abs_err", cold_err)
-                .build(),
-        );
         first.get_or_insert((offset, warm_err, cold_err));
         last = Some((offset, warm_err, cold_err));
     }
@@ -315,19 +289,12 @@ fn qos_recovery(mut ckpt: Checkpointer<MemSink>, peers: u32) -> (Table, Json) {
         cold_last < cold0,
         "cold start should converge toward the reference: {cold0:.3e} -> {cold_last:.3e}"
     );
-
-    let json = JsonObject::new()
-        .field("offsets", Json::Array(rows))
-        .field("restored_err_at_restart", warm0)
-        .field("cold_err_at_restart", cold0)
-        .field("cold_err_final", cold_last)
-        .build();
-    (table, json)
+    table
 }
 
 /// A bit-flipped segment is quarantined; the rest of the generation is
 /// imported.
-fn corruption_quarantine(peers: u32) -> (Table, Json) {
+fn corruption_quarantine(peers: u32) -> Table {
     let clock = VirtualClock::new();
     let (mut tx, rx) = ChannelTransport::pair();
     let mut mon = phi_monitor(rx, &clock, peers);
@@ -358,12 +325,7 @@ fn corruption_quarantine(peers: u32) -> (Table, Json) {
         restored.peers.len().to_string(),
         lost.to_string(),
     ]);
-    let json = JsonObject::new()
-        .field("segments_rejected", restored.segments_rejected)
-        .field("peers_restored", restored.peers.len())
-        .field("peers_lost", lost)
-        .build();
-    (table, json)
+    table
 }
 
 fn main() {
@@ -382,24 +344,10 @@ fn main() {
     let wall_clock = SystemClock::new();
     let total = wall_clock.now();
 
-    let (cost_table, cost_json, ckpt) = durability_cost(&sizes, &wall_clock);
+    let (cost_table, ckpt) = durability_cost(&sizes, &wall_clock);
     println!("{cost_table}");
-    let (qos_table, qos_json) = qos_recovery(ckpt, sizes.peers);
-    println!("{qos_table}");
-    let (corrupt_table, corrupt_json) = corruption_quarantine(sizes.peers);
-    println!("{corrupt_table}");
-
-    let report = JsonObject::new()
-        .field("experiment", "e15_durability")
-        .field("peers", u64::from(sizes.peers))
-        .field("shards", SHARDS)
-        .field("smoke", smoke)
-        .field("cost", cost_json)
-        .field("qos_recovery", qos_json)
-        .field("corruption", corrupt_json)
-        .build();
-    let path = write_report("e15", &report).expect("write results/BENCH_e15.json");
-    println!("wrote {}", path.display());
+    println!("{}", qos_recovery(ckpt, sizes.peers));
+    println!("{}", corruption_quarantine(sizes.peers));
 
     println!(
         "e15 total: {:.2} s{}",

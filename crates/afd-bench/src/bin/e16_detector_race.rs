@@ -16,13 +16,12 @@
 //!
 //! Every scenario ends in a permanent crash, so the full Chen et al. QoS
 //! vector (T_D, T_MR, T_M, λ_M, P_A, T_G) is defined for every cell; rows
-//! are means over seeds. The run is in virtual time, so the tables and
-//! the JSON report are a pure function of the code and the seeds.
+//! are means over seeds. The run is in virtual time, so the tables are a
+//! pure function of the code and the seeds.
 //!
 //! `--smoke` shrinks horizons and seed counts so CI runs end-to-end in
 //! seconds.
 
-use afd_bench::report::{write_report, Json, JsonObject};
 use afd_core::time::{Duration, Timestamp};
 use afd_obs::qos::QosReport;
 use afd_qos::experiment::{cell, Table};
@@ -86,10 +85,6 @@ fn opt_cell(v: Option<f64>, digits: usize) -> String {
     v.map_or_else(|| "—".to_string(), |v| cell(v, digits))
 }
 
-fn opt_json(v: Option<f64>) -> Json {
-    v.map_or(Json::Null, Json::from)
-}
-
 /// Mean QoS per detector over the seeds of one scenario.
 struct RaceRow {
     name: &'static str,
@@ -118,9 +113,8 @@ fn race(scenario: &ChaosScenario, seeds: &[u64]) -> Vec<RaceRow> {
     rows
 }
 
-fn race_all(sizes: &Sizes) -> (Vec<Table>, Vec<Json>) {
-    let mut tables = Vec::new();
-    let mut json = Vec::new();
+/// Races every scenario and prints one table per scenario.
+fn race_all(sizes: &Sizes) {
     for (name, scenario) in scenarios(sizes) {
         let rows = race(&scenario, sizes.seeds);
         assert_eq!(rows.len(), 6, "all six detectors raced");
@@ -143,7 +137,6 @@ fn race_all(sizes: &Sizes) -> (Vec<Table>, Vec<Json>) {
                 "T_G (s)",
             ],
         );
-        let mut detector_json = Vec::new();
         for row in &rows {
             let td = mean_opt(&row.qos.iter().map(|q| q.detection_time).collect::<Vec<_>>());
             let tmr = mean_opt(
@@ -185,30 +178,9 @@ fn race_all(sizes: &Sizes) -> (Vec<Table>, Vec<Json>) {
                 cell(pa, 4),
                 opt_cell(tg, 1),
             ]);
-            detector_json.push(
-                JsonObject::new()
-                    .field("detector", row.name)
-                    .field("threshold", row.threshold)
-                    .field("detection_time_s", opt_json(td))
-                    .field("mistakes", mistakes)
-                    .field("mistake_recurrence_s", opt_json(tmr))
-                    .field("mistake_duration_s", opt_json(tm))
-                    .field("mistake_rate_per_s", rate)
-                    .field("query_accuracy", pa)
-                    .field("good_period_s", opt_json(tg))
-                    .build(),
-            );
         }
         println!("{table}");
-        tables.push(table);
-        json.push(
-            JsonObject::new()
-                .field("scenario", name)
-                .field("detectors", detector_json)
-                .build(),
-        );
     }
-    (tables, json)
 }
 
 fn main() {
@@ -229,25 +201,7 @@ fn main() {
     let wall_clock = SystemClock::new();
     let total = wall_clock.now();
 
-    let (_tables, race_json) = race_all(&sizes);
-
-    let report = JsonObject::new()
-        .field("experiment", "e16_detector_race")
-        .field("smoke", smoke)
-        .field("horizon_s", sizes.horizon.as_secs_f64())
-        .field("crash_at_s", sizes.crash_at.as_secs_f64())
-        .field(
-            "seeds",
-            sizes
-                .seeds
-                .iter()
-                .map(|&s| Json::from(s))
-                .collect::<Vec<_>>(),
-        )
-        .field("scenarios", race_json)
-        .build();
-    let path = write_report("e16", &report).expect("write results/BENCH_e16.json");
-    println!("wrote {}", path.display());
+    race_all(&sizes);
 
     println!(
         "e16 total: {:.2} s{}",

@@ -19,7 +19,6 @@
 //! ~20 s release) for the smoke bounds (12 ticks, ~400 k states, seconds).
 //! The ≥ 100 k floor holds in both modes.
 
-use afd_bench::report::{write_report, Json, JsonObject};
 use afd_detectors::spec;
 use afd_model::{explore, find_counterexample, minimize, replay, to_script, ModelBounds, Mutant};
 use afd_runtime::{run_chaos_script, Clock, SystemClock};
@@ -29,7 +28,7 @@ fn wall_s(clock: &SystemClock, since: afd_core::time::Timestamp) -> f64 {
 }
 
 /// Section 1: the clean system, swept exhaustively per detector kind.
-fn sweep(bounds: ModelBounds, clock: &SystemClock) -> (u64, Vec<Json>) {
+fn sweep(bounds: ModelBounds, clock: &SystemClock) {
     println!(
         "E17: exhaustive sweep — {} procs, {} ticks, {} in flight",
         bounds.processes, bounds.max_ticks, bounds.max_in_flight
@@ -39,7 +38,6 @@ fn sweep(bounds: ModelBounds, clock: &SystemClock) -> (u64, Vec<Json>) {
         "kind", "states", "transitions", "depth", "time (s)", "states/s"
     );
     let mut total = 0u64;
-    let mut json = Vec::new();
     for zoo in spec::zoo() {
         let name = zoo.detector.name();
         let start = clock.now();
@@ -63,27 +61,16 @@ fn sweep(bounds: ModelBounds, clock: &SystemClock) -> (u64, Vec<Json>) {
             name, report.states, report.transitions, report.max_depth, secs, rate
         );
         total += report.states;
-        json.push(
-            JsonObject::new()
-                .field("kind", name)
-                .field("states", Json::from(report.states))
-                .field("transitions", Json::from(report.transitions))
-                .field("max_depth", Json::from(report.max_depth as u64))
-                .field("seconds", secs)
-                .field("states_per_sec", rate)
-                .build(),
-        );
     }
     assert!(
         total >= 100_000,
         "sweep covered only {total} canonical states (floor is 100k)"
     );
     println!("total: {total} canonical states across six kinds\n");
-    (total, json)
 }
 
 /// Section 2: every mutant caught, minimized, and replayed for real.
-fn hunt(clock: &SystemClock) -> Vec<Json> {
+fn hunt(clock: &SystemClock) {
     let bounds = ModelBounds::mutant_hunt();
     let simple = spec::simple();
     println!(
@@ -94,7 +81,6 @@ fn hunt(clock: &SystemClock) -> Vec<Json> {
         "{:<26} {:<16} {:>4} {:>9} {:>8}",
         "mutant", "caught by", "cex", "minimized", "time (s)"
     );
-    let mut json = Vec::new();
     for mutant in Mutant::ALL {
         let start = clock.now();
         let cex = find_counterexample(simple, mutant, bounds)
@@ -129,19 +115,8 @@ fn hunt(clock: &SystemClock) -> Vec<Json> {
             min.path.len(),
             secs
         );
-        json.push(
-            JsonObject::new()
-                .field("mutant", mutant.name())
-                .field("caught_by", cex.violation.property.name())
-                .field("counterexample_events", Json::from(cex.path.len() as u64))
-                .field("minimized_events", Json::from(min.path.len() as u64))
-                .field("replayed_through_runtime", true)
-                .field("seconds", secs)
-                .build(),
-        );
     }
     println!();
-    json
 }
 
 fn main() {
@@ -154,29 +129,8 @@ fn main() {
     let clock = SystemClock::new();
     let total_start = clock.now();
 
-    let (total_states, sweep_json) = sweep(bounds, &clock);
-    let hunt_json = hunt(&clock);
-
-    let report = JsonObject::new()
-        .field("experiment", "e17_model")
-        .field("smoke", smoke)
-        .field(
-            "bounds",
-            JsonObject::new()
-                .field("processes", Json::from(bounds.processes as u64))
-                .field("max_ticks", Json::from(bounds.max_ticks as u64))
-                .field("max_in_flight", Json::from(bounds.max_in_flight as u64))
-                .field("max_losses", Json::from(bounds.max_losses as u64))
-                .field("max_duplicates", Json::from(bounds.max_duplicates as u64))
-                .field("max_crashes", Json::from(bounds.max_crashes as u64))
-                .build(),
-        )
-        .field("total_states", Json::from(total_states))
-        .field("kinds", sweep_json)
-        .field("mutants", hunt_json)
-        .build();
-    let path = write_report("e17", &report).expect("write results/BENCH_e17.json");
-    println!("wrote {}", path.display());
+    sweep(bounds, &clock);
+    hunt(&clock);
 
     println!(
         "e17 total: {:.2} s{}",

@@ -23,17 +23,15 @@
 //!    fixed 28-byte v1 frame, from the children's byte counts.
 //! 4. **Reader latency** — p50/p99 of lock-free `SnapshotReader::level`
 //!    queries against the live engine.
-//! 5. **Loss accounting** — per-lane datagram/short/oversize counters,
-//!    syscalls per batch (the recv-drain amortization), ring evictions.
+//! 5. **Loss accounting** — short and oversize datagram drops, ring
+//!    evictions.
 //!
 //! Detectors are `SimpleAccrual` (O(1) state per peer) so the full run
 //! holds a million peers in memory; the soak exercises the datapath,
 //! not the estimator. Smoke mode sustains 100 000 peers for CI.
-//! Results land in `results/BENCH_e18.json`.
 
 use std::net::SocketAddr;
 
-use afd_bench::report::{write_report, Json, JsonObject};
 use afd_core::process::ProcessId;
 use afd_core::time::Timestamp;
 use afd_detectors::simple::SimpleAccrual;
@@ -335,48 +333,6 @@ fn main() {
         0,
         "no oversize datagrams sent"
     );
-
-    let lanes_json: Vec<Json> = (0..LANES)
-        .map(|i| {
-            let lane = udp_stats.lane(i);
-            JsonObject::new()
-                .field("datagrams", lane.datagrams())
-                .field("syscalls", lane.syscalls())
-                .field("syscalls_per_batch", lane.syscalls_per_batch())
-                .field("short_dropped", lane.short_dropped())
-                .field("oversize_dropped", lane.oversize_dropped())
-                .field("decoded_frames", stats.per_lane_frames[i])
-                .field("corrupt_frames", stats.per_lane_corrupt[i])
-                .build()
-        })
-        .collect();
-    let report = JsonObject::new()
-        .field("experiment", "e18_udp_soak")
-        .field("peers", u64::from(sizes.peers))
-        .field("rounds", sizes.rounds)
-        .field("lanes", LANES as u64)
-        .field("workers", WORKERS as u64)
-        .field("sender_processes", u64::from(SENDER_PROCS))
-        .field("smoke", smoke)
-        .field("host_cores", cores)
-        .field("sent", sent)
-        .field("accepted", accepted)
-        .field("delivery_ratio", delivery)
-        .field("throughput_hb_per_s", accepted as f64 / elapsed.max(1e-9))
-        .field("elapsed_s", elapsed)
-        .field("wire_bytes", wire_bytes)
-        .field("bytes_per_heartbeat", bytes_per_hb)
-        .field("v1_compression_ratio", v1_ratio)
-        .field("decode_nanos", stats.stage.decode)
-        .field("route_nanos", stats.stage.route)
-        .field("update_nanos", stats.stage.update)
-        .field("p50_query_ns", pct(0.50))
-        .field("p99_query_ns", pct(0.99))
-        .field("ring_dropped", stats.ring_dropped)
-        .field("lanes_detail", lanes_json)
-        .build();
-    let path = write_report("e18", &report).expect("write results/BENCH_e18.json");
-    println!("wrote {}", path.display());
 
     println!(
         "e18 total: {:.2} s{}",

@@ -20,10 +20,7 @@
 //! capacity), recording the per-stage wall profile — decode, ring
 //! route, detector update — as ns/frame with batch stamping and
 //! grouped `push_batch` publish live.
-//!
-//! Results land in `results/BENCH_e19.json`.
 
-use afd_bench::report::{write_report, Json, JsonObject};
 use afd_core::process::ProcessId;
 use afd_core::time::Timestamp;
 use afd_detectors::simple::SimpleAccrual;
@@ -162,7 +159,7 @@ fn build_stream(mix: Mix, ordering: Ordering, active: u32, rounds: u64) -> Strea
 
 /// Times the decoder over `stream`, returning `(frames, ns/frame)`; a
 /// clean stream must be accepted whole, with no intern turned away.
-fn time_decode(clock: &SystemClock, stream: &Stream, capacity: usize) -> (u64, f64) {
+fn time_decode(clock: &SystemClock, stream: &Stream, capacity: usize) -> f64 {
     // Warm the arena so the timed pass isn't charged for paging the
     // stream in.
     let mut warm = 0u64;
@@ -184,7 +181,7 @@ fn time_decode(clock: &SystemClock, stream: &Stream, capacity: usize) -> (u64, f
     let frames = stream.bounds.len() as u64;
     assert_eq!(ok, frames, "clean stream fully accepted");
     assert_eq!(decoder.interns_rejected(), 0, "table sized for every peer");
-    (frames, elapsed * 1e9 / frames as f64)
+    elapsed * 1e9 / frames as f64
 }
 
 // ---- Part B: engine lane sweep over pre-filled channel lanes ----
@@ -331,27 +328,17 @@ fn main() {
         ),
         &["mix", "ordering", "occupancy", "ns/frame"],
     );
-    let mut part_a: Vec<Json> = Vec::new();
     for &(mix, ordering) in &configs {
         for &occupancy in &occupancies {
             let active = ((f64::from(sizes.peers) * occupancy) as u32).max(1);
             let stream = build_stream(mix, ordering, active, sizes.rounds);
-            let (frames, ns_per_frame) = time_decode(&clock, &stream, sizes.peers as usize);
+            let ns_per_frame = time_decode(&clock, &stream, sizes.peers as usize);
             table.push_row(vec![
                 mix_name(mix).into(),
                 ordering_name(ordering).into(),
                 cell(occupancy, 2),
                 cell(ns_per_frame, 1),
             ]);
-            part_a.push(
-                JsonObject::new()
-                    .field("mix", mix_name(mix))
-                    .field("ordering", ordering_name(ordering))
-                    .field("occupancy", occupancy)
-                    .field("frames", frames)
-                    .field("ns_per_frame", ns_per_frame)
-                    .build(),
-            );
         }
     }
     println!("{table}");
@@ -372,7 +359,6 @@ fn main() {
             "update ns/f",
         ],
     );
-    let mut part_b: Vec<Json> = Vec::new();
     for &lanes_n in &LANE_SWEEP {
         let run = lane_run(&clock, lanes_n, sizes.engine_peers, sizes.engine_rounds);
         lane_table.push_row(vec![
@@ -384,33 +370,9 @@ fn main() {
             cell(run.route_ns_per_frame, 1),
             cell(run.update_ns_per_frame, 1),
         ]);
-        part_b.push(
-            JsonObject::new()
-                .field("lanes", run.lanes as u64)
-                .field("sent", run.sent)
-                .field("accepted", run.accepted)
-                .field("throughput_hb_per_s", run.throughput)
-                .field("decode_ns_per_frame", run.decode_ns_per_frame)
-                .field("route_ns_per_frame", run.route_ns_per_frame)
-                .field("update_ns_per_frame", run.update_ns_per_frame)
-                .build(),
-        );
     }
     println!("{lane_table}");
 
-    let report = JsonObject::new()
-        .field("experiment", "e19_decode_scale")
-        .field("smoke", smoke)
-        .field("peers", u64::from(sizes.peers))
-        .field("rounds", sizes.rounds)
-        .field("engine_peers", u64::from(sizes.engine_peers))
-        .field("engine_rounds", sizes.engine_rounds)
-        .field("workers", WORKERS as u64)
-        .field("decode_sweep", part_a)
-        .field("lane_sweep", part_b)
-        .build();
-    let path = write_report("e19", &report).expect("write results/BENCH_e19.json");
-    println!("wrote {}", path.display());
     println!(
         "e19 total: {:.2} s{}",
         wall(&clock, total),

@@ -10,8 +10,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod report;
-
 use afd_core::history::SuspicionTrace;
 use afd_core::time::Duration;
 use afd_detectors::spec::DetectorSpec;

@@ -798,9 +798,9 @@ mod tests {
         // The persist module is the sanctioned home of filesystem access.
         let (findings, _) = lint_source("crates/afd-runtime/src/persist.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
-        // Other crates are out of scope (afd-bench writes reports, the
-        // linter itself walks the tree).
-        let (findings, _) = lint_source("crates/afd-bench/src/report.rs", src);
+        // Other crates are out of scope (the linter itself walks the
+        // tree).
+        let (findings, _) = lint_source("crates/afd-lint/src/walk.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

@@ -146,7 +146,7 @@ fn io_discipline_fires_in_runtime_library_code() {
 fn io_discipline_exempts_the_persist_module_and_other_crates() {
     let (findings, _) = lint_fixture("io_discipline_bad.rs", "crates/afd-runtime/src/persist.rs");
     assert!(findings.is_empty(), "{findings:?}");
-    let (findings, _) = lint_fixture("io_discipline_bad.rs", "crates/afd-bench/src/report.rs");
+    let (findings, _) = lint_fixture("io_discipline_bad.rs", "crates/afd-lint/src/walk.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
 

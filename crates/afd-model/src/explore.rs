@@ -96,7 +96,7 @@ pub fn explore(spec: ZooSpec, mutant: Mutant, bounds: ModelBounds) -> ExploreRep
 }
 
 /// Searches for a counterexample with iterative deepening over the tick
-/// horizon: explore with `max_ticks = 2, 3, …, bounds.max_ticks` and
+/// horizon: explore with `max_ticks = 0, 1, …, bounds.max_ticks` and
 /// return the first hit. Because a shorter horizon is a subset of a longer
 /// one, the first hit is minimal in horizon length, which keeps the raw
 /// counterexample short before [`crate::replay::minimize`] shrinks it
@@ -106,7 +106,7 @@ pub fn find_counterexample(
     mutant: Mutant,
     bounds: ModelBounds,
 ) -> Option<Counterexample> {
-    for horizon in 2..=bounds.max_ticks {
+    for horizon in 0..=bounds.max_ticks {
         let staged = ModelBounds {
             max_ticks: horizon,
             ..bounds
@@ -168,5 +168,18 @@ mod tests {
         .expect("mutant must be caught");
         assert_eq!(cex.violation.property, Property::HysteresisSpec);
         assert!(!cex.path.is_empty());
+    }
+
+    #[test]
+    fn deepening_starts_at_horizon_zero() {
+        // A duplicated first heartbeat needs no tick at all: both copies
+        // are in flight before the clock moves.
+        let bounds = ModelBounds {
+            max_ticks: 0,
+            ..ModelBounds::mutant_hunt()
+        };
+        let cex = find_counterexample(spec::simple(), Mutant::DroppedSeqCheck, bounds)
+            .expect("a tick-free schedule exists");
+        assert_eq!(cex.violation.property, Property::Alg4Freshness);
     }
 }

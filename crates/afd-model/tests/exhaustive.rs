@@ -46,13 +46,16 @@ fn every_mutant_is_caught_minimized_and_replayable() {
         let cex = find_counterexample(simple, mutant, bounds)
             .unwrap_or_else(|| panic!("{}: mutant escaped the checker", mutant.name()));
 
-        let expected_property = match mutant {
+        // The property each mutant was planted for, and the event counts
+        // of its first counterexample and of that one minimized: the rows
+        // `e17_model` prints.
+        let (expected_property, cex_len, min_len) = match mutant {
             Mutant::None => unreachable!("ALL excludes None"),
-            Mutant::NonMonotoneAccrual => Property::Accruement,
-            Mutant::DroppedSeqCheck => Property::Alg4Freshness,
-            Mutant::HysteresisOffByOne => Property::HysteresisSpec,
-            Mutant::Alg1NoThresholdRaise => Property::Alg1Threshold,
-            Mutant::Alg2NoReset => Property::Alg2Accrual,
+            Mutant::NonMonotoneAccrual => (Property::Accruement, 6, 6),
+            Mutant::DroppedSeqCheck => (Property::Alg4Freshness, 3, 3),
+            Mutant::HysteresisOffByOne => (Property::HysteresisSpec, 3, 2),
+            Mutant::Alg1NoThresholdRaise => (Property::Alg1Threshold, 2, 1),
+            Mutant::Alg2NoReset => (Property::Alg2Accrual, 3, 3),
         };
         assert_eq!(
             cex.violation.property,
@@ -62,7 +65,12 @@ fn every_mutant_is_caught_minimized_and_replayable() {
         );
 
         let min = minimize(simple, mutant, bounds, &cex);
-        assert!(min.path.len() <= cex.path.len());
+        assert_eq!(
+            (cex.path.len(), min.path.len()),
+            (cex_len, min_len),
+            "{}: counterexample / minimized lengths moved",
+            mutant.name()
+        );
         assert!(
             replay(simple, mutant, bounds, &min.path).is_some(),
             "{}: minimized schedule no longer violates",
