@@ -1,7 +1,7 @@
 //! The monitor pipeline's threaded executor.
 //!
 //! [`ShardedMonitor`](crate::shard::ShardedMonitor) runs the pipeline of
-//! [`shard`](crate::shard) — intake, stamp, accept, publish — on one
+//! [`shard`](crate::shard) — intake, accept, publish — on one
 //! thread, so its throughput ceiling is a single core.
 //! [`ParallelShardEngine`] runs the *same* stages on a fixed topology of
 //! `L` lane threads and `W` worker threads:
@@ -16,12 +16,10 @@
 //!
 //! Each lane thread owns one transport and one
 //! `Intake` stage (`shard.rs`): it refills the reusable arena
-//! (zero heap allocations per frame), decodes and routes every frame
-//! (v1 and compact v2 frames mix freely on every lane), stamps the
-//! *batch's* arrival once — clock reads are amortized across the batch,
-//! and the stamp skew a frame can see is bounded by its own batch's
-//! decode time — and publishes each destination's group into a bounded
-//! SPSC [`heartbeat_ring`] with a single `tail` store
+//! (zero heap allocations per frame) and stamps the refill as the inline
+//! executor does, decodes and routes every frame (v1 and compact v2
+//! frames mix freely on every lane), and publishes each destination's
+//! group into a bounded SPSC [`heartbeat_ring`] with a single `tail` store
 //! ([`push_batch`](crate::ring::RingProducer::push_batch)). One ring per
 //! lane×worker pair keeps the single-producer/single-consumer invariant
 //! without any cross-lane locking; workers drain their rings round-robin.
@@ -911,9 +909,10 @@ fn worker_loop<C: Clock, D: AccrualFailureDetector>(
 }
 
 /// A lane thread: refill the arena from `lane`, decode and group by
-/// destination worker, stamp, publish each group into its ring. Each
-/// batch is timed in two passes on the engine clock — decode, then
-/// route — feeding the per-stage profile in [`EngineStats::stage`].
+/// destination worker, publish each group into its ring at the refill's
+/// stamp. Each batch is timed in two passes on the engine clock — decode
+/// from the stamp, then route — feeding the per-stage profile in
+/// [`EngineStats::stage`].
 /// Stops on the cooperative flag or the first transport fault (recorded
 /// for [`ParallelShardEngine::intake_fault`]); returns the transport.
 fn lane_loop<L: Transport, C: Clock>(
@@ -932,19 +931,15 @@ fn lane_loop<L: Transport, C: Clock>(
         .map(|_| Vec::with_capacity(intake.capacity()))
         .collect();
     while !stop.load(Ordering::Acquire) {
-        match intake.recv(&mut lane) {
+        match intake.recv(&mut lane, &clock) {
             Ok(0) => {
                 bump(&shared.liveness, 1);
                 std::thread::yield_now();
             }
             Ok(got) => {
-                let decode_start = clock.now();
+                let stamp = intake.stamp();
                 let corrupt = intake.decode(groups.len(), |idx, hb| groups[idx].push(hb));
-                // One stamp per batch, doubling as the stage boundary:
-                // every frame of this batch arrives at `stamp`. The skew
-                // against its true drain moment is bounded by the batch's
-                // own decode time.
-                let stamp = clock.now();
+                let route_start = clock.now();
                 for (producer, group) in producers.iter_mut().zip(&mut groups) {
                     if !group.is_empty() {
                         producer.push_batch(group, stamp);
@@ -954,11 +949,11 @@ fn lane_loop<L: Transport, C: Clock>(
                 let route_end = clock.now();
                 bump(
                     &shared.decode_nanos,
-                    stamp.saturating_duration_since(decode_start).as_nanos(),
+                    route_start.saturating_duration_since(stamp).as_nanos(),
                 );
                 bump(
                     &shared.route_nanos,
-                    route_end.saturating_duration_since(stamp).as_nanos(),
+                    route_end.saturating_duration_since(route_start).as_nanos(),
                 );
                 bump(&shared.frames, got as u64 - corrupt);
                 bump(&shared.corrupt, corrupt);

@@ -6,7 +6,7 @@
 //! threaded heartbeat senders push framed, checksummed heartbeats through a
 //! pluggable [`Transport`] — two calls, `send` and `recv_batch`, over an
 //! in-process [`ChannelTransport`] or a UDP [`UdpLane`] — and **one monitor
-//! pipeline** — intake, stamp, accept, publish; see [`shard`] — turns them
+//! pipeline** — intake, accept, publish; see [`shard`] — turns them
 //! into suspicion levels that readers query lock-free. The pipeline has two
 //! executors:
 //!

@@ -614,7 +614,8 @@ fn decode_segment(buf: &[u8]) -> Result<SegmentData, PersistError> {
     let mut at = SEGMENT_HEADER;
     for _ in 0..count {
         let word = |k: usize| read_u64(buf, at + 8 * k).ok_or_else(|| corrupt("short record"));
-        let peer = ProcessId::new(word(0)? as u32);
+        let peer = u32::try_from(word(0)?).map_err(|_| corrupt("peer id out of range"))?;
+        let peer = ProcessId::new(peer);
         let mut words = [0u64; 7];
         for (k, w) in words.iter_mut().enumerate() {
             *w = word(k + 1)?;
@@ -1204,6 +1205,49 @@ mod tests {
         for len in 0..good.len() {
             assert!(decode_segment(&good[..len]).is_err(), "truncate to {len}");
         }
+    }
+
+    /// A valid one-record segment of generation 1 for peer 7, its id word
+    /// patched to 2³² + 7 and its CRC re-sealed.
+    fn segment_with_forged_id() -> Vec<u8> {
+        let records = vec![(ProcessId::new(7), durable(5, 10, 1.0, 0.25))];
+        let mut bytes = encode_segment(0, 1, Timestamp::from_secs(1), &records);
+        let body = bytes.len() - 4;
+        bytes[SEGMENT_HEADER..SEGMENT_HEADER + 8]
+            .copy_from_slice(&((1u64 << 32) + 7).to_le_bytes());
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_peer_id_above_u32_max_is_corrupt_not_truncated() {
+        match decode_segment(&segment_with_forged_id()) {
+            Err(PersistError::Corrupt(why)) => assert!(why.contains("peer id out of range")),
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(seg) => panic!("restored {:?}", seg.records),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_segment_whose_peer_id_would_alias() {
+        let forged = segment_with_forged_id();
+        let entry = ManifestEntry {
+            name: segment_name(1, 0),
+            records: 1,
+            crc: read_u32(&forged, forged.len() - 4).unwrap(),
+        };
+        let mut sink = MemSink::new();
+        sink.put(&entry.name, &forged).unwrap();
+        let manifest = encode_manifest(1, Timestamp::from_secs(1), &[entry]);
+        sink.put(&manifest_name(1), &manifest).unwrap();
+        let mut ckpt = Checkpointer::new(sink, CheckpointConfig::default());
+        let restored = ckpt.restore(&VirtualClock::new()).unwrap();
+        assert_eq!(restored.segments_rejected, 1);
+        assert!(restored
+            .peers
+            .iter()
+            .all(|p| p.process != ProcessId::new(7)));
     }
 
     #[test]

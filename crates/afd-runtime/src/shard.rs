@@ -1,22 +1,22 @@
 //! The monitor pipeline's shared stages and its inline executor.
 //!
 //! Algorithm 4's receive rule — a heartbeat fresher than the freshest
-//! seen records an arrival — runs here as one pipeline of four stages:
+//! seen records an arrival — runs here as one pipeline of three stages:
 //!
 //! 1. **intake** (`Intake`): refill a reusable [`FrameBatch`] arena
-//!    from the transport, decode every frame through one
-//!    [`WireDecoder`] (v1 and compact v2 frames mix freely; corrupt
-//!    frames are counted, never panicked on) and route each heartbeat to
-//!    its shard by `shard_index`;
-//! 2. **stamp**: the *executor* attaches the arrival time — the stage
-//!    takes the stamp from its caller and picks no policy;
-//! 3. **accept** (`accept_batch`): the drained, stamped batch goes
+//!    from the transport, stamp the refill with one clock read — the
+//!    receive step's local time, carried by every heartbeat of the
+//!    refill — decode every frame through one [`WireDecoder`] (v1 and
+//!    compact v2 frames mix freely; corrupt frames are counted, never
+//!    panicked on) and route each heartbeat to its shard by
+//!    `shard_index`;
+//! 2. **accept** (`accept_batch`): the drained, stamped batch goes
 //!    through in three passes — *resolve* (one probe of the id→slot index
 //!    per frame), *warm* (plain loads of what an arrival will read) and
 //!    *apply* (serial-number freshness, then the watch check, then the
 //!    detector update, strictly in arrival order) — see *The accept
 //!    stage*;
-//! 4. **publish** (`Shard::publish`): each shard's suspicion levels and
+//! 3. **publish** (`Shard::publish`): each shard's suspicion levels and
 //!    durable rows go into a double-buffered epoch snapshot that
 //!    [`SnapshotReader`]s consume without taking any lock, in two passes:
 //!    the *changed-slot* pass rewrites a durable row, and refreshes the
@@ -31,16 +31,13 @@
 //! two executors share them by construction:
 //!
 //! - [`ShardedMonitor`] is the **inline executor**: one
-//!   [`tick`](ShardedMonitor::tick) runs all four stages on the calling
-//!   thread. It re-reads the clock for every decoded frame — stamping a
-//!   drained backlog (say, after a partition heals) with one arrival
-//!   time would collapse its inter-arrival samples to zero and poison
-//!   adaptive windows. Deterministic under a virtual clock; the chaos
-//!   harness and the model-checker replay run on it with `shards: 1`.
+//!   [`tick`](ShardedMonitor::tick) runs all three stages on the calling
+//!   thread. Deterministic under a virtual clock; the chaos harness and
+//!   the model-checker replay run on it with `shards: 1`.
 //! - [`ParallelShardEngine`](crate::engine::ParallelShardEngine) is the
-//!   **threaded executor**: lane threads run stage 1, stamp once per
-//!   batch, and hand heartbeats over SPSC rings to one worker thread per
-//!   shard that runs stages 3–4.
+//!   **threaded executor**: lane threads run stage 1 and hand
+//!   heartbeats over SPSC rings to one worker thread per shard that runs
+//!   stages 2–3.
 //!
 //! # The accept stage
 //!
@@ -657,14 +654,14 @@ pub(crate) fn accept_batch<D: AccrualFailureDetector>(
 }
 
 /// The intake stage both executors share: one reusable zero-allocation
-/// arena and one wire decoder (holding the v2 intern table across
-/// drains). [`recv`](Intake::recv) is the only `recv_batch` call on the
-/// intake path and [`decode`](Intake::decode) the only decode/route
-/// loop; the caller's `deliver` attaches the arrival stamp, so each
-/// executor keeps its own clock policy.
+/// arena, one wire decoder (holding the v2 intern table across drains)
+/// and the arrival stamp. [`recv`](Intake::recv) is the only
+/// `recv_batch` call on the intake path and [`decode`](Intake::decode)
+/// the only decode/route loop.
 pub(crate) struct Intake {
     arena: FrameBatch,
     decoder: WireDecoder,
+    stamp: Timestamp,
 }
 
 impl Intake {
@@ -674,18 +671,31 @@ impl Intake {
         Intake {
             arena: FrameBatch::with_capacity(INTAKE_BATCH_SLOTS),
             decoder: WireDecoder::new(),
+            stamp: Timestamp::ZERO,
         }
     }
 
     /// Refills the arena from `transport`, returning the frames stored;
     /// fewer than [`capacity`](Intake::capacity) means the transport is
-    /// drained.
-    pub(crate) fn recv<T: Transport + ?Sized>(
+    /// drained. A refill that stored a frame reads `clock` once: the
+    /// receive step's local time, which every heartbeat of the refill
+    /// carries as its arrival ([`stamp`](Intake::stamp)).
+    pub(crate) fn recv<T: Transport + ?Sized, C: Clock>(
         &mut self,
         transport: &mut T,
+        clock: &C,
     ) -> Result<usize, TransportError> {
         self.arena.clear();
-        transport.recv_batch(&mut self.arena)
+        let got = transport.recv_batch(&mut self.arena)?;
+        if got > 0 {
+            self.stamp = clock.now();
+        }
+        Ok(got)
+    }
+
+    /// The arrival stamp of the last refill that stored a frame.
+    pub(crate) fn stamp(&self) -> Timestamp {
+        self.stamp
     }
 
     /// Arena slots per refill.
@@ -814,9 +824,9 @@ where
         self.shards[idx].unwatch(process)
     }
 
-    /// Drains the transport — every decoded heartbeat is stamped as it
-    /// comes off the wire and accepted into its shard, in arrival order —
-    /// then publishes every shard's epoch snapshot.
+    /// Drains the transport — every decoded heartbeat carries its
+    /// refill's receive stamp and is accepted into its shard, in arrival
+    /// order — then publishes every shard's epoch snapshot.
     ///
     /// # Errors
     ///
@@ -827,25 +837,18 @@ where
         // lint:allow(relaxed-atomics-audit, monotone liveness tick; the watchdog only needs eventual progress, no cross-thread ordering)
         self.liveness.fetch_add(1, Ordering::Relaxed);
         let mut report = TickReport::default();
-        let (shards, stamped, clock) = (&mut self.shards, &mut self.stamped, &self.clock);
+        let (shards, stamped) = (&mut self.shards, &mut self.stamped);
         loop {
-            let got = self.intake.recv(&mut self.transport)?;
+            let got = self.intake.recv(&mut self.transport, &self.clock)?;
             report.drained += got;
-            // Stamp per decoded frame (not per tick): one "now" for a
-            // whole drained backlog would collapse its inter-arrival
-            // samples to zero.
+            let at = self.intake.stamp();
             self.corrupt += self.intake.decode(shards.len(), |idx, hb| {
-                stamped.push(Stamped::new(idx, hb, clock.now()));
+                stamped.push(Stamped::new(idx, hb, at));
             });
-            // Accept in passes of its own: a clock read serialises the
-            // pipeline, and one between every two accepts keeps different
-            // peers' detector updates from overlapping — measured at
-            // +20 ns a frame, 6–10 % of `ns_per_hb` on every workload.
-            // For the same reason the accept stage is itself split: the
+            // Accept the whole refill in the accept stage's passes: the
             // batch's index probes, then loads of the state its arrivals
             // will read, then the updates in arrival order, so a wide
-            // watch set's cache misses overlap instead of each waiting
-            // behind the previous frame's update. The batch stays mixed:
+            // watch set's cache misses overlap. The batch stays mixed:
             // nothing groups it by shard.
             report.accepted += accept_batch(shards, stamped);
             stamped.clear();
@@ -1248,8 +1251,8 @@ mod tests {
         assert_eq!(mon.transport().stats().duplicated, 5);
     }
 
-    /// A clock that advances by a fixed step on every read, exposing code
-    /// that caches "now" instead of re-reading it per frame.
+    /// A clock that advances by a fixed step on every read, so its value
+    /// counts the reads.
     #[derive(Clone)]
     struct SteppingClock {
         now: Arc<AtomicU64>,
@@ -1263,27 +1266,45 @@ mod tests {
     }
 
     #[test]
-    fn burst_frames_get_distinct_arrival_times() {
-        // Three frames drained in ONE tick must not share an arrival
-        // timestamp: each decoded frame re-reads the clock. With a cached
-        // "now" the detector's last arrival would stay at the first read.
-        let (mut tx, rx) = ChannelTransport::pair();
-        let clock = SteppingClock {
-            now: Arc::new(AtomicU64::new(Timestamp::from_secs(100).as_nanos())),
-            step: Duration::from_secs(1).as_nanos(),
-        };
-        let mut mon =
-            ShardedMonitor::new(rx, clock, SINGLE, |_| SimpleAccrual::new(Timestamp::ZERO));
-        let p = ProcessId::new(1);
-        mon.watch(p).unwrap();
-        tx.send(&frame(1, 1)).unwrap();
-        tx.send(&frame(1, 2)).unwrap();
-        tx.send(&frame(1, 3)).unwrap();
-        assert_eq!(mon.tick().unwrap().accepted, 3);
-        // Clock reads: 100 s, 101 s, 102 s — the last accepted heartbeat
-        // must carry the last read, not the first.
-        let last = mon.detector_mut(p).unwrap().last_heartbeat();
-        assert_eq!(last, Timestamp::from_secs(102));
+    fn one_tick_reads_the_clock_once_per_refill_plus_once_to_publish() {
+        // The receive step is the refill: each refill that stored a frame
+        // reads the clock once and every heartbeat of it carries that
+        // stamp; the publish reads it once more. A per-frame read would
+        // show here as up to `n` extra reads.
+        let start = Timestamp::from_secs(100).as_nanos();
+        let step = Duration::from_secs(1).as_nanos();
+        for n in [0u32, 1, 3, 512, 513, 1_100] {
+            let (mut tx, rx) = ChannelTransport::pair();
+            let now = Arc::new(AtomicU64::new(start));
+            let clock = SteppingClock {
+                now: Arc::clone(&now),
+                step,
+            };
+            let config = ShardConfig {
+                shards: 1,
+                slots_per_shard: 2_048,
+            };
+            let mut mon =
+                ShardedMonitor::new(rx, clock, config, |_| SimpleAccrual::new(Timestamp::ZERO));
+            for id in 0..n {
+                mon.watch(ProcessId::new(id)).unwrap();
+                tx.send(&frame(id, 1)).unwrap();
+            }
+            let refills = (n as usize).div_ceil(INTAKE_BATCH_SLOTS) as u64;
+            assert_eq!(mon.tick().unwrap().accepted, n as usize);
+            let reads = (now.load(Ordering::SeqCst) - start) / step;
+            assert_eq!(reads, refills + 1, "{n} frames");
+            for id in 0..n {
+                let refill = u64::from(id) / INTAKE_BATCH_SLOTS as u64;
+                assert_eq!(
+                    mon.detector_mut(ProcessId::new(id))
+                        .unwrap()
+                        .last_heartbeat(),
+                    Timestamp::from_nanos(start + refill * step),
+                    "frame {id} of {n}"
+                );
+            }
+        }
     }
 
     #[test]

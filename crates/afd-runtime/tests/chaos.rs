@@ -6,11 +6,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use afd_core::accrual::{AccrualFailureDetector, LevelCurve};
 use afd_core::canonical::StateDigest;
+use afd_core::history::SuspicionTrace;
 use afd_core::process::ProcessId;
 use afd_core::properties::{check_upper_bound, AccruementCheck};
+use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
-use afd_detectors::phi::PhiAccrual;
+use afd_detectors::spec::{zoo, AnyDetector, DetectorSpec};
 use afd_runtime::{
     run_chaos, ChannelTransport, ChaosScenario, Clock, Heartbeat, ShardConfig, ShardedMonitor,
     Transport,
@@ -124,7 +127,7 @@ fn healed_faults_leave_a_correct_process_trusted() {
 }
 
 /// A real clock's time keeps moving while a backlog is drained; this stub
-/// models that by advancing on every read.
+/// exaggerates that by advancing a whole `step` on every read.
 #[derive(Clone)]
 struct SteppingClock {
     now: Arc<AtomicU64>,
@@ -137,11 +140,34 @@ impl Clock for SteppingClock {
     }
 }
 
-/// Regression: a post-partition backlog drained in a single `poll()` used
-/// to stamp every frame with one arrival time, collapsing the adaptive
-/// window's inter-arrival samples to zero.
-#[test]
-fn backlog_drained_in_one_poll_keeps_interarrival_samples_positive() {
+/// A zoo detector that also keeps every arrival the monitor recorded.
+struct Recorded {
+    inner: AnyDetector,
+    arrivals: Vec<Timestamp>,
+}
+
+impl AccrualFailureDetector for Recorded {
+    fn record_heartbeat(&mut self, arrival: Timestamp) {
+        self.arrivals.push(arrival);
+        self.inner.record_heartbeat(arrival);
+    }
+
+    fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
+        self.inner.suspicion_level(now)
+    }
+
+    fn level_curve(&self) -> Option<LevelCurve> {
+        self.inner.level_curve()
+    }
+}
+
+/// One tick over a backlog of `frames` heartbeats from one sender, queued
+/// before the tick (say, by a partition healing); returns the monitor
+/// with the sender watched.
+fn drain_backlog(
+    spec: &DetectorSpec,
+    frames: u64,
+) -> ShardedMonitor<ChannelTransport, SteppingClock, Recorded> {
     let (mut tx, rx) = ChannelTransport::pair();
     let clock = SteppingClock {
         now: Arc::new(AtomicU64::new(Timestamp::from_secs(10).as_nanos())),
@@ -151,34 +177,67 @@ fn backlog_drained_in_one_poll_keeps_interarrival_samples_positive() {
         shards: 1,
         slots_per_shard: 1,
     };
-    let mut monitor = ShardedMonitor::new(rx, clock, single, |_| PhiAccrual::with_defaults());
-    let process = ProcessId::new(1);
-    monitor.watch(process).unwrap();
-
-    // Ten heartbeats pile up (e.g. a partition healing) before one poll.
-    for seq in 1..=10u64 {
-        tx.send(
-            &Heartbeat {
-                sender: process,
-                seq,
-                sent_at: Timestamp::from_secs(seq),
-            }
-            .encode(),
-        )
-        .unwrap();
+    let spec = *spec;
+    let mut monitor = ShardedMonitor::new(rx, clock, single, move |_| Recorded {
+        inner: spec.build(),
+        arrivals: Vec::new(),
+    });
+    monitor.watch(ProcessId::new(1)).unwrap();
+    for seq in 1..=frames {
+        let hb = Heartbeat {
+            sender: ProcessId::new(1),
+            seq,
+            sent_at: Timestamp::from_secs(seq),
+        };
+        tx.send(&hb.encode()).unwrap();
     }
-    assert_eq!(monitor.tick().unwrap().accepted, 10);
+    let report = monitor.tick().unwrap();
+    assert_eq!(report.accepted as u64, frames, "{}", spec.name());
+    monitor
+}
 
-    let phi = monitor.detector_mut(process).unwrap();
-    assert!(
-        phi.samples() >= 9,
-        "window should hold the burst's intervals"
-    );
-    assert!(
-        phi.mean_interval() > 0.0,
-        "inter-arrival samples collapsed to zero: mean {}",
-        phi.mean_interval()
-    );
+/// A backlog drained in one refill is one receive step: every detector of
+/// the zoo accepts it whole at one arrival time, publishes a finite level
+/// after it, and accrues over the silence that follows. A backlog longer
+/// than the intake arena's 512 slots takes several refills, each its own
+/// receive step with its own stamp.
+#[test]
+fn backlog_drained_in_one_refill_is_one_receive_step_for_every_detector() {
+    let process = ProcessId::new(1);
+    for zoo in zoo() {
+        let name = zoo.detector.name();
+        let mut monitor = drain_backlog(&zoo.detector, 10);
+        let published = monitor.reader().level(process).unwrap().value();
+        assert!(published.is_finite(), "{name}: published level {published}");
+
+        let detector = monitor.detector_mut(process).unwrap();
+        let stamp = detector.arrivals[0];
+        assert_eq!(detector.arrivals, [stamp; 10], "{name}");
+        let mut trace = SuspicionTrace::new();
+        for k in 0..=60u64 {
+            let at = stamp + Duration::from_millis(250 * k);
+            let level = detector.suspicion_level(at);
+            assert!(level.value().is_finite(), "{name}: level {level} at {at}");
+            trace.push(at, level);
+        }
+        AccruementCheck::default()
+            .run(&trace)
+            .unwrap_or_else(|e| panic!("{name}: Accruement violated after the backlog: {e}"));
+
+        let mut monitor = drain_backlog(&zoo.detector, 1_100);
+        let arrivals = &monitor.detector_mut(process).unwrap().arrivals;
+        let mut stamps = arrivals.clone();
+        stamps.dedup();
+        assert_eq!(
+            stamps.len(),
+            3,
+            "{name}: 1 100 frames fill 512 + 512 + 76 slots"
+        );
+        assert!(stamps.windows(2).all(|w| w[0] < w[1]), "{name}: {stamps:?}");
+        for (i, at) in arrivals.iter().enumerate() {
+            assert_eq!(*at, stamps[i / 512], "{name}: frame {i}");
+        }
+    }
 }
 
 #[test]

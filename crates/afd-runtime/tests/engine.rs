@@ -90,7 +90,7 @@ proptest! {
     /// same lock-free point lookups — even though every heartbeat crossed
     /// an SPSC ring into a real worker thread. The clock is frozen while
     /// frames are in flight (it moves only once both sides are drained),
-    /// so the lanes' per-batch stamps equal the inline per-frame stamps.
+    /// so every refill reads the same stamp however the two split them.
     #[test]
     fn threaded_executor_reproduces_inline_executor(ops in ops(), workers in 1usize..6) {
         let clock = VirtualClock::new();

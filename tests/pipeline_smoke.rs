@@ -133,8 +133,8 @@ fn inline_and_threaded_executors_agree_on_a_seeded_v2_schedule() {
     let mut sent = 0u64;
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     for round in 1..=ROUNDS {
-        // The clock moves only while both executors are drained, so the
-        // lane's per-batch stamps equal the inline per-frame stamps.
+        // The clock moves only while both executors are drained, so every
+        // refill reads the same stamp however the two split them.
         let now = Timestamp::from_secs(round);
         clock.set(now);
         for _ in 0..FRAMES_PER_ROUND {
