@@ -5,7 +5,9 @@
 //! detectors come from the catalogue ([`afd_detectors::spec::series`]);
 //! the helpers here standardize how level traces are produced from
 //! scenarios and which seeds experiments use, so that every table in
-//! EXPERIMENTS.md is regenerated from the same machinery.
+//! EXPERIMENTS.md is regenerated from the same machinery: a simulated
+//! trace replayed through the shipping inline monitor
+//! ([`afd_runtime::replay`](afd_runtime::replay::replay)).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -13,7 +15,8 @@
 use afd_core::history::SuspicionTrace;
 use afd_core::time::Duration;
 use afd_detectors::spec::DetectorSpec;
-use afd_sim::replay::{replay, ReplayConfig};
+use afd_runtime::replay::replay;
+use afd_sim::replay::ReplayConfig;
 use afd_sim::scenario::Scenario;
 use afd_sim::simulate;
 
@@ -25,15 +28,13 @@ pub fn query_interval() -> Duration {
     Duration::from_millis(250)
 }
 
-/// Simulates `scenario` with `seed` and replays it through a fresh
-/// detector built from `spec`, returning the suspicion-level history at
-/// the default query cadence.
+/// Simulates `scenario` with `seed` and replays it through the shipping
+/// monitor with a detector built from `spec`, returning the
+/// suspicion-level history at the default query cadence.
 pub fn level_trace(scenario: &Scenario, seed: u64, spec: DetectorSpec) -> SuspicionTrace {
-    let arrivals = simulate(scenario, seed);
-    let mut detector = spec.build();
     replay(
-        &arrivals,
-        &mut detector,
+        &simulate(scenario, seed),
+        move |_| spec.build(),
         ReplayConfig::every(query_interval()).with_clock(scenario.monitor_clock),
     )
 }

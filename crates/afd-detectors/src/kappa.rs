@@ -25,8 +25,9 @@
 //! an arrival at `t_last`, heartbeat `j` is expected at `t_last + j·Δ̂`
 //! with `Δ̂` the windowed mean inter-arrival time. (The original κ-FD
 //! tracked sequence numbers; the cadence-based inference produces the same
-//! pending set in steady state without protocol coupling, and the replay
-//! layer's freshness filtering guarantees `t_last` never moves backwards.)
+//! pending set in steady state without protocol coupling, and the
+//! monitor's freshness filtering guarantees `t_last` never moves
+//! backwards.)
 
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::canonical::{CanonicalState, StateDigest};

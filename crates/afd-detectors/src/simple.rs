@@ -76,7 +76,8 @@ impl Default for SimpleAccrual {
 impl AccrualFailureDetector for SimpleAccrual {
     fn record_heartbeat(&mut self, arrival: Timestamp) {
         // Freshness is enforced upstream (Algorithm 4's sequence check in
-        // the replay layer); a non-monotone arrival here is a caller bug.
+        // the monitor's accept stage); a non-monotone arrival here is a
+        // caller bug.
         debug_assert!(
             arrival >= self.last_heartbeat,
             "heartbeat arrivals must be non-decreasing"

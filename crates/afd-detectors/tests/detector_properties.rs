@@ -24,8 +24,9 @@ use afd_detectors::chen::{ChenAccrual, ChenConfig};
 use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution, StepContribution};
 use afd_detectors::phi::{PhiAccrual, PhiConfig, PhiModel};
 use afd_detectors::simple::SimpleAccrual;
-use afd_detectors::spec::{self, AnyDetector};
-use afd_sim::replay::{replay, ReplayConfig};
+use afd_detectors::spec::{self, AnyDetector, DetectorSpec};
+use afd_runtime::replay::replay;
+use afd_sim::replay::ReplayConfig;
 use afd_sim::scenario::Scenario;
 use afd_sim::simulate;
 use proptest::prelude::*;
@@ -38,15 +39,12 @@ fn all_detectors() -> Vec<(&'static str, AnyDetector)> {
         .collect()
 }
 
-fn run_trace(
-    scenario: &Scenario,
-    seed: u64,
-    detector: &mut dyn AccrualFailureDetector,
-) -> SuspicionTrace {
-    let trace = simulate(scenario, seed);
+/// Simulates `scenario` and replays it through the shipping monitor with
+/// a detector built from `spec`.
+fn run_trace(scenario: &Scenario, seed: u64, spec: DetectorSpec) -> SuspicionTrace {
     replay(
-        &trace,
-        &mut *detector,
+        &simulate(scenario, seed),
+        move |_| spec.build(),
         ReplayConfig::every(Duration::from_millis(200)).with_clock(scenario.monitor_clock),
     )
 }
@@ -57,8 +55,9 @@ fn accruement_holds_after_crash_for_every_detector() {
         .with_horizon(Timestamp::from_secs(300))
         .with_crash_at(Timestamp::from_secs(120));
     for seed in [1, 2, 3] {
-        for (name, mut detector) in all_detectors() {
-            let trace = run_trace(&scenario, seed, &mut detector);
+        for spec in spec::series() {
+            let name = spec.name();
+            let trace = run_trace(&scenario, seed, spec);
             // Only judge the post-crash suffix plus some margin.
             let check = AccruementCheck {
                 epsilon: 1e-6,
@@ -80,8 +79,9 @@ fn accruement_holds_after_crash_for_every_detector() {
 fn upper_bound_holds_for_correct_process_for_every_detector() {
     let scenario = Scenario::wan_jitter().with_horizon(Timestamp::from_secs(300));
     for seed in [1, 2, 3] {
-        for (name, mut detector) in all_detectors() {
-            let trace = run_trace(&scenario, seed, &mut detector);
+        for spec in spec::series() {
+            let name = spec.name();
+            let trace = run_trace(&scenario, seed, spec);
             let witness = check_upper_bound(&trace, None)
                 .unwrap_or_else(|e| panic!("{name} (seed {seed}) violates Upper Bound: {e}"));
             // A sane bound for a healthy 1 Hz heartbeat stream. The cap is
@@ -108,16 +108,12 @@ fn upper_bound_holds_for_correct_process_for_every_detector() {
 fn observed_bound_does_not_grow_with_run_length() {
     // Empirical signature of Property 2: doubling the horizon must not
     // meaningfully raise the max suspicion level of a correct process.
-    for (name, _) in all_detectors() {
+    for spec in spec::series() {
+        let name = spec.name();
         let mut bounds = Vec::new();
         for horizon in [300u64, 600] {
             let scenario = Scenario::wan_jitter().with_horizon(Timestamp::from_secs(horizon));
-            // Fresh detector per horizon.
-            let (_, mut detector) = all_detectors()
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .unwrap();
-            let trace = run_trace(&scenario, 7, &mut detector);
+            let trace = run_trace(&scenario, 7, spec);
             bounds.push(
                 check_upper_bound(&trace, None)
                     .unwrap()
@@ -137,8 +133,9 @@ fn accruement_also_holds_under_bursty_loss() {
     let scenario = Scenario::bursty_loss()
         .with_horizon(Timestamp::from_secs(300))
         .with_crash_at(Timestamp::from_secs(120));
-    for (name, mut detector) in all_detectors() {
-        let trace = run_trace(&scenario, 11, &mut detector);
+    for spec in spec::series() {
+        let name = spec.name();
+        let trace = run_trace(&scenario, 11, spec);
         let check = AccruementCheck {
             epsilon: 1e-6,
             min_increases: 10,
@@ -159,8 +156,9 @@ fn partially_synchronous_model_still_yields_diamond_p_ac() {
         .with_horizon(Timestamp::from_secs(400))
         .with_crash_at(Timestamp::from_secs(250));
     let healthy = Scenario::partially_synchronous().with_horizon(Timestamp::from_secs(400));
-    for (name, mut detector) in all_detectors() {
-        let trace = run_trace(&crash, 3, &mut detector);
+    for spec in spec::series() {
+        let name = spec.name();
+        let trace = run_trace(&crash, 3, spec);
         let check = AccruementCheck {
             epsilon: 1e-6,
             min_increases: 10,
@@ -170,8 +168,9 @@ fn partially_synchronous_model_still_yields_diamond_p_ac() {
             .run(&trace)
             .unwrap_or_else(|e| panic!("{name} violates Accruement (partial synchrony): {e}"));
     }
-    for (name, mut detector) in all_detectors() {
-        let trace = run_trace(&healthy, 3, &mut detector);
+    for spec in spec::series() {
+        let name = spec.name();
+        let trace = run_trace(&healthy, 3, spec);
         check_upper_bound(&trace, None)
             .unwrap_or_else(|e| panic!("{name} violates Upper Bound (partial synchrony): {e}"));
     }
@@ -185,15 +184,12 @@ fn crash_raises_level_above_healthy_maximum() {
     let crashed = Scenario::wan_jitter()
         .with_horizon(Timestamp::from_secs(200))
         .with_crash_at(Timestamp::from_secs(100));
-    for (name, mut d1) in all_detectors() {
-        let (_, mut d2) = all_detectors()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .unwrap();
-        let healthy_max = check_upper_bound(&run_trace(&healthy, 5, &mut d1), None)
+    for spec in spec::series() {
+        let name = spec.name();
+        let healthy_max = check_upper_bound(&run_trace(&healthy, 5, spec), None)
             .unwrap()
             .observed_bound;
-        let crash_trace = run_trace(&crashed, 5, &mut d2);
+        let crash_trace = run_trace(&crashed, 5, spec);
         let crash_max = crash_trace.max_level().unwrap();
         assert!(
             crash_max > healthy_max,

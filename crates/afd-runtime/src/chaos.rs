@@ -11,9 +11,10 @@
 //! pair yields a bit-identical suspicion timeline on every run — chaos
 //! tests assert on exact replays, not on sleeps and hope.
 //!
-//! This module is the runtime's virtual-time world. `afd-sim` is the
-//! paper-experiment simulator over bare detectors and lends this harness
-//! its loss, delay, and random-stream models; `afd-model` is the
+//! This module is the runtime's virtual-time world. `afd-sim` generates
+//! the paper experiments' arrival traces, which [`replay`](crate::replay)
+//! feeds through the same inline monitor, and lends this harness its
+//! loss, delay, and random-stream models; `afd-model` is the
 //! reference transition system whose schedules are replayed against the
 //! real pipeline through [`run_chaos_script`].
 

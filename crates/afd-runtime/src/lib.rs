@@ -1,8 +1,8 @@
 //! Live runtime for accrual failure detectors: Algorithm 4 over real
 //! transports, with fault injection and robustness machinery.
 //!
-//! Where `afd-sim` replays scripted heartbeat histories offline, this crate
-//! runs the monitor/monitored protocol of Défago et al. §5.1 *live*:
+//! This crate runs the monitor/monitored protocol of Défago et al. §5.1
+//! *live*:
 //! threaded heartbeat senders push framed, checksummed heartbeats through a
 //! pluggable [`Transport`] — two calls, `send` and `recv_batch`, over an
 //! in-process [`ChannelTransport`] or a UDP [`UdpLane`] — and **one monitor
@@ -13,7 +13,9 @@
 //! - [`ShardedMonitor`] runs every stage inline on the caller's thread,
 //!   one [`tick`](shard::ShardedMonitor::tick) at a time: deterministic
 //!   under a virtual clock, and with `shards: 1` the plain single-stream
-//!   reading of Algorithm 4;
+//!   reading of Algorithm 4 — the one [`replay`](mod@replay) runs every
+//!   recorded or simulated `afd-sim` trace through, so the paper's
+//!   experiments read the receive rule that ships;
 //! - [`ParallelShardEngine`] runs the same stages on lane threads and one
 //!   worker thread per shard, joined by SPSC rings — the multi-core
 //!   deployment.
@@ -47,6 +49,7 @@ pub mod fault;
 pub mod intern;
 pub mod lane;
 pub mod persist;
+pub mod replay;
 pub mod retry;
 pub mod ring;
 pub mod sender;

@@ -5,7 +5,8 @@
 //! (Algorithm 4's sender side), the channel delays or drops each message,
 //! and every delivery is recorded with both global and monitor-local
 //! timestamps. The output [`ArrivalTrace`] is the complete arrival process;
-//! feeding it to detectors is the job of [`crate::replay()`].
+//! feeding it to detectors is the job of `afd_runtime::replay`, which
+//! runs it through the shipping monitor.
 //!
 //! Separating *arrival generation* from *detector evaluation* mirrors how
 //! the φ paper evaluates detectors on recorded traces, and guarantees every

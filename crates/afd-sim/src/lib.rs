@@ -15,9 +15,9 @@
 //! - [`scenario`]: declarative run configurations with named presets
 //!   (`lan`, `wan_jitter`, `bursty_loss`, `partially_synchronous`).
 //! - [`engine`]: runs a scenario into an [`trace::ArrivalTrace`].
-//! - [`replay`](mod@replay): drives any accrual detector over a recorded trace,
-//!   yielding the suspicion-level history (with Algorithm 4's stale-
-//!   heartbeat filtering).
+//! - [`replay`]: the query schedule ([`ReplayConfig`]) of a trace replay;
+//!   the replay itself runs a trace through the shipping monitor, as
+//!   `afd_runtime::replay`, so Algorithm 4's receive rule exists once.
 //!
 //! # Example
 //!
@@ -52,7 +52,7 @@ pub mod trace_io;
 
 pub use engine::simulate;
 pub use error::ModelError;
-pub use replay::{replay, ReplayConfig};
+pub use replay::ReplayConfig;
 pub use scenario::Scenario;
 pub use trace::ArrivalTrace;
 pub use trace_io::{read_csv, write_csv};

@@ -1,21 +1,15 @@
-//! Feeding recorded arrival traces to detectors.
+//! The query schedule of a trace replay.
 //!
-//! [`replay`] merges a trace's heartbeat deliveries with a periodic query
-//! schedule and drives any [`AccrualFailureDetector`] through them,
-//! producing the [`SuspicionTrace`] (the failure-detector history of §2).
-//! Stale heartbeats — ones overtaken in the network — are discarded by
-//! sequence number exactly as Algorithm 4 lines 8–10 prescribe.
-//!
-//! Because a trace can be replayed any number of times, every detector and
-//! every threshold in an experiment sees the *same* network behaviour,
-//! which is what makes QoS comparisons across detectors fair.
+//! A replay merges a trace's heartbeat deliveries with a periodic query
+//! schedule and reads the detector's level at every query, producing the
+//! suspicion-level history of §2. [`ReplayConfig`] is that schedule and
+//! the monitor's clock mapping; the replay itself runs on the shipping
+//! monitor, as `afd_runtime::replay`, where Algorithm 4's freshness rule
+//! lives once for every receive path.
 
-use afd_core::accrual::AccrualFailureDetector;
-use afd_core::history::SuspicionTrace;
 use afd_core::time::{Duration, Timestamp};
 
 use crate::clock::DriftingClock;
-use crate::trace::ArrivalTrace;
 
 /// The query schedule for a replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,169 +56,9 @@ impl ReplayConfig {
     }
 }
 
-/// Replays `trace` through `detector`, querying on the given schedule until
-/// the trace horizon; returns the resulting suspicion-level history.
-///
-/// Heartbeats are delivered in arrival order; a delivery whose sequence
-/// number is not strictly greater than the highest seen so far is dropped
-/// (Algorithm 4's freshness check), so reordered heartbeats never move the
-/// detector's notion of "last heartbeat" backwards.
-pub fn replay<D: AccrualFailureDetector + ?Sized>(
-    trace: &ArrivalTrace,
-    detector: &mut D,
-    config: ReplayConfig,
-) -> SuspicionTrace {
-    let deliveries = trace.deliveries_in_arrival_order();
-    let mut out = SuspicionTrace::new();
-    let mut next_delivery = 0usize;
-    let mut highest_seq = 0u64;
-    let mut query_at = config.first_query;
-    let horizon = trace.horizon();
-
-    while query_at <= horizon {
-        // The monitor's view of this instant.
-        let local_now = config.monitor_clock.local_time(query_at);
-        // Deliver every heartbeat that arrived (locally) before this query.
-        while next_delivery < deliveries.len() && deliveries[next_delivery].1 <= local_now {
-            let (seq, at) = deliveries[next_delivery];
-            next_delivery += 1;
-            if seq > highest_seq {
-                highest_seq = seq;
-                detector.record_heartbeat(at);
-            }
-        }
-        out.push(query_at, detector.suspicion_level(local_now));
-        query_at += config.query_interval;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::HeartbeatRecord;
-    use afd_core::suspicion::SuspicionLevel;
-
-    /// A minimal elapsed-time detector for exercising the replay loop
-    /// (the real implementations live in `afd-detectors`).
-    #[derive(Debug, Default)]
-    struct Elapsed {
-        last: Option<Timestamp>,
-    }
-
-    impl AccrualFailureDetector for Elapsed {
-        fn record_heartbeat(&mut self, arrival: Timestamp) {
-            if let Some(prev) = self.last {
-                assert!(arrival >= prev, "replay must deliver in arrival order");
-            }
-            self.last = Some(arrival);
-        }
-        fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-            match self.last {
-                None => SuspicionLevel::ZERO,
-                Some(t) => SuspicionLevel::clamped(now.saturating_duration_since(t).as_secs_f64()),
-            }
-        }
-    }
-
-    fn record(seq: u64, sent_s: f64, delivered_s: Option<f64>) -> HeartbeatRecord {
-        HeartbeatRecord {
-            seq,
-            sent_at: Timestamp::from_secs_f64(sent_s),
-            delivered_at: delivered_s.map(Timestamp::from_secs_f64),
-            delivered_local: delivered_s.map(Timestamp::from_secs_f64),
-        }
-    }
-
-    #[test]
-    fn queries_follow_schedule() {
-        let trace = ArrivalTrace::new(
-            vec![record(1, 1.0, Some(1.1))],
-            None,
-            Timestamp::from_secs(5),
-            Duration::from_secs(1),
-        );
-        let out = replay(
-            &trace,
-            &mut Elapsed::default(),
-            ReplayConfig::every(Duration::from_secs(1)),
-        );
-        let times: Vec<u64> = out
-            .iter()
-            .map(|s| s.at.as_nanos() / 1_000_000_000)
-            .collect();
-        assert_eq!(times, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn suspicion_resets_on_heartbeat_and_grows_after() {
-        let trace = ArrivalTrace::new(
-            vec![record(1, 1.0, Some(1.0)), record(2, 2.0, Some(2.0))],
-            None,
-            Timestamp::from_secs(6),
-            Duration::from_secs(1),
-        );
-        let out = replay(
-            &trace,
-            &mut Elapsed::default(),
-            ReplayConfig::every(Duration::from_secs(1)),
-        );
-        let levels: Vec<f64> = out.iter().map(|s| s.level.value()).collect();
-        // t=1: hb@1 arrived → 0; t=2: hb@2 → 0; then grows 1, 2, 3, 4.
-        assert_eq!(levels, vec![0.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn stale_heartbeats_are_dropped() {
-        // seq 2 arrives first (overtaking); seq 1 arrives later and must be
-        // ignored, not rewind the detector.
-        let trace = ArrivalTrace::new(
-            vec![record(1, 1.0, Some(3.5)), record(2, 2.0, Some(2.2))],
-            None,
-            Timestamp::from_secs(6),
-            Duration::from_secs(1),
-        );
-        let mut d = Elapsed::default();
-        let out = replay(&trace, &mut d, ReplayConfig::every(Duration::from_secs(1)));
-        // Last heartbeat the detector saw must be 2.2 (seq 2), not 3.5 (seq 1).
-        assert_eq!(d.last, Some(Timestamp::from_secs_f64(2.2)));
-        let levels: Vec<f64> = out.iter().map(|s| s.level.value()).collect();
-        assert_eq!(levels, vec![0.0, 0.0, 0.8, 1.8, 2.8, 3.8]);
-    }
-
-    #[test]
-    fn empty_trace_yields_zero_levels() {
-        let trace = ArrivalTrace::new(
-            Vec::new(),
-            None,
-            Timestamp::from_secs(3),
-            Duration::from_secs(1),
-        );
-        let out = replay(
-            &trace,
-            &mut Elapsed::default(),
-            ReplayConfig::every(Duration::from_secs(1)),
-        );
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|s| s.level.is_zero()));
-    }
-
-    #[test]
-    fn custom_start_time() {
-        let trace = ArrivalTrace::new(
-            Vec::new(),
-            None,
-            Timestamp::from_secs(5),
-            Duration::from_secs(1),
-        );
-        let cfg = ReplayConfig::every(Duration::from_secs(2)).starting_at(Timestamp::from_secs(3));
-        let out = replay(&trace, &mut Elapsed::default(), cfg);
-        let times: Vec<u64> = out
-            .iter()
-            .map(|s| s.at.as_nanos() / 1_000_000_000)
-            .collect();
-        assert_eq!(times, vec![3, 5]);
-    }
 
     #[test]
     #[should_panic(expected = "positive")]

@@ -19,7 +19,8 @@ pub struct HeartbeatRecord {
 /// The heartbeat arrival process of one monitored pair over one run.
 ///
 /// Produced by [`crate::engine::simulate`]; consumed by
-/// [`crate::replay::replay`], which feeds it to any accrual detector.
+/// `afd_runtime::replay`, which feeds it through the shipping monitor to
+/// any accrual detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
     records: Vec<HeartbeatRecord>,

@@ -4,8 +4,9 @@
 //! week-long Japan–Switzerland WAN capture). This module gives the same
 //! workflow to users of this crate: capture `(seq, sent, delivered)`
 //! tuples from a real system, write them with [`write_csv`], and replay
-//! them through any detector with [`crate::replay::replay`] — or export a
-//! simulated trace for analysis elsewhere.
+//! them through the shipping monitor with any detector
+//! (`afd_runtime::replay`) — or export a simulated trace for analysis
+//! elsewhere.
 //!
 //! The format is one header line, one comment line of metadata, then one
 //! row per heartbeat:
@@ -277,39 +278,5 @@ mod tests {
                     1,3,,\n";
         let err = read_csv(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("ascending"));
-    }
-
-    #[test]
-    fn hand_written_trace_replays() {
-        use crate::replay::{replay, ReplayConfig};
-        use afd_core::accrual::AccrualFailureDetector;
-        use afd_core::suspicion::SuspicionLevel;
-
-        struct Elapsed(Option<Timestamp>);
-        impl AccrualFailureDetector for Elapsed {
-            fn record_heartbeat(&mut self, a: Timestamp) {
-                self.0 = Some(a);
-            }
-            fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
-                SuspicionLevel::clamped(
-                    self.0
-                        .map_or(0.0, |t| now.saturating_duration_since(t).as_secs_f64()),
-                )
-            }
-        }
-
-        let text =
-            "# accrual-fd-trace v1 crash_ns=- horizon_ns=5000000000 interval_ns=1000000000\n\
-                    seq,sent_ns,delivered_ns,delivered_local_ns\n\
-                    1,1000000000,1100000000,1100000000\n\
-                    2,2000000000,2100000000,2100000000\n";
-        let trace = read_csv(text.as_bytes()).unwrap();
-        let out = replay(
-            &trace,
-            &mut Elapsed(None),
-            ReplayConfig::every(Duration::from_secs(1)),
-        );
-        assert_eq!(out.len(), 5);
-        assert!((out.samples()[4].level.value() - 2.9).abs() < 1e-9);
     }
 }

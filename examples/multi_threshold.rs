@@ -13,7 +13,8 @@
 //! ```
 
 use accrual_fd::prelude::*;
-use accrual_fd::sim::replay::{replay, ReplayConfig};
+use accrual_fd::runtime::replay::replay;
+use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
 use accrual_fd::sim::simulate;
 
@@ -25,10 +26,9 @@ fn main() {
     let arrivals = simulate(&scenario, 7);
 
     // The shared monitor (Fig. 2: monitoring happens once)…
-    let mut monitor = PhiAccrual::with_defaults();
     let levels = replay(
         &arrivals,
-        &mut monitor,
+        |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_millis(250)),
     );
 

@@ -7,7 +7,8 @@
 //! ```
 
 use accrual_fd::prelude::*;
-use accrual_fd::sim::replay::{replay, ReplayConfig};
+use accrual_fd::runtime::replay::replay;
+use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
 use accrual_fd::sim::simulate;
 
@@ -27,11 +28,11 @@ fn main() {
         crash,
     );
 
-    // Feed them to a φ detector and sample the suspicion level once a second.
-    let mut monitor = PhiAccrual::with_defaults();
+    // Feed them through a φ monitor and sample the suspicion level once a
+    // second.
     let trace = replay(
         &arrivals,
-        &mut monitor,
+        |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_secs(1)),
     );
 

@@ -12,9 +12,11 @@
 //! ```
 
 use accrual_fd::detectors::kappa::PhiContribution;
+use accrual_fd::detectors::spec::AnyDetector;
 use accrual_fd::prelude::*;
 use accrual_fd::qos::metrics::analyze_at_threshold;
-use accrual_fd::sim::replay::{replay, ReplayConfig};
+use accrual_fd::runtime::replay::replay;
+use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
 use accrual_fd::sim::{read_csv, simulate, write_csv};
 
@@ -39,26 +41,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Re-import and replay through each detector with a threshold in
     //    its own units, roughly matched for clean-network detection time.
     let trace = read_csv(csv.as_slice())?;
-    let candidates: Vec<(
-        &str,
-        Box<dyn accrual_fd::core::accrual::AccrualFailureDetector>,
-        f64,
-    )> = vec![
-        ("simple", Box::new(SimpleAccrual::new(Timestamp::ZERO)), 3.5),
-        ("chen", Box::new(ChenAccrual::with_defaults()), 2.5),
-        ("phi", Box::new(PhiAccrual::with_defaults()), 8.0),
+    let kappa = KappaAccrual::new(KappaConfig::default(), PhiContribution)?;
+    let candidates = [
         (
-            "kappa",
-            Box::new(KappaAccrual::new(KappaConfig::default(), PhiContribution)?),
-            3.0,
+            "simple",
+            AnyDetector::Simple(SimpleAccrual::new(Timestamp::ZERO)),
+            3.5,
         ),
+        ("chen", AnyDetector::Chen(ChenAccrual::with_defaults()), 2.5),
+        ("phi", AnyDetector::Phi(PhiAccrual::with_defaults()), 8.0),
+        ("kappa", AnyDetector::KappaPhi(kappa), 3.0),
     ];
 
     println!("detector  threshold  detection (s)  wrong suspicions  P_A");
-    for (name, mut detector, thr) in candidates {
+    for (name, detector, thr) in candidates {
         let levels = replay(
             &trace,
-            detector.as_mut(),
+            move |_| detector.clone(),
             ReplayConfig::every(Duration::from_millis(250)),
         );
         let report = analyze_at_threshold(&levels, SuspicionLevel::new(thr)?, Some(crash));
@@ -75,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nSame bytes, four detectors: any capture — simulated or from a\n\
          real deployment — becomes a benchmark for every detector in the\n\
-         library (afd_sim::trace_io)."
+         library (afd_sim::trace_io), replayed through the monitor that ships."
     );
     Ok(())
 }

@@ -4,7 +4,8 @@
 use accrual_fd::core::history::SuspicionTrace;
 use accrual_fd::prelude::*;
 use accrual_fd::qos::metrics::{analyze, analyze_at_threshold, QosReport};
-use accrual_fd::sim::replay::{replay, ReplayConfig};
+use accrual_fd::runtime::replay::replay;
+use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
 use accrual_fd::sim::simulate;
 
@@ -12,10 +13,9 @@ const THRESHOLDS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 8.0];
 
 fn phi_levels(scenario: &Scenario, seed: u64) -> SuspicionTrace {
     let arrivals = simulate(scenario, seed);
-    let mut monitor = PhiAccrual::with_defaults();
     replay(
         &arrivals,
-        &mut monitor,
+        |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_millis(200)),
     )
 }

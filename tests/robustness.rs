@@ -7,20 +7,33 @@
 #![allow(clippy::float_cmp)]
 
 use accrual_fd::core::accrual::AccrualFailureDetector;
+use accrual_fd::core::history::SuspicionTrace;
 use accrual_fd::core::properties::{check_upper_bound, AccruementCheck};
 use accrual_fd::detectors::kappa::PhiContribution;
 use accrual_fd::detectors::kappa_seq::{SeqKappaAccrual, SeqKappaConfig};
 use accrual_fd::detectors::spec;
 use accrual_fd::prelude::*;
-use accrual_fd::sim::replay::{replay, ReplayConfig};
+use accrual_fd::runtime::replay::replay;
+use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::rng::SimRng;
 use accrual_fd::sim::trace::{ArrivalTrace, HeartbeatRecord};
 
+/// The sequence-numbered κ, which is in no catalogue.
+fn kappa_seq() -> SeqKappaAccrual<PhiContribution> {
+    SeqKappaAccrual::new(SeqKappaConfig::default(), PhiContribution).unwrap()
+}
+
 fn all_detectors() -> Vec<(&'static str, Box<dyn AccrualFailureDetector>)> {
     let series = spec::series().map(|spec| (spec.name(), Box::new(spec.build()) as Box<_>));
-    // The sequence-numbered κ is in no catalogue.
-    let kappa_seq = SeqKappaAccrual::new(SeqKappaConfig::default(), PhiContribution).unwrap();
-    let kappa_seq = ("kappa-seq", Box::new(kappa_seq) as Box<_>);
+    let kappa_seq = ("kappa-seq", Box::new(kappa_seq()) as Box<_>);
+    series.into_iter().chain([kappa_seq]).collect()
+}
+
+/// Replays `t` through the shipping monitor once per detector of
+/// [`all_detectors`].
+fn replay_all(t: &ArrivalTrace, config: ReplayConfig) -> Vec<(&'static str, SuspicionTrace)> {
+    let series = spec::series().map(|spec| (spec.name(), replay(t, move |_| spec.build(), config)));
+    let kappa_seq = ("kappa-seq", replay(t, |_| kappa_seq(), config));
     series.into_iter().chain([kappa_seq]).collect()
 }
 
@@ -46,7 +59,7 @@ fn trace(records: Vec<(u64, f64, Option<f64>)>, horizon: f64) -> ArrivalTrace {
 #[test]
 fn heavy_reordering_never_rewinds_detectors() {
     // Heartbeats delivered in near-reverse order within a 5 s jumble: the
-    // replay freshness filter must keep every detector's view monotone,
+    // monitor's freshness filter must keep every detector's view monotone,
     // and levels must stay finite and small while deliveries keep coming.
     let mut records = Vec::new();
     for k in 1..=60u64 {
@@ -56,12 +69,7 @@ fn heavy_reordering_never_rewinds_detectors() {
         records.push((k, k as f64, Some(k as f64 + delay)));
     }
     let t = trace(records, 70.0);
-    for (name, mut d) in all_detectors() {
-        let levels = replay(
-            &t,
-            d.as_mut(),
-            ReplayConfig::every(Duration::from_millis(500)),
-        );
+    for (name, levels) in replay_all(&t, ReplayConfig::every(Duration::from_millis(500))) {
         let bound = check_upper_bound(&levels, None).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             bound.observed_bound.value() < 30.0,
@@ -88,12 +96,7 @@ fn total_blackout_accrues_for_every_detector() {
         min_increases: 10,
         min_suffix_fraction: 0.2,
     };
-    for (name, mut d) in all_detectors() {
-        let levels = replay(
-            &t,
-            d.as_mut(),
-            ReplayConfig::every(Duration::from_millis(500)),
-        );
+    for (name, levels) in replay_all(&t, ReplayConfig::every(Duration::from_millis(500))) {
         check
             .run(&levels)
             .unwrap_or_else(|e| panic!("{name} wedged during blackout: {e}"));
@@ -112,12 +115,7 @@ fn zero_gap_heartbeat_storm_is_survived() {
         records.push((k, at, Some(at)));
     }
     let t = trace(records, 75.0);
-    for (name, mut d) in all_detectors() {
-        let levels = replay(
-            &t,
-            d.as_mut(),
-            ReplayConfig::every(Duration::from_millis(500)),
-        );
+    for (name, levels) in replay_all(&t, ReplayConfig::every(Duration::from_millis(500))) {
         for s in levels.iter() {
             assert!(
                 !s.level.is_infinite(),
@@ -182,7 +180,7 @@ fn phi_with_zero_std_floor_survives_constant_cadence() {
     // still satisfy Accruement once heartbeats stop.
     use accrual_fd::detectors::phi::PhiConfig;
 
-    let mut fd = PhiAccrual::new(PhiConfig {
+    let fd = PhiAccrual::new(PhiConfig {
         min_std_dev: Duration::ZERO,
         ..PhiConfig::default()
     })
@@ -193,7 +191,11 @@ fn phi_with_zero_std_floor_survives_constant_cadence() {
         records.push((k, k as f64, None)); // blackout tail
     }
     let t = trace(records, 180.0);
-    let levels = replay(&t, &mut fd, ReplayConfig::every(Duration::from_millis(500)));
+    let levels = replay(
+        &t,
+        move |_| fd.clone(),
+        ReplayConfig::every(Duration::from_millis(500)),
+    );
     for s in levels.iter() {
         assert!(
             s.level.value().is_finite(),
@@ -230,8 +232,6 @@ fn random_garbage_traces_never_panic() {
             records.push((k, k as f64, delivered));
         }
         let t = trace(records, n as f64 + 10.0);
-        for (_name, mut d) in all_detectors() {
-            let _ = replay(&t, d.as_mut(), ReplayConfig::every(Duration::from_secs(1)));
-        }
+        let _ = replay_all(&t, ReplayConfig::every(Duration::from_secs(1)));
     }
 }

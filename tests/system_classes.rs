@@ -7,7 +7,8 @@ use accrual_fd::core::process::MonitorPair;
 use accrual_fd::core::properties::AccruementCheck;
 use accrual_fd::core::system::{check_classes, SystemObservation};
 use accrual_fd::prelude::*;
-use accrual_fd::sim::replay::{replay, ReplayConfig};
+use accrual_fd::runtime::replay::replay;
+use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
 use accrual_fd::sim::simulate;
 
@@ -37,10 +38,9 @@ fn observe_system(
             }
             // Each link gets its own seed (independent networks).
             let arrivals = simulate(&scenario, seed_base + (q as u64) * 101 + p as u64);
-            let mut detector = PhiAccrual::with_defaults();
             let trace = replay(
                 &arrivals,
-                &mut detector,
+                |_| PhiAccrual::with_defaults(),
                 ReplayConfig::every(Duration::from_millis(250)),
             );
             observation.insert(
@@ -108,7 +108,7 @@ fn flat_detector_fails_system_check() {
     let arrivals = simulate(&scenario, 1);
     let trace = replay(
         &arrivals,
-        &mut AlwaysZero,
+        |_| AlwaysZero,
         ReplayConfig::every(Duration::from_millis(250)),
     );
     let mut obs = SystemObservation::new();

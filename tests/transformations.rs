@@ -9,7 +9,8 @@ use accrual_fd::core::history::SuspicionTrace;
 use accrual_fd::core::properties::{check_accruement, check_upper_bound};
 use accrual_fd::core::transform::{AccrualToBinary, BinaryToAccrual, Interpreter};
 use accrual_fd::prelude::*;
-use accrual_fd::sim::replay::{replay, ReplayConfig};
+use accrual_fd::runtime::replay::replay;
+use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
 use accrual_fd::sim::simulate;
 
@@ -17,10 +18,9 @@ use accrual_fd::sim::simulate;
 /// returns the per-query statuses (4 queries per second).
 fn algorithm_1_statuses(scenario: &Scenario, seed: u64, epsilon: f64) -> Vec<(Timestamp, Status)> {
     let arrivals = simulate(scenario, seed);
-    let mut monitor = PhiAccrual::with_defaults();
     let levels = replay(
         &arrivals,
-        &mut monitor,
+        |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_millis(250)),
     );
     let mut alg1 = AccrualToBinary::new(epsilon);
