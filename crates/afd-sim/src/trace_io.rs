@@ -8,17 +8,21 @@
 //! (`afd_runtime::replay`) — or export a simulated trace for analysis
 //! elsewhere.
 //!
-//! The format is one header line, one comment line of metadata, then one
-//! row per heartbeat:
+//! The format is one comment line of metadata, one header line, then one
+//! row per heartbeat. Empty delivery fields mean the heartbeat was lost;
+//! a row fills both of them or neither:
 //!
-//! ```csv
-//! # accrual-fd-trace v1 crash_ns=- horizon_ns=60000000000 interval_ns=1000000000
+//! ```
+//! let csv = "\
+//! ## accrual-fd-trace v1 crash_ns=- horizon_ns=60000000000 interval_ns=1000000000
 //! seq,sent_ns,delivered_ns,delivered_local_ns
 //! 1,1000000000,1102000000,1102000000
-//! 2,2000000000,,,
+//! 2,2000000000,,
+//! ";
+//! let trace = afd_sim::read_csv(csv.as_bytes())?;
+//! assert_eq!((trace.sent_count(), trace.delivered_count()), (2, 1));
+//! # Ok::<(), afd_sim::trace_io::TraceReadError>(())
 //! ```
-//!
-//! Empty delivery fields mean the heartbeat was lost.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -137,7 +141,7 @@ pub fn read_csv<R: Read>(reader: R) -> Result<ArrivalTrace, TraceReadError> {
         return Err(parse_err(2, "unexpected column header"));
     }
 
-    let mut records = Vec::new();
+    let mut records: Vec<HeartbeatRecord> = Vec::new();
     for (idx, line) in lines {
         let line_no = idx + 1;
         let line = line?;
@@ -155,21 +159,29 @@ pub fn read_csv<R: Read>(reader: R) -> Result<ArrivalTrace, TraceReadError> {
         let sent_at = Timestamp::from_nanos(parse_u64(fields[1], line_no)?);
         let delivered_at = parse_opt(fields[2], line_no)?.map(Timestamp::from_nanos);
         let delivered_local = parse_opt(fields[3], line_no)?.map(Timestamp::from_nanos);
+        // A half-delivered row would count as delivered in the trace's
+        // statistics while no replay ever delivers it.
+        if delivered_at.is_some() != delivered_local.is_some() {
+            return Err(parse_err(
+                line_no,
+                "delivered_ns and delivered_local_ns must both be set or both be empty",
+            ));
+        }
+        if let Some(prev) = records.last().filter(|prev| prev.seq >= seq) {
+            return Err(parse_err(
+                line_no,
+                format!(
+                    "sequence numbers not strictly ascending: seq {seq} after seq {}",
+                    prev.seq
+                ),
+            ));
+        }
         records.push(HeartbeatRecord {
             seq,
             sent_at,
             delivered_at,
             delivered_local,
         });
-    }
-    if let Some(pair) = records.windows(2).find(|p| p[0].seq >= p[1].seq) {
-        return Err(parse_err(
-            0,
-            format!(
-                "sequence numbers not strictly ascending near seq {}",
-                pair[0].seq
-            ),
-        ));
     }
     Ok(ArrivalTrace::new(records, crash, horizon, interval))
 }
@@ -278,5 +290,27 @@ mod tests {
                     1,3,,\n";
         let err = read_csv(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("ascending"));
+        // The offending row is the file's fourth line.
+        assert!(
+            matches!(err, TraceReadError::Parse { line: 4, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_half_delivered_rows() {
+        for row in ["1,2,3,", "1,2,,3"] {
+            let text = format!(
+                "# accrual-fd-trace v1 crash_ns=- horizon_ns=10 interval_ns=1\n\
+                 seq,sent_ns,delivered_ns,delivered_local_ns\n\
+                 {row}\n"
+            );
+            let err = read_csv(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, TraceReadError::Parse { line: 3, .. }),
+                "{row}: {err}"
+            );
+            assert!(err.to_string().contains("both"), "{row}: {err}");
+        }
     }
 }
