@@ -301,8 +301,10 @@ pub(crate) struct Shard<D> {
     free: Vec<usize>,
     /// Sequence watermarks of peers no longer watched, so that replays
     /// stay rejected across unwatch → re-watch. Touched only by `watch`,
-    /// `unwatch` and frames from unwatched senders. Grows with the number
-    /// of distinct senders ever unwatched, which the system's `Π` bounds.
+    /// `unwatch` and frames from unwatched senders. Grows by one entry for
+    /// every distinct sender ever unwatched after it was heard and not
+    /// watched again — under churn with fresh ids, without bound (the
+    /// `sharded.retired` gauge counts it).
     retired: BTreeMap<ProcessId, u64>,
     stats: MonitorStats,
     cell: Arc<ShardCell>,
@@ -965,7 +967,8 @@ where
     }
 
     /// Publishes the aggregate counters into `registry` under
-    /// `sharded.*`, plus per-shard peer-count gauges
+    /// `sharded.*` — `sharded.retired` counts the sequence watermarks
+    /// kept for unwatched peers — plus per-shard peer-count gauges
     /// (`shard.<i>.peers`).
     pub fn export_metrics(&self, registry: &afd_obs::Registry) {
         let stats = self.stats();
@@ -988,6 +991,8 @@ where
             .set(self.shards.len() as f64);
         let total_peers: usize = stats.peers_per_shard.iter().sum();
         registry.gauge("sharded.peers").set(total_peers as f64);
+        let retired: usize = self.shards.iter().map(|s| s.retired.len()).sum();
+        registry.gauge("sharded.retired").set(retired as f64);
         for (i, peers) in stats.peers_per_shard.iter().enumerate() {
             registry
                 .gauge(&format!("shard.{i}.peers"))
@@ -1496,6 +1501,15 @@ mod tests {
             .map(|i| snap.gauge(&format!("shard.{i}.peers")).unwrap_or(0.0))
             .sum();
         assert_eq!(per_shard, 1.0);
+        assert_eq!(snap.gauge("sharded.retired"), Some(0.0));
+        // Unwatching a peer that was heard keeps its watermark; watching
+        // it again takes the watermark back.
+        mon.unwatch(ProcessId::new(1));
+        mon.export_metrics(&registry);
+        assert_eq!(registry.snapshot().gauge("sharded.retired"), Some(1.0));
+        mon.watch(ProcessId::new(1)).unwrap();
+        mon.export_metrics(&registry);
+        assert_eq!(registry.snapshot().gauge("sharded.retired"), Some(0.0));
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //! [`FrameBatch`] and the transport copies pending frames straight into
 //! it (a UDP lane receives datagrams directly into the cells;
 //! [`ChannelTransport`] moves its queued cells over). Building the arena
-//! and the queue are the only allocations: intake performs **zero heap
-//! allocations per frame** — enforced by the `no-alloc-in-hot-path`
-//! afd-lint rule over this file — and a 512-cell arena is 34 KB, beside
-//! the slab it feeds in L1/L2. Batches are also the engine's
-//! clock-amortization unit: a lane thread takes one arrival stamp per
-//! `recv_batch` call and applies it to every frame in the batch (skew
-//! bounded by one batch's handling time).
+//! and growing a queue to its largest backlog are the only allocations:
+//! once there, intake performs **zero heap allocations per frame** —
+//! enforced by the `no-alloc-in-hot-path` afd-lint rule over this file —
+//! and a 512-cell arena is 34 KB, beside the slab it feeds in L1/L2.
+//! Batches are also the engine's clock-amortization unit: a lane thread
+//! takes one arrival stamp per `recv_batch` call and applies it to every
+//! frame in the batch (skew bounded by one batch's handling time).
 //!
 //! # Bounded, lossy channels
 //!
@@ -45,6 +45,13 @@
 //! oldest is the most superseded), so a stalled monitor cannot grow the
 //! queue without bound. Drops are counted and exportable via
 //! [`ChannelTransport::export_metrics`].
+//!
+//! The bound caps memory; it does not reserve it. A queue starts empty
+//! and doubles as frames wait, stopping at `capacity` cells, so a pair
+//! holds what its largest backlog needed: a loop that never has more
+//! than 128 frames in flight keeps 128 cells (8.5 KB), not the 1 MB of a
+//! full default queue. Nothing shrinks on drain, so a queue that has
+//! reached its largest backlog allocates no more.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -250,7 +257,7 @@ impl ChannelCore {
     fn new(capacity: usize) -> Arc<Self> {
         Arc::new(ChannelCore {
             queue: Mutex::new(ChannelQueue {
-                frames: VecDeque::with_capacity(capacity),
+                frames: VecDeque::new(),
                 dropped: 0,
             }),
             capacity,
@@ -272,8 +279,9 @@ impl ChannelCore {
 /// What one endpoint sends, the other receives, FIFO, until the queue is
 /// full — then the **oldest** queued frame is dropped (and counted) to
 /// make room, exactly like a full UDP socket buffer. Memory is bounded
-/// by construction: `capacity` frame cells per direction, allocated when
-/// the pair is made.
+/// at `capacity` frame cells per direction, but grown as frames wait: a
+/// direction starts empty, doubles while its backlog outgrows it, and
+/// keeps what its largest backlog needed.
 pub struct ChannelTransport {
     tx: Arc<ChannelCore>,
     rx: Arc<ChannelCore>,
@@ -363,9 +371,15 @@ impl Transport for ChannelTransport {
             )));
         };
         let mut q = self.tx.lock();
-        if q.frames.len() >= self.tx.capacity {
+        let held = q.frames.len();
+        if held >= self.tx.capacity {
             q.frames.pop_front();
             q.dropped += 1;
+        } else if held == q.frames.capacity() {
+            // Double, as the deque would, but stop at the bound: a queue
+            // never allocates a cell it may not fill.
+            q.frames
+                .reserve_exact(held.max(1).min(self.tx.capacity - held));
         }
         q.frames.push_back(cell);
         Ok(())
@@ -458,8 +472,44 @@ mod tests {
         }
         assert_eq!(a.tx_dropped(), 2);
         assert_eq!(b.rx_dropped(), 2);
+        assert_eq!(b.rx.lock().frames.capacity(), 3);
         // Survivors are the newest three, in order.
         assert_eq!(drain_frames(&mut b), vec![vec![2], vec![3], vec![4]]);
+    }
+
+    #[test]
+    fn channel_bound_holds_after_the_queue_grows() {
+        let (mut a, mut b) = ChannelTransport::pair_bounded(1000);
+        assert_eq!(
+            b.rx.lock().frames.capacity(),
+            0,
+            "a fresh pair holds no cell"
+        );
+        for i in 0..1500u16 {
+            a.send(&i.to_le_bytes()).unwrap();
+        }
+        assert_eq!(a.tx_dropped(), 500);
+        assert_eq!(b.rx_dropped(), 500);
+        assert_eq!(
+            b.rx.lock().frames.capacity(),
+            1000,
+            "grown to the bound, not past it"
+        );
+        // Survivors are the newest thousand, in order.
+        let newest: Vec<Vec<u8>> = (500..1500u16).map(|i| i.to_le_bytes().to_vec()).collect();
+        assert_eq!(drain_frames(&mut b), newest);
+        for i in 0..10u8 {
+            a.send(&[i]).unwrap();
+        }
+        assert_eq!(
+            a.tx_dropped(),
+            500,
+            "a drained queue takes ten more without a drop"
+        );
+        assert_eq!(
+            drain_frames(&mut b),
+            (0..10u8).map(|i| vec![i]).collect::<Vec<_>>()
+        );
     }
 
     #[test]
