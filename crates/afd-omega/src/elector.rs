@@ -1,38 +1,42 @@
-//! The Ω elector: eventual leader election over accrual detectors.
+//! The Ω elector: eventual leader election over suspicion levels.
 
 use std::collections::BTreeMap;
 
-use afd_core::accrual::AccrualFailureDetector;
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_core::transform::{AccrualToBinary, Interpreter};
 
-/// One process's Ω module: monitors every peer through an accrual
-/// detector, interprets each with its own Algorithm 1 transformer, and
-/// outputs the smallest-id unsuspected process as leader.
+/// One process's Ω module: interprets every peer's suspicion level with
+/// its own Algorithm 1 transformer and outputs the smallest-id
+/// unsuspected process as leader.
+///
+/// The levels come from a monitor (Fig. 2): the elector is an
+/// application of it and only interprets, as an `InterpreterBank` does.
 ///
 /// # Examples
 ///
 /// ```
 /// use afd_core::process::ProcessId;
+/// use afd_core::suspicion::SuspicionLevel;
 /// use afd_core::time::Timestamp;
-/// use afd_detectors::simple::SimpleAccrual;
 /// use afd_omega::OmegaElector;
 ///
 /// let me = ProcessId::new(2);
-/// let peers = [ProcessId::new(0), ProcessId::new(1)];
-/// let mut omega = OmegaElector::new(me, peers, 0.1, |_| {
-///     SimpleAccrual::new(Timestamp::ZERO)
-/// });
-/// // With no heartbeats yet everyone is still trusted (Algorithm 1
-/// // starts trusting): the lowest id leads.
-/// assert_eq!(omega.leader(Timestamp::from_millis(1)), ProcessId::new(0));
+/// let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+/// let mut omega = OmegaElector::new(me, [p0, p1], 0.1);
+/// // Algorithm 1 starts trusting: the lowest id leads.
+/// let calm = SuspicionLevel::new(0.5)?;
+/// assert_eq!(omega.leader(Timestamp::from_secs(1), &[(p0, calm), (p1, calm)]), p0);
+/// // p0's level climbs past its first reading: p0 is suspected.
+/// let high = SuspicionLevel::new(3.0)?;
+/// assert_eq!(omega.leader(Timestamp::from_secs(2), &[(p0, high), (p1, calm)]), p1);
+/// # Ok::<(), afd_core::error::InvalidSuspicionError>(())
 /// ```
 #[derive(Debug)]
-pub struct OmegaElector<D> {
+pub struct OmegaElector {
     me: ProcessId,
-    peers: BTreeMap<ProcessId, PeerState<D>>,
+    peers: BTreeMap<ProcessId, AccrualToBinary>,
     /// Consecutive queries the current candidate must differ from the
     /// output before the output changes (1 = raw min-trusted).
     stability: u32,
@@ -41,38 +45,20 @@ pub struct OmegaElector<D> {
     streak_candidate: Option<ProcessId>,
 }
 
-#[derive(Debug)]
-struct PeerState<D> {
-    detector: D,
-    interpreter: AccrualToBinary,
-}
-
-impl<D: AccrualFailureDetector> OmegaElector<D> {
-    /// Creates the elector for process `me` monitoring `peers`, building
-    /// one accrual detector per peer with `factory` and one Algorithm 1
-    /// transformer (resolution `epsilon`) on top of each.
+impl OmegaElector {
+    /// Creates the elector for process `me` monitoring `peers`, with one
+    /// Algorithm 1 transformer (resolution `epsilon`) per peer.
     ///
     /// # Panics
     ///
     /// Panics if `peers` contains `me`, or `epsilon` is not finite and
     /// positive.
-    pub fn new(
-        me: ProcessId,
-        peers: impl IntoIterator<Item = ProcessId>,
-        epsilon: f64,
-        mut factory: impl FnMut(ProcessId) -> D,
-    ) -> Self {
-        let peers: BTreeMap<ProcessId, PeerState<D>> = peers
+    pub fn new(me: ProcessId, peers: impl IntoIterator<Item = ProcessId>, epsilon: f64) -> Self {
+        let peers: BTreeMap<ProcessId, AccrualToBinary> = peers
             .into_iter()
             .map(|p| {
                 assert_ne!(p, me, "a process does not monitor itself");
-                (
-                    p,
-                    PeerState {
-                        detector: factory(p),
-                        interpreter: AccrualToBinary::new(epsilon),
-                    },
-                )
+                (p, AccrualToBinary::new(epsilon))
             })
             .collect();
         OmegaElector {
@@ -110,30 +96,25 @@ impl<D: AccrualFailureDetector> OmegaElector<D> {
         self.me
     }
 
-    /// Records a heartbeat from `from` (ignored if `from` is unknown).
-    pub fn heartbeat(&mut self, from: ProcessId, arrival: Timestamp) -> bool {
-        match self.peers.get_mut(&from) {
-            Some(state) => {
-                state.detector.record_heartbeat(arrival);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// One Ω query: steps every peer's detector + Algorithm 1 transformer
-    /// and returns the current leader — the smallest-id process not
-    /// currently suspected (`me` always trusts itself), smoothed by the
-    /// configured stability requirement.
-    pub fn leader(&mut self, now: Timestamp) -> ProcessId {
-        let mut candidate = self.me;
-        for (&p, state) in self.peers.iter_mut() {
-            let level = state.detector.suspicion_level(now);
-            let status = state.interpreter.observe(now, level);
-            if status.is_trusted() && p < candidate {
-                candidate = p;
+    /// One Ω query: feeds each monitored peer's level in `levels` (the
+    /// shape a monitor snapshot has) to its Algorithm 1 transformer and
+    /// returns the current leader — the smallest-id process not currently
+    /// suspected (`me` always trusts itself), smoothed by the configured
+    /// stability requirement.
+    ///
+    /// Levels of processes this elector does not monitor are ignored; a
+    /// monitored peer missing from `levels` keeps its last status.
+    pub fn leader(&mut self, now: Timestamp, levels: &[(ProcessId, SuspicionLevel)]) -> ProcessId {
+        for &(p, level) in levels {
+            if let Some(interpreter) = self.peers.get_mut(&p) {
+                interpreter.observe(now, level);
             }
         }
+        let candidate = self
+            .peers
+            .iter()
+            .find(|(_, interpreter)| interpreter.status().is_trusted())
+            .map_or(self.me, |(&p, _)| p.min(self.me));
 
         let current = *self.output.get_or_insert(candidate);
         if candidate == current {
@@ -161,26 +142,18 @@ impl<D: AccrualFailureDetector> OmegaElector<D> {
         let mut out: Vec<ProcessId> = self
             .peers
             .iter()
-            .filter(|(_, s)| s.interpreter.status().is_trusted())
+            .filter(|(_, interpreter)| interpreter.status().is_trusted())
             .map(|(&p, _)| p)
             .collect();
         out.push(self.me);
         out.sort();
         out
     }
-
-    /// The current suspicion level of `peer`, if monitored.
-    pub fn suspicion_of(&mut self, peer: ProcessId, now: Timestamp) -> Option<SuspicionLevel> {
-        self.peers
-            .get_mut(&peer)
-            .map(|s| s.detector.suspicion_level(now))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afd_detectors::simple::SimpleAccrual;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -190,86 +163,106 @@ mod tests {
         Timestamp::from_secs_f64(s)
     }
 
-    fn elector(me: u32, peers: &[u32]) -> OmegaElector<SimpleAccrual> {
-        OmegaElector::new(p(me), peers.iter().map(|&i| p(i)), 0.1, |_| {
-            SimpleAccrual::new(Timestamp::ZERO)
-        })
+    fn level(v: f64) -> SuspicionLevel {
+        SuspicionLevel::new(v).unwrap()
     }
 
-    /// Drives heartbeats from `alive` peers each second starting at
-    /// `start` and queries the leader; returns the final leader.
-    fn run(
-        elector: &mut OmegaElector<SimpleAccrual>,
-        alive: &[u32],
-        start: u64,
-        secs: u64,
-    ) -> ProcessId {
-        let mut leader = elector.id();
-        for k in start..start + secs {
-            for &a in alive {
-                elector.heartbeat(p(a), ts(k as f64));
-            }
-            leader = elector.leader(ts(k as f64 + 0.5));
+    /// An elector fed the level an elapsed-time detector publishes for
+    /// each peer: the seconds since its last heartbeat (since 0 before
+    /// the first).
+    struct Fed {
+        omega: OmegaElector,
+        last_heard: BTreeMap<ProcessId, f64>,
+    }
+
+    fn elector(me: u32, peers: &[u32]) -> Fed {
+        Fed {
+            omega: OmegaElector::new(p(me), peers.iter().map(|&i| p(i)), 0.1),
+            last_heard: peers.iter().map(|&i| (p(i), 0.0)).collect(),
         }
-        leader
+    }
+
+    impl Fed {
+        fn with_stability(mut self, queries: u32) -> Self {
+            self.omega = self.omega.with_stability(queries);
+            self
+        }
+
+        /// Heartbeats from `alive` peers each second starting at `start`,
+        /// a query half a second after each; returns the final leader.
+        fn run(&mut self, alive: &[u32], start: u64, secs: u64) -> ProcessId {
+            let mut leader = self.omega.id();
+            for k in start..start + secs {
+                for &a in alive {
+                    self.last_heard.insert(p(a), k as f64);
+                }
+                let now = k as f64 + 0.5;
+                let levels: Vec<_> = self
+                    .last_heard
+                    .iter()
+                    .map(|(&q, &heard)| (q, level(now - heard)))
+                    .collect();
+                leader = self.omega.leader(ts(now), &levels);
+            }
+            leader
+        }
     }
 
     #[test]
     fn lowest_alive_id_wins() {
         let mut omega = elector(2, &[0, 1]);
-        assert_eq!(run(&mut omega, &[0, 1], 1, 30), p(0));
+        assert_eq!(omega.run(&[0, 1], 1, 30), p(0));
     }
 
     #[test]
     fn leader_moves_up_when_lowest_crashes() {
         let mut omega = elector(2, &[0, 1]);
-        assert_eq!(run(&mut omega, &[0, 1], 1, 30), p(0));
+        assert_eq!(omega.run(&[0, 1], 1, 30), p(0));
         // p0 stops heartbeating: eventually p1 takes over.
-        let leader = run(&mut omega, &[1], 31, 60);
+        let leader = omega.run(&[1], 31, 60);
         assert_eq!(leader, p(1));
     }
 
     #[test]
     fn self_leads_when_alone() {
         let mut omega = elector(2, &[0, 1]);
-        let _ = run(&mut omega, &[0, 1], 1, 20);
-        let leader = run(&mut omega, &[], 21, 120);
+        let _ = omega.run(&[0, 1], 1, 20);
+        let leader = omega.run(&[], 21, 120);
         assert_eq!(leader, p(2), "with every peer silent, me leads");
-        assert_eq!(omega.trusted(), vec![p(2)]);
+        assert_eq!(omega.omega.trusted(), vec![p(2)]);
     }
 
     #[test]
     fn stability_absorbs_single_query_blips() {
         let mut omega = elector(2, &[0, 1]).with_stability(3);
-        assert_eq!(run(&mut omega, &[0, 1], 1, 30), p(0));
+        assert_eq!(omega.run(&[0, 1], 1, 30), p(0));
         // One missed heartbeat round: the raw candidate flips briefly but
         // the output must hold.
-        run(&mut omega, &[1], 31, 2);
-        assert_eq!(run(&mut omega, &[0, 1], 33, 5), p(0));
+        omega.run(&[1], 31, 2);
+        assert_eq!(omega.run(&[0, 1], 33, 5), p(0));
         // A sustained outage does change the output.
-        assert_eq!(run(&mut omega, &[1], 38, 40), p(1));
+        assert_eq!(omega.run(&[1], 38, 40), p(1));
     }
 
     #[test]
-    fn heartbeat_from_unknown_process_is_dropped() {
-        let mut omega = elector(1, &[0]);
-        assert!(!omega.heartbeat(p(9), ts(1.0)));
-        assert!(omega.heartbeat(p(0), ts(1.0)));
+    fn levels_of_unmonitored_processes_are_ignored() {
+        let mut omega = OmegaElector::new(p(2), [p(1)], 0.1);
+        // p0 is not monitored: a calm level from it never makes it leader,
+        // while p1's climbing level gets p1 suspected.
+        let mut leader = omega.id();
+        for k in 1..=30 {
+            let levels = [(p(0), level(0.0)), (p(1), level(f64::from(k)))];
+            leader = omega.leader(ts(f64::from(k)), &levels);
+        }
+        assert_eq!(leader, p(2));
+        assert_eq!(omega.trusted(), vec![p(2)]);
+        // A monitored peer missing from the levels keeps its last status.
+        assert_eq!(omega.leader(ts(31.0), &[(p(0), level(0.0))]), p(2));
     }
 
     #[test]
     #[should_panic(expected = "does not monitor itself")]
     fn self_in_peer_set_rejected() {
         let _ = elector(1, &[0, 1]);
-    }
-
-    #[test]
-    fn suspicion_levels_visible() {
-        let mut omega = elector(1, &[0]);
-        omega.heartbeat(p(0), ts(5.0));
-        let sl = omega.suspicion_of(p(0), ts(8.0)).unwrap();
-        assert_eq!(sl.value(), 3.0);
-        assert_eq!(omega.suspicion_of(p(7), ts(8.0)), None);
-        assert_eq!(omega.id(), p(1));
     }
 }

@@ -11,13 +11,16 @@
 //! suspicion levels to classical verdicts:
 //!
 //! ```text
-//! heartbeats → accrual detector (◊P_ac) → Algorithm 1 (◊P) → Ω = min trusted
+//! heartbeats → monitor (afd_runtime::replay) → level (◊P_ac)
+//!            → Algorithm 1 (◊P) → Ω = min trusted
 //! ```
 //!
-//! - [`OmegaElector`]: one process's module — a detector plus an
-//!   Algorithm 1 transformer per peer, leader = smallest unsuspected id.
-//! - [`simulation`]: whole-system runs over `afd-sim` with crash
-//!   patterns, plus the stability check for the Ω property.
+//! - [`OmegaElector`]: one process's module — an Algorithm 1 transformer
+//!   per peer over the levels its monitor publishes, leader = smallest
+//!   unsuspected id.
+//! - [`simulation`]: whole-system runs over `afd-sim` links replayed
+//!   through the shipping monitor, with crash patterns, plus the
+//!   stability check for the Ω property.
 //!
 //! # Example
 //!
