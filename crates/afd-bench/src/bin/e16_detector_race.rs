@@ -1,18 +1,20 @@
 //! **E16 — the detector zoo raced head-to-head.**
 //!
-//! All six detectors — simple, Chen, Bertier, φ, Akka φ, adaptive — run
-//! lock-step over the same virtual-time chaos scenarios via
-//! [`run_chaos`]: every member sees the identical heartbeat stream and
-//! fault schedule, so QoS differences are attributable to the detector
-//! math alone. Scenarios:
+//! All six detectors — simple, Chen, Bertier, φ, Akka φ, adaptive — race
+//! over the same virtual-time chaos scenarios via [`run_chaos`]: each
+//! scenario is simulated once per seed by afd-sim and the one trace is
+//! replayed through the shipping monitor for every member, so every
+//! member sees the identical heartbeat stream and fault schedule, and QoS
+//! differences are attributable to the detector math alone. Scenarios, on
+//! afd-sim's `Scenario::ideal()` link (1 s heartbeats, no delay):
 //!
-//! | scenario      | faults                                                  |
-//! |---------------|---------------------------------------------------------|
-//! | `calm`        | none — baseline                                         |
-//! | `jitter`      | uniform 0–600 ms delivery delay                         |
-//! | `burst_loss`  | Gilbert–Elliott bursts (start 0.08, mean length 5)      |
-//! | `clock_drift` | sender clock at 0.8× true rate (heartbeats every 1.25 s)|
-//! | `flapping`    | 2 s network partitions every 10 s                       |
+//! | scenario      | faults                                                   |
+//! |---------------|----------------------------------------------------------|
+//! | `calm`        | none — baseline                                          |
+//! | `jitter`      | `DelayKind::Uniform` 0–600 ms delivery delay             |
+//! | `burst_loss`  | Gilbert–Elliott bursts (start 0.08, mean length 5)       |
+//! | `clock_drift` | `sender_clock` at 0.8× true rate (heartbeats every 1.25 s)|
+//! | `flapping`    | 2 s link `partitions` every 10 s                         |
 //!
 //! Every scenario ends in a permanent crash, so the full Chen et al. QoS
 //! vector (T_D, T_MR, T_M, λ_M, P_A, T_G) is defined for every cell; rows
@@ -25,10 +27,14 @@
 use afd_core::time::{Duration, Timestamp};
 use afd_obs::qos::QosReport;
 use afd_qos::experiment::{cell, Table};
-use afd_runtime::{run_chaos, ChaosScenario, Clock, SystemClock};
+use afd_runtime::{run_chaos, Clock, SystemClock};
+use afd_sim::clock::DriftingClock;
+use afd_sim::delay::UniformDelay;
+use afd_sim::loss::GilbertElliottLoss;
+use afd_sim::scenario::{DelayKind, LossKind, Scenario};
 
 struct Sizes {
-    horizon: Duration,
+    horizon: Timestamp,
     crash_at: Timestamp,
     seeds: &'static [u64],
 }
@@ -38,25 +44,33 @@ fn wall(clock: &SystemClock, since: Timestamp) -> f64 {
 }
 
 /// The five fault scenarios, each ending in the same permanent crash.
-fn scenarios(sizes: &Sizes) -> Vec<(&'static str, ChaosScenario)> {
-    let base = || {
-        let mut s = ChaosScenario::new(sizes.horizon);
-        s.crashes.push((sizes.crash_at, None));
-        s
+fn scenarios(sizes: &Sizes) -> Vec<(&'static str, Scenario)> {
+    let calm = Scenario::ideal()
+        .with_horizon(sizes.horizon)
+        .with_crash_at(sizes.crash_at);
+    let jitter = Scenario {
+        delay: DelayKind::Uniform(UniformDelay::new(
+            Duration::ZERO,
+            Duration::from_millis(600),
+        )),
+        ..calm.clone()
     };
-    let calm = base();
-    let mut jitter = base();
-    jitter.jitter = Some((Duration::ZERO, Duration::from_millis(600)));
-    let mut burst = base();
-    burst.burst_loss = Some((0.08, 5.0));
-    let mut drift = base();
-    drift.clock_drift = 0.8;
-    let mut flapping = base();
+    let burst = Scenario {
+        loss: LossKind::GilbertElliott(GilbertElliottLoss::bursts(0.08, 5.0)),
+        ..calm.clone()
+    };
+    let drift = Scenario {
+        sender_clock: DriftingClock::new(Duration::ZERO, 0.8),
+        ..calm.clone()
+    };
     let crash_secs = sizes.crash_at.as_secs_f64() as u64;
-    flapping.partitions = (10..crash_secs)
-        .step_by(10)
-        .map(|s| (Timestamp::from_secs(s), Timestamp::from_secs(s + 2)))
-        .collect();
+    let flapping = Scenario {
+        partitions: (10..crash_secs)
+            .step_by(10)
+            .map(|s| (Timestamp::from_secs(s), Timestamp::from_secs(s + 2)))
+            .collect(),
+        ..calm.clone()
+    };
     vec![
         ("calm", calm),
         ("jitter", jitter),
@@ -93,11 +107,10 @@ struct RaceRow {
 }
 
 /// Races the zoo through one scenario across all seeds.
-fn race(scenario: &ChaosScenario, seeds: &[u64]) -> Vec<RaceRow> {
+fn race(scenario: &Scenario, seeds: &[u64]) -> Vec<RaceRow> {
     let mut rows: Vec<RaceRow> = Vec::new();
     for &seed in seeds {
         let report = run_chaos(scenario, seed);
-        assert_eq!(report.transport_errors, 0, "in-process transport");
         for (i, d) in report.detectors.into_iter().enumerate() {
             if rows.len() <= i {
                 rows.push(RaceRow {
@@ -187,13 +200,13 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let sizes = if smoke {
         Sizes {
-            horizon: Duration::from_secs(60),
+            horizon: Timestamp::from_secs(60),
             crash_at: Timestamp::from_secs(40),
             seeds: &[1],
         }
     } else {
         Sizes {
-            horizon: Duration::from_secs(120),
+            horizon: Timestamp::from_secs(120),
             crash_at: Timestamp::from_secs(90),
             seeds: &[1, 2, 3],
         }

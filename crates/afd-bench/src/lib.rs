@@ -37,6 +37,7 @@ pub fn level_trace(scenario: &Scenario, seed: u64, spec: DetectorSpec) -> Suspic
         move |_| spec.build(),
         ReplayConfig::every(query_interval()).with_clock(scenario.monitor_clock),
     )
+    .levels
 }
 
 #[cfg(test)]

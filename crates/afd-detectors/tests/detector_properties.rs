@@ -47,6 +47,7 @@ fn run_trace(scenario: &Scenario, seed: u64, spec: DetectorSpec) -> SuspicionTra
         move |_| spec.build(),
         ReplayConfig::every(Duration::from_millis(200)).with_clock(scenario.monitor_clock),
     )
+    .levels
 }
 
 #[test]

@@ -8,12 +8,12 @@
 //! | `clock-discipline` | real time enters only through `afd-runtime/src/clock.rs`, so every component is drivable by `VirtualClock` |
 //! | `no-panic-paths` | the detector stack (`afd-core`, `afd-runtime`, `afd-obs`) degrades through typed errors, never aborts |
 //! | `no-float-eq` | suspicion levels are `f64`; exact comparison is a latent bug unless justified |
-//! | `no-thread-sleep` | library code waits on the `Clock`/callback abstractions, keeping the chaos harness deterministic |
+//! | `no-thread-sleep` | library code waits on the `Clock`/callback abstractions, keeping virtual-time runs deterministic |
 //! | `relaxed-atomics-audit` | every `Ordering::Relaxed` read-modify-write in `afd-obs` or `afd-runtime` carries a written justification |
 //! | `crate-hygiene` | every crate root forbids `unsafe_code` |
 //! | `no-alloc-in-hot-path` | the per-frame intake files stay heap-allocation-free in steady state (`to_vec`/`Vec::new`/`vec!` need a written justification) |
 //! | `io-discipline` | filesystem access in `afd-runtime` happens only in `persist.rs`, so crash-safe install (tmp → fsync → rename) cannot be bypassed |
-//! | `determinism-discipline` | the model checker and the script replay harness never iterate `RandomState`-seeded containers, so explored-state counts and minimized counterexamples are bit-reproducible across runs and machines |
+//! | `determinism-discipline` | the model checker, the simulator, the trace replay and the chaos module never iterate `RandomState`-seeded containers, so explored-state counts, minimized counterexamples, chaos digests and E-tables are bit-reproducible across runs and machines |
 //! | `pure-query` | a shipping detector's `suspicion_level` (`afd-detectors`, `afd-runtime`) writes no field of its own, so its level is a function of the arrivals and the query time, never of who asked when |
 //!
 //! Any rule can be silenced per line with `// lint:allow(rule, reason)` —
@@ -233,7 +233,7 @@ fn no_float_eq(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
 
 /// `thread::sleep` in library code. The sender/retry machinery takes
 /// injected `sleep` callbacks precisely so production wiring chooses real
-/// sleeping while the chaos harness stays on virtual time; a direct call
+/// sleeping and deterministic runs choose virtual time; a direct call
 /// hard-wires the wall clock.
 fn no_thread_sleep(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
     for w in code.windows(3) {
@@ -249,7 +249,7 @@ fn no_thread_sleep(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
                 "no-thread-sleep",
                 a,
                 "`thread::sleep` in library code; accept a sleep callback or wait on the \
-                 `Clock` abstraction so the chaos harness stays deterministic"
+                 `Clock` abstraction so virtual-time runs stay deterministic"
                     .to_string(),
             ));
         }
@@ -400,18 +400,25 @@ fn io_discipline(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
     }
 }
 
-/// The deterministic-exploration surfaces: the whole model-checker crate
-/// (its state counts, digests, and minimized counterexamples must be
-/// bit-reproducible) and the script replay harness it emits schedules for.
-const DETERMINISM_FILES_PREFIX: &str = "crates/afd-model/";
-/// The chaos module is the runtime half of the model↔runtime contract.
-const DETERMINISM_CHAOS_MODULE: &str = "crates/afd-runtime/src/chaos.rs";
+/// The deterministic crates: the model checker (its state counts,
+/// digests, and minimized counterexamples must be bit-reproducible) and
+/// the simulator (every E-table and chaos digest is a function of its
+/// traces).
+const DETERMINISM_CRATES: &[&str] = &["crates/afd-model/", "crates/afd-sim/"];
+/// The runtime's deterministic modules: the chaos module (the script
+/// replay the model checker emits schedules for, and the chaos runs) and
+/// the trace replay every E-table and chaos run reads its levels from.
+const DETERMINISM_MODULES: &[&str] = &[
+    "crates/afd-runtime/src/chaos.rs",
+    "crates/afd-runtime/src/replay.rs",
+];
 
 /// Every file a rule names by path, relative to the workspace root: a
 /// rule whose file was split or renamed would silently check nothing.
 pub fn named_files() -> impl Iterator<Item = &'static str> {
-    [CLOCK_MODULE, PERSIST_MODULE, DETERMINISM_CHAOS_MODULE]
+    [CLOCK_MODULE, PERSIST_MODULE]
         .into_iter()
+        .chain(DETERMINISM_MODULES.iter().copied())
         .chain(HOT_PATH_FILES.iter().copied())
 }
 
@@ -423,8 +430,8 @@ pub fn named_files() -> impl Iterator<Item = &'static str> {
 /// reproducible. Test code is **not** exempt here: the exhaustive tests
 /// assert exact state counts, so nondeterminism in a test is a flake.
 fn determinism_discipline(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
-    let in_scope =
-        ctx.path.starts_with(DETERMINISM_FILES_PREFIX) || ctx.path == DETERMINISM_CHAOS_MODULE;
+    let in_scope = DETERMINISM_CRATES.iter().any(|c| ctx.path.starts_with(c))
+        || DETERMINISM_MODULES.contains(&ctx.path.as_str());
     if !in_scope {
         return;
     }

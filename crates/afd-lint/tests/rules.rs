@@ -261,6 +261,7 @@ fn determinism_discipline_fires_across_the_model_crate_and_chaos_module() {
     for path in [
         "crates/afd-model/src/explore.rs",
         "crates/afd-runtime/src/chaos.rs",
+        "crates/afd-runtime/src/replay.rs",
     ] {
         let (findings, suppressed) = lint_fixture("determinism_bad.rs", path);
         assert_eq!(findings.len(), 6, "{path}: {findings:?}");
@@ -269,6 +270,20 @@ fn determinism_discipline_fires_across_the_model_crate_and_chaos_module() {
         let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![1, 2, 4, 5, 8, 9]);
         assert_eq!(suppressed, 0);
+    }
+}
+
+#[test]
+fn determinism_discipline_flags_a_hash_map_in_the_simulator() {
+    // Every chaos digest and E-table is a function of afd-sim's traces:
+    // its library, tests and benches alike are in scope.
+    for path in [
+        "crates/afd-sim/src/engine.rs",
+        "crates/afd-sim/tests/prop_sim.rs",
+    ] {
+        let (findings, _) = lint_source(path, "use std::collections::HashMap;\n");
+        assert_eq!(findings.len(), 1, "{path}: {findings:?}");
+        assert_eq!(findings[0].rule, "determinism-discipline");
     }
 }
 

@@ -1,7 +1,8 @@
 //! Bounded exhaustive model checking for the paper's algorithms.
 //!
-//! The simulator (`afd-sim`) and chaos harness (`afd-runtime`) sample the
-//! schedule space; this crate *enumerates* it. The heartbeat system —
+//! The simulator (`afd-sim`), whose traces chaos runs replay through the
+//! shipping monitor, samples the schedule space; this crate *enumerates*
+//! it. The heartbeat system —
 //! senders pacing Algorithm 4's sequence-numbered frames, a lossy
 //! duplicating network, the monitor's freshness filter, a zoo detector,
 //! and the full Algorithm 1/2/3 interpreter stack — is modeled as a

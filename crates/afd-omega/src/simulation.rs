@@ -123,7 +123,10 @@ where
                 let link_seed = seed ^ (u64::from(sender) << 24) ^ (u64::from(receiver) << 8);
                 let factory = factory.clone();
                 let trace = simulate(&scenario, link_seed);
-                (peer, replay(&trace, move |_| factory(me, peer), queries))
+                (
+                    peer,
+                    replay(&trace, move |_| factory(me, peer), queries).levels,
+                )
             })
             .collect();
 

@@ -3,8 +3,8 @@
 //! Detectors take explicit timestamps, so the only place real time enters
 //! the system is here. [`SystemClock`] reads a monotonic OS clock for live
 //! deployments; [`VirtualClock`] is a shared, manually advanced clock that
-//! makes the chaos harness — faults, retries, degradation and all — a pure
-//! function of `(scenario, seed)`.
+//! makes every trace replay — chaos runs, faults, degradation and all — a
+//! pure function of `(scenario, seed)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

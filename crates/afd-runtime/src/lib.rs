@@ -15,7 +15,7 @@
 //!   under a virtual clock, and with `shards: 1` the plain single-stream
 //!   reading of Algorithm 4 — the one [`replay`](mod@replay) runs every
 //!   recorded or simulated `afd-sim` trace through, so the paper's
-//!   experiments read the receive rule that ships;
+//!   experiments and every chaos run read the receive rule that ships;
 //! - [`ParallelShardEngine`] runs the same stages on lane threads and one
 //!   worker thread per shard, joined by SPSC rings — the multi-core
 //!   deployment.
@@ -30,9 +30,11 @@
 //!   simple elapsed-time accrual when faults starve their sampling window,
 //!   without ever violating Accruement (Property 1);
 //! - the [`FaultInjector`] transport wrapper replays seeded
-//!   drop/duplicate/reorder/delay/corrupt/partition schedules so every
-//!   failure mode is exercised reproducibly, and the [`chaos`] harness
-//!   turns whole scenarios into deterministic virtual-time runs.
+//!   drop/duplicate/reorder/delay/corrupt/partition schedules on live
+//!   transports, and [`chaos`] runs turn an `afd-sim` scenario — loss,
+//!   jitter, partitions, sender outages, a final crash — into a
+//!   deterministic virtual-time run: afd-sim generates one trace, and the
+//!   shipping monitor replays it once per detector of the zoo.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -62,8 +64,8 @@ pub mod varint;
 pub mod wire;
 
 pub use chaos::{
-    run_chaos, run_chaos_script, ChaosReport, ChaosScenario, ChaosScript, DetectorZoo, ScriptEvent,
-    ScriptReport, ScriptSample, ZooDetectorReport,
+    run_chaos, run_chaos_script, ChaosReport, ChaosScript, LinkStats, ScriptEvent, ScriptReport,
+    ScriptSample, ZooDetectorReport,
 };
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use degrade::{DegradeConfig, GracefulDegradation};

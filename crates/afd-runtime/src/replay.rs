@@ -15,11 +15,15 @@
 //! 3. it ticks again at each query's local time, and the level is read
 //!    through [`SnapshotReader::level`](crate::SnapshotReader::level) and
 //!    filed under the *global* query time QoS analysis compares crash
-//!    times against.
+//!    times against;
+//! 4. at the horizon it unwatches the peer and hands back, beside the
+//!    levels, the intake's [`MonitorStats`] and the detector itself.
 //!
 //! afd-sim's [`ReplayConfig`] is the query schedule and the clock
 //! mapping. A trace replays any number of times, so every detector and
-//! threshold in an experiment sees the *same* network behaviour.
+//! threshold in an experiment — and every member of a chaos run
+//! ([`run_chaos`](crate::chaos::run_chaos)) — sees the *same* network
+//! behaviour.
 
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::history::SuspicionTrace;
@@ -30,21 +34,34 @@ use afd_sim::replay::ReplayConfig;
 use afd_sim::trace::{ArrivalTrace, HeartbeatRecord};
 
 use crate::clock::VirtualClock;
-use crate::shard::{ShardConfig, ShardedMonitor};
+use crate::shard::{MonitorStats, ShardConfig, ShardedMonitor};
 use crate::transport::{ChannelTransport, Transport};
 use crate::wire::{DeltaEncoder, Heartbeat, MAX_V2_FRAME};
 
 /// The one sender a replay watches; its id is also its intern index.
-const PEER: ProcessId = ProcessId::new(0);
+pub(crate) const PEER: ProcessId = ProcessId::new(0);
 
 /// Frames between two checkpoint (intern) frames on the replay's wire. A
 /// frame older than the checkpoint is re-interned by the encoder, so on
 /// a wire that loses nothing every frame decodes whatever the value.
 const RESYNC_EVERY: u32 = 8;
 
+/// What a [`replay`] produced.
+#[derive(Debug)]
+pub struct Replayed<D> {
+    /// The level history the monitor published at the query instants.
+    pub levels: SuspicionTrace,
+    /// What the monitor's intake saw: every frame sent was accepted or
+    /// judged stale.
+    pub stats: MonitorStats,
+    /// The detector as the last query left it.
+    pub detector: D,
+}
+
 /// Replays `trace` through a monitor whose detector `factory` builds,
 /// querying on `config`'s schedule until the trace horizon; returns the
-/// level history the monitor published at the query instants.
+/// level history the monitor published at the query instants, with the
+/// intake's counters and the detector.
 ///
 /// A delivery whose sequence number is not ahead of the highest accepted
 /// one is judged stale by the monitor and never reaches the detector, so
@@ -68,11 +85,12 @@ const RESYNC_EVERY: u32 = 8;
 ///     &trace,
 ///     |_| SimpleAccrual::default(),
 ///     ReplayConfig::every(Duration::from_millis(250)),
-/// );
+/// )
+/// .levels;
 /// assert_eq!(levels.len(), 40);
 /// assert!(levels.iter().all(|s| s.level.value() < 1.5));
 /// ```
-pub fn replay<D, F>(trace: &ArrivalTrace, factory: F, config: ReplayConfig) -> SuspicionTrace
+pub fn replay<D, F>(trace: &ArrivalTrace, factory: F, config: ReplayConfig) -> Replayed<D>
 where
     D: AccrualFailureDetector,
     F: FnMut(ProcessId) -> D + Send + Clone + 'static,
@@ -129,15 +147,20 @@ where
     }
     // Conservation: every frame on the wire ends in exactly one outcome,
     // and on this wire only two are possible.
+    let stats = monitor.stats().totals;
     debug_assert!(
-        {
-            let totals = monitor.stats().totals;
-            totals.accepted + totals.stale == sent && totals.corrupt == 0 && totals.unwatched == 0
-        },
-        "replay lost a frame: {:?} for {sent} sent",
-        monitor.stats().totals
+        stats.accepted + stats.stale == sent && stats.corrupt == 0 && stats.unwatched == 0,
+        "replay lost a frame: {stats:?} for {sent} sent"
     );
-    out
+    let detector = monitor
+        .unwatch(PEER)
+        // lint:allow(no-panic-paths, the one-slot shard took its peer above and never let it go)
+        .expect("the replayed peer is watched");
+    Replayed {
+        levels: out,
+        stats,
+        detector,
+    }
 }
 
 #[cfg(test)]
@@ -169,12 +192,12 @@ mod tests {
     fn simple_levels(trace: &ArrivalTrace, start_s: u64) -> Vec<f64> {
         let start = Timestamp::from_secs(start_s);
         let every = ReplayConfig::every(Duration::from_secs(1));
-        let out = replay(trace, move |_| SimpleAccrual::new(start), every);
+        let out = replay(trace, move |_| SimpleAccrual::new(start), every).levels;
         out.iter().map(|s| s.level.value()).collect()
     }
 
     fn query_seconds(trace: &ArrivalTrace, config: ReplayConfig) -> Vec<u64> {
-        let out = replay(trace, |_| SimpleAccrual::default(), config);
+        let out = replay(trace, |_| SimpleAccrual::default(), config).levels;
         out.iter()
             .map(|s| s.at.as_nanos() / 1_000_000_000)
             .collect()
@@ -257,7 +280,7 @@ mod tests {
             let restored = read_csv(csv.as_slice()).unwrap();
             for spec in spec::series() {
                 let bits = |trace: &ArrivalTrace| -> Vec<u64> {
-                    let out = replay(trace, move |_| spec.build(), every);
+                    let out = replay(trace, move |_| spec.build(), every).levels;
                     out.iter().map(|s| s.level.value().to_bits()).collect()
                 };
                 assert_eq!(bits(&restored), bits(&original), "{}", spec.name());

@@ -5,7 +5,7 @@
 //! jittered pauses, and only then surfaces a typed
 //! [`RuntimeError::RetriesExhausted`]. Sleeping is delegated to the caller
 //! so the same policy runs against real time (`thread::sleep`) and against
-//! the chaos harness's virtual clock.
+//! a virtual clock.
 
 use afd_core::time::Duration;
 use afd_sim::rng::SimRng;

@@ -3,8 +3,10 @@
 //!
 //! [`SenderCore`] is the pure stepping logic — given "now", decide whether
 //! a heartbeat is due and push it through the transport under a
-//! [`RetryPolicy`]. The chaos harness drives a core directly in virtual
-//! time; [`spawn_sender`] wraps one in a thread against the real clock.
+//! [`RetryPolicy`]. The model checker's script replay
+//! ([`run_chaos_script`](crate::chaos::run_chaos_script)) drives a core
+//! directly in virtual time; [`spawn_sender`] wraps one in a thread
+//! against the real clock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -323,7 +325,7 @@ where
                 // lint:allow(no-thread-sleep, this IS the real-time wrapper; virtual-time callers drive SenderCore directly)
                 std::thread::sleep(std::time::Duration::from_nanos(d.as_nanos()));
             })?;
-            // lint:allow(no-thread-sleep, real-time pacing nap of the thread wrapper; the chaos harness never runs this loop)
+            // lint:allow(no-thread-sleep, real-time pacing nap of the thread wrapper; virtual-time runs never run this loop)
             std::thread::sleep(nap);
         }
     });

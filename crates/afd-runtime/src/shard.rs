@@ -32,8 +32,9 @@
 //!
 //! - [`ShardedMonitor`] is the **inline executor**: one
 //!   [`tick`](ShardedMonitor::tick) runs all three stages on the calling
-//!   thread. Deterministic under a virtual clock; the chaos harness and
-//!   the model-checker replay run on it with `shards: 1`.
+//!   thread. Deterministic under a virtual clock; every trace replay
+//!   (the experiments' and chaos runs') and the model-checker replay run
+//!   on it with `shards: 1`.
 //! - [`ParallelShardEngine`](crate::engine::ParallelShardEngine) is the
 //!   **threaded executor**: lane threads run stage 1 and hand
 //!   heartbeats over SPSC rings to one worker thread per shard that runs
@@ -173,6 +174,16 @@ impl MonitorStats {
             totals.unwatched += s.unwatched;
         }
         totals
+    }
+
+    /// Publishes the five outcome counters into `registry` as
+    /// `sharded.{accepted,corrupt,stale,duplicate,unwatched}`.
+    pub(crate) fn export_metrics(&self, registry: &afd_obs::Registry) {
+        registry.counter("sharded.accepted").set(self.accepted);
+        registry.counter("sharded.corrupt").set(self.corrupt);
+        registry.counter("sharded.stale").set(self.stale);
+        registry.counter("sharded.duplicate").set(self.duplicate);
+        registry.counter("sharded.unwatched").set(self.unwatched);
     }
 }
 
@@ -972,19 +983,7 @@ where
     /// (`shard.<i>.peers`).
     pub fn export_metrics(&self, registry: &afd_obs::Registry) {
         let stats = self.stats();
-        registry
-            .counter("sharded.accepted")
-            .set(stats.totals.accepted);
-        registry
-            .counter("sharded.corrupt")
-            .set(stats.totals.corrupt);
-        registry.counter("sharded.stale").set(stats.totals.stale);
-        registry
-            .counter("sharded.duplicate")
-            .set(stats.totals.duplicate);
-        registry
-            .counter("sharded.unwatched")
-            .set(stats.totals.unwatched);
+        stats.totals.export_metrics(registry);
         registry.counter("sharded.ticks").set(stats.ticks);
         registry
             .gauge("sharded.shards")

@@ -1,7 +1,8 @@
-//! The acceptance chaos scenario from the robustness issue: a 10 s
-//! partition that heals, 20 % burst loss throughout, one crash/recover
-//! cycle, and a final crash — run deterministically in virtual time, twice,
-//! with the paper's property checkers applied to every detector's timeline.
+//! The acceptance chaos scenario: a 10 s partition that heals, 20 % burst
+//! loss throughout, one crash/recover cycle, and a final crash — simulated
+//! once and replayed through the shipping monitor for every detector,
+//! deterministically in virtual time, with the paper's property checkers
+//! applied to every detector's timeline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,28 +16,32 @@ use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::spec::{zoo, AnyDetector, DetectorSpec};
 use afd_runtime::{
-    run_chaos, ChannelTransport, ChaosScenario, Clock, Heartbeat, ShardConfig, ShardedMonitor,
-    Transport,
+    run_chaos, ChannelTransport, Clock, Heartbeat, ShardConfig, ShardedMonitor, Transport,
 };
+use afd_sim::delay::UniformDelay;
+use afd_sim::loss::GilbertElliottLoss;
+use afd_sim::scenario::{DelayKind, LossKind};
+use afd_sim::Scenario;
 
 /// Gilbert–Elliott bursts with mean length 4 and burst-start probability
 /// 1/16 have stationary loss 0.0625 / (0.0625 + 0.25) = 20 %.
 const BURST_START: f64 = 0.0625;
 const MEAN_BURST_LEN: f64 = 4.0;
 
-fn acceptance_scenario() -> ChaosScenario {
-    let mut s = ChaosScenario::new(Duration::from_secs(120));
-    s.burst_loss = Some((BURST_START, MEAN_BURST_LEN));
+fn acceptance_scenario() -> Scenario {
+    let at = Timestamp::from_secs;
+    Scenario {
+        loss: LossKind::GilbertElliott(GilbertElliottLoss::bursts(BURST_START, MEAN_BURST_LEN)),
+        ..Scenario::ideal()
+    }
+    .with_horizon(at(120))
     // Partition for 10 s, then heal.
-    s.partitions
-        .push((Timestamp::from_secs(20), Timestamp::from_secs(30)));
+    .with_partition(at(20), at(30))
     // One crash/recover cycle…
-    s.crashes
-        .push((Timestamp::from_secs(50), Some(Timestamp::from_secs(60))));
+    .with_outage(at(50), at(60))
     // …and a final crash so the run ends with a faulty process, giving
     // Accruement a suffix to quantify over.
-    s.crashes.push((Timestamp::from_secs(90), None));
-    s
+    .with_crash_at(at(90))
 }
 
 #[test]
@@ -49,18 +54,18 @@ fn acceptance_scenario_is_deterministic() {
         b.fingerprint(),
         "same scenario + seed must replay the exact suspicion timeline"
     );
-    assert_eq!(a.heartbeats_sent, b.heartbeats_sent);
+    assert_eq!(a.link, b.link);
     assert_eq!(a.monitor_stats, b.monitor_stats);
-    assert_eq!(a.fault_stats, b.fault_stats);
     assert_eq!(a.degrade_events, b.degrade_events);
 
-    // And the same timeline as every earlier build: a digest of seed 1's.
+    // And the same timeline on every build: a digest of seed 1's, pinned
+    // since chaos runs are simulated traces replayed on the v2 wire.
     let mut digest = StateDigest::new();
     for (at, level) in run_chaos(&scenario, 1).fingerprint() {
         digest.push_u64(at);
         digest.push_u64(level);
     }
-    assert_eq!(digest.finish(), 0x9211_f76d_c98e_c5fd_a8a5_97fd_332c_3157);
+    assert_eq!(digest.finish(), 0xf5bd_be70_f7a7_a835_876f_1d24_d3cb_6639);
 }
 
 #[test]
@@ -68,14 +73,13 @@ fn acceptance_scenario_satisfies_accruement_and_upper_bound() {
     let report = run_chaos(&acceptance_scenario(), 7);
 
     // The faults actually happened.
-    assert!(report.fault_stats.dropped_partition > 0, "partition inert");
-    assert!(report.fault_stats.dropped_loss > 0, "burst loss inert");
+    assert!(report.link.partitioned > 0, "partition inert");
+    assert!(report.link.lost > 0, "burst loss inert");
     assert!(report.monitor_stats.accepted > 0, "no heartbeat survived");
     assert!(
         report.degrade_events > 0,
         "starvation fallback never engaged"
     );
-    assert_eq!(report.transport_errors, 0, "in-process transport failed");
 
     let check = AccruementCheck {
         epsilon: 1e-6,
@@ -108,7 +112,7 @@ fn healed_faults_leave_a_correct_process_trusted() {
     // Same faults, but the process recovers and stays up: by the end of the
     // run every detector should have calmed down again.
     let mut scenario = acceptance_scenario();
-    scenario.crashes.pop();
+    scenario.crash_at = None;
     let report = run_chaos(&scenario, 7);
     for d in &report.detectors {
         let (name, trace) = (d.name, &d.trace);
@@ -277,13 +281,10 @@ fn chaos_report_carries_observability_evidence() {
         Some(report.monitor_stats.accepted)
     );
     assert_eq!(
-        snap.counter("fault.dropped_partition"),
-        Some(report.fault_stats.dropped_partition)
+        snap.counter("link.partitioned"),
+        Some(report.link.partitioned)
     );
-    assert_eq!(
-        snap.counter("sender.heartbeats_sent"),
-        Some(report.heartbeats_sent)
-    );
+    assert_eq!(snap.counter("link.sent"), Some(report.link.sent));
     assert!(snap.to_text().contains("degrade.phi.events"));
     assert!(snap.to_json().starts_with('{'));
 }
@@ -297,8 +298,45 @@ fn different_seeds_explore_different_schedules() {
     // But the structural outcome is seed-independent: faults fire and the
     // protocol survives them.
     for r in [&a, &b] {
-        assert!(r.fault_stats.dropped_loss > 0);
+        assert!(r.link.lost > 0);
         assert!(r.monitor_stats.accepted > 0);
-        assert_eq!(r.transport_errors, 0);
+    }
+}
+
+/// Every simulated heartbeat ends in exactly one outcome: lost to the
+/// loss model, lost to a partition, still in flight at the last query,
+/// accepted, or judged stale. Every member's monitor counts the same
+/// intake, because all six replayed the same frames.
+#[test]
+fn every_heartbeat_ends_in_exactly_one_outcome() {
+    // The acceptance run, and the same faults over a link slow enough to
+    // reorder heartbeats and leave some in flight at the horizon.
+    let mut reordering = acceptance_scenario();
+    reordering.crash_at = None;
+    reordering.delay = DelayKind::Uniform(UniformDelay::new(
+        Duration::ZERO,
+        Duration::from_millis(2_500),
+    ));
+    for scenario in [acceptance_scenario(), reordering] {
+        let report = run_chaos(&scenario, 7);
+        let (link, intake) = (report.link, report.monitor_stats);
+        assert_eq!(
+            link.sent,
+            link.lost + link.partitioned + link.in_flight + intake.accepted + intake.stale,
+            "{link:?} {intake:?}"
+        );
+        assert_eq!(
+            (intake.corrupt, intake.duplicate, intake.unwatched),
+            (0, 0, 0)
+        );
+        for d in &report.detectors {
+            assert_eq!(d.monitor_stats, intake, "{}", d.name);
+        }
+        if scenario.crash_at.is_none() {
+            assert!(
+                intake.stale > 0 && link.in_flight > 0,
+                "{link:?} {intake:?}"
+            );
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! The discrete-event simulation engine.
 //!
 //! [`simulate`] runs one monitored pair through a [`Scenario`]: the sender
-//! broadcasts sequenced heartbeats on its local schedule until it crashes
-//! (Algorithm 4's sender side), the channel delays or drops each message,
-//! and every delivery is recorded with both global and monitor-local
-//! timestamps. The output [`ArrivalTrace`] is the complete arrival process;
+//! broadcasts sequenced heartbeats on its local schedule, pausing through
+//! its outages, until it crashes (Algorithm 4's sender side); the channel
+//! delays or drops each message, and loses every one sent during a
+//! partition; every delivery is recorded with both global and
+//! monitor-local timestamps. The output [`ArrivalTrace`] is the complete arrival process;
 //! feeding it to detectors is the job of `afd_runtime::replay`, which
 //! runs it through the shipping monitor.
 //!
@@ -74,16 +75,27 @@ pub fn simulate(scenario: &Scenario, seed: u64) -> ArrivalTrace {
             // Sends stop at the horizon; in-flight deliveries are allowed
             // to complete so they count as delivered, not lost.
             Event::Send { seq: _ } if now > scenario.horizon => continue,
+            Event::Send { seq: _ } if scenario.crash_at.is_some_and(|c| now >= c) => continue,
             Event::Send { seq } => {
-                let crashed = scenario.crash_at.is_some_and(|c| now >= c);
-                if !crashed {
+                if let Some(up) = scenario.outage_end(now) {
+                    // The sender is down: this heartbeat goes out when it
+                    // recovers, and the cadence restarts from there.
+                    queue.schedule(up, Event::Send { seq });
+                } else {
                     records.push(HeartbeatRecord {
                         seq,
                         sent_at: now,
                         delivered_at: None,
                         delivered_local: None,
                     });
-                    if let Some(arrival) = channel.transmit(now, &mut net_rng) {
+                    // A partitioned link loses the heartbeat without
+                    // consulting the loss model.
+                    let arrival = if scenario.partitioned_at(now) {
+                        None
+                    } else {
+                        channel.transmit(now, &mut net_rng)
+                    };
+                    if let Some(arrival) = arrival {
                         queue.schedule(arrival, Event::Deliver { seq });
                     }
                     // Schedule the next broadcast.
@@ -249,6 +261,105 @@ mod tests {
             if let Some(d) = r.delivered_at {
                 assert!(d <= t.horizon() + Duration::from_secs(1));
             }
+        }
+    }
+
+    #[test]
+    fn a_partition_loses_exactly_the_heartbeats_sent_inside_it() {
+        let (from, to) = (Timestamp::from_secs(2), Timestamp::from_secs(3));
+        let s = quiet_scenario()
+            .with_horizon(Timestamp::from_secs(5))
+            .with_partition(from, to);
+        let t = simulate(&s, 1);
+        for r in t.records() {
+            let inside = from <= r.sent_at && r.sent_at < to;
+            assert_eq!(r.delivered_at.is_none(), inside, "{r:?}");
+        }
+        assert_eq!(t.sent_count() - t.delivered_count(), 10);
+    }
+
+    #[test]
+    fn a_partition_draws_no_random_number() {
+        // Under independent loss, the heartbeats sent outside the window
+        // meet the loss draws the unpartitioned run's first heartbeats
+        // met, in order: the window consumed none.
+        let lossy = Scenario {
+            loss: LossKind::Bernoulli(BernoulliLoss::new(0.3)),
+            ..quiet_scenario()
+        }
+        .with_horizon(Timestamp::from_secs(20));
+        let (from, to) = (Timestamp::from_secs(5), Timestamp::from_secs(8));
+        let fates = |t: &ArrivalTrace| -> Vec<bool> {
+            t.records()
+                .iter()
+                .filter(|r| !(from <= r.sent_at && r.sent_at < to))
+                .map(|r| r.delivered_at.is_some())
+                .collect()
+        };
+        let open = simulate(&lossy, 4);
+        let cut = fates(&simulate(&lossy.clone().with_partition(from, to), 4));
+        let open = open.records().iter().map(|r| r.delivered_at.is_some());
+        assert!(cut.contains(&false) && cut.contains(&true));
+        assert_eq!(cut, open.take(cut.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_outage_pauses_the_sender_and_resumes_the_sequence_at_its_end() {
+        let (from, to) = (Timestamp::from_secs_f64(3.5), Timestamp::from_secs_f64(6.2));
+        let s = quiet_scenario()
+            .with_heartbeat_interval(Duration::from_secs(1))
+            .with_horizon(Timestamp::from_secs(10))
+            .with_outage(from, to);
+        let t = simulate(&s, 1);
+        let sent: Vec<f64> = t
+            .records()
+            .iter()
+            .map(|r| r.sent_at.as_secs_f64())
+            .collect();
+        assert_eq!(sent, [1.0, 2.0, 3.0, 6.2, 7.2, 8.2, 9.2]);
+        for (i, r) in t.records().iter().enumerate() {
+            assert_eq!(r.seq, i as u64 + 1);
+            assert!(r.delivered_at.is_some());
+        }
+        // An outage reaching past the horizon silences the rest of the run.
+        let s = s.with_outage(Timestamp::from_secs(8), Timestamp::from_secs(30));
+        assert_eq!(simulate(&s, 1).sent_count(), 5);
+    }
+
+    /// A digest of every field of every record of `trace`.
+    fn digest(trace: &ArrivalTrace) -> u128 {
+        let mut d = afd_core::canonical::StateDigest::new();
+        for r in trace.records() {
+            d.push_u64(r.seq);
+            d.push_u64(r.sent_at.as_nanos());
+            d.push_opt_u64(r.delivered_at.map(Timestamp::as_nanos));
+            d.push_opt_u64(r.delivered_local.map(Timestamp::as_nanos));
+        }
+        d.finish()
+    }
+
+    #[test]
+    fn empty_link_event_lists_simulate_the_pinned_traces() {
+        // Pinned before partitions and outages existed: with both lists
+        // empty, every preset simulates the trace it always did.
+        let pins: [(Scenario, u128); 4] = [
+            (Scenario::lan(), 0x5a58_bff3_3805_addb_deea_c029_6334_98ca),
+            (
+                Scenario::wan_jitter(),
+                0x4af0_3363_7a1a_ac56_d9fe_5f93_b511_b492,
+            ),
+            (
+                Scenario::bursty_loss(),
+                0x3354_e89c_af3f_c27a_28cc_1af1_6067_1b76,
+            ),
+            (
+                Scenario::partially_synchronous(),
+                0x2ce4_5651_c998_d7c9_cd9a_9e89_db14_8d59,
+            ),
+        ];
+        for (scenario, pin) in pins {
+            let scenario = scenario.with_crash_at(Timestamp::from_secs(500));
+            assert_eq!(digest(&simulate(&scenario, 1)), pin);
         }
     }
 

@@ -13,7 +13,8 @@
 //!   normal, and shifted-exponential delay; Bernoulli and Gilbert–Elliott
 //!   burst loss; pre-GST chaos.
 //! - [`scenario`]: declarative run configurations with named presets
-//!   (`lan`, `wan_jitter`, `bursty_loss`, `partially_synchronous`).
+//!   (`ideal`, `lan`, `wan_jitter`, `bursty_loss`,
+//!   `partially_synchronous`), partitions, and sender outages.
 //! - [`engine`]: runs a scenario into an [`trace::ArrivalTrace`].
 //! - [`replay`]: the query schedule ([`ReplayConfig`]) of a trace replay;
 //!   the replay itself runs a trace through the shipping monitor, as

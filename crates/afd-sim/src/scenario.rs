@@ -1,10 +1,10 @@
 //! Declarative run configurations.
 //!
 //! A [`Scenario`] fully describes one monitored pair's environment: the
-//! heartbeat protocol, the network (delay + loss + optional pre-GST chaos),
-//! the two local clocks, the query schedule, and an optional crash. Being a
-//! plain value, it can be swept by the experiment harness and reproduced
-//! exactly from `(scenario, seed)`.
+//! heartbeat protocol, the network (delay, loss, partitions and optional
+//! pre-GST chaos), the two local clocks, the sender's outages, and an
+//! optional crash. Being a plain value, it can be swept by the experiment
+//! harness and reproduced exactly from `(scenario, seed)`.
 
 use afd_core::time::{Duration, Timestamp};
 
@@ -76,8 +76,15 @@ pub struct Scenario {
     pub sender_clock: DriftingClock,
     /// The monitor's local clock.
     pub monitor_clock: DriftingClock,
-    /// Global time at which the sender crashes, if it does.
+    /// Global time at which the sender crashes for good, if it does.
     pub crash_at: Option<Timestamp>,
+    /// Link partitions `[from, to)` in global time: a heartbeat sent
+    /// inside one is lost, and the loss model draws nothing for it.
+    pub partitions: Vec<(Timestamp, Timestamp)>,
+    /// Sender outages `[from, to)` in global time, each a crash followed
+    /// by a recovery: nothing is sent inside one, and the next heartbeat
+    /// goes out at `to` with the next sequence number.
+    pub outages: Vec<(Timestamp, Timestamp)>,
     /// End of the run (global time).
     pub horizon: Timestamp,
 }
@@ -99,7 +106,21 @@ impl Scenario {
             sender_clock: DriftingClock::perfect(),
             monitor_clock: DriftingClock::perfect(),
             crash_at: None,
+            partitions: Vec::new(),
+            outages: Vec::new(),
             horizon: Timestamp::from_secs(60),
+        }
+    }
+
+    /// An ideal link: 1 s heartbeats delivered at once, no loss, no send
+    /// jitter, perfect clocks, 60 s horizon. The baseline a chaos run adds
+    /// its faults to, one at a time.
+    pub fn ideal() -> Self {
+        Scenario {
+            heartbeat_interval: Duration::from_secs(1),
+            send_jitter_std: Duration::ZERO,
+            delay: DelayKind::Constant(ConstantDelay::new(Duration::ZERO)),
+            ..Scenario::lan()
         }
     }
 
@@ -120,6 +141,8 @@ impl Scenario {
             sender_clock: DriftingClock::perfect(),
             monitor_clock: DriftingClock::perfect(),
             crash_at: None,
+            partitions: Vec::new(),
+            outages: Vec::new(),
             horizon: Timestamp::from_secs(600),
         }
     }
@@ -158,6 +181,34 @@ impl Scenario {
         self
     }
 
+    /// Returns a copy whose link is partitioned over `[from, to)`.
+    pub fn with_partition(mut self, from: Timestamp, to: Timestamp) -> Self {
+        self.partitions.push((from, to));
+        self
+    }
+
+    /// Returns a copy whose sender is down over `[from, to)`.
+    pub fn with_outage(mut self, from: Timestamp, to: Timestamp) -> Self {
+        self.outages.push((from, to));
+        self
+    }
+
+    /// Whether the link is partitioned at global time `t`.
+    pub fn partitioned_at(&self, t: Timestamp) -> bool {
+        self.partitions
+            .iter()
+            .any(|&(from, to)| from <= t && t < to)
+    }
+
+    /// When the sender, down at global time `t`, comes back up; `None` if
+    /// it is up (or crashed for good).
+    pub(crate) fn outage_end(&self, t: Timestamp) -> Option<Timestamp> {
+        self.outages
+            .iter()
+            .find(|&&(from, to)| from <= t && t < to)
+            .map(|&(_, to)| to)
+    }
+
     /// Returns a copy with a different horizon.
     pub fn with_horizon(mut self, horizon: Timestamp) -> Self {
         self.horizon = horizon;
@@ -178,6 +229,7 @@ mod tests {
     #[test]
     fn presets_are_sane() {
         for s in [
+            Scenario::ideal(),
             Scenario::lan(),
             Scenario::wan_jitter(),
             Scenario::bursty_loss(),
@@ -186,6 +238,7 @@ mod tests {
             assert!(!s.heartbeat_interval.is_zero());
             assert!(s.horizon > Timestamp::ZERO);
             assert!(s.crash_at.is_none());
+            assert!(s.partitions.is_empty() && s.outages.is_empty());
         }
     }
 
@@ -198,6 +251,20 @@ mod tests {
         assert_eq!(s.crash_at, Some(Timestamp::from_secs(30)));
         assert_eq!(s.horizon, Timestamp::from_secs(90));
         assert_eq!(s.heartbeat_interval, Duration::from_millis(250));
+    }
+
+    #[test]
+    fn link_event_windows_are_half_open() {
+        let at = Timestamp::from_secs;
+        let s = Scenario::lan()
+            .with_partition(at(2), at(3))
+            .with_outage(at(5), at(7));
+        assert!(!s.partitioned_at(at(1)));
+        assert!(s.partitioned_at(at(2)));
+        assert!(!s.partitioned_at(at(3)));
+        assert_eq!(s.outage_end(at(4)), None);
+        assert_eq!(s.outage_end(at(5)), Some(at(7)));
+        assert_eq!(s.outage_end(at(7)), None);
     }
 
     #[test]

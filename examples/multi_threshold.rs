@@ -30,7 +30,8 @@ fn main() {
         &arrivals,
         |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_millis(250)),
-    );
+    )
+    .levels;
 
     // …and three per-application interpreters with different QoS.
     let apps = [

@@ -34,7 +34,8 @@ fn main() {
         &arrivals,
         |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_secs(1)),
-    );
+    )
+    .levels;
 
     println!("\n   t(s)   φ        verdict at Φ = 3");
     let threshold = SuspicionLevel::new(3.0).expect("valid threshold");

@@ -59,7 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &trace,
             move |_| detector.clone(),
             ReplayConfig::every(Duration::from_millis(250)),
-        );
+        )
+        .levels;
         let report = analyze_at_threshold(&levels, SuspicionLevel::new(thr)?, Some(crash));
         println!(
             "{name:<9} {thr:>8.1}  {:>12}  {:>16}  {:.5}",

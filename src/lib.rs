@@ -17,8 +17,8 @@
 //! |-----------|----------|
 //! | [`core`] | the formalism: suspicion levels, detector traits, classes (◊P_ac …), Algorithms 1–3, property checkers, stats, distributions |
 //! | [`detectors`] | the four implementations of §5: simple, Chen, φ, κ — plus the per-application `InterpreterBank` of Fig. 2 and the A.5 adversary |
-//! | [`sim`] | deterministic discrete-event network simulator: delay/loss models, clock drift, partial synchrony, arrival traces and their query schedules |
-//! | [`runtime`] | live Algorithm 4 over pluggable transports: the monitor (`ShardedMonitor`) and its lock-free `SnapshotReader`s — the monitoring side of Fig. 2 — heartbeat senders, fault injection, retry/backoff, watchdog supervision, graceful degradation, chaos harness, and the trace replay (`runtime::replay`) the experiments run on |
+//! | [`sim`] | deterministic discrete-event network simulator: delay/loss models, partitions, sender outages, clock drift, partial synchrony, arrival traces and their query schedules |
+//! | [`runtime`] | live Algorithm 4 over pluggable transports: the monitor (`ShardedMonitor`) and its lock-free `SnapshotReader`s — the monitoring side of Fig. 2 — heartbeat senders, fault injection, retry/backoff, watchdog supervision, graceful degradation, chaos runs, and the trace replay (`runtime::replay`) the experiments and chaos runs are read through |
 //! | [`qos`] | Chen et al. QoS metrics (T_D, T_MR, T_M, λ_M, P_A, T_G) and the experiment harness |
 //! | [`obs`] | observability: metric registry (counters/gauges/histograms), structured event traces, and streaming online QoS estimators |
 //! | [`bot`] | the Bag-of-Tasks master/worker application of §1.3 |

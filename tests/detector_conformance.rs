@@ -10,14 +10,15 @@
 //! 2. a fresh heartbeat resets the level back down;
 //! 3. querying at the exact arrival instant (`elapsed == 0`) is finite and
 //!    non-negative — no NaN, no negative φ, no panic;
-//! 4. Accruement (Property 1) holds on a crash run of the virtual-time
-//!    chaos harness, and Upper Bound (Property 2) on a calm run;
+//! 4. Accruement (Property 1) holds on a virtual-time chaos run that
+//!    ends in a crash, and Upper Bound (Property 2) on a calm run;
 //! 5. the PR-7 detectors round-trip through save/restore seeds.
 
 use accrual_fd::core::properties::{check_upper_bound, AccruementCheck};
 use accrual_fd::detectors::spec::{self, AnyDetector};
 use accrual_fd::prelude::*;
-use accrual_fd::runtime::{run_chaos, ChaosScenario};
+use accrual_fd::runtime::run_chaos;
+use accrual_fd::sim::Scenario;
 
 /// The catalogue's six zoo members, built, in zoo order.
 fn zoo() -> impl Iterator<Item = (&'static str, AnyDetector)> {
@@ -100,12 +101,13 @@ fn querying_at_the_arrival_instant_is_finite_and_non_negative() {
     }
 }
 
-/// Accruement (Property 1) on the chaos harness: after a permanent crash,
+/// Accruement (Property 1) on a chaos run: after a permanent crash,
 /// every zoo member's trace keeps increasing toward the horizon.
 #[test]
 fn all_zoo_members_satisfy_accruement_after_a_crash() {
-    let mut scenario = ChaosScenario::new(Duration::from_secs(90));
-    scenario.crashes.push((Timestamp::from_secs(30), None));
+    let scenario = Scenario::ideal()
+        .with_horizon(Timestamp::from_secs(90))
+        .with_crash_at(Timestamp::from_secs(30));
     let report = run_chaos(&scenario, 42);
     let check = AccruementCheck {
         epsilon: 1e-9,
@@ -127,7 +129,7 @@ fn all_zoo_members_satisfy_accruement_after_a_crash() {
 /// horizon, no zoo member's level diverges or goes infinite.
 #[test]
 fn all_zoo_members_stay_bounded_while_the_sender_lives() {
-    let scenario = ChaosScenario::new(Duration::from_secs(90));
+    let scenario = Scenario::ideal().with_horizon(Timestamp::from_secs(90));
     let report = run_chaos(&scenario, 42);
     for d in &report.detectors {
         let witness = check_upper_bound(&d.trace, None);

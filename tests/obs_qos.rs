@@ -1,16 +1,18 @@
-//! Acceptance: the streaming QoS estimators embedded in the chaos harness
+//! Acceptance: the streaming QoS estimators embedded in chaos runs
 //! agree with the offline analyzer on the same runs.
 //!
-//! `run_chaos` feeds every sampled suspicion level through an
-//! [`accrual_fd::obs::OnlineQos`] at observation time; this test replays the
+//! `run_chaos` feeds every suspicion level the monitor published at a
+//! query through an [`accrual_fd::obs::OnlineQos`]; this test replays the
 //! recorded traces through the offline [`accrual_fd::qos::analyze`] path
 //! (each detector's own threshold interpretation, then metric extraction)
 //! and demands the two agree on every Chen et al. metric, for all six
 //! detectors, across several seeded fault scripts.
 
-use accrual_fd::core::time::{Duration, Timestamp};
+use accrual_fd::core::time::Timestamp;
 use accrual_fd::qos::analyze;
-use accrual_fd::runtime::{run_chaos, ChaosScenario};
+use accrual_fd::runtime::run_chaos;
+use accrual_fd::sim::loss::GilbertElliottLoss;
+use accrual_fd::sim::scenario::{LossKind, Scenario};
 
 const TOLERANCE: f64 = 1e-9;
 
@@ -30,9 +32,9 @@ fn assert_opt_close(context: &str, online: Option<f64>, offline: Option<f64>) {
 }
 
 /// Runs the scenario and checks online-vs-offline agreement per detector.
-fn check_agreement(scenario: &ChaosScenario, seed: u64) {
+fn check_agreement(scenario: &Scenario, seed: u64) {
     let report = run_chaos(scenario, seed);
-    let crash = scenario.permanent_crash();
+    let crash = scenario.crash_at;
     assert_eq!(report.detectors.len(), 6);
     for d in &report.detectors {
         let (name, online) = (d.name, &d.qos);
@@ -76,25 +78,33 @@ fn check_agreement(scenario: &ChaosScenario, seed: u64) {
     }
 }
 
+/// 1 s heartbeats on an ideal link with Gilbert–Elliott bursts.
+fn bursty(horizon_s: u64, burst_start: f64, mean_burst_len: f64) -> Scenario {
+    Scenario {
+        loss: LossKind::GilbertElliott(GilbertElliottLoss::bursts(burst_start, mean_burst_len)),
+        ..Scenario::ideal()
+    }
+    .with_horizon(Timestamp::from_secs(horizon_s))
+}
+
 #[test]
 fn online_matches_offline_through_partition_and_final_crash() {
-    let mut s = ChaosScenario::new(Duration::from_secs(120));
-    s.burst_loss = Some((0.0625, 4.0));
-    s.partitions
-        .push((Timestamp::from_secs(20), Timestamp::from_secs(30)));
-    s.crashes.push((Timestamp::from_secs(90), None));
+    let at = Timestamp::from_secs;
+    let s = bursty(120, 0.0625, 4.0)
+        .with_partition(at(20), at(30))
+        .with_crash_at(at(90));
     check_agreement(&s, 7);
     check_agreement(&s, 23);
 }
 
 #[test]
 fn online_matches_offline_through_crash_recover_cycles() {
-    let mut s = ChaosScenario::new(Duration::from_secs(150));
-    s.crashes
-        .push((Timestamp::from_secs(40), Some(Timestamp::from_secs(55))));
-    s.crashes
-        .push((Timestamp::from_secs(80), Some(Timestamp::from_secs(95))));
-    s.crashes.push((Timestamp::from_secs(120), None));
+    let at = Timestamp::from_secs;
+    let s = Scenario::ideal()
+        .with_horizon(at(150))
+        .with_outage(at(40), at(55))
+        .with_outage(at(80), at(95))
+        .with_crash_at(at(120));
     check_agreement(&s, 11);
 }
 
@@ -102,10 +112,8 @@ fn online_matches_offline_through_crash_recover_cycles() {
 fn online_matches_offline_when_the_process_stays_up() {
     // No permanent crash: detection must be None on both sides, while the
     // mistake metrics still have to agree through the loss bursts.
-    let mut s = ChaosScenario::new(Duration::from_secs(100));
-    s.burst_loss = Some((0.1, 5.0));
-    s.partitions
-        .push((Timestamp::from_secs(35), Timestamp::from_secs(45)));
+    let at = Timestamp::from_secs;
+    let s = bursty(100, 0.1, 5.0).with_partition(at(35), at(45));
     check_agreement(&s, 3);
     let report = run_chaos(&s, 3);
     for d in &report.detectors {

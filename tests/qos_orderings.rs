@@ -18,6 +18,7 @@ fn phi_levels(scenario: &Scenario, seed: u64) -> SuspicionTrace {
         |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_millis(200)),
     )
+    .levels
 }
 
 #[test]

@@ -32,8 +32,9 @@ fn all_detectors() -> Vec<(&'static str, Box<dyn AccrualFailureDetector>)> {
 /// Replays `t` through the shipping monitor once per detector of
 /// [`all_detectors`].
 fn replay_all(t: &ArrivalTrace, config: ReplayConfig) -> Vec<(&'static str, SuspicionTrace)> {
-    let series = spec::series().map(|spec| (spec.name(), replay(t, move |_| spec.build(), config)));
-    let kappa_seq = ("kappa-seq", replay(t, |_| kappa_seq(), config));
+    let series =
+        spec::series().map(|spec| (spec.name(), replay(t, move |_| spec.build(), config).levels));
+    let kappa_seq = ("kappa-seq", replay(t, |_| kappa_seq(), config).levels);
     series.into_iter().chain([kappa_seq]).collect()
 }
 
@@ -195,7 +196,8 @@ fn phi_with_zero_std_floor_survives_constant_cadence() {
         &t,
         move |_| fd.clone(),
         ReplayConfig::every(Duration::from_millis(500)),
-    );
+    )
+    .levels;
     for s in levels.iter() {
         assert!(
             s.level.value().is_finite(),

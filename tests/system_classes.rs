@@ -42,7 +42,8 @@ fn observe_system(
                 &arrivals,
                 |_| PhiAccrual::with_defaults(),
                 ReplayConfig::every(Duration::from_millis(250)),
-            );
+            )
+            .levels;
             observation.insert(
                 MonitorPair::new(ProcessId::new(q), ProcessId::new(p)),
                 trace,
@@ -110,7 +111,8 @@ fn flat_detector_fails_system_check() {
         &arrivals,
         |_| AlwaysZero,
         ReplayConfig::every(Duration::from_millis(250)),
-    );
+    )
+    .levels;
     let mut obs = SystemObservation::new();
     obs.insert(
         MonitorPair::new(ProcessId::new(0), ProcessId::new(1)),

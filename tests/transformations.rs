@@ -22,7 +22,8 @@ fn algorithm_1_statuses(scenario: &Scenario, seed: u64, epsilon: f64) -> Vec<(Ti
         &arrivals,
         |_| PhiAccrual::with_defaults(),
         ReplayConfig::every(Duration::from_millis(250)),
-    );
+    )
+    .levels;
     let mut alg1 = AccrualToBinary::new(epsilon);
     levels
         .iter()
