@@ -94,8 +94,8 @@ const WORKER_DRAIN_CAP: usize = 1024;
 pub struct EngineConfig {
     /// Worker threads — one per shard (floored at 1).
     pub workers: usize,
-    /// Maximum watched processes per shard (snapshot banks are
-    /// fixed-size, as in [`ShardConfig`](crate::shard::ShardConfig)).
+    /// Maximum watched processes per shard: a ceiling the snapshot grows
+    /// up to, as in [`ShardConfig`](crate::shard::ShardConfig).
     pub slots_per_shard: usize,
     /// Slots per lane→worker ring (rounded up to a power of two).
     pub ring_capacity: usize,
@@ -272,7 +272,7 @@ enum EngineState<T, D> {
 pub struct ParallelShardEngine<T, C, D> {
     clock: C,
     config: EngineConfig,
-    cells: Arc<Vec<Arc<ShardCell>>>,
+    cells: Arc<[Arc<ShardCell>]>,
     state: EngineState<T, D>,
     /// One entry per lane of the current (or last) run; a lane index
     /// keeps its counters across restarts, like the workers.

@@ -103,10 +103,10 @@ pub(crate) type DetectorFactory<D> = Box<dyn FnMut(ProcessId) -> D + Send>;
 pub struct ShardConfig {
     /// Number of shards the watch set is partitioned into (floored at 1).
     pub shards: usize,
-    /// Maximum watched processes per shard. Snapshot banks are fixed-size
-    /// atomic arrays (they are shared with lock-free readers and cannot
-    /// grow), so capacity is declared up front; [`ShardedMonitor::watch`]
-    /// fails with [`ShardCapacityError`] when a shard is full.
+    /// Maximum watched processes per shard: a ceiling, not a reservation.
+    /// A shard's snapshot rows and slot index grow with the peers it
+    /// watches, up to this many; [`ShardedMonitor::watch`] fails with
+    /// [`ShardCapacityError`] when a shard is full.
     pub slots_per_shard: usize,
 }
 
@@ -119,7 +119,7 @@ impl Default for ShardConfig {
     }
 }
 
-/// A shard refused a new watch because its snapshot bank is full.
+/// A shard refused a new watch because it watches its capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardCapacityError {
     /// The shard that is at capacity.
@@ -328,7 +328,7 @@ pub(crate) fn build_shards<D: AccrualFailureDetector>(
     shards: usize,
     slots: usize,
     factory: impl FnMut(ProcessId) -> D + Send + Clone + 'static,
-) -> (Arc<Vec<Arc<ShardCell>>>, Vec<Shard<D>>) {
+) -> (Arc<[Arc<ShardCell>]>, Vec<Shard<D>>) {
     let cells: Vec<Arc<ShardCell>> = (0..shards)
         .map(|_| Arc::new(ShardCell::new(slots)))
         .collect();
@@ -346,7 +346,7 @@ pub(crate) fn build_shards<D: AccrualFailureDetector>(
             cell: Arc::clone(cell),
         })
         .collect();
-    (Arc::new(cells), shards)
+    (cells.into(), shards)
 }
 
 /// Bulk-imports checkpointed `peers` into `shards` (routing by the
@@ -376,9 +376,8 @@ impl<D: AccrualFailureDetector> Shard<D> {
     ///
     /// # Errors
     ///
-    /// [`ShardCapacityError`] if the snapshot bank is full — published
-    /// banks are fixed-size atomic arrays shared with readers and cannot
-    /// grow.
+    /// [`ShardCapacityError`] if the shard already watches its declared
+    /// capacity, the ceiling its snapshot rows and slot index grow up to.
     pub(crate) fn watch(&mut self, process: ProcessId) -> Result<bool, ShardCapacityError> {
         if self.cell.slot(process).is_some() {
             return Ok(false);
@@ -817,9 +816,9 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`ShardCapacityError`] if the target shard's snapshot bank
-    /// is full — published banks are fixed-size atomic arrays shared with
-    /// readers and cannot grow.
+    /// Returns [`ShardCapacityError`] if the target shard already watches
+    /// [`ShardConfig::slots_per_shard`] processes, the ceiling its
+    /// snapshot grows up to.
     pub fn watch(&mut self, process: ProcessId) -> Result<bool, ShardCapacityError> {
         let idx = self.shard_of(process);
         self.shards[idx].watch(process)
@@ -1445,11 +1444,11 @@ mod tests {
 
     #[test]
     fn sequential_ids_spread_over_the_slot_index() {
-        // The ledger's shape: ids 1..=4096 over four shards, tables a
-        // quarter full. Each shard's ids agree on the hash bits
+        // The ledger's shape: ids 1..=4096 over four shards, each index
+        // prefix half full. Each shard's ids agree on the hash bits
         // `shard_index` took; an index that reused those would have a
-        // quarter of its buckets for homes and leave one entry in three
-        // displaced. With bits of its own, one in sixty is.
+        // quarter of its buckets for homes and leave most entries
+        // displaced. With bits of its own, one in eighteen is.
         let (_tx, mut mon, _clock) = rig(ShardConfig {
             shards: 4,
             slots_per_shard: 1040,
@@ -1603,6 +1602,38 @@ mod tests {
         let (_, rows) = shard.cell.read_rows();
         assert_eq!(rows.len(), CHUNK + 1);
         assert!(rows.iter().all(|(_, _, d)| d.seed().is_some()));
+    }
+
+    #[test]
+    fn the_slot_index_doubles_with_the_slab_not_the_capacity() {
+        // The index probes a power-of-two prefix at least twice the slab's
+        // reach: a shard declared for a million peers starts with the
+        // sixteen entries the index holds in itself, and only a watch that
+        // reaches further doubles it.
+        let mut shard = phi_shards(1, 1 << 20).pop().expect("one shard");
+        let grown = |shard: &Shard<_>| (shard.cell.index_prefix(), shard.cell.chunks_allocated());
+        assert_eq!(grown(&shard), (16, [0, 0]), "construction allocates no row");
+        for id in 0..300 {
+            shard.watch(ProcessId::new(id)).unwrap();
+        }
+        // The least power of two ≥ 600; rows 0..300 span two chunks.
+        assert_eq!(grown(&shard), (1024, [2, 2]));
+        // Churn of the same count takes the vacated slots back, so it
+        // grows neither the prefix nor the chunks.
+        for id in 0..300 {
+            shard.unwatch(ProcessId::new(id));
+        }
+        for id in 0..300 {
+            shard.watch(ProcessId::new(id + 1_000)).unwrap();
+        }
+        assert_eq!(grown(&shard), (1024, [2, 2]));
+        assert_eq!(shard.slab.len(), 300);
+        shard.publish(Timestamp::from_secs(1));
+        let (_, rows) = shard.cell.read_rows();
+        assert_eq!(rows.len(), 300);
+        assert!(rows
+            .iter()
+            .all(|(p, _, _)| (1_000..1_300).contains(&p.as_u32())));
     }
 
     /// φ shards of `slots` peers each, their windows small enough to wrap.

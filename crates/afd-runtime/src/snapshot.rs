@@ -24,40 +24,42 @@
 //! carries one open-addressed id→slot table (`SlotIndex`) that the
 //! three layers share: accept probes it to find the entry, publish
 //! writes the rows of the slab it indexes, a reader probes it to find the
-//! row.
+//! row. It probes a power-of-two prefix at least twice the slab's reach,
+//! so at most half full, that a `watch` whose slot reaches past half of
+//! it doubles by rehashing in place; the index never shrinks.
 //!
 //! # Epoch snapshots
 //!
 //! Each shard owns a `ShardCell`: two banks of atomics (one row per
 //! slot: peer id, suspicion level as `f64` bits, durable words) plus a
-//! `front` selector. The id and level columns are flat and as long as
-//! the shard's capacity, so a point read is one index probe and two
-//! loads; the durable rows come a chunk at a time (see *What a publish
-//! writes*). The publishing thread fills the *back* bank inside its
-//! seqlock's write section, then flips `front`. Readers load `front` and
-//! read that bank inside its seqlock, retrying on a straddle.
+//! `front` selector. A bank's rows come a chunk at a time as the slab
+//! grows (see *What a publish writes*), so a point read is one index
+//! probe, one chunk lookup and two loads. The publishing thread fills
+//! the *back* bank inside its seqlock's write section, then flips
+//! `front`. Readers load `front` and read that bank inside its seqlock,
+//! retrying on a straddle.
 //!
 //! A point read ([`SnapshotReader::level`]) takes two steps. It probes
-//! the index for the peer's slot — under the index's own seqlock,
-//! because an `unwatch` closes the gap it leaves by moving later entries
-//! of the probe sequence back, and a reader that raced the move could
-//! otherwise walk past a key that is there; it retries instead. Then,
-//! under the front bank's seqlock, it checks that the row *holds that
-//! peer's id* before it takes the level. The index says where a peer
-//! lives now and the bank what was there at the last publish, and the id
-//! check is what reconciles the two: a slot that changed hands since the
-//! publish answers `None`, never the previous tenant's level. The
-//! previous tenant may be the peer itself: a peer unwatched and watched
-//! again before the next publish takes back the slot it just left, and the
-//! id check alone would pass it the level of the detector that was
-//! dropped. So an `unwatch` does not wait for a publish to retire the row:
-//! the shard's thread stores the vacant id into it in *both* banks there
-//! and then, inside each bank's write section (*the re-watch rule*). So a
-//! peer that is watched but not yet published reads `None` — whoever held
-//! the slot before, itself included — an unwatched peer reads `None` and
-//! is gone from [`SnapshotReader::snapshot`] and the checkpointer's view
-//! from the `unwatch` on, and a peer that stays watched never reads
-//! `None`.
+//! the index for the peer's slot — under the index's own seqlock, because
+//! an `unwatch` closes the gap it leaves by moving later entries of the
+//! probe sequence back and a doubling moves them all, and a reader that
+//! raced the move could otherwise walk past a key that is there; it
+//! retries instead. Then, under the front bank's seqlock, it checks that
+//! the row *holds that peer's id* before it takes the level. The index
+//! says where a peer lives now and the bank what was there at the last
+//! publish, and the id check is what reconciles the two: a slot that
+//! changed hands since the publish answers `None`, never the previous
+//! tenant's level. The previous tenant may be the peer itself: a peer
+//! unwatched and watched again before the next publish takes back the
+//! slot it just left, and the id check alone would pass it the level of
+//! the detector that was dropped. So an `unwatch` does not wait for a
+//! publish to retire the row: the shard's thread stores the vacant id
+//! into it in *both* banks there and then, inside each bank's write
+//! section (*the re-watch rule*). So a peer that is watched but not yet
+//! published reads `None` — whoever held the slot before, itself included
+//! — an unwatched peer reads `None` and is gone from
+//! [`SnapshotReader::snapshot`] and the checkpointer's view from the
+//! `unwatch` on, and a peer that stays watched never reads `None`.
 //!
 //! # What a publish writes
 //!
@@ -65,17 +67,15 @@
 //! (detector seed, sequence watermark) for the checkpointer. A publish
 //! writes them in two passes.
 //!
-//! **The durable bank.** The seven words are one contiguous 56-byte
-//! record, so a row is stored or loaded in one or two cache lines. Records
-//! come in chunks of 256 that the slab's growth allocates: `watch`, the
-//! one place a row is born — an import and both executors go through it
-//! — gives the new row's chunk to both banks when the slab first reaches
-//! it. Only the chunk table is allocated with the cell, so a shard
-//! declared for many more peers than it watches pays for the rows it has
-//! used and not for its capacity; a chunk stays after an `unwatch`,
-//! because the free list reuses its rows. The id and level columns stay
-//! flat: they are what a point read touches, and a chunk lookup on that
-//! path would put one more dependent load on every query.
+//! **The row chunks.** Rows come in chunks of 256, column by column
+//! within a chunk: the ids, the levels, and the durable records, each
+//! record's seven words contiguous (56 bytes, one or two cache lines).
+//! `watch`, the one place a row is born — an import and both executors
+//! go through it — gives the new row's chunk to both banks when the slab
+//! first reaches it. Only the chunk table, 16 bytes a chunk, is
+//! allocated with the cell, so a shard's capacity is a ceiling and not a
+//! reservation: it pays for the rows its slab has reached. A chunk stays
+//! after an `unwatch`, because the free list reuses its rows.
 //!
 //! **The changed-slot pass.** The id and the durable words change only
 //! when the slot changes hands, an arrival is accepted, a peer is
@@ -96,11 +96,11 @@
 //! [`LevelCurve`] each detector's `level_curve` returned when its slot
 //! last changed (the changed-slot pass refreshes it at the first of the
 //! two publishes a change is owed), run through [`LevelCurve::at_block`]
-//! eight rows at a time straight into the bank's level words, touching no
-//! slot. A detector with no curve returns `None`: its row holds the zero
-//! curve, its slot is *listed*, and the listed slots are asked
-//! `suspicion_level(now)` one by one after the column. A vacant row holds
-//! the zero curve too, and nobody reads its level.
+//! eight rows at a time straight into the bank's level words, chunk by
+//! chunk, touching no slot. A detector with no curve returns `None`: its
+//! row holds the zero curve, its slot is *listed*, and the listed slots
+//! are asked `suspicion_level(now)` one by one after the column. A vacant
+//! row holds the zero curve too, and nobody reads its level.
 //!
 //! Nothing makes a publish rewrite every row: the `incremental_publish`
 //! proptest holds the front bank to a full recomputation, bit for bit,
@@ -116,7 +116,7 @@
 //! which evaluate detectors directly.
 
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use afd_core::accrual::{DetectorSeed, LevelCurve};
@@ -130,11 +130,17 @@ const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Fibonacci-hashes a process id onto a shard index. A multiplicative
 /// hash (rather than `id % shards`) keeps sequentially assigned ids from
 /// striding into the same shard when the shard count shares a factor
-/// with the id allocation pattern.
+/// with the id allocation pattern. A power-of-two count takes the same
+/// shard by a mask instead of a division on every query and routed frame.
 #[inline]
 pub(crate) fn shard_index(process: ProcessId, shards: usize) -> usize {
-    let h = u64::from(process.as_u32()).wrapping_mul(FIBONACCI);
-    ((h >> 32) as usize) % shards.max(1)
+    let h = (u64::from(process.as_u32()).wrapping_mul(FIBONACCI) >> 32) as usize;
+    let (n, mask) = (shards.max(1), shards.max(1) - 1);
+    if n & mask == 0 {
+        h & mask
+    } else {
+        h % n
+    }
 }
 
 /// A sequence lock over plain atomics: its one writer holds the word odd
@@ -288,78 +294,26 @@ impl PeerDurable {
     }
 }
 
-/// Durable rows a [`DurableBank`] chunk holds: a power of two, so a row's
-/// chunk and its place in it are a shift and a mask.
+/// Rows a [`RowChunk`] holds: a power of two, so a row's chunk and its
+/// place in it are a shift and a mask.
 pub(crate) const CHUNK: usize = 256;
 
 /// One durable row: a [`PeerDurable`]'s seven words, contiguous, so a
 /// store or a load touches one or two cache lines and not seven.
 pub(crate) type DurableRow = [AtomicU64; 7];
 
-/// The durable rows of a [`Bank`], a chunk of [`CHUNK`] at a time as the
-/// slab first reaches one ([`cover`](Self::cover)): only the chunk table,
-/// 16 bytes a chunk, is allocated up front (see *The durable bank*).
-struct DurableBank {
-    chunks: Box<[OnceLock<Box<[DurableRow; CHUNK]>>]>,
-}
-
-impl DurableBank {
-    fn new(slots: usize) -> Self {
-        DurableBank {
-            chunks: (0..slots.div_ceil(CHUNK))
-                .map(|_| OnceLock::new())
-                .collect(),
-        }
-    }
-
-    /// Allocates the chunk holding row `i`, unless an earlier row did.
-    /// Only the shard's thread calls it, from `watch`, before any publish
-    /// can write the row.
-    fn cover(&self, i: usize) {
-        self.chunks[i / CHUNK]
-            .get_or_init(|| Box::new(std::array::from_fn(|_| DurableRow::default())));
-    }
-
-    /// Row `i`, if its chunk has been allocated.
-    #[inline]
-    fn row(&self, i: usize) -> Option<&DurableRow> {
-        Some(&self.chunks[i / CHUNK].get()?[i % CHUNK])
-    }
-
-    /// Plain store of one record; callers hold the bank's seqlock odd.
-    /// The row's chunk exists: `watch` covered it before any publish could
-    /// reach the row.
-    fn store(&self, i: usize, d: &PeerDurable) {
-        let Some(row) = self.row(i) else {
-            debug_assert!(false, "`watch` did not cover row {i}'s chunk");
-            return;
-        };
-        for (cell, word) in row.iter().zip(d.words()) {
-            cell.store(word, Ordering::Relaxed);
-        }
-    }
-
-    /// Plain load of one record; callers re-verify the seqlock afterwards.
-    /// A row without a chunk reads as the empty record: a read can only
-    /// meet one while a publish overlaps it, and the seqlock discards it —
-    /// a row a publish wrote was covered before that publish began.
-    fn load(&self, i: usize) -> PeerDurable {
-        let Some(row) = self.row(i) else {
-            return PeerDurable::default();
-        };
-        PeerDurable::from_words(row.each_ref().map(|cell| cell.load(Ordering::Relaxed)))
-    }
-
-    /// Chunks allocated so far.
-    #[cfg(test)]
-    fn chunks_allocated(&self) -> usize {
-        self.chunks.iter().filter(|c| c.get().is_some()).count()
-    }
-}
-
 /// The id a vacated row holds: outside the `u32` id space, so no lookup
 /// matches it and the copying reads skip it.
 const VACANT: u64 = u64::MAX;
+
+/// [`CHUNK`] rows of a [`Bank`], column by column (see *The row chunks*).
+struct RowChunk {
+    /// Peer ids, [`VACANT`] where the slot is empty.
+    ids: [AtomicU64; CHUNK],
+    /// Suspicion levels as `f64` bit patterns.
+    levels: [AtomicU64; CHUNK],
+    durable: [DurableRow; CHUNK],
+}
 
 /// One bank of a [`ShardCell`]: one published row per slab slot plus the
 /// seqlock word guarding them. A writer reaches a bank only through
@@ -370,13 +324,8 @@ pub(crate) struct Bank {
     len: AtomicUsize,
     /// Publish timestamp, in nanoseconds.
     published_at: AtomicU64,
-    /// Peer ids by slot, [`VACANT`] where the slot is empty.
-    peers: Vec<AtomicU64>,
-    /// Suspicion levels as `f64` bit patterns, parallel to `peers`.
-    levels: Vec<AtomicU64>,
-    /// Durable per-peer rows, parallel to `peers`, allocated as the slab
-    /// grows.
-    durable: DurableBank,
+    /// The rows, a chunk at a time as [`ShardCell::occupy`] reaches one.
+    chunks: Box<[OnceLock<Box<RowChunk>>]>,
 }
 
 impl Bank {
@@ -385,26 +334,40 @@ impl Bank {
             seq: SeqLock::default(),
             len: AtomicUsize::new(0),
             published_at: AtomicU64::new(0),
-            peers: (0..slots).map(|_| AtomicU64::new(VACANT)).collect(),
-            levels: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            durable: DurableBank::new(slots),
+            chunks: (0..slots.div_ceil(CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
         }
+    }
+
+    /// Row `row`'s chunk and its place in it, if the chunk exists. A row
+    /// a publish wrote has one: `watch` allocated it before.
+    #[inline]
+    fn row(&self, row: usize) -> Option<(&RowChunk, usize)> {
+        Some((self.chunks.get(row / CHUNK)?.get()?, row % CHUNK))
     }
 
     /// Writes row `row`'s tenant and its durable record.
     #[inline]
     pub(crate) fn store_row(&self, row: usize, id: ProcessId, durable: &PeerDurable) {
-        self.peers[row].store(u64::from(id.as_u32()), Ordering::Relaxed);
-        self.durable.store(row, durable);
+        if let Some((chunk, i)) = self.row(row) {
+            chunk.ids[i].store(u64::from(id.as_u32()), Ordering::Relaxed);
+            for (cell, word) in chunk.durable[i].iter().zip(durable.words()) {
+                cell.store(word, Ordering::Relaxed);
+            }
+        }
     }
 
-    /// Writes the level at `now` of every row `blocks` covers.
+    /// Writes the level at `now` of every row `blocks` covers, one chunk
+    /// lookup per [`CHUNK`] rows.
     #[inline]
     pub(crate) fn store_levels(&self, blocks: &[[LevelCurve; LevelCurve::BLOCK]], now: Timestamp) {
-        let rows = self.levels.chunks(LevelCurve::BLOCK);
-        for (block, levels) in blocks.iter().zip(rows) {
-            for (level, value) in levels.iter().zip(LevelCurve::at_block(block, now)) {
-                level.store(value.to_bits(), Ordering::Relaxed);
+        let chunks = self.chunks.iter().map_while(OnceLock::get);
+        for (chunk, blocks) in chunks.zip(blocks.chunks(CHUNK / LevelCurve::BLOCK)) {
+            for (block, levels) in blocks.iter().zip(chunk.levels.chunks(LevelCurve::BLOCK)) {
+                for (level, value) in levels.iter().zip(LevelCurve::at_block(block, now)) {
+                    level.store(value.to_bits(), Ordering::Relaxed);
+                }
             }
         }
     }
@@ -412,7 +375,9 @@ impl Bank {
     /// Writes row `row`'s level.
     #[inline]
     pub(crate) fn store_level(&self, row: usize, level: SuspicionLevel) {
-        self.levels[row].store(level.value().to_bits(), Ordering::Relaxed);
+        if let Some((chunk, i)) = self.row(row) {
+            chunk.levels[i].store(level.value().to_bits(), Ordering::Relaxed);
+        }
     }
 
     /// The epoch this bank was published at; callers re-verify the seqlock.
@@ -420,54 +385,77 @@ impl Bank {
         Timestamp::from_nanos(self.published_at.load(Ordering::Relaxed))
     }
 
-    /// The live rows among the first `len`: slot, peer and level. Callers
-    /// re-verify the seqlock.
+    /// The live rows among the first `len`, in slot order: peer, level and
+    /// durable row. Callers re-verify the seqlock.
     fn live_rows(
         &self,
         len: usize,
-    ) -> impl Iterator<Item = (usize, ProcessId, SuspicionLevel)> + '_ {
-        let rows = self.peers.iter().zip(&self.levels).take(len).enumerate();
-        rows.filter_map(|(slot, (peer, level))| {
+    ) -> impl Iterator<Item = (ProcessId, SuspicionLevel, &DurableRow)> + '_ {
+        let chunks = self.chunks.iter().map_while(OnceLock::get);
+        let rows = chunks.flat_map(|c| c.ids.iter().zip(&c.levels).zip(&c.durable));
+        rows.take(len).filter_map(|((peer, level), durable)| {
             let id = u32::try_from(peer.load(Ordering::Relaxed)).ok()?;
             let level = f64::from_bits(level.load(Ordering::Relaxed));
-            Some((slot, ProcessId::new(id), SuspicionLevel::clamped(level)))
+            Some((ProcessId::new(id), SuspicionLevel::clamped(level), durable))
         })
     }
 }
 
+/// Plain load of one durable record; callers re-verify the seqlock.
+fn load_durable(row: &DurableRow) -> PeerDurable {
+    PeerDurable::from_words(row.each_ref().map(|cell| cell.load(Ordering::Relaxed)))
+}
+
+/// Entries a [`SlotIndex`] holds in itself: its first prefix.
+const SMALL: usize = 16;
+
 /// The id→slot table of one shard: open addressing with linear probing
-/// over plain atomics, at most half full. The shard's thread writes it
-/// under a seqlock of its own, because a removal moves entries (see
-/// *Epoch snapshots*).
+/// over plain atomics, in a prefix at most half full (see *Stable
+/// slots*): [`SMALL`] entries held in the index itself, then the front of
+/// one zeroed table of twice the capacity that the first doubling
+/// allocates. The shard's thread writes it under a seqlock of its own,
+/// because a removal and a doubling move entries (see *Epoch snapshots*).
+/// An entry is `id << 32 | slot + 1`; zero is empty.
 struct SlotIndex {
     seq: SeqLock,
-    /// `id << 32 | slot + 1`; zero is an empty entry. The length is a
-    /// power of two.
-    entries: Vec<AtomicU64>,
-    /// `64 − log2(entries.len())`: a home bucket is the *top* bits of the
+    /// `64 − log2(prefix)`: a home bucket is the *top* bits of the
     /// Fibonacci product. [`shard_index`] consumed its bits 32 and up, so
     /// every id of a shard agrees on those, and a table that reused them
     /// would crowd the shard's peers into a fraction of its buckets.
-    shift: u32,
+    shift: AtomicU32,
+    small: [AtomicU64; SMALL],
+    flat: OnceLock<Vec<AtomicU64>>,
+    /// Twice the capacity, a power of two: the longest prefix.
+    flat_len: usize,
+}
+
+/// The bucket `id`'s probe sequence starts at, in the prefix of `shift`.
+fn home(id: u64, shift: u32) -> usize {
+    (id.wrapping_mul(FIBONACCI) >> shift) as usize
 }
 
 impl SlotIndex {
-    /// A table for up to `slots` peers: at least twice as many entries.
+    /// A table for up to `slots` peers.
     fn new(slots: usize) -> Self {
-        debug_assert!(
-            slots < u32::MAX as usize,
-            "an entry packs slot + 1 into 32 bits"
-        );
-        let len = (2 * slots).next_power_of_two().max(2);
+        debug_assert!(slots < u32::MAX as usize, "slot + 1 fills 32 bits");
         SlotIndex {
             seq: SeqLock::default(),
-            entries: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            shift: 64 - len.trailing_zeros(),
+            shift: AtomicU32::new(64 - SMALL.trailing_zeros()),
+            small: Default::default(),
+            flat: OnceLock::new(),
+            flat_len: (2 * slots).next_power_of_two().max(SMALL),
         }
     }
 
-    fn home(&self, id: u64) -> usize {
-        (id.wrapping_mul(FIBONACCI) >> self.shift) as usize
+    /// The table probed now, the prefix's mask and its shift. A doubling
+    /// stores the shift after the table it needs exists, and a reader
+    /// loads it first, so a prefix longer than [`SMALL`] comes with its
+    /// table; a probe a doubling overlapped its seqlock discards.
+    #[inline]
+    fn prefix(&self) -> (&[AtomicU64], usize, u32) {
+        let shift = self.shift.load(Ordering::Acquire);
+        let entries = self.flat.get().map_or(&self.small[..], |flat| &flat[..]);
+        (entries, (u64::MAX >> shift) as usize, shift)
     }
 
     /// Walks `id`'s probe sequence to its entry (`Ok`: position and slot)
@@ -475,10 +463,11 @@ impl SlotIndex {
     /// bounded by the table so a reader racing the writer cannot spin on
     /// entries that keep moving under it; its seqlock discards the result.
     fn probe(&self, id: u64) -> Result<(usize, usize), usize> {
-        let mask = self.entries.len() - 1;
-        let mut at = self.home(id);
-        for _ in 0..=mask {
-            let entry = self.entries[at].load(Ordering::Relaxed);
+        let (entries, mask, shift) = self.prefix();
+        let mut at = home(id, shift);
+        for _ in 0..entries.len() {
+            let Some(entry) = entries.get(at) else { break };
+            let entry = entry.load(Ordering::Relaxed);
             if entry == 0 {
                 break;
             }
@@ -502,22 +491,53 @@ impl SlotIndex {
         }
     }
 
-    /// Maps `process`, which must not be in the table, to `slot`. The
-    /// table has an empty entry for it: it holds one entry per live slot
-    /// and is twice the slab's capacity.
+    /// Maps `process`, which must not be in the table, to `slot`, first
+    /// growing the prefix, in a write section of its own, to at least
+    /// twice `slot + 1`. The prefix then has an empty entry for it: it
+    /// holds one entry per live slot, and the slab's reach is at most half
+    /// of it.
     fn insert(&self, process: ProcessId, slot: usize) {
+        let want = (2 * (slot + 1)).next_power_of_two();
+        if want > self.prefix().1 + 1 {
+            self.seq.write(|| self.rehash(want));
+        }
         let id = u64::from(process.as_u32());
         self.seq.write(|| {
             if let Err(at) = self.probe(id) {
-                self.entries[at].store(id << 32 | (slot as u64 + 1), Ordering::Relaxed);
+                let entries = self.prefix().0;
+                entries[at].store(id << 32 | (slot as u64 + 1), Ordering::Relaxed);
             }
         });
+    }
+
+    /// Moves every entry into a prefix of `len` entries, in place; callers
+    /// hold the write section.
+    fn rehash(&self, len: usize) {
+        let (entries, mask, _) = self.prefix();
+        let old = &entries[..=mask];
+        // lint:allow(relaxed-atomics-audit, the one writer empties the old prefix in its write section)
+        let moved = old.iter().map(|e| e.swap(0, Ordering::Relaxed));
+        // lint:allow(no-alloc-in-hot-path, a doubling: the `watch` whose slot reaches past half the prefix)
+        let moved: Vec<u64> = moved.filter(|&entry| entry != 0).collect();
+        // Zeroed pages become atomics in place, untouched and not resident.
+        // lint:allow(no-alloc-in-hot-path, once an index: the `watch` whose doubling outgrows SMALL)
+        let zeroed = || vec![0; self.flat_len].into_iter().map(AtomicU64::new);
+        self.flat.get_or_init(|| zeroed().collect());
+        debug_assert!(len <= self.flat_len, "a slot past the capacity");
+        let shift = 64 - len.trailing_zeros();
+        self.shift.store(shift, Ordering::Release);
+        let entries = self.prefix().0;
+        for entry in moved {
+            if let Err(at) = self.probe(entry >> 32) {
+                entries[at].store(entry, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Unmaps `process`, returning the slot it lived in.
     fn remove(&self, process: ProcessId) -> Option<usize> {
         let (at, slot) = self.probe(u64::from(process.as_u32())).ok()?;
-        let mask = self.entries.len() - 1;
+        let (entries, mask, shift) = self.prefix();
         self.seq.write(|| {
             // Backward-shift delete: an entry further along the run may
             // fill the hole iff its home bucket is not past the hole —
@@ -525,18 +545,18 @@ impl SlotIndex {
             let mut hole = at;
             let mut next = (at + 1) & mask;
             loop {
-                let entry = self.entries[next].load(Ordering::Relaxed);
+                let entry = entries[next].load(Ordering::Relaxed);
                 if entry == 0 {
                     break;
                 }
-                let from_home = next.wrapping_sub(self.home(entry >> 32)) & mask;
+                let from_home = next.wrapping_sub(home(entry >> 32, shift)) & mask;
                 if from_home >= (next.wrapping_sub(hole) & mask) {
-                    self.entries[hole].store(entry, Ordering::Relaxed);
+                    entries[hole].store(entry, Ordering::Relaxed);
                     hole = next;
                 }
                 next = (next + 1) & mask;
             }
-            self.entries[hole].store(0, Ordering::Relaxed);
+            entries[hole].store(0, Ordering::Relaxed);
         });
         Some(slot)
     }
@@ -549,6 +569,7 @@ pub(crate) struct ShardCell {
     front: AtomicUsize,
     banks: [Bank; 2],
     slot_of: SlotIndex,
+    slots: usize,
 }
 
 impl ShardCell {
@@ -557,12 +578,13 @@ impl ShardCell {
             front: AtomicUsize::new(0),
             banks: [Bank::new(slots), Bank::new(slots)],
             slot_of: SlotIndex::new(slots),
+            slots,
         }
     }
 
     /// Rows one bank can hold — the shard's watch capacity.
     pub(crate) fn slots(&self) -> usize {
-        self.banks[0].peers.len()
+        self.slots
     }
 
     /// The slot `process` lives in, if it is watched: one index probe.
@@ -572,12 +594,18 @@ impl ShardCell {
     }
 
     /// Moves `process`, which is not watched, into row `slot`: gives the
-    /// row durable storage in both banks, unless an earlier row's growth
-    /// did, and maps the peer to it. The row answers from the next
-    /// publish on.
+    /// row its chunk in both banks, unless an earlier row's growth did,
+    /// and maps the peer to it. The row answers from the next publish on.
     pub(crate) fn occupy(&self, process: ProcessId, slot: usize) {
-        for bank in &self.banks {
-            bank.durable.cover(slot);
+        for rows in self.banks.iter().filter_map(|b| b.chunks.get(slot / CHUNK)) {
+            // lint:allow(no-alloc-in-hot-path, once a chunk: by the `watch` whose slot first reaches it)
+            rows.get_or_init(|| {
+                Box::new(RowChunk {
+                    ids: std::array::from_fn(|_| AtomicU64::new(VACANT)),
+                    levels: std::array::from_fn(|_| AtomicU64::new(0)),
+                    durable: std::array::from_fn(|_| DurableRow::default()),
+                })
+            });
         }
         self.slot_of.insert(process, slot);
     }
@@ -590,8 +618,10 @@ impl ShardCell {
     pub(crate) fn vacate(&self, process: ProcessId) -> Option<usize> {
         let slot = self.slot_of.remove(process)?;
         for bank in &self.banks {
-            bank.seq
-                .write(|| bank.peers[slot].store(VACANT, Ordering::Relaxed));
+            if let Some((chunk, i)) = bank.row(slot) {
+                bank.seq
+                    .write(|| chunk.ids[i].store(VACANT, Ordering::Relaxed));
+            }
         }
         Some(slot)
     }
@@ -604,7 +634,7 @@ impl ShardCell {
         let back = (self.front.load(Ordering::Relaxed) & 1) ^ 1;
         let bank = &self.banks[back];
         bank.seq.write(|| {
-            let n = fill(bank).min(bank.peers.len());
+            let n = fill(bank).min(self.slots);
             bank.len.store(n, Ordering::Relaxed);
             bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
         });
@@ -616,10 +646,9 @@ impl ShardCell {
     fn with_consistent<R>(&self, mut read: impl FnMut(&Bank, usize) -> R) -> R {
         loop {
             let bank = &self.banks[self.front.load(Ordering::Acquire) & 1];
-            let attempt = bank.seq.try_read(|| {
-                let len = bank.len.load(Ordering::Relaxed).min(bank.peers.len());
-                read(bank, len)
-            });
+            let attempt = bank
+                .seq
+                .try_read(|| read(bank, bank.len.load(Ordering::Relaxed)));
             if let Some(out) = attempt {
                 return out;
             }
@@ -628,17 +657,17 @@ impl ShardCell {
     }
 
     /// The published level of `process`: the index names its slot, and
-    /// the row answers only if the last publish wrote it for this peer.
+    /// the row answers only if it holds the peer's id, which only a
+    /// publish writes — a chunk starts vacant, and `vacate` empties a row.
     pub(crate) fn lookup(&self, process: ProcessId) -> Option<SuspicionLevel> {
         let slot = self.slot_of.lookup(process)?;
         let id = u64::from(process.as_u32());
-        self.with_consistent(|bank, len| {
-            if slot < len && bank.peers[slot].load(Ordering::Relaxed) == id {
-                let bits = bank.levels[slot].load(Ordering::Relaxed);
-                Some(SuspicionLevel::clamped(f64::from_bits(bits)))
-            } else {
-                None
-            }
+        self.with_consistent(|bank, _| {
+            let (chunk, i) = bank.row(slot)?;
+            (chunk.ids[i].load(Ordering::Relaxed) == id).then(|| {
+                let bits = chunk.levels[i].load(Ordering::Relaxed);
+                SuspicionLevel::clamped(f64::from_bits(bits))
+            })
         })
     }
 
@@ -646,7 +675,7 @@ impl ShardCell {
     pub(crate) fn read_all(&self, out: &mut Vec<(ProcessId, SuspicionLevel)>) -> Timestamp {
         self.with_consistent(|bank, len| {
             out.clear();
-            out.extend(bank.live_rows(len).map(|(_, p, level)| (p, level)));
+            out.extend(bank.live_rows(len).map(|(p, level, _)| (p, level)));
             bank.published_at()
         })
     }
@@ -661,7 +690,7 @@ impl ShardCell {
             out.clear();
             out.extend(
                 bank.live_rows(len)
-                    .map(|(slot, p, _)| (p, bank.durable.load(slot))),
+                    .map(|(p, _, durable)| (p, load_durable(durable))),
             );
             bank.published_at()
         })
@@ -670,37 +699,6 @@ impl ShardCell {
     /// The epoch of the front bank.
     fn published_at(&self) -> Timestamp {
         self.with_consistent(|bank, _| bank.published_at())
-    }
-
-    /// The epoch plus level and durable record of every live row, all
-    /// from one consistent read.
-    #[cfg(test)]
-    pub(crate) fn read_rows(&self) -> (Timestamp, Vec<(ProcessId, SuspicionLevel, PeerDurable)>) {
-        self.with_consistent(|bank, len| {
-            let rows = bank
-                .live_rows(len)
-                .map(|(slot, p, level)| (p, level, bank.durable.load(slot)))
-                .collect();
-            (bank.published_at(), rows)
-        })
-    }
-
-    /// Durable chunks allocated so far, per bank.
-    #[cfg(test)]
-    pub(crate) fn chunks_allocated(&self) -> [usize; 2] {
-        self.banks.each_ref().map(|b| b.durable.chunks_allocated())
-    }
-
-    /// Where the index keeps `process`: its slot, and how many entries
-    /// past its home bucket the entry sits.
-    #[cfg(test)]
-    pub(crate) fn displacement(&self, process: ProcessId) -> Option<(usize, usize)> {
-        let (index, id) = (&self.slot_of, u64::from(process.as_u32()));
-        let (at, slot) = index.probe(id).ok()?;
-        Some((
-            slot,
-            at.wrapping_sub(index.home(id)) & (index.entries.len() - 1),
-        ))
     }
 }
 
@@ -712,7 +710,7 @@ impl ShardCell {
 /// invalidates the bank a reader is on) or an `unwatch` in it.
 #[derive(Clone)]
 pub struct SnapshotReader {
-    cells: Arc<Vec<Arc<ShardCell>>>,
+    cells: Arc<[Arc<ShardCell>]>,
 }
 
 impl fmt::Debug for SnapshotReader {
@@ -726,7 +724,7 @@ impl fmt::Debug for SnapshotReader {
 impl SnapshotReader {
     /// Builds a reader over `cells` — shared with the executor whose
     /// shards publish into them.
-    pub(crate) fn from_cells(cells: Arc<Vec<Arc<ShardCell>>>) -> Self {
+    pub(crate) fn from_cells(cells: Arc<[Arc<ShardCell>]>) -> Self {
         SnapshotReader { cells }
     }
 
@@ -802,6 +800,44 @@ mod tests {
     use afd_detectors::simple::SimpleAccrual;
     use std::collections::BTreeMap;
 
+    /// What the tests of this module and of `shard` read of a cell.
+    impl ShardCell {
+        /// The epoch plus level and durable record of every live row, all
+        /// from one consistent read.
+        pub(crate) fn read_rows(
+            &self,
+        ) -> (Timestamp, Vec<(ProcessId, SuspicionLevel, PeerDurable)>) {
+            self.with_consistent(|bank, len| {
+                let rows = bank
+                    .live_rows(len)
+                    .map(|(p, level, durable)| (p, level, load_durable(durable)))
+                    .collect();
+                (bank.published_at(), rows)
+            })
+        }
+
+        /// Row chunks allocated so far, per bank.
+        pub(crate) fn chunks_allocated(&self) -> [usize; 2] {
+            (self.banks)
+                .each_ref()
+                .map(|b| b.chunks.iter().filter(|c| c.get().is_some()).count())
+        }
+
+        /// Entries in the index's probed prefix.
+        pub(crate) fn index_prefix(&self) -> usize {
+            self.slot_of.prefix().1 + 1
+        }
+
+        /// Where the index keeps `process`: its slot, and how many entries
+        /// past its home bucket the entry sits.
+        pub(crate) fn displacement(&self, process: ProcessId) -> Option<(usize, usize)> {
+            let (index, id) = (&self.slot_of, u64::from(process.as_u32()));
+            let (at, slot) = index.probe(id).ok()?;
+            let (_, mask, shift) = index.prefix();
+            Some((slot, at.wrapping_sub(home(id, shift)) & mask))
+        }
+    }
+
     #[test]
     fn a_write_that_unwound_leaves_the_word_odd_until_the_next_write() {
         let lock = SeqLock::default();
@@ -842,75 +878,101 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::btree_map::Entry;
 
-        const SLOTS: usize = 8;
-
-        /// Sixteen ids for a sixteen-entry table, chosen by where they
-        /// hash: six share the last bucket (their run wraps around the
-        /// table's end), four the one before, two the first, four land
-        /// elsewhere.
-        fn pool() -> Vec<u32> {
-            let index = SlotIndex::new(SLOTS);
-            let last = index.entries.len() - 1;
-            let homed = |bucket: usize, n: usize| {
-                let index = &index;
+        /// `2 · slots` ids for a `slots`-slot table, chosen by where they
+        /// hash in its longest prefix: three in eight share the last bucket
+        /// (their run wraps around the end), a quarter the one before, an
+        /// eighth the first, a quarter land elsewhere. A home is the top
+        /// bits of the product, so ids that share a bucket in the longest
+        /// prefix share one in every shorter prefix too.
+        fn pool(slots: usize) -> Vec<u32> {
+            let len = (2 * slots).next_power_of_two().max(SMALL);
+            let (shift, last) = (64 - len.trailing_zeros(), len - 1);
+            let homed = move |bucket: usize, n: usize| {
                 (0..u32::MAX)
-                    .filter(move |&id| index.home(u64::from(id)) == bucket)
+                    .filter(move |&id| home(u64::from(id), shift) == bucket)
                     .take(n)
             };
             let elsewhere = (0..u32::MAX)
-                .filter(|&id| (1..last - 1).contains(&index.home(u64::from(id))))
-                .take(4);
-            homed(last, 6)
-                .chain(homed(last - 1, 4))
-                .chain(homed(0, 2))
+                .filter(|&id| (1..last - 1).contains(&home(u64::from(id), shift)))
+                .take(slots / 2);
+            homed(last, 3 * slots / 4)
+                .chain(homed(last - 1, slots / 2))
+                .chain(homed(0, slots / 4))
                 .chain(elsewhere)
                 .collect()
         }
 
+        /// Runs `steps` (a pick from the pool, then insert if below 5,
+        /// else remove) against a `slots`-slot table and a `BTreeMap`,
+        /// handing out slots as a slab does: the most recently freed one,
+        /// else the next unreached one. Returns how often the prefix
+        /// doubled.
+        fn agrees(slots: usize, steps: Vec<(usize, u8)>) -> usize {
+            let pool = pool(slots);
+            let index = SlotIndex::new(slots);
+            let word = || index.seq.0.load(Ordering::Relaxed);
+            let mut oracle: BTreeMap<u32, usize> = BTreeMap::new();
+            let (mut free, mut reach, mut doublings) = (Vec::new(), 0, 0);
+            for (pick, action) in steps {
+                let id = pool[pick % pool.len()];
+                let p = ProcessId::new(id);
+                let (before, prefix) = (word(), index.prefix().1 + 1);
+                let mut wrote = false;
+                // Inserts outnumber removes, so the table fills up.
+                if action < 5 {
+                    if let Entry::Vacant(unmapped) = oracle.entry(id) {
+                        let unreached = (reach < slots).then_some(reach);
+                        if let Some(slot) = free.pop().or(unreached) {
+                            reach = reach.max(slot + 1);
+                            index.insert(p, slot);
+                            unmapped.insert(slot);
+                            wrote = true;
+                        }
+                    }
+                } else {
+                    let removed = index.remove(p);
+                    assert_eq!(removed, oracle.remove(&id));
+                    wrote = removed.is_some();
+                    free.extend(removed);
+                }
+                // A doubling, like a removal, moves entries: it runs in a
+                // write section of its own, before the insert's, and
+                // advances the word that makes an overlapping reader retry
+                // by 2.
+                let (entries, mask, _) = index.prefix();
+                let grew = mask + 1 > prefix;
+                doublings += usize::from(grew);
+                assert!(wrote || !grew);
+                assert_eq!(word(), before + 2 * u64::from(wrote) + 2 * u64::from(grew));
+                assert_eq!(mask + 1, (2 * reach).next_power_of_two().max(SMALL));
+                for &id in &pool {
+                    let got = index.lookup(ProcessId::new(id));
+                    assert_eq!(got, oracle.get(&id).copied(), "id {id}");
+                }
+                // Nothing is left behind outside the prefix.
+                let used = entries.iter().filter(|e| e.load(Ordering::Relaxed) != 0);
+                assert_eq!(used.count(), oracle.len());
+            }
+            doublings
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
 
             /// The table agrees with a `BTreeMap` through any sequence of
             /// inserts and removes — up to every slot in use (load ½),
             /// through colliding runs, wrap-around and reinsertion — and
             /// after every step, for every id: a removal must leave each
-            /// remaining key reachable from its home bucket.
+            /// remaining key reachable from its home bucket. The second
+            /// table's prefix doubles twice, 16 → 32 → 64, mid-sequence,
+            /// and every key must survive each rehash.
             #[test]
             fn agrees_with_a_btreemap(
                 steps in prop::collection::vec((0usize..16, 0u8..8), 0..96),
+                crossing in prop::collection::vec((0usize..64, 0u8..8), 128..256),
             ) {
-                let pool = pool();
-                let index = SlotIndex::new(SLOTS);
-                let mut oracle: BTreeMap<u32, usize> = BTreeMap::new();
-                let mut free: Vec<usize> = (0..SLOTS).collect();
-                for (pick, action) in steps {
-                    let id = pool[pick];
-                    let p = ProcessId::new(id);
-                    // Inserts outnumber removes, so the table fills up.
-                    if action < 5 {
-                        if let Entry::Vacant(unmapped) = oracle.entry(id) {
-                            if let Some(slot) = free.pop() {
-                                index.insert(p, slot);
-                                unmapped.insert(slot);
-                            }
-                        }
-                    } else {
-                        // A removal moves entries, so it must advance the
-                        // word that makes an overlapping reader retry.
-                        let before = index.seq.0.load(Ordering::Relaxed);
-                        let removed = index.remove(p);
-                        prop_assert_eq!(removed, oracle.remove(&id));
-                        let after = index.seq.0.load(Ordering::Relaxed);
-                        prop_assert_eq!(after, before + 2 * removed.iter().len() as u64);
-                        free.extend(removed);
-                    }
-                    for &id in &pool {
-                        let got = index.lookup(ProcessId::new(id));
-                        prop_assert_eq!(got, oracle.get(&id).copied(), "id {}", id);
-                    }
-                    let used = index.entries.iter().filter(|e| e.load(Ordering::Relaxed) != 0);
-                    prop_assert_eq!(used.count(), oracle.len());
-                }
+                prop_assert_eq!(agrees(8, steps), 0);
+                prop_assert_eq!(agrees(32, crossing), 2);
             }
         }
     }
@@ -1071,5 +1133,114 @@ mod tests {
         // Every newcomer took a vacated slot: the slabs never grew.
         let slots: usize = shards.iter().map(Shard::slots_used).sum();
         assert_eq!(slots, STEADY as usize + CHURNING);
+    }
+
+    #[test]
+    fn readers_never_miss_a_steady_peer_while_the_snapshot_grows() {
+        // The writer watches fresh ids until the index has doubled at
+        // least three times and the banks have two more row chunks,
+        // publishing as it goes, while readers poll the steady peers. No
+        // peer is ever heard: a never-heard detector starts `id` ns past
+        // zero and every publish is half a second past a whole one, so a
+        // level alone says whose it is, as in the torn-snapshot test.
+        const SECOND: u64 = 1_000_000_000;
+        const STEADY: u32 = 16;
+        const READERS: usize = if cfg!(miri) { 2 } else { 4 };
+        let owner_matches = |p: ProcessId, level: SuspicionLevel| {
+            let nanos = (level.value() * 1e9).round() as u64;
+            (nanos + u64::from(p.as_u32())) % SECOND == SECOND / 2
+        };
+        // Slots 0..=512 reach the third chunk.
+        let fresh = 2 * CHUNK as u32 + 1 - STEADY;
+        let publish_every: u32 = if cfg!(miri) { 64 } else { 4 };
+        let (cells, mut shards) = build_shards(1, 1024, |p: ProcessId| {
+            SimpleAccrual::new(Timestamp::from_nanos(u64::from(p.as_u32())))
+        });
+        let (mut shard, cell) = (shards.pop().expect("one shard"), Arc::clone(&cells[0]));
+        for id in 1..=STEADY {
+            shard.watch(ProcessId::new(id)).unwrap();
+        }
+        let mut epoch = 0;
+        shard.publish(Timestamp::from_nanos(SECOND / 2));
+        let (prefix, chunks) = (cell.index_prefix(), cell.chunks_allocated());
+        assert_eq!(chunks, [1, 1]);
+
+        let reader = SnapshotReader::from_cells(cells);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let reading = Arc::new(AtomicUsize::new(0));
+        // The newest fresh id, so readers poll the ids being watched now.
+        let frontier = Arc::new(AtomicUsize::new(1_000));
+        let handles: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (reader, stop) = (reader.clone(), Arc::clone(&stop));
+                let (reading, frontier) = (Arc::clone(&reading), Arc::clone(&frontier));
+                std::thread::spawn(move || {
+                    let mut reads = 0u64;
+                    while !stop.load(Ordering::SeqCst) {
+                        for id in 1..=STEADY {
+                            let p = ProcessId::new(id);
+                            let level = reader.level(p).expect("a steady peer read None");
+                            assert!(owner_matches(p, level), "{p:?}: {level:?}");
+                        }
+                        // A fresh peer reads `None` until it is published,
+                        // and never another peer's level.
+                        let newest = frontier.load(Ordering::SeqCst) as u32;
+                        for id in newest - 2 * publish_every..=newest {
+                            let p = ProcessId::new(id);
+                            if let Some(level) = reader.level(p) {
+                                assert!(owner_matches(p, level), "{p:?}: {level:?}");
+                            }
+                        }
+                        reads += 1;
+                        if reads == 1 {
+                            reading.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    reads
+                })
+            })
+            .collect();
+        while reading.load(Ordering::SeqCst) < READERS {
+            assert!(handles.iter().all(|h| !h.is_finished()), "a reader failed");
+            std::thread::yield_now();
+        }
+
+        for id in 1_000..1_000 + fresh {
+            assert_eq!(shard.watch(ProcessId::new(id)), Ok(true));
+            frontier.store(id as usize, Ordering::SeqCst);
+            if id % publish_every == 0 {
+                epoch += 1;
+                shard.publish(Timestamp::from_nanos(epoch * SECOND + SECOND / 2));
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        for h in handles {
+            assert!(h.join().unwrap() > 0, "every reader read at least once");
+        }
+        let doublings = (cell.index_prefix() / prefix).trailing_zeros();
+        assert!(doublings >= 3, "{prefix} → {}", cell.index_prefix());
+        let grown = cell.chunks_allocated().map(|n| n - chunks[0]);
+        assert_eq!(grown, [2, 2]);
+    }
+
+    proptest::proptest! {
+        /// `shard_index` is bits 32 and up of the Fibonacci product modulo
+        /// the shard count: the mask that stands for the modulo at a
+        /// power-of-two count picks the same shard, so checkpoint routing,
+        /// `MultiUdpTransport::lane_for` and every digest stay put.
+        #[test]
+        fn shard_index_is_the_product_modulo_the_count(
+            ids in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..32),
+        ) {
+            for n in 1..=64usize {
+                for &id in &ids {
+                    let h = u64::from(id).wrapping_mul(FIBONACCI) >> 32;
+                    proptest::prop_assert_eq!(
+                        shard_index(ProcessId::new(id), n),
+                        (h % n as u64) as usize
+                    );
+                }
+            }
+        }
     }
 }

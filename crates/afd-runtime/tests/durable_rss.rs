@@ -1,7 +1,7 @@
-//! A shard's durable rows grow with its slab, not its capacity: a
-//! monitor declared for a million peers and watching one must not make a
-//! million rows resident. Alone in its file — and so in its own process —
-//! because `VmRSS` is the whole process's.
+//! A shard's snapshot grows with its slab, not its capacity: a monitor
+//! declared for a million peers and watching one must not make a million
+//! rows, or an index for them, resident. Alone in its file — and so in
+//! its own process — because `VmRSS` is the whole process's.
 
 #![cfg(target_os = "linux")]
 
@@ -27,7 +27,7 @@ fn vm_rss_bytes() -> u64 {
 }
 
 #[test]
-fn a_million_slot_monitor_with_one_peer_keeps_its_durable_rows_unallocated() {
+fn a_million_slot_monitor_with_one_peer_keeps_its_snapshot_unallocated() {
     const SLOTS: usize = 1 << 20;
     let before = vm_rss_bytes();
     let clock = VirtualClock::new();
@@ -48,12 +48,14 @@ fn a_million_slot_monitor_with_one_peer_keeps_its_durable_rows_unallocated() {
     clock.set(Timestamp::from_secs(1));
     assert_eq!(mon.tick().unwrap().accepted, 1);
     assert!(mon.reader().level(peer).is_some());
-    // What stays capacity-sized is the id and level columns of both banks
-    // and the slot index: 48 MB, resident or not as the optimiser folds
-    // their fill. Seven durable words a row in two banks would add 112 MB.
+    // What stays capacity-sized is each bank's chunk table, 16 bytes a
+    // chunk of 256 rows: 64 KB a bank. The one peer's rows are one chunk a
+    // bank, and its index entry sits in the sixteen the index holds in
+    // itself. Rows laid out to the capacity would be 144 MB, an index of
+    // twice the capacity 16 MB.
     let grown = vm_rss_bytes().saturating_sub(before);
     assert!(
-        grown <= 64 << 20,
+        grown <= 4 << 20,
         "a {SLOTS}-slot monitor with one peer made {grown} bytes resident"
     );
 }
