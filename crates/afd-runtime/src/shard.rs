@@ -19,8 +19,10 @@
 //! 3. **publish** (`Shard::publish`): each shard's suspicion levels and
 //!    durable rows go into a double-buffered epoch snapshot that
 //!    [`SnapshotReader`]s consume without taking any lock, in two passes:
-//!    the *changed-slot* pass rewrites a durable row, and refreshes the
-//!    peer's [`LevelCurve`], only after that peer's state changed; the
+//!    the *changed-slot* pass visits only the slots two bitsets name as
+//!    owed — changed since the last publish, or written by it for a
+//!    change the other bank still lacks — rewriting their durable rows
+//!    and refreshing the [`LevelCurve`] of the changed ones; the
 //!    *level* pass re-evaluates every level from the shard's dense column
 //!    of curves, eight peers at a time, without touching a slot. The
 //!    protocol between this writer and the readers — slots, banks, the
@@ -210,10 +212,6 @@ pub struct ShardedStats {
     pub ticks: u64,
 }
 
-/// Banks of a [`ShardCell`] — how many publishes it takes for a change to
-/// have been written everywhere a reader may later look.
-const BANKS: u8 = 2;
-
 /// One slot of a shard's slab; its position is its row in both banks and
 /// in the shard's curve column. A vacant slot owes the banks nothing: the
 /// `unwatch` that emptied it vacated both rows itself.
@@ -228,13 +226,6 @@ struct Watched<D> {
     /// Highest heartbeat sequence accepted (Algorithm 4's freshness
     /// state), carried over from [`Shard::retired`] on a re-watch.
     highest_seq: Option<u64>,
-    /// The coming publishes that must rewrite the row's id and durable
-    /// words and refresh its curve. A detector's seed, its curve and its
-    /// sequence watermark change only where [`accept_batch`], an import or
-    /// a caller holding [`ShardedMonitor::detector_mut`] changes them, and
-    /// each such change — like the slot changing hands — has to reach both
-    /// banks: this publish writes one, the next the other.
-    stale_banks: u8,
     detector: D,
 }
 
@@ -296,6 +287,42 @@ impl CurveColumn {
     }
 }
 
+/// The rows a shard's coming publishes owe the banks, one bit a slab slot
+/// in each of two sets. A row's id, its durable words and its curve change
+/// only where [`accept_batch`], an import or a caller holding
+/// [`ShardedMonitor::detector_mut`] changes them, or where the slot
+/// changes hands, and each change has to reach both banks: the publish
+/// after it writes one, the next the other. An `unwatch` leaves its slot's
+/// bits standing: the publish skips a vacant slot, and clears them.
+///
+/// Like the curve column, the sets grow a word at a time with the slab and
+/// reserve nothing ahead.
+#[derive(Default)]
+struct OwedRows {
+    /// Rows changed since the last publish: the next one refreshes their
+    /// curve and writes them.
+    fresh: Vec<u64>,
+    /// Rows the last publish wrote for a change, which the bank it did not
+    /// write still holds an older version of.
+    carry: Vec<u64>,
+}
+
+impl OwedRows {
+    /// Grows both sets to hold a bit for each of `slots` slots; the slab
+    /// never shrinks, so neither do they.
+    fn cover(&mut self, slots: usize) {
+        let words = slots.div_ceil(u64::BITS as usize);
+        self.fresh.resize(words, 0);
+        self.carry.resize(words, 0);
+    }
+
+    /// Marks row `row` changed; the set already covers it.
+    #[inline]
+    fn mark(&mut self, row: usize) {
+        self.fresh[row / u64::BITS as usize] |= 1 << (row % u64::BITS as usize);
+    }
+}
+
 /// One shard: a slab of watched peers, the watermarks of unwatched ones
 /// and the outcome counters. The only owner of the per-shard operations —
 /// both executors run this code, the inline one on the caller's thread
@@ -305,9 +332,11 @@ pub(crate) struct Shard<D> {
     factory: DetectorFactory<D>,
     /// Allocated to the cell's capacity once: `watch` never reallocates.
     slab: Vec<Slot<D>>,
-    /// One row per slab slot, refreshed where `stale_banks` says the slot
+    /// One row per slab slot, refreshed where `owed.fresh` says the slot
     /// changed.
     column: CurveColumn,
+    /// The rows the next publish writes.
+    owed: OwedRows,
     /// Vacant slots, most recently vacated last.
     free: Vec<usize>,
     /// Sequence watermarks of peers no longer watched, so that replays
@@ -340,6 +369,7 @@ pub(crate) fn build_shards<D: AccrualFailureDetector>(
             factory: Box::new(factory.clone()),
             slab: Vec::with_capacity(slots),
             column: CurveColumn::default(),
+            owed: OwedRows::default(),
             free: Vec::with_capacity(slots),
             retired: BTreeMap::new(),
             stats: MonitorStats::default(),
@@ -392,7 +422,6 @@ impl<D: AccrualFailureDetector> Shard<D> {
         let live = Slot::Live(Watched {
             id: process,
             highest_seq: self.retired.remove(&process),
-            stale_banks: BANKS,
             detector: (self.factory)(process),
         });
         let slot = match self.free.pop() {
@@ -403,9 +432,11 @@ impl<D: AccrualFailureDetector> Shard<D> {
             None => {
                 self.slab.push(live);
                 self.column.cover(self.slab.len());
+                self.owed.cover(self.slab.len());
                 self.slab.len() - 1
             }
         };
+        self.owed.mark(slot);
         self.cell.occupy(process, slot);
         Ok(true)
     }
@@ -435,6 +466,15 @@ impl<D: AccrualFailureDetector> Shard<D> {
         self.slab.get_mut(slot)?.live()
     }
 
+    /// The entry of `process`, if it is watched, handed out to be changed:
+    /// its row is marked owed to the coming publishes.
+    fn entry_to_change(&mut self, process: ProcessId) -> Option<&mut Watched<D>> {
+        let slot = self.cell.slot(process)?;
+        let watched = self.slab.get_mut(slot)?.live()?;
+        self.owed.mark(slot);
+        Some(watched)
+    }
+
     /// Re-watches one checkpointed peer, seeds its detector with the
     /// saved window moments and re-arms replay rejection with the saved
     /// highest sequence number. A peer that does not fit is counted in
@@ -453,12 +493,11 @@ impl<D: AccrualFailureDetector> Shard<D> {
             return;
         };
         import.watched += 1;
-        let Some(watched) = self.entry(peer.process) else {
-            return;
-        };
         // Marked whatever is applied below: the peer may hold a slot no
         // publish has written yet.
-        watched.stale_banks = BANKS;
+        let Some(watched) = self.entry_to_change(peer.process) else {
+            return;
+        };
         if let Some(restored) = peer.highest_seq {
             let fresher = |live| classify(restored, live) == SeqVerdict::Fresh;
             if watched.highest_seq.is_none_or(fresher) {
@@ -486,11 +525,9 @@ impl<D: AccrualFailureDetector> Shard<D> {
     }
 
     /// The detector for `process`, handed out for the caller to change:
-    /// its durable row is rewritten by the next [`BANKS`] publishes.
+    /// its row is rewritten by the next two publishes, one into each bank.
     fn detector_mut(&mut self, process: ProcessId) -> Option<&mut D> {
-        let watched = self.entry(process)?;
-        watched.stale_banks = BANKS;
-        Some(&mut watched.detector)
+        Some(&mut self.entry_to_change(process)?.detector)
     }
 
     /// The exact-`now` level of `process`, straight from its detector.
@@ -563,13 +600,13 @@ impl<D: AccrualFailureDetector> Shard<D> {
                 return false;
             }
         }
-        let Some(watched) = entry else {
+        let (Some(watched), Some(slot)) = (entry, slot) else {
             self.stats.unwatched += 1;
             return false;
         };
         watched.detector.record_heartbeat(now);
         watched.highest_seq = Some(hb.seq);
-        watched.stale_banks = BANKS;
+        self.owed.mark(slot);
         self.stats.accepted += 1;
         true
     }
@@ -583,7 +620,12 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// The *changed-slot* pass: a row's id, its durable words and its
     /// curve are a function of who holds the slot and of that peer's
     /// arrivals, so they are rewritten only while one of the two banks
-    /// still holds an older version of them ([`Watched::stale_banks`]).
+    /// still holds an older version of them: the rows changed since the
+    /// last publish ([`OwedRows::fresh`]), whose curve it also refreshes,
+    /// and the rows the last publish wrote for a change
+    /// ([`OwedRows::carry`]). It walks the two sets a word at a time and
+    /// visits only the slots they name, skipping those vacated since;
+    /// what this publish wrote for a change the next one carries.
     ///
     /// The *level* pass: every level is a function of the query time and
     /// is re-evaluated at `now` — down the curve column a block at a
@@ -591,22 +633,28 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// are then asked one by one, as every slot was before there was a
     /// column.
     pub(crate) fn publish(&mut self, now: Timestamp) {
-        let (slab, column) = (&mut self.slab, &mut self.column);
+        let (slab, column, owed) = (&mut self.slab, &mut self.column, &mut self.owed);
         self.cell.publish(now, |bank| {
-            for (row, slot) in slab.iter_mut().enumerate() {
-                let Slot::Live(watched) = slot else { continue };
-                if watched.stale_banks == 0 {
-                    continue;
+            let words = owed.fresh.iter_mut().zip(&mut owed.carry);
+            for (word, (fresh, carry)) in words.enumerate() {
+                let changed = mem::take(fresh);
+                let mut rows = changed | mem::replace(carry, changed);
+                while rows != 0 {
+                    let bit = rows.trailing_zeros();
+                    rows &= rows - 1;
+                    let row = word * u64::BITS as usize + bit as usize;
+                    let Slot::Live(watched) = &mut slab[row] else {
+                        continue;
+                    };
+                    // There is one column, not one a bank: the first of the
+                    // two publishes a change is owed refreshes the curve.
+                    if changed >> bit & 1 != 0 {
+                        column.set(row, watched.detector.level_curve());
+                    }
+                    let seed = watched.detector.save_seed();
+                    let durable = PeerDurable::from_state(seed, watched.highest_seq);
+                    bank.store_row(row, watched.id, &durable);
                 }
-                // There is one column, not one a bank: the first of the
-                // two publishes a change is owed refreshes the curve.
-                if watched.stale_banks == BANKS {
-                    column.set(row, watched.detector.level_curve());
-                }
-                watched.stale_banks -= 1;
-                let seed = watched.detector.save_seed();
-                let durable = PeerDurable::from_state(seed, watched.highest_seq);
-                bank.store_row(row, watched.id, &durable);
             }
             bank.store_levels(&column.blocks, now);
             for &row in &column.curveless {
@@ -1571,6 +1619,73 @@ mod tests {
     }
 
     #[test]
+    fn the_owed_sets_grow_with_the_slab_not_the_capacity() {
+        // A set holds a bit a slot the slab has reached, so a shard
+        // declared for a million peers holds no word until it watches one.
+        let (capacity, peers) = if cfg!(miri) {
+            (1 << 10, 70)
+        } else {
+            (1 << 20, 300)
+        };
+        let mut shard = phi_shards(1, capacity).pop().expect("one shard");
+        let words = |shard: &Shard<_>| (shard.owed.fresh.len(), shard.owed.carry.len());
+        assert_eq!(words(&shard), (0, 0), "construction allocates no word");
+        for id in 0..peers {
+            shard.watch(ProcessId::new(id)).unwrap();
+        }
+        let reached = (peers as usize).div_ceil(64);
+        assert_eq!(words(&shard), (reached, reached));
+        // Churn of the same count takes the vacated slots back.
+        for id in 0..peers {
+            shard.unwatch(ProcessId::new(id));
+        }
+        for id in 0..peers {
+            shard.watch(ProcessId::new(id + 10_000)).unwrap();
+        }
+        assert_eq!(words(&shard), (reached, reached));
+    }
+
+    #[test]
+    fn rejected_frames_owe_no_publish() {
+        // Only an accepted arrival changes a row: a duplicate, a stale
+        // frame and one from a sender nobody watches leave both sets
+        // empty, so the next publish writes no row.
+        let mut shard = phi_shards(1, 8).pop().expect("one shard");
+        for id in 0..3 {
+            shard.watch(ProcessId::new(id)).unwrap();
+        }
+        assert!(shard.accept(beat(1, 5), Timestamp::from_secs(1)));
+        // Three slots: one word a set, `(fresh, carry)`.
+        let sets = |shard: &Shard<_>| (shard.owed.fresh.clone(), shard.owed.carry.clone());
+        shard.publish(Timestamp::from_secs(2));
+        assert_eq!(
+            sets(&shard),
+            (vec![0], vec![0b111]),
+            "the other bank is owed"
+        );
+        shard.publish(Timestamp::from_secs(3));
+        assert_eq!(sets(&shard), (vec![0], vec![0]), "two publishes settle");
+        assert!(!shard.accept(beat(1, 5), Timestamp::from_secs(4)));
+        assert!(!shard.accept(beat(1, 4), Timestamp::from_secs(4)));
+        assert!(!shard.accept(beat(9, 1), Timestamp::from_secs(4)));
+        let stats = shard.stats();
+        assert_eq!((stats.duplicate, stats.stale, stats.unwatched), (1, 1, 1));
+        assert_eq!(
+            sets(&shard),
+            (vec![0], vec![0]),
+            "rejected frames mark no row"
+        );
+        // One accepted frame marks its own row and no other.
+        assert!(shard.accept(beat(2, 1), Timestamp::from_secs(5)));
+        let row = shard.cell.slot(ProcessId::new(2)).unwrap();
+        assert_eq!(sets(&shard), (vec![1 << row], vec![0]));
+        shard.publish(Timestamp::from_secs(6));
+        assert_eq!(sets(&shard), (vec![0], vec![1 << row]));
+        shard.publish(Timestamp::from_secs(7));
+        assert_eq!(sets(&shard), (vec![0], vec![0]));
+    }
+
+    #[test]
     fn durable_rows_are_allocated_by_the_slab_not_the_capacity() {
         // Seven words a row in two banks were 112 bytes a slot of
         // capacity, resident or not depending on the optimiser; the
@@ -1649,6 +1764,11 @@ mod tests {
         shards
     }
 
+    /// Row `row`'s bit in one of a shard's owed sets.
+    fn bit(set: &[u64], row: usize) -> u8 {
+        (set[row / 64] >> (row % 64) & 1) as u8
+    }
+
     fn beat(sender: u32, seq: u64) -> Heartbeat {
         Heartbeat {
             sender: ProcessId::new(sender),
@@ -1689,8 +1809,10 @@ mod tests {
         let watched = shard.entry(p).unwrap();
         assert_eq!(watched.highest_seq, Some(20));
         assert_eq!(watched.detector.save_seed(), live);
+        let slot = shard.cell.slot(p).unwrap();
         assert_eq!(
-            watched.stale_banks, BANKS,
+            bit(&shard.owed.fresh, slot),
+            1,
             "an import always marks the slot"
         );
         assert!(!shard.accept(beat(7, 15), Timestamp::from_secs(21)));
@@ -2027,14 +2149,14 @@ mod tests {
             assert_eq!(shard.column.curveless, listed);
         }
 
-        /// Every slot's count of publishes still owed to it.
+        /// Every slot's count of publishes still owed to it: two for a
+        /// row changed since the last publish, one for a row the last
+        /// publish wrote for a change.
         fn marks<D>(shard: &Shard<D>) -> Vec<u8> {
-            shard
-                .slab
-                .iter()
-                .map(|slot| match slot {
-                    Slot::Live(watched) => watched.stale_banks,
-                    Slot::Vacant => 0,
+            (0..shard.slab.len())
+                .map(|row| match bit(&shard.owed.fresh, row) {
+                    1 => 2,
+                    _ => bit(&shard.owed.carry, row),
                 })
                 .collect()
         }
@@ -2123,7 +2245,7 @@ mod tests {
                 let _ = shard.watch(p);
                 let owed = marks(&shard).iter().filter(|&&owed| owed > 0).count();
                 assert!(owed <= 1, "peer {peer}: {:?}", marks(&shard));
-                for _ in 0..BANKS {
+                for _ in 0..2 {
                     now = now.saturating_add(Duration::from_millis(130));
                     publish_and_check(&mut shard, now);
                 }

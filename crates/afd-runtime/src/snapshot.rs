@@ -83,12 +83,15 @@
 //! change marks *that slot* for the next two publishes, one into each
 //! bank: the back bank missed the previous publish, and what a publish
 //! writes is therefore the union of this and the previous publish's
-//! changed slots. For every other slot the bank still holds, from two
-//! publishes ago, exactly the row a rewrite would produce, and `save_seed`
-//! and the eight stores are skipped: the pass reads the mark and moves on.
-//! A vacated slot costs it one branch; its rows already hold `VACANT` —
-//! an id outside the `u32` id space, which `read_all`/`read_durable` skip
-//! — since the `unwatch`.
+//! changed slots. The shard keeps the two as bitsets, a bit a slot: the
+//! slots changed since the last publish, and the slots the last publish
+//! wrote for a change. The pass walks their union a 64-slot word at a
+//! time and visits only the slots it names, so a publish costs a word per
+//! 64 slots plus the owed rows, whatever the shard watches. For every
+//! other slot the bank still holds, from two publishes ago, exactly the
+//! row a rewrite would produce. A slot vacated since it was marked is
+//! skipped; its rows already hold `VACANT` — an id outside the `u32` id
+//! space, which `read_all`/`read_durable` skip — since the `unwatch`.
 //!
 //! **The level pass.** The level is a function of the query time
 //! (`sl_qp(t)`, §3 Definition 1), so every publish re-evaluates every
@@ -101,12 +104,6 @@
 //! row holds the zero curve, its slot is *listed*, and the listed slots
 //! are asked `suspicion_level(now)` one by one after the column. A vacant
 //! row holds the zero curve too, and nobody reads its level.
-//!
-//! Nothing makes a publish rewrite every row: the `incremental_publish`
-//! proptest holds the front bank to a full recomputation, bit for bit,
-//! through slot reuse — for a shard whose rows all have curves, one whose
-//! rows have none and one whose rows change sides — and checks that a
-//! `watch` or `unwatch` marks one slot.
 //!
 //! Published levels are as of the last publish, so a reader's view lags
 //! real time by at most one tick interval; callers that need exact-`now`
