@@ -6,12 +6,12 @@
 //! aborts). Regenerates the makespan / wasted-CPU table showing the binary
 //! dilemma and the accrual escape from it.
 
+use afd_bench::experiment::{cell, Table};
 use afd_bot::{run_bot, AccrualPolicy, BinaryTimeoutPolicy, BotConfig, BotOutcome};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution};
 use afd_detectors::simple::SimpleAccrual;
-use afd_qos::experiment::{cell, Table};
 use afd_sim::loss::GilbertElliottLoss;
 use afd_sim::scenario::LossKind;
 

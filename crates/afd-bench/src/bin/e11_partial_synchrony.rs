@@ -10,13 +10,13 @@
 //! - crash runs: the level accrues and detection succeeds (Lemma 13),
 //!   with drift only scaling the level's slope, not its divergence.
 
+use afd_bench::experiment::{aggregate, cell, cell_mean, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::properties::{check_upper_bound, AccruementCheck};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::spec;
-use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
-use afd_qos::metrics::analyze_at_threshold;
+use afd_obs::analyze;
 use afd_sim::clock::DriftingClock;
 use afd_sim::scenario::Scenario;
 
@@ -74,9 +74,8 @@ fn main() {
                 if checker.run(&trace).is_ok() {
                     accrue_pass += 1;
                 }
-                analyze_at_threshold(
-                    &trace,
-                    SuspicionLevel::new(6.0).expect("valid"),
+                analyze(
+                    &trace.threshold(SuspicionLevel::new(6.0).expect("valid")),
                     Some(crash),
                 )
             })

@@ -14,13 +14,13 @@
 //!   the new leader);
 //! - spurious leadership changes before the crash (smoothing ablation).
 
+use afd_bench::experiment::{cell, Table};
 use afd_bench::SEEDS;
 use afd_core::failure::FailurePattern;
 use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::phi::PhiAccrual;
 use afd_omega::{run_omega, OmegaRun, OmegaRunConfig};
-use afd_qos::experiment::{cell, Table};
 use afd_sim::scenario::Scenario;
 
 const N: u32 = 5;

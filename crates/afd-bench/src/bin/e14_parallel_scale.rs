@@ -27,10 +27,10 @@
 //! comes from `afd_runtime::SystemClock`, the sanctioned monotonic
 //! entry point.
 
+use afd_bench::experiment::{cell, Table};
 use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::phi::PhiAccrual;
-use afd_qos::experiment::{cell, Table};
 use afd_runtime::{
     ChannelTransport, Clock, EngineConfig, Heartbeat, ParallelShardEngine, SystemClock, Transport,
     VirtualClock,

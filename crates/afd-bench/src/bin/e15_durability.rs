@@ -27,11 +27,11 @@
 //! `--smoke` shrinks the peer count so CI can run the full
 //! checkpoint → corrupt → restore → recover pipeline in seconds.
 
+use afd_bench::experiment::{cell, Table};
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_detectors::phi::PhiAccrual;
-use afd_qos::experiment::{cell, Table};
 use afd_runtime::{
     ChannelTransport, CheckpointConfig, Checkpointer, Clock, FaultySink, FaultySinkPlan, Heartbeat,
     MemSink, ShardConfig, ShardedMonitor, SystemClock, Transport, VirtualClock,

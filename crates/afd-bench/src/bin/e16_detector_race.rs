@@ -24,9 +24,9 @@
 //! `--smoke` shrinks horizons and seed counts so CI runs end-to-end in
 //! seconds.
 
+use afd_bench::experiment::{cell, Table};
 use afd_core::time::{Duration, Timestamp};
 use afd_obs::qos::QosReport;
-use afd_qos::experiment::{cell, Table};
 use afd_runtime::{run_chaos, Clock, SystemClock};
 use afd_sim::clock::DriftingClock;
 use afd_sim::delay::UniformDelay;

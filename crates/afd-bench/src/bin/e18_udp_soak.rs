@@ -32,10 +32,10 @@
 
 use std::net::SocketAddr;
 
+use afd_bench::experiment::{cell, Table};
 use afd_core::process::ProcessId;
 use afd_core::time::Timestamp;
 use afd_detectors::simple::SimpleAccrual;
-use afd_qos::experiment::{cell, Table};
 use afd_runtime::{
     Clock, DeltaEncoder, EngineConfig, Heartbeat, MultiUdpTransport, NullTransport,
     ParallelShardEngine, SystemClock, MAX_V2_FRAME,

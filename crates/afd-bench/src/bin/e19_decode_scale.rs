@@ -21,10 +21,10 @@
 //! route, detector update — as ns/frame with batch stamping and
 //! grouped `push_batch` publish live.
 
+use afd_bench::experiment::{cell, Table};
 use afd_core::process::ProcessId;
 use afd_core::time::Timestamp;
 use afd_detectors::simple::SimpleAccrual;
-use afd_qos::experiment::{cell, Table};
 use afd_runtime::{
     ChannelTransport, Clock, DeltaEncoder, EngineConfig, Heartbeat, MultiUdpTransport,
     NullTransport, ParallelShardEngine, SystemClock, Transport, WireDecoder, MAX_V2_FRAME,

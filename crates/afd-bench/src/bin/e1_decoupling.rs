@@ -5,12 +5,12 @@
 //! latency — all derived from a single shared suspicion-level stream, with
 //! Theorem 1 containment verified across every pair at every query.
 
+use afd_bench::experiment::{aggregate, cell, cell_mean, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_detectors::spec;
-use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
-use afd_qos::metrics::analyze_at_threshold;
+use afd_obs::analyze;
 use afd_sim::scenario::Scenario;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         let reports: Vec<_> = SEEDS
             .map(|seed| {
                 let levels = level_trace(&scenario, seed, spec::phi_normal());
-                analyze_at_threshold(&levels, threshold, Some(crash))
+                analyze(&levels.threshold(threshold), Some(crash))
             })
             .collect();
         let agg = aggregate(&reports);

@@ -7,11 +7,11 @@
 //! - correct runs: the Upper Bound checker reports a finite SL_max, and
 //!   doubling the horizon does not grow it.
 
+use afd_bench::experiment::{cell, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::properties::{check_rate_bound, check_upper_bound, AccruementCheck};
 use afd_core::time::Timestamp;
 use afd_detectors::spec;
-use afd_qos::experiment::{cell, Table};
 use afd_sim::scenario::Scenario;
 
 fn main() {

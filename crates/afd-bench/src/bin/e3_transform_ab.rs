@@ -10,12 +10,12 @@
 //!   Strong Accuracy), along with the final self-adapted threshold
 //!   `SL_susp`.
 
+use afd_bench::experiment::{cell, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::binary::Status;
 use afd_core::time::Timestamp;
 use afd_core::transform::{AccrualToBinary, Interpreter};
 use afd_detectors::spec;
-use afd_qos::experiment::{cell, Table};
 use afd_sim::scenario::Scenario;
 
 fn main() {

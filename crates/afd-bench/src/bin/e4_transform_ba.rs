@@ -8,13 +8,13 @@
 //! - correct-oracle runs are bounded by ε times the longest pre-
 //!   stabilization mistake streak, exactly as Lemma 11 predicts.
 
+use afd_bench::experiment::{cell, Table};
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::binary::{ScriptedBinaryDetector, Status};
 use afd_core::history::SuspicionTrace;
 use afd_core::properties::{check_accruement, check_upper_bound};
 use afd_core::time::Timestamp;
 use afd_core::transform::BinaryToAccrual;
-use afd_qos::experiment::{cell, Table};
 use afd_sim::rng::SimRng;
 
 const EPSILON: f64 = 0.25;

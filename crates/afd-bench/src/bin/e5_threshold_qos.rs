@@ -5,12 +5,12 @@
 //! non-decreasing in the threshold) and query accuracy (Corollary 3: P_A
 //! is non-decreasing too), under two jitter regimes.
 
+use afd_bench::experiment::{aggregate, cell, cell_mean, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::spec;
-use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
-use afd_qos::metrics::analyze_at_threshold;
+use afd_obs::analyze;
 use afd_sim::delay::NormalDelay;
 use afd_sim::scenario::{DelayKind, Scenario};
 
@@ -53,13 +53,13 @@ fn main() {
             let crash_reports: Vec<_> = SEEDS
                 .map(|s| {
                     let levels = level_trace(&crash_scenario, s, spec::phi_normal());
-                    analyze_at_threshold(&levels, threshold, Some(crash))
+                    analyze(&levels.threshold(threshold), Some(crash))
                 })
                 .collect();
             let healthy_reports: Vec<_> = SEEDS
                 .map(|s| {
                     let levels = level_trace(&healthy_scenario, s, spec::phi_normal());
-                    analyze_at_threshold(&levels, threshold, None)
+                    analyze(&levels.threshold(threshold), None)
                 })
                 .collect();
             let crash_agg = aggregate(&crash_reports);

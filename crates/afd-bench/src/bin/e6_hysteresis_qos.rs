@@ -7,12 +7,12 @@
 //! paper explicitly notes *no* ordering holds (the ablation of §4.4's
 //! closing remark).
 
+use afd_bench::experiment::{aggregate, cell, cell_mean, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_detectors::spec;
-use afd_qos::experiment::{aggregate, cell, cell_mean, Table};
-use afd_qos::metrics::analyze;
+use afd_obs::analyze;
 use afd_sim::scenario::Scenario;
 
 fn main() {

@@ -14,12 +14,12 @@
 //! faster (their curves sit below/left of the simple one) — most visibly
 //! at conservative settings under jitter.
 
+use afd_bench::experiment::{aggregate, cell, cell_sci, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_detectors::spec;
-use afd_qos::experiment::{aggregate, cell, cell_sci, Table};
-use afd_qos::metrics::analyze_at_threshold;
+use afd_obs::analyze;
 use afd_sim::scenario::Scenario;
 
 fn main() {
@@ -68,16 +68,18 @@ fn main() {
             let threshold = SuspicionLevel::new(thr).expect("valid");
             let crash_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    analyze_at_threshold(
-                        &level_trace(&crash_scenario, s, spec),
-                        threshold,
+                    analyze(
+                        &level_trace(&crash_scenario, s, spec).threshold(threshold),
                         Some(crash),
                     )
                 })
                 .collect();
             let healthy_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    analyze_at_threshold(&level_trace(&healthy_scenario, s, spec), threshold, None)
+                    analyze(
+                        &level_trace(&healthy_scenario, s, spec).threshold(threshold),
+                        None,
+                    )
                 })
                 .collect();
             let c = aggregate(&crash_reports);

@@ -10,6 +10,7 @@
 //!    slowly than φ's — the experimental claim of §5.4 (and of the κ-FD
 //!    report it cites).
 
+use afd_bench::experiment::{aggregate, cell, cell_sci, Table};
 use afd_bench::{level_trace, SEEDS};
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::suspicion::SuspicionLevel;
@@ -17,8 +18,7 @@ use afd_core::time::Timestamp;
 use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution, StepContribution};
 use afd_detectors::phi::PhiAccrual;
 use afd_detectors::spec;
-use afd_qos::experiment::{aggregate, cell, cell_sci, Table};
-use afd_qos::metrics::analyze_at_threshold;
+use afd_obs::analyze;
 use afd_sim::loss::GilbertElliottLoss;
 use afd_sim::scenario::{LossKind, Scenario};
 
@@ -97,16 +97,18 @@ fn qos_sweep() {
             let threshold = SuspicionLevel::new(thr).expect("valid");
             let crash_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    analyze_at_threshold(
-                        &level_trace(&crash_scenario, s, spec),
-                        threshold,
+                    analyze(
+                        &level_trace(&crash_scenario, s, spec).threshold(threshold),
                         Some(crash),
                     )
                 })
                 .collect();
             let healthy_reports: Vec<_> = SEEDS
                 .map(|s| {
-                    analyze_at_threshold(&level_trace(&healthy_scenario, s, spec), threshold, None)
+                    analyze(
+                        &level_trace(&healthy_scenario, s, spec).threshold(threshold),
+                        None,
+                    )
                 })
                 .collect();
             let c = aggregate(&crash_reports);

@@ -8,13 +8,13 @@
 //! while on a genuine Property-1 input (the same ε-staircase without
 //! feedback) transitions stop early and stay stopped.
 
+use afd_bench::experiment::Table;
 use afd_core::accrual::{AccrualFailureDetector, ScriptedAccrualDetector};
 use afd_core::binary::Status;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_core::transform::{AccrualToBinary, Interpreter};
 use afd_detectors::adversary::WeakAccruementAdversary;
-use afd_qos::experiment::Table;
 
 fn against_adversary(horizon: usize) -> (u64, u64) {
     let mut adv = WeakAccruementAdversary::new(1.0);

@@ -11,6 +11,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
+pub mod experiment;
 
 use afd_core::history::SuspicionTrace;
 use afd_core::time::Duration;

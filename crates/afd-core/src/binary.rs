@@ -3,7 +3,7 @@
 //! Classical (Chandra–Toueg) failure detectors output a *binary* verdict per
 //! monitored process: trusted or suspected. The paper calls the change from
 //! trusted to suspected an *S-transition* and the reverse a *T-transition*;
-//! the Chen et al. QoS metrics (`afd-qos`) are defined over these
+//! the Chen et al. QoS metrics (`afd_obs::qos`) are defined over these
 //! transitions.
 //!
 //! [`BinaryFailureDetector`] is the query-model interface: each call to

@@ -5,11 +5,12 @@
 //! the accrual history `H(q,t)(p) = sl_qp(t)` sampled at the query times
 //! `t_q^query(1), t_q^query(2), …`, and a [`BinaryTrace`] the corresponding
 //! trusted/suspected history. These are the inputs to the property checkers
-//! ([`crate::properties`]) and the QoS metric suite (`afd-qos`).
+//! ([`crate::properties`]) and the QoS metrics (`afd_obs::analyze`).
 
 use crate::binary::{Status, Transition, TransitionDetector};
 use crate::suspicion::SuspicionLevel;
 use crate::time::Timestamp;
+use crate::transform::{HysteresisInterpreter, Interpreter, ThresholdInterpreter};
 
 /// One answered query of an accrual failure detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,16 +111,7 @@ impl SuspicionTrace {
     /// (suspect iff `sl > T`, Equation 2 of the paper), yielding the binary
     /// history `D_T` would have produced.
     pub fn threshold(&self, threshold: SuspicionLevel) -> BinaryTrace {
-        let mut out = BinaryTrace::with_capacity(self.len());
-        for s in &self.samples {
-            let status = if s.level > threshold {
-                Status::Suspected
-            } else {
-                Status::Trusted
-            };
-            out.push(s.at, status);
-        }
-        out
+        self.interpret(ThresholdInterpreter::new(threshold))
     }
 
     /// Interprets the whole trace through the hysteresis interpreter
@@ -132,11 +124,14 @@ impl SuspicionTrace {
     /// `T₀(t) < T(t)`. Only an empty trace escapes the check, since the
     /// thresholds are validated per observation.
     pub fn hysteresis(&self, high: SuspicionLevel, low: SuspicionLevel) -> BinaryTrace {
-        let mut interpreter = crate::transform::HysteresisInterpreter::new(high, low);
+        self.interpret(HysteresisInterpreter::new(high, low))
+    }
+
+    /// The binary history `interpreter` produces over the whole trace.
+    fn interpret(&self, mut interpreter: impl Interpreter) -> BinaryTrace {
         let mut out = BinaryTrace::with_capacity(self.len());
         for s in &self.samples {
-            let status = crate::transform::Interpreter::observe(&mut interpreter, s.at, s.level);
-            out.push(s.at, status);
+            out.push(s.at, interpreter.observe(s.at, s.level));
         }
         out
     }

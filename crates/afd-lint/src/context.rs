@@ -230,7 +230,7 @@ mod tests {
         let ctx = FileContext::new("crates/afd-runtime/src/lib.rs", &[]);
         assert!(ctx.is_crate_root());
 
-        let ctx = FileContext::new("crates/afd-qos/tests/online_offline.rs", &[]);
+        let ctx = FileContext::new("crates/afd-obs/tests/online_offline.rs", &[]);
         assert_eq!(ctx.kind, TargetKind::Test);
         assert!(ctx.is_test_line(1));
 

@@ -17,9 +17,10 @@
 //!   evidence (in the spirit of Tran/Konnov/Widder's transition logs).
 //! - [`qos`] — [`OnlineQos`], a streaming estimator of the Chen et al.
 //!   QoS metrics (T_D, T_MR, T_M, λ_M, P_A, T_G) computed incrementally
-//!   from a live trusted/suspected query stream. `afd-qos::analyze` replays
+//!   from a live trusted/suspected query stream. [`analyze`] replays
 //!   recorded traces through the *same* estimator, so online and offline
-//!   numbers agree by construction.
+//!   numbers agree by construction, and [`OnlineQos::export_metrics`]
+//!   publishes the estimates into a [`Registry`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -27,10 +28,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
+mod metrics;
 pub mod qos;
 pub mod registry;
 pub mod trace;
 
-pub use qos::{OnlineQos, QosReport};
+pub use qos::{analyze, OnlineQos, QosReport};
 pub use registry::{Counter, Gauge, Histogram, Registry, Snapshot, SnapshotValue};
 pub use trace::{EventKind, EventRing, ObsEvent};

@@ -17,9 +17,9 @@
 //!
 //! [`OnlineQos`] computes all of them *incrementally*: feed it each
 //! queried output as it happens and call [`report`] at any point for the
-//! current estimates. The offline `afd-qos::analyze` replays recorded
-//! traces through this same estimator, so online and offline numbers agree
-//! by construction.
+//! current estimates. The offline [`analyze`] replays a recorded
+//! [`BinaryTrace`] through this same estimator, so online and offline
+//! numbers agree by construction.
 //!
 //! Because S-/T-transitions alternate strictly (a [`TransitionDetector`]
 //! only reports changes), every pairing the metrics need — S with the next
@@ -29,7 +29,10 @@
 //! [`report`]: OnlineQos::report
 
 use afd_core::binary::{Status, Transition, TransitionDetector};
+use afd_core::history::BinaryTrace;
 use afd_core::time::Timestamp;
+
+use crate::registry::Registry;
 
 /// The QoS metrics of one run, in seconds where dimensional.
 ///
@@ -150,21 +153,12 @@ impl OnlineQos {
         self.crash = Some(at);
     }
 
-    /// The crash time, if any.
-    pub fn crash(&self) -> Option<Timestamp> {
-        self.crash
-    }
-
-    /// Number of queries observed so far.
-    pub fn queries(&self) -> u64 {
-        self.alive_queries
-    }
-
-    /// Feeds one queried detector output.
+    /// Feeds one queried detector output and returns the S- or
+    /// T-transition it made on the whole stream, crash or not.
     ///
     /// Queries must arrive in non-decreasing time order (debug-asserted),
     /// matching `BinaryTrace::push`.
-    pub fn observe(&mut self, at: Timestamp, status: Status) {
+    pub fn observe(&mut self, at: Timestamp, status: Status) -> Option<Transition> {
         debug_assert!(
             self.last.is_none_or(|l| l <= at),
             "queries must be observed in non-decreasing time order"
@@ -173,13 +167,14 @@ impl OnlineQos {
         self.last = Some(at);
 
         // Whole-stream transitions, for detection time.
-        if let Some(tr) = self.full_detector.observe(status) {
+        let transition = self.full_detector.observe(status);
+        if let Some(tr) = transition {
             self.last_transition = Some((at, tr));
         }
 
         // Accuracy metrics only consider the alive window.
         if self.crash.is_some_and(|c| at >= c) {
-            return;
+            return transition;
         }
         self.alive_queries += 1;
         if status.is_trusted() {
@@ -203,7 +198,7 @@ impl OnlineQos {
                 // rather than abort a live metrics pipeline.
                 let Some(s_at) = self.last_suspect else {
                     debug_assert!(false, "T-transition without preceding S-transition");
-                    return;
+                    return transition;
                 };
                 self.duration_sum += (at - s_at).as_secs_f64();
                 self.durations += 1;
@@ -211,6 +206,7 @@ impl OnlineQos {
             }
             None => {}
         }
+        transition
     }
 
     /// The current QoS estimates. Non-consuming: keep observing afterwards.
@@ -268,6 +264,66 @@ impl OnlineQos {
             observed_alive,
         }
     }
+
+    /// Publishes the current estimates into `registry` as the gauges
+    /// `<prefix>.mistakes`, `.mistake_rate`, `.query_accuracy`,
+    /// `.mistake_recurrence`, `.mistake_duration`, `.good_period` and
+    /// `.detection_time`, skipping a metric that is `None` so far.
+    pub fn export_metrics(&self, registry: &Registry, prefix: &str) {
+        let r = self.report();
+        let gauges = [
+            ("mistakes", Some(r.mistakes as f64)),
+            ("mistake_rate", Some(r.mistake_rate)),
+            ("query_accuracy", Some(r.query_accuracy)),
+            ("mistake_recurrence", r.mistake_recurrence),
+            ("mistake_duration", r.mistake_duration),
+            ("good_period", r.good_period),
+            ("detection_time", r.detection_time),
+        ];
+        for (name, value) in gauges {
+            if let Some(value) = value {
+                registry.gauge(&format!("{prefix}.{name}")).set(value);
+            }
+        }
+    }
+}
+
+/// Computes the QoS metrics of a recorded `trace` for a monitored process
+/// that crashes at `crash` (or never, if `None`) by feeding every sample
+/// through an [`OnlineQos`], whose alive window and metrics these are. P_A
+/// is the trusted fraction of the alive queries: a time average when the
+/// queries are evenly spaced, which nothing here requires.
+///
+/// Returns a default (all-`None`/zero) report for an empty trace.
+///
+/// # Examples
+///
+/// ```
+/// use afd_core::binary::Status;
+/// use afd_core::history::BinaryTrace;
+/// use afd_core::time::Timestamp;
+/// use afd_obs::analyze;
+///
+/// // A detector that wrongly suspects during seconds 5–6 and then detects
+/// // a crash at t = 20 with 2 s latency.
+/// let mut trace = BinaryTrace::new();
+/// for s in 1..=30u64 {
+///     let suspected = (5..7).contains(&s) || s >= 22;
+///     trace.push(
+///         Timestamp::from_secs(s),
+///         if suspected { Status::Suspected } else { Status::Trusted },
+///     );
+/// }
+/// let report = analyze(&trace, Some(Timestamp::from_secs(20)));
+/// assert_eq!(report.mistakes, 1);
+/// assert_eq!(report.detection_time, Some(2.0));
+/// ```
+pub fn analyze(trace: &BinaryTrace, crash: Option<Timestamp>) -> QosReport {
+    let mut qos = OnlineQos::new(crash);
+    for sample in trace.samples() {
+        qos.observe(sample.at, sample.status);
+    }
+    qos.report()
 }
 
 #[cfg(test)]
@@ -390,6 +446,46 @@ mod tests {
         assert_eq!(r.observed_alive, 0.0);
         assert_eq!(r.query_accuracy, 1.0);
         assert_eq!(r.mistake_rate, 0.0);
+    }
+
+    #[test]
+    fn observe_returns_whole_stream_transitions() {
+        // The crash at t = 3 closes the alive window, not the transitions.
+        let mut qos = OnlineQos::new(Some(Timestamp::from_secs(3)));
+        let statuses = [
+            Status::Trusted,
+            Status::Suspected,
+            Status::Suspected,
+            Status::Trusted,
+            Status::Suspected,
+        ];
+        let transitions: Vec<_> = (1..)
+            .zip(statuses)
+            .map(|(s, status)| qos.observe(Timestamp::from_secs(s), status))
+            .collect();
+        let (s, t) = (Some(Transition::Suspect), Some(Transition::Trust));
+        assert_eq!(transitions, [None, s, None, t, s]);
+    }
+
+    #[test]
+    fn export_metrics_mirrors_the_report() {
+        let registry = Registry::new();
+        let mut qos = OnlineQos::new(None);
+        qos.observe(Timestamp::from_secs(1), Status::Trusted);
+        qos.observe(Timestamp::from_secs(2), Status::Suspected);
+        qos.observe(Timestamp::from_secs(3), Status::Trusted);
+        qos.export_metrics(&registry, "qos.phi");
+        let (snap, r) = (registry.snapshot(), qos.report());
+        assert_eq!(snap.gauge("qos.phi.mistakes"), Some(1.0));
+        assert_eq!(snap.gauge("qos.phi.mistake_rate"), Some(r.mistake_rate));
+        assert_eq!(snap.gauge("qos.phi.query_accuracy"), Some(r.query_accuracy));
+        assert_eq!(snap.gauge("qos.phi.mistake_duration"), r.mistake_duration);
+        assert_eq!(snap.gauge("qos.phi.good_period"), None);
+        // One mistake has no recurrence and no crash no detection time:
+        // a metric that is `None` is not exported.
+        assert_eq!(snap.gauge("qos.phi.mistake_recurrence"), None);
+        assert_eq!(snap.gauge("qos.phi.detection_time"), None);
+        assert_eq!(snap.entries().len(), 4);
     }
 
     #[test]

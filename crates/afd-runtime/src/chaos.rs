@@ -13,7 +13,7 @@
 //! and monitor.
 
 use afd_core::accrual::AccrualFailureDetector;
-use afd_core::binary::{Transition, TransitionDetector};
+use afd_core::binary::Transition;
 use afd_core::history::SuspicionTrace;
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
@@ -98,7 +98,8 @@ pub struct ChaosReport {
     pub events: Vec<ObsEvent>,
     /// Events evicted from the bounded ring before the run ended.
     pub events_dropped: u64,
-    /// Final metrics: the `link.*`, `sharded.*` and `degrade.*` counters.
+    /// Final metrics: the `link.*`, `sharded.*` and `degrade.*` counters
+    /// and each member's `qos.<name>.*` gauges.
     pub metrics: Snapshot,
 }
 
@@ -148,10 +149,8 @@ pub fn run_chaos(scenario: &Scenario, seed: u64) -> ChaosReport {
         // The online QoS reads the statuses an offline analysis reads.
         let threshold = SuspicionLevel::clamped(member.threshold);
         let mut qos = OnlineQos::new(scenario.crash_at);
-        let mut transitions = TransitionDetector::new();
         for s in replayed.levels.threshold(threshold).samples() {
-            qos.observe(s.at, s.status);
-            let kind = match transitions.observe(s.status) {
+            let kind = match qos.observe(s.at, s.status) {
                 Some(Transition::Suspect) => EventKind::Suspect,
                 Some(Transition::Trust) => EventKind::Trust,
                 None => continue,
@@ -163,6 +162,7 @@ pub fn run_chaos(scenario: &Scenario, seed: u64) -> ChaosReport {
                 kind,
             });
         }
+        qos.export_metrics(&registry, &format!("qos.{name}"));
         detectors.push(ZooDetectorReport {
             name,
             threshold,

@@ -290,6 +290,28 @@ fn chaos_report_carries_observability_evidence() {
 }
 
 #[test]
+fn chaos_report_exports_each_members_qos() {
+    let report = run_chaos(&acceptance_scenario(), 7);
+    let snap = &report.metrics;
+    for d in &report.detectors {
+        let (name, qos) = (d.name, &d.qos);
+        let gauge = |metric: &str| snap.gauge(&format!("qos.{name}.{metric}"));
+        assert_eq!(gauge("mistakes"), Some(qos.mistakes as f64), "{name}");
+        assert_eq!(gauge("mistake_rate"), Some(qos.mistake_rate), "{name}");
+        assert_eq!(gauge("query_accuracy"), Some(qos.query_accuracy), "{name}");
+        // A metric that is `None` has no gauge.
+        assert_eq!(
+            gauge("mistake_recurrence"),
+            qos.mistake_recurrence,
+            "{name}"
+        );
+        assert_eq!(gauge("mistake_duration"), qos.mistake_duration, "{name}");
+        assert_eq!(gauge("good_period"), qos.good_period, "{name}");
+        assert_eq!(gauge("detection_time"), qos.detection_time, "{name}");
+    }
+}
+
+#[test]
 fn different_seeds_explore_different_schedules() {
     let scenario = acceptance_scenario();
     let a = run_chaos(&scenario, 1);

@@ -13,8 +13,8 @@
 
 use accrual_fd::detectors::kappa::PhiContribution;
 use accrual_fd::detectors::spec::AnyDetector;
+use accrual_fd::obs::analyze;
 use accrual_fd::prelude::*;
-use accrual_fd::qos::metrics::analyze_at_threshold;
 use accrual_fd::runtime::replay::replay;
 use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ReplayConfig::every(Duration::from_millis(250)),
         )
         .levels;
-        let report = analyze_at_threshold(&levels, SuspicionLevel::new(thr)?, Some(crash));
+        let report = analyze(&levels.threshold(SuspicionLevel::new(thr)?), Some(crash));
         println!(
             "{name:<9} {thr:>8.1}  {:>12}  {:>16}  {:.5}",
             report

@@ -3,13 +3,13 @@
 //!
 //! `run_chaos` feeds every suspicion level the monitor published at a
 //! query through an [`accrual_fd::obs::OnlineQos`]; this test replays the
-//! recorded traces through the offline [`accrual_fd::qos::analyze`] path
+//! recorded traces through the offline [`accrual_fd::obs::analyze`] path
 //! (each detector's own threshold interpretation, then metric extraction)
 //! and demands the two agree on every Chen et al. metric, for all six
 //! detectors, across several seeded fault scripts.
 
 use accrual_fd::core::time::Timestamp;
-use accrual_fd::qos::analyze;
+use accrual_fd::obs::analyze;
 use accrual_fd::runtime::run_chaos;
 use accrual_fd::sim::loss::GilbertElliottLoss;
 use accrual_fd::sim::scenario::{LossKind, Scenario};

@@ -2,8 +2,8 @@
 //! heartbeats → φ levels → thresholded verdicts → Chen metrics.
 
 use accrual_fd::core::history::SuspicionTrace;
+use accrual_fd::obs::{analyze, QosReport};
 use accrual_fd::prelude::*;
-use accrual_fd::qos::metrics::{analyze, analyze_at_threshold, QosReport};
 use accrual_fd::runtime::replay::replay;
 use accrual_fd::sim::replay::ReplayConfig;
 use accrual_fd::sim::scenario::Scenario;
@@ -31,8 +31,10 @@ fn corollary_2_detection_time_is_monotone_in_threshold() {
         let levels = phi_levels(&scenario, seed);
         let mut last = -1.0;
         for thr in THRESHOLDS {
-            let report =
-                analyze_at_threshold(&levels, SuspicionLevel::new(thr).unwrap(), Some(crash));
+            let report = analyze(
+                &levels.threshold(SuspicionLevel::new(thr).unwrap()),
+                Some(crash),
+            );
             let td = report
                 .detection_time
                 .unwrap_or_else(|| panic!("threshold {thr} failed to detect (seed {seed})"));
@@ -52,7 +54,7 @@ fn corollary_3_query_accuracy_is_monotone_in_threshold() {
         let levels = phi_levels(&scenario, seed);
         let mut last = -1.0;
         for thr in THRESHOLDS {
-            let report = analyze_at_threshold(&levels, SuspicionLevel::new(thr).unwrap(), None);
+            let report = analyze(&levels.threshold(SuspicionLevel::new(thr).unwrap()), None);
             assert!(
                 report.query_accuracy >= last - 1e-12,
                 "P_A must not decrease with the threshold (Φ={thr}, seed {seed})"
@@ -130,7 +132,10 @@ fn aggressive_detectors_make_more_mistakes_but_detect_faster() {
     let mut mistakes = Vec::new();
     let mut detections = Vec::new();
     for thr in thresholds {
-        let report = analyze_at_threshold(&levels, SuspicionLevel::new(thr).unwrap(), Some(crash));
+        let report = analyze(
+            &levels.threshold(SuspicionLevel::new(thr).unwrap()),
+            Some(crash),
+        );
         mistakes.push(report.mistakes);
         detections.push(report.detection_time.expect("detected"));
     }
