@@ -257,7 +257,7 @@ fn no_thread_sleep(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
 }
 
 /// Crates whose lock-free code is audited: the metrics registry and the
-/// runtime (liveness ticks, the sharded monitor's epoch snapshots).
+/// runtime (the engine's counters, the sharded monitor's epoch snapshots).
 const RELAXED_AUDIT_CRATES: &[&str] = &["afd-obs", "afd-runtime"];
 
 /// Read-modify-write atomics with `Ordering::Relaxed` in the audited
@@ -620,7 +620,7 @@ mod tests {
         let src = "fn now() { let t = Instant::now(); }\n";
         let (findings, _) = lint_source("crates/afd-runtime/src/clock.rs", src);
         assert!(findings.is_empty());
-        let (findings, _) = lint_source("crates/afd-runtime/src/supervisor.rs", src);
+        let (findings, _) = lint_source("crates/afd-runtime/src/retry.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "clock-discipline");
     }
@@ -745,7 +745,7 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "no-alloc-in-hot-path");
         // The same code is fine in a non-hot-path file.
-        let (findings, _) = lint_source("crates/afd-runtime/src/supervisor.rs", src);
+        let (findings, _) = lint_source("crates/afd-runtime/src/retry.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -815,12 +815,12 @@ mod tests {
     fn io_discipline_catches_file_constructors_not_lookalikes() {
         let src =
             "fn f() {\n    let _ = File::create(\"x\");\n    let _ = OpenOptions::new();\n}\n";
-        let (findings, _) = lint_source("crates/afd-runtime/src/supervisor.rs", src);
+        let (findings, _) = lint_source("crates/afd-runtime/src/retry.rs", src);
         let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![2, 3], "{findings:?}");
         // `File::from` and a local `fs` variable are not filesystem access.
         let src = "fn f(fs: u64) -> u64 { let _ = File::from(3); fs + 1 }\n";
-        let (findings, _) = lint_source("crates/afd-runtime/src/supervisor.rs", src);
+        let (findings, _) = lint_source("crates/afd-runtime/src/retry.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

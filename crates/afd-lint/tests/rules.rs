@@ -41,7 +41,7 @@ fn assert_single(findings: &[Finding], rule: &str, path: &str, line: u32) {
 
 #[test]
 fn clock_discipline_fires_on_raw_reads() {
-    let path = "crates/afd-runtime/src/supervisor.rs";
+    let path = "crates/afd-runtime/src/retry.rs";
     let (findings, suppressed) = lint_fixture("clock_discipline_bad.rs", path);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == "clock-discipline"));
@@ -55,7 +55,7 @@ fn clock_discipline_fires_on_raw_reads() {
 fn clock_discipline_honors_reasoned_pragma() {
     let (findings, suppressed) = lint_fixture(
         "clock_discipline_suppressed.rs",
-        "crates/afd-runtime/src/supervisor.rs",
+        "crates/afd-runtime/src/retry.rs",
     );
     assert!(findings.is_empty(), "{findings:?}");
     assert_eq!(suppressed, 1);
@@ -137,7 +137,7 @@ fn no_thread_sleep_honors_reasoned_pragma() {
 
 #[test]
 fn io_discipline_fires_in_runtime_library_code() {
-    let path = "crates/afd-runtime/src/supervisor.rs";
+    let path = "crates/afd-runtime/src/retry.rs";
     let (findings, _) = lint_fixture("io_discipline_bad.rs", path);
     assert_single(&findings, "io-discipline", path, 3);
 }
@@ -154,7 +154,7 @@ fn io_discipline_exempts_the_persist_module_and_other_crates() {
 fn io_discipline_honors_reasoned_pragma() {
     let (findings, suppressed) = lint_fixture(
         "io_discipline_suppressed.rs",
-        "crates/afd-runtime/src/supervisor.rs",
+        "crates/afd-runtime/src/retry.rs",
     );
     assert!(findings.is_empty(), "{findings:?}");
     assert_eq!(suppressed, 1);
@@ -170,9 +170,9 @@ fn relaxed_atomics_audit_fires_on_rmw_not_load() {
 
 #[test]
 fn relaxed_atomics_audit_covers_runtime_but_not_core() {
-    // The runtime's lock-free paths (liveness ticks, epoch snapshots) are
+    // The runtime's lock-free paths (engine counters, epoch snapshots) are
     // in scope alongside afd-obs; afd-core has no atomics to audit.
-    let path = "crates/afd-runtime/src/supervisor.rs";
+    let path = "crates/afd-runtime/src/retry.rs";
     let (findings, _) = lint_fixture("relaxed_atomics_bad.rs", path);
     assert_single(&findings, "relaxed-atomics-audit", path, 6);
 
@@ -206,7 +206,7 @@ fn no_alloc_in_hot_path_fires_on_each_allocation_form() {
 fn no_alloc_in_hot_path_is_scoped_to_the_intake_files() {
     // The same snippet in a runtime file off the frame path passes: the
     // rule polices the intake pipeline, not the whole crate.
-    let (findings, _) = lint_fixture("no_alloc_bad.rs", "crates/afd-runtime/src/supervisor.rs");
+    let (findings, _) = lint_fixture("no_alloc_bad.rs", "crates/afd-runtime/src/retry.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -298,10 +298,10 @@ fn determinism_discipline_covers_model_tests_too() {
 
 #[test]
 fn determinism_discipline_is_scoped_to_the_deterministic_surfaces() {
-    // The same hash-container use is fine elsewhere — the supervisor,
+    // The same hash-container use is fine elsewhere — the retry policy,
     // other crates, the linter itself.
     for path in [
-        "crates/afd-runtime/src/supervisor.rs",
+        "crates/afd-runtime/src/retry.rs",
         "crates/afd-core/src/x.rs",
         "crates/afd-lint/src/walk.rs",
     ] {

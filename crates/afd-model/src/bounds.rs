@@ -32,8 +32,8 @@ pub struct ModelBounds {
     pub max_losses: u32,
     /// How many frames may be duplicated across the whole run.
     pub max_duplicates: u32,
-    /// How many processes may crash (crashes are permanent in the model;
-    /// the replay script format also supports recovery).
+    /// How many processes may crash (crashes are permanent, in the model
+    /// and in the replay script format alike).
     pub max_crashes: u32,
     /// How many ticks may pass while frames are still undelivered — the
     /// total delivery-delay budget of the schedule.

@@ -25,9 +25,8 @@ use crate::bounds::ModelBounds;
 use crate::mutants::{really_fresh, Alg1Sut, Alg2Sut, DetectorSut, HystSut, Mutant, SeqSut};
 
 /// One event of the model's alphabet. Mirrors
-/// [`afd_runtime::ScriptEvent`] one-to-one (minus `Recover`, which the
-/// bounded model does not explore), so a model path converts directly
-/// into a replayable script.
+/// [`afd_runtime::ScriptEvent`] one-to-one, so a model path converts
+/// directly into a replayable script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelEvent {
     /// Advance virtual time one tick; due heartbeats are emitted and

@@ -2,8 +2,8 @@
 //! observability events.
 //!
 //! The running system records *what happened and when* — S-/T-transitions
-//! of an interpreted detector output, graceful-degradation switches,
-//! watchdog restarts — in an [`EventRing`]. Consumers (the chaos harness,
+//! of an interpreted detector output and graceful-degradation switches —
+//! in an [`EventRing`]. Consumers (the chaos harness,
 //! the `live_chaos` example, a log shipper) periodically [`drain`] it.
 //! The ring is bounded: under backpressure the *oldest* events are
 //! discarded and counted, never silently lost.
@@ -27,8 +27,6 @@ pub enum EventKind {
     DegradeEnter,
     /// A graceful-degradation wrapper switched back to its primary.
     DegradeExit,
-    /// A watchdog/supervisor restarted a stalled component.
-    Restart,
 }
 
 impl EventKind {
@@ -39,7 +37,6 @@ impl EventKind {
             EventKind::Trust => "trust",
             EventKind::DegradeEnter => "degrade-enter",
             EventKind::DegradeExit => "degrade-exit",
-            EventKind::Restart => "restart",
         }
     }
 }
@@ -55,8 +52,7 @@ impl fmt::Display for EventKind {
 pub struct ObsEvent {
     /// When the event was observed.
     pub at: Timestamp,
-    /// The component that emitted it (e.g. a detector name like `"phi"`,
-    /// or `"watchdog"`).
+    /// The component that emitted it, e.g. a detector name like `"phi"`.
     pub source: &'static str,
     /// The process the event concerns.
     pub process: ProcessId,

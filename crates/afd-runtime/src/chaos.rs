@@ -235,10 +235,8 @@ pub enum ScriptEvent {
     Drop(usize),
     /// Duplicate in-flight frame `i`; the copy joins the end of the pool.
     Duplicate(usize),
-    /// Crash a sender: it stops emitting heartbeats until recovered.
+    /// Crash a sender: it emits no further heartbeats.
     Crash(ProcessId),
-    /// Recover a crashed sender; its next heartbeat is due immediately.
-    Recover(ProcessId),
 }
 
 /// A fully explicit chaos schedule: no randomness, no fault injectors —
@@ -404,7 +402,6 @@ where
                 in_flight.push(copy);
             }
             ScriptEvent::Crash(p) => sender(&mut senders, p).crash(),
-            ScriptEvent::Recover(p) => sender(&mut senders, p).recover(t),
         }
         let levels = senders
             .iter()
@@ -540,24 +537,18 @@ mod tests {
     }
 
     #[test]
-    fn script_crash_silences_and_recover_resumes() {
+    fn script_crash_silences() {
         let p = ProcessId::new(1);
         let mut script = ChaosScript::new(1);
         script.tick = Duration::from_secs(1);
-        script.events = vec![
-            Deliver(0),
-            Crash(p),
-            Tick,
-            Tick,
-            Recover(p),
-            Tick,
-            Deliver(0),
-        ];
+        script.events = vec![Deliver(0), Crash(p), Tick, Tick];
         let report = run_chaos_script(&script, |_| SimpleAccrual::new(Timestamp::ZERO));
-        // Crashed ticks emit nothing; recovery emits on the next tick.
-        assert_eq!(report.heartbeats_sent, 2);
+        // Crashed ticks emit nothing, so suspicion grows from the one
+        // delivered heartbeat.
+        assert_eq!(report.heartbeats_sent, 1);
+        assert_eq!(report.undelivered, 0);
         let last = report.trace.last().unwrap();
-        assert_eq!(last.levels[0].1.value(), 0.0);
+        assert_eq!(last.levels[0].1.value(), 2.0);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! one dropped by UDP, and dropping the oldest keeps the freshest
 //! evidence, which is exactly what an accrual detector wants.
 //!
-//! # Supervision and shutdown
+//! # Faults and shutdown
 //!
 //! Every thread carries a drop guard that raises its panic flag if it
 //! unwinds; [`poisoned`](ParallelShardEngine::poisoned) reads the flags
@@ -55,9 +55,10 @@
 //! engine terminally failed (the dead thread's state is gone). A lane
 //! that hits a transport fault records it for
 //! [`intake_fault`](ParallelShardEngine::intake_fault) and stops; workers
-//! keep serving reads. Every thread bumps a liveness counter that
-//! [`register_health`](ParallelShardEngine::register_health) wires into a
-//! [`HealthBoard`]. Shutdown (or drop) raises the stop flag, joins the
+//! keep serving reads. A stalled or stopped worker shows to every reader
+//! as a [`published_at`](SnapshotReader::published_at) that stops
+//! moving: an idle worker still republishes on the `publish_every`
+//! cadence. Shutdown (or drop) raises the stop flag, joins the
 //! lanes — taking the engine's transport back — then joins the workers,
 //! each of which reads the flag *before* a final drain and publish, so
 //! no frame routed before the stop is lost.
@@ -70,7 +71,7 @@ use std::thread::JoinHandle;
 
 use afd_core::accrual::AccrualFailureDetector;
 use afd_core::process::ProcessId;
-use afd_core::time::{Duration, Timestamp};
+use afd_core::time::Duration;
 
 use crate::clock::Clock;
 use crate::error::{EngineError, TransportError};
@@ -80,7 +81,6 @@ use crate::shard::{
     accept_batch, build_shards, import_peers, Intake, MonitorStats, Shard, Stamped,
 };
 use crate::snapshot::{bump, shard_index, ShardCell, SnapshotReader};
-use crate::supervisor::HealthBoard;
 use crate::transport::Transport;
 use crate::wire::Heartbeat;
 
@@ -152,10 +152,9 @@ pub struct EngineStats {
 }
 
 /// Counters one lane thread publishes. Single-writer: one thread per
-/// lane. `liveness` is its own `Arc` so a [`HealthBoard`] can track it.
+/// lane.
 #[derive(Default)]
 struct LaneShared {
-    liveness: Arc<AtomicU64>,
     frames: AtomicU64,
     corrupt: AtomicU64,
     /// Wall-clock nanos spent decoding and grouping, on the engine clock.
@@ -180,7 +179,6 @@ impl LaneShared {
 /// Counters one worker publishes. Single-writer per worker.
 #[derive(Default)]
 struct WorkerShared {
-    liveness: Arc<AtomicU64>,
     accepted: AtomicU64,
     stale: AtomicU64,
     duplicate: AtomicU64,
@@ -386,9 +384,8 @@ where
     ///
     /// Valid in **any** state: the dump reads only the double-buffered
     /// snapshot cells, never worker-owned detector state, so on a running
-    /// engine it proceeds concurrently with lanes and workers (a
-    /// [`CheckpointDaemon`](crate::persist::CheckpointDaemon) over
-    /// [`reader`](Self::reader) gives the periodic cadence).
+    /// engine it proceeds concurrently with lanes and workers: the caller
+    /// can checkpoint on any cadence without stopping it.
     ///
     /// # Errors
     ///
@@ -408,7 +405,11 @@ where
     /// pre-crash-quality levels before the first worker loop. Peers whose
     /// shard is full are counted in [`RestoreImport::capacity_rejected`].
     ///
-    /// Only valid while stopped, like [`watch`](Self::watch).
+    /// Only valid while stopped, like [`watch`](Self::watch). As with
+    /// [`ShardedMonitor::restore`](crate::shard::ShardedMonitor::restore),
+    /// a restarted engine should **restore before re-watching**: import
+    /// the last complete generation, then watch the peers it did not
+    /// hold, then [`start`](Self::start).
     ///
     /// # Errors
     ///
@@ -695,28 +696,9 @@ where
         self.ring_dropped_past.wrapping_add(live)
     }
 
-    /// Tracks every lane and worker thread on `board`, labeled
-    /// `engine.lane.<i>` and `engine.worker.<i>`.
-    pub fn register_health(&self, board: &mut HealthBoard, now: Timestamp) {
-        for (idx, lane) in self.lane_shared.iter().enumerate() {
-            board.track(
-                format!("engine.lane.{idx}"),
-                Arc::clone(&lane.liveness),
-                now,
-            );
-        }
-        for (idx, shared) in self.worker_shared.iter().enumerate() {
-            board.track(
-                format!("engine.worker.{idx}"),
-                Arc::clone(&shared.liveness),
-                now,
-            );
-        }
-    }
-
     /// `Some(worker)` if any worker (or, as `usize::MAX`, a lane thread)
-    /// has panicked — the poisoned-thread signal the watchdog layer
-    /// consumes without blocking on a join.
+    /// has panicked, read from the threads' panic flags without blocking
+    /// on a join.
     pub fn poisoned(&self) -> Option<usize> {
         if let EngineState::Failed { worker } = &self.state {
             return Some(*worker);
@@ -895,7 +877,6 @@ fn worker_loop<C: Clock, D: AccrualFailureDetector>(
             }
             shared.store_stats(&shard.stats());
         }
-        bump(&shared.liveness, 1);
         bump(&shared.loops, 1);
         if processed > 0 {
             bump(&shared.busy_loops, 1);
@@ -932,10 +913,7 @@ fn lane_loop<L: Transport, C: Clock>(
         .collect();
     while !stop.load(Ordering::Acquire) {
         match intake.recv(&mut lane, &clock) {
-            Ok(0) => {
-                bump(&shared.liveness, 1);
-                std::thread::yield_now();
-            }
+            Ok(0) => std::thread::yield_now(),
             Ok(got) => {
                 let stamp = intake.stamp();
                 let corrupt = intake.decode(groups.len(), |idx, hb| groups[idx].push(hb));
@@ -957,7 +935,6 @@ fn lane_loop<L: Transport, C: Clock>(
                 );
                 bump(&shared.frames, got as u64 - corrupt);
                 bump(&shared.corrupt, corrupt);
-                bump(&shared.liveness, 1);
             }
             Err(fault) => {
                 *shared.fault() = Some(fault);
@@ -974,6 +951,7 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::transport::{ChannelTransport, NullTransport};
     use crate::wire::{DeltaEncoder, MAX_V2_FRAME};
+    use afd_core::time::Timestamp;
     use afd_detectors::simple::SimpleAccrual;
 
     type Engine<T = ChannelTransport> = ParallelShardEngine<T, VirtualClock, SimpleAccrual>;
@@ -1147,16 +1125,40 @@ mod tests {
                 .gauge(&format!("engine.worker.{idx}.utilization"))
                 .is_some());
         }
-
-        let mut board = HealthBoard::new(Duration::from_secs(5));
-        engine.register_health(&mut board, clock.now());
-        assert_eq!(board.len(), 3, "one lane + two workers");
-        // The engine's threads keep every label alive on the board's
-        // timeline.
-        clock.advance(Duration::from_secs(4));
-        let stalled = board.observe(clock.now());
-        assert!(stalled.is_empty(), "{stalled:?}");
         engine.shutdown().unwrap();
+    }
+
+    /// Staleness shows in `published_at`: idle workers republish on
+    /// their cadence, so the oldest shard's epoch follows the clock while
+    /// the engine runs and freezes once it stops.
+    #[test]
+    fn published_at_follows_idle_workers_and_freezes_after_shutdown() {
+        let (_tx, mut engine, clock) = rig(EngineConfig {
+            workers: 2,
+            publish_every: Duration::from_millis(1),
+            ..EngineConfig::default()
+        });
+        for id in 0..4u32 {
+            engine.watch(ProcessId::new(id)).unwrap();
+        }
+        engine.start().unwrap();
+        let reader = engine.reader();
+        let ten = Timestamp::from_secs(10);
+        clock.set(ten);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while reader.published_at() < ten {
+            assert!(std::time::Instant::now() < deadline, "no republish");
+            std::thread::yield_now();
+        }
+        assert_eq!(reader.published_at(), ten);
+        engine.shutdown().unwrap();
+        clock.set(Timestamp::from_secs(20));
+        assert_eq!(
+            reader.published_at(),
+            ten,
+            "a stopped engine publishes nothing"
+        );
+        assert_eq!(reader.snapshot().len(), 4);
     }
 
     #[test]
@@ -1218,10 +1220,6 @@ mod tests {
                 .counter(&format!("engine.worker.{idx}.update_nanos"))
                 .is_some());
         }
-
-        let mut board = HealthBoard::new(Duration::from_secs(5));
-        engine.register_health(&mut board, clock.now());
-        assert_eq!(board.len(), 4, "2 lanes + 2 workers");
 
         engine.shutdown().unwrap();
         // The parked engine transport came back through shutdown.

@@ -23,9 +23,9 @@
 //! Each lane's [`recv_batch`](Transport::recv_batch) drains its socket
 //! until `EWOULDBLOCK`, the batch fills, or a per-call syscall budget is
 //! spent — the budget bounds how long one drain can monopolize the
-//! intake thread when a lane is firehosed, keeping liveness ticks and
-//! stop-flag checks timely. Datagrams land straight in the arena's
-//! frame cells, which are one byte longer
+//! intake thread when a lane is firehosed, keeping the monitor's
+//! publishes and stop-flag checks timely. Datagrams land straight in the
+//! arena's frame cells, which are one byte longer
 //! ([`PROBE_LEN`](crate::transport::PROBE_LEN)) than the longest frame a
 //! transport carries ([`MAX_DATAGRAM`], 64 bytes; no wire frame exceeds
 //! 40): a receive that fills a cell is an oversize datagram — detected

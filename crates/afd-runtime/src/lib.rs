@@ -24,8 +24,10 @@
 //!
 //! - transport hiccups get bounded retry with exponential backoff and
 //!   jitter ([`retry`]), surfacing typed errors once the budget is spent;
-//! - a [`Watchdog`] restarts wedged or dead monitor threads
-//!   ([`supervisor`]);
+//! - a monitor thread that panics raises a flag the engine reports
+//!   without blocking ([`ParallelShardEngine::poisoned`]), and one that
+//!   stalls or stops shows to every reader as a
+//!   [`published_at`](SnapshotReader::published_at) that no longer moves;
 //! - adaptive detectors behind [`GracefulDegradation`] fall back to
 //!   simple elapsed-time accrual when faults starve their sampling window,
 //!   without ever violating Accruement (Property 1);
@@ -58,7 +60,6 @@ pub mod sender;
 pub mod seq;
 pub mod shard;
 pub mod snapshot;
-pub mod supervisor;
 pub mod transport;
 pub mod varint;
 pub mod wire;
@@ -75,9 +76,8 @@ pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use intern::{InternEntry, InternSlab};
 pub use lane::{MultiUdpStats, MultiUdpTransport, UdpLane, UdpLaneStats, DEFAULT_RECV_BUDGET};
 pub use persist::{
-    CheckpointConfig, CheckpointDaemon, CheckpointReport, Checkpointer, DirSink, FaultySink,
-    FaultySinkPlan, FaultySinkStats, MemSink, PersistError, RestoreImport, Restored, RestoredPeer,
-    SegmentSink,
+    CheckpointConfig, CheckpointReport, Checkpointer, DirSink, FaultySink, FaultySinkPlan,
+    FaultySinkStats, MemSink, PersistError, RestoreImport, Restored, RestoredPeer, SegmentSink,
 };
 pub use retry::RetryPolicy;
 pub use ring::{heartbeat_ring, RingConsumer, RingProducer, RingWatch};
@@ -87,7 +87,6 @@ pub use shard::{
     MonitorStats, ShardCapacityError, ShardConfig, ShardedMonitor, ShardedStats, TickReport,
 };
 pub use snapshot::SnapshotReader;
-pub use supervisor::{HealthBoard, SupervisedThread, Supervisor, Watchdog};
 pub use transport::{
     ChannelTransport, FrameBatch, NullTransport, Transport, MAX_DATAGRAM, PROBE_LEN,
 };

@@ -34,9 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 use afd_core::accrual::DetectorSeed;
 use afd_core::process::ProcessId;
@@ -176,8 +174,9 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Shared-sink forwarding so a [`CheckpointDaemon`] thread and a restart
-/// path can use one store: clones of the `Arc` are one logical sink.
+/// Shared-sink forwarding so a checkpointing monitor and the restore
+/// after its restart can use one store: clones of the `Arc` are one
+/// logical sink.
 impl<S: SegmentSink> SegmentSink for Arc<Mutex<S>> {
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
         lock_unpoisoned(self).put(name, bytes)
@@ -1087,66 +1086,6 @@ impl<S: SegmentSink> Checkpointer<S> {
             manifests_rejected,
             elapsed: Duration::ZERO,
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointDaemon: periodic cadence for running engines
-// ---------------------------------------------------------------------------
-
-/// A background thread checkpointing a [`SnapshotReader`] on a fixed
-/// cadence — the periodic counterpart of calling
-/// [`checkpoint`](crate::engine::ParallelShardEngine::checkpoint)
-/// explicitly. Reads go through the epoch snapshots only, so
-/// the daemon never contends with intake or workers.
-pub struct CheckpointDaemon<S> {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<Checkpointer<S>>,
-}
-
-impl<S> std::fmt::Debug for CheckpointDaemon<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointDaemon").finish_non_exhaustive()
-    }
-}
-
-impl<S: SegmentSink + Send + 'static> CheckpointDaemon<S> {
-    /// Spawns the daemon: every `every` of `clock` time it dumps a new
-    /// generation through `ckpt`. Dump errors are absorbed (counted via
-    /// `persist.errors` when metrics are bound) — a failing disk must
-    /// not take the monitoring plane down with it.
-    pub fn spawn<C: Clock + Send + 'static>(
-        reader: SnapshotReader,
-        mut ckpt: Checkpointer<S>,
-        clock: C,
-        every: Duration,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        // The first deadline is fixed before the thread exists, so a
-        // caller that advances a virtual clock immediately after spawn
-        // cannot race the daemon's notion of "now".
-        let mut due = clock.now().saturating_add(every);
-        let handle = std::thread::spawn(move || {
-            while !thread_stop.load(Ordering::SeqCst) {
-                let now = clock.now();
-                if now >= due {
-                    let _ = ckpt.checkpoint(&reader, &clock);
-                    due = now.saturating_add(every);
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            ckpt
-        });
-        CheckpointDaemon { stop, handle }
-    }
-
-    /// Stops the daemon and returns its checkpointer (`None` only if the
-    /// daemon thread itself died, which the loop body cannot do).
-    pub fn stop(self) -> Option<Checkpointer<S>> {
-        self.stop.store(true, Ordering::SeqCst);
-        self.handle.join().ok()
     }
 }
 

@@ -78,7 +78,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::hint::black_box;
 use std::mem;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use afd_core::accrual::{AccrualFailureDetector, LevelCurve};
@@ -802,7 +801,6 @@ pub struct ShardedMonitor<T, C, D> {
     stamped: Vec<Stamped>,
     corrupt: u64,
     ticks: u64,
-    liveness: Arc<AtomicU64>,
 }
 
 impl<T, C, D> fmt::Debug for ShardedMonitor<T, C, D> {
@@ -843,7 +841,6 @@ where
             stamped: Vec::with_capacity(INTAKE_BATCH_SLOTS),
             corrupt: 0,
             ticks: 0,
-            liveness: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -894,8 +891,6 @@ where
     /// failures, duplicates, and stale frames are absorbed into
     /// [`ShardedStats`].
     pub fn tick(&mut self) -> Result<TickReport, TransportError> {
-        // lint:allow(relaxed-atomics-audit, monotone liveness tick; the watchdog only needs eventual progress, no cross-thread ordering)
-        self.liveness.fetch_add(1, Ordering::Relaxed);
         let mut report = TickReport::default();
         let (shards, stamped) = (&mut self.shards, &mut self.stamped);
         loop {
@@ -966,11 +961,8 @@ where
     }
 
     /// Publishes a fresh epoch snapshot of every shard and dumps it as a
-    /// new checkpoint generation through `ckpt`.
-    ///
-    /// This is the explicit cadence; for a periodic one hand
-    /// [`reader`](ShardedMonitor::reader) to a
-    /// [`CheckpointDaemon`](crate::persist::CheckpointDaemon) instead.
+    /// new checkpoint generation through `ckpt`. The caller sets the
+    /// cadence, e.g. every so many ticks.
     ///
     /// # Errors
     ///
@@ -998,6 +990,12 @@ where
     ///
     /// Peers whose target shard is full are dropped and counted in
     /// [`RestoreImport::capacity_rejected`](crate::persist::RestoreImport).
+    ///
+    /// A restarted monitor should **restore before re-watching**: restore
+    /// the last complete generation from the shared sink, import it here,
+    /// and only then [`watch`](Self::watch) the peers the checkpoint did
+    /// not hold, so every checkpointed peer starts from its saved moments
+    /// and watermark.
     pub fn restore(&mut self, peers: &[RestoredPeer]) -> RestoreImport {
         import_peers(&mut self.shards, peers, self.clock.now())
     }
@@ -1045,13 +1043,6 @@ where
                 .set(*peers as f64);
         }
     }
-
-    /// A handle to the liveness counter, bumped on every
-    /// [`tick`](ShardedMonitor::tick); hand it to a
-    /// [`Watchdog`](crate::supervisor::Watchdog).
-    pub fn liveness(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.liveness)
-    }
 }
 
 #[cfg(test)]
@@ -1063,6 +1054,7 @@ mod tests {
     use afd_core::accrual::DetectorSeed;
     use afd_core::time::Duration;
     use afd_detectors::simple::SimpleAccrual;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn rig(
         config: ShardConfig,
@@ -1556,16 +1548,6 @@ mod tests {
         mon.watch(ProcessId::new(1)).unwrap();
         mon.export_metrics(&registry);
         assert_eq!(registry.snapshot().gauge("sharded.retired"), Some(0.0));
-    }
-
-    #[test]
-    fn tick_bumps_liveness_for_the_watchdog() {
-        let (_tx, mut mon, _clock) = rig(ShardConfig::default());
-        let liveness = mon.liveness();
-        assert_eq!(liveness.load(Ordering::Relaxed), 0);
-        mon.tick().unwrap();
-        mon.tick().unwrap();
-        assert_eq!(liveness.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Durability acceptance tests: kill-during-checkpoint chaos (restore
 //! falls back to the last complete manifest generation; corrupt segments
-//! are quarantined by checksum, never silently imported), supervisor
-//! restart with restore-before-rewatch, engine wiring in both modes, and
+//! are quarantined by checksum, never silently imported), a restart
+//! that restores before re-watching, engine wiring in both modes, and
 //! proptest round-trips showing dump→restore preserves phi to 1e-9,
 //! Chen's expected arrival to 1 ns, simple accrual exactly, and replay
 //! rejection state.
@@ -9,7 +9,6 @@
 // Exact float equality is the point of the simple-accrual round trip.
 #![allow(clippy::float_cmp)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use afd_core::history::SuspicionTrace;
@@ -21,11 +20,10 @@ use afd_detectors::akka::AkkaPhi;
 use afd_detectors::chen::ChenAccrual;
 use afd_detectors::phi::PhiAccrual;
 use afd_detectors::simple::SimpleAccrual;
-use afd_runtime::persist::CheckpointDaemon;
 use afd_runtime::{
     ChannelTransport, CheckpointConfig, Checkpointer, EngineConfig, EngineError, FaultySink,
     FaultySinkPlan, Heartbeat, MemSink, ParallelShardEngine, SegmentSink, ShardConfig,
-    ShardedMonitor, SupervisedThread, Supervisor, Transport, VirtualClock,
+    ShardedMonitor, Transport, VirtualClock,
 };
 use proptest::prelude::*;
 
@@ -61,14 +59,13 @@ fn phi_monitor(rx: ChannelTransport, clock: &VirtualClock, shards: usize) -> Phi
 /// The tentpole chaos scenario: a monitor learns arrival statistics, dumps
 /// a complete generation, then is killed *mid-checkpoint* — segments of
 /// the next generation hit the sink but the manifest (the commit point)
-/// never installs. A Supervisor restarts it through a spawn closure that
-/// restores from the shared sink *before* re-watching. The restore must
-/// come from the last complete manifest generation, the restored phi must
-/// match pre-crash phi within 1e-9 on the first post-restore query, replay
-/// rejection must survive, and Accruement / Upper Bound must hold on the
-/// post-restart run.
+/// never installs. The restart restores from the shared sink *before*
+/// re-watching. The restore must come from the last complete manifest
+/// generation, the restored phi must match pre-crash phi within 1e-9 on
+/// the first post-restore query, replay rejection must survive, and
+/// Accruement / Upper Bound must hold on the post-restart run.
 #[test]
-fn kill_during_checkpoint_restores_last_complete_generation_via_supervisor() {
+fn kill_during_checkpoint_restores_last_complete_generation() {
     const PEERS: u32 = 24;
     const SHARDS: usize = 4;
     const LEARN_UNTIL: u64 = 60;
@@ -123,90 +120,30 @@ fn kill_during_checkpoint_restores_last_complete_generation_via_supervisor() {
     drop(mon);
     drop(tx);
 
-    // Supervisor restart. Incarnation 1's thread is already dead (the
-    // crash); the respawn closure restores from the shared sink before
-    // re-watching, then parks the rebuilt monitor for the test to drive.
-    struct Incarnation {
-        mon: PhiMonitor,
-        tx: ChannelTransport,
-        generation: Option<u64>,
-        segments_rejected: u64,
-        watched: u64,
-        seeded: u64,
-        next_generation: u64,
+    // Restart by hand: restore from the shared sink, import, and only
+    // then re-watch. Every peer came back with the checkpoint, so the
+    // re-watch finds each one already watched and keeps its restored
+    // detector.
+    let mut ckpt = Checkpointer::new(Arc::clone(&store), CheckpointConfig::default());
+    let restored = ckpt.restore(&clock).unwrap();
+    let (mut tx, rx) = ChannelTransport::pair();
+    let mut mon = phi_monitor(rx, &clock, SHARDS);
+    let import = mon.restore(&restored.peers);
+    for id in 0..PEERS {
+        assert_eq!(mon.watch(ProcessId::new(id)), Ok(false));
     }
-    let slot: Arc<Mutex<Option<Incarnation>>> = Arc::new(Mutex::new(None));
-    let attempt = Arc::new(AtomicU64::new(0));
-    let spawn = {
-        let slot = Arc::clone(&slot);
-        let attempt = Arc::clone(&attempt);
-        let store = Arc::clone(&store);
-        let clock = clock.clone();
-        move || {
-            let liveness = Arc::new(AtomicU64::new(0));
-            let stop = Arc::new(AtomicBool::new(false));
-            let handle = if attempt.fetch_add(1, Ordering::SeqCst) == 0 {
-                // The incarnation that was killed mid-checkpoint.
-                std::thread::spawn(|| {})
-            } else {
-                // Restore BEFORE re-watching.
-                let mut ckpt = Checkpointer::new(Arc::clone(&store), CheckpointConfig::default());
-                let restored = ckpt.restore(&clock).unwrap();
-                let (tx, rx) = ChannelTransport::pair();
-                let mut mon = phi_monitor(rx, &clock, SHARDS);
-                let import = mon.restore(&restored.peers);
-                // A post-restore checkpoint must number above the dead
-                // generation's leftover segments, never clobber them.
-                let next = mon.checkpoint(&mut ckpt).unwrap().generation;
-                *slot.lock().unwrap() = Some(Incarnation {
-                    mon,
-                    tx,
-                    generation: restored.generation,
-                    segments_rejected: restored.segments_rejected,
-                    watched: import.watched,
-                    seeded: import.seeded,
-                    next_generation: next,
-                });
-                let liveness = Arc::clone(&liveness);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        liveness.fetch_add(1, Ordering::Relaxed);
-                        std::thread::yield_now();
-                    }
-                })
-            };
-            SupervisedThread {
-                liveness,
-                stop,
-                handle,
-            }
-        }
-    };
-    let mut sup = Supervisor::new(spawn, Duration::from_secs(3600), clock.clone());
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while sup.restarts() == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "dead thread unnoticed"
-        );
-        sup.tick();
-        std::thread::yield_now();
-    }
-    let mut inc = slot
-        .lock()
-        .unwrap()
-        .take()
-        .expect("respawn parked the monitor");
+    // A post-restore checkpoint must number above the dead generation's
+    // leftover segments, never clobber them.
+    let next_generation = mon.checkpoint(&mut ckpt).unwrap().generation;
 
     // Restore came from the last COMPLETE manifest generation (1), not the
     // partially-written generation 2, and rejected nothing within it.
-    assert_eq!(inc.generation, Some(1));
-    assert_eq!(inc.segments_rejected, 0);
-    assert_eq!(inc.watched, u64::from(PEERS));
-    assert_eq!(inc.seeded, u64::from(PEERS));
+    assert_eq!(restored.generation, Some(1));
+    assert_eq!(restored.segments_rejected, 0);
+    assert_eq!(import.watched, u64::from(PEERS));
+    assert_eq!(import.seeded, u64::from(PEERS));
     assert_eq!(
-        inc.next_generation, 3,
+        next_generation, 3,
         "numbering continues past the dead generation"
     );
 
@@ -215,13 +152,13 @@ fn kill_during_checkpoint_restores_last_complete_generation_via_supervisor() {
     // already-published lock-free path.
     for (id, &expected) in reference.iter().enumerate() {
         let p = ProcessId::new(id as u32);
-        let got = inc.mon.level(p).unwrap().value();
+        let got = mon.level(p).unwrap().value();
         assert!(
             (got - expected).abs() < 1e-9,
             "peer {id}: restored phi {got} vs pre-crash {expected}"
         );
     }
-    let published = inc.mon.reader().snapshot();
+    let published = mon.reader().snapshot();
     assert_eq!(published.len(), PEERS as usize);
     for (p, level) in published {
         let expected = reference[p.index()];
@@ -234,11 +171,11 @@ fn kill_during_checkpoint_restores_last_complete_generation_via_supervisor() {
     // Replay rejection survived the restart: redelivering the highest
     // sequence numbers is rejected, the next fresh one is accepted.
     for id in 0..PEERS {
-        inc.tx.send(&frame(id, seqs[id as usize])).unwrap();
+        tx.send(&frame(id, seqs[id as usize])).unwrap();
     }
-    let rejected = inc.mon.tick().unwrap();
+    let rejected = mon.tick().unwrap();
     assert_eq!(rejected.accepted, 0, "replayed frames must not be accepted");
-    let stats = inc.mon.stats();
+    let stats = mon.stats();
     assert_eq!(
         stats.totals.duplicate + stats.totals.stale,
         u64::from(PEERS)
@@ -250,22 +187,19 @@ fn kill_during_checkpoint_restores_last_complete_generation_via_supervisor() {
     const CRASHED: u32 = 12;
     const RUN_UNTIL: u64 = 180;
     let mut traces: Vec<SuspicionTrace> = (0..PEERS).map(|_| SuspicionTrace::new()).collect();
-    let reader = inc.mon.reader();
+    let reader = mon.reader();
     for second in (LEARN_UNTIL + 1)..=RUN_UNTIL {
         clock.set(Timestamp::from_secs(second));
         for id in CRASHED..PEERS {
             seqs[id as usize] += 1;
-            inc.tx.send(&frame(id, seqs[id as usize])).unwrap();
+            tx.send(&frame(id, seqs[id as usize])).unwrap();
         }
-        inc.mon.tick().unwrap();
-        sup.tick();
+        mon.tick().unwrap();
         let at = reader.published_at();
         for (p, level) in reader.snapshot() {
             traces[p.index()].push(at, level);
         }
     }
-    assert_eq!(sup.restarts(), 1, "no spurious restarts after recovery");
-
     let check = AccruementCheck {
         epsilon: 1e-6,
         min_increases: 10,
@@ -281,7 +215,6 @@ fn kill_during_checkpoint_restores_last_complete_generation_via_supervisor() {
             assert!(witness.strict_increases >= 10, "peer {id}: flat suffix");
         }
     }
-    sup.shutdown();
 }
 
 /// A segment torn mid-write (garbage tail + a guaranteed bit flip) fails
@@ -505,67 +438,6 @@ fn engine_settle<T, C, D>(
         );
         std::thread::yield_now();
     }
-}
-
-/// Periodic cadence: a `CheckpointDaemon` over the engine's reader
-/// dumps a new generation every period of virtual time, concurrently with
-/// the running workers.
-#[test]
-fn checkpoint_daemon_dumps_on_cadence_while_engine_runs() {
-    const PEERS: u32 = 4;
-    let clock = VirtualClock::new();
-    let store: SharedSink = Arc::new(Mutex::new(MemSink::new()));
-    let (mut tx, rx) = ChannelTransport::pair();
-    let mut engine = ParallelShardEngine::new(
-        rx,
-        clock.clone(),
-        EngineConfig {
-            workers: 2,
-            publish_every: Duration::ZERO,
-            ..EngineConfig::default()
-        },
-        |_| PhiAccrual::with_defaults(),
-    );
-    for id in 0..PEERS {
-        engine.watch(ProcessId::new(id)).unwrap();
-    }
-    engine.start().unwrap();
-    clock.set(Timestamp::from_secs(1));
-    for id in 0..PEERS {
-        tx.send(&frame(id, 1)).unwrap();
-    }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while engine.stats().totals.accepted < u64::from(PEERS) {
-        assert!(std::time::Instant::now() < deadline, "intake stalled");
-        std::thread::yield_now();
-    }
-
-    let ckpt = Checkpointer::new(Arc::clone(&store), CheckpointConfig::default());
-    let daemon =
-        CheckpointDaemon::spawn(engine.reader(), ckpt, clock.clone(), Duration::from_secs(5));
-    let wait_for = |name: &str| {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while store.lock().unwrap().get(name).unwrap().is_none() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "daemon never wrote {name}"
-            );
-            std::thread::yield_now();
-        }
-    };
-    clock.set(Timestamp::from_secs(7));
-    wait_for("manifest-g1.afdm");
-    clock.set(Timestamp::from_secs(13));
-    wait_for("manifest-g2.afdm");
-    let mut ckpt = daemon
-        .stop()
-        .expect("daemon thread returned its checkpointer");
-    engine.shutdown().unwrap();
-
-    let restored = ckpt.restore(&clock).unwrap();
-    assert!(restored.generation >= Some(2));
-    assert_eq!(restored.peers.len(), PEERS as usize);
-    assert_eq!(restored.segments_rejected, 0);
 }
 
 /// The two PR-7 detectors slot into the sharded checkpoint/restore path
