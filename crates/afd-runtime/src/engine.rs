@@ -1101,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_and_health_registration_cover_every_thread() {
+    fn export_metrics_cover_every_lane_and_worker() {
         let (mut tx, mut engine, clock) = rig(two_workers());
         engine.watch(ProcessId::new(1)).unwrap();
         engine.start().unwrap();

@@ -19,14 +19,14 @@
 //! 3. **publish** (`Shard::publish`): each shard's suspicion levels and
 //!    durable rows go into a double-buffered epoch snapshot that
 //!    [`SnapshotReader`]s consume without taking any lock, in two passes:
-//!    the *changed-slot* pass visits only the slots two bitsets name as
-//!    owed — changed since the last publish, or written by it for a
-//!    change the other bank still lacks — rewriting their durable rows
-//!    and refreshing the [`LevelCurve`] of the changed ones; the
-//!    *level* pass re-evaluates every level from the shard's dense column
-//!    of curves, eight peers at a time, without touching a slot. The
-//!    protocol between this writer and the readers — slots, banks, the
-//!    index and their seqlocks — is [`snapshot`](crate::snapshot)'s.
+//!    the *changed-slot* pass visits only the slots a bitset names as
+//!    changed since the last publish, refreshing their [`LevelCurve`] and
+//!    writing their durable rows, which the cell copies into the other
+//!    bank after the flip; the *level* pass re-evaluates every level from
+//!    the shard's dense column of curves, eight peers at a time, without
+//!    touching a slot. The protocol between this writer and the readers —
+//!    slots, banks, the index and their seqlocks — is
+//!    [`snapshot`](crate::snapshot)'s.
 //!
 //! `Shard` owns every per-shard operation (watch with capacity,
 //! unwatch, import of a restored peer, accept, publish, counters), so the
@@ -89,7 +89,7 @@ use crate::clock::Clock;
 use crate::error::TransportError;
 use crate::persist::{RestoreImport, RestoredPeer};
 use crate::seq::{classify, SeqVerdict};
-use crate::snapshot::{shard_index, PeerDurable, ShardCell, SnapshotReader};
+use crate::snapshot::{marked, shard_index, PeerDurable, ShardCell, SnapshotReader};
 use crate::transport::{FrameBatch, Transport};
 use crate::wire::{Heartbeat, WireDecoder};
 
@@ -286,39 +286,28 @@ impl CurveColumn {
     }
 }
 
-/// The rows a shard's coming publishes owe the banks, one bit a slab slot
-/// in each of two sets. A row's id, its durable words and its curve change
-/// only where [`accept_batch`], an import or a caller holding
+/// The rows a shard's next publish owes the banks, one bit a slab slot. A
+/// row's id, its durable words and its curve change only where
+/// [`accept_batch`], an import or a caller holding
 /// [`ShardedMonitor::detector_mut`] changes them, or where the slot
-/// changes hands, and each change has to reach both banks: the publish
-/// after it writes one, the next the other. An `unwatch` leaves its slot's
-/// bits standing: the publish skips a vacant slot, and clears them.
-///
-/// Like the curve column, the sets grow a word at a time with the slab and
-/// reserve nothing ahead.
+/// changes hands; the next publish writes the row into both banks and
+/// clears the set. An `unwatch` leaves its slot's bit: the publish skips a
+/// vacant slot. Like the curve column, the set grows a word at a time with
+/// the slab and reserves nothing ahead.
 #[derive(Default)]
-struct OwedRows {
-    /// Rows changed since the last publish: the next one refreshes their
-    /// curve and writes them.
-    fresh: Vec<u64>,
-    /// Rows the last publish wrote for a change, which the bank it did not
-    /// write still holds an older version of.
-    carry: Vec<u64>,
-}
+struct OwedRows(Vec<u64>);
 
 impl OwedRows {
-    /// Grows both sets to hold a bit for each of `slots` slots; the slab
-    /// never shrinks, so neither do they.
+    /// Grows the set to hold a bit for each of `slots` slots; the slab
+    /// never shrinks, so neither does it.
     fn cover(&mut self, slots: usize) {
-        let words = slots.div_ceil(u64::BITS as usize);
-        self.fresh.resize(words, 0);
-        self.carry.resize(words, 0);
+        self.0.resize(slots.div_ceil(u64::BITS as usize), 0);
     }
 
     /// Marks row `row` changed; the set already covers it.
     #[inline]
     fn mark(&mut self, row: usize) {
-        self.fresh[row / u64::BITS as usize] |= 1 << (row % u64::BITS as usize);
+        self.0[row / u64::BITS as usize] |= 1 << (row % u64::BITS as usize);
     }
 }
 
@@ -331,7 +320,7 @@ pub(crate) struct Shard<D> {
     factory: DetectorFactory<D>,
     /// Allocated to the cell's capacity once: `watch` never reallocates.
     slab: Vec<Slot<D>>,
-    /// One row per slab slot, refreshed where `owed.fresh` says the slot
+    /// One row per slab slot, refreshed where `owed` says the slot
     /// changed.
     column: CurveColumn,
     /// The rows the next publish writes.
@@ -466,7 +455,7 @@ impl<D: AccrualFailureDetector> Shard<D> {
     }
 
     /// The entry of `process`, if it is watched, handed out to be changed:
-    /// its row is marked owed to the coming publishes.
+    /// its row is marked owed to the next publish.
     fn entry_to_change(&mut self, process: ProcessId) -> Option<&mut Watched<D>> {
         let slot = self.cell.slot(process)?;
         let watched = self.slab.get_mut(slot)?.live()?;
@@ -517,14 +506,8 @@ impl<D: AccrualFailureDetector> Shard<D> {
         self.slab.len() - self.free.len()
     }
 
-    /// Slots the slab has reached, vacant ones included.
-    #[cfg(test)]
-    pub(crate) fn slots_used(&self) -> usize {
-        self.slab.len()
-    }
-
     /// The detector for `process`, handed out for the caller to change:
-    /// its row is rewritten by the next two publishes, one into each bank.
+    /// the next publish rewrites its row in both banks.
     fn detector_mut(&mut self, process: ProcessId) -> Option<&mut D> {
         Some(&mut self.entry_to_change(process)?.detector)
     }
@@ -546,12 +529,6 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// before a shard is chosen).
     pub(crate) fn stats(&self) -> MonitorStats {
         self.stats
-    }
-
-    /// Accepts one heartbeat: the batch of one.
-    #[cfg(test)]
-    pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
-        accept_batch(std::slice::from_mut(self), &mut [Stamped::new(0, hb, now)]) == 1
     }
 
     /// The warm pass for one resolved slot: loads the watermark and the
@@ -618,13 +595,10 @@ impl<D: AccrualFailureDetector> Shard<D> {
     ///
     /// The *changed-slot* pass: a row's id, its durable words and its
     /// curve are a function of who holds the slot and of that peer's
-    /// arrivals, so they are rewritten only while one of the two banks
-    /// still holds an older version of them: the rows changed since the
-    /// last publish ([`OwedRows::fresh`]), whose curve it also refreshes,
-    /// and the rows the last publish wrote for a change
-    /// ([`OwedRows::carry`]). It walks the two sets a word at a time and
-    /// visits only the slots they name, skipping those vacated since;
-    /// what this publish wrote for a change the next one carries.
+    /// arrivals, so only the rows [`OwedRows`] names are visited, skipping
+    /// slots vacated since: their curve is refreshed and their rows
+    /// written, and after the flip the cell copies those rows into the
+    /// other bank.
     ///
     /// The *level* pass: every level is a function of the query time and
     /// is re-evaluated at `now` — down the curve column a block at a
@@ -632,28 +606,16 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// are then asked one by one, as every slot was before there was a
     /// column.
     pub(crate) fn publish(&mut self, now: Timestamp) {
-        let (slab, column, owed) = (&mut self.slab, &mut self.column, &mut self.owed);
-        self.cell.publish(now, |bank| {
-            let words = owed.fresh.iter_mut().zip(&mut owed.carry);
-            for (word, (fresh, carry)) in words.enumerate() {
-                let changed = mem::take(fresh);
-                let mut rows = changed | mem::replace(carry, changed);
-                while rows != 0 {
-                    let bit = rows.trailing_zeros();
-                    rows &= rows - 1;
-                    let row = word * u64::BITS as usize + bit as usize;
-                    let Slot::Live(watched) = &mut slab[row] else {
-                        continue;
-                    };
-                    // There is one column, not one a bank: the first of the
-                    // two publishes a change is owed refreshes the curve.
-                    if changed >> bit & 1 != 0 {
-                        column.set(row, watched.detector.level_curve());
-                    }
-                    let seed = watched.detector.save_seed();
-                    let durable = PeerDurable::from_state(seed, watched.highest_seq);
-                    bank.store_row(row, watched.id, &durable);
-                }
+        let (slab, column, owed) = (&mut self.slab, &mut self.column, &mut self.owed.0);
+        self.cell.publish(now, owed, |bank| {
+            for row in marked(owed) {
+                let Slot::Live(watched) = &mut slab[row] else {
+                    continue;
+                };
+                column.set(row, watched.detector.level_curve());
+                let seed = watched.detector.save_seed();
+                let durable = PeerDurable::from_state(seed, watched.highest_seq);
+                bank.store_row(row, watched.id, &durable);
             }
             bank.store_levels(&column.blocks, now);
             for &row in &column.curveless {
@@ -663,6 +625,7 @@ impl<D: AccrualFailureDetector> Shard<D> {
             }
             slab.len()
         });
+        owed.fill(0);
     }
 }
 
@@ -1055,6 +1018,19 @@ mod tests {
     use afd_core::time::Duration;
     use afd_detectors::simple::SimpleAccrual;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// What the tests of this module and of `snapshot` ask of a shard.
+    impl<D: AccrualFailureDetector> Shard<D> {
+        /// Slots the slab has reached, vacant ones included.
+        pub(crate) fn slots_used(&self) -> usize {
+            self.slab.len()
+        }
+
+        /// Accepts one heartbeat: the batch of one.
+        pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
+            accept_batch(std::slice::from_mut(self), &mut [Stamped::new(0, hb, now)]) == 1
+        }
+    }
 
     fn rig(
         config: ShardConfig,
@@ -1602,7 +1578,7 @@ mod tests {
 
     #[test]
     fn the_owed_sets_grow_with_the_slab_not_the_capacity() {
-        // A set holds a bit a slot the slab has reached, so a shard
+        // The set holds a bit a slot the slab has reached, so a shard
         // declared for a million peers holds no word until it watches one.
         let (capacity, peers) = if cfg!(miri) {
             (1 << 10, 70)
@@ -1610,13 +1586,13 @@ mod tests {
             (1 << 20, 300)
         };
         let mut shard = phi_shards(1, capacity).pop().expect("one shard");
-        let words = |shard: &Shard<_>| (shard.owed.fresh.len(), shard.owed.carry.len());
-        assert_eq!(words(&shard), (0, 0), "construction allocates no word");
+        let words = |shard: &Shard<_>| shard.owed.0.len();
+        assert_eq!(words(&shard), 0, "construction allocates no word");
         for id in 0..peers {
             shard.watch(ProcessId::new(id)).unwrap();
         }
         let reached = (peers as usize).div_ceil(64);
-        assert_eq!(words(&shard), (reached, reached));
+        assert_eq!(words(&shard), reached);
         // Churn of the same count takes the vacated slots back.
         for id in 0..peers {
             shard.unwatch(ProcessId::new(id));
@@ -1624,47 +1600,57 @@ mod tests {
         for id in 0..peers {
             shard.watch(ProcessId::new(id + 10_000)).unwrap();
         }
-        assert_eq!(words(&shard), (reached, reached));
+        assert_eq!(words(&shard), reached);
     }
 
     #[test]
     fn rejected_frames_owe_no_publish() {
         // Only an accepted arrival changes a row: a duplicate, a stale
-        // frame and one from a sender nobody watches leave both sets
-        // empty, so the next publish writes no row.
+        // frame and one from a sender nobody watches leave the set empty,
+        // so the next publish writes no row.
         let mut shard = phi_shards(1, 8).pop().expect("one shard");
         for id in 0..3 {
             shard.watch(ProcessId::new(id)).unwrap();
         }
         assert!(shard.accept(beat(1, 5), Timestamp::from_secs(1)));
-        // Three slots: one word a set, `(fresh, carry)`.
-        let sets = |shard: &Shard<_>| (shard.owed.fresh.clone(), shard.owed.carry.clone());
+        // Three slots: one word.
+        let set = |shard: &Shard<_>| shard.owed.0.clone();
+        assert_eq!(set(&shard), vec![0b111]);
         shard.publish(Timestamp::from_secs(2));
-        assert_eq!(
-            sets(&shard),
-            (vec![0], vec![0b111]),
-            "the other bank is owed"
-        );
-        shard.publish(Timestamp::from_secs(3));
-        assert_eq!(sets(&shard), (vec![0], vec![0]), "two publishes settle");
-        assert!(!shard.accept(beat(1, 5), Timestamp::from_secs(4)));
-        assert!(!shard.accept(beat(1, 4), Timestamp::from_secs(4)));
-        assert!(!shard.accept(beat(9, 1), Timestamp::from_secs(4)));
+        assert_eq!(set(&shard), vec![0], "one publish settles both banks");
+        assert!(!shard.accept(beat(1, 5), Timestamp::from_secs(3)));
+        assert!(!shard.accept(beat(1, 4), Timestamp::from_secs(3)));
+        assert!(!shard.accept(beat(9, 1), Timestamp::from_secs(3)));
         let stats = shard.stats();
         assert_eq!((stats.duplicate, stats.stale, stats.unwatched), (1, 1, 1));
-        assert_eq!(
-            sets(&shard),
-            (vec![0], vec![0]),
-            "rejected frames mark no row"
-        );
+        assert_eq!(set(&shard), vec![0], "rejected frames mark no row");
         // One accepted frame marks its own row and no other.
-        assert!(shard.accept(beat(2, 1), Timestamp::from_secs(5)));
+        assert!(shard.accept(beat(2, 1), Timestamp::from_secs(4)));
         let row = shard.cell.slot(ProcessId::new(2)).unwrap();
-        assert_eq!(sets(&shard), (vec![1 << row], vec![0]));
-        shard.publish(Timestamp::from_secs(6));
-        assert_eq!(sets(&shard), (vec![0], vec![1 << row]));
-        shard.publish(Timestamp::from_secs(7));
-        assert_eq!(sets(&shard), (vec![0], vec![0]));
+        assert_eq!(set(&shard), vec![1 << row]);
+        shard.publish(Timestamp::from_secs(5));
+        assert_eq!(set(&shard), vec![0]);
+    }
+
+    #[test]
+    fn one_publish_writes_an_arrival_into_both_banks() {
+        let p = ProcessId::new(4);
+        let mut shard = phi_shards(1, 8).pop().expect("one shard");
+        shard.watch(p).unwrap();
+        shard.publish(Timestamp::from_secs(1));
+        assert!(shard.accept(beat(4, 1), Timestamp::from_secs(2)));
+        let row = shard.cell.slot(p).unwrap();
+        assert_eq!(bit(&shard.owed.0, row), 1);
+        shard.publish(Timestamp::from_secs(3));
+        assert!(shard.owed.0.iter().all(|&word| word == 0), "nothing owed");
+        let watched = shard.entry(p).unwrap();
+        let want = (
+            u64::from(p.as_u32()),
+            PeerDurable::from_state(watched.detector.save_seed(), watched.highest_seq),
+        );
+        assert_eq!(want.1.highest(), Some(1));
+        let [front, back] = shard.cell.bank_rows(shard.slots_used());
+        assert_eq!((front[row], back[row]), (want, want));
     }
 
     #[test]
@@ -1746,7 +1732,7 @@ mod tests {
         shards
     }
 
-    /// Row `row`'s bit in one of a shard's owed sets.
+    /// Row `row`'s bit in a shard's owed set.
     fn bit(set: &[u64], row: usize) -> u8 {
         (set[row / 64] >> (row % 64) & 1) as u8
     }
@@ -1793,7 +1779,7 @@ mod tests {
         assert_eq!(watched.detector.save_seed(), live);
         let slot = shard.cell.slot(p).unwrap();
         assert_eq!(
-            bit(&shard.owed.fresh, slot),
+            bit(&shard.owed.0, slot),
             1,
             "an import always marks the slot"
         );
@@ -1880,7 +1866,7 @@ mod tests {
         /// Senders 0–2 are watched, 3 never was, 4 and 5 were and left a
         /// watermark behind.
         const SENDERS: u64 = 6;
-        /// Sequence numbers a frame may carry: both sides of the wrap
+        /// Sequence numbers a frame may bear: both sides of the wrap
         /// past `u64::MAX`, close enough together that duplicates and
         /// stale frames are common.
         const SEQS: [u64; 10] = [
@@ -2129,17 +2115,17 @@ mod tests {
                 assert_eq!(held, curve.unwrap_or(LevelCurve::Zero), "row {row}");
             }
             assert_eq!(shard.column.curveless, listed);
+            // The bank the publish retired holds the front bank's id and
+            // durable words in every row the slab reached.
+            let [front, back] = shard.cell.bank_rows(shard.slab.len());
+            assert_eq!(front, back);
         }
 
-        /// Every slot's count of publishes still owed to it: two for a
-        /// row changed since the last publish, one for a row the last
-        /// publish wrote for a change.
+        /// Every slot's count of publishes still owed to it: one for a
+        /// row changed since the last publish, none for any other.
         fn marks<D>(shard: &Shard<D>) -> Vec<u8> {
             (0..shard.slab.len())
-                .map(|row| match bit(&shard.owed.fresh, row) {
-                    1 => 2,
-                    _ => bit(&shard.owed.carry, row),
-                })
+                .map(|row| bit(&shard.owed.0, row))
                 .collect()
         }
 
@@ -2216,7 +2202,7 @@ mod tests {
                 now = now.saturating_add(Duration::from_millis(130));
                 publish_and_check(&mut shard, now);
             }
-            // Two publishes settle every slot, so from here a
+            // One publish settles every slot, so from here a
             // membership change that went back to rewriting
             // everything would show on every other slot.
             assert!(marks(&shard).iter().all(|&owed| owed == 0));

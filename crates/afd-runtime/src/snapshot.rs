@@ -7,12 +7,13 @@
 //!
 //! # One seqlock
 //!
-//! Every word a reader loads is stored inside a `SeqLock::write`, and
-//! every read runs in a `SeqLock::try_read`, which discards an attempt a
-//! write overlapped. The writer is wait-free and readers are
-//! obstruction-free; everything is plain atomics, no locks, no unsafe
-//! code, and the fences sit in those two functions only. The rings of
-//! [`ring`](crate::ring) run each slot on the same lock.
+//! Every word a reader loads is stored inside a `SeqLock::write` (or a
+//! `hold`, a write that leaves the word odd), and every read runs in a
+//! `SeqLock::try_read`, which discards an attempt a write overlapped. The
+//! writer is wait-free and readers are obstruction-free; everything is
+//! plain atomics, no locks, no unsafe code, and the fences sit in `hold`
+//! and `try_read` only. The rings of [`ring`](crate::ring) run each slot
+//! on the same lock.
 //!
 //! # Stable slots
 //!
@@ -36,8 +37,9 @@
 //! grows (see *What a publish writes*), so a point read is one index
 //! probe, one chunk lookup and two loads. The publishing thread fills
 //! the *back* bank inside its seqlock's write section, then flips
-//! `front`. Readers load `front` and read that bank inside its seqlock,
-//! retrying on a straddle.
+//! `front`; the bank it retires stays *held* — its word odd — until the
+//! next publish has filled it. Readers load `front` and read that bank
+//! inside its seqlock, retrying on a straddle or a held bank.
 //!
 //! A point read ([`SnapshotReader::level`]) takes two steps. It probes
 //! the index for the peer's slot — under the index's own seqlock, because
@@ -80,30 +82,30 @@
 //! **The changed-slot pass.** The id and the durable words change only
 //! when the slot changes hands, an arrival is accepted, a peer is
 //! imported, or a caller borrows the detector mutably — so each such
-//! change marks *that slot* for the next two publishes, one into each
-//! bank: the back bank missed the previous publish, and what a publish
-//! writes is therefore the union of this and the previous publish's
-//! changed slots. The shard keeps the two as bitsets, a bit a slot: the
-//! slots changed since the last publish, and the slots the last publish
-//! wrote for a change. The pass walks their union a 64-slot word at a
-//! time and visits only the slots it names, so a publish costs a word per
-//! 64 slots plus the owed rows, whatever the shard watches. For every
-//! other slot the bank still holds, from two publishes ago, exactly the
-//! row a rewrite would produce. A slot vacated since it was marked is
-//! skipped; its rows already hold `VACANT` — an id outside the `u32` id
-//! space, which `read_all`/`read_durable` skip — since the `unwatch`.
+//! change marks *that slot* in a bitset, a bit a slot. A publish walks it
+//! a 64-slot word at a time and writes only the rows it names, so it
+//! costs a word per 64 slots plus the changed rows, whatever the shard
+//! watches. After the flip it copies the same rows, id and durable words,
+//! into the bank it retired — bank to bank, visiting no slot — so the
+//! two banks agree on every row but its level. The retired bank's levels
+//! are a publish older than its copied rows, so its word stays held: a
+//! reader that loaded `front` before the flip retries rather than read
+//! the mix. A slot vacated since it was marked is skipped, and copying
+//! it is harmless: its rows hold `VACANT` in both banks — an id outside
+//! the `u32` id space, which `read_all`/`read_durable` skip — since the
+//! `unwatch`.
 //!
 //! **The level pass.** The level is a function of the query time
 //! (`sl_qp(t)`, §3 Definition 1), so every publish re-evaluates every
 //! slot's — from the shard's *curve column*, not from the detectors: the
 //! [`LevelCurve`] each detector's `level_curve` returned when its slot
-//! last changed (the changed-slot pass refreshes it at the first of the
-//! two publishes a change is owed), run through [`LevelCurve::at_block`]
-//! eight rows at a time straight into the bank's level words, chunk by
-//! chunk, touching no slot. A detector with no curve returns `None`: its
-//! row holds the zero curve, its slot is *listed*, and the listed slots
-//! are asked `suspicion_level(now)` one by one after the column. A vacant
-//! row holds the zero curve too, and nobody reads its level.
+//! last changed (the changed-slot pass refreshes it), run through
+//! [`LevelCurve::at_block`] eight rows at a time straight into the bank's
+//! level words, chunk by chunk, touching no slot. A detector with no
+//! curve returns `None`: its row holds the zero curve, its slot is
+//! *listed*, and the listed slots are asked `suspicion_level(now)` one by
+//! one after the column. A vacant row holds the zero curve too, and
+//! nobody reads its level.
 //!
 //! Published levels are as of the last publish, so a reader's view lags
 //! real time by at most one tick interval; callers that need exact-`now`
@@ -149,19 +151,26 @@ pub(crate) struct SeqLock(AtomicU64);
 impl SeqLock {
     /// Runs the single writer's `stores` with the word odd.
     pub(crate) fn write<R>(&self, stores: impl FnOnce() -> R) -> R {
-        // Enter: mark odd, then fence so the stores cannot be observed
-        // before the mark. Plain stores suffice — there is one writer.
-        // `| 1` rather than `+ 1`: `stores` that unwound (a detector
-        // panicked) left the word odd, and the next write must not flip
-        // it to even while it stores.
-        let writing = self.0.load(Ordering::Relaxed) | 1;
-        self.0.store(writing, Ordering::Relaxed);
-        fence(Ordering::Release);
-        let out = stores();
+        let out = self.hold(stores);
         // Exit (even again): release-orders every store before the mark
         // readers synchronize with.
+        let writing = self.0.load(Ordering::Relaxed);
         self.0.store(writing.wrapping_add(1), Ordering::Release);
         out
+    }
+
+    /// Runs the single writer's `stores` with the word odd and leaves it
+    /// odd: no read succeeds until the next [`write`](Self::write) ends.
+    pub(crate) fn hold<R>(&self, stores: impl FnOnce() -> R) -> R {
+        // Enter: mark odd, then fence so the stores cannot be observed
+        // before the mark. Plain stores suffice — there is one writer.
+        // `| 1` rather than `+ 1`: a held word is odd already, as is one
+        // whose `stores` unwound (a detector panicked), and the next
+        // write must not flip it to even while it stores.
+        self.0
+            .store(self.0.load(Ordering::Relaxed) | 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        stores()
     }
 
     /// One read attempt: what `loads` returned, or `None` if a write
@@ -291,6 +300,18 @@ impl PeerDurable {
     }
 }
 
+/// The rows a set of one bit a row names, ascending.
+pub(crate) fn marked(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+            rest &= rest - 1;
+            Some(word * u64::BITS as usize + bit as usize)
+        })
+    })
+}
+
 /// Rows a [`RowChunk`] holds: a power of two, so a row's chunk and its
 /// place in it are a shift and a mask.
 pub(crate) const CHUNK: usize = 256;
@@ -351,6 +372,17 @@ impl Bank {
             chunk.ids[i].store(u64::from(id.as_u32()), Ordering::Relaxed);
             for (cell, word) in chunk.durable[i].iter().zip(durable.words()) {
                 cell.store(word, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Copies row `row`'s tenant and durable record from `from`.
+    #[inline]
+    fn copy_row(&self, from: &Bank, row: usize) {
+        if let (Some((to, i)), Some((from, _))) = (self.row(row), from.row(row)) {
+            to.ids[i].store(from.ids[i].load(Ordering::Relaxed), Ordering::Relaxed);
+            for (to, from) in to.durable[i].iter().zip(&from.durable[i]) {
+                to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
             }
         }
     }
@@ -608,34 +640,39 @@ impl ShardCell {
     }
 
     /// Unmaps `process` and stores the vacant id into its row in both
-    /// banks, each inside its write section (the re-watch rule), returning
-    /// the row. A reader led back to the row by a later `watch` of the
-    /// same peer finds it vacated: the lookup that finds the new entry has
-    /// acquired the index's write section, which came after these.
+    /// banks, each inside its write section (the re-watch rule) — the back
+    /// bank's stays held — returning the row. A reader led back to the row
+    /// by a later `watch` of the same peer finds it vacated: the lookup
+    /// that finds the new entry has acquired the index's write section,
+    /// which came after these.
     pub(crate) fn vacate(&self, process: ProcessId) -> Option<usize> {
         let slot = self.slot_of.remove(process)?;
-        for bank in &self.banks {
-            if let Some((chunk, i)) = bank.row(slot) {
-                bank.seq
-                    .write(|| chunk.ids[i].store(VACANT, Ordering::Relaxed));
-            }
-        }
+        let front = self.front.load(Ordering::Relaxed) & 1;
+        let vacate = |b: usize| {
+            let row = self.banks[b].row(slot);
+            move || row.map(|(chunk, i)| chunk.ids[i].store(VACANT, Ordering::Relaxed))
+        };
+        self.banks[front].seq.write(vacate(front));
+        self.banks[front ^ 1].seq.hold(vacate(front ^ 1));
         Some(slot)
     }
 
     /// Publishes a new front bank: `fill` writes rows straight into the
-    /// back bank and returns how many are in use. Rows it leaves alone
-    /// keep what the previous publish *into this bank* — two publishes
-    /// ago — wrote there. Single writer: the thread that owns the shard.
-    pub(crate) fn publish(&self, at: Timestamp, fill: impl FnOnce(&Bank) -> usize) {
+    /// back bank and returns how many are in use, and `front` flips. Then
+    /// the rows `rows` names, a bit a row, are copied — id and durable
+    /// words — into the bank just retired, whose word stays held (see
+    /// *What a publish writes*). Single writer: the shard's thread.
+    pub(crate) fn publish(&self, at: Timestamp, rows: &[u64], fill: impl FnOnce(&Bank) -> usize) {
         let back = (self.front.load(Ordering::Relaxed) & 1) ^ 1;
-        let bank = &self.banks[back];
+        let (bank, old) = (&self.banks[back], &self.banks[back ^ 1]);
         bank.seq.write(|| {
             let n = fill(bank).min(self.slots);
             bank.len.store(n, Ordering::Relaxed);
             bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
         });
         self.front.store(back, Ordering::Release);
+        old.seq
+            .hold(|| marked(rows).for_each(|row| old.copy_row(bank, row)));
     }
 
     /// Runs `read` against a consistent front bank, retrying while a
@@ -702,9 +739,8 @@ impl ShardCell {
 /// A cloneable, lock-free view of the last published epoch snapshots.
 ///
 /// Readers never block the tick writer and never take a lock; each read
-/// retries only if it overlaps a publish of the same shard (two flips in
-/// one read — the writer alternates banks, so a single publish never
-/// invalidates the bank a reader is on) or an `unwatch` in it.
+/// retries only if it overlaps a publish of the same shard or an `unwatch`
+/// in it.
 #[derive(Clone)]
 pub struct SnapshotReader {
     cells: Arc<[Arc<ShardCell>]>,
@@ -810,6 +846,23 @@ mod tests {
                     .map(|(p, level, durable)| (p, level, load_durable(durable)))
                     .collect();
                 (bank.published_at(), rows)
+            })
+        }
+
+        /// The id and durable record of each of the first `rows` rows of
+        /// the front bank, then of the back bank; the caller is the
+        /// shard's thread, so no write is in flight.
+        pub(crate) fn bank_rows(&self, rows: usize) -> [Vec<(u64, PeerDurable)>; 2] {
+            let front = self.front.load(Ordering::Relaxed) & 1;
+            [front, front ^ 1].map(|b| {
+                let bank = &self.banks[b];
+                (0..rows)
+                    .map(|row| {
+                        let (chunk, i) = bank.row(row).expect("a reached row has a chunk");
+                        let id = chunk.ids[i].load(Ordering::Relaxed);
+                        (id, load_durable(&chunk.durable[i]))
+                    })
+                    .collect()
             })
         }
 
@@ -972,6 +1025,40 @@ mod tests {
                 prop_assert_eq!(agrees(32, crossing), 2);
             }
         }
+    }
+
+    #[test]
+    fn the_retired_bank_is_held_until_a_publish_fills_it() {
+        // A publish copies its changed rows into the bank it retires, whose
+        // levels are a publish older: a reader that loaded `front` before
+        // the flip must not read that mix, so the retired bank's word stays
+        // odd — through an `unwatch` too — until a publish fills it again.
+        let (cells, mut shards) = build_shards(1, 8, |p: ProcessId| {
+            SimpleAccrual::new(Timestamp::from_nanos(u64::from(p.as_u32())))
+        });
+        let (cell, shard) = (&cells[0], &mut shards[0]);
+        let readable = |cell: &ShardCell| {
+            let front = cell.front.load(Ordering::Relaxed) & 1;
+            [front, front ^ 1].map(|b| cell.banks[b].seq.try_read(|| ()).is_some())
+        };
+        let (p, q) = (ProcessId::new(1), ProcessId::new(2));
+        shard.watch(p).unwrap();
+        shard.watch(q).unwrap();
+        for round in 1..=3u64 {
+            let at = Timestamp::from_secs(round);
+            let hb = Heartbeat {
+                sender: p,
+                seq: round,
+                sent_at: at,
+            };
+            assert!(shard.accept(hb, at));
+            shard.publish(at);
+            assert_eq!(readable(cell), [true, false], "round {round}");
+        }
+        assert!(shard.unwatch(q).is_some());
+        assert_eq!(readable(cell), [true, false], "an unwatch keeps the hold");
+        assert_eq!(cell.lookup(q), None);
+        assert_eq!(cell.lookup(p), Some(SuspicionLevel::ZERO));
     }
 
     #[test]
