@@ -4,9 +4,8 @@
 //! [`run_chaos`] simulates an afd-sim [`Scenario`] once — loss, delay,
 //! partitions, sender outages, clock drift, a final crash — and replays
 //! the trace through [`replay`] once per member of [`spec::zoo`], each
-//! behind a [`GracefulDegradation`], read through the
-//! [`SnapshotReader`](crate::SnapshotReader) on the v2 wire and
-//! thresholded on its own scale. A `(scenario, seed)` pair yields a
+//! behind a [`GracefulDegradation`], fed on the v2 wire, read at each
+//! query instant and thresholded on its own scale. A `(scenario, seed)` pair yields a
 //! bit-identical suspicion timeline: chaos tests assert on exact replays,
 //! not on sleeps and hope. [`run_chaos_script`] replays the model
 //! checker's explicit schedules ([`ChaosScript`]) against the real sender
@@ -74,7 +73,7 @@ pub struct ZooDetectorReport {
     pub name: &'static str,
     /// The interpretation threshold applied to its levels.
     pub threshold: SuspicionLevel,
-    /// The suspicion timeline its monitor published at the queries.
+    /// The suspicion timeline its monitor read at the queries.
     pub trace: SuspicionTrace,
     /// Streaming QoS estimates from the thresholded output (the paper's
     /// T_D, T_MR, T_M, λ_M, P_A, T_G).

@@ -12,10 +12,10 @@
 //!    arrival's local time, so Algorithm 4's freshness rule (lines 8–10)
 //!    is [`seq::classify`](crate::seq::classify) in the shard's accept
 //!    stage, as in every deployment;
-//! 3. it ticks again at each query's local time, and the level is read
-//!    through [`SnapshotReader::level`](crate::SnapshotReader::level) and
-//!    filed under the *global* query time QoS analysis compares crash
-//!    times against;
+//! 3. at each query's local time it reads the detector's exact-now level
+//!    through [`ShardedMonitor::level`] — the level a tick at that
+//!    instant would publish, without the tick — and files it under the
+//!    *global* query time QoS analysis compares crash times against;
 //! 4. at the horizon it unwatches the peer and hands back, beside the
 //!    levels, the intake's [`MonitorStats`] and the detector itself.
 //!
@@ -29,9 +29,8 @@ use afd_core::accrual::AccrualFailureDetector;
 use afd_core::history::SuspicionTrace;
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
-use afd_core::time::Timestamp;
 use afd_sim::replay::ReplayConfig;
-use afd_sim::trace::{ArrivalTrace, HeartbeatRecord};
+use afd_sim::trace::ArrivalTrace;
 
 use crate::clock::VirtualClock;
 use crate::shard::{MonitorStats, ShardConfig, ShardedMonitor};
@@ -49,7 +48,7 @@ const RESYNC_EVERY: u32 = 8;
 /// What a [`replay`] produced.
 #[derive(Debug)]
 pub struct Replayed<D> {
-    /// The level history the monitor published at the query instants.
+    /// The monitor's level history at the query instants.
     pub levels: SuspicionTrace,
     /// What the monitor's intake saw: every frame sent was accepted or
     /// judged stale.
@@ -60,8 +59,8 @@ pub struct Replayed<D> {
 
 /// Replays `trace` through a monitor whose detector `factory` builds,
 /// querying on `config`'s schedule until the trace horizon; returns the
-/// level history the monitor published at the query instants, with the
-/// intake's counters and the detector.
+/// monitor's level history at the query instants, with the intake's
+/// counters and the detector.
 ///
 /// A delivery whose sequence number is not ahead of the highest accepted
 /// one is judged stale by the monitor and never reaches the detector, so
@@ -95,13 +94,7 @@ where
     D: AccrualFailureDetector,
     F: FnMut(ProcessId) -> D + Send + Clone + 'static,
 {
-    let mut arrivals: Vec<(Timestamp, &HeartbeatRecord)> = trace
-        .records()
-        .iter()
-        .filter_map(|r| Some((r.delivered_local?, r)))
-        .collect();
-    arrivals.sort_by_key(|&(at, r)| (at, r.seq));
-    let mut arrivals = arrivals.into_iter().peekable();
+    let mut arrivals = trace.deliveries_in_arrival_order().into_iter().peekable();
 
     let clock = VirtualClock::new();
     // Each frame is drained by the tick after its send: one cell is room.
@@ -113,7 +106,6 @@ where
     let mut monitor = ShardedMonitor::new(intake, clock.clone(), one, factory);
     let watched = monitor.watch(PEER);
     debug_assert_eq!(watched, Ok(true), "a fresh one-slot shard takes its peer");
-    let reader = monitor.reader();
     let interval = std::time::Duration::from_nanos(trace.interval().as_nanos());
     let mut encoder = DeltaEncoder::new(PEER, PEER.as_u32(), interval, RESYNC_EVERY);
     let mut frame = [0u8; MAX_V2_FRAME];
@@ -138,10 +130,9 @@ where
             debug_assert!(ticked.is_ok(), "{ticked:?}");
             sent += 1;
         }
+        // The level a tick now would publish; only arrivals tick.
         clock.set(local_now);
-        let ticked = monitor.tick();
-        debug_assert!(ticked.is_ok(), "{ticked:?}");
-        let level = reader.level(PEER).unwrap_or(SuspicionLevel::ZERO);
+        let level = monitor.level(PEER).unwrap_or(SuspicionLevel::ZERO);
         out.push(query_at, level);
         query_at += config.query_interval;
     }
@@ -166,10 +157,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afd_core::time::Duration;
+    use afd_core::time::{Duration, Timestamp};
+    use afd_detectors::adversary::WeakAccruementAdversary;
     use afd_detectors::simple::SimpleAccrual;
     use afd_detectors::spec;
-    use afd_sim::scenario::Scenario;
+    use afd_sim::loss::BernoulliLoss;
+    use afd_sim::scenario::{LossKind, Scenario};
+    use afd_sim::trace::HeartbeatRecord;
     use afd_sim::{read_csv, simulate, write_csv};
 
     fn record(seq: u64, sent_s: f64, delivered_s: Option<f64>) -> HeartbeatRecord {
@@ -286,5 +280,85 @@ mod tests {
                 assert_eq!(bits(&restored), bits(&original), "{}", spec.name());
             }
         }
+    }
+
+    /// The level bits a reader of the published snapshot sees at the
+    /// queries when the monitor also ticks at each query: [`replay`]'s
+    /// wire and arrival ticks, then a query tick read through
+    /// `monitor.reader()`, as a lock-free client reads.
+    fn published_bits<D, F>(trace: &ArrivalTrace, factory: F, config: ReplayConfig) -> Vec<u64>
+    where
+        D: AccrualFailureDetector,
+        F: FnMut(ProcessId) -> D + Send + Clone + 'static,
+    {
+        let clock = VirtualClock::new();
+        let (mut wire, intake) = ChannelTransport::pair_bounded(1);
+        let one = ShardConfig {
+            shards: 1,
+            slots_per_shard: 1,
+        };
+        let mut monitor = ShardedMonitor::new(intake, clock.clone(), one, factory);
+        monitor.watch(PEER).unwrap();
+        let reader = monitor.reader();
+        let interval = std::time::Duration::from_nanos(trace.interval().as_nanos());
+        let mut encoder = DeltaEncoder::new(PEER, PEER.as_u32(), interval, RESYNC_EVERY);
+        let mut frame = [0u8; MAX_V2_FRAME];
+        let mut arrivals = trace.deliveries_in_arrival_order().into_iter().peekable();
+        let mut bits = Vec::new();
+        let mut query_at = config.first_query;
+        while query_at <= trace.horizon() {
+            let local_now = config.monitor_clock.local_time(query_at);
+            while let Some((at, record)) = arrivals.next_if(|&(at, _)| at <= local_now) {
+                let hb = Heartbeat {
+                    sender: PEER,
+                    seq: record.seq,
+                    sent_at: record.sent_at,
+                };
+                let len = encoder.encode(&hb, &mut frame);
+                clock.set(at);
+                wire.send(&frame[..len]).unwrap();
+                monitor.tick().unwrap();
+            }
+            clock.set(local_now);
+            monitor.tick().unwrap();
+            bits.push(reader.level(PEER).unwrap().value().to_bits());
+            query_at += config.query_interval;
+        }
+        bits
+    }
+
+    #[test]
+    fn the_query_read_is_the_level_a_query_tick_publishes() {
+        // 50 ms heartbeats under 40 ms delay jitter overtake each other,
+        // 10 % are lost, and the sender is down for 3 s.
+        let scenario = Scenario {
+            loss: LossKind::Bernoulli(BernoulliLoss::new(0.1)),
+            ..Scenario::wan_jitter()
+        }
+        .with_heartbeat_interval(Duration::from_millis(50))
+        .with_horizon(Timestamp::from_secs(40))
+        .with_outage(Timestamp::from_secs(20), Timestamp::from_secs(23));
+        let trace = simulate(&scenario, 3);
+        let arrivals = trace.deliveries_in_arrival_order();
+        assert!(arrivals.windows(2).any(|w| w[1].1.seq < w[0].1.seq));
+        assert!(trace.loss_rate() > 0.05);
+        let every = ReplayConfig::every(Duration::from_millis(30));
+        let bits = |out: SuspicionTrace| -> Vec<u64> {
+            out.iter().map(|s| s.level.value().to_bits()).collect()
+        };
+        let kinds = spec::zoo().map(|member| member.detector);
+        for spec in kinds.into_iter().chain(spec::series()) {
+            let read = bits(replay(&trace, move |_| spec.build(), every).levels);
+            let published = published_bits(&trace, move |_| spec.build(), every);
+            assert_eq!(read, published, "{}", spec.name());
+        }
+        // A query-driven detector: Appendix A.5's adversary raises its
+        // level at every evaluation, arrival ticks' and queries' alike.
+        let adversary = |_| WeakAccruementAdversary::new(0.5);
+        let read = bits(replay(&trace, adversary, every).levels);
+        assert_eq!(read, published_bits(&trace, adversary, every));
+        assert!(read
+            .windows(2)
+            .all(|w| f64::from_bits(w[1]) > f64::from_bits(w[0])));
     }
 }

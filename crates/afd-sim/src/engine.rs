@@ -1,13 +1,15 @@
-//! The discrete-event simulation engine.
+//! The simulation engine.
 //!
 //! [`simulate`] runs one monitored pair through a [`Scenario`]: the sender
 //! broadcasts sequenced heartbeats on its local schedule, pausing through
 //! its outages, until it crashes (Algorithm 4's sender side); the channel
-//! delays or drops each message, and loses every one sent during a
-//! partition; every delivery is recorded with both global and
-//! monitor-local timestamps. The output [`ArrivalTrace`] is the complete arrival process;
-//! feeding it to detectors is the job of `afd_runtime::replay`, which
-//! runs it through the shipping monitor.
+//! delays or drops each message on its own, and loses every one sent
+//! during a partition. The sender emits one heartbeat at a time and each
+//! one's fate is drawn when it is sent, so the run is one loop over the
+//! sends; every delivery is recorded with both global and monitor-local
+//! timestamps. The output [`ArrivalTrace`] is the complete arrival
+//! process; feeding it to detectors is the job of `afd_runtime::replay`,
+//! which runs it through the shipping monitor.
 //!
 //! Separating *arrival generation* from *detector evaluation* mirrors how
 //! the φ paper evaluates detectors on recorded traces, and guarantees every
@@ -16,20 +18,9 @@
 use afd_core::time::{Duration, Timestamp};
 
 use crate::channel::Channel;
-use crate::event::EventQueue;
 use crate::rng::SimRng;
 use crate::scenario::Scenario;
 use crate::trace::{ArrivalTrace, HeartbeatRecord};
-
-/// Engine events for the monitored-pair simulation.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// The sender attempts to broadcast the heartbeat with this sequence
-    /// number.
-    Send { seq: u64 },
-    /// A heartbeat arrives at the monitor.
-    Deliver { seq: u64 },
-}
 
 /// Runs `scenario` with the given `seed`, producing the heartbeat arrival
 /// trace observed by the monitor.
@@ -61,59 +52,33 @@ pub fn simulate(scenario: &Scenario, seed: u64) -> ArrivalTrace {
         .sender_clock
         .to_global_duration(scenario.heartbeat_interval);
 
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    // First heartbeat goes out after one interval (plus jitter).
-    queue.schedule(
-        jittered(Timestamp::ZERO + global_interval, scenario, &mut send_rng),
-        Event::Send { seq: 1 },
-    );
-
     let mut records: Vec<HeartbeatRecord> = Vec::new();
-
-    while let Some((now, event)) = queue.pop() {
-        match event {
-            // Sends stop at the horizon; in-flight deliveries are allowed
-            // to complete so they count as delivered, not lost.
-            Event::Send { seq: _ } if now > scenario.horizon => continue,
-            Event::Send { seq: _ } if scenario.crash_at.is_some_and(|c| now >= c) => continue,
-            Event::Send { seq } => {
-                if let Some(up) = scenario.outage_end(now) {
-                    // The sender is down: this heartbeat goes out when it
-                    // recovers, and the cadence restarts from there.
-                    queue.schedule(up, Event::Send { seq });
-                } else {
-                    records.push(HeartbeatRecord {
-                        seq,
-                        sent_at: now,
-                        delivered_at: None,
-                        delivered_local: None,
-                    });
-                    // A partitioned link loses the heartbeat without
-                    // consulting the loss model.
-                    let arrival = if scenario.partitioned_at(now) {
-                        None
-                    } else {
-                        channel.transmit(now, &mut net_rng)
-                    };
-                    if let Some(arrival) = arrival {
-                        queue.schedule(arrival, Event::Deliver { seq });
-                    }
-                    // Schedule the next broadcast.
-                    let next = jittered(now + global_interval, scenario, &mut send_rng);
-                    let next = next.max(now + Duration::from_nanos(1));
-                    if next <= scenario.horizon {
-                        queue.schedule(next, Event::Send { seq: seq + 1 });
-                    }
-                }
-            }
-            Event::Deliver { seq } => {
-                let idx = seq as usize - 1;
-                let record = &mut records[idx];
-                debug_assert_eq!(record.seq, seq);
-                record.delivered_at = Some(now);
-                record.delivered_local = Some(scenario.monitor_clock.local_time(now));
-            }
+    // First heartbeat goes out after one interval (plus jitter). Sends stop
+    // at the horizon or at the crash; a heartbeat in flight then still
+    // arrives, so it counts as delivered, not lost.
+    let mut now = jittered(Timestamp::ZERO + global_interval, scenario, &mut send_rng);
+    while now <= scenario.horizon && scenario.crash_at.is_none_or(|c| now < c) {
+        if let Some(up) = scenario.outage_end(now) {
+            // The sender is down: this heartbeat goes out when it
+            // recovers, and the cadence restarts from there.
+            now = up;
+            continue;
         }
+        // A partitioned link loses the heartbeat without consulting the
+        // loss model.
+        let arrival = if scenario.partitioned_at(now) {
+            None
+        } else {
+            channel.transmit(now, &mut net_rng)
+        };
+        records.push(HeartbeatRecord {
+            seq: records.len() as u64 + 1,
+            sent_at: now,
+            delivered_at: arrival,
+            delivered_local: arrival.map(|at| scenario.monitor_clock.local_time(at)),
+        });
+        let next = jittered(now + global_interval, scenario, &mut send_rng);
+        now = next.max(now + Duration::from_nanos(1));
     }
 
     ArrivalTrace::new(

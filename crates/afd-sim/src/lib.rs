@@ -1,11 +1,10 @@
-//! Deterministic discrete-event network simulator for failure detectors.
+//! Deterministic heartbeat-link simulator for failure detectors.
 //!
 //! The paper's detectors are pure functions of heartbeat arrival times;
 //! this crate generates those arrival processes under controlled, seeded
 //! network conditions so that every property, theorem, and QoS claim can be
 //! checked reproducibly:
 //!
-//! - [`event`]: the future-event queue driving simulations.
 //! - [`rng`]: seeded randomness (uniform/normal/exponential/Bernoulli).
 //! - [`clock`]: drifting local clocks (Appendix A.4's partially
 //!   synchronous model).
@@ -15,7 +14,8 @@
 //! - [`scenario`]: declarative run configurations with named presets
 //!   (`ideal`, `lan`, `wan_jitter`, `bursty_loss`,
 //!   `partially_synchronous`), partitions, and sender outages.
-//! - [`engine`]: runs a scenario into an [`trace::ArrivalTrace`].
+//! - [`engine`]: runs a scenario into an [`trace::ArrivalTrace`], one
+//!   loop over the sender's heartbeats.
 //! - [`replay`]: the query schedule ([`ReplayConfig`]) of a trace replay;
 //!   the replay itself runs a trace through the shipping monitor, as
 //!   `afd_runtime::replay`, so Algorithm 4's receive rule exists once.
@@ -43,7 +43,6 @@ pub mod clock;
 pub mod delay;
 pub mod engine;
 pub mod error;
-pub mod event;
 pub mod loss;
 pub mod replay;
 pub mod rng;

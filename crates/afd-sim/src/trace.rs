@@ -75,16 +75,16 @@ impl ArrivalTrace {
         self.interval
     }
 
-    /// Delivered heartbeats as `(seq, local arrival time)`, sorted by
-    /// arrival time (the order the monitor experiences, which can differ
-    /// from send order under jitter).
-    pub fn deliveries_in_arrival_order(&self) -> Vec<(u64, Timestamp)> {
-        let mut v: Vec<(u64, Timestamp)> = self
+    /// Delivered heartbeats with their local arrival times, in the order
+    /// the monitor experiences them: by arrival time, ties by sequence
+    /// number (under jitter this can differ from send order).
+    pub fn deliveries_in_arrival_order(&self) -> Vec<(Timestamp, &HeartbeatRecord)> {
+        let mut v: Vec<(Timestamp, &HeartbeatRecord)> = self
             .records
             .iter()
-            .filter_map(|r| r.delivered_local.map(|t| (r.seq, t)))
+            .filter_map(|r| Some((r.delivered_local?, r)))
             .collect();
-        v.sort_by_key(|&(seq, t)| (t, seq));
+        v.sort_by_key(|&(at, r)| (at, r.seq));
         v
     }
 
@@ -115,7 +115,7 @@ impl ArrivalTrace {
         let deliveries = self.deliveries_in_arrival_order();
         deliveries
             .windows(2)
-            .map(|w| (w[1].1 - w[0].1).as_secs_f64())
+            .map(|w| (w[1].0 - w[0].0).as_secs_f64())
             .collect()
     }
 }
@@ -169,8 +169,8 @@ mod tests {
             Duration::from_secs(1),
         );
         let d = t.deliveries_in_arrival_order();
-        assert_eq!(d[0].0, 2);
-        assert_eq!(d[1].0, 1);
+        assert_eq!(d[0].1.seq, 2);
+        assert_eq!(d[1].1.seq, 1);
     }
 
     #[test]

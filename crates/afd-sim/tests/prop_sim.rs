@@ -2,6 +2,7 @@
 //! and structural invariants of generated traces.
 
 use afd_core::time::{Duration, Timestamp};
+use afd_sim::clock::DriftingClock;
 use afd_sim::delay::{ConstantDelay, NormalDelay};
 use afd_sim::loss::BernoulliLoss;
 use afd_sim::scenario::{DelayKind, LossKind, Scenario};
@@ -137,5 +138,76 @@ proptest! {
         afd_sim::write_csv(&t, &mut buf).unwrap();
         let restored = afd_sim::read_csv(buf.as_slice()).unwrap();
         prop_assert_eq!(restored, t);
+    }
+}
+
+/// One digest of every record of `scenario`'s traces at seeds 0–3:
+/// sequence number, send time and both delivery times.
+fn digest(scenario: &Scenario) -> u128 {
+    let mut d = afd_core::canonical::StateDigest::new();
+    for seed in 0..4 {
+        let trace = simulate(scenario, seed);
+        d.push_usize(trace.sent_count());
+        for r in trace.records() {
+            d.push_u64(r.seq);
+            d.push_u64(r.sent_at.as_nanos());
+            d.push_opt_u64(r.delivered_at.map(Timestamp::as_nanos));
+            d.push_opt_u64(r.delivered_local.map(Timestamp::as_nanos));
+        }
+    }
+    d.finish()
+}
+
+#[test]
+fn simulate_traces_are_pinned() {
+    // Every link event at once: two overlapping outages (a send moved to
+    // the first one's end lands in the second), a partition, a crash and a
+    // drifting monitor clock, over a jittery, lossy WAN.
+    let events = Scenario {
+        monitor_clock: DriftingClock::new(Duration::from_millis(250), 1.0002),
+        ..Scenario::wan_jitter()
+    }
+    .with_horizon(Timestamp::from_secs(120))
+    .with_outage(Timestamp::from_secs(30), Timestamp::from_secs_f64(37.5))
+    .with_outage(
+        Timestamp::from_secs_f64(37.2),
+        Timestamp::from_secs_f64(41.3),
+    )
+    .with_partition(Timestamp::from_secs(50), Timestamp::from_secs(60))
+    .with_crash_at(Timestamp::from_secs(100));
+    let pins: [(&str, Scenario, u128); 6] = [
+        (
+            "ideal",
+            Scenario::ideal(),
+            0x6fd5_10ce_121f_af09_e76e_a19b_5969_5a38,
+        ),
+        (
+            "lan",
+            Scenario::lan(),
+            0xeaf4_45af_f875_a801_dc40_2f91_f8ef_1464,
+        ),
+        (
+            "wan_jitter",
+            Scenario::wan_jitter(),
+            0x811e_369e_4894_b0ce_d7c1_416f_0d5e_a8c7,
+        ),
+        (
+            "bursty_loss",
+            Scenario::bursty_loss(),
+            0xd815_5b0a_53ba_fd3c_2e30_6ec8_3260_1f2b,
+        ),
+        (
+            "partially_synchronous",
+            Scenario::partially_synchronous(),
+            0x4aec_b59e_963c_f4e1_f29f_495b_86ab_cafa,
+        ),
+        (
+            "link events",
+            events,
+            0x0573_01f3_ac04_106f_bd9a_3d2d_7773_0e36,
+        ),
+    ];
+    for (name, scenario, pin) in pins {
+        assert_eq!(digest(&scenario), pin, "{name}");
     }
 }

@@ -17,8 +17,8 @@
 //! |-----------|----------|
 //! | [`core`] | the formalism: suspicion levels, detector traits, classes (◊P_ac …), Algorithms 1–3, property checkers, stats, distributions |
 //! | [`detectors`] | the four implementations of §5: simple, Chen, φ, κ — plus the per-application `InterpreterBank` of Fig. 2 and the A.5 adversary |
-//! | [`sim`] | deterministic discrete-event network simulator: delay/loss models, partitions, sender outages, clock drift, partial synchrony, arrival traces and their query schedules |
-//! | [`runtime`] | live Algorithm 4 over pluggable transports: the monitor (`ShardedMonitor`) and its lock-free `SnapshotReader`s — the monitoring side of Fig. 2 — heartbeat senders, fault injection, retry/backoff, watchdog supervision, graceful degradation, chaos runs, and the trace replay (`runtime::replay`) the experiments and chaos runs are read through |
+//! | [`sim`] | deterministic heartbeat-link simulator: delay/loss models, partitions, sender outages, clock drift, partial synchrony, arrival traces and their query schedules |
+//! | [`runtime`] | live Algorithm 4 over pluggable transports: the monitor (`ShardedMonitor`) and its lock-free `SnapshotReader`s — the monitoring side of Fig. 2 — heartbeat senders, fault injection, retry/backoff, graceful degradation, chaos runs, and the trace replay (`runtime::replay`) the experiments and chaos runs are read through |
 //! | [`obs`] | observability: metric registry (counters/gauges/histograms), structured event traces, and the Chen et al. QoS metrics (T_D, T_MR, T_M, λ_M, P_A, T_G), streamed live (`OnlineQos`) or from a recorded trace (`analyze`) |
 //! | [`bot`] | the Bag-of-Tasks master/worker application of §1.3 |
 //! | [`omega`] | eventual leader election (Ω) via Algorithm 1 — the computational-equivalence demo |

@@ -171,8 +171,8 @@ fn binary_facade_for_legacy_applications() {
     let mut verdicts = Vec::new();
     for tick in 1..=80u64 {
         let now = Timestamp::from_secs(tick);
-        while next < deliveries.len() && deliveries[next].1 <= now {
-            legacy.record_heartbeat(deliveries[next].1);
+        while next < deliveries.len() && deliveries[next].0 <= now {
+            legacy.record_heartbeat(deliveries[next].0);
             next += 1;
         }
         verdicts.push(legacy.query(now));
