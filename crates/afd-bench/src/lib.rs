@@ -13,6 +13,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
+pub mod bot;
 pub mod experiment;
 
 use afd_core::history::SuspicionTrace;

@@ -14,7 +14,7 @@ use afd_core::accrual::AccrualFailureDetector;
 use afd_core::failure::FailurePattern;
 use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
-use afd_runtime::replay::replay;
+use afd_runtime::replay::Replay;
 use afd_sim::replay::ReplayConfig;
 use afd_sim::scenario::Scenario;
 use afd_sim::simulate;
@@ -113,8 +113,9 @@ where
     let mut timelines = BTreeMap::new();
     for receiver in 0..n {
         let me = ProcessId::new(receiver);
-        // The level history my monitor publishes for each incoming link.
-        let links: Vec<_> = (0..n)
+        // The levels my monitor publishes for each incoming link, one
+        // query at a time.
+        let mut links: Vec<_> = (0..n)
             .filter(|&sender| sender != receiver)
             .map(|sender| {
                 let peer = ProcessId::new(sender);
@@ -125,7 +126,7 @@ where
                 let trace = simulate(&scenario, link_seed);
                 (
                     peer,
-                    replay(&trace, move |_| factory(me, peer), queries).levels,
+                    Replay::new(&trace, move |_| factory(me, peer), queries),
                 )
             })
             .collect();
@@ -134,18 +135,24 @@ where
             .with_stability(config.stability);
         let mut levels = Vec::with_capacity(links.len());
         let mut timeline = Vec::new();
-        // Every link's history holds the same query instants.
-        for (k, query) in links[0].1.iter().enumerate() {
-            if config.pattern.has_failed_by(me, query.at) {
+        // Every link answers the same query instants, until the horizon.
+        'queries: loop {
+            levels.clear();
+            let mut at = Timestamp::ZERO;
+            for (peer, replay) in &mut links {
+                let Some(sample) = replay.next() else {
+                    break 'queries;
+                };
+                at = sample.at;
+                levels.push((*peer, sample.level));
+            }
+            if config.pattern.has_failed_by(me, at) {
                 break; // crashed processes take no steps
             }
-            levels.clear();
-            levels.extend(
-                links
-                    .iter()
-                    .map(|(p, history)| (*p, history.samples()[k].level)),
-            );
-            timeline.push((query.at, elector.leader(query.at, &levels)));
+            timeline.push((at, elector.leader(at, &levels)));
+        }
+        for (_, replay) in links {
+            replay.finish();
         }
         timelines.insert(me, timeline);
     }

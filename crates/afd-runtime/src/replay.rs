@@ -19,16 +19,20 @@
 //! 4. at the horizon it unwatches the peer and hands back, beside the
 //!    levels, the intake's [`MonitorStats`] and the detector itself.
 //!
-//! afd-sim's [`ReplayConfig`] is the query schedule and the clock
-//! mapping. A trace replays any number of times, so every detector and
-//! threshold in an experiment — and every member of a chaos run
-//! ([`run_chaos`](crate::chaos::run_chaos)) — sees the *same* network
+//! Steps 1–3 are the [`Replay`] iterator, one query per `next`, so a
+//! caller that needs a link's levels only up to some instant (a master
+//! whose bag is done, an Ω process that crashed) stops there; step 4 is
+//! [`Replay::finish`]. afd-sim's [`ReplayConfig`] is the query schedule
+//! and the clock mapping. A trace replays any number of times, so every
+//! detector and threshold in an experiment — and every member of a chaos
+//! run ([`run_chaos`](crate::chaos::run_chaos)) — sees the *same* network
 //! behaviour.
 
 use afd_core::accrual::AccrualFailureDetector;
-use afd_core::history::SuspicionTrace;
+use afd_core::history::{SuspicionSample, SuspicionTrace};
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
+use afd_core::time::Timestamp;
 use afd_sim::replay::ReplayConfig;
 use afd_sim::trace::ArrivalTrace;
 
@@ -94,63 +98,134 @@ where
     D: AccrualFailureDetector,
     F: FnMut(ProcessId) -> D + Send + Clone + 'static,
 {
-    let mut arrivals = trace.deliveries_in_arrival_order().into_iter().peekable();
-
-    let clock = VirtualClock::new();
-    // Each frame is drained by the tick after its send: one cell is room.
-    let (mut wire, intake) = ChannelTransport::pair_bounded(1);
-    let one = ShardConfig {
-        shards: 1,
-        slots_per_shard: 1,
-    };
-    let mut monitor = ShardedMonitor::new(intake, clock.clone(), one, factory);
-    let watched = monitor.watch(PEER);
-    debug_assert_eq!(watched, Ok(true), "a fresh one-slot shard takes its peer");
-    let interval = std::time::Duration::from_nanos(trace.interval().as_nanos());
-    let mut encoder = DeltaEncoder::new(PEER, PEER.as_u32(), interval, RESYNC_EVERY);
-    let mut frame = [0u8; MAX_V2_FRAME];
-    let mut sent = 0u64;
-
-    let mut out = SuspicionTrace::new();
-    let mut query_at = config.first_query;
-    while query_at <= trace.horizon() {
-        // The monitor's view of this instant.
-        let local_now = config.monitor_clock.local_time(query_at);
-        // Deliver every heartbeat that arrived (locally) by this query,
-        // each in a receive step of its own at its arrival time.
-        while let Some((at, record)) = arrivals.next_if(|&(at, _)| at <= local_now) {
-            let hb = Heartbeat {
-                sender: PEER,
-                seq: record.seq,
-                sent_at: record.sent_at,
-            };
-            let len = encoder.encode(&hb, &mut frame);
-            clock.set(at);
-            let ticked = wire.send(&frame[..len]).and_then(|()| monitor.tick());
-            debug_assert!(ticked.is_ok(), "{ticked:?}");
-            sent += 1;
-        }
-        // The level a tick now would publish; only arrivals tick.
-        clock.set(local_now);
-        let level = monitor.level(PEER).unwrap_or(SuspicionLevel::ZERO);
-        out.push(query_at, level);
-        query_at += config.query_interval;
-    }
-    // Conservation: every frame on the wire ends in exactly one outcome,
-    // and on this wire only two are possible.
-    let stats = monitor.stats().totals;
-    debug_assert!(
-        stats.accepted + stats.stale == sent && stats.corrupt == 0 && stats.unwatched == 0,
-        "replay lost a frame: {stats:?} for {sent} sent"
-    );
-    let detector = monitor
-        .unwatch(PEER)
-        // lint:allow(no-panic-paths, the one-slot shard took its peer above and never let it go)
-        .expect("the replayed peer is watched");
+    let mut run = Replay::new(trace, factory, config);
+    let levels = run.by_ref().collect();
+    let (stats, detector) = run.finish();
     Replayed {
-        levels: out,
+        levels,
         stats,
         detector,
+    }
+}
+
+/// A [`replay`] in progress: each `next` delivers the heartbeats that
+/// arrived by the next query and yields the monitor's level there, until
+/// the trace horizon. A caller may stop early and [`finish`](Self::finish)
+/// wherever it stopped.
+#[derive(Debug)]
+pub struct Replay<D> {
+    /// Deliveries not yet sent, by local arrival time.
+    arrivals: std::iter::Peekable<std::vec::IntoIter<(Timestamp, Heartbeat)>>,
+    clock: VirtualClock,
+    wire: ChannelTransport,
+    monitor: ShardedMonitor<ChannelTransport, VirtualClock, D>,
+    encoder: DeltaEncoder,
+    sent: u64,
+    config: ReplayConfig,
+    query_at: Timestamp,
+    horizon: Timestamp,
+}
+
+impl<D: AccrualFailureDetector> Replay<D> {
+    /// Starts replaying `trace` through a monitor whose detector `factory`
+    /// builds, querying on `config`'s schedule.
+    pub fn new<F>(trace: &ArrivalTrace, factory: F, config: ReplayConfig) -> Self
+    where
+        F: FnMut(ProcessId) -> D + Send + Clone + 'static,
+    {
+        let arrivals: Vec<_> = trace
+            .deliveries_in_arrival_order()
+            .into_iter()
+            .map(|(at, record)| {
+                let hb = Heartbeat {
+                    sender: PEER,
+                    seq: record.seq,
+                    sent_at: record.sent_at,
+                };
+                (at, hb)
+            })
+            .collect();
+        let clock = VirtualClock::new();
+        // Each frame is drained by the tick after its send: one cell is room.
+        let (wire, intake) = ChannelTransport::pair_bounded(1);
+        let one = ShardConfig {
+            shards: 1,
+            slots_per_shard: 1,
+        };
+        let mut monitor = ShardedMonitor::new(intake, clock.clone(), one, factory);
+        let watched = monitor.watch(PEER);
+        debug_assert_eq!(watched, Ok(true), "a fresh one-slot shard takes its peer");
+        let interval = std::time::Duration::from_nanos(trace.interval().as_nanos());
+        Replay {
+            arrivals: arrivals.into_iter().peekable(),
+            clock,
+            wire,
+            monitor,
+            encoder: DeltaEncoder::new(PEER, PEER.as_u32(), interval, RESYNC_EVERY),
+            sent: 0,
+            config,
+            query_at: config.first_query,
+            horizon: trace.horizon(),
+        }
+    }
+
+    /// Ends the replay where the last query left it: unwatches the peer
+    /// and returns the intake's counters and the detector. In debug builds
+    /// it checks that every frame sent so far was accepted or judged
+    /// stale, and none was corrupt or unwatched.
+    pub fn finish(mut self) -> (MonitorStats, D) {
+        // Conservation: every frame on the wire ends in exactly one outcome,
+        // and on this wire only two are possible.
+        let stats = self.monitor.stats().totals;
+        debug_assert!(
+            stats.accepted + stats.stale == self.sent && stats.corrupt == 0 && stats.unwatched == 0,
+            "replay lost a frame: {stats:?} for {} sent",
+            self.sent
+        );
+        let detector = self
+            .monitor
+            .unwatch(PEER)
+            // lint:allow(no-panic-paths, the one-slot shard took its peer at the start and never let it go)
+            .expect("the replayed peer is watched");
+        (stats, detector)
+    }
+
+    /// Moves to the next query: delivers every heartbeat that arrived
+    /// (locally) by then, each in a receive step of its own at its arrival
+    /// time, and sets the clock to the query's local time. Returns the
+    /// query's global time, or `None` past the horizon.
+    fn advance(&mut self) -> Option<Timestamp> {
+        let at = self.query_at;
+        if at > self.horizon {
+            return None;
+        }
+        self.query_at += self.config.query_interval;
+        // The monitor's view of this instant.
+        let local_now = self.config.monitor_clock.local_time(at);
+        let mut frame = [0u8; MAX_V2_FRAME];
+        while let Some((arrived, hb)) = self.arrivals.next_if(|&(t, _)| t <= local_now) {
+            let len = self.encoder.encode(&hb, &mut frame);
+            self.clock.set(arrived);
+            let ticked = self
+                .wire
+                .send(&frame[..len])
+                .and_then(|()| self.monitor.tick());
+            debug_assert!(ticked.is_ok(), "{ticked:?}");
+            self.sent += 1;
+        }
+        self.clock.set(local_now);
+        Some(at)
+    }
+}
+
+impl<D: AccrualFailureDetector> Iterator for Replay<D> {
+    type Item = SuspicionSample;
+
+    fn next(&mut self) -> Option<SuspicionSample> {
+        let at = self.advance()?;
+        // The level a tick now would publish; only arrivals tick.
+        let level = self.monitor.level(PEER).unwrap_or(SuspicionLevel::ZERO);
+        Some(SuspicionSample { at, level })
     }
 }
 
@@ -282,8 +357,45 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_stopped_replay_yields_a_prefix_and_finishes_there() {
+        // 1 s heartbeats under 40 ms jitter, 10 % lost, and a crash at 60 s:
+        // stops before any arrival, mid-run, at the crash and at the end.
+        let scenario = Scenario {
+            loss: LossKind::Bernoulli(BernoulliLoss::new(0.1)),
+            ..Scenario::wan_jitter()
+        }
+        .with_horizon(Timestamp::from_secs(90))
+        .with_crash_at(Timestamp::from_secs(60));
+        let trace = simulate(&scenario, 5);
+        assert!(trace.loss_rate() > 0.05);
+        let arrivals = trace.deliveries_in_arrival_order();
+        let every = ReplayConfig::every(Duration::from_millis(250));
+        let bits = |samples: &[SuspicionSample]| -> Vec<(Timestamp, u64)> {
+            samples
+                .iter()
+                .map(|s| (s.at, s.level.value().to_bits()))
+                .collect()
+        };
+        let kinds = spec::zoo().map(|member| member.detector);
+        for spec in kinds.into_iter().chain(spec::series()) {
+            let name = spec.name();
+            let whole = replay(&trace, move |_| spec.build(), every).levels;
+            for k in [0, 3, 101, 240, 300, whole.len()] {
+                let mut run = Replay::new(&trace, move |_| spec.build(), every);
+                let prefix: Vec<_> = run.by_ref().take(k).collect();
+                assert_eq!(bits(&prefix), bits(&whole.samples()[..k]), "{name}");
+                // The frames sent are the deliveries by the last query read.
+                let by = prefix.last().map_or(Timestamp::ZERO, |s| s.at);
+                let sent = arrivals.iter().filter(|&&(at, _)| at <= by).count();
+                let (stats, _) = run.finish();
+                assert_eq!(stats.accepted + stats.stale, sent as u64, "{name}");
+            }
+        }
+    }
+
     /// The level bits a reader of the published snapshot sees at the
-    /// queries when the monitor also ticks at each query: [`replay`]'s
+    /// queries when the monitor also ticks at each query: the replay's
     /// wire and arrival ticks, then a query tick read through
     /// `monitor.reader()`, as a lock-free client reads.
     fn published_bits<D, F>(trace: &ArrivalTrace, factory: F, config: ReplayConfig) -> Vec<u64>
@@ -291,38 +403,12 @@ mod tests {
         D: AccrualFailureDetector,
         F: FnMut(ProcessId) -> D + Send + Clone + 'static,
     {
-        let clock = VirtualClock::new();
-        let (mut wire, intake) = ChannelTransport::pair_bounded(1);
-        let one = ShardConfig {
-            shards: 1,
-            slots_per_shard: 1,
-        };
-        let mut monitor = ShardedMonitor::new(intake, clock.clone(), one, factory);
-        monitor.watch(PEER).unwrap();
-        let reader = monitor.reader();
-        let interval = std::time::Duration::from_nanos(trace.interval().as_nanos());
-        let mut encoder = DeltaEncoder::new(PEER, PEER.as_u32(), interval, RESYNC_EVERY);
-        let mut frame = [0u8; MAX_V2_FRAME];
-        let mut arrivals = trace.deliveries_in_arrival_order().into_iter().peekable();
+        let mut run = Replay::new(trace, factory, config);
+        let reader = run.monitor.reader();
         let mut bits = Vec::new();
-        let mut query_at = config.first_query;
-        while query_at <= trace.horizon() {
-            let local_now = config.monitor_clock.local_time(query_at);
-            while let Some((at, record)) = arrivals.next_if(|&(at, _)| at <= local_now) {
-                let hb = Heartbeat {
-                    sender: PEER,
-                    seq: record.seq,
-                    sent_at: record.sent_at,
-                };
-                let len = encoder.encode(&hb, &mut frame);
-                clock.set(at);
-                wire.send(&frame[..len]).unwrap();
-                monitor.tick().unwrap();
-            }
-            clock.set(local_now);
-            monitor.tick().unwrap();
+        while run.advance().is_some() {
+            run.monitor.tick().unwrap();
             bits.push(reader.level(PEER).unwrap().value().to_bits());
-            query_at += config.query_interval;
         }
         bits
     }

@@ -20,7 +20,6 @@
 //! | [`sim`] | deterministic heartbeat-link simulator: delay/loss models, partitions, sender outages, clock drift, partial synchrony, arrival traces and their query schedules |
 //! | [`runtime`] | live Algorithm 4 over pluggable transports: the monitor (`ShardedMonitor`) and its lock-free `SnapshotReader`s — the monitoring side of Fig. 2 — heartbeat senders, fault injection, retry/backoff, graceful degradation, chaos runs, and the trace replay (`runtime::replay`) the experiments and chaos runs are read through |
 //! | [`obs`] | observability: metric registry (counters/gauges/histograms), structured event traces, and the Chen et al. QoS metrics (T_D, T_MR, T_M, λ_M, P_A, T_G), streamed live (`OnlineQos`) or from a recorded trace (`analyze`) |
-//! | [`bot`] | the Bag-of-Tasks master/worker application of §1.3 |
 //! | [`omega`] | eventual leader election (Ω) via Algorithm 1 — the computational-equivalence demo |
 //!
 //! # Quickstart
@@ -52,18 +51,18 @@
 //! cargo run --example quickstart
 //! cargo run --example multi_threshold
 //! cargo run --example detector_comparison
-//! cargo run --example bag_of_tasks
 //! cargo run --example wan_adaptivity
 //! ```
 //!
 //! And see `DESIGN.md` / `EXPERIMENTS.md` for the experiment suite that
 //! reproduces every theorem and claim of the paper
-//! (`cargo run -p afd-bench --release --bin <experiment>`).
+//! (`cargo run -p afd-bench --release --bin <experiment>`); the §1.3
+//! master/worker scenario is
+//! `cargo run --release -p afd-bench --bin e10_bot`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub use afd_bot as bot;
 pub use afd_core as core;
 pub use afd_detectors as detectors;
 pub use afd_obs as obs;
