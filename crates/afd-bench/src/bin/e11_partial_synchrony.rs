@@ -62,11 +62,7 @@ fn main() {
             }
         }
 
-        let checker = AccruementCheck {
-            epsilon: 1e-6,
-            min_increases: 10,
-            min_suffix_fraction: 0.2,
-        };
+        let checker = AccruementCheck::STRICT;
         let mut accrue_pass = 0u32;
         let reports: Vec<_> = SEEDS
             .map(|seed| {

@@ -20,22 +20,23 @@ fn main() {
         .with_crash_at(crash);
     let thresholds = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0];
 
+    let traces: Vec<_> = SEEDS
+        .map(|seed| level_trace(&scenario, seed, spec::phi_normal()))
+        .collect();
     let mut rows = Vec::new();
     let mut containment_checks = 0u64;
     for &phi in &thresholds {
         let threshold = SuspicionLevel::new(phi).expect("valid threshold");
-        let reports: Vec<_> = SEEDS
-            .map(|seed| {
-                let levels = level_trace(&scenario, seed, spec::phi_normal());
-                analyze(&levels.threshold(threshold), Some(crash))
-            })
+        let reports: Vec<_> = traces
+            .iter()
+            .map(|levels| analyze(&levels.threshold(threshold), Some(crash)))
             .collect();
         let agg = aggregate(&reports);
         rows.push((phi, agg));
     }
 
     // Verify Theorem 1 containment across adjacent thresholds on one run.
-    let levels = level_trace(&scenario, 0, spec::phi_normal());
+    let levels = &traces[0];
     for pair in thresholds.windows(2) {
         let low = levels.threshold(SuspicionLevel::new(pair[0]).unwrap());
         let high = levels.threshold(SuspicionLevel::new(pair[1]).unwrap());

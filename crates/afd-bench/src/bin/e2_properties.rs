@@ -21,11 +21,7 @@ fn main() {
     let healthy_short = Scenario::wan_jitter().with_horizon(Timestamp::from_secs(300));
     let healthy_long = Scenario::wan_jitter().with_horizon(Timestamp::from_secs(600));
 
-    let checker = AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    };
+    let checker = AccruementCheck::STRICT;
 
     let mut table = Table::new(
         "E2: Properties 1-2 and Eq. (1), all detectors (30 seeds each)",

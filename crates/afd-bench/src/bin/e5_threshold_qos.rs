@@ -46,21 +46,23 @@ fn main() {
                 "detected",
             ],
         );
+        let crash_traces: Vec<_> = SEEDS
+            .map(|s| level_trace(&crash_scenario, s, spec::phi_normal()))
+            .collect();
+        let healthy_traces: Vec<_> = SEEDS
+            .map(|s| level_trace(&healthy_scenario, s, spec::phi_normal()))
+            .collect();
         let mut prev_td = -1.0f64;
         let mut prev_pa = -1.0f64;
         for &thr in &thresholds {
             let threshold = SuspicionLevel::new(thr).expect("valid");
-            let crash_reports: Vec<_> = SEEDS
-                .map(|s| {
-                    let levels = level_trace(&crash_scenario, s, spec::phi_normal());
-                    analyze(&levels.threshold(threshold), Some(crash))
-                })
+            let crash_reports: Vec<_> = crash_traces
+                .iter()
+                .map(|levels| analyze(&levels.threshold(threshold), Some(crash)))
                 .collect();
-            let healthy_reports: Vec<_> = SEEDS
-                .map(|s| {
-                    let levels = level_trace(&healthy_scenario, s, spec::phi_normal());
-                    analyze(&levels.threshold(threshold), None)
-                })
+            let healthy_reports: Vec<_> = healthy_traces
+                .iter()
+                .map(|levels| analyze(&levels.threshold(threshold), None))
                 .collect();
             let crash_agg = aggregate(&crash_reports);
             let healthy_agg = aggregate(&healthy_reports);

@@ -33,14 +33,15 @@ fn main() {
         ],
     );
 
+    let traces: Vec<_> = SEEDS
+        .map(|seed| level_trace(&scenario, seed, spec::phi_normal()))
+        .collect();
     let mut prev_rate = f64::INFINITY;
     for &high in &highs {
-        let reports: Vec<_> = SEEDS
-            .map(|seed| {
-                let levels = level_trace(&scenario, seed, spec::phi_normal());
-                let bin = levels.hysteresis(SuspicionLevel::new(high).expect("valid"), t0);
-                analyze(&bin, None)
-            })
+        let high_level = SuspicionLevel::new(high).expect("valid");
+        let reports: Vec<_> = traces
+            .iter()
+            .map(|levels| analyze(&levels.hysteresis(high_level, t0), None))
             .collect();
         let agg = aggregate(&reports);
         let rate = agg.mistake_rate.map_or(0.0, |s| s.mean);

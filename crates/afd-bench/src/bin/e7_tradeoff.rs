@@ -64,23 +64,21 @@ fn main() {
             format!("E7: {} tradeoff curve (WAN jitter, 30 seeds)", spec.name()),
             &[unit, "T_D mean (s)", "lambda_M (/s)", "P_A", "detected"],
         );
+        let crash_traces: Vec<_> = SEEDS
+            .map(|s| level_trace(&crash_scenario, s, spec))
+            .collect();
+        let healthy_traces: Vec<_> = SEEDS
+            .map(|s| level_trace(&healthy_scenario, s, spec))
+            .collect();
         for &thr in &thresholds {
             let threshold = SuspicionLevel::new(thr).expect("valid");
-            let crash_reports: Vec<_> = SEEDS
-                .map(|s| {
-                    analyze(
-                        &level_trace(&crash_scenario, s, spec).threshold(threshold),
-                        Some(crash),
-                    )
-                })
+            let crash_reports: Vec<_> = crash_traces
+                .iter()
+                .map(|levels| analyze(&levels.threshold(threshold), Some(crash)))
                 .collect();
-            let healthy_reports: Vec<_> = SEEDS
-                .map(|s| {
-                    analyze(
-                        &level_trace(&healthy_scenario, s, spec).threshold(threshold),
-                        None,
-                    )
-                })
+            let healthy_reports: Vec<_> = healthy_traces
+                .iter()
+                .map(|levels| analyze(&levels.threshold(threshold), None))
                 .collect();
             let c = aggregate(&crash_reports);
             let h = aggregate(&healthy_reports);

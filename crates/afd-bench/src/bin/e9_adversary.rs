@@ -7,24 +7,33 @@
 //! count growing without end against the adversary across horizons —
 //! while on a genuine Property-1 input (the same ε-staircase without
 //! feedback) transitions stop early and stay stopped.
+//!
+//! The adversary's levels go through the property fold at each horizon:
+//! they pass Weak Accruement (Prop. 3), and the longest plateau of their
+//! Accruement witness grows with the horizon, so no `Q` bounds it (Prop. 1).
 
 use afd_bench::experiment::Table;
 use afd_core::accrual::{AccrualFailureDetector, ScriptedAccrualDetector};
 use afd_core::binary::Status;
+use afd_core::properties::{AccruementCheck, PropertyFold};
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 use afd_core::transform::{AccrualToBinary, Interpreter};
 use afd_detectors::adversary::WeakAccruementAdversary;
 
-fn against_adversary(horizon: usize) -> (u64, u64) {
+/// Algorithm 1's transitions (total, late) against the adversary, and the
+/// adversary's levels folded.
+fn against_adversary(horizon: usize) -> (u64, u64, PropertyFold) {
     let mut adv = WeakAccruementAdversary::new(1.0);
     let mut alg = AccrualToBinary::new(1.0);
+    let mut levels = PropertyFold::new(AccruementCheck::STRICT.epsilon);
     let t = Timestamp::ZERO;
     let mut transitions = 0u64;
     let mut late_transitions = 0u64;
     let mut prev = Status::Trusted;
     for k in 0..horizon {
         let sl = adv.suspicion_level(t);
+        levels.observe(sl);
         let status = alg.observe(t, sl);
         adv.observe_verdict(status);
         if status != prev {
@@ -35,7 +44,7 @@ fn against_adversary(horizon: usize) -> (u64, u64) {
         }
         prev = status;
     }
-    (transitions, late_transitions)
+    (transitions, late_transitions, levels)
 }
 
 fn against_honest_staircase(horizon: usize) -> (u64, u64) {
@@ -79,8 +88,25 @@ fn main() {
         ],
     );
     let mut last_adv = 0;
+    let (mut last_level, mut last_plateau) = (SuspicionLevel::ZERO, 0);
     for horizon in [1_000usize, 10_000, 100_000, 1_000_000] {
-        let (adv_total, adv_late) = against_adversary(horizon);
+        let (adv_total, adv_late, levels) = against_adversary(horizon);
+        let weak = levels
+            .weak_accruement(last_level)
+            .expect("the adversary's levels satisfy Weak Accruement");
+        let plateau = levels
+            .accruement(&AccruementCheck::STRICT)
+            .expect("a finite prefix has an Accruement witness")
+            .max_constant_run;
+        assert!(
+            weak.final_level > last_level,
+            "the level must outgrow every bound"
+        );
+        assert!(
+            plateau > last_plateau,
+            "the longest plateau must grow with the horizon: no Q bounds it"
+        );
+        (last_level, last_plateau) = (weak.final_level, plateau);
         let (hon_total, hon_late) = against_honest_staircase(horizon);
         assert!(adv_late > 0, "adversary must keep forcing transitions");
         assert!(

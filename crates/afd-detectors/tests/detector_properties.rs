@@ -60,11 +60,7 @@ fn accruement_holds_after_crash_for_every_detector() {
             let name = spec.name();
             let trace = run_trace(&scenario, seed, spec);
             // Only judge the post-crash suffix plus some margin.
-            let check = AccruementCheck {
-                epsilon: 1e-6,
-                min_increases: 10,
-                min_suffix_fraction: 0.2,
-            };
+            let check = AccruementCheck::STRICT;
             let witness = check
                 .run(&trace)
                 .unwrap_or_else(|e| panic!("{name} (seed {seed}) violates Accruement: {e}"));
@@ -137,11 +133,7 @@ fn accruement_also_holds_under_bursty_loss() {
     for spec in spec::series() {
         let name = spec.name();
         let trace = run_trace(&scenario, 11, spec);
-        let check = AccruementCheck {
-            epsilon: 1e-6,
-            min_increases: 10,
-            min_suffix_fraction: 0.2,
-        };
+        let check = AccruementCheck::STRICT;
         check
             .run(&trace)
             .unwrap_or_else(|e| panic!("{name} violates Accruement under loss: {e}"));
@@ -161,9 +153,8 @@ fn partially_synchronous_model_still_yields_diamond_p_ac() {
         let name = spec.name();
         let trace = run_trace(&crash, 3, spec);
         let check = AccruementCheck {
-            epsilon: 1e-6,
-            min_increases: 10,
             min_suffix_fraction: 0.15,
+            ..AccruementCheck::STRICT
         };
         check
             .run(&trace)

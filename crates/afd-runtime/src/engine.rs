@@ -951,6 +951,7 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::transport::{ChannelTransport, NullTransport};
     use crate::wire::{DeltaEncoder, MAX_V2_FRAME};
+    use afd_core::properties::{AccruementCheck, AccruementViolation, PropertyFold};
     use afd_core::time::Timestamp;
     use afd_detectors::simple::SimpleAccrual;
 
@@ -1159,6 +1160,20 @@ mod tests {
             "a stopped engine publishes nothing"
         );
         assert_eq!(reader.snapshot().len(), 4);
+
+        // A consumer goes on querying a silent peer through the reader and
+        // folds what it reads: the level is frozen at the last publish, so
+        // Accruement sees no rise at all. ROADMAP item 2 (evaluate the level
+        // at read time) must turn this verdict into a witness.
+        let mut levels = PropertyFold::new(AccruementCheck::STRICT.epsilon);
+        for k in 0..40 {
+            clock.set(Timestamp::from_secs(20) + Duration::from_millis(250 * k));
+            levels.observe(reader.level(ProcessId::new(0)).expect("watched"));
+        }
+        assert!(matches!(
+            levels.accruement(&AccruementCheck::STRICT),
+            Err(AccruementViolation::TooFewIncreases { observed: 0, .. })
+        ));
     }
 
     #[test]

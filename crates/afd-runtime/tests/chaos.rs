@@ -81,11 +81,7 @@ fn acceptance_scenario_satisfies_accruement_and_upper_bound() {
         "starvation fallback never engaged"
     );
 
-    let check = AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    };
+    let check = AccruementCheck::STRICT;
     for d in &report.detectors {
         let (name, trace) = (d.name, &d.trace);
         // Property 1 on the post-crash suffix: the level stabilizes into a

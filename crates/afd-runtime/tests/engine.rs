@@ -289,11 +289,7 @@ fn threaded_chaos_upholds_accruement_and_upper_bound_per_peer() {
     );
     assert_eq!(stats.ring_dropped, 0, "1024-slot rings never overflowed");
 
-    let check = AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    };
+    let check = AccruementCheck::STRICT;
     for (id, trace) in traces.iter().enumerate() {
         assert_eq!(trace.len() as u64, RUN_UNTIL, "peer {id}: sparse trace");
         let witness = check

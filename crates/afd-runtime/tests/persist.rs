@@ -200,11 +200,7 @@ fn kill_during_checkpoint_restores_last_complete_generation() {
             traces[p.index()].push(at, level);
         }
     }
-    let check = AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    };
+    let check = AccruementCheck::STRICT;
     for (id, trace) in traces.iter().enumerate() {
         check_upper_bound(trace, None)
             .unwrap_or_else(|e| panic!("peer {id}: Upper Bound violated post-restart: {e}"));

@@ -179,11 +179,7 @@ fn many_peer_chaos_run_upholds_accruement_and_upper_bound_per_peer() {
         "too few heartbeats survived: {stats:?}"
     );
 
-    let check = AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    };
+    let check = AccruementCheck::STRICT;
     for (id, trace) in traces.iter().enumerate() {
         assert_eq!(trace.len() as u64, RUN_UNTIL, "peer {id}: sparse trace");
         // Property 1 on the post-crash suffix: a monotone climb with

@@ -111,8 +111,7 @@ fn all_zoo_members_satisfy_accruement_after_a_crash() {
     let report = run_chaos(&scenario, 42);
     let check = AccruementCheck {
         epsilon: 1e-9,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
+        ..AccruementCheck::STRICT
     };
     for d in &report.detectors {
         let witness = check.run(&d.trace);

@@ -92,11 +92,7 @@ fn total_blackout_accrues_for_every_detector() {
         records.push((k, k as f64, None));
     }
     let t = trace(records, 180.0);
-    let check = AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    };
+    let check = AccruementCheck::STRICT;
     for (name, levels) in replay_all(&t, ReplayConfig::every(Duration::from_millis(500))) {
         check
             .run(&levels)
@@ -207,13 +203,9 @@ fn phi_with_zero_std_floor_survives_constant_cadence() {
         );
         assert!(s.level.value() >= 0.0);
     }
-    AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    }
-    .run(&levels)
-    .expect("zero-floor φ must still accrue during the blackout");
+    AccruementCheck::STRICT
+        .run(&levels)
+        .expect("zero-floor φ must still accrue during the blackout");
 }
 
 #[test]

@@ -53,20 +53,12 @@ fn observe_system(
     (observation, pattern)
 }
 
-fn checker() -> AccruementCheck {
-    AccruementCheck {
-        epsilon: 1e-6,
-        min_increases: 10,
-        min_suffix_fraction: 0.2,
-    }
-}
-
 #[test]
 fn phi_system_conforms_to_diamond_p_ac() {
     // 4 processes, p1 and p3 crash: 12 monitored pairs total.
     let (obs, pattern) = observe_system(4, &[(1, 120), (3, 200)], 400, 7_000);
     assert_eq!(obs.len(), 12);
-    let report = check_classes(&obs, &pattern, &checker());
+    let report = check_classes(&obs, &pattern, &AccruementCheck::STRICT);
     assert!(
         report.is_diamond_p_ac(),
         "violations: accruement {:?}, bound {:?}",
@@ -81,7 +73,7 @@ fn phi_system_conforms_to_diamond_p_ac() {
 #[test]
 fn all_correct_system_has_no_violations() {
     let (obs, pattern) = observe_system(3, &[], 300, 9_000);
-    let report = check_classes(&obs, &pattern, &checker());
+    let report = check_classes(&obs, &pattern, &AccruementCheck::STRICT);
     assert!(report.is_diamond_p_ac());
     assert_eq!(report.bounded_correct_processes.len(), 3);
 }
@@ -118,7 +110,7 @@ fn flat_detector_fails_system_check() {
         MonitorPair::new(ProcessId::new(0), ProcessId::new(1)),
         trace,
     );
-    let report = check_classes(&obs, &pattern, &checker());
+    let report = check_classes(&obs, &pattern, &AccruementCheck::STRICT);
     assert!(!report.is_diamond_p_ac());
     assert!(!report.is_diamond_s_ac());
     assert_eq!(report.accruement_violations.len(), 1);
