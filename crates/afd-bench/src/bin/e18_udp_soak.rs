@@ -109,7 +109,7 @@ fn run_sender(args: &[String]) {
             bytes += n as u64;
             sent += 1;
             if sent.is_multiple_of(BURST) {
-                // lint:allow(no-thread-sleep, cross-process pacing in a bench child; no virtual-time caller exists)
+                // Cross-process pacing in a bench child.
                 std::thread::sleep(std::time::Duration::from_micros(pause_us));
             }
         }
@@ -246,7 +246,7 @@ fn main() {
             still = 0;
             last = frames;
         }
-        // lint:allow(no-thread-sleep, quiescence polling against real child processes; no virtual-time caller exists)
+        // Quiescence polling against real child processes.
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     let elapsed = wall(&wall_clock, start);

@@ -257,7 +257,7 @@ fn lane_run(clock: &SystemClock, lanes_n: usize, peers: u32, rounds: u64) -> Lan
             "lane drain stalled at {:?}",
             engine.stats()
         );
-        // lint:allow(no-thread-sleep, quiescence polling against live intake threads; no virtual-time caller exists)
+        // Quiescence polling against live intake threads.
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let elapsed = wall(clock, start);

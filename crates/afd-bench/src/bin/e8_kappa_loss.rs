@@ -70,7 +70,6 @@ fn qos_sweep() {
     ];
 
     for burst_start in [0.0, 0.005, 0.02, 0.05] {
-        #[allow(clippy::float_cmp)]
         // lint:allow(no-float-eq, literal 0.0 from the loop array above; exact sentinel for the lossless case)
         let loss = if burst_start == 0.0 {
             LossKind::None(afd_sim::loss::NoLoss)

@@ -11,7 +11,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert exact values of deterministic computations"
+    )
+)]
 
 pub mod bot;
 pub mod experiment;

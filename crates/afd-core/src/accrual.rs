@@ -374,9 +374,12 @@ impl ScriptedAccrualDetector {
     ///
     /// Panics if `values` is empty or contains an invalid level.
     pub fn from_values(values: &[f64]) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented Panics contract of this test-scripting constructor"
+        )]
         let levels = values
             .iter()
-            // lint:allow(no-panic-paths, documented Panics contract of this test-scripting constructor)
             .map(|&v| SuspicionLevel::new(v).expect("invalid scripted suspicion level"))
             .collect();
         ScriptedAccrualDetector::new(levels)

@@ -87,7 +87,6 @@ impl SuspicionLevel {
 
     /// `true` if the level is exactly zero.
     #[inline]
-    #[allow(clippy::float_cmp)]
     pub fn is_zero(self) -> bool {
         // lint:allow(no-float-eq, exact-zero is this predicate's documented meaning)
         self.0 == 0.0

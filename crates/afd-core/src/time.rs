@@ -58,7 +58,10 @@ impl Timestamp {
     pub const fn from_millis(millis: u64) -> Self {
         match millis.checked_mul(1_000_000) {
             Some(n) => Timestamp(n),
-            // lint:allow(no-panic-paths, documented overflow contract mirroring std::time)
+            #[expect(
+                clippy::panic,
+                reason = "documented overflow contract mirroring std::time"
+            )]
             None => panic!("timestamp overflows u64 nanoseconds"),
         }
     }
@@ -72,7 +75,10 @@ impl Timestamp {
     pub const fn from_secs(secs: u64) -> Self {
         match secs.checked_mul(1_000_000_000) {
             Some(n) => Timestamp(n),
-            // lint:allow(no-panic-paths, documented overflow contract mirroring std::time)
+            #[expect(
+                clippy::panic,
+                reason = "documented overflow contract mirroring std::time"
+            )]
             None => panic!("timestamp overflows u64 nanoseconds"),
         }
     }
@@ -156,7 +162,10 @@ impl Duration {
     pub const fn from_micros(micros: u64) -> Self {
         match micros.checked_mul(1_000) {
             Some(n) => Duration(n),
-            // lint:allow(no-panic-paths, documented overflow contract mirroring std::time)
+            #[expect(
+                clippy::panic,
+                reason = "documented overflow contract mirroring std::time"
+            )]
             None => panic!("duration overflows u64 nanoseconds"),
         }
     }
@@ -170,7 +179,10 @@ impl Duration {
     pub const fn from_millis(millis: u64) -> Self {
         match millis.checked_mul(1_000_000) {
             Some(n) => Duration(n),
-            // lint:allow(no-panic-paths, documented overflow contract mirroring std::time)
+            #[expect(
+                clippy::panic,
+                reason = "documented overflow contract mirroring std::time"
+            )]
             None => panic!("duration overflows u64 nanoseconds"),
         }
     }
@@ -184,7 +196,10 @@ impl Duration {
     pub const fn from_secs(secs: u64) -> Self {
         match secs.checked_mul(1_000_000_000) {
             Some(n) => Duration(n),
-            // lint:allow(no-panic-paths, documented overflow contract mirroring std::time)
+            #[expect(
+                clippy::panic,
+                reason = "documented overflow contract mirroring std::time"
+            )]
             None => panic!("duration overflows u64 nanoseconds"),
         }
     }
@@ -276,11 +291,14 @@ fn secs_f64_to_nanos(secs: f64) -> u64 {
 impl Add<Duration> for Timestamp {
     type Output = Timestamp;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow contract mirroring std::time arithmetic"
+    )]
     fn add(self, rhs: Duration) -> Timestamp {
         Timestamp(
             self.0
                 .checked_add(rhs.0)
-                // lint:allow(no-panic-paths, documented overflow contract mirroring std::time arithmetic)
                 .expect("timestamp addition overflowed"),
         )
     }
@@ -296,11 +314,14 @@ impl AddAssign<Duration> for Timestamp {
 impl Sub<Duration> for Timestamp {
     type Output = Timestamp;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow contract mirroring std::time arithmetic"
+    )]
     fn sub(self, rhs: Duration) -> Timestamp {
         Timestamp(
             self.0
                 .checked_sub(rhs.0)
-                // lint:allow(no-panic-paths, documented overflow contract mirroring std::time arithmetic)
                 .expect("timestamp subtraction underflowed"),
         )
     }
@@ -315,11 +336,14 @@ impl Sub<Timestamp> for Timestamp {
     /// Panics if `rhs` is later than `self`; use
     /// [`Timestamp::saturating_duration_since`] when ordering is uncertain.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow contract mirroring std::time arithmetic"
+    )]
     fn sub(self, rhs: Timestamp) -> Duration {
         Duration(
             self.0
                 .checked_sub(rhs.0)
-                // lint:allow(no-panic-paths, documented overflow contract mirroring std::time arithmetic)
                 .expect("timestamp subtraction underflowed"),
         )
     }
@@ -328,11 +352,14 @@ impl Sub<Timestamp> for Timestamp {
 impl Add for Duration {
     type Output = Duration;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow contract mirroring std::time arithmetic"
+    )]
     fn add(self, rhs: Duration) -> Duration {
         Duration(
             self.0
                 .checked_add(rhs.0)
-                // lint:allow(no-panic-paths, documented overflow contract mirroring std::time arithmetic)
                 .expect("duration addition overflowed"),
         )
     }
@@ -348,11 +375,14 @@ impl AddAssign for Duration {
 impl Sub for Duration {
     type Output = Duration;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow contract mirroring std::time arithmetic"
+    )]
     fn sub(self, rhs: Duration) -> Duration {
         Duration(
             self.0
                 .checked_sub(rhs.0)
-                // lint:allow(no-panic-paths, documented overflow contract mirroring std::time arithmetic)
                 .expect("duration subtraction underflowed"),
         )
     }
@@ -368,11 +398,14 @@ impl SubAssign for Duration {
 impl Mul<u32> for Duration {
     type Output = Duration;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented overflow contract mirroring std::time arithmetic"
+    )]
     fn mul(self, rhs: u32) -> Duration {
         Duration(
             self.0
                 .checked_mul(rhs as u64)
-                // lint:allow(no-panic-paths, documented overflow contract mirroring std::time arithmetic)
                 .expect("duration multiplication overflowed"),
         )
     }

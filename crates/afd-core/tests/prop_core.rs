@@ -5,8 +5,10 @@
 //! tails, and — most importantly — the containment property of Theorem 1
 //! and the stabilization behaviour of Algorithm 1 on arbitrary inputs.
 
-// Exact float equality is intentional in test assertions.
-#![allow(clippy::float_cmp)]
+#![allow(
+    clippy::float_cmp,
+    reason = "exact float equality is intentional in test assertions"
+)]
 
 use afd_core::binary::{Status, TransitionDetector};
 use afd_core::dist::{ArrivalDistribution, Erlang, Exponential, Normal};

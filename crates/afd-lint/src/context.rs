@@ -1,8 +1,8 @@
 //! Per-file context: which crate a file belongs to, what kind of build
 //! target it is, and which line ranges are test-only code.
 //!
-//! Rules are scoped: `no-panic-paths` cares only about library code of the
-//! runtime crates, `no-thread-sleep` exempts examples and benches, and
+//! Rules are scoped: `io-discipline` cares only about library code of
+//! `afd-runtime`, `no-thread-sleep` exempts examples and benches, and
 //! everything exempts `#[cfg(test)]` blocks. This module derives all of
 //! that from the file's workspace-relative path and its token stream, so
 //! the rules themselves stay one-screen pattern matchers.

@@ -112,11 +112,11 @@ mod tests {
     fn sample() -> Report {
         Report {
             findings: vec![Finding {
-                rule: "clock-discipline",
+                rule: "no-thread-sleep",
                 path: "crates/x/src/a.rs".to_string(),
                 line: 7,
                 col: 13,
-                message: "raw clock read".to_string(),
+                message: "sleeps in library code".to_string(),
             }],
             suppressed: 2,
             files_scanned: 5,
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn text_rendering_is_grep_friendly() {
         let text = sample().render_text();
-        assert!(text.contains("crates/x/src/a.rs:7:13: [clock-discipline] raw clock read"));
+        assert!(text.contains("crates/x/src/a.rs:7:13: [no-thread-sleep] sleeps in library code"));
         assert!(text.contains("1 finding(s), 2 suppressed, 5 file(s) scanned"));
     }
 
@@ -135,7 +135,7 @@ mod tests {
         let mut report = sample();
         report.findings[0].message = "say \"no\"\n".to_string();
         let json = report.render_json();
-        assert!(json.contains("\"rule\": \"clock-discipline\""));
+        assert!(json.contains("\"rule\": \"no-thread-sleep\""));
         assert!(json.contains("\\\"no\\\"\\n"));
         assert!(json.contains("\"suppressed\": 2"));
         assert!(json.contains("\"files_scanned\": 5"));

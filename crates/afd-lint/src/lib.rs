@@ -1,11 +1,14 @@
-//! `afd-lint` — the workspace's static-analysis gate.
+//! `afd-lint` — the workspace invariants clippy cannot state.
 //!
-//! A self-contained (zero-dependency) analysis pass that enforces the
-//! project invariants PR 2's bugs violated: disciplined clock access,
-//! panic-free detector code, no exact float comparison, virtual-time-safe
-//! library code, audited relaxed atomics, and `unsafe_code`-free crates.
-//! See [`rules`] for the catalogue and DESIGN.md §"Static-analysis
-//! invariants" for the rationale behind each rule.
+//! A self-contained (zero-dependency) analysis pass for seven project
+//! invariants: no exact float comparison against a literal, no
+//! `thread::sleep` in library code, audited relaxed atomics,
+//! `unsafe_code`-free crate roots, an allocation-free intake path,
+//! filesystem access only through the persist module, and pure detector
+//! queries. Clock access, hash-container determinism and panic-free
+//! detector code are clippy's: the root `clippy.toml` and the crate roots'
+//! `deny` lists state them. See [`rules`] for the catalogue, with why each
+//! rule stays here, and DESIGN.md §7c for the rationale.
 //!
 //! The tool is deliberately a *lexer + rule engine*, not a parser: every
 //! rule is a scoped token pattern, which keeps the pass hermetic (no
@@ -35,7 +38,7 @@ use diag::Report;
 /// Lints every workspace `.rs` file under `root`.
 ///
 /// Each file is lexed exactly once; the token stream is shared by the
-/// file-context derivation, all ten rules, and pragma collection. The
+/// file-context derivation, every rule, and pragma collection. The
 /// [`lexer::lex_calls`] probe makes that a testable equation (see
 /// `tests/single_pass.rs`), not a code-review hope.
 ///

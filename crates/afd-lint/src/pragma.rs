@@ -124,12 +124,12 @@ mod tests {
         assert!(pragmas[0].covers("no-float-eq", 1));
         assert!(pragmas[0].covers("no-float-eq", 2));
         assert!(!pragmas[0].covers("no-float-eq", 3));
-        assert!(!pragmas[0].covers("clock-discipline", 1));
+        assert!(!pragmas[0].covers("no-thread-sleep", 1));
     }
 
     #[test]
     fn reasonless_pragma_is_an_error() {
-        let toks = lex("// lint:allow(no-panic-paths)\n");
+        let toks = lex("// lint:allow(no-thread-sleep)\n");
         let (pragmas, errors) = collect(&toks);
         assert!(pragmas.is_empty());
         assert_eq!(errors.len(), 1);

@@ -1,24 +1,26 @@
-//! The ten project-invariant rules, run over a file's token stream.
+//! The seven project-invariant rules clippy cannot state, run over a
+//! file's token stream.
 //!
 //! Each rule is a scoped token-pattern check. The scopes encode *why* the
-//! invariant exists:
+//! invariant exists; the last column says why clippy does not check it:
 //!
-//! | rule | invariant protected |
-//! |------|---------------------|
-//! | `clock-discipline` | real time enters only through `afd-runtime/src/clock.rs`, so every component is drivable by `VirtualClock` |
-//! | `no-panic-paths` | the detector stack (`afd-core`, `afd-runtime`, `afd-obs`) degrades through typed errors, never aborts |
-//! | `no-float-eq` | suspicion levels are `f64`; exact comparison is a latent bug unless justified |
-//! | `no-thread-sleep` | library code waits on the `Clock`/callback abstractions, keeping virtual-time runs deterministic |
-//! | `relaxed-atomics-audit` | every `Ordering::Relaxed` read-modify-write in `afd-obs` or `afd-runtime` carries a written justification |
-//! | `crate-hygiene` | every crate root forbids `unsafe_code` |
-//! | `no-alloc-in-hot-path` | the per-frame intake files stay heap-allocation-free in steady state (`to_vec`/`Vec::new`/`vec!` need a written justification) |
-//! | `io-discipline` | filesystem access in `afd-runtime` happens only in `persist.rs`, so crash-safe install (tmp → fsync → rename) cannot be bypassed |
-//! | `determinism-discipline` | the model checker, the simulator, the trace replay and the chaos module never iterate `RandomState`-seeded containers, so explored-state counts, minimized counterexamples, chaos digests and E-tables are bit-reproducible across runs and machines |
-//! | `pure-query` | a shipping detector's `suspicion_level` (`afd-detectors`, `afd-runtime`) writes no field of its own, so its level is a function of the arrivals and the query time, never of who asked when |
+//! | rule | invariant protected | why not clippy |
+//! |------|---------------------|----------------|
+//! | `no-float-eq` | suspicion levels are `f64`; exact comparison is a latent bug unless justified | `float_cmp` passes `x == 0.0` and `x == f64::INFINITY` |
+//! | `no-thread-sleep` | library code waits on the `Clock`/callback abstractions, keeping virtual-time runs deterministic | a `disallowed-methods` entry would reach `bench/`, whose pragma would then name an unknown rule |
+//! | `relaxed-atomics-audit` | every `Ordering::Relaxed` read-modify-write in `afd-obs` or `afd-runtime` carries a written justification | no lint reads an argument's ordering |
+//! | `crate-hygiene` | every crate root forbids `unsafe_code` | a crate without `[lints] workspace = true` escapes a workspace `forbid` |
+//! | `no-alloc-in-hot-path` | the per-frame intake files stay heap-allocation-free in steady state (`to_vec`/`Vec::new`/`vec!` need a written justification) | no lint is scoped to a list of files |
+//! | `io-discipline` | filesystem access in `afd-runtime` happens only in `persist.rs`, so crash-safe install (tmp → fsync → rename) cannot be bypassed | a root-wide `fs` ban fails on `bench/`, and clippy does not merge a crate's `clippy.toml` with the root's |
+//! | `pure-query` | a shipping detector's `suspicion_level` (`afd-detectors`, `afd-runtime`) writes no field of its own, so its level is a function of the arrivals and the query time, never of who asked when | no lint reads a method body for writes to `self` |
+//!
+//! Clippy owns the rest: the root `clippy.toml` bans `Instant::now`,
+//! `SystemTime::now`, `HashMap` and `HashSet`, and the crate roots of
+//! `afd-core`, `afd-runtime` and `afd-obs` deny the panicking constructs.
 //!
 //! Any rule can be silenced per line with `// lint:allow(rule, reason)` —
-//! see [`crate::pragma`]. A malformed pragma is reported under the
-//! synthetic rule name `invalid-pragma`.
+//! see [`crate::pragma`]. A malformed pragma, or one that silences no
+//! finding, is reported under the synthetic rule name `invalid-pragma`.
 
 use crate::context::FileContext;
 use crate::diag::Finding;
@@ -27,23 +29,14 @@ use crate::pragma;
 
 /// The rule names a pragma may reference.
 pub const RULE_NAMES: &[&str] = &[
-    "clock-discipline",
-    "no-panic-paths",
     "no-float-eq",
     "no-thread-sleep",
     "relaxed-atomics-audit",
     "crate-hygiene",
     "no-alloc-in-hot-path",
     "io-discipline",
-    "determinism-discipline",
     "pure-query",
 ];
-
-/// Crates whose library code must be panic-free.
-const NO_PANIC_CRATES: &[&str] = &["afd-core", "afd-runtime", "afd-obs"];
-
-/// The one file allowed to read the OS clock.
-const CLOCK_MODULE: &str = "crates/afd-runtime/src/clock.rs";
 
 /// Atomic read-modify-write methods subject to the relaxed-ordering audit.
 const RMW_METHODS: &[&str] = &[
@@ -72,29 +65,46 @@ pub fn lint_tokens(ctx: &FileContext, tokens: &[Token]) -> (Vec<Finding>, usize)
         .collect();
 
     let mut raw: Vec<Finding> = Vec::new();
-    clock_discipline(ctx, &code, &mut raw);
-    no_panic_paths(ctx, &code, &mut raw);
     no_float_eq(ctx, &code, &mut raw);
     no_thread_sleep(ctx, &code, &mut raw);
     relaxed_atomics_audit(ctx, &code, &mut raw);
     crate_hygiene(ctx, &code, &mut raw);
     no_alloc_in_hot_path(ctx, &code, &mut raw);
     io_discipline(ctx, &code, &mut raw);
-    determinism_discipline(ctx, &code, &mut raw);
     pure_query(ctx, &code, &mut raw);
 
     let (pragmas, pragma_errors) = pragma::collect(tokens);
+    let mut used = vec![false; pragmas.len()];
     let mut suppressed = 0usize;
     let mut findings: Vec<Finding> = raw
         .into_iter()
         .filter(|f| {
-            let covered = pragmas.iter().any(|p| p.covers(f.rule, f.line));
-            if covered {
-                suppressed += 1;
+            let mut covered = false;
+            for (p, used) in pragmas.iter().zip(&mut used) {
+                if p.covers(f.rule, f.line) {
+                    *used = true;
+                    covered = true;
+                }
             }
+            suppressed += usize::from(covered);
             !covered
         })
         .collect();
+    // A pragma that silences nothing is as stale as an unfulfilled
+    // `#[expect]`: its rule moved, its scope changed, or the code it
+    // excused is gone.
+    for (p, _) in pragmas.iter().zip(&used).filter(|(_, &used)| !used) {
+        findings.push(Finding {
+            rule: "invalid-pragma",
+            path: ctx.path.clone(),
+            line: p.line,
+            col: p.col,
+            message: format!(
+                "`lint:allow({}, …)` suppresses nothing on this line or the next; remove it",
+                p.rule
+            ),
+        });
+    }
     for err in pragma_errors {
         findings.push(Finding {
             rule: "invalid-pragma",
@@ -122,77 +132,6 @@ fn finding(ctx: &FileContext, rule: &'static str, tok: &Token, message: String) 
         line: tok.line,
         col: tok.col,
         message,
-    }
-}
-
-/// `Instant::now` / `SystemTime::now` anywhere outside the clock module.
-/// `Instant::now()` is the *only* way to mint an `Instant`, so policing the
-/// acquisition point is sufficient — downstream `.elapsed()` calls cannot
-/// exist without one.
-fn clock_discipline(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
-    if ctx.path == CLOCK_MODULE {
-        return;
-    }
-    for w in code.windows(3) {
-        let [a, b, c] = w else { continue };
-        if (a.text == "Instant" || a.text == "SystemTime")
-            && a.kind == TokenKind::Ident
-            && b.text == "::"
-            && c.text == "now"
-            && !ctx.is_test_line(a.line)
-        {
-            out.push(finding(
-                ctx,
-                "clock-discipline",
-                a,
-                format!(
-                    "raw `{}::now` outside {CLOCK_MODULE}; route time through the `Clock` \
-                     trait so this code runs under `VirtualClock`",
-                    a.text
-                ),
-            ));
-        }
-    }
-}
-
-/// `.unwrap()` / `.expect(` / `panic!` / `todo!` / `unimplemented!` in
-/// library code of the no-panic crates.
-fn no_panic_paths(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
-    if !NO_PANIC_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    for (i, tok) in code.iter().enumerate() {
-        if tok.kind != TokenKind::Ident || !ctx.is_library_line(tok.line) {
-            continue;
-        }
-        let next = |n: usize| code.get(i + n).map(|t| t.text.as_str());
-        match tok.text.as_str() {
-            "unwrap" | "expect" if i > 0 && code[i - 1].text == "." && next(1) == Some("(") => {
-                out.push(finding(
-                    ctx,
-                    "no-panic-paths",
-                    tok,
-                    format!(
-                        "`.{}()` in {} library code; return a typed error or make the \
-                         invariant explicit (`let … else` + `debug_assert!`)",
-                        tok.text, ctx.crate_name
-                    ),
-                ));
-            }
-            "panic" | "todo" | "unimplemented" if next(1) == Some("!") => {
-                out.push(finding(
-                    ctx,
-                    "no-panic-paths",
-                    tok,
-                    format!(
-                        "`{}!` in {} library code; degrade through a typed error instead \
-                         of aborting the detector stack",
-                        tok.text, ctx.crate_name
-                    ),
-                ));
-            }
-            _ => {}
-        }
     }
 }
 
@@ -400,57 +339,10 @@ fn io_discipline(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
     }
 }
 
-/// The deterministic crates: the model checker (its state counts,
-/// digests, and minimized counterexamples must be bit-reproducible) and
-/// the simulator (every E-table and chaos digest is a function of its
-/// traces).
-const DETERMINISM_CRATES: &[&str] = &["crates/afd-model/", "crates/afd-sim/"];
-/// The runtime's deterministic modules: the chaos module (the script
-/// replay the model checker emits schedules for, and the chaos runs) and
-/// the trace replay every E-table and chaos run reads its levels from.
-const DETERMINISM_MODULES: &[&str] = &[
-    "crates/afd-runtime/src/chaos.rs",
-    "crates/afd-runtime/src/replay.rs",
-];
-
 /// Every file a rule names by path, relative to the workspace root: a
 /// rule whose file was split or renamed would silently check nothing.
 pub fn named_files() -> impl Iterator<Item = &'static str> {
-    [CLOCK_MODULE, PERSIST_MODULE]
-        .into_iter()
-        .chain(DETERMINISM_MODULES.iter().copied())
-        .chain(HOT_PATH_FILES.iter().copied())
-}
-
-/// `HashMap` / `HashSet` in the determinism-critical files. `std`'s hash
-/// containers seed `RandomState` per process, so *iterating* one injects
-/// nondeterminism into anything downstream — explored-state order, which
-/// counterexample the DFS finds first, replay traces. `BTreeMap`/`BTreeSet`
-/// (or a fixed-seed hasher, with a pragma saying so) keep those surfaces
-/// reproducible. Test code is **not** exempt here: the exhaustive tests
-/// assert exact state counts, so nondeterminism in a test is a flake.
-fn determinism_discipline(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
-    let in_scope = DETERMINISM_CRATES.iter().any(|c| ctx.path.starts_with(c))
-        || DETERMINISM_MODULES.contains(&ctx.path.as_str());
-    if !in_scope {
-        return;
-    }
-    for tok in code {
-        if tok.kind == TokenKind::Ident && (tok.text == "HashMap" || tok.text == "HashSet") {
-            out.push(finding(
-                ctx,
-                "determinism-discipline",
-                tok,
-                format!(
-                    "`{}` in determinism-critical file {}; RandomState iteration order \
-                     makes exploration and replay nondeterministic — use `BTreeMap`/`BTreeSet`, \
-                     or justify a seeded hasher with \
-                     `// lint:allow(determinism-discipline, reason)`",
-                    tok.text, ctx.path
-                ),
-            ));
-        }
-    }
+    std::iter::once(PERSIST_MODULE).chain(HOT_PATH_FILES.iter().copied())
 }
 
 /// The crates whose detectors ship: their queries must be pure. afd-core's
@@ -613,40 +505,6 @@ mod tests {
         );
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(suppressed, 0);
-    }
-
-    #[test]
-    fn clock_module_is_exempt() {
-        let src = "fn now() { let t = Instant::now(); }\n";
-        let (findings, _) = lint_source("crates/afd-runtime/src/clock.rs", src);
-        assert!(findings.is_empty());
-        let (findings, _) = lint_source("crates/afd-runtime/src/retry.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "clock-discipline");
-    }
-
-    #[test]
-    fn panic_rules_scope_to_the_three_crates() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let (findings, _) = lint_source("crates/afd-core/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        // afd-sim is outside the no-panic scope.
-        let (findings, _) = lint_source("crates/afd-sim/src/x.rs", src);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_cfg_test_mod_is_fine() {
-        let src = "pub fn live() {}\n#[cfg(test)]\nmod tests {\n fn t() { Some(1).unwrap(); }\n}\n";
-        let (findings, _) = lint_source("crates/afd-obs/src/x.rs", src);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn unwrap_or_default_is_not_unwrap() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or_default() }\n";
-        let (findings, _) = lint_source("crates/afd-core/src/x.rs", src);
-        assert!(findings.is_empty());
     }
 
     #[test]

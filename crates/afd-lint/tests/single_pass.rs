@@ -2,7 +2,7 @@
 //!
 //! Lexing dominates the linter's runtime; the driver therefore lexes each
 //! file exactly once and shares the token stream across the file-context
-//! derivation, all ten rules, and pragma collection. A wall-clock
+//! derivation, every rule, and pragma collection. A wall-clock
 //! benchmark would assert this only probabilistically (and rot with
 //! hardware); the [`afd_lint::lexer::lex_calls`] probe instead counts lex
 //! invocations, so single-pass behavior is `lex calls == files scanned`,
@@ -11,6 +11,11 @@
 //! This lives in its own integration-test binary on purpose: the probe is
 //! process-global, and sibling tests that lint sources concurrently would
 //! race the delta.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times the scan for the informational line it prints; no assertion reads the clock"
+)]
 
 use std::path::Path;
 use std::time::Instant;

@@ -49,7 +49,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert exact values of deterministic computations"
+    )
+)]
 
 pub mod bounds;
 pub mod explore;

@@ -228,7 +228,10 @@ impl Registry {
             .or_insert_with(|| Metric::Counter(Counter::default()))
         {
             Metric::Counter(c) => c.clone(),
-            // lint:allow(no-panic-paths, documented Panics contract; kind misregistration is a startup programming error)
+            #[expect(
+                clippy::panic,
+                reason = "documented Panics contract; kind misregistration is a startup programming error"
+            )]
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
     }
@@ -245,7 +248,10 @@ impl Registry {
             .or_insert_with(|| Metric::Gauge(Gauge::default()))
         {
             Metric::Gauge(g) => g.clone(),
-            // lint:allow(no-panic-paths, documented Panics contract; kind misregistration is a startup programming error)
+            #[expect(
+                clippy::panic,
+                reason = "documented Panics contract; kind misregistration is a startup programming error"
+            )]
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
     }
@@ -264,7 +270,10 @@ impl Registry {
             .or_insert_with(|| Metric::Histogram(Histogram::new(bounds.to_vec())))
         {
             Metric::Histogram(h) => h.clone(),
-            // lint:allow(no-panic-paths, documented Panics contract; kind misregistration is a startup programming error)
+            #[expect(
+                clippy::panic,
+                reason = "documented Panics contract; kind misregistration is a startup programming error"
+            )]
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
     }

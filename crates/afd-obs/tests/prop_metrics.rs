@@ -2,8 +2,10 @@
 //! must hold for *any* binary history, checked against independent
 //! recomputations.
 
-// Exact float equality is intentional in test assertions.
-#![allow(clippy::float_cmp)]
+#![allow(
+    clippy::float_cmp,
+    reason = "exact float equality is intentional in test assertions"
+)]
 
 use afd_core::binary::{Status, TransitionDetector};
 use afd_core::history::BinaryTrace;

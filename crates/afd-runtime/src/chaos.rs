@@ -367,9 +367,11 @@ where
                     senders: &mut Vec<(ProcessId, SenderCore, CaptureTransport)>,
                     in_flight: &mut Vec<Vec<u8>>| {
         for (_, core, capture) in senders.iter_mut() {
-            // The in-process capture cannot fail; the expect documents it.
+            #[expect(
+                clippy::expect_used,
+                reason = "CaptureTransport::send is infallible by construction"
+            )]
             core.poll(t, capture, |_| {})
-                // lint:allow(no-panic-paths, CaptureTransport::send is infallible by construction)
                 .expect("capture transport is infallible");
             in_flight.append(&mut capture.frames);
         }
@@ -388,9 +390,9 @@ where
             }
             ScriptEvent::Deliver(i) => {
                 let frame = in_flight.remove(i);
-                // lint:allow(no-panic-paths, the in-process feed pair cannot error)
+                #[expect(clippy::expect_used, reason = "the in-process feed pair cannot error")]
                 feed.send(&frame).expect("in-process feed is infallible");
-                // lint:allow(no-panic-paths, the in-process feed pair cannot error)
+                #[expect(clippy::expect_used, reason = "the in-process feed pair cannot error")]
                 monitor.tick().expect("in-process tick is infallible");
             }
             ScriptEvent::Drop(i) => {
@@ -405,9 +407,12 @@ where
         let levels = senders
             .iter()
             .map(|&(p, _, _)| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "run_chaos_script watches every sender upfront"
+                )]
                 let detector = monitor
                     .detector_mut(p)
-                    // lint:allow(no-panic-paths, run_chaos_script watches every sender upfront)
                     .expect("every script process is watched");
                 (p, detector.suspicion_level(t))
             })
@@ -432,10 +437,13 @@ fn sender(
     senders: &mut [(ProcessId, SenderCore, CaptureTransport)],
     p: ProcessId,
 ) -> &mut SenderCore {
+    #[expect(
+        clippy::expect_used,
+        reason = "a malformed script is a harness bug and must abort the run"
+    )]
     let (_, core, _) = senders
         .iter_mut()
         .find(|(id, _, _)| *id == p)
-        // lint:allow(no-panic-paths, a malformed script is a harness bug and must abort the run)
         .expect("script addresses an unknown process");
     core
 }

@@ -6,6 +6,11 @@
 //! makes every trace replay — chaos runs, faults, degradation and all — a
 //! pure function of `(scenario, seed)`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "`SystemClock` is where real time enters the runtime; everything else reads a `Clock`"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

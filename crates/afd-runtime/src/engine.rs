@@ -947,6 +947,11 @@ fn lane_loop<L: Transport, C: Clock>(
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "threads and sockets are polled against a wall-clock deadline, so a stall fails instead of hanging"
+    )]
+
     use super::*;
     use crate::clock::VirtualClock;
     use crate::transport::{ChannelTransport, NullTransport};

@@ -39,10 +39,25 @@
 //!   shipping monitor replays it once per detector of the zoo.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests assert exact values of deterministic computations"
+    )
+)]
 
 pub mod chaos;
 pub mod clock;

@@ -573,7 +573,10 @@ fn encode_segment(
 struct SegmentData {
     shard: u32,
     generation: u64,
-    #[allow(dead_code)]
+    #[allow(
+        dead_code,
+        reason = "read by format tests; restore keys on the manifest"
+    )]
     epoch: Timestamp,
     crc: u32,
     records: Vec<(ProcessId, PeerDurable)>,
@@ -641,8 +644,10 @@ struct ManifestEntry {
 
 struct ManifestData {
     generation: u64,
-    // Read by format tests; restore keys on per-segment epochs instead.
-    #[allow(dead_code)]
+    #[allow(
+        dead_code,
+        reason = "read by format tests; restore keys on per-segment epochs instead"
+    )]
     epoch: Timestamp,
     segments: Vec<ManifestEntry>,
 }

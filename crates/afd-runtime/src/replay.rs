@@ -182,10 +182,13 @@ impl<D: AccrualFailureDetector> Replay<D> {
             "replay lost a frame: {stats:?} for {} sent",
             self.sent
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "the one-slot shard took its peer at the start and never let it go"
+        )]
         let detector = self
             .monitor
             .unwatch(PEER)
-            // lint:allow(no-panic-paths, the one-slot shard took its peer at the start and never let it go)
             .expect("the replayed peer is watched");
         (stats, detector)
     }

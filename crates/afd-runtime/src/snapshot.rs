@@ -546,7 +546,7 @@ impl SlotIndex {
         let old = &entries[..=mask];
         // lint:allow(relaxed-atomics-audit, the one writer empties the old prefix in its write section)
         let moved = old.iter().map(|e| e.swap(0, Ordering::Relaxed));
-        // lint:allow(no-alloc-in-hot-path, a doubling: the `watch` whose slot reaches past half the prefix)
+        // Allocates at a doubling: the `watch` whose slot reaches past half the prefix.
         let moved: Vec<u64> = moved.filter(|&entry| entry != 0).collect();
         // Zeroed pages become atomics in place, untouched and not resident.
         // lint:allow(no-alloc-in-hot-path, once an index: the `watch` whose doubling outgrows SMALL)
@@ -627,7 +627,7 @@ impl ShardCell {
     /// and maps the peer to it. The row answers from the next publish on.
     pub(crate) fn occupy(&self, process: ProcessId, slot: usize) {
         for rows in self.banks.iter().filter_map(|b| b.chunks.get(slot / CHUNK)) {
-            // lint:allow(no-alloc-in-hot-path, once a chunk: by the `watch` whose slot first reaches it)
+            // Allocates once a chunk: by the `watch` whose slot first reaches it.
             rows.get_or_init(|| {
                 Box::new(RowChunk {
                     ids: std::array::from_fn(|_| AtomicU64::new(VACANT)),

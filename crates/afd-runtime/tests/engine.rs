@@ -5,6 +5,11 @@
 //! drop-oldest ring backpressure accounting, and poisoned-worker
 //! detection.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "threads and sockets are polled against a wall-clock deadline, so a stall fails instead of hanging"
+)]
+
 use std::sync::{Arc, Condvar, Mutex};
 
 use afd_core::accrual::AccrualFailureDetector;

@@ -20,6 +20,11 @@
 //! stays in `[0, capacity)`, and the dedicated boundary test pins the
 //! slab's behavior on the first index past the edge.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the oracle is the `HashMap`-backed decoder the slab replaced; nothing iterates it"
+)]
+
 use std::collections::HashMap;
 
 use afd_core::process::ProcessId;

@@ -6,8 +6,14 @@
 //! Chen's expected arrival to 1 ns, simple accrual exactly, and replay
 //! rejection state.
 
-// Exact float equality is the point of the simple-accrual round trip.
-#![allow(clippy::float_cmp)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "threads and sockets are polled against a wall-clock deadline, so a stall fails instead of hanging"
+)]
+#![allow(
+    clippy::float_cmp,
+    reason = "exact float equality is the point of the simple-accrual round trip"
+)]
 
 use std::sync::{Arc, Mutex};
 

@@ -9,6 +9,11 @@
 //! expectation is polled under a deadline: the kernel queue is drained
 //! until the expected counters appear or the deadline names the miss.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "threads and sockets are polled against a wall-clock deadline, so a stall fails instead of hanging"
+)]
+
 use std::time::{Duration as StdDuration, Instant};
 
 use afd_core::process::ProcessId;

@@ -92,7 +92,6 @@ pub fn simulate(scenario: &Scenario, seed: u64) -> ArrivalTrace {
 /// Applies send jitter around the nominal broadcast time.
 fn jittered(nominal: Timestamp, scenario: &Scenario, rng: &mut SimRng) -> Timestamp {
     let std = scenario.send_jitter_std.as_secs_f64();
-    #[allow(clippy::float_cmp)]
     // lint:allow(no-float-eq, exact zero disables jitter; any nonzero std must sample)
     if std == 0.0 {
         return nominal;

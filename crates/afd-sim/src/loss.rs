@@ -154,7 +154,6 @@ impl GilbertElliottLoss {
     /// The stationary probability of being in the bad state.
     pub fn stationary_bad(&self) -> f64 {
         let denom = self.p_good_to_bad + self.p_bad_to_good;
-        #[allow(clippy::float_cmp)]
         // lint:allow(no-float-eq, exact zero guard against division by zero)
         if denom == 0.0 {
             0.0

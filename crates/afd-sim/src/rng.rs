@@ -54,8 +54,10 @@ impl SimRng {
             lo.is_finite() && hi.is_finite() && lo <= hi,
             "need finite lo ≤ hi"
         );
-        #[allow(clippy::float_cmp)]
-        // lint:allow(no-float-eq, degenerate range: gen_range rejects an empty lo..hi)
+        #[expect(
+            clippy::float_cmp,
+            reason = "degenerate range: gen_range rejects an empty lo..hi"
+        )]
         if lo == hi {
             return lo;
         }

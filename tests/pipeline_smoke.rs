@@ -7,6 +7,11 @@
 //! case takes the inline executor through a change of membership into
 //! reused slots, the lock-free read side, a checkpoint and a restore.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "threads and sockets are polled against a wall-clock deadline, so a stall fails instead of hanging"
+)]
+
 use accrual_fd::prelude::*;
 use accrual_fd::runtime::{
     ChannelTransport, CheckpointConfig, Checkpointer, DeltaEncoder, EngineConfig, Heartbeat,

@@ -3,8 +3,10 @@
 //! duplicate deliveries, total loss, pathological cadences, and
 //! degenerate configurations.
 
-// Exact float equality is intentional in test assertions.
-#![allow(clippy::float_cmp)]
+#![allow(
+    clippy::float_cmp,
+    reason = "exact float equality is intentional in test assertions"
+)]
 
 use accrual_fd::core::accrual::AccrualFailureDetector;
 use accrual_fd::core::history::SuspicionTrace;

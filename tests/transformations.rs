@@ -2,8 +2,10 @@
 //! the full pipeline heartbeats → accrual detector → Algorithm 1 → binary
 //! verdicts, and its converse.
 
-// Exact float equality is intentional in test assertions.
-#![allow(clippy::float_cmp)]
+#![allow(
+    clippy::float_cmp,
+    reason = "exact float equality is intentional in test assertions"
+)]
 
 use accrual_fd::core::history::SuspicionTrace;
 use accrual_fd::core::properties::{check_accruement, check_upper_bound};
