@@ -121,9 +121,9 @@ impl PropertyFold {
     ) -> Result<WeakAccruementWitness, AccruementViolation> {
         self.stable_suffix(4, 0.5)?;
         if self.last < target_level.quantize(self.epsilon) {
-            return Err(AccruementViolation::TooFewIncreases {
-                observed: 0,
-                required: 1,
+            return Err(AccruementViolation::BelowTarget {
+                final_level: self.last,
+                target: target_level,
             });
         }
         Ok(WeakAccruementWitness {
@@ -191,6 +191,14 @@ pub enum AccruementViolation {
         /// Strict increases required.
         required: usize,
     },
+    /// Weak Accruement only: the last level, however often the suffix
+    /// rose, ends below the target.
+    BelowTarget {
+        /// The last level, ε-quantized.
+        final_level: SuspicionLevel,
+        /// The level the trace had to reach.
+        target: SuspicionLevel,
+    },
 }
 
 impl fmt::Display for AccruementViolation {
@@ -206,6 +214,13 @@ impl fmt::Display for AccruementViolation {
             AccruementViolation::TooFewIncreases { observed, required } => write!(
                 f,
                 "only {observed} strict increases after stabilization, need {required}"
+            ),
+            AccruementViolation::BelowTarget {
+                final_level,
+                target,
+            } => write!(
+                f,
+                "final suspicion level {final_level} is below the target {target}"
             ),
         }
     }
@@ -570,6 +585,23 @@ mod tests {
     }
 
     #[test]
+    fn weak_accruement_names_a_low_end_apart_from_the_increases() {
+        // Rises 99 times and never falls, but ends at 99 below a target of
+        // 500: the verdict names the low end, not "0 strict increases".
+        let values: Vec<f64> = (0..100).map(f64::from).collect();
+        let target = SuspicionLevel::new(500.0).unwrap();
+        let err = check_weak_accruement(&trace_from(&values), target).unwrap_err();
+        assert_eq!(
+            err,
+            AccruementViolation::BelowTarget {
+                final_level: SuspicionLevel::new(99.0).unwrap(),
+                target,
+            }
+        );
+        assert!(err.to_string().contains("below the target"), "{err}");
+    }
+
+    #[test]
     fn violations_display() {
         let v = AccruementViolation::TooFewIncreases {
             observed: 0,
@@ -738,7 +770,7 @@ mod tests {
                 } else if n - k < n.div_ceil(2).max(2) {
                     Err(AccruementViolation::NoStableSuffix { last_decrease: k.saturating_sub(1), len: n })
                 } else if last < target.quantize(eps) {
-                    Err(AccruementViolation::TooFewIncreases { observed: 0, required: 1 })
+                    Err(AccruementViolation::BelowTarget { final_level: last, target })
                 } else {
                     Ok(WeakAccruementWitness {
                         final_level: last,
