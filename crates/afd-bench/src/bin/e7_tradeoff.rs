@@ -119,7 +119,8 @@ fn nonstationary() {
         ],
     );
     // Quiet-tuned thresholds with equal quiet-phase detection latency
-    // (~1.2 s): simple timeout 1.2 s, chen alpha 0.2 s, phi 3.
+    // (~1.2 s): simple timeout 1.2 s, chen alpha 0.2 s, bertier slack
+    // 0.05 s, phi 3.
     let configs = [
         (spec::simple().detector, 1.2),
         (spec::chen().detector, 0.2),
@@ -152,7 +153,8 @@ fn nonstationary() {
         }
         table.push_row(vec![
             spec.name().to_string(),
-            cell(thr, 1),
+            // The shortest form that reads back as `thr`: 0.05 keeps both digits.
+            format!("{thr:?}"),
             format!("{:.1}", quiet_total as f64 / 10.0),
             format!("{:.1}", noisy_total as f64 / 10.0),
         ]);
