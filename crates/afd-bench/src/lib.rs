@@ -11,13 +11,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![cfg_attr(
-    test,
-    allow(
-        clippy::float_cmp,
-        reason = "tests assert exact values of deterministic computations"
-    )
-)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact values"))]
 
 pub mod bot;
 pub mod experiment;

@@ -49,13 +49,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
-#![cfg_attr(
-    test,
-    allow(
-        clippy::float_cmp,
-        reason = "tests assert exact values of deterministic computations"
-    )
-)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact values"))]
 
 pub mod bounds;
 pub mod explore;

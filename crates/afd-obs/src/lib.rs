@@ -25,23 +25,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::todo,
-        clippy::unimplemented
-    )
-)]
-#![cfg_attr(
-    test,
-    allow(
-        clippy::float_cmp,
-        reason = "tests assert exact values of deterministic computations"
-    )
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact values"))]
 
 mod metrics;
 pub mod qos;

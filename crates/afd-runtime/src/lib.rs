@@ -39,25 +39,11 @@
 //!   shipping monitor replays it once per detector of the zoo.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::todo,
-        clippy::unimplemented
-    )
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![cfg_attr(
-    test,
-    allow(
-        clippy::float_cmp,
-        reason = "tests assert exact values of deterministic computations"
-    )
-)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests compare exact values"))]
 
 pub mod chaos;
 pub mod clock;
