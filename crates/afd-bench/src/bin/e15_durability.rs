@@ -21,8 +21,8 @@
 //!    segment and import the rest.
 //!
 //! Wall time is read through `afd_runtime::SystemClock` — the one
-//! sanctioned monotonic-clock entry point (see afd-lint's
-//! clock-discipline rule). Detector time is virtual.
+//! sanctioned monotonic-clock entry point (the root `clippy.toml` bans
+//! `Instant::now` elsewhere). Detector time is virtual.
 //!
 //! `--smoke` shrinks the peer count so CI can run the full
 //! checkpoint → corrupt → restore → recover pipeline in seconds.

@@ -7,7 +7,7 @@
 //! | rule | invariant protected | why not clippy |
 //! |------|---------------------|----------------|
 //! | `no-float-eq` | suspicion levels are `f64`; exact comparison is a latent bug unless justified | `float_cmp` passes `x == 0.0` and `x == f64::INFINITY` |
-//! | `no-thread-sleep` | library code waits on the `Clock`/callback abstractions, keeping virtual-time runs deterministic | a `disallowed-methods` entry would reach `bench/`, whose pragma would then name an unknown rule |
+//! | `no-thread-sleep` | library code waits on the `Clock`/callback abstractions, keeping virtual-time runs deterministic | moving it leaves the frozen `bench/src/workload.rs` pragma naming an unknown rule, an `invalid-pragma` finding |
 //! | `relaxed-atomics-audit` | every `Ordering::Relaxed` read-modify-write in `afd-obs` or `afd-runtime` carries a written justification | no lint reads an argument's ordering |
 //! | `crate-hygiene` | every crate root forbids `unsafe_code` | a crate without `[lints] workspace = true` escapes a workspace `forbid` |
 //! | `no-alloc-in-hot-path` | the per-frame intake files stay heap-allocation-free in steady state (`to_vec`/`Vec::new`/`vec!` need a written justification) | no lint is scoped to a list of files |

@@ -6,7 +6,7 @@
 //! per transition, and prunes any successor whose canonical digest is
 //! already in the seen set. The seen set is a `BTreeSet<u128>` — ordered,
 //! deterministic iteration, and no hashing randomness; `std` hash maps are
-//! banned from this crate by afd-lint's `determinism-discipline` rule.
+//! banned from the workspace by the root `clippy.toml`.
 
 use std::collections::BTreeSet;
 

@@ -42,7 +42,7 @@
 //! and the test suite asserts every mutant is caught.
 //!
 //! Everything here is deterministic by construction — `BTreeSet` instead
-//! of hash sets (enforced by afd-lint's `determinism-discipline` rule),
+//! of hash sets (enforced by the root `clippy.toml`),
 //! no clocks, no randomness — so a state count from one run is
 //! reproducible anywhere.
 
