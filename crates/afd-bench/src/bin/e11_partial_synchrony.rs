@@ -18,7 +18,11 @@ use afd_core::time::{Duration, Timestamp};
 use afd_detectors::spec;
 use afd_obs::analyze;
 use afd_sim::clock::DriftingClock;
-use afd_sim::scenario::Scenario;
+use afd_sim::scenario::{Effect, Scenario};
+
+/// How long after GST a healthy run's level counts as post-GST: the
+/// delays of heartbeats sent just before GST still drain in it.
+const SETTLE: Duration = Duration::from_secs(20);
 
 fn scenario_with_drift(rate: f64) -> Scenario {
     Scenario {
@@ -30,8 +34,15 @@ fn scenario_with_drift(rate: f64) -> Scenario {
 
 fn main() {
     let crash = Timestamp::from_secs(250);
+    // GST is the end of the chaos phase.
+    let mut phases = Scenario::partially_synchronous().phases.into_iter();
+    let chaos = phases.find(|p| matches!(p.effect, Effect::Chaos(_)));
+    let gst = chaos.expect("a chaos phase").to;
     let mut table = Table::new(
-        "E11: simple detector under partial synchrony, drift sweep (GST=120s, 30 seeds)",
+        format!(
+            "E11: simple detector under partial synchrony, drift sweep (GST={}s, 30 seeds)",
+            gst.as_secs_f64()
+        ),
         &[
             "monitor clock rate",
             "SL_max pre-GST (s)",
@@ -54,7 +65,7 @@ fn main() {
             let trace = level_trace(&healthy, seed, spec::simple().detector);
             check_upper_bound(&trace, None).expect("bounded");
             for s in trace.iter() {
-                if s.at < Timestamp::from_secs(140) {
+                if s.at < gst + SETTLE {
                     pre_gst_max = pre_gst_max.max(s.level.value());
                 } else {
                     post_gst_max = post_gst_max.max(s.level.value());

@@ -64,13 +64,9 @@ fn scenarios(sizes: &Sizes) -> Vec<(&'static str, Scenario)> {
         ..calm.clone()
     };
     let crash_secs = sizes.crash_at.as_secs_f64() as u64;
-    let flapping = Scenario {
-        partitions: (10..crash_secs)
-            .step_by(10)
-            .map(|s| (Timestamp::from_secs(s), Timestamp::from_secs(s + 2)))
-            .collect(),
-        ..calm.clone()
-    };
+    let flapping = (10..crash_secs).step_by(10).fold(calm.clone(), |s, at| {
+        s.with_partition(Timestamp::from_secs(at), Timestamp::from_secs(at + 2))
+    });
     vec![
         ("calm", calm),
         ("jitter", jitter),

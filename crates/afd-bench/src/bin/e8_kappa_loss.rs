@@ -2,9 +2,10 @@
 //!
 //! Two parts:
 //!
-//! 1. A suspicion-level *trace* during a synthetic loss burst, for φ vs κ
-//!    (with both contribution functions): φ leaps superlinearly, κ counts
-//!    missed heartbeats.
+//! 1. A suspicion-level *trace* while an 8 s partition cuts an ideal 1 s
+//!    link, replayed through the shipping monitor, for φ vs κ (with both
+//!    contribution functions): φ leaps superlinearly, κ counts missed
+//!    heartbeats.
 //! 2. QoS sweeps under Gilbert–Elliott loss at increasing burst rates:
 //!    at matched detection times, κ's mistake rate degrades far more
 //!    slowly than φ's — the experimental claim of §5.4 (and of the κ-FD
@@ -12,23 +13,28 @@
 
 use afd_bench::experiment::{aggregate, cell, cell_sci, Table};
 use afd_bench::{level_trace, SEEDS};
-use afd_core::accrual::AccrualFailureDetector;
 use afd_core::suspicion::SuspicionLevel;
-use afd_core::time::Timestamp;
-use afd_detectors::kappa::{KappaAccrual, KappaConfig, PhiContribution, StepContribution};
-use afd_detectors::phi::PhiAccrual;
+use afd_core::time::{Duration, Timestamp};
 use afd_detectors::spec;
 use afd_obs::analyze;
+use afd_runtime::replay::replay;
 use afd_sim::loss::GilbertElliottLoss;
 use afd_sim::scenario::{LossKind, Scenario};
+use afd_sim::{simulate, ReplayConfig};
 
 fn burst_trace() {
-    let mut phi = PhiAccrual::with_defaults();
-    let mut kappa_phi = KappaAccrual::new(KappaConfig::default(), PhiContribution).expect("valid");
-    let mut kappa_step =
-        KappaAccrual::new(KappaConfig::default(), StepContribution::new(0.5)).expect("valid");
+    // An ideal 1 s link whose heartbeats 61–68 are cut, read half a second
+    // after each heartbeat is due.
+    let (cut_from, cut_to) = (Timestamp::from_secs(61), Timestamp::from_secs(69));
+    let scenario = Scenario::ideal()
+        .with_partition(cut_from, cut_to)
+        .with_horizon(Timestamp::from_secs(70));
+    let trace = simulate(&scenario, 0);
+    let queries =
+        ReplayConfig::every(Duration::from_secs(1)).starting_at(Timestamp::from_millis(500));
+    let [phi, kappa_phi, kappa_step] = [spec::phi_normal(), spec::kappa_phi(), spec::kappa_step()]
+        .map(|spec| replay(&trace, move |_| spec.build(), queries).levels);
 
-    // 60 healthy heartbeats, then 8 lost ones, then recovery.
     let mut table = Table::new(
         "E8a: suspicion level during an 8-heartbeat loss burst",
         &[
@@ -38,19 +44,14 @@ fn burst_trace() {
             "kappa (step contrib)",
         ],
     );
-    for k in 1..=60u64 {
-        let at = Timestamp::from_secs(k);
-        phi.record_heartbeat(at);
-        kappa_phi.record_heartbeat(at);
-        kappa_step.record_heartbeat(at);
-    }
-    for missed in 1..=8u64 {
-        let now = Timestamp::from_secs_f64(60.0 + missed as f64 + 0.5);
+    let samples = phi.iter().zip(kappa_phi.iter()).zip(kappa_step.iter());
+    let burst = samples.filter(|((phi, _), _)| cut_from < phi.at && phi.at < cut_to);
+    for (missed, ((phi, kappa_phi), kappa_step)) in (1u32..).zip(burst) {
         table.push_row(vec![
             missed.to_string(),
-            cell(phi.suspicion_level(now).value(), 1),
-            cell(kappa_phi.suspicion_level(now).value(), 2),
-            cell(kappa_step.suspicion_level(now).value(), 2),
+            cell(phi.level.value(), 1),
+            cell(kappa_phi.level.value(), 2),
+            cell(kappa_step.level.value(), 2),
         ]);
     }
     println!("{table}");

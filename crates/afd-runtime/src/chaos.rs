@@ -40,23 +40,23 @@ const QUERY_EVERY: Duration = Duration::from_millis(250);
 pub struct LinkStats {
     /// Heartbeats the sender sent.
     pub sent: u64,
-    /// Lost to the loss model (or to pre-GST chaos).
+    /// Lost to the loss model (or to a chaos phase).
     pub lost: u64,
-    /// Lost to a partition.
+    /// Lost to a partition (a phase that cuts the link).
     pub partitioned: u64,
     /// Delivered after the last query, so never seen by the monitor.
     pub in_flight: u64,
 }
 
 impl LinkStats {
-    /// Counts `trace`'s outcomes under `scenario`'s partitions, for a
+    /// Counts `trace`'s outcomes under `scenario`'s phases, for a
     /// monitor whose last read was at local time `last_read`.
     fn count(trace: &ArrivalTrace, scenario: &Scenario, last_read: Timestamp) -> Self {
         let mut link = LinkStats::default();
         for r in trace.records() {
             link.sent += 1;
             match r.delivered_local {
-                None if scenario.partitioned_at(r.sent_at) => link.partitioned += 1,
+                None if scenario.link_at(r.sent_at).cut => link.partitioned += 1,
                 None => link.lost += 1,
                 Some(at) if at > last_read => link.in_flight += 1,
                 Some(_) => {}

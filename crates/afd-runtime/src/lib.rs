@@ -34,7 +34,8 @@
 //! - the [`FaultInjector`] transport wrapper replays seeded
 //!   drop/duplicate/reorder/delay/corrupt/partition schedules on live
 //!   transports, and [`chaos`] runs turn an `afd-sim` scenario — loss,
-//!   jitter, partitions, sender outages, a final crash — into a
+//!   jitter, its phases (partitions, sender outages, pre-GST chaos), a
+//!   final crash — into a
 //!   deterministic virtual-time run: afd-sim generates one trace, and the
 //!   shipping monitor replays it once per detector of the zoo.
 

@@ -1,4 +1,4 @@
-//! A unidirectional message channel: loss, delay, and partial synchrony.
+//! A unidirectional message channel: loss, delay, and pre-GST chaos.
 
 use afd_core::time::{Duration, Timestamp};
 
@@ -6,43 +6,41 @@ use crate::delay::DelayModel;
 use crate::loss::LossModel;
 use crate::rng::SimRng;
 
-/// Pre-GST chaos for the partially synchronous model (Appendix A.4).
+/// Pre-GST chaos (Appendix A.4): extra independent loss and extra uniform
+/// delay on top of a channel's own, for the messages a chaos
+/// [`Phase`](crate::scenario::Phase) covers.
 ///
 /// Before the global stabilization time, message delays and losses are
-/// unbounded in the model; we approximate that with extra uniform delay and
-/// extra independent loss that both vanish at GST. After GST the channel's
-/// base models apply unchanged, giving the bounded `Δ` the proofs use.
+/// unbounded in the model; a chaos phase `[0, GST)` approximates that, and
+/// after it the channel's base models apply unchanged, giving the bounded
+/// `Δ` the proofs use.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartialSynchrony {
-    /// The global stabilization time.
-    pub gst: Timestamp,
-    /// Maximum extra delay added to messages sent before GST.
-    pub pre_gst_extra_delay: Duration,
-    /// Extra independent loss probability for messages sent before GST.
-    pub pre_gst_loss: f64,
+pub struct Chaos {
+    /// Extra independent loss probability.
+    pub loss: f64,
+    /// Maximum extra delay, drawn uniformly below it.
+    pub max_extra_delay: Duration,
 }
 
-impl PartialSynchrony {
-    /// Creates the pre-GST chaos configuration.
+impl Chaos {
+    /// Creates the chaos of a pre-GST phase.
     ///
     /// # Panics
     ///
-    /// Panics if `pre_gst_loss` is outside `[0, 1]`.
-    pub fn new(gst: Timestamp, pre_gst_extra_delay: Duration, pre_gst_loss: f64) -> Self {
+    /// Panics if `loss` is outside `[0, 1]`.
+    pub fn new(loss: f64, max_extra_delay: Duration) -> Self {
         assert!(
-            (0.0..=1.0).contains(&pre_gst_loss),
-            "pre-GST loss must be in [0, 1], got {pre_gst_loss}"
+            (0.0..=1.0).contains(&loss),
+            "chaos loss must be in [0, 1], got {loss}"
         );
-        PartialSynchrony {
-            gst,
-            pre_gst_extra_delay,
-            pre_gst_loss,
+        Chaos {
+            loss,
+            max_extra_delay,
         }
     }
 }
 
-/// A unidirectional channel combining a delay model, a loss model, and
-/// optional pre-GST chaos.
+/// A unidirectional channel combining a delay model and a loss model.
 ///
 /// # Examples
 ///
@@ -62,44 +60,38 @@ impl PartialSynchrony {
 pub struct Channel<D, L> {
     delay: D,
     loss: L,
-    partial_synchrony: Option<PartialSynchrony>,
 }
 
 impl<D: DelayModel, L: LossModel> Channel<D, L> {
-    /// Creates a channel with the given delay and loss models and no
-    /// pre-GST chaos.
+    /// Creates a channel with the given delay and loss models.
     pub fn new(delay: D, loss: L) -> Self {
-        Channel {
-            delay,
-            loss,
-            partial_synchrony: None,
-        }
-    }
-
-    /// Adds pre-GST chaos to the channel.
-    pub fn with_partial_synchrony(mut self, ps: PartialSynchrony) -> Self {
-        self.partial_synchrony = Some(ps);
-        self
+        Channel { delay, loss }
     }
 
     /// Transmits a message sent at `sent_at`; returns its arrival time, or
     /// `None` if the network drops it.
     pub fn transmit(&mut self, sent_at: Timestamp, rng: &mut SimRng) -> Option<Timestamp> {
-        let mut extra = Duration::ZERO;
-        if let Some(ps) = &self.partial_synchrony {
-            if sent_at < ps.gst {
-                if rng.bernoulli(ps.pre_gst_loss) {
-                    return None;
-                }
-                let max = ps.pre_gst_extra_delay.as_secs_f64();
-                extra = Duration::from_secs_f64(rng.uniform_in(0.0, max.max(f64::MIN_POSITIVE)));
-            }
-        }
         if self.loss.is_lost(rng) {
             return None;
         }
         let delay = self.delay.sample(rng);
-        Some(sent_at + delay + extra)
+        Some(sent_at + delay)
+    }
+
+    /// Transmits a message sent at `sent_at` through `chaos` first: its
+    /// loss, then its extra delay, are drawn before the channel's own.
+    pub fn transmit_chaotic(
+        &mut self,
+        sent_at: Timestamp,
+        chaos: Chaos,
+        rng: &mut SimRng,
+    ) -> Option<Timestamp> {
+        if rng.bernoulli(chaos.loss) {
+            return None;
+        }
+        let max = chaos.max_extra_delay.as_secs_f64();
+        let extra = Duration::from_secs_f64(rng.uniform_in(0.0, max.max(f64::MIN_POSITIVE)));
+        self.transmit(sent_at, rng).map(|at| at + extra)
     }
 }
 
@@ -107,7 +99,10 @@ impl<D: DelayModel, L: LossModel> Channel<D, L> {
 mod tests {
     use super::*;
     use crate::delay::{ConstantDelay, NormalDelay};
+    use crate::engine::simulate;
     use crate::loss::{BernoulliLoss, NoLoss};
+    use crate::scenario::{DelayKind, Effect, LossKind, Scenario};
+    use crate::trace::HeartbeatRecord;
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(3)
@@ -142,20 +137,31 @@ mod tests {
 
     #[test]
     fn pre_gst_chaos_vanishes_after_gst() {
-        let ps = PartialSynchrony::new(Timestamp::from_secs(100), Duration::from_secs(5), 0.5);
-        let mut ch = Channel::new(ConstantDelay::new(Duration::from_millis(10)), NoLoss)
-            .with_partial_synchrony(ps);
-        let mut r = rng();
+        let gst = Timestamp::from_secs(100);
+        let scenario = Scenario {
+            heartbeat_interval: Duration::from_millis(10),
+            send_jitter_std: Duration::ZERO,
+            delay: DelayKind::Constant(ConstantDelay::new(Duration::from_millis(10))),
+            loss: LossKind::None(NoLoss),
+            ..Scenario::lan()
+        }
+        .with_horizon(Timestamp::from_secs(110))
+        .with_phase(
+            Timestamp::ZERO,
+            gst,
+            Effect::Chaos(Chaos::new(0.5, Duration::from_secs(5))),
+        );
+        let trace = simulate(&scenario, 3);
+        let (before, after): (Vec<&HeartbeatRecord>, _) =
+            trace.records().iter().partition(|r| r.sent_at < gst);
 
         // Before GST: extra delay and loss both visible.
         let mut lost = 0;
         let mut max_delay = Duration::ZERO;
-        for _ in 0..2000 {
-            match ch.transmit(Timestamp::from_secs(1), &mut r) {
+        for r in before.iter().take(2000) {
+            match r.delivered_at {
                 None => lost += 1,
-                Some(arrival) => {
-                    max_delay = max_delay.max(arrival - Timestamp::from_secs(1));
-                }
+                Some(arrival) => max_delay = max_delay.max(arrival - r.sent_at),
             }
         }
         assert!(lost > 800, "pre-GST loss should be ~50%, saw {lost}/2000");
@@ -165,11 +171,10 @@ mod tests {
         );
 
         // After GST: deterministic again.
-        let sent = Timestamp::from_secs(100);
-        assert_eq!(
-            ch.transmit(sent, &mut r),
-            Some(sent + Duration::from_millis(10))
-        );
+        assert!(!after.is_empty());
+        for r in after {
+            assert_eq!(r.delivered_at, Some(r.sent_at + Duration::from_millis(10)));
+        }
     }
 
     #[test]
@@ -203,6 +208,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "in [0, 1]")]
     fn partial_synchrony_validates_loss() {
-        let _ = PartialSynchrony::new(Timestamp::ZERO, Duration::ZERO, 2.0);
+        let _ = Chaos::new(2.0, Duration::ZERO);
     }
 }

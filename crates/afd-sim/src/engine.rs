@@ -1,15 +1,16 @@
 //! The simulation engine.
 //!
 //! [`simulate`] runs one monitored pair through a [`Scenario`]: the sender
-//! broadcasts sequenced heartbeats on its local schedule, pausing through
-//! its outages, until it crashes (Algorithm 4's sender side); the channel
-//! delays or drops each message on its own, and loses every one sent
-//! during a partition. The sender emits one heartbeat at a time and each
-//! one's fate is drawn when it is sent, so the run is one loop over the
-//! sends; every delivery is recorded with both global and monitor-local
-//! timestamps. The output [`ArrivalTrace`] is the complete arrival
-//! process; feeding it to detectors is the job of `afd_runtime::replay`,
-//! which runs it through the shipping monitor.
+//! broadcasts sequenced heartbeats on its local schedule, pausing while a
+//! phase has it down, until it crashes (Algorithm 4's sender side); the
+//! channel delays or drops each message on its own, loses every one sent
+//! while a phase cuts the link, and adds a chaos phase's loss and delay.
+//! The sender emits one heartbeat at a time and each one's fate is drawn
+//! when it is sent, under the phases in force then ([`Scenario::link_at`]),
+//! so the run is one loop over the sends; every delivery is recorded with
+//! both global and monitor-local timestamps. The output [`ArrivalTrace`]
+//! is the complete arrival process; feeding it to detectors is the job of
+//! `afd_runtime::replay`, which runs it through the shipping monitor.
 //!
 //! Separating *arrival generation* from *detector evaluation* mirrors how
 //! the φ paper evaluates detectors on recorded traces, and guarantees every
@@ -42,9 +43,6 @@ pub fn simulate(scenario: &Scenario, seed: u64) -> ArrivalTrace {
     let mut net_rng = SimRng::derive(seed, 2);
 
     let mut channel = Channel::new(scenario.delay, scenario.loss);
-    if let Some(ps) = scenario.partial_synchrony {
-        channel = channel.with_partial_synchrony(ps);
-    }
 
     // The nominal interval is defined on the sender's clock; convert to the
     // global spacing the rest of the system observes.
@@ -55,21 +53,23 @@ pub fn simulate(scenario: &Scenario, seed: u64) -> ArrivalTrace {
     let mut records: Vec<HeartbeatRecord> = Vec::new();
     // First heartbeat goes out after one interval (plus jitter). Sends stop
     // at the horizon or at the crash; a heartbeat in flight then still
-    // arrives, so it counts as delivered, not lost.
-    let mut now = jittered(Timestamp::ZERO + global_interval, scenario, &mut send_rng);
+    // arrives, so it counts as delivered, not lost. Each send's jitter is
+    // drawn when the previous one goes out, under the phases then in force.
+    let first_std = scenario.link_at(Timestamp::ZERO).send_jitter_std;
+    let mut now = jittered(Timestamp::ZERO + global_interval, first_std, &mut send_rng);
     while now <= scenario.horizon && scenario.crash_at.is_none_or(|c| now < c) {
-        if let Some(up) = scenario.outage_end(now) {
+        let link = scenario.link_at(now);
+        if let Some(up) = link.down_until {
             // The sender is down: this heartbeat goes out when it
             // recovers, and the cadence restarts from there.
             now = up;
             continue;
         }
-        // A partitioned link loses the heartbeat without consulting the
-        // loss model.
-        let arrival = if scenario.partitioned_at(now) {
-            None
-        } else {
-            channel.transmit(now, &mut net_rng)
+        // A cut link loses the heartbeat without consulting the loss model.
+        let arrival = match link.chaos {
+            _ if link.cut => None,
+            Some(chaos) => channel.transmit_chaotic(now, chaos, &mut net_rng),
+            None => channel.transmit(now, &mut net_rng),
         };
         records.push(HeartbeatRecord {
             seq: records.len() as u64 + 1,
@@ -77,7 +77,7 @@ pub fn simulate(scenario: &Scenario, seed: u64) -> ArrivalTrace {
             delivered_at: arrival,
             delivered_local: arrival.map(|at| scenario.monitor_clock.local_time(at)),
         });
-        let next = jittered(now + global_interval, scenario, &mut send_rng);
+        let next = jittered(now + global_interval, link.send_jitter_std, &mut send_rng);
         now = next.max(now + Duration::from_nanos(1));
     }
 
@@ -89,9 +89,10 @@ pub fn simulate(scenario: &Scenario, seed: u64) -> ArrivalTrace {
     )
 }
 
-/// Applies send jitter around the nominal broadcast time.
-fn jittered(nominal: Timestamp, scenario: &Scenario, rng: &mut SimRng) -> Timestamp {
-    let std = scenario.send_jitter_std.as_secs_f64();
+/// Applies send jitter of standard deviation `std` around the nominal
+/// broadcast time.
+fn jittered(nominal: Timestamp, std: Duration, rng: &mut SimRng) -> Timestamp {
+    let std = std.as_secs_f64();
     // lint:allow(no-float-eq, exact zero disables jitter; any nonzero std must sample)
     if std == 0.0 {
         return nominal;
@@ -112,7 +113,7 @@ mod tests {
     use crate::clock::DriftingClock;
     use crate::delay::ConstantDelay;
     use crate::loss::{BernoulliLoss, NoLoss};
-    use crate::scenario::{DelayKind, LossKind};
+    use crate::scenario::{DelayKind, Effect, LossKind};
 
     fn quiet_scenario() -> Scenario {
         Scenario {
@@ -288,6 +289,50 @@ mod tests {
         // An outage reaching past the horizon silences the rest of the run.
         let s = s.with_outage(Timestamp::from_secs(8), Timestamp::from_secs(30));
         assert_eq!(simulate(&s, 1).sent_count(), 5);
+    }
+
+    #[test]
+    fn a_send_jitter_phase_changes_only_the_sends_inside_it() {
+        let (from, to) = (Timestamp::from_secs(500), Timestamp::from_secs(1_500));
+        let std = Duration::from_millis(200);
+        let base = Scenario {
+            send_jitter_std: Duration::from_millis(50),
+            ..Scenario::ideal()
+        }
+        .with_horizon(to);
+        let phased = base.clone().with_phase(from, to, Effect::SendJitter(std));
+
+        // Every record sent before the phase is the phase-less run's, on
+        // every seed: a send that a jitter draw moves across `from` is
+        // still drawn under the jitter in force when it was scheduled.
+        let before = |t: &ArrivalTrace| -> Vec<HeartbeatRecord> {
+            let sent_before = t.records().iter().filter(|r| r.sent_at < from);
+            sent_before.copied().collect()
+        };
+        for seed in 0..40 {
+            let plain = before(&simulate(&base, seed));
+            assert!(plain.len() > 400);
+            assert_eq!(before(&simulate(&phased, seed)), plain, "seed {seed}");
+        }
+
+        // Inside it, the inter-send gaps spread by the phase's σ.
+        let sends: Vec<f64> = simulate(&phased, 5)
+            .records()
+            .iter()
+            .filter(|r| r.sent_at >= from)
+            .map(|r| r.sent_at.as_secs_f64())
+            .collect();
+        let gaps: Vec<f64> = sends.windows(2).map(|w| w[1] - w[0]).collect();
+        let n = gaps.len() as f64;
+        let mean = gaps.iter().sum::<f64>() / n;
+        let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        let sigma = std.as_secs_f64();
+        assert!(n > 900.0, "{n} gaps");
+        assert!(
+            (var.sqrt() - sigma).abs() <= 0.1 * sigma,
+            "gap std {} vs phase σ {sigma}",
+            var.sqrt()
+        );
     }
 
     /// A digest of every field of every record of `trace`.

@@ -12,8 +12,8 @@
 //!   normal, and shifted-exponential delay; Bernoulli and Gilbert–Elliott
 //!   burst loss; pre-GST chaos.
 //! - [`scenario`]: declarative run configurations with named presets
-//!   (`ideal`, `lan`, `wan_jitter`, `bursty_loss`,
-//!   `partially_synchronous`), partitions, and sender outages.
+//!   (`ideal`, `lan`, `wan_jitter`, `bursty_loss`, `partially_synchronous`)
+//!   and phases: sender outages, partitions, chaos, send-jitter changes.
 //! - [`engine`]: runs a scenario into an [`trace::ArrivalTrace`], one
 //!   loop over the sender's heartbeats.
 //! - [`replay`]: the query schedule ([`ReplayConfig`]) of a trace replay;

@@ -1,14 +1,16 @@
 //! Declarative run configurations.
 //!
 //! A [`Scenario`] fully describes one monitored pair's environment: the
-//! heartbeat protocol, the network (delay, loss, partitions and optional
-//! pre-GST chaos), the two local clocks, the sender's outages, and an
-//! optional crash. Being a plain value, it can be swept by the experiment
-//! harness and reproduced exactly from `(scenario, seed)`.
+//! heartbeat protocol, the network (delay and loss), the two local clocks,
+//! an optional crash, and the [`Phase`]s — windows of global time in which
+//! something differs: the sender is down, the link is cut, the link is
+//! chaotic (pre-GST), or the sender's jitter changes. Being a plain value,
+//! it can be swept by the experiment harness and reproduced exactly from
+//! `(scenario, seed)`.
 
 use afd_core::time::{Duration, Timestamp};
 
-use crate::channel::PartialSynchrony;
+use crate::channel::Chaos;
 use crate::clock::DriftingClock;
 use crate::delay::{ConstantDelay, DelayModel, NormalDelay, ShiftedExponentialDelay, UniformDelay};
 use crate::loss::{BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss};
@@ -59,32 +61,67 @@ impl LossModel for LossKind {
     }
 }
 
+/// What a [`Phase`] changes while it lasts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Effect {
+    /// The sender is down (a crash, then a recovery): the next heartbeat
+    /// goes out at the phase's end with the next sequence number.
+    SenderDown,
+    /// The link is cut (a partition): a heartbeat sent is lost, and the
+    /// loss model draws nothing for it.
+    LinkCut,
+    /// The link is chaotic (pre-GST): a heartbeat sent meets [`Chaos`]
+    /// before the link's own loss and delay.
+    Chaos(Chaos),
+    /// Send jitter of this standard deviation replaces `send_jitter_std`.
+    SendJitter(Duration),
+}
+
+/// A window `[from, to)` of global time with one [`Effect`] on the link.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Phase {
+    /// Start of the window (inclusive).
+    pub from: Timestamp,
+    /// End of the window (exclusive).
+    pub to: Timestamp,
+    /// What differs inside it.
+    pub effect: Effect,
+}
+
+/// The link at one instant of global time ([`Scenario::link_at`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkAt {
+    /// The end of a [`Effect::SenderDown`] phase in force.
+    pub down_until: Option<Timestamp>,
+    /// Whether a [`Effect::LinkCut`] phase is in force.
+    pub cut: bool,
+    /// The [`Effect::Chaos`] in force, if any.
+    pub chaos: Option<Chaos>,
+    /// The standard deviation of the send jitter in force.
+    pub send_jitter_std: Duration,
+}
+
 /// A complete monitored-pair run configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Nominal heartbeat interval (on the sender's clock).
     pub heartbeat_interval: Duration,
-    /// Standard deviation of normal jitter on heartbeat *send* times.
+    /// Standard deviation of normal jitter on heartbeat *send* times,
+    /// outside [`Effect::SendJitter`] phases.
     pub send_jitter_std: Duration,
     /// The network delay model.
     pub delay: DelayKind,
     /// The network loss model.
     pub loss: LossKind,
-    /// Pre-GST chaos, if modelling partial synchrony explicitly.
-    pub partial_synchrony: Option<PartialSynchrony>,
     /// The sender's local clock.
     pub sender_clock: DriftingClock,
     /// The monitor's local clock.
     pub monitor_clock: DriftingClock,
     /// Global time at which the sender crashes for good, if it does.
     pub crash_at: Option<Timestamp>,
-    /// Link partitions `[from, to)` in global time: a heartbeat sent
-    /// inside one is lost, and the loss model draws nothing for it.
-    pub partitions: Vec<(Timestamp, Timestamp)>,
-    /// Sender outages `[from, to)` in global time, each a crash followed
-    /// by a recovery: nothing is sent inside one, and the next heartbeat
-    /// goes out at `to` with the next sequence number.
-    pub outages: Vec<(Timestamp, Timestamp)>,
+    /// Windows of global time in which something differs; they may
+    /// overlap (see [`Scenario::link_at`]).
+    pub phases: Vec<Phase>,
     /// End of the run (global time).
     pub horizon: Timestamp,
 }
@@ -102,12 +139,10 @@ impl Scenario {
                 Duration::from_micros(100),
             )),
             loss: LossKind::None(NoLoss),
-            partial_synchrony: None,
             sender_clock: DriftingClock::perfect(),
             monitor_clock: DriftingClock::perfect(),
             crash_at: None,
-            partitions: Vec::new(),
-            outages: Vec::new(),
+            phases: Vec::new(),
             horizon: Timestamp::from_secs(60),
         }
     }
@@ -137,13 +172,8 @@ impl Scenario {
                 Duration::from_millis(20),
             )),
             loss: LossKind::Bernoulli(BernoulliLoss::new(0.01)),
-            partial_synchrony: None,
-            sender_clock: DriftingClock::perfect(),
-            monitor_clock: DriftingClock::perfect(),
-            crash_at: None,
-            partitions: Vec::new(),
-            outages: Vec::new(),
             horizon: Timestamp::from_secs(600),
+            ..Scenario::lan()
         }
     }
 
@@ -163,11 +193,11 @@ impl Scenario {
     pub fn partially_synchronous() -> Self {
         let horizon = Timestamp::from_secs(600);
         Scenario {
-            partial_synchrony: Some(PartialSynchrony::new(
-                Timestamp::from_secs(120),
-                Duration::from_secs(3),
-                0.2,
-            )),
+            phases: vec![Phase {
+                from: Timestamp::ZERO,
+                to: Timestamp::from_secs(120),
+                effect: Effect::Chaos(Chaos::new(0.2, Duration::from_secs(3))),
+            }],
             sender_clock: DriftingClock::new(Duration::from_millis(40), 1.0005),
             monitor_clock: DriftingClock::new(Duration::from_millis(15), 0.9995),
             horizon,
@@ -181,32 +211,42 @@ impl Scenario {
         self
     }
 
-    /// Returns a copy whose link is partitioned over `[from, to)`.
-    pub fn with_partition(mut self, from: Timestamp, to: Timestamp) -> Self {
-        self.partitions.push((from, to));
+    /// Returns a copy with `effect` over `[from, to)`.
+    pub fn with_phase(mut self, from: Timestamp, to: Timestamp, effect: Effect) -> Self {
+        self.phases.push(Phase { from, to, effect });
         self
+    }
+
+    /// Returns a copy whose link is partitioned over `[from, to)`.
+    pub fn with_partition(self, from: Timestamp, to: Timestamp) -> Self {
+        self.with_phase(from, to, Effect::LinkCut)
     }
 
     /// Returns a copy whose sender is down over `[from, to)`.
-    pub fn with_outage(mut self, from: Timestamp, to: Timestamp) -> Self {
-        self.outages.push((from, to));
-        self
+    pub fn with_outage(self, from: Timestamp, to: Timestamp) -> Self {
+        self.with_phase(from, to, Effect::SenderDown)
     }
 
-    /// Whether the link is partitioned at global time `t`.
-    pub fn partitioned_at(&self, t: Timestamp) -> bool {
-        self.partitions
-            .iter()
-            .any(|&(from, to)| from <= t && t < to)
-    }
-
-    /// When the sender, down at global time `t`, comes back up; `None` if
-    /// it is up (or crashed for good).
-    pub(crate) fn outage_end(&self, t: Timestamp) -> Option<Timestamp> {
-        self.outages
-            .iter()
-            .find(|&&(from, to)| from <= t && t < to)
-            .map(|&(_, to)| to)
+    /// The link at global time `t`: every phase covering `t` applies. Of
+    /// several covering phases with the same effect, the first listed
+    /// decides its end, chaos or jitter.
+    pub fn link_at(&self, t: Timestamp) -> LinkAt {
+        let mut link = LinkAt {
+            down_until: None,
+            cut: false,
+            chaos: None,
+            send_jitter_std: self.send_jitter_std,
+        };
+        // Backwards, so that the first listed phase of an effect writes last.
+        for phase in self.phases.iter().rev().filter(|p| p.from <= t && t < p.to) {
+            match phase.effect {
+                Effect::SenderDown => link.down_until = Some(phase.to),
+                Effect::LinkCut => link.cut = true,
+                Effect::Chaos(chaos) => link.chaos = Some(chaos),
+                Effect::SendJitter(std) => link.send_jitter_std = std,
+            }
+        }
+        link
     }
 
     /// Returns a copy with a different horizon.
@@ -238,7 +278,11 @@ mod tests {
             assert!(!s.heartbeat_interval.is_zero());
             assert!(s.horizon > Timestamp::ZERO);
             assert!(s.crash_at.is_none());
-            assert!(s.partitions.is_empty() && s.outages.is_empty());
+            // Only the partially synchronous preset has a phase: its chaos.
+            assert!(s
+                .phases
+                .iter()
+                .all(|p| matches!(p.effect, Effect::Chaos(_))));
         }
     }
 
@@ -259,12 +303,32 @@ mod tests {
         let s = Scenario::lan()
             .with_partition(at(2), at(3))
             .with_outage(at(5), at(7));
-        assert!(!s.partitioned_at(at(1)));
-        assert!(s.partitioned_at(at(2)));
-        assert!(!s.partitioned_at(at(3)));
-        assert_eq!(s.outage_end(at(4)), None);
-        assert_eq!(s.outage_end(at(5)), Some(at(7)));
-        assert_eq!(s.outage_end(at(7)), None);
+        assert!(!s.link_at(at(1)).cut);
+        assert!(s.link_at(at(2)).cut);
+        assert!(!s.link_at(at(3)).cut);
+        assert_eq!(s.link_at(at(4)).down_until, None);
+        assert_eq!(s.link_at(at(5)).down_until, Some(at(7)));
+        assert_eq!(s.link_at(at(7)).down_until, None);
+    }
+
+    #[test]
+    fn overlapping_phases_all_apply_and_the_first_listed_decides() {
+        let at = Timestamp::from_secs;
+        let ms = Duration::from_millis;
+        let chaos = Chaos::new(0.5, ms(100));
+        let s = Scenario::lan()
+            .with_phase(at(0), at(10), Effect::SendJitter(ms(7)))
+            .with_phase(at(0), at(10), Effect::SendJitter(ms(9)))
+            .with_phase(at(2), at(6), Effect::Chaos(chaos))
+            .with_outage(at(4), at(8))
+            .with_outage(at(3), at(5))
+            .with_partition(at(5), at(6));
+        let link = s.link_at(at(5));
+        assert_eq!(link.down_until, Some(at(8)));
+        assert!(link.cut);
+        assert_eq!(link.chaos, Some(chaos));
+        assert_eq!(link.send_jitter_std, ms(7));
+        assert_eq!(s.link_at(at(11)).send_jitter_std, ms(1));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! |-----------|----------|
 //! | [`core`] | the formalism: suspicion levels, detector traits, classes (◊P_ac …), Algorithms 1–3, property checkers, stats, distributions |
 //! | [`detectors`] | the four implementations of §5: simple, Chen, φ, κ — plus the per-application `InterpreterBank` of Fig. 2 and the A.5 adversary |
-//! | [`sim`] | deterministic heartbeat-link simulator: delay/loss models, partitions, sender outages, clock drift, partial synchrony, arrival traces and their query schedules |
+//! | [`sim`] | deterministic heartbeat-link simulator: delay/loss models, clock drift, one list of phases (sender outages, partitions, pre-GST chaos, send-jitter changes), arrival traces and their query schedules |
 //! | [`runtime`] | live Algorithm 4 over pluggable transports: the monitor (`ShardedMonitor`) and its lock-free `SnapshotReader`s — the monitoring side of Fig. 2 — heartbeat senders, fault injection, retry/backoff, graceful degradation, chaos runs, and the trace replay (`runtime::replay`) the experiments and chaos runs are read through |
 //! | [`obs`] | observability: metric registry (counters/gauges/histograms), structured event traces, and the Chen et al. QoS metrics (T_D, T_MR, T_M, λ_M, P_A, T_G), streamed live (`OnlineQos`) or from a recorded trace (`analyze`) |
 //! | [`omega`] | eventual leader election (Ω) via Algorithm 1 — the computational-equivalence demo |
@@ -51,7 +51,6 @@
 //! cargo run --example quickstart
 //! cargo run --example multi_threshold
 //! cargo run --example detector_comparison
-//! cargo run --example wan_adaptivity
 //! ```
 //!
 //! And see `DESIGN.md` / `EXPERIMENTS.md` for the experiment suite that
