@@ -73,7 +73,9 @@ pub enum Effect {
     /// The link is chaotic (pre-GST): a heartbeat sent meets [`Chaos`]
     /// before the link's own loss and delay.
     Chaos(Chaos),
-    /// Send jitter of this standard deviation replaces `send_jitter_std`.
+    /// Send jitter of this standard deviation replaces `send_jitter_std`
+    /// for each heartbeat scheduled inside the phase: a send's jitter is
+    /// drawn when its predecessor goes out.
     SendJitter(Duration),
 }
 
@@ -91,7 +93,7 @@ pub struct Phase {
 /// The link at one instant of global time ([`Scenario::link_at`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkAt {
-    /// The end of a [`Effect::SenderDown`] phase in force.
+    /// The end of an [`Effect::SenderDown`] phase in force.
     pub down_until: Option<Timestamp>,
     /// Whether a [`Effect::LinkCut`] phase is in force.
     pub cut: bool,
@@ -229,7 +231,9 @@ impl Scenario {
 
     /// The link at global time `t`: every phase covering `t` applies. Of
     /// several covering phases with the same effect, the first listed
-    /// decides its end, chaos or jitter.
+    /// decides its end, chaos or jitter. A heartbeat due at `t` is not sent
+    /// while the sender is down, draws nothing on a cut link, and meets
+    /// chaos only on a link that is not cut.
     pub fn link_at(&self, t: Timestamp) -> LinkAt {
         let mut link = LinkAt {
             down_until: None,
