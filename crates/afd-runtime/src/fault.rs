@@ -19,10 +19,11 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use afd_core::time::Timestamp;
+use afd_core::time::{Duration, Timestamp};
 use afd_sim::delay::DelayModel;
 use afd_sim::loss::LossModel;
 use afd_sim::rng::SimRng;
+use afd_sim::scenario::{Effect, LinkAt, Phase};
 
 use crate::clock::Clock;
 use crate::error::TransportError;
@@ -38,7 +39,10 @@ pub struct FaultPlan {
     delay: Option<Box<dyn DelayModel + Send>>,
     duplicate: f64,
     corrupt: f64,
-    partitions: Vec<(Timestamp, Timestamp)>,
+    /// The partitions, as [`Effect::LinkCut`] phases: the same windows a
+    /// simulated [`Scenario`](afd_sim::scenario::Scenario) lists, read by
+    /// the same lookup.
+    phases: Vec<Phase>,
 }
 
 impl std::fmt::Debug for FaultPlan {
@@ -48,7 +52,7 @@ impl std::fmt::Debug for FaultPlan {
             .field("delay", &self.delay.is_some())
             .field("duplicate", &self.duplicate)
             .field("corrupt", &self.corrupt)
-            .field("partitions", &self.partitions)
+            .field("phases", &self.phases)
             .finish()
     }
 }
@@ -60,7 +64,7 @@ impl Default for FaultPlan {
             delay: None,
             duplicate: 0.0,
             corrupt: 0.0,
-            partitions: Vec::new(),
+            phases: Vec::new(),
         }
     }
 }
@@ -100,12 +104,12 @@ impl FaultPlan {
     /// Drops *everything* received during `[from, to)` — a network
     /// partition between the peers.
     pub fn with_partition(mut self, from: Timestamp, to: Timestamp) -> Self {
-        self.partitions.push((from, to));
+        self.phases.push(Phase {
+            from,
+            to,
+            effect: Effect::LinkCut,
+        });
         self
-    }
-
-    fn partitioned_at(&self, now: Timestamp) -> bool {
-        self.partitions.iter().any(|&(a, b)| now >= a && now < b)
     }
 }
 
@@ -229,7 +233,8 @@ struct Schedule {
 impl Schedule {
     /// Runs one pulled frame through the plan at time `now`.
     fn stage(&mut self, frame: &[u8], now: Timestamp) {
-        if self.plan.partitioned_at(now) {
+        // The plan's phases are partitions alone: no send jitter to carry.
+        if LinkAt::of(&self.plan.phases, now, Duration::ZERO).cut {
             self.stats.dropped_partition += 1;
             return;
         }

@@ -90,7 +90,8 @@ pub struct Phase {
     pub effect: Effect,
 }
 
-/// The link at one instant of global time ([`Scenario::link_at`]).
+/// The link at one instant of global time ([`Scenario::link_at`],
+/// [`LinkAt::of`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkAt {
     /// The end of an [`Effect::SenderDown`] phase in force.
@@ -101,6 +102,32 @@ pub struct LinkAt {
     pub chaos: Option<Chaos>,
     /// The standard deviation of the send jitter in force.
     pub send_jitter_std: Duration,
+}
+
+impl LinkAt {
+    /// The link at global time `t` under `phases`, with `send_jitter_std`
+    /// outside [`Effect::SendJitter`] phases: every phase covering `t`
+    /// applies. Of several covering phases with the same effect, the first
+    /// listed decides its end, chaos or jitter. The one lookup of a phase
+    /// list — a scenario's and a live fault plan's.
+    pub fn of(phases: &[Phase], t: Timestamp, send_jitter_std: Duration) -> LinkAt {
+        let mut link = LinkAt {
+            down_until: None,
+            cut: false,
+            chaos: None,
+            send_jitter_std,
+        };
+        // Backwards, so that the first listed phase of an effect writes last.
+        for phase in phases.iter().rev().filter(|p| p.from <= t && t < p.to) {
+            match phase.effect {
+                Effect::SenderDown => link.down_until = Some(phase.to),
+                Effect::LinkCut => link.cut = true,
+                Effect::Chaos(chaos) => link.chaos = Some(chaos),
+                Effect::SendJitter(std) => link.send_jitter_std = std,
+            }
+        }
+        link
+    }
 }
 
 /// A complete monitored-pair run configuration.
@@ -229,28 +256,12 @@ impl Scenario {
         self.with_phase(from, to, Effect::SenderDown)
     }
 
-    /// The link at global time `t`: every phase covering `t` applies. Of
-    /// several covering phases with the same effect, the first listed
-    /// decides its end, chaos or jitter. A heartbeat due at `t` is not sent
+    /// The link at global time `t` ([`LinkAt::of`] the scenario's phases):
+    /// every phase covering `t` applies. A heartbeat due at `t` is not sent
     /// while the sender is down, draws nothing on a cut link, and meets
     /// chaos only on a link that is not cut.
     pub fn link_at(&self, t: Timestamp) -> LinkAt {
-        let mut link = LinkAt {
-            down_until: None,
-            cut: false,
-            chaos: None,
-            send_jitter_std: self.send_jitter_std,
-        };
-        // Backwards, so that the first listed phase of an effect writes last.
-        for phase in self.phases.iter().rev().filter(|p| p.from <= t && t < p.to) {
-            match phase.effect {
-                Effect::SenderDown => link.down_until = Some(phase.to),
-                Effect::LinkCut => link.cut = true,
-                Effect::Chaos(chaos) => link.chaos = Some(chaos),
-                Effect::SendJitter(std) => link.send_jitter_std = std,
-            }
-        }
-        link
+        LinkAt::of(&self.phases, t, self.send_jitter_std)
     }
 
     /// Returns a copy with a different horizon.
