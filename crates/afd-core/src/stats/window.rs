@@ -30,10 +30,13 @@ const REFRESH_INTERVAL: u64 = 65_536;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
-    buf: Vec<f64>,
-    capacity: usize,
-    head: usize,
-    len: usize,
+    /// The ring; its length is the capacity.
+    buf: Box<[f64]>,
+    /// Where the oldest sample sits. 32 bits, like `len`: a monitor keeps
+    /// a window per watched peer, and a capacity beyond `u32::MAX` samples
+    /// (32 GiB of ring) is refused at construction.
+    head: u32,
+    len: u32,
     moments: RunningMoments,
     evictions: u64,
 }
@@ -43,12 +46,15 @@ impl SlidingWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above `u32::MAX`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "window capacity must fit in 32 bits, got {capacity}"
+        );
         SlidingWindow {
-            buf: vec![0.0; capacity],
-            capacity,
+            buf: vec![0.0; capacity].into_boxed_slice(),
             head: 0,
             len: 0,
             moments: RunningMoments::new(),
@@ -66,10 +72,11 @@ impl SlidingWindow {
     pub fn push(&mut self, x: f64) -> Option<f64> {
         assert!(x.is_finite(), "samples must be finite, got {x}");
 
-        if self.len == self.capacity {
-            let old = self.buf[self.head];
-            self.buf[self.head] = x;
-            self.head = self.wrap(self.head + 1);
+        if self.is_full() {
+            let head = self.head as usize;
+            let old = self.buf[head];
+            self.buf[head] = x;
+            self.head = self.wrap(head + 1) as u32;
             self.moments.remove(old);
             self.moments.push(x);
             self.evictions += 1;
@@ -78,7 +85,7 @@ impl SlidingWindow {
             }
             Some(old)
         } else {
-            let idx = self.wrap(self.head + self.len);
+            let idx = self.wrap(self.head as usize + self.len as usize);
             self.buf[idx] = x;
             self.len += 1;
             self.moments.push(x);
@@ -97,9 +104,10 @@ impl SlidingWindow {
     /// every accepted heartbeat.
     #[inline]
     fn wrap(&self, pos: usize) -> usize {
-        debug_assert!(pos < 2 * self.capacity);
-        if pos >= self.capacity {
-            pos - self.capacity
+        let capacity = self.buf.len();
+        debug_assert!(pos < 2 * capacity);
+        if pos >= capacity {
+            pos - capacity
         } else {
             pos
         }
@@ -112,12 +120,12 @@ impl SlidingWindow {
     /// those misses.
     #[inline]
     pub fn prefetch(&self) {
-        std::hint::black_box(self.buf[self.wrap(self.head + self.len)]);
+        std::hint::black_box(self.buf[self.wrap(self.head as usize + self.len as usize)]);
     }
 
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// `true` if the window holds no samples.
@@ -127,12 +135,12 @@ impl SlidingWindow {
 
     /// `true` if the window is at capacity.
     pub fn is_full(&self) -> bool {
-        self.len == self.capacity
+        self.len() == self.capacity()
     }
 
     /// The window capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.buf.len()
     }
 
     /// The mean of the windowed samples (0.0 if empty).
@@ -160,13 +168,13 @@ impl SlidingWindow {
         if self.len == 0 {
             None
         } else {
-            Some(self.buf[self.wrap(self.head + self.len - 1)])
+            Some(self.buf[self.wrap(self.head as usize + self.len() - 1)])
         }
     }
 
     /// Iterates over the samples from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.len).map(move |i| self.buf[self.wrap(self.head + i)])
+        (0..self.len()).map(move |i| self.buf[self.wrap(self.head as usize + i)])
     }
 
     /// Copies the samples, oldest first.
@@ -212,7 +220,7 @@ impl SlidingWindow {
         }
         let n = usize::try_from(count)
             .unwrap_or(usize::MAX)
-            .min(self.capacity);
+            .min(self.capacity());
         if n == 0 {
             return;
         }
@@ -257,8 +265,8 @@ impl crate::canonical::CanonicalState for SlidingWindow {
     /// can answer `mean()` with different last bits — behaviorally distinct
     /// states that must not be merged.
     fn canonical_state(&self, digest: &mut crate::canonical::StateDigest) {
-        digest.push_usize(self.capacity);
-        digest.push_usize(self.len);
+        digest.push_usize(self.capacity());
+        digest.push_usize(self.len());
         for x in self.iter() {
             digest.push_f64(x);
         }
@@ -337,6 +345,14 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = SlidingWindow::new(0);
+    }
+
+    #[test]
+    fn a_window_header_is_seven_words() {
+        // A monitor holds a window per watched peer beside its detector's
+        // other state: the ring pointer and length, 32-bit head and count,
+        // the three running moments and the eviction count.
+        assert_eq!(std::mem::size_of::<SlidingWindow>(), 56);
     }
 
     #[test]

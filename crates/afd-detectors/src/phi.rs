@@ -27,15 +27,16 @@
 //! A monitor queries every watched peer at every publish but records an
 //! arrival only when one lands, so the work is split accordingly: whatever
 //! depends on the window alone — the σ estimate and its floor, the
-//! bootstrap prior, the distribution's validation and its reciprocals — is
-//! done once per arrival (or restore) and cached as the detector's
-//! [`LevelCurve`]; a query is that curve [`at`](LevelCurve::at) the query
-//! time — one subtraction, one multiplication and a single polynomial,
-//! with no `exp` and no `ln`, wherever a live peer sits between two
-//! heartbeats — and a monitor that holds the curve
-//! ([`level_curve`](AccrualFailureDetector::level_curve)) need not come
-//! back to the detector to ask. Only the empirical model, once its
-//! histogram answers, has no curve.
+//! bootstrap prior, the distribution's validation and its reciprocals —
+//! goes into the detector's [`LevelCurve`]
+//! ([`level_curve`](AccrualFailureDetector::level_curve)), which a monitor
+//! takes once per arrival (or restore) and keeps; a query is that curve
+//! [`at`](LevelCurve::at) the query time — one subtraction, one
+//! multiplication and a single polynomial, with no `exp` and no `ln`,
+//! wherever a live peer sits between two heartbeats — and never comes
+//! back to the detector. The detector stores the curve's inputs (the last
+//! arrival and the window moments), not the curve. Only the empirical
+//! model, once its histogram answers, has no curve.
 
 use core::f64::consts::LN_10;
 
@@ -106,11 +107,17 @@ impl PhiConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for an empty window, a zero initial
-    /// interval, or a degenerate empirical histogram.
+    /// Returns [`ConfigError`] for an empty window, a window size or
+    /// `min_samples` above `u32::MAX`, a zero initial interval, or a
+    /// degenerate empirical histogram.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.window_size == 0 {
             return Err(ConfigError::new("phi window size must be positive"));
+        }
+        if u32::try_from(self.window_size).is_err() || u32::try_from(self.min_samples).is_err() {
+            return Err(ConfigError::new(
+                "phi window size and min_samples must fit in 32 bits",
+            ));
         }
         if self.initial_interval.is_zero() {
             return Err(ConfigError::new("phi initial interval must be positive"));
@@ -158,20 +165,45 @@ impl PhiConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhiAccrual {
-    config: PhiConfig,
+    params: LevelParams,
     gaps: SlidingWindow,
-    /// The histogram behind [`PhiModel::Empirical`], boxed so the two
-    /// parametric models — a wide monitor holds thousands of them, and
-    /// every publish walks them all — do not carry 96 empty bytes each.
-    empirical: Option<Box<Empirical>>,
+    /// The histogram behind [`PhiModel::Empirical`], boxed with its range
+    /// so the two parametric models — a wide monitor holds thousands of
+    /// them, and every accepted heartbeat walks one — do not carry its
+    /// bytes.
+    empirical: Option<Box<EmpiricalModel>>,
     last_heartbeat: Option<Timestamp>,
-    /// φ as a function of the query time — what [`phi`](Self::phi)
-    /// evaluates; `None` once the empirical histogram holds enough samples
-    /// to answer instead. A function of the window and the last arrival
-    /// alone, so it is rebuilt where those change (an arrival, a restore)
-    /// and a query — one per watched peer per publish — pays for no square
-    /// root, floor, validation or division.
-    curve: Option<LevelCurve>,
+}
+
+/// What a level reads of a [`PhiConfig`]; the window size is the window's
+/// own capacity and the empirical range sits in [`EmpiricalModel`]. 24
+/// bytes where the configuration is 56, so that with the window, the last
+/// arrival and the watermark a monitor keeps beside it a φ peer fills two
+/// cache lines.
+#[derive(Debug, Clone, Copy)]
+struct LevelParams {
+    min_std_dev: Duration,
+    initial_interval: Duration,
+    /// [`PhiConfig::min_samples`], which validation keeps within 32 bits.
+    min_samples: u32,
+    shape: Shape,
+}
+
+/// [`PhiModel`] without the empirical model's parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    Normal,
+    Exponential,
+    Empirical,
+}
+
+/// The empirical model's histogram and the range, in expected intervals,
+/// it was built over.
+#[derive(Debug, Clone)]
+struct EmpiricalModel {
+    bins: usize,
+    max_intervals: f64,
+    hist: Empirical,
 }
 
 impl PhiAccrual {
@@ -182,30 +214,38 @@ impl PhiAccrual {
     /// Returns [`ConfigError`] if `config` is invalid.
     pub fn new(config: PhiConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let empirical = match config.model {
+        let (shape, empirical) = match config.model {
+            PhiModel::Normal => (Shape::Normal, None),
+            PhiModel::Exponential => (Shape::Exponential, None),
             PhiModel::Empirical {
                 bins,
                 max_intervals,
-            } => Some(Box::new(
-                Empirical::new(
+            } => {
+                let hist = Empirical::new(
                     0.0,
                     config.initial_interval.as_secs_f64() * max_intervals,
                     bins,
                 )
-                .expect("validated empirical parameters"),
-            )),
-            _ => None,
+                .expect("validated empirical parameters");
+                let model = Box::new(EmpiricalModel {
+                    bins,
+                    max_intervals,
+                    hist,
+                });
+                (Shape::Empirical, Some(model))
+            }
         };
-        let mut fd = PhiAccrual {
-            config,
+        Ok(PhiAccrual {
+            params: LevelParams {
+                min_std_dev: config.min_std_dev,
+                initial_interval: config.initial_interval,
+                min_samples: u32::try_from(config.min_samples).expect("validated min_samples"),
+                shape,
+            },
             gaps: SlidingWindow::new(config.window_size),
             empirical,
             last_heartbeat: None,
-            // Placeholder: the real one is a function of the fields above.
-            curve: None,
-        };
-        fd.curve = fd.curve_from(fd.window_estimates());
-        Ok(fd)
+        })
     }
 
     /// The detector with default (normal-model) configuration.
@@ -225,14 +265,14 @@ impl PhiAccrual {
     /// The sample count below which the bootstrap prior applies: the
     /// configured `min_samples`, floored at 2 (see [`PhiConfig::min_samples`]).
     fn bootstrap_below(&self) -> usize {
-        self.config.min_samples.max(2)
+        (self.params.min_samples as usize).max(2)
     }
 
     /// Applies the bootstrap prior and the σ floor to raw window moments.
     fn estimates(&self, samples: usize, window_mean: f64, window_std: f64) -> (f64, f64) {
-        let floor = self.config.min_std_dev.as_secs_f64();
+        let floor = self.params.min_std_dev.as_secs_f64();
         let (mean, est) = if samples < self.bootstrap_below() {
-            let prior = self.config.initial_interval.as_secs_f64();
+            let prior = self.params.initial_interval.as_secs_f64();
             (prior, (prior / 4.0).max(floor))
         } else {
             (window_mean, window_std.max(floor))
@@ -282,15 +322,42 @@ impl PhiAccrual {
 
     /// The configuration this detector was built with.
     pub fn config(&self) -> PhiConfig {
-        self.config
+        let params = self.params;
+        PhiConfig {
+            window_size: self.gaps.capacity(),
+            min_samples: params.min_samples as usize,
+            min_std_dev: params.min_std_dev,
+            initial_interval: params.initial_interval,
+            model: self.model(),
+        }
+    }
+
+    /// The distribution shape, with the empirical model's parameters.
+    fn model(&self) -> PhiModel {
+        match (self.params.shape, &self.empirical) {
+            (Shape::Empirical, Some(model)) => PhiModel::Empirical {
+                bins: model.bins,
+                max_intervals: model.max_intervals,
+            },
+            (Shape::Exponential, _) => PhiModel::Exponential,
+            _ => PhiModel::Normal,
+        }
+    }
+
+    /// The empirical histogram; present exactly when the shape is
+    /// [`Shape::Empirical`].
+    fn histogram(&self) -> &Empirical {
+        let model = self.empirical.as_ref().expect("empirical model present");
+        &model.hist
     }
 
     /// Builds the curve a (mean, σ) estimate stands for: `−log₁₀` of the
     /// model's upper tail at the time elapsed since the last arrival, zero
-    /// before the first. Both the O(1) query path (through the cached
-    /// curve) and the O(window) reference path come through here and
-    /// through [`phi_of`](Self::phi_of), so they can only disagree on the
-    /// moments themselves.
+    /// before the first. Both the O(1) query path (through
+    /// [`level_curve`](AccrualFailureDetector::level_curve)) and the
+    /// O(window) reference path come through here and through
+    /// [`phi_of`](Self::phi_of), so they can only disagree on the moments
+    /// themselves.
     fn curve_from(&self, (mean, std): (f64, f64)) -> Option<LevelCurve> {
         let Some(last) = self.last_heartbeat else {
             return Some(LevelCurve::Zero);
@@ -300,11 +367,11 @@ impl PhiAccrual {
             mean: dist.mean(),
             scale: dist.erfc_scale(),
         };
-        match self.config.model {
-            PhiModel::Normal => Some(normal_tail(
+        match self.params.shape {
+            Shape::Normal => Some(normal_tail(
                 Normal::new(mean, std).expect("estimator yields finite positive parameters"),
             )),
-            PhiModel::Exponential => {
+            Shape::Exponential => {
                 // A degenerate window (all-zero gaps from coincident
                 // arrivals) can estimate a zero mean. Falling back to a
                 // floor of 1 ns would make φ ≈ 4.3e8 per second of elapsed
@@ -315,7 +382,7 @@ impl PhiAccrual {
                 let mean = if mean.is_finite() && mean > 0.0 {
                     mean
                 } else {
-                    self.config.initial_interval.as_secs_f64()
+                    self.params.initial_interval.as_secs_f64()
                 };
                 // `−log₁₀ e^{−λx}`, as `Exponential::log10_sf` spells it.
                 let dist = Exponential::from_mean(mean).expect("positive mean");
@@ -325,10 +392,9 @@ impl PhiAccrual {
                     per: LN_10,
                 })
             }
-            PhiModel::Empirical { .. } => {
-                let hist = self.empirical.as_ref().expect("empirical model present");
+            Shape::Empirical => {
                 // Below the bootstrap count, the normal prior.
-                ((hist.count() as usize) < self.bootstrap_below()).then(|| {
+                ((self.histogram().count() as usize) < self.bootstrap_below()).then(|| {
                     normal_tail(Normal::new(mean, std).expect("bootstrap parameters valid"))
                 })
             }
@@ -349,8 +415,7 @@ impl PhiAccrual {
         if elapsed <= 0.0 {
             return 0.0;
         }
-        let hist = self.empirical.as_ref().expect("empirical model present");
-        (-hist.log10_sf(elapsed)).max(0.0)
+        (-self.histogram().log10_sf(elapsed)).max(0.0)
     }
 
     /// The raw φ value at `now` (equal to the suspicion level, exposed for
@@ -358,11 +423,16 @@ impl PhiAccrual {
     ///
     /// This is an O(1) query: the window moments are maintained
     /// incrementally on insertion, so no per-call rescan of the sample
-    /// window happens here. The test-only `phi_naive` is the O(window)
-    /// reference implementation it is property-tested against.
+    /// window happens here. The detector keeps no curve of its own — a
+    /// monitor's curve column is the one copy — so a query here rebuilds
+    /// it from the moments: one square root and two divisions on top of
+    /// the evaluation. A monitor's published levels do not pay that; they
+    /// come off the curve it took at the last arrival. The test-only
+    /// `phi_naive` is the O(window) reference implementation it is
+    /// property-tested against.
     #[inline]
     pub fn phi(&self, now: Timestamp) -> f64 {
-        self.phi_of(now, self.curve)
+        self.phi_of(now, self.level_curve())
     }
 
     /// Reference φ that recomputes the window moments from scratch by
@@ -388,12 +458,11 @@ impl AccrualFailureDetector for PhiAccrual {
             debug_assert!(arrival >= last, "heartbeat arrivals must be non-decreasing");
             let gap = arrival.saturating_duration_since(last).as_secs_f64();
             self.gaps.push(gap);
-            if let Some(hist) = &mut self.empirical {
-                hist.record(gap);
+            if let Some(model) = &mut self.empirical {
+                model.hist.record(gap);
             }
         }
         self.last_heartbeat = Some(self.last_heartbeat.map_or(arrival, |l| l.max(arrival)));
-        self.curve = self.curve_from(self.window_estimates());
     }
 
     #[inline]
@@ -405,8 +474,11 @@ impl AccrualFailureDetector for PhiAccrual {
         self.gaps.prefetch();
     }
 
+    /// Built from the window moments at each call, bit for bit the curve
+    /// an arrival would have cached: a monitor asks once per changed peer
+    /// per publish and keeps the answer.
     fn level_curve(&self) -> Option<LevelCurve> {
-        self.curve
+        self.curve_from(self.window_estimates())
     }
 
     fn save_seed(&self) -> Option<DetectorSeed> {
@@ -431,21 +503,21 @@ impl AccrualFailureDetector for PhiAccrual {
     fn restore_seed(&mut self, seed: &DetectorSeed) {
         self.gaps
             .seed_from_moments(seed.samples, seed.mean, seed.population_variance);
-        if let Some(hist) = &mut self.empirical {
-            hist.clear();
+        if let Some(model) = &mut self.empirical {
+            model.hist.clear();
         }
         self.last_heartbeat = seed.last_heartbeat;
-        self.curve = self.curve_from(self.window_estimates());
     }
 }
 
 impl afd_core::canonical::CanonicalState for PhiAccrual {
     fn canonical_state(&self, digest: &mut afd_core::canonical::StateDigest) {
-        digest.push_usize(self.config.window_size);
-        digest.push_usize(self.config.min_samples);
-        self.config.min_std_dev.canonical_state(digest);
-        self.config.initial_interval.canonical_state(digest);
-        match self.config.model {
+        let config = self.config();
+        digest.push_usize(config.window_size);
+        digest.push_usize(config.min_samples);
+        config.min_std_dev.canonical_state(digest);
+        config.initial_interval.canonical_state(digest);
+        match config.model {
             PhiModel::Normal => digest.push_u64(0),
             PhiModel::Empirical {
                 bins,
@@ -458,7 +530,13 @@ impl afd_core::canonical::CanonicalState for PhiAccrual {
             PhiModel::Exponential => digest.push_u64(2),
         }
         self.gaps.canonical_state(digest);
-        self.empirical.canonical_state(digest);
+        match &self.empirical {
+            None => digest.push_bool(false),
+            Some(model) => {
+                digest.push_bool(true);
+                model.hist.canonical_state(digest);
+            }
+        }
         self.last_heartbeat.canonical_state(digest);
     }
 }
@@ -480,10 +558,33 @@ mod tests {
     }
 
     #[test]
-    fn detector_stays_within_three_cache_lines() {
-        // A monitor keeps one per watched peer and walks them all at
-        // every publish; the histogram only one model uses stays boxed.
-        assert!(std::mem::size_of::<PhiAccrual>() <= 192);
+    fn detector_stays_within_two_cache_lines() {
+        // A monitor keeps one per watched peer and its slot adds the id
+        // and the watermark (24 bytes): the histogram only one model uses
+        // stays boxed, the curve lives in the monitor's column, and the
+        // configuration keeps only what a level reads.
+        assert!(std::mem::size_of::<PhiAccrual>() <= 104);
+    }
+
+    #[test]
+    fn config_round_trips_through_the_detector() {
+        for model in [
+            PhiModel::Normal,
+            PhiModel::Exponential,
+            PhiModel::Empirical {
+                bins: 24,
+                max_intervals: 6.5,
+            },
+        ] {
+            let config = PhiConfig {
+                window_size: 77,
+                min_samples: 9,
+                min_std_dev: Duration::from_millis(3),
+                initial_interval: Duration::from_millis(250),
+                model,
+            };
+            assert_eq!(PhiAccrual::new(config).unwrap().config(), config);
+        }
     }
 
     #[test]
@@ -671,6 +772,16 @@ mod tests {
         }
         .validate()
         .is_err());
+        // The window counts its samples in 32 bits.
+        #[cfg(target_pointer_width = "64")]
+        for (window_size, min_samples) in [(1 << 32, 5), (1000, 1 << 32)] {
+            let config = PhiConfig {
+                window_size,
+                min_samples,
+                ..PhiConfig::default()
+            };
+            assert!(config.validate().is_err(), "{window_size}, {min_samples}");
+        }
         // A zero σ floor is a valid "trust the window exactly" setting.
         assert!(PhiConfig {
             min_std_dev: Duration::ZERO,

@@ -10,7 +10,7 @@
 //! | `no-thread-sleep` | library code waits on the `Clock`/callback abstractions, keeping virtual-time runs deterministic | moving it leaves the frozen `bench/src/workload.rs` pragma naming an unknown rule, an `invalid-pragma` finding |
 //! | `relaxed-atomics-audit` | every `Ordering::Relaxed` read-modify-write in `afd-obs` or `afd-runtime` carries a written justification | no lint reads an argument's ordering |
 //! | `crate-hygiene` | every crate root forbids `unsafe_code` | a crate without `[lints] workspace = true` escapes a workspace `forbid` |
-//! | `no-alloc-in-hot-path` | the per-frame intake files stay heap-allocation-free in steady state (`to_vec`/`Vec::new`/`vec!` need a written justification) | no lint is scoped to a list of files |
+//! | `no-alloc-in-hot-path` | the per-frame intake files stay heap-allocation-free in steady state (`.to_vec()`, `Vec::new`, `vec!`, `.collect()`, `Box::new`, `String::new`, `String::from`, `format!`, `.to_string()` and `.to_owned()` need a written justification) | no lint is scoped to a list of files |
 //! | `io-discipline` | filesystem access in `afd-runtime` happens only in `persist.rs`, so crash-safe install (tmp → fsync → rename) cannot be bypassed | a root-wide `fs` ban fails on `bench/`, and clippy does not merge a crate's `clippy.toml` with the root's |
 //! | `pure-query` | a shipping detector's `suspicion_level` (`afd-detectors`, `afd-runtime`) writes no field of its own, so its level is a function of the arrivals and the query time, never of who asked when | no lint reads a method body for writes to `self` |
 //!
@@ -262,9 +262,13 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/afd-runtime/src/varint.rs",
 ];
 
-/// `.to_vec()` / `Vec::new` / `vec![…]` in a hot-path file. One-time
-/// construction and cold error paths are fine — say so with
-/// `// lint:allow(no-alloc-in-hot-path, reason)`.
+/// An allocating form in a hot-path file: a method call `.to_vec()`,
+/// `.collect()` (also `.collect::<…>()`), `.to_string()` or `.to_owned()`;
+/// a constructor `Vec::new`, `Box::new`, `String::new` or `String::from`;
+/// a macro `vec!` or `format!`. One-time construction and cold error
+/// paths are fine — say so with `// lint:allow(no-alloc-in-hot-path,
+/// reason)`. A `collect` into a type that does not allocate needs the
+/// same pragma: tokens do not say what is collected into.
 fn no_alloc_in_hot_path(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
     if !HOT_PATH_FILES.contains(&ctx.path.as_str()) {
         return;
@@ -274,10 +278,13 @@ fn no_alloc_in_hot_path(ctx: &FileContext, code: &[&Token], out: &mut Vec<Findin
             continue;
         }
         let next = |n: usize| code.get(i + n).map(|t| t.text.as_str());
+        let method = i > 0 && code[i - 1].text == ".";
         let alloc = match tok.text.as_str() {
-            "to_vec" => i > 0 && code[i - 1].text == "." && next(1) == Some("("),
-            "Vec" => next(1) == Some("::") && next(2) == Some("new"),
-            "vec" => next(1) == Some("!"),
+            "to_vec" | "to_string" | "to_owned" => method && next(1) == Some("("),
+            "collect" => method && matches!(next(1), Some("(" | "::")),
+            "Vec" | "Box" => next(1) == Some("::") && next(2) == Some("new"),
+            "String" => next(1) == Some("::") && matches!(next(2), Some("new" | "from")),
+            "vec" | "format" => next(1) == Some("!"),
             _ => false,
         };
         if alloc {

@@ -149,6 +149,34 @@ fn no_alloc_in_hot_path_fires_on_each_allocation_form() {
 }
 
 #[test]
+fn no_alloc_in_hot_path_fires_on_the_owning_forms() {
+    // One fixture per form: each finding carries the rule and its line.
+    let path = "crates/afd-runtime/src/snapshot.rs";
+    for (fixture, lines) in [
+        ("no_alloc_collect_bad.rs", &[3, 4, 5][..]),
+        ("no_alloc_box_new_bad.rs", &[3]),
+        ("no_alloc_string_bad.rs", &[3, 5]),
+        ("no_alloc_format_bad.rs", &[3]),
+        ("no_alloc_to_string_bad.rs", &[3]),
+        ("no_alloc_to_owned_bad.rs", &[3]),
+    ] {
+        let (findings, suppressed) = lint_fixture(fixture, path);
+        assert!(
+            findings
+                .iter()
+                .all(|f| f.rule == "no-alloc-in-hot-path" && f.path == path),
+            "{fixture}: {findings:?}"
+        );
+        let found: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(found, lines, "{fixture}: {findings:?}");
+        assert_eq!(suppressed, 0);
+    }
+    // Names that only look like them stay quiet.
+    let (findings, _) = lint_fixture("no_alloc_lookalikes.rs", path);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn no_alloc_in_hot_path_is_scoped_to_the_intake_files() {
     // The same snippet in a runtime file off the frame path passes: the
     // rule polices the intake pipeline, not the whole crate.

@@ -321,6 +321,7 @@ where
         let (cells, shards) = build_shards(config.workers, config.slots_per_shard, factory);
         let worker_shared = (0..config.workers)
             .map(|_| Arc::new(WorkerShared::default()))
+            // lint:allow(no-alloc-in-hot-path, once an engine: its per-worker shared state)
             .collect();
         ParallelShardEngine {
             clock,
@@ -493,6 +494,7 @@ where
         let mut worker_rings: Vec<Vec<RingConsumer>> = shards
             .iter()
             .map(|_| Vec::with_capacity(lanes.len()))
+            // lint:allow(no-alloc-in-hot-path, once a start: each worker's ring list)
             .collect();
         for _ in 0..lanes.len() {
             let mut producers = Vec::with_capacity(shards.len());
@@ -507,6 +509,7 @@ where
         for lane in &self.lane_shared {
             *lane.fault() = None;
         }
+        // lint:allow(no-alloc-in-hot-path, once a start: the peer counts the running engine reports)
         self.peers_per_shard = shards.iter().map(Shard::len).collect();
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -515,6 +518,7 @@ where
             .zip(worker_rings)
             .zip(&self.worker_shared)
             .map(|((shard, rings), shared)| {
+                // lint:allow(no-alloc-in-hot-path, once a start: each worker's ring watches)
                 let watches = rings.iter().map(RingConsumer::watch).collect();
                 let stop = Arc::clone(&stop);
                 let shared = Arc::clone(shared);
@@ -525,6 +529,7 @@ where
                 });
                 WorkerHandle { handle, watches }
             })
+            // lint:allow(no-alloc-in-hot-path, once a start: the worker threads)
             .collect();
         let lanes = lanes
             .into_iter()
@@ -538,6 +543,7 @@ where
                     hand_back(lane_loop(lane, clock, producers, shared, stop))
                 })
             })
+            // lint:allow(no-alloc-in-hot-path, once a start: the lane threads)
             .collect();
         self.state = EngineState::Running {
             parked,
@@ -657,6 +663,7 @@ where
     /// are the threads' latest published snapshots.
     pub fn stats(&self) -> EngineStats {
         let per_worker: Vec<MonitorStats> =
+            // lint:allow(no-alloc-in-hot-path, stats snapshot API, off the frame path)
             self.worker_shared.iter().map(|w| w.load_stats()).collect();
         let mut stage = StageNanos::default();
         let mut per_lane_frames = Vec::with_capacity(self.lane_shared.len());
@@ -674,6 +681,7 @@ where
             totals: MonitorStats::totals(per_lane_corrupt.iter().sum(), &per_worker),
             per_worker,
             peers_per_shard: match &self.state {
+                // lint:allow(no-alloc-in-hot-path, stats snapshot API, off the frame path)
                 EngineState::Idle { shards, .. } => shards.iter().map(Shard::len).collect(),
                 _ => self.peers_per_shard.clone(),
             },
@@ -758,9 +766,11 @@ where
             .set(stats.stage.update);
         for (idx, worker) in self.live_workers().iter().enumerate() {
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .gauge(&format!("engine.worker.{idx}.ring_depth"))
                 .set(worker.ring_depth() as f64);
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("engine.worker.{idx}.ring_dropped"))
                 .set(worker.ring_dropped());
         }
@@ -773,23 +783,29 @@ where
                 busy as f64 / loops as f64
             };
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .gauge(&format!("engine.worker.{idx}.utilization"))
                 .set(utilization);
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("engine.worker.{idx}.update_nanos"))
                 .set(shared.update_nanos.load(Ordering::Relaxed));
         }
         for (idx, lane) in self.lane_shared.iter().enumerate() {
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("engine.lane.{idx}.frames"))
                 .set(lane.frames.load(Ordering::Relaxed));
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("engine.lane.{idx}.corrupt"))
                 .set(lane.corrupt.load(Ordering::Relaxed));
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("engine.lane.{idx}.decode_nanos"))
                 .set(lane.decode_nanos.load(Ordering::Relaxed));
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("engine.lane.{idx}.route_nanos"))
                 .set(lane.route_nanos.load(Ordering::Relaxed));
         }
@@ -910,6 +926,7 @@ fn lane_loop<L: Transport, C: Clock>(
     // one `tail` store per (ring, group) instead of one per frame.
     let mut groups: Vec<Vec<Heartbeat>> = (0..producers.len())
         .map(|_| Vec::with_capacity(intake.capacity()))
+        // lint:allow(no-alloc-in-hot-path, once a lane thread: its per-destination scratch)
         .collect();
     while !stop.load(Ordering::Acquire) {
         match intake.recv(&mut lane, &clock) {

@@ -193,10 +193,12 @@ impl Transport for UdpLane {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         let Some(peer) = self.peer else {
             return Err(TransportError::Io(
+                // lint:allow(no-alloc-in-hot-path, cold error path: a send on a receive-only lane)
                 "UDP intake lane is receive-only".to_owned(),
             ));
         };
         if frame.len() > MAX_DATAGRAM {
+            // lint:allow(no-alloc-in-hot-path, cold error path: an oversize frame refused)
             return Err(TransportError::Io(format!(
                 "frame of {} bytes exceeds MAX_DATAGRAM ({MAX_DATAGRAM})",
                 frame.len()
@@ -327,21 +329,27 @@ impl MultiUdpStats {
     pub fn export_metrics(&self, registry: &afd_obs::Registry) {
         for (i, lane) in self.per_lane.iter().enumerate() {
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("udp.lane.{i}.datagrams"))
                 .set(lane.datagrams());
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("udp.lane.{i}.oversize_dropped"))
                 .set(lane.oversize_dropped());
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("udp.lane.{i}.short_dropped"))
                 .set(lane.short_dropped());
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("udp.lane.{i}.foreign_dropped"))
                 .set(lane.foreign_dropped());
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .counter(&format!("udp.lane.{i}.syscalls"))
                 .set(lane.syscalls());
             registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .gauge(&format!("udp.lane.{i}.syscalls_per_batch"))
                 .set(lane.syscalls_per_batch());
         }
@@ -389,6 +397,7 @@ impl MultiUdpTransport {
             let mut addr = local;
             if local.port() != 0 {
                 let port = local.port().checked_add(i as u16).ok_or_else(|| {
+                    // lint:allow(no-alloc-in-hot-path, cold error path: the lane port range overflows)
                     TransportError::Io(format!(
                         "lane port range {}+{lanes} overflows u16",
                         local.port()
@@ -412,6 +421,7 @@ impl MultiUdpTransport {
     ///
     /// Returns [`TransportError`] if the OS cannot report an address.
     pub fn local_addrs(&self) -> Result<Vec<SocketAddr>, TransportError> {
+        // lint:allow(no-alloc-in-hot-path, set-up API, off the frame path)
         self.lanes.iter().map(UdpLane::local_addr).collect()
     }
 
@@ -426,6 +436,7 @@ impl MultiUdpTransport {
     /// engine.
     pub fn stats(&self) -> MultiUdpStats {
         MultiUdpStats {
+            // lint:allow(no-alloc-in-hot-path, stats snapshot API, off the frame path)
             per_lane: self.lanes.iter().map(UdpLane::stats).collect(),
         }
     }

@@ -60,6 +60,7 @@ struct RingInner {
 /// the next power of two (minimum 2).
 pub fn heartbeat_ring(capacity: usize) -> (RingProducer, RingConsumer) {
     let cap = capacity.max(2).next_power_of_two();
+    // lint:allow(no-alloc-in-hot-path, once a ring: its slots)
     let slots: Box<[RingSlot]> = (0..cap).map(|_| RingSlot::default()).collect();
     let inner = Arc::new(RingInner {
         mask: (cap - 1) as u64,

@@ -32,14 +32,18 @@
 //! # Epoch snapshots
 //!
 //! Each shard owns a `ShardCell`: two banks of atomics (one row per
-//! slot: peer id, suspicion level as `f64` bits, durable words) plus a
-//! `front` selector. A bank's rows come a chunk at a time as the slab
-//! grows (see *What a publish writes*), so a point read is one index
-//! probe, one chunk lookup and two loads. The publishing thread fills
-//! the *back* bank inside its seqlock's write section, then flips
-//! `front`; the bank it retires stays *held* — its word odd — until the
-//! next publish has filled it. Readers load `front` and read that bank
-//! inside its seqlock, retrying on a straddle or a held bank.
+//! slot: peer id and suspicion level as `f64` bits) plus a `front`
+//! selector, and beside them one *durable table* (one row per slot: peer
+//! id and seven durable words) that is not double-buffered. Rows come a
+//! chunk at a time as the slab grows (see *What a publish writes*), so a
+//! point read is one index probe, one chunk lookup and two loads. The
+//! publishing thread fills the *back* bank inside its seqlock's write
+//! section, then flips `front`; the bank it retires stays *held* — its
+//! word odd — until the next publish has filled it. Readers load `front`
+//! and read that bank inside its seqlock, retrying on a straddle or a held
+//! bank. The durable table has a seqlock of its own: a publish writes its
+//! changed rows in one write section, and the checkpointer, its one
+//! reader, reads it whole in one read.
 //!
 //! A point read ([`SnapshotReader::level`]) takes two steps. It probes
 //! the index for the peer's slot — under the index's own seqlock, because
@@ -56,26 +60,27 @@
 //! slot it just left, and the id check alone would pass it the level of
 //! the detector that was dropped. So an `unwatch` does not wait for a
 //! publish to retire the row: the shard's thread stores the vacant id
-//! into it in *both* banks there and then, inside each bank's write
-//! section (*the re-watch rule*). So a peer that is watched but not yet
-//! published reads `None` — whoever held the slot before, itself included
-//! — an unwatched peer reads `None` and is gone from
-//! [`SnapshotReader::snapshot`] and the checkpointer's view from the
+//! into it in *both* banks and in the durable table there and then,
+//! inside each one's write section (*the re-watch rule*). So a peer that
+//! is watched but not yet published reads `None` — whoever held the slot
+//! before, itself included — an unwatched peer reads `None` and is gone
+//! from [`SnapshotReader::snapshot`] and the checkpointer's view from the
 //! `unwatch` on, and a peer that stays watched never reads `None`.
 //!
 //! # What a publish writes
 //!
-//! A peer's row is its id, its suspicion level and seven durable words
-//! (detector seed, sequence watermark) for the checkpointer. A publish
-//! writes them in two passes.
+//! A peer's bank row is its id and its suspicion level; its durable row
+//! is its id and seven durable words (detector seed, sequence watermark)
+//! for the checkpointer, stored once. A publish writes them in two passes.
 //!
-//! **The row chunks.** Rows come in chunks of 256, column by column
-//! within a chunk: the ids, the levels, and the durable records, each
-//! record's seven words contiguous (56 bytes, one or two cache lines).
-//! `watch`, the one place a row is born — an import and both executors
-//! go through it — gives the new row's chunk to both banks when the slab
-//! first reaches it. Only the chunk table, 16 bytes a chunk, is
-//! allocated with the cell, so a shard's capacity is a ceiling and not a
+//! **The row chunks.** Rows come in chunks of 256. A bank's chunk holds
+//! them column by column: the ids, then the levels. A durable chunk holds
+//! each row's id and words contiguous, 64 bytes starting on a cache line,
+//! so storing or loading a row touches one line. `watch`, the one place a
+//! row is born — an import and both executors go through it — gives the
+//! new row's chunk to both banks and to the table when the slab first
+//! reaches it. Only the chunk tables, 16 bytes a chunk each, are allocated
+//! with the cell, so a shard's capacity is a ceiling and not a
 //! reservation: it pays for the rows its slab has reached. A chunk stays
 //! after an `unwatch`, because the free list reuses its rows.
 //!
@@ -83,17 +88,21 @@
 //! when the slot changes hands, an arrival is accepted, a peer is
 //! imported, or a caller borrows the detector mutably — so each such
 //! change marks *that slot* in a bitset, a bit a slot. A publish walks it
-//! a 64-slot word at a time and writes only the rows it names, so it
-//! costs a word per 64 slots plus the changed rows, whatever the shard
-//! watches. After the flip it copies the same rows, id and durable words,
-//! into the bank it retired — bank to bank, visiting no slot — so the
-//! two banks agree on every row but its level. The retired bank's levels
-//! are a publish older than its copied rows, so its word stays held: a
-//! reader that loaded `front` before the flip retries rather than read
-//! the mix. A slot vacated since it was marked is skipped, and copying
-//! it is harmless: its rows hold `VACANT` in both banks — an id outside
-//! the `u32` id space, which `read_all`/`read_durable` skip — since the
-//! `unwatch`.
+//! a 64-slot word at a time and writes only the rows it names — the id
+//! into the back bank, id and durable words into the durable table, in
+//! the table's write section — so it costs a word per 64 slots plus the
+//! changed rows, whatever the shard watches. After the flip it copies the
+//! same rows' ids into the bank it retired — bank to bank, visiting no
+//! slot — so the two banks agree on every row but its level. The retired
+//! bank's levels are a publish older than its copied ids, so its word
+//! stays held: a reader that loaded `front` before the flip retries rather
+//! than read the mix. A slot vacated since it was marked is skipped, and
+//! copying it is harmless: its rows hold `VACANT` in both banks and the
+//! table — an id outside the `u32` id space, which `read_all` and
+//! `read_durable` skip — since the `unwatch`. The table holds a publish's
+//! rows from the end of its changed-slot pass on, a level pass before the
+//! flip shows that publish's levels; the checkpointer reads the table
+//! alone and takes its epoch from it.
 //!
 //! **The level pass.** The level is a function of the query time
 //! (`sl_qp(t)`, §3 Definition 1), so every publish re-evaluates every
@@ -316,13 +325,88 @@ pub(crate) fn marked(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// place in it are a shift and a mask.
 pub(crate) const CHUNK: usize = 256;
 
-/// One durable row: a [`PeerDurable`]'s seven words, contiguous, so a
-/// store or a load touches one or two cache lines and not seven.
-pub(crate) type DurableRow = [AtomicU64; 7];
-
 /// The id a vacated row holds: outside the `u32` id space, so no lookup
 /// matches it and the copying reads skip it.
 const VACANT: u64 = u64::MAX;
+
+/// Words in a durable row: its tenant's id, [`VACANT`] where the slot is
+/// empty or not yet published, then a [`PeerDurable`]'s seven words.
+const ROW_WORDS: usize = 8;
+
+/// One durable row, starting on a cache-line boundary (see
+/// [`DurableChunk`]): 64 bytes, so a store or a load touches one line.
+pub(crate) type DurableRow = [AtomicU64; ROW_WORDS];
+
+/// Plain load of a row's tenant and record; callers re-verify the seqlock.
+fn load_row(row: &DurableRow) -> Option<(ProcessId, PeerDurable)> {
+    let [id, words @ ..] = row;
+    let id = u32::try_from(id.load(Ordering::Relaxed)).ok()?;
+    let words = words.each_ref().map(|cell| cell.load(Ordering::Relaxed));
+    Some((ProcessId::new(id), PeerDurable::from_words(words)))
+}
+
+/// [`CHUNK`] durable rows in one block of one row more, laid out from the
+/// block's first cache-line boundary on. The allocator aligns a block to
+/// 16 bytes, so the boundary is at most 48 bytes in. Asking it for 64-byte
+/// alignment instead split a fragment off each chunk's block that kept
+/// freed blocks from merging: the ledger's 256-peer monitor, set up
+/// sixteen times, kept 84 KB more of its heap resident.
+struct DurableChunk(Box<[AtomicU64]>);
+
+impl DurableChunk {
+    /// Allocates once a chunk: by the `watch` whose slot first reaches it.
+    fn new() -> Self {
+        // lint:allow(no-alloc-in-hot-path, once a chunk: its words, then the same block as atomics)
+        let words = vec![VACANT; (CHUNK + 1) * ROW_WORDS];
+        // lint:allow(no-alloc-in-hot-path, once a chunk: collected in place into the block above)
+        DurableChunk(words.into_iter().map(AtomicU64::new).collect())
+    }
+
+    /// Row `i`, for `i` below [`CHUNK`].
+    #[inline]
+    fn row(&self, i: usize) -> Option<&DurableRow> {
+        let skip = self.0.as_ptr().addr().wrapping_neg() % 64 / 8;
+        let at = skip + i * ROW_WORDS;
+        self.0.get(at..at + ROW_WORDS)?.try_into().ok()
+    }
+}
+
+/// A shard's durable rows, one per slab slot and stored once: the
+/// changed-row pass writes them, [`ShardCell::read_durable`] reads them,
+/// and `vacate` empties one — each under the table's own seqlock (see
+/// *What a publish writes*).
+struct DurableTable {
+    seq: SeqLock,
+    /// The last publish that wrote the table, in nanoseconds.
+    published_at: AtomicU64,
+    /// The rows, [`CHUNK`] at a time as [`ShardCell::occupy`] reaches them.
+    chunks: Box<[OnceLock<DurableChunk>]>,
+}
+
+impl DurableTable {
+    fn new(slots: usize) -> Self {
+        DurableTable {
+            seq: SeqLock::default(),
+            published_at: AtomicU64::new(0),
+            chunks: (0..slots.div_ceil(CHUNK))
+                .map(|_| OnceLock::new())
+                // lint:allow(no-alloc-in-hot-path, once a cell: the durable table's chunk table)
+                .collect(),
+        }
+    }
+
+    /// Row `row`, if its chunk exists.
+    #[inline]
+    fn row(&self, row: usize) -> Option<&DurableRow> {
+        self.chunks.get(row / CHUNK)?.get()?.row(row % CHUNK)
+    }
+
+    /// Every row of the chunks allocated, in slot order.
+    fn rows(&self) -> impl Iterator<Item = &DurableRow> + '_ {
+        let chunks = self.chunks.iter().map_while(OnceLock::get);
+        chunks.flat_map(|chunk| (0..CHUNK).filter_map(|i| chunk.row(i)))
+    }
+}
 
 /// [`CHUNK`] rows of a [`Bank`], column by column (see *The row chunks*).
 struct RowChunk {
@@ -330,13 +414,12 @@ struct RowChunk {
     ids: [AtomicU64; CHUNK],
     /// Suspicion levels as `f64` bit patterns.
     levels: [AtomicU64; CHUNK],
-    durable: [DurableRow; CHUNK],
 }
 
 /// One bank of a [`ShardCell`]: one published row per slab slot plus the
 /// seqlock word guarding them. A writer reaches a bank only through
 /// [`ShardCell::publish`], inside the bank's write section.
-pub(crate) struct Bank {
+struct Bank {
     seq: SeqLock,
     /// Rows in use: the slab's length at the publish.
     len: AtomicUsize,
@@ -354,6 +437,7 @@ impl Bank {
             published_at: AtomicU64::new(0),
             chunks: (0..slots.div_ceil(CHUNK))
                 .map(|_| OnceLock::new())
+                // lint:allow(no-alloc-in-hot-path, once a cell: a bank's chunk table)
                 .collect(),
         }
     }
@@ -365,33 +449,81 @@ impl Bank {
         Some((self.chunks.get(row / CHUNK)?.get()?, row % CHUNK))
     }
 
-    /// Writes row `row`'s tenant and its durable record.
+    /// Copies row `row`'s tenant from `from`.
     #[inline]
-    pub(crate) fn store_row(&self, row: usize, id: ProcessId, durable: &PeerDurable) {
-        if let Some((chunk, i)) = self.row(row) {
-            chunk.ids[i].store(u64::from(id.as_u32()), Ordering::Relaxed);
-            for (cell, word) in chunk.durable[i].iter().zip(durable.words()) {
-                cell.store(word, Ordering::Relaxed);
-            }
+    fn copy_id(&self, from: &Bank, row: usize) {
+        if let (Some((to, i)), Some((from, _))) = (self.row(row), from.row(row)) {
+            to.ids[i].store(from.ids[i].load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 
-    /// Copies row `row`'s tenant and durable record from `from`.
+    /// The epoch this bank was published at; callers re-verify the seqlock.
+    fn published_at(&self) -> Timestamp {
+        Timestamp::from_nanos(self.published_at.load(Ordering::Relaxed))
+    }
+
+    /// The live rows among the first `len`, in slot order: their slot,
+    /// peer and level. Callers re-verify the seqlock.
+    fn live_rows(
+        &self,
+        len: usize,
+    ) -> impl Iterator<Item = (usize, ProcessId, SuspicionLevel)> + '_ {
+        let chunks = self.chunks.iter().map_while(OnceLock::get);
+        let rows = chunks.flat_map(|c| c.ids.iter().zip(&c.levels));
+        rows.take(len)
+            .enumerate()
+            .filter_map(|(slot, (peer, level))| {
+                let id = u32::try_from(peer.load(Ordering::Relaxed)).ok()?;
+                let level = f64::from_bits(level.load(Ordering::Relaxed));
+                Some((slot, ProcessId::new(id), SuspicionLevel::clamped(level)))
+            })
+    }
+}
+
+/// What a publish's `fill` writes through: the back bank, inside its write
+/// section, and the shard's durable table.
+pub(crate) struct Publish<'a> {
+    bank: &'a Bank,
+    table: &'a DurableTable,
+    at: Timestamp,
+}
+
+impl Publish<'_> {
+    /// The changed-row pass: writes each `(row, tenant, record)` — the
+    /// tenant into the back bank, tenant and record into the durable
+    /// table — inside the table's write section, which also stamps the
+    /// table with the publish's epoch. A publish calls it once, with no
+    /// rows if none changed.
     #[inline]
-    fn copy_row(&self, from: &Bank, row: usize) {
-        if let (Some((to, i)), Some((from, _))) = (self.row(row), from.row(row)) {
-            to.ids[i].store(from.ids[i].load(Ordering::Relaxed), Ordering::Relaxed);
-            for (to, from) in to.durable[i].iter().zip(&from.durable[i]) {
-                to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+    pub(crate) fn store_rows(
+        &self,
+        rows: impl IntoIterator<Item = (usize, ProcessId, PeerDurable)>,
+    ) {
+        let (bank, table) = (self.bank, self.table);
+        table.seq.write(|| {
+            for (row, id, durable) in rows {
+                let id = u64::from(id.as_u32());
+                if let Some((chunk, i)) = bank.row(row) {
+                    chunk.ids[i].store(id, Ordering::Relaxed);
+                }
+                if let Some([tenant, words @ ..]) = table.row(row) {
+                    tenant.store(id, Ordering::Relaxed);
+                    for (cell, word) in words.iter().zip(durable.words()) {
+                        cell.store(word, Ordering::Relaxed);
+                    }
+                }
             }
-        }
+            table
+                .published_at
+                .store(self.at.as_nanos(), Ordering::Relaxed);
+        });
     }
 
     /// Writes the level at `now` of every row `blocks` covers, one chunk
     /// lookup per [`CHUNK`] rows.
     #[inline]
     pub(crate) fn store_levels(&self, blocks: &[[LevelCurve; LevelCurve::BLOCK]], now: Timestamp) {
-        let chunks = self.chunks.iter().map_while(OnceLock::get);
+        let chunks = self.bank.chunks.iter().map_while(OnceLock::get);
         for (chunk, blocks) in chunks.zip(blocks.chunks(CHUNK / LevelCurve::BLOCK)) {
             for (block, levels) in blocks.iter().zip(chunk.levels.chunks(LevelCurve::BLOCK)) {
                 for (level, value) in levels.iter().zip(LevelCurve::at_block(block, now)) {
@@ -404,35 +536,10 @@ impl Bank {
     /// Writes row `row`'s level.
     #[inline]
     pub(crate) fn store_level(&self, row: usize, level: SuspicionLevel) {
-        if let Some((chunk, i)) = self.row(row) {
+        if let Some((chunk, i)) = self.bank.row(row) {
             chunk.levels[i].store(level.value().to_bits(), Ordering::Relaxed);
         }
     }
-
-    /// The epoch this bank was published at; callers re-verify the seqlock.
-    fn published_at(&self) -> Timestamp {
-        Timestamp::from_nanos(self.published_at.load(Ordering::Relaxed))
-    }
-
-    /// The live rows among the first `len`, in slot order: peer, level and
-    /// durable row. Callers re-verify the seqlock.
-    fn live_rows(
-        &self,
-        len: usize,
-    ) -> impl Iterator<Item = (ProcessId, SuspicionLevel, &DurableRow)> + '_ {
-        let chunks = self.chunks.iter().map_while(OnceLock::get);
-        let rows = chunks.flat_map(|c| c.ids.iter().zip(&c.levels).zip(&c.durable));
-        rows.take(len).filter_map(|((peer, level), durable)| {
-            let id = u32::try_from(peer.load(Ordering::Relaxed)).ok()?;
-            let level = f64::from_bits(level.load(Ordering::Relaxed));
-            Some((ProcessId::new(id), SuspicionLevel::clamped(level), durable))
-        })
-    }
-}
-
-/// Plain load of one durable record; callers re-verify the seqlock.
-fn load_durable(row: &DurableRow) -> PeerDurable {
-    PeerDurable::from_words(row.each_ref().map(|cell| cell.load(Ordering::Relaxed)))
 }
 
 /// Entries a [`SlotIndex`] holds in itself: its first prefix.
@@ -546,11 +653,12 @@ impl SlotIndex {
         let old = &entries[..=mask];
         // lint:allow(relaxed-atomics-audit, the one writer empties the old prefix in its write section)
         let moved = old.iter().map(|e| e.swap(0, Ordering::Relaxed));
-        // Allocates at a doubling: the `watch` whose slot reaches past half the prefix.
+        // lint:allow(no-alloc-in-hot-path, once a doubling: the `watch` whose slot reaches past half the prefix)
         let moved: Vec<u64> = moved.filter(|&entry| entry != 0).collect();
         // Zeroed pages become atomics in place, untouched and not resident.
         // lint:allow(no-alloc-in-hot-path, once an index: the `watch` whose doubling outgrows SMALL)
         let zeroed = || vec![0; self.flat_len].into_iter().map(AtomicU64::new);
+        // lint:allow(no-alloc-in-hot-path, once an index: the zeroed table, collected in place)
         self.flat.get_or_init(|| zeroed().collect());
         debug_assert!(len <= self.flat_len, "a slot past the capacity");
         let shift = 64 - len.trailing_zeros();
@@ -597,6 +705,7 @@ impl SlotIndex {
 pub(crate) struct ShardCell {
     front: AtomicUsize,
     banks: [Bank; 2],
+    durable: DurableTable,
     slot_of: SlotIndex,
     slots: usize,
 }
@@ -606,6 +715,7 @@ impl ShardCell {
         ShardCell {
             front: AtomicUsize::new(0),
             banks: [Bank::new(slots), Bank::new(slots)],
+            durable: DurableTable::new(slots),
             slot_of: SlotIndex::new(slots),
             slots,
         }
@@ -623,28 +733,32 @@ impl ShardCell {
     }
 
     /// Moves `process`, which is not watched, into row `slot`: gives the
-    /// row its chunk in both banks, unless an earlier row's growth did,
-    /// and maps the peer to it. The row answers from the next publish on.
+    /// row its chunk in both banks and in the durable table, unless an
+    /// earlier row's growth did, and maps the peer to it. The row answers
+    /// from the next publish on.
     pub(crate) fn occupy(&self, process: ProcessId, slot: usize) {
         for rows in self.banks.iter().filter_map(|b| b.chunks.get(slot / CHUNK)) {
             // Allocates once a chunk: by the `watch` whose slot first reaches it.
             rows.get_or_init(|| {
+                // lint:allow(no-alloc-in-hot-path, once a bank chunk: the `watch` whose slot first reaches it)
                 Box::new(RowChunk {
                     ids: std::array::from_fn(|_| AtomicU64::new(VACANT)),
                     levels: std::array::from_fn(|_| AtomicU64::new(0)),
-                    durable: std::array::from_fn(|_| DurableRow::default()),
                 })
             });
+        }
+        if let Some(rows) = self.durable.chunks.get(slot / CHUNK) {
+            rows.get_or_init(DurableChunk::new);
         }
         self.slot_of.insert(process, slot);
     }
 
     /// Unmaps `process` and stores the vacant id into its row in both
     /// banks, each inside its write section (the re-watch rule) — the back
-    /// bank's stays held — returning the row. A reader led back to the row
-    /// by a later `watch` of the same peer finds it vacated: the lookup
-    /// that finds the new entry has acquired the index's write section,
-    /// which came after these.
+    /// bank's stays held — and then into its durable row, returning the
+    /// row. A reader led back to the row by a later `watch` of the same
+    /// peer finds it vacated: the lookup that finds the new entry has
+    /// acquired the index's write section, which came after these.
     pub(crate) fn vacate(&self, process: ProcessId) -> Option<usize> {
         let slot = self.slot_of.remove(process)?;
         let front = self.front.load(Ordering::Relaxed) & 1;
@@ -654,25 +768,39 @@ impl ShardCell {
         };
         self.banks[front].seq.write(vacate(front));
         self.banks[front ^ 1].seq.hold(vacate(front ^ 1));
+        let row = self.durable.row(slot);
+        self.durable
+            .seq
+            .write(|| row.map(|[tenant, ..]| tenant.store(VACANT, Ordering::Relaxed)));
         Some(slot)
     }
 
-    /// Publishes a new front bank: `fill` writes rows straight into the
-    /// back bank and returns how many are in use, and `front` flips. Then
-    /// the rows `rows` names, a bit a row, are copied — id and durable
-    /// words — into the bank just retired, whose word stays held (see
-    /// *What a publish writes*). Single writer: the shard's thread.
-    pub(crate) fn publish(&self, at: Timestamp, rows: &[u64], fill: impl FnOnce(&Bank) -> usize) {
+    /// Publishes a new front bank: `fill` writes the changed rows and the
+    /// levels through a [`Publish`] and returns how many rows are in use,
+    /// and `front` flips. Then the ids of the rows `rows` names, a bit a
+    /// row, are copied into the bank just retired, whose word stays held
+    /// (see *What a publish writes*). Single writer: the shard's thread.
+    pub(crate) fn publish(
+        &self,
+        at: Timestamp,
+        rows: &[u64],
+        fill: impl FnOnce(&Publish<'_>) -> usize,
+    ) {
         let back = (self.front.load(Ordering::Relaxed) & 1) ^ 1;
         let (bank, old) = (&self.banks[back], &self.banks[back ^ 1]);
+        let publish = Publish {
+            bank,
+            table: &self.durable,
+            at,
+        };
         bank.seq.write(|| {
-            let n = fill(bank).min(self.slots);
+            let n = fill(&publish).min(self.slots);
             bank.len.store(n, Ordering::Relaxed);
             bank.published_at.store(at.as_nanos(), Ordering::Relaxed);
         });
         self.front.store(back, Ordering::Release);
         old.seq
-            .hold(|| marked(rows).for_each(|row| old.copy_row(bank, row)));
+            .hold(|| marked(rows).for_each(|row| old.copy_id(bank, row)));
     }
 
     /// Runs `read` against a consistent front bank, retrying while a
@@ -709,25 +837,29 @@ impl ShardCell {
     pub(crate) fn read_all(&self, out: &mut Vec<(ProcessId, SuspicionLevel)>) -> Timestamp {
         self.with_consistent(|bank, len| {
             out.clear();
-            out.extend(bank.live_rows(len).map(|(p, level, _)| (p, level)));
+            out.extend(bank.live_rows(len).map(|(_, p, level)| (p, level)));
             bank.published_at()
         })
     }
 
     /// Copies every published live row's durable record, in slot order,
     /// returning the epoch it was published at. Consistency comes from
-    /// the same seqlock as [`read_all`](Self::read_all): the records are
-    /// those of one publish — less the peers unwatched since — never a
-    /// mix of two epochs.
+    /// the durable table's own seqlock: the records are those of one
+    /// publish — less the peers unwatched since — never a mix of two
+    /// epochs.
     pub(crate) fn read_durable(&self, out: &mut Vec<(ProcessId, PeerDurable)>) -> Timestamp {
-        self.with_consistent(|bank, len| {
-            out.clear();
-            out.extend(
-                bank.live_rows(len)
-                    .map(|(p, _, durable)| (p, load_durable(durable))),
-            );
-            bank.published_at()
-        })
+        let table = &self.durable;
+        loop {
+            let attempt = table.seq.try_read(|| {
+                out.clear();
+                out.extend(table.rows().filter_map(load_row));
+                Timestamp::from_nanos(table.published_at.load(Ordering::Relaxed))
+            });
+            if let Some(at) = attempt {
+                return at;
+            }
+            std::hint::spin_loop();
+        }
     }
 
     /// The epoch of the front bank.
@@ -812,7 +944,7 @@ impl SnapshotReader {
     /// function of the state alone.
     ///
     /// This is the accessor the checkpointer dumps through: it reads only
-    /// the double-buffered epoch banks, so the dump never touches
+    /// the published durable table, so the dump never touches
     /// worker-owned detector state and runs entirely off the hot path.
     pub(crate) fn durable_shard(
         &self,
@@ -836,34 +968,61 @@ mod tests {
     /// What the tests of this module and of `shard` read of a cell.
     impl ShardCell {
         /// The epoch plus level and durable record of every live row, all
-        /// from one consistent read.
+        /// from one publish: the front bank and the durable table are read
+        /// each under its seqlock, and an attempt that finds the table
+        /// already written by a publish whose flip is still to come is
+        /// retried. Publishes in these tests have distinct epochs.
         pub(crate) fn read_rows(
             &self,
         ) -> (Timestamp, Vec<(ProcessId, SuspicionLevel, PeerDurable)>) {
-            self.with_consistent(|bank, len| {
-                let rows = bank
-                    .live_rows(len)
-                    .map(|(p, level, durable)| (p, level, load_durable(durable)))
-                    .collect();
-                (bank.published_at(), rows)
-            })
+            let table = &self.durable;
+            loop {
+                let read = self.with_consistent(|bank, len| {
+                    table.seq.try_read(|| {
+                        let stamped = table.published_at.load(Ordering::Relaxed);
+                        let rows: Vec<_> = (bank.live_rows(len))
+                            .map(|(slot, p, level)| (p, level, table.row(slot).and_then(load_row)))
+                            .collect();
+                        (bank.published_at(), Timestamp::from_nanos(stamped), rows)
+                    })
+                });
+                // Both words held still across every load: one state.
+                if let Some((at, _, rows)) = read.filter(|(at, stamped, _)| at == stamped) {
+                    let rows = (rows.into_iter())
+                        .map(|(p, level, record)| {
+                            let (tenant, durable) = record.expect("a live row has a record");
+                            assert_eq!(tenant, p);
+                            (p, level, durable)
+                        })
+                        .collect();
+                    return (at, rows);
+                }
+                std::hint::spin_loop();
+            }
         }
 
-        /// The id and durable record of each of the first `rows` rows of
-        /// the front bank, then of the back bank; the caller is the
-        /// shard's thread, so no write is in flight.
-        pub(crate) fn bank_rows(&self, rows: usize) -> [Vec<(u64, PeerDurable)>; 2] {
+        /// The id of each of the first `rows` rows of the front bank, then
+        /// of the back bank; the caller is the shard's thread, so no write
+        /// is in flight.
+        pub(crate) fn bank_rows(&self, rows: usize) -> [Vec<u64>; 2] {
             let front = self.front.load(Ordering::Relaxed) & 1;
             [front, front ^ 1].map(|b| {
                 let bank = &self.banks[b];
                 (0..rows)
                     .map(|row| {
                         let (chunk, i) = bank.row(row).expect("a reached row has a chunk");
-                        let id = chunk.ids[i].load(Ordering::Relaxed);
-                        (id, load_durable(&chunk.durable[i]))
+                        chunk.ids[i].load(Ordering::Relaxed)
                     })
                     .collect()
             })
+        }
+
+        /// The tenant and record of each of the first `rows` rows of the
+        /// durable table, `None` where it is vacant.
+        pub(crate) fn durable_rows(&self, rows: usize) -> Vec<Option<(ProcessId, PeerDurable)>> {
+            (0..rows)
+                .map(|row| load_row(self.durable.row(row).expect("a reached row has a chunk")))
+                .collect()
         }
 
         /// Row chunks allocated so far, per bank.
@@ -871,6 +1030,15 @@ mod tests {
             (self.banks)
                 .each_ref()
                 .map(|b| b.chunks.iter().filter(|c| c.get().is_some()).count())
+        }
+
+        /// Row chunks the durable table has allocated so far.
+        pub(crate) fn durable_chunks_allocated(&self) -> usize {
+            self.durable
+                .chunks
+                .iter()
+                .filter(|c| c.get().is_some())
+                .count()
         }
 
         /// Entries in the index's probed prefix.
@@ -921,6 +1089,24 @@ mod tests {
         });
         assert_eq!(word(), odd + 1);
         assert_eq!(lock.try_read(|| "read"), Some("read"));
+    }
+
+    #[test]
+    fn a_durable_row_is_one_aligned_cache_line() {
+        // Whatever 16-byte boundary the allocator hands the block, every
+        // row starts on a line and the rows do not overlap.
+        for _ in 0..8 {
+            let chunks: Vec<DurableChunk> = (0..4).map(|_| DurableChunk::new()).collect();
+            for chunk in &chunks {
+                let rows: Vec<usize> = (0..CHUNK)
+                    .map(|i| chunk.row(i).expect("a chunk holds CHUNK rows"))
+                    .map(|row| row.as_ptr().addr())
+                    .collect();
+                assert!(rows.iter().all(|&at| at % 64 == 0), "{rows:x?}");
+                assert!(rows.windows(2).all(|w| w[1] - w[0] == 64));
+            }
+        }
+        assert_eq!(std::mem::size_of::<DurableRow>(), 64);
     }
 
     mod slot_index {

@@ -128,6 +128,7 @@ impl FrameBatch {
     /// Creates an arena of `slots` cells (floored at 1).
     pub fn with_capacity(slots: usize) -> Self {
         FrameBatch {
+            // lint:allow(no-alloc-in-hot-path, once an arena: its frame cells)
             slots: (0..slots.max(1)).map(|_| FrameCell::EMPTY).collect(),
             len: 0,
         }
@@ -365,6 +366,7 @@ impl Transport for ChannelTransport {
             return Err(TransportError::Disconnected);
         }
         let Some(cell) = FrameCell::new(frame) else {
+            // lint:allow(no-alloc-in-hot-path, cold error path: an oversize frame refused)
             return Err(TransportError::Io(format!(
                 "frame of {} bytes exceeds MAX_DATAGRAM ({MAX_DATAGRAM})",
                 frame.len()
