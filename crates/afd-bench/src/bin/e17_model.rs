@@ -12,7 +12,7 @@
 //!    [`ModelBounds::mutant_hunt`] bounds. Each must be caught by the
 //!    property planted for it, the counterexample must minimize to a
 //!    1-minimal schedule, and the schedule must replay through the real
-//!    `SenderCore`/`ShardedMonitor` stack as a `ChaosScript` with no
+//!    `SenderCore`/`ShardedMonitor` stack ([`runtime_trace`]) with no
 //!    index drift.
 //!
 //! `--smoke` swaps the exhaustive bounds (30-tick horizon, ~4.9 M states,
@@ -20,8 +20,10 @@
 //! The ≥ 100 k floor holds in both modes.
 
 use afd_detectors::spec;
-use afd_model::{explore, find_counterexample, minimize, replay, to_script, ModelBounds, Mutant};
-use afd_runtime::{run_chaos_script, Clock, SystemClock};
+use afd_model::{
+    explore, find_counterexample, minimize, replay, runtime_trace, ModelBounds, Mutant,
+};
+use afd_runtime::{Clock, SystemClock};
 
 fn wall_s(clock: &SystemClock, since: afd_core::time::Timestamp) -> f64 {
     clock.now().saturating_duration_since(since).as_secs_f64()
@@ -94,14 +96,9 @@ fn hunt(clock: &SystemClock) {
 
         // The counterexample is an artifact, not a claim: replay it
         // through the real sender/monitor pipeline.
-        let script = to_script(&bounds, &min.path);
-        let detector = simple
-            .detector
-            .model_sized(script.heartbeat_interval)
-            .expect("a model script's heartbeat interval is positive");
-        let report = run_chaos_script(&script, move |_| detector.build());
+        let report = runtime_trace(simple, bounds, &min.path);
         assert_eq!(
-            report.trace.len(),
+            report.levels.len(),
             min.path.len(),
             "{}: runtime replay diverged from the model schedule",
             mutant.name()

@@ -25,15 +25,15 @@ pub struct ModelBounds {
     pub max_in_flight: usize,
     /// Heartbeat cadence, in ticks (Algorithm 4's Δ_i).
     pub heartbeat_every: u32,
-    /// Wall-time meaning of one tick (only matters for replay scripts and
-    /// the absolute level values; the search itself is tick-indexed).
+    /// Wall-time meaning of one tick (only matters for the runtime replay
+    /// and the absolute level values; the search itself is tick-indexed).
     pub tick: Duration,
     /// How many frames may be lost across the whole run.
     pub max_losses: u32,
     /// How many frames may be duplicated across the whole run.
     pub max_duplicates: u32,
     /// How many processes may crash (crashes are permanent, in the model
-    /// and in the replay script format alike).
+    /// and in its runtime replay alike).
     pub max_crashes: u32,
     /// How many ticks may pass while frames are still undelivered — the
     /// total delivery-delay budget of the schedule.
@@ -44,6 +44,11 @@ pub struct ModelBounds {
 }
 
 impl ModelBounds {
+    /// Algorithm 4's Δ_i in time: `heartbeat_every` ticks.
+    pub fn heartbeat_interval(&self) -> Duration {
+        self.tick.mul_f64(f64::from(self.heartbeat_every))
+    }
+
     /// The e17 exhaustive bounds: 2 processes, 30 ticks, 4 in-flight.
     /// One loss, one duplicate, one crash, one deferral — every fault
     /// class present at every schedule position, ~4.9 million canonical

@@ -32,9 +32,9 @@
 //!
 //! A violation comes back as a [`Counterexample`]: the event path from
 //! the initial state, shrinkable to a 1-minimal schedule
-//! ([`replay::minimize`]) and convertible to a replayable
-//! [`afd_runtime::ChaosScript`] ([`replay::to_script`]) so the finding
-//! can be confirmed against the real sender/monitor stack.
+//! ([`replay::minimize`]) and replayable through the real sender/monitor
+//! stack ([`replay::runtime_trace`]), so the finding can be confirmed on
+//! the code that ships.
 //!
 //! Soundness is demonstrated, not assumed: [`Mutant`] plants one defect
 //! at a time (a saw-toothing level, a dropped sequence check, an
@@ -60,5 +60,5 @@ pub mod state;
 pub use bounds::ModelBounds;
 pub use explore::{explore, find_counterexample, Counterexample, ExploreReport};
 pub use mutants::Mutant;
-pub use replay::{minimize, model_trace, replay, to_script};
+pub use replay::{minimize, model_trace, replay, runtime_trace, RuntimeTrace};
 pub use state::{Frame, ModelEvent, ModelState, Property, Violation};

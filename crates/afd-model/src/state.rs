@@ -24,9 +24,13 @@ use afd_detectors::spec::ZooSpec;
 use crate::bounds::ModelBounds;
 use crate::mutants::{really_fresh, Alg1Sut, Alg2Sut, DetectorSut, HystSut, Mutant, SeqSut};
 
-/// One event of the model's alphabet. Mirrors
-/// [`afd_runtime::ScriptEvent`] one-to-one, so a model path converts
-/// directly into a replayable script.
+/// One event of the model's alphabet, and of its runtime replay
+/// ([`runtime_trace`](crate::replay::runtime_trace)).
+///
+/// In-flight frames form an ordered pool; `Deliver`, `Drop` and
+/// `Duplicate` address it by index with stable `Vec::remove` semantics (a
+/// copy joins the end), on both sides, so a schedule the model enumerates
+/// maps to exactly one runtime execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelEvent {
     /// Advance virtual time one tick; due heartbeats are emitted and
@@ -181,10 +185,9 @@ impl ModelState {
     ///
     /// Panics if `bounds` space heartbeats zero apart.
     pub fn initial(spec: ZooSpec, mutant: Mutant, bounds: ModelBounds) -> Self {
-        let interval = bounds.tick.mul_f64(f64::from(bounds.heartbeat_every));
         let detector = spec
             .detector
-            .model_sized(interval)
+            .model_sized(bounds.heartbeat_interval())
             .expect("model bounds space heartbeats a positive interval apart");
         let (t0, t1, t2, epsilon) = (spec.low, spec.threshold, spec.high, spec.epsilon);
         let procs = (1..=bounds.processes)

@@ -66,10 +66,7 @@ pub mod transport;
 pub mod varint;
 pub mod wire;
 
-pub use chaos::{
-    run_chaos, run_chaos_script, ChaosReport, ChaosScript, LinkStats, ScriptEvent, ScriptReport,
-    ScriptSample, ZooDetectorReport,
-};
+pub use chaos::{run_chaos, ChaosReport, LinkStats, ZooDetectorReport};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use degrade::{DegradeConfig, GracefulDegradation};
 pub use engine::{EngineConfig, EngineStats, ParallelShardEngine};

@@ -3,10 +3,9 @@
 //!
 //! [`SenderCore`] is the pure stepping logic — given "now", decide whether
 //! a heartbeat is due and push it through the transport under a
-//! [`RetryPolicy`]. The model checker's script replay
-//! ([`run_chaos_script`](crate::chaos::run_chaos_script)) drives a core
-//! directly in virtual time; [`spawn_sender`] wraps one in a thread
-//! against the real clock.
+//! [`RetryPolicy`]. The model checker's runtime replay
+//! (`afd_model::runtime_trace`) drives cores directly in virtual time;
+//! [`spawn_sender`] wraps one in a thread against the real clock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
