@@ -468,10 +468,7 @@ impl SeqSut {
     pub fn accepts(self, seq: u64, highest: Option<u64>) -> bool {
         match self {
             SeqSut::AlwaysFresh => true,
-            SeqSut::Real => match highest {
-                None => true,
-                Some(h) => classify(seq, h) == SeqVerdict::Fresh,
-            },
+            SeqSut::Real => really_fresh(seq, highest),
         }
     }
 }
