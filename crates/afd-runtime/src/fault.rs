@@ -89,15 +89,16 @@ impl FaultPlan {
     }
 
     /// Duplicates each delivered frame with probability `p` (the copy gets
-    /// its own delay sample).
+    /// its own delay sample). Panics if `p` is NaN or outside `[0, 1]`.
     pub fn with_duplicate(mut self, p: f64) -> Self {
-        self.duplicate = p.clamp(0.0, 1.0);
+        self.duplicate = probability("duplicate probability", p);
         self
     }
 
-    /// Flips one random byte of a frame with probability `p`.
+    /// Flips one random byte of a frame with probability `p`. Panics if
+    /// `p` is NaN or outside `[0, 1]`.
     pub fn with_corrupt(mut self, p: f64) -> Self {
-        self.corrupt = p.clamp(0.0, 1.0);
+        self.corrupt = probability("corrupt probability", p);
         self
     }
 
@@ -111,6 +112,17 @@ impl FaultPlan {
         });
         self
     }
+}
+
+/// `p`, checked to be a probability: NaN and values outside `[0, 1]` are
+/// rejected as afd-sim's loss models reject them.
+fn probability(name: &str, p: f64) -> f64 {
+    // `contains` is false for NaN, so NaN is rejected here too.
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "{name} must be in [0, 1], got {p}"
+    );
+    p
 }
 
 /// Counters describing what the injector actually did.
@@ -403,6 +415,23 @@ mod tests {
         assert_eq!(rx.in_flight(), 1);
         clock.advance(Duration::from_secs(3));
         assert_eq!(drain_frames(&mut rx), vec![b"slow".to_vec()]);
+    }
+
+    #[test]
+    fn probabilities_outside_the_unit_interval_are_rejected() {
+        type Builder = fn(FaultPlan, f64) -> FaultPlan;
+        let builders: [(&str, Builder); 2] = [
+            ("duplicate probability", FaultPlan::with_duplicate),
+            ("corrupt probability", FaultPlan::with_corrupt),
+        ];
+        for (name, build) in builders {
+            for p in [f64::NAN, -0.1, 1.5] {
+                let err = std::panic::catch_unwind(|| build(FaultPlan::new(), p))
+                    .expect_err("an out-of-range probability must be rejected");
+                let message = err.downcast_ref::<String>().unwrap();
+                assert!(message.contains(name), "{message}");
+            }
+        }
     }
 
     #[test]
