@@ -51,6 +51,14 @@ pub struct DetectorSeed {
 /// [`AccrualFailureDetector::level_curve`] hands a monitor, which can then
 /// answer queries — [`at`](Self::at), or eight peers at a time with
 /// [`at_block`](Self::at_block) — without going back to the detector.
+///
+/// Every form is a function of the seconds elapsed since one instant, its
+/// [`origin`](Self::origin), and of two parameters. A monitor that holds
+/// many curves can store them field by field in [`CurveBlock`]s, age each
+/// distinct origin once per query time, and hand the block kernel
+/// [`CurveBlock::levels`] each lane's elapsed seconds: peers heard in the
+/// same receive step share their origin, so the conversion of `now −
+/// origin` to seconds is paid once per step, not once per peer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LevelCurve {
     /// Zero whenever asked: nothing has been heard yet, and the detector
@@ -82,10 +90,63 @@ pub enum LevelCurve {
     },
 }
 
+/// Which of [`LevelCurve`]'s three closed forms a curve has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum CurveKind {
+    /// [`LevelCurve::Zero`].
+    #[default]
+    Zero,
+    /// [`LevelCurve::Linear`].
+    Linear,
+    /// [`LevelCurve::NormalTail`].
+    NormalTail,
+}
+
+/// [`LevelCurve::BLOCK`] curves field by field — kind, first and second
+/// parameter — without the instants they measure from: what the block
+/// kernel [`levels`](Self::levels) reads, once the caller knows each
+/// lane's elapsed seconds. A linear lane's parameters are `rate` and
+/// `per`, a normal tail's `mean` and `scale`, a zero lane's both zero.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct CurveBlock {
+    kind: [CurveKind; LANES],
+    first: [f64; LANES],
+    second: [f64; LANES],
+}
+
 /// What [`SuspicionLevel::clamped`] stores, for a value that is not NaN.
 #[inline]
 fn clamp(level: f64) -> f64 {
     level.max(0.0) + 0.0
+}
+
+/// The kernel's first stage for one lane: `erfc`'s argument, for a normal
+/// tail `elapsed` seconds after its last arrival; zero for the other
+/// kinds, whose lane of the `erfc` stage is discarded.
+#[inline]
+fn lane_u(kind: CurveKind, elapsed: f64, mean: f64, scale: f64) -> f64 {
+    match kind {
+        CurveKind::NormalTail => (elapsed - mean) * scale,
+        CurveKind::Zero | CurveKind::Linear => 0.0,
+    }
+}
+
+/// The kernel's last stage for one lane: the level `elapsed` seconds past
+/// the origin, given the `erfc` stage's `ln(½·erfc(u))` — as
+/// [`SuspicionLevel::value`] reports it, never negative, never `-0.0`. A
+/// normal tail is zero at the arrival instant itself, by a select rather
+/// than a branch (`clamp(-0.0)` is `0.0`): a shard's rows just heard sit
+/// among the others at no pattern a branch predictor could learn.
+#[inline]
+fn lane_level(kind: CurveKind, elapsed: f64, first: f64, second: f64, ln_tail: f64) -> f64 {
+    match kind {
+        CurveKind::Zero => 0.0,
+        CurveKind::Linear => clamp(elapsed * first / second),
+        CurveKind::NormalTail => {
+            let ln_tail = if elapsed > 0.0 { ln_tail } else { 0.0 };
+            clamp(-(ln_tail * LOG10_E))
+        }
+    }
 }
 
 impl LevelCurve {
@@ -102,83 +163,141 @@ impl LevelCurve {
         }
     }
 
-    /// Seconds from `since` to `now`, zero if `now` is not later.
+    /// The instant the curve measures its elapsed time from: a linear
+    /// curve's `since`, a normal tail's `last`; `None` for the zero curve.
     #[inline]
-    fn elapsed(now: Timestamp, since: Timestamp) -> f64 {
-        now.saturating_duration_since(since).as_secs_f64()
+    pub fn origin(&self) -> Option<Timestamp> {
+        match *self {
+            LevelCurve::Zero => None,
+            LevelCurve::Linear { since, .. } => Some(since),
+            LevelCurve::NormalTail { last, .. } => Some(last),
+        }
     }
 
-    /// The linear level `elapsed` seconds past `since`.
+    /// Seconds from `origin` to `now`, zero if `now` is not later: the
+    /// elapsed time every kind's level is a function of. A curve without
+    /// an origin is fed zero.
     #[inline]
-    fn linear_level(elapsed: f64, rate: f64, per: f64) -> f64 {
-        clamp(elapsed * rate / per)
+    pub fn elapsed(now: Timestamp, origin: Timestamp) -> f64 {
+        now.saturating_duration_since(origin).as_secs_f64()
     }
 
-    /// `erfc`'s argument for the normal tail `elapsed` seconds after the
-    /// last arrival.
+    /// The curve's kind and two parameters.
     #[inline]
-    fn normal_u(elapsed: f64, mean: f64, scale: f64) -> f64 {
-        (elapsed - mean) * scale
-    }
-
-    /// The φ value a normal tail's `ln(½·erfc(u))` stands for; zero at the
-    /// arrival instant itself.
-    #[inline]
-    fn normal_level(elapsed: f64, ln_tail: f64) -> f64 {
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            clamp(-(ln_tail * LOG10_E))
+    fn fields(&self) -> (CurveKind, f64, f64) {
+        match *self {
+            LevelCurve::Zero => (CurveKind::Zero, 0.0, 0.0),
+            LevelCurve::Linear { rate, per, .. } => (CurveKind::Linear, rate, per),
+            LevelCurve::NormalTail { mean, scale, .. } => (CurveKind::NormalTail, mean, scale),
         }
     }
 
     /// The level at `now`, as [`SuspicionLevel::value`] reports it: never
-    /// negative, never `-0.0`.
+    /// negative, never `-0.0`. One lane of the block kernel, with the
+    /// scalar `erfc` stage.
     #[inline]
     pub fn at(&self, now: Timestamp) -> f64 {
-        match *self {
-            LevelCurve::Zero => 0.0,
-            LevelCurve::Linear { since, rate, per } => {
-                Self::linear_level(Self::elapsed(now, since), rate, per)
+        let (kind, first, second) = self.fields();
+        let elapsed = self
+            .origin()
+            .map_or(0.0, |origin| Self::elapsed(now, origin));
+        let ln_tail = match kind {
+            CurveKind::NormalTail => ln_half_erfc(lane_u(kind, elapsed, first, second)),
+            CurveKind::Zero | CurveKind::Linear => 0.0,
+        };
+        lane_level(kind, elapsed, first, second, ln_tail)
+    }
+
+    /// [`at`](Self::at) for eight curves, bit for bit: every lane's
+    /// elapsed time, then the block kernel [`CurveBlock::levels`]. Pad a
+    /// short block with [`LevelCurve::Zero`].
+    #[inline]
+    pub fn at_block(curves: &[LevelCurve; Self::BLOCK], now: Timestamp) -> [f64; Self::BLOCK] {
+        let mut block = CurveBlock::default();
+        let mut elapsed = [0.0; Self::BLOCK];
+        for (lane, (curve, elapsed)) in curves.iter().zip(&mut elapsed).enumerate() {
+            if let Some(origin) = block.set(lane, curve) {
+                *elapsed = Self::elapsed(now, origin);
             }
-            LevelCurve::NormalTail { last, mean, scale } => {
-                let elapsed = Self::elapsed(now, last);
-                let ln_tail = ln_half_erfc(Self::normal_u(elapsed, mean, scale));
-                Self::normal_level(elapsed, ln_tail)
-            }
+        }
+        block.levels(&elapsed)
+    }
+}
+
+impl CurveBlock {
+    /// Stores `curve`'s kind and parameters in lane `lane` and returns its
+    /// [`origin`](LevelCurve::origin), which the block leaves to the
+    /// caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`LevelCurve::BLOCK`].
+    #[inline]
+    pub fn set(&mut self, lane: usize, curve: &LevelCurve) -> Option<Timestamp> {
+        (self.kind[lane], self.first[lane], self.second[lane]) = curve.fields();
+        curve.origin()
+    }
+
+    /// The curve in lane `lane`, measuring from `origin` (which a zero
+    /// lane ignores): what [`set`](Self::set) stored, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`LevelCurve::BLOCK`].
+    pub fn curve(&self, lane: usize, origin: Timestamp) -> LevelCurve {
+        let (first, second) = (self.first[lane], self.second[lane]);
+        match self.kind[lane] {
+            CurveKind::Zero => LevelCurve::Zero,
+            CurveKind::Linear => LevelCurve::Linear {
+                since: origin,
+                rate: first,
+                per: second,
+            },
+            CurveKind::NormalTail => LevelCurve::NormalTail {
+                last: origin,
+                mean: first,
+                scale: second,
+            },
         }
     }
 
-    /// [`at`](Self::at) for eight curves, bit for bit, in *stages* — every
-    /// lane's argument, then every lane's table piece, then every lane's
-    /// polynomial, then the selection — each a short loop of its own. One
-    /// curve's evaluation is a chain of some twenty-five dependent
+    /// The block kernel: every lane's level, given each lane's seconds
+    /// since its origin ([`LevelCurve::elapsed`]; zero for a zero lane),
+    /// bit for bit what [`LevelCurve::at`] gives — computed in *stages*:
+    /// every lane's argument, then every lane's table piece, then every
+    /// lane's polynomial, then the selection, each a short loop of its
+    /// own. One curve's evaluation is a chain of some twenty dependent
     /// operations, long enough that a processor walking curves one by one
     /// keeps only two or three in flight; staged, the eight chains of a
     /// stage are independent and overlap. A lane past the polynomial's
     /// range (a peer well into suspicion) is handed back to the scalar
-    /// path. Pad a short block with [`LevelCurve::Zero`].
+    /// path.
+    ///
+    /// The elapsed time is the caller's because it is the same for every
+    /// curve measured from the same instant: [`at_block`] converts it
+    /// lane by lane, a monitor once per distinct origin.
+    ///
+    /// [`at_block`]: LevelCurve::at_block
     #[inline]
-    pub fn at_block(curves: &[LevelCurve; Self::BLOCK], now: Timestamp) -> [f64; Self::BLOCK] {
-        let mut elapsed = [0.0; Self::BLOCK];
-        let mut u = [0.0; Self::BLOCK];
-        for ((curve, elapsed), u) in curves.iter().zip(&mut elapsed).zip(&mut u) {
-            match *curve {
-                LevelCurve::Zero => {}
-                LevelCurve::Linear { since, .. } => *elapsed = Self::elapsed(now, since),
-                LevelCurve::NormalTail { last, mean, scale } => {
-                    *elapsed = Self::elapsed(now, last);
-                    *u = Self::normal_u(*elapsed, mean, scale);
-                }
-            }
+    pub fn levels(&self, elapsed: &[f64; LANES]) -> [f64; LANES] {
+        let mut u = [0.0; LANES];
+        for (lane, u) in u.iter_mut().enumerate() {
+            *u = lane_u(
+                self.kind[lane],
+                elapsed[lane],
+                self.first[lane],
+                self.second[lane],
+            );
         }
         let mut levels = ln_half_erfc_block(&u);
-        for ((curve, elapsed), level) in curves.iter().zip(elapsed).zip(&mut levels) {
-            *level = match *curve {
-                LevelCurve::Zero => 0.0,
-                LevelCurve::Linear { rate, per, .. } => Self::linear_level(elapsed, rate, per),
-                LevelCurve::NormalTail { .. } => Self::normal_level(elapsed, *level),
-            };
+        for (lane, level) in levels.iter_mut().enumerate() {
+            *level = lane_level(
+                self.kind[lane],
+                elapsed[lane],
+                self.first[lane],
+                self.second[lane],
+                *level,
+            );
         }
         levels
     }
@@ -492,6 +611,62 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_elapsed_fed_kernel_is_at_lane_for_lane() {
+        let origin = Timestamp::from_secs(10);
+        // σ = 0.1 s around a 1 s mean: u = (elapsed − 1)/(0.1·√2).
+        let (mean, scale) = (1.0, 1.0 / (0.1 * core::f64::consts::SQRT_2));
+        let normal = |last| LevelCurve::NormalTail { last, mean, scale };
+        let linear = |since| LevelCurve::Linear {
+            since,
+            rate: 3.0,
+            per: 2.0,
+        };
+        let curves = [
+            LevelCurve::Zero,
+            normal(origin),
+            linear(origin),
+            normal(Timestamp::from_secs(12)),
+            normal(Timestamp::MAX),
+            linear(Timestamp::from_secs(13)),
+            LevelCurve::seconds_since(Timestamp::MAX),
+            LevelCurve::Zero,
+        ];
+        let mut block = CurveBlock::default();
+        let origins = curves.map(|curve| curve.origin());
+        for (lane, curve) in curves.iter().enumerate() {
+            assert_eq!(block.set(lane, curve), curve.origin());
+            let held = block.curve(lane, origins[lane].unwrap_or(Timestamp::ZERO));
+            assert_eq!(held, *curve, "lane {lane} keeps its fields");
+        }
+        let u = |now: Timestamp| (LevelCurve::elapsed(now, origin) - mean) * scale;
+        // Lane 1 runs from before its mean (u < −6) into the cold tail
+        // (u ≥ 0.5) that a block hands back to the scalar path; lanes 3 and
+        // 5 start with `now` before their origin, lanes 4 and 6 never
+        // leave it.
+        assert!(u(Timestamp::from_millis(10_100)) < -6.0);
+        assert!(u(Timestamp::from_secs(15)) >= 0.5);
+        for millis in [
+            0, 9_000, 10_000, 10_100, 10_950, 11_000, 11_071, 11_500, 12_500, 15_000, 99_000,
+        ] {
+            let now = Timestamp::from_millis(millis);
+            let elapsed = origins.map(|o| o.map_or(0.0, |o| LevelCurve::elapsed(now, o)));
+            let levels = block.levels(&elapsed);
+            for (lane, (curve, level)) in curves.iter().zip(levels).enumerate() {
+                let want = curve.at(now);
+                assert_eq!(level.to_bits(), want.to_bits(), "lane {lane} at {now}");
+            }
+            let staged = LevelCurve::at_block(&curves, now);
+            assert_eq!(staged.map(f64::to_bits), levels.map(f64::to_bits));
+        }
+        assert!(
+            curves[1].at(Timestamp::from_secs(15)) > 300.0,
+            "the cold tail"
+        );
+        assert_eq!(curves[4].at(Timestamp::from_secs(99)), 0.0);
+        assert_eq!(curves[5].at(Timestamp::from_secs(12)), 0.0);
     }
 
     /// A detector overriding the seed methods must keep its override when

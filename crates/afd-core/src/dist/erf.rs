@@ -156,7 +156,10 @@ pub(crate) const LANES: usize = 8;
 /// chains, where the eight chains of a stage are independent and overlap.
 /// The polynomial is evaluated for every lane — a lane outside
 /// `[−6, 0.5)` reads a clamped piece and its value is discarded — and a
-/// lane at `0.5` or above (or NaN) takes the scalar tail form.
+/// lane at `0.5` or above (or NaN) takes the scalar tail form. A lane
+/// below `−6` is zeroed by a select, not a branch: a monitor's rows mix
+/// peers heard a moment ago (saturated) with peers due (live) at no
+/// pattern a branch predictor could learn.
 #[inline]
 pub(crate) fn ln_half_erfc_block(x: &[f64; LANES]) -> [f64; LANES] {
     let mut pieces = [(0usize, 0.0f64); LANES];
@@ -168,13 +171,8 @@ pub(crate) fn ln_half_erfc_block(x: &[f64; LANES]) -> [f64; LANES] {
         *out = poly6(&LN_HALF_ERFC[i], d);
     }
     for (out, &x) in out.iter_mut().zip(x) {
-        *out = if x < SATURATED {
-            0.0
-        } else if x < SMALL_X {
-            *out
-        } else {
-            suspect_tail(x)
-        };
+        let live = if x < SATURATED { 0.0 } else { *out };
+        *out = if x < SMALL_X { live } else { suspect_tail(x) };
     }
     out
 }
@@ -203,13 +201,16 @@ fn live_poly(x: f64) -> f64 {
 
 /// The row of the direct fit `x` falls in and its offset from that row's
 /// centre. `as` saturates and the row is clamped, so any `x` — below the
-/// fit, above it, NaN — lands in a row that exists. Through `i32`: x86 has
-/// no conversion to an unsigned integer, and emulating one costs more than
-/// the rest of this function.
+/// fit, above it, NaN — lands in a row that exists. Through `u32`, not
+/// `u64` (x86 has no conversion to a 64-bit unsigned integer, and
+/// emulating one costs more than the rest of this function) and not `i32`:
+/// `as u32` floors a negative argument at zero with the float `max` it
+/// saturates with, where the `i32` route clamped it again with a branch
+/// that a block of peers mixing saturated and live lanes mispredicts.
 #[inline]
 fn live_piece(x: f64) -> (usize, f64) {
-    const LAST: i32 = LN_HALF_ERFC.len() as i32 - 1;
-    let i = (((x - LIVE_LO) * LIVE_SCALE) as i32).clamp(0, LAST) as usize;
+    const LAST: u32 = LN_HALF_ERFC.len() as u32 - 1;
+    let i = (((x - LIVE_LO) * LIVE_SCALE) as u32).min(LAST) as usize;
     (i, x - LIVE_CENTRE[i])
 }
 

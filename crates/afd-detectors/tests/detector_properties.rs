@@ -10,7 +10,7 @@
 //!   the run gets longer (the empirical signature of boundedness).
 //! - Monotonicity between heartbeats, and basic cross-detector sanity.
 
-use afd_core::accrual::{AccrualFailureDetector, LevelCurve};
+use afd_core::accrual::{AccrualFailureDetector, CurveBlock, LevelCurve};
 use afd_core::canonical::{digest_of, CanonicalState};
 use afd_core::dist::{ArrivalDistribution, Exponential, Normal};
 use afd_core::history::SuspicionTrace;
@@ -387,7 +387,8 @@ proptest! {
     /// gave, bit for bit — before the first heartbeat, at the arrival
     /// instant, across the live range, in the tail regime and past φ = 300
     /// — and `at_block` is `at`, lane for lane, for mixed kinds and
-    /// zero-curve padding.
+    /// zero-curve padding, as is the block kernel fed each lane's elapsed
+    /// seconds, the way a monitor's curve column feeds it.
     #[test]
     fn level_curve_is_the_level_bit_for_bit(
         gaps in prop::collection::vec(0.01..3.0f64, 0..40),
@@ -481,6 +482,15 @@ proptest! {
             let levels = LevelCurve::at_block(&block, now);
             for (lane, (curve, level)) in block.iter().zip(levels).enumerate() {
                 prop_assert_eq!(level.to_bits(), curve.at(now).to_bits(), "lane {} at {}", lane, now);
+            }
+            let (mut fields, mut aged) = (CurveBlock::default(), [0.0; LevelCurve::BLOCK]);
+            for (lane, curve) in block.iter().enumerate() {
+                if let Some(origin) = fields.set(lane, curve) {
+                    aged[lane] = LevelCurve::elapsed(now, origin);
+                }
+            }
+            for (lane, (curve, level)) in block.iter().zip(fields.levels(&aged)).enumerate() {
+                prop_assert_eq!(level.to_bits(), curve.at(now).to_bits(), "kernel lane {} at {}", lane, now);
             }
             // Past φ = 300 the normal tail is long past `erfc`'s underflow.
             if elapsed(now, t) >= normal.mean_interval() + 45.0 * normal.std_dev() && !gaps.is_empty() {

@@ -24,9 +24,10 @@
 //!    their [`LevelCurve`] and writing their rows, whose ids the cell
 //!    copies into the other bank after the flip; the *level* pass
 //!    re-evaluates every level from the shard's dense column of curves,
-//!    eight peers at a time, without touching a slot. The protocol between this writer and the readers —
-//!    slots, banks, the index and their seqlocks — is
-//!    [`snapshot`](crate::snapshot)'s.
+//!    ageing each distinct instant the curves measure from once and then
+//!    evaluating eight peers at a time, without touching a slot. The
+//!    protocol between this writer and the readers — slots, banks, the
+//!    index and their seqlocks — is [`snapshot`](crate::snapshot)'s.
 //!
 //! `Shard` owns every per-shard operation (watch with capacity,
 //! unwatch, import of a restored peer, accept, publish, counters), so the
@@ -80,7 +81,7 @@ use std::hint::black_box;
 use std::mem;
 use std::sync::Arc;
 
-use afd_core::accrual::{AccrualFailureDetector, LevelCurve};
+use afd_core::accrual::{AccrualFailureDetector, CurveBlock, LevelCurve};
 use afd_core::process::ProcessId;
 use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
@@ -89,7 +90,7 @@ use crate::clock::Clock;
 use crate::error::TransportError;
 use crate::persist::{RestoreImport, RestoredPeer};
 use crate::seq::{classify, SeqVerdict};
-use crate::snapshot::{marked, shard_index, PeerDurable, ShardCell, SnapshotReader};
+use crate::snapshot::{marked, shard_index, PeerDurable, ShardCell, SnapshotReader, FIBONACCI};
 use crate::transport::{FrameBatch, Transport};
 use crate::wire::{Heartbeat, WireDecoder};
 
@@ -239,11 +240,18 @@ impl<D> Slot<D> {
 
 /// The curve column of a shard: for every slot of the slab, the level of
 /// the peer in it as a function of the query time. It is what a publish
-/// evaluates in place of the detectors — dense, 32 bytes a row where a φ
+/// evaluates in place of the detectors — dense, 21 bytes a row where a φ
 /// slot is 128 — and it is kept here, not gathered from the slots at each
 /// publish: the second visit to the slots costs more than staging saves.
 /// It is the one copy: a detector builds its curve when asked and keeps
 /// none.
+///
+/// A row is stored field by field — kind and two parameters in a
+/// [`CurveBlock`], and a `u32` entry of the column's [`Origins`] for the
+/// instant it measures from — so that a publish converts `now − origin` to
+/// seconds once per distinct instant and not once per row: every
+/// heartbeat of one intake refill carries the refill's stamp, and a φ
+/// shard of a thousand peers holds a few dozen distinct last arrivals.
 ///
 /// It grows a block at a time with the slab and, unlike the slab, reserves
 /// nothing ahead, so a shard pays for the peers it watches and not for its
@@ -254,30 +262,64 @@ impl<D> Slot<D> {
 /// of them being written.)
 #[derive(Default)]
 struct CurveColumn {
-    /// Row `r` is `blocks[r / BLOCK][r % BLOCK]`, a block being what one
-    /// [`LevelCurve::at_block`] takes. A row is the zero curve while its
-    /// slot is vacant, not yet reached by the slab, or listed below.
-    blocks: Vec<[LevelCurve; LevelCurve::BLOCK]>,
+    /// Row `r` is lane `r % BLOCK` of `blocks[r / BLOCK]`, a block being
+    /// what one [`CurveBlock::levels`] takes. A row is the zero curve
+    /// while its slot is vacant, not yet reached by the slab, or listed
+    /// below.
+    blocks: Vec<ColumnBlock>,
+    /// The instants the rows measure from.
+    origins: Origins,
     /// The live slots whose detector has no curve, ascending: their level
     /// is still asked of the detector, one by one, at every publish.
     curveless: Vec<usize>,
+}
+
+/// [`LevelCurve::BLOCK`] rows of a [`CurveColumn`]: 168 bytes.
+#[derive(Default)]
+struct ColumnBlock {
+    curves: CurveBlock,
+    /// Each row's entry in the column's [`Origins`]; [`Origins::NONE`] for
+    /// a zero curve.
+    origins: [u32; LevelCurve::BLOCK],
+}
+
+impl ColumnBlock {
+    /// The block's levels, given every origin's elapsed seconds: out of
+    /// line, so that the kernel is compiled once and not into every
+    /// publish.
+    #[inline(never)]
+    fn levels(&self, elapsed: &[f64]) -> [f64; LevelCurve::BLOCK] {
+        let mut lanes = [0.0; LevelCurve::BLOCK];
+        for (lane, &entry) in lanes.iter_mut().zip(&self.origins) {
+            *lane = elapsed[entry as usize];
+        }
+        self.curves.levels(&lanes)
+    }
 }
 
 impl CurveColumn {
     /// Grows the column to hold a row for each of `slots` slots.
     fn cover(&mut self, slots: usize) {
         while self.blocks.len() * LevelCurve::BLOCK < slots {
-            self.blocks.push([LevelCurve::Zero; LevelCurve::BLOCK]);
+            self.blocks.push(ColumnBlock::default());
         }
     }
 
     /// Sets row `row` to a detector's answer: its curve, or — for `None`
     /// — the zero curve and a place on the `curveless` list, which a row
-    /// that has a curve leaves.
+    /// that has a curve leaves. The row takes the new curve's origin
+    /// before it lets go of the old one, so a row whose origin stays put
+    /// never frees its entry.
     #[inline]
     fn set(&mut self, row: usize, curve: Option<LevelCurve>) {
-        self.blocks[row / LevelCurve::BLOCK][row % LevelCurve::BLOCK] =
-            curve.unwrap_or(LevelCurve::Zero);
+        let (block, lane) = (
+            &mut self.blocks[row / LevelCurve::BLOCK],
+            row % LevelCurve::BLOCK,
+        );
+        let origin = block.curves.set(lane, &curve.unwrap_or(LevelCurve::Zero));
+        let entry = self.origins.intern(origin);
+        self.origins
+            .release(mem::replace(&mut block.origins[lane], entry));
         match (self.curveless.binary_search(&row), curve) {
             (Err(at), None) => self.curveless.insert(at, row),
             (Ok(at), Some(_)) => {
@@ -285,6 +327,234 @@ impl CurveColumn {
             }
             _ => {}
         }
+    }
+
+    /// Every row's level at `now`, a block at a time: each origin is aged
+    /// once, then each block's kernel reads its rows' elapsed seconds by
+    /// entry.
+    fn levels(&mut self, now: Timestamp) -> impl Iterator<Item = [f64; LevelCurve::BLOCK]> + '_ {
+        self.origins.age(now);
+        let elapsed = &self.origins.elapsed;
+        self.blocks.iter().map(move |block| block.levels(elapsed))
+    }
+
+    /// Row `row`'s entry in the origin table.
+    #[cfg(test)]
+    fn entry(&self, row: usize) -> u32 {
+        self.blocks[row / LevelCurve::BLOCK].origins[row % LevelCurve::BLOCK]
+    }
+
+    /// Row `row`'s curve, as [`set`](Self::set) stored it.
+    #[cfg(test)]
+    fn curve(&self, row: usize) -> LevelCurve {
+        let origin = self.origins.entries[self.entry(row) as usize].at;
+        self.blocks[row / LevelCurve::BLOCK]
+            .curves
+            .curve(row % LevelCurve::BLOCK, origin)
+    }
+
+    /// Rows the column holds, the slab's and the padding of its last
+    /// block.
+    #[cfg(test)]
+    fn rows(&self) -> usize {
+        self.blocks.len() * LevelCurve::BLOCK
+    }
+}
+
+/// The origin table of a shard's [`CurveColumn`]: the distinct instants
+/// its rows measure from — a φ row's last arrival, a linear row's `since`
+/// — each entry counted by the rows that hold it, plus the permanent
+/// [`NONE`](Self::NONE) entry of the zero curve, which is never counted.
+/// An entry no row holds any more goes on a free list and is reused, so
+/// the table holds as many entries as the column has distinct instants:
+/// a few dozen on a shard whose peers are heard in batches, one a row
+/// where no two rows share one (Chen's expected arrivals).
+struct Origins {
+    /// Entry `i`'s instant and the rows holding it.
+    entries: Vec<Origin>,
+    /// Entry `i`'s seconds to the last [`age`](Self::age)'s `now`; zero
+    /// for `NONE`.
+    elapsed: Vec<f64>,
+    /// The entry of every held instant, by open addressing with linear
+    /// probing from the top bits of the instant's Fibonacci hash; `NONE`
+    /// marks an empty slot. Its length is a power of two at least twice
+    /// the held entries (zero before the first), and a removal moves the
+    /// rest of its run back rather than leave a tombstone.
+    index: Vec<u32>,
+    /// Entries no row holds.
+    free: Vec<u32>,
+    /// The instant interned last and its entry, while a row holds it: the
+    /// rows of one refill, set one after another, find their entry here
+    /// without probing `index`.
+    memo: Option<(Timestamp, u32)>,
+}
+
+/// One entry of [`Origins`].
+#[derive(Clone, Copy)]
+struct Origin {
+    at: Timestamp,
+    rows: u32,
+}
+
+impl Default for Origins {
+    fn default() -> Self {
+        let none = Origin {
+            at: Timestamp::ZERO,
+            rows: 0,
+        };
+        Origins {
+            // lint:allow(no-alloc-in-hot-path, once a shard: the NONE entry)
+            entries: vec![none],
+            // lint:allow(no-alloc-in-hot-path, once a shard: the NONE entry)
+            elapsed: vec![0.0],
+            // lint:allow(no-alloc-in-hot-path, once a shard: an empty index)
+            index: Vec::new(),
+            // lint:allow(no-alloc-in-hot-path, once a shard: an empty list)
+            free: Vec::new(),
+            memo: None,
+        }
+    }
+}
+
+impl Origins {
+    /// The entry of every zero row.
+    const NONE: u32 = 0;
+
+    /// The entry a row measuring from `origin` holds, counted one more
+    /// time; [`NONE`](Self::NONE) for no origin.
+    #[inline]
+    fn intern(&mut self, origin: Option<Timestamp>) -> u32 {
+        let Some(at) = origin else {
+            return Self::NONE;
+        };
+        let entry = match self.memo {
+            Some((memo, entry)) if memo == at => entry,
+            _ => {
+                let entry = self.find_or_insert(at);
+                self.memo = Some((at, entry));
+                entry
+            }
+        };
+        self.entries[entry as usize].rows += 1;
+        entry
+    }
+
+    /// Counts `entry` one row fewer, freeing it when no row holds it.
+    #[inline]
+    fn release(&mut self, entry: u32) {
+        if entry == Self::NONE {
+            return;
+        }
+        let origin = &mut self.entries[entry as usize];
+        origin.rows -= 1;
+        if origin.rows == 0 {
+            let at = origin.at;
+            self.unindex(at);
+            self.free.push(entry);
+            if self.memo.is_some_and(|(_, memo)| memo == entry) {
+                self.memo = None;
+            }
+        }
+    }
+
+    /// The entry of `at`, a free or new one (held by no row yet) if no
+    /// row holds `at`.
+    fn find_or_insert(&mut self, at: Timestamp) -> u32 {
+        if self.index.is_empty() {
+            self.grow();
+        }
+        let mut slot = match self.find(at) {
+            Ok(slot) => return self.index[slot],
+            Err(slot) => slot,
+        };
+        let held = self.entries.len() - 1 - self.free.len();
+        if 2 * (held + 1) > self.index.len() {
+            self.grow();
+            slot = self.find(at).unwrap_or_else(|slot| slot);
+        }
+        let origin = Origin { at, rows: 0 };
+        let entry = match self.free.pop() {
+            Some(entry) => {
+                self.entries[entry as usize] = origin;
+                entry
+            }
+            None => {
+                self.entries.push(origin);
+                self.elapsed.push(0.0);
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.index[slot] = entry;
+        entry
+    }
+
+    /// Where the probe for `at` starts.
+    #[inline]
+    fn home(&self, at: Timestamp) -> usize {
+        let bits = self.index.len().trailing_zeros();
+        (at.as_nanos().wrapping_mul(FIBONACCI) >> (u64::BITS - bits)) as usize
+    }
+
+    /// The slot holding `at`'s entry, or the empty slot that ends its
+    /// probe. The index has an empty slot.
+    fn find(&self, at: Timestamp) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(at);
+        loop {
+            match self.index[slot] {
+                Self::NONE => return Err(slot),
+                entry if self.entries[entry as usize].at == at => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Takes `at` out of the index, moving back each later entry of its
+    /// run whose home the emptied slot does not lie past.
+    fn unindex(&mut self, at: Timestamp) {
+        let Ok(mut hole) = self.find(at) else {
+            return;
+        };
+        let mask = self.index.len() - 1;
+        let mut next = (hole + 1) & mask;
+        while self.index[next] != Self::NONE {
+            let home = self.home(self.entries[self.index[next] as usize].at);
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.index[hole] = self.index[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.index[hole] = Self::NONE;
+    }
+
+    /// Doubles the index (to 16 slots at first) and files every held entry
+    /// again. It never shrinks, like the slab.
+    fn grow(&mut self) {
+        let slots = (2 * self.index.len()).max(16);
+        // lint:allow(no-alloc-in-hot-path, a doubling: as often as the held instants double)
+        self.index = vec![Self::NONE; slots];
+        for entry in 1..self.entries.len() {
+            let origin = self.entries[entry];
+            if origin.rows > 0 {
+                if let Err(slot) = self.find(origin.at) {
+                    self.index[slot] = entry as u32;
+                }
+            }
+        }
+    }
+
+    /// Converts every held entry's distance to `now` to seconds, once.
+    fn age(&mut self, now: Timestamp) {
+        let held = self.entries.iter().zip(&mut self.elapsed).skip(1);
+        for (origin, elapsed) in held.filter(|(origin, _)| origin.rows > 0) {
+            *elapsed = LevelCurve::elapsed(now, origin.at);
+        }
+    }
+
+    /// Entries some row holds, `NONE` included.
+    fn live(&self) -> usize {
+        self.entries.len() - self.free.len()
     }
 }
 
@@ -596,6 +866,12 @@ impl<D: AccrualFailureDetector> Shard<D> {
         }
     }
 
+    /// Entries of the curve column's origin table some row holds, the
+    /// zero curve's included.
+    pub(crate) fn level_origins(&self) -> usize {
+        self.column.origins.live()
+    }
+
     /// Accept-stage counters (`corrupt` is always 0: decoding fails
     /// before a shard is chosen).
     pub(crate) fn stats(&self) -> MonitorStats {
@@ -672,10 +948,10 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// the other bank.
     ///
     /// The *level* pass: every level is a function of the query time and
-    /// is re-evaluated at `now` — down the curve column a block at a
-    /// time, touching no slot. Only the slots listed as having no curve
-    /// are then asked one by one, as every slot was before there was a
-    /// column.
+    /// is re-evaluated at `now` — each origin of the curve column aged
+    /// once, then down the column a block at a time, touching no slot.
+    /// Only the slots listed as having no curve are then asked one by one,
+    /// as every slot was before there was a column.
     pub(crate) fn publish(&mut self, now: Timestamp) {
         let (slab, column, owed) = (&mut self.slab, &mut self.column, &mut self.owed.0);
         self.cell.publish(now, owed, |publish| {
@@ -688,7 +964,7 @@ impl<D: AccrualFailureDetector> Shard<D> {
                 let durable = PeerDurable::from_state(seed, watched.highest_seq);
                 Some((row, watched.id, durable))
             }));
-            publish.store_levels(&column.blocks, now);
+            publish.store_levels(column.levels(now));
             for &row in &column.curveless {
                 if let Some(watched) = slab[row].live() {
                     publish.store_level(row, watched.detector.suspicion_level(now));
@@ -1065,6 +1341,12 @@ where
     /// kept for unwatched peers, at most `slots_per_shard` a shard, and
     /// `sharded.retired_dropped` the oldest ones dropped to stay within
     /// that — plus per-shard peer-count gauges (`shard.<i>.peers`).
+    /// `sharded.level_origins` and `shard.<i>.level_origins` count the
+    /// distinct instants the level pass ages at each publish (the curve
+    /// column's origin table, the zero curve's entry included). Divided
+    /// by the peers, it is about one over the peers an intake refill
+    /// carries where peers are heard in batches, and one where no two
+    /// peers' curves share an instant.
     pub fn export_metrics(&self, registry: &afd_obs::Registry) {
         let stats = self.stats();
         stats.totals.export_metrics(registry);
@@ -1078,11 +1360,17 @@ where
         registry.gauge("sharded.retired").set(retired as f64);
         let dropped: u64 = self.shards.iter().map(|s| s.retired.dropped).sum();
         registry.counter("sharded.retired_dropped").set(dropped);
-        for (i, peers) in stats.peers_per_shard.iter().enumerate() {
+        let origins: usize = self.shards.iter().map(Shard::level_origins).sum();
+        registry.gauge("sharded.level_origins").set(origins as f64);
+        for (i, (peers, shard)) in stats.peers_per_shard.iter().zip(&self.shards).enumerate() {
             registry
                 // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
                 .gauge(&format!("shard.{i}.peers"))
                 .set(*peers as f64);
+            registry
+                // lint:allow(no-alloc-in-hot-path, metric names, built at export, off the frame path)
+                .gauge(&format!("shard.{i}.level_origins"))
+                .set(shard.level_origins() as f64);
         }
     }
 }
@@ -1595,11 +1883,25 @@ mod tests {
             .sum();
         assert_eq!(per_shard, 1.0);
         assert_eq!(snap.gauge("sharded.retired"), Some(0.0));
+        // The heard peer's curve measures from its arrival, and each
+        // shard holds the zero curve's entry.
+        assert_eq!(snap.gauge("sharded.level_origins"), Some(3.0));
+        let per_shard: f64 = (0..2)
+            .map(|i| {
+                snap.gauge(&format!("shard.{i}.level_origins"))
+                    .unwrap_or(0.0)
+            })
+            .sum();
+        assert_eq!(per_shard, 3.0);
         // Unwatching a peer that was heard keeps its watermark; watching
         // it again takes the watermark back.
         mon.unwatch(ProcessId::new(1));
         mon.export_metrics(&registry);
         assert_eq!(registry.snapshot().gauge("sharded.retired"), Some(1.0));
+        assert_eq!(
+            registry.snapshot().gauge("sharded.level_origins"),
+            Some(2.0)
+        );
         mon.watch(ProcessId::new(1)).unwrap();
         mon.export_metrics(&registry);
         assert_eq!(registry.snapshot().gauge("sharded.retired"), Some(0.0));
@@ -1696,7 +1998,9 @@ mod tests {
         // cell's capacity — the ledger's wide workload declares eight
         // times the slots it fills, and a column filled to capacity cost
         // it 216 bytes a peer.
-        assert!(mem::size_of::<LevelCurve>() <= 32);
+        // A row is its kind, two parameters and an origin entry, 21
+        // bytes, where a whole `LevelCurve` was 32.
+        assert!(mem::size_of::<ColumnBlock>() <= 21 * LevelCurve::BLOCK);
         let mut shard = phi_shards(1, 8192).pop().expect("one shard");
         for id in 0..10 {
             shard.watch(ProcessId::new(id)).unwrap();
@@ -1710,6 +2014,142 @@ mod tests {
         }
         assert_eq!(shard.slab.len(), 10);
         assert!(shard.column.blocks.len() * LevelCurve::BLOCK <= 16);
+    }
+
+    #[test]
+    fn the_origin_table_holds_one_entry_a_refill() {
+        // Every heartbeat of a refill carries the refill's stamp, so a
+        // φ shard's rows measure from as many instants as the refills
+        // that last heard one of its peers.
+        let (peers, refill, ticks) = if cfg!(miri) {
+            (128, 16, 16)
+        } else {
+            (1024, 128, 64)
+        };
+        let mut shards = phi_shards(1, peers as usize);
+        for id in 0..peers {
+            shards[0].watch(ProcessId::new(id)).unwrap();
+        }
+        let mut batch = Vec::new();
+        for tick in 0..ticks {
+            let now = Timestamp::from_millis(1_000 + 100 * u64::from(tick));
+            batch.clear();
+            batch.extend((0..refill).map(|k| {
+                let hb = Heartbeat {
+                    sender: ProcessId::new((tick * refill + k) % peers),
+                    seq: u64::from(tick) + 1,
+                    sent_at: now,
+                };
+                Stamped::new(0, hb, now)
+            }));
+            assert_eq!(accept_batch(&mut shards, &mut batch), refill as usize);
+            shards[0].publish(now);
+        }
+        // Each peer was last heard in one of the last eight refills.
+        let origins = shards[0].level_origins();
+        assert!(origins <= 9, "{origins} origins");
+        for id in 0..peers {
+            shards[0].unwatch(ProcessId::new(id));
+        }
+        assert_eq!(shards[0].level_origins(), 1, "the zero curve's entry");
+    }
+
+    #[test]
+    fn rows_that_share_no_instant_take_an_entry_each() {
+        // Chen's level is the lateness past the expected arrival, a
+        // `since` no two peers heard at distinct instants share.
+        use afd_detectors::chen::{ChenAccrual, ChenConfig};
+        const PEERS: u32 = 40;
+        let config = ChenConfig {
+            window_size: 4,
+            ..ChenConfig::default()
+        };
+        let (_cells, mut shards) = build_shards(1, PEERS as usize, move |_| {
+            ChenAccrual::new(config).expect("valid chen config")
+        });
+        let shard = &mut shards[0];
+        for round in 1..=3u64 {
+            for id in 0..PEERS {
+                shard.watch(ProcessId::new(id)).unwrap();
+                let at = Timestamp::from_millis(1_000 * round + u64::from(id));
+                let hb = Heartbeat {
+                    sender: ProcessId::new(id),
+                    seq: round,
+                    sent_at: at,
+                };
+                assert!(shard.accept(hb, at));
+            }
+        }
+        // From before the first expected arrival to past the last.
+        for millis in [3_100, 4_020, 4_500, 9_000] {
+            let now = Timestamp::from_millis(millis);
+            shard.publish(now);
+            assert_eq!(shard.level_origins(), PEERS as usize + 1);
+            let (at, rows) = shard.cell.read_rows();
+            assert_eq!((at, rows.len()), (now, PEERS as usize));
+            for (id, level, _) in rows {
+                let want = shard.level(id, now).expect("watched");
+                assert_eq!(level.value().to_bits(), want.value().to_bits(), "{id:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_origin_index_finds_every_held_instant_through_any_releases() {
+        // Eight instants of two adjacent homes in the first, 16-slot index,
+        // so that one run forms and is cut: interned and released in a
+        // seeded order against a count kept beside them, every held
+        // instant keeps one entry, found from its home, however the run
+        // was shifted back by the removals before.
+        let home = |at: &Timestamp| at.as_nanos().wrapping_mul(FIBONACCI) >> 60;
+        let instants = (0..).map(|k| Timestamp::from_nanos(k * 1_000));
+        let mut pool: Vec<Timestamp> = instants
+            .clone()
+            .filter(|at| home(at) == 5)
+            .take(4)
+            .collect();
+        pool.extend(instants.filter(|at| home(at) == 6).take(4));
+        let mut origins = Origins::default();
+        let mut held: BTreeMap<Timestamp, (u32, u32)> = BTreeMap::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let rounds = if cfg!(miri) { 300 } else { 20_000 };
+        for _ in 0..rounds {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let at = pool[(state >> 8) as usize % pool.len()];
+            match held.get_mut(&at) {
+                Some((entry, rows)) if state & 1 == 0 => {
+                    origins.release(*entry);
+                    *rows -= 1;
+                    if *rows == 0 {
+                        held.remove(&at);
+                    }
+                }
+                _ => {
+                    let entry = origins.intern(Some(at));
+                    let (kept, rows) = held.entry(at).or_insert((entry, 0));
+                    assert_eq!(*kept, entry, "{at} changed entries while held");
+                    *rows += 1;
+                }
+            }
+        }
+        assert_eq!(
+            origins.index.len(),
+            16,
+            "eight instants fit the first index"
+        );
+        assert_eq!(origins.live(), held.len() + 1);
+        for (&at, &(entry, rows)) in &held {
+            assert_eq!(origins.entries[entry as usize].rows, rows);
+            let slot = origins.find(at).expect("held instants are indexed");
+            assert_eq!(origins.index[slot], entry);
+        }
+        let indexed = origins
+            .index
+            .iter()
+            .filter(|&&entry| entry != Origins::NONE);
+        assert_eq!(indexed.count(), held.len());
     }
 
     #[test]
@@ -2260,7 +2700,7 @@ mod tests {
                     Slot::Vacant => Some(LevelCurve::Zero),
                 };
                 listed.extend(curve.is_none().then_some(row));
-                let held = shard.column.blocks[row / LevelCurve::BLOCK][row % LevelCurve::BLOCK];
+                let held = shard.column.curve(row);
                 assert_eq!(held, curve.unwrap_or(LevelCurve::Zero), "row {row}");
             }
             assert_eq!(shard.column.curveless, listed);
@@ -2268,6 +2708,37 @@ mod tests {
             // durable words in every row the slab reached.
             let [front, back] = shard.cell.bank_rows(shard.slab.len());
             assert_eq!(front, back);
+        }
+
+        /// The column's origin table counts each entry by exactly the
+        /// rows holding it, frees exactly the entries no row holds, and
+        /// finds every held instant — by its index, and by the memo while
+        /// that names one.
+        fn origins_are_counted<D>(shard: &Shard<D>) {
+            let (column, origins) = (&shard.column, &shard.column.origins);
+            let mut held = vec![0u32; origins.entries.len()];
+            for row in 0..column.rows() {
+                held[column.entry(row) as usize] += 1;
+            }
+            for (entry, (origin, &rows)) in origins.entries.iter().zip(&held).enumerate().skip(1) {
+                let entry = entry as u32;
+                assert_eq!(origin.rows, rows, "entry {entry}");
+                let free = origins.free.contains(&entry);
+                assert_eq!(free, rows == 0, "entry {entry}: free exactly when unheld");
+                if rows > 0 {
+                    let slot = origins.find(origin.at).expect("a held instant is indexed");
+                    assert_eq!(origins.index[slot], entry);
+                }
+            }
+            let indexed = origins
+                .index
+                .iter()
+                .filter(|&&entry| entry != Origins::NONE);
+            assert_eq!(indexed.count() + 1, origins.live());
+            if let Some((at, entry)) = origins.memo {
+                let origin = origins.entries[entry as usize];
+                assert!(origin.at == at && origin.rows > 0, "memo of a freed entry");
+            }
         }
 
         /// Every slot's count of publishes still owed to it: one for a
@@ -2344,6 +2815,7 @@ mod tests {
                     }
                     Op::Publish => publish_and_check(&mut shard, now),
                 }
+                origins_are_counted(&shard);
             }
             // Four in a row: each bank is also read after a publish
             // that wrote no id and no durable word into it.
@@ -2365,6 +2837,7 @@ mod tests {
                 for _ in 0..2 {
                     now = now.saturating_add(Duration::from_millis(130));
                     publish_and_check(&mut shard, now);
+                    origins_are_counted(&shard);
                 }
             }
         }

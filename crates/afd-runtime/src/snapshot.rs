@@ -108,13 +108,19 @@
 //! (`sl_qp(t)`, §3 Definition 1), so every publish re-evaluates every
 //! slot's — from the shard's *curve column*, not from the detectors: the
 //! [`LevelCurve`] each detector's `level_curve` returned when its slot
-//! last changed (the changed-slot pass refreshes it), run through
-//! [`LevelCurve::at_block`] eight rows at a time straight into the bank's
-//! level words, chunk by chunk, touching no slot. A detector with no
-//! curve returns `None`: its row holds the zero curve, its slot is
-//! *listed*, and the listed slots are asked `suspicion_level(now)` one by
-//! one after the column. A vacant row holds the zero curve too, and
-//! nobody reads its level.
+//! last changed (the changed-slot pass refreshes it), stored field by
+//! field beside an index into the column's table of *origins*, the
+//! distinct instants its curves measure from. The pass converts `now −
+//! origin` to seconds once per origin — every heartbeat of an intake
+//! refill carries the refill's stamp, so a shard of a thousand φ peers
+//! holds a few dozen — then runs the block kernel
+//! [`CurveBlock::levels`](afd_core::accrual::CurveBlock::levels) eight
+//! rows at a time straight into the bank's level words, chunk by chunk,
+//! touching no slot (`Publish::store_levels` takes the column's blocks as
+//! they are evaluated). A detector with no curve returns `None`: its row
+//! holds the zero curve, its slot is *listed*, and the listed slots are
+//! asked `suspicion_level(now)` one by one after the column. A vacant row
+//! holds the zero curve too, and nobody reads its level.
 //!
 //! Published levels are as of the last publish, so a reader's view lags
 //! real time by at most one tick interval; callers that need exact-`now`
@@ -133,7 +139,7 @@ use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 
 /// 2⁶⁴/φ, the multiplier of a Fibonacci hash.
-const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Fibonacci-hashes a process id onto a shard index. A multiplicative
 /// hash (rather than `id % shards`) keeps sequentially assigned ids from
@@ -519,16 +525,17 @@ impl Publish<'_> {
         });
     }
 
-    /// Writes the level at `now` of every row `blocks` covers, one chunk
-    /// lookup per [`CHUNK`] rows.
+    /// Writes the levels of the bank's rows from the first on, a block of
+    /// [`LevelCurve::BLOCK`] rows per item of `blocks` — the shard's
+    /// curve column evaluated at the publish's `now` — one chunk lookup
+    /// per [`CHUNK`] rows.
     #[inline]
-    pub(crate) fn store_levels(&self, blocks: &[[LevelCurve; LevelCurve::BLOCK]], now: Timestamp) {
+    pub(crate) fn store_levels(&self, blocks: impl IntoIterator<Item = [f64; LevelCurve::BLOCK]>) {
         let chunks = self.bank.chunks.iter().map_while(OnceLock::get);
-        for (chunk, blocks) in chunks.zip(blocks.chunks(CHUNK / LevelCurve::BLOCK)) {
-            for (block, levels) in blocks.iter().zip(chunk.levels.chunks(LevelCurve::BLOCK)) {
-                for (level, value) in levels.iter().zip(LevelCurve::at_block(block, now)) {
-                    level.store(value.to_bits(), Ordering::Relaxed);
-                }
+        let words = chunks.flat_map(|chunk| chunk.levels.chunks_exact(LevelCurve::BLOCK));
+        for (words, levels) in words.zip(blocks) {
+            for (word, level) in words.iter().zip(levels) {
+                word.store(level.to_bits(), Ordering::Relaxed);
             }
         }
     }
