@@ -34,7 +34,7 @@ use afd_core::time::Timestamp;
 use afd_detectors::phi::PhiAccrual;
 use afd_runtime::{
     ChannelTransport, CheckpointConfig, Checkpointer, Clock, FaultySink, FaultySinkPlan, Heartbeat,
-    MemSink, ShardConfig, ShardedMonitor, SystemClock, Transport, VirtualClock,
+    MemSink, ShardConfig, ShardedMonitor, SnapshotReader, SystemClock, Transport, VirtualClock,
 };
 
 const SHARDS: usize = 8;
@@ -106,9 +106,9 @@ fn beat_round(
     assert_eq!(accepted, peers as usize);
 }
 
-/// Mean |phi − phi_ref| over a fixed sample of peers, querying the
-/// exact-now path mid-gap.
-fn mean_phi_error(mon: &mut PhiMonitor, reference: &mut PhiMonitor, peers: u32) -> f64 {
+/// Mean |phi − phi_ref| over a fixed sample of peers, read from the
+/// snapshots both monitors published mid-gap.
+fn mean_phi_error(mon: &SnapshotReader, reference: &SnapshotReader, peers: u32) -> f64 {
     let sample = QOS_SAMPLE.min(peers);
     let mut err = 0.0f64;
     for k in 0..sample {
@@ -262,8 +262,11 @@ fn qos_recovery(mut ckpt: Checkpointer<MemSink>, peers: u32) -> Table {
         clock.set(Timestamp::from_secs_f64(
             (WARM_ROUNDS + offset) as f64 + 0.999,
         ));
-        let warm_err = mean_phi_error(&mut warm, &mut reference, peers);
-        let cold_err = mean_phi_error(&mut cold, &mut reference, peers);
+        for mon in [&mut reference, &mut warm, &mut cold] {
+            mon.tick().expect("in-process transport");
+        }
+        let warm_err = mean_phi_error(&warm.reader(), &reference.reader(), peers);
+        let cold_err = mean_phi_error(&cold.reader(), &reference.reader(), peers);
         table.push_row(vec![
             offset.to_string(),
             format!("{warm_err:.3e}"),

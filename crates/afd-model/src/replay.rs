@@ -7,7 +7,6 @@
 //! ([`runtime_trace`]), so a model finding is a *runnable artifact*: the
 //! same schedule runs on the production code path, level by level.
 
-use afd_core::accrual::AccrualFailureDetector;
 use afd_core::process::ProcessId;
 use afd_core::time::Timestamp;
 use afd_detectors::spec::ZooSpec;
@@ -148,9 +147,11 @@ impl Transport for InFlight {
 /// Heartbeats due at time zero enter the in-flight pool before the first
 /// event (a sender's first frame is due at its start), and each
 /// [`ModelEvent::Tick`] advances the clock one tick and emits whatever came
-/// due, senders polled in process-id order. After every event each
-/// process's level is read, so the trace compares point by point with
-/// [`model_trace`]'s.
+/// due, senders polled in process-id order. After every event the monitor
+/// ticks at the current time and each process's level is read from the
+/// snapshot it published, through a
+/// [`SnapshotReader`](afd_runtime::SnapshotReader) as every client
+/// reads, so the trace compares point by point with [`model_trace`]'s.
 ///
 /// # Panics
 ///
@@ -173,6 +174,7 @@ pub fn runtime_trace(spec: ZooSpec, bounds: ModelBounds, path: &[ModelEvent]) ->
     let mut monitor = ShardedMonitor::new(monitor_side, clock.clone(), config, move |_| {
         detector.build()
     });
+    let reader = monitor.reader();
     let mut senders: Vec<(ProcessId, SenderCore)> = (1..=bounds.processes)
         .map(ProcessId::new)
         .map(|p| {
@@ -200,7 +202,6 @@ pub fn runtime_trace(spec: ZooSpec, bounds: ModelBounds, path: &[ModelEvent]) ->
             ModelEvent::Deliver(i) => {
                 let frame = in_flight.0.remove(i);
                 feed.send(&frame).expect("in-process feed is infallible");
-                monitor.tick().expect("in-process tick is infallible");
             }
             ModelEvent::Drop(i) => {
                 in_flight.0.remove(i);
@@ -217,10 +218,10 @@ pub fn runtime_trace(spec: ZooSpec, bounds: ModelBounds, path: &[ModelEvent]) ->
                 core.crash();
             }
         }
-        let sample = senders.iter().map(|&(p, _)| {
-            let detector = monitor.detector_mut(p).expect("every sender is watched");
-            detector.suspicion_level(t).value()
-        });
+        monitor.tick().expect("in-process tick is infallible");
+        let sample = senders
+            .iter()
+            .map(|&(p, _)| reader.level(p).expect("every sender is watched").value());
         levels.push(sample.collect());
     }
 

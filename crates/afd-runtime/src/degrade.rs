@@ -388,14 +388,16 @@ mod tests {
         let mut twin = monitor(rx);
         let import = twin.restore(&ckpt.restore(&clock).unwrap().peers);
         assert_eq!(import.seeded, 3, "every window travelled");
-        clock.set(Timestamp::from_millis(21_400));
+        let now = Timestamp::from_millis(21_400);
+        clock.set(now);
+        twin.tick().unwrap();
         for p in peers {
-            let (was, is) = (live.level(p).unwrap(), twin.level(p).unwrap());
+            let was = live.detector_mut(p).unwrap().suspicion_level(now);
+            let is = twin.reader().level(p).unwrap();
             assert!(
                 (was.value() - is.value()).abs() <= 1e-9,
                 "{p}: {was:?} vs {is:?}"
             );
-            let now = Timestamp::from_millis(21_400);
             assert!(!twin.detector_mut(p).unwrap().is_degraded(now));
             // The restored watermarks still reject what was already seen.
             for seq in [20, 13, 21] {

@@ -12,10 +12,10 @@
 //!    arrival's local time, so Algorithm 4's freshness rule (lines 8–10)
 //!    is [`seq::classify`](crate::seq::classify) in the shard's accept
 //!    stage, as in every deployment;
-//! 3. at each query's local time it reads the detector's exact-now level
-//!    through [`ShardedMonitor::level`] — the level a tick at that
-//!    instant would publish, without the tick — and files it under the
-//!    *global* query time QoS analysis compares crash times against;
+//! 3. at each query's local time the monitor ticks, publishing its
+//!    snapshot at that instant, and the replay reads the level through a
+//!    [`SnapshotReader`], as every client reads; it files the level under
+//!    the *global* query time QoS analysis compares crash times against;
 //! 4. at the horizon it unwatches the peer and hands back, beside the
 //!    levels, the intake's [`MonitorStats`] and the detector itself.
 //!
@@ -38,6 +38,7 @@ use afd_sim::trace::ArrivalTrace;
 
 use crate::clock::VirtualClock;
 use crate::shard::{MonitorStats, ShardConfig, ShardedMonitor};
+use crate::snapshot::SnapshotReader;
 use crate::transport::{ChannelTransport, Transport};
 use crate::wire::{DeltaEncoder, Heartbeat, MAX_V2_FRAME};
 
@@ -119,6 +120,7 @@ pub struct Replay<D> {
     clock: VirtualClock,
     wire: ChannelTransport,
     monitor: ShardedMonitor<ChannelTransport, VirtualClock, D>,
+    reader: SnapshotReader,
     encoder: DeltaEncoder,
     sent: u64,
     config: ReplayConfig,
@@ -160,6 +162,7 @@ impl<D: AccrualFailureDetector> Replay<D> {
             arrivals: arrivals.into_iter().peekable(),
             clock,
             wire,
+            reader: monitor.reader(),
             monitor,
             encoder: DeltaEncoder::new(PEER, PEER.as_u32(), interval, RESYNC_EVERY),
             sent: 0,
@@ -192,12 +195,15 @@ impl<D: AccrualFailureDetector> Replay<D> {
             .expect("the replayed peer is watched");
         (stats, detector)
     }
+}
 
-    /// Moves to the next query: delivers every heartbeat that arrived
-    /// (locally) by then, each in a receive step of its own at its arrival
-    /// time, and sets the clock to the query's local time. Returns the
-    /// query's global time, or `None` past the horizon.
-    fn advance(&mut self) -> Option<Timestamp> {
+impl<D: AccrualFailureDetector> Iterator for Replay<D> {
+    type Item = SuspicionSample;
+
+    /// Delivers every heartbeat that arrived (locally) by the next query,
+    /// each in a receive step of its own at its arrival time, then ticks at
+    /// the query's local time and reads the level that tick published.
+    fn next(&mut self) -> Option<SuspicionSample> {
         let at = self.query_at;
         if at > self.horizon {
             return None;
@@ -217,17 +223,9 @@ impl<D: AccrualFailureDetector> Replay<D> {
             self.sent += 1;
         }
         self.clock.set(local_now);
-        Some(at)
-    }
-}
-
-impl<D: AccrualFailureDetector> Iterator for Replay<D> {
-    type Item = SuspicionSample;
-
-    fn next(&mut self) -> Option<SuspicionSample> {
-        let at = self.advance()?;
-        // The level a tick now would publish; only arrivals tick.
-        let level = self.monitor.level(PEER).unwrap_or(SuspicionLevel::ZERO);
+        let ticked = self.monitor.tick();
+        debug_assert!(ticked.is_ok(), "{ticked:?}");
+        let level = self.reader.level(PEER).unwrap_or(SuspicionLevel::ZERO);
         Some(SuspicionSample { at, level })
     }
 }
@@ -235,6 +233,8 @@ impl<D: AccrualFailureDetector> Iterator for Replay<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Clock;
+    use afd_core::accrual::LevelCurve;
     use afd_core::time::{Duration, Timestamp};
     use afd_detectors::adversary::WeakAccruementAdversary;
     use afd_detectors::simple::SimpleAccrual;
@@ -243,6 +243,8 @@ mod tests {
     use afd_sim::scenario::{LossKind, Scenario};
     use afd_sim::trace::HeartbeatRecord;
     use afd_sim::{read_csv, simulate, write_csv};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn record(seq: u64, sent_s: f64, delivered_s: Option<f64>) -> HeartbeatRecord {
         let delivered = delivered_s.map(Timestamp::from_secs_f64);
@@ -397,25 +399,6 @@ mod tests {
         }
     }
 
-    /// The level bits a reader of the published snapshot sees at the
-    /// queries when the monitor also ticks at each query: the replay's
-    /// wire and arrival ticks, then a query tick read through
-    /// `monitor.reader()`, as a lock-free client reads.
-    fn published_bits<D, F>(trace: &ArrivalTrace, factory: F, config: ReplayConfig) -> Vec<u64>
-    where
-        D: AccrualFailureDetector,
-        F: FnMut(ProcessId) -> D + Send + Clone + 'static,
-    {
-        let mut run = Replay::new(trace, factory, config);
-        let reader = run.monitor.reader();
-        let mut bits = Vec::new();
-        while run.advance().is_some() {
-            run.monitor.tick().unwrap();
-            bits.push(reader.level(PEER).unwrap().value().to_bits());
-        }
-        bits
-    }
-
     #[test]
     fn the_query_read_is_the_level_a_query_tick_publishes() {
         // 50 ms heartbeats under 40 ms delay jitter overtake each other,
@@ -432,22 +415,69 @@ mod tests {
         assert!(arrivals.windows(2).any(|w| w[1].1.seq < w[0].1.seq));
         assert!(trace.loss_rate() > 0.05);
         let every = ReplayConfig::every(Duration::from_millis(30));
+        let kinds = spec::zoo().map(|member| member.detector);
+        for spec in kinds.into_iter().chain(spec::series()) {
+            let mut run = Replay::new(&trace, move |_| spec.build(), every);
+            let mut queries = 0;
+            while let Some(sample) = run.next() {
+                // The query's tick published at the clock's reading.
+                let now = run.clock.now();
+                let detector = run.monitor.detector_mut(PEER).expect("watched");
+                let exact = detector.suspicion_level(now).value();
+                let read = sample.level.value();
+                assert_eq!(read.to_bits(), exact.to_bits(), "{} at {now}", spec.name());
+                queries += 1;
+            }
+            assert_eq!(queries, 1_333, "{}", spec.name());
+        }
+        // A query-driven detector: Appendix A.5's adversary raises its
+        // level at every evaluation, each publish's alike.
+        let adversary = |_| WeakAccruementAdversary::new(0.5);
+        let read: Vec<f64> = replay(&trace, adversary, every)
+            .levels
+            .iter()
+            .map(|s| s.level.value())
+            .collect();
+        assert!(read.windows(2).all(|w| w[1] > w[0]));
+    }
+
+    /// The elapsed-time detector, counting the levels it is asked for.
+    #[derive(Debug)]
+    struct Counted(SimpleAccrual, Arc<AtomicUsize>);
+
+    impl AccrualFailureDetector for Counted {
+        fn record_heartbeat(&mut self, arrival: Timestamp) {
+            self.0.record_heartbeat(arrival);
+        }
+
+        fn suspicion_level(&mut self, now: Timestamp) -> SuspicionLevel {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.suspicion_level(now)
+        }
+
+        fn level_curve(&self) -> Option<LevelCurve> {
+            self.0.level_curve()
+        }
+    }
+
+    #[test]
+    fn a_curve_detector_is_asked_for_no_level() {
+        // Every level of a detector with a curve comes from the shard's
+        // curve column, so the replay never asks the detector itself.
+        let scenario = Scenario::wan_jitter()
+            .with_horizon(Timestamp::from_secs(60))
+            .with_crash_at(Timestamp::from_secs(40));
+        let trace = simulate(&scenario, 1);
+        let every = ReplayConfig::every(Duration::from_millis(250));
+        let asked = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&asked);
+        let counted = move |_| Counted(SimpleAccrual::default(), Arc::clone(&counter));
         let bits = |out: SuspicionTrace| -> Vec<u64> {
             out.iter().map(|s| s.level.value().to_bits()).collect()
         };
-        let kinds = spec::zoo().map(|member| member.detector);
-        for spec in kinds.into_iter().chain(spec::series()) {
-            let read = bits(replay(&trace, move |_| spec.build(), every).levels);
-            let published = published_bits(&trace, move |_| spec.build(), every);
-            assert_eq!(read, published, "{}", spec.name());
-        }
-        // A query-driven detector: Appendix A.5's adversary raises its
-        // level at every evaluation, arrival ticks' and queries' alike.
-        let adversary = |_| WeakAccruementAdversary::new(0.5);
-        let read = bits(replay(&trace, adversary, every).levels);
-        assert_eq!(read, published_bits(&trace, adversary, every));
-        assert!(read
-            .windows(2)
-            .all(|w| f64::from_bits(w[1]) > f64::from_bits(w[0])));
+        let read = bits(replay(&trace, counted, every).levels);
+        assert_eq!(asked.load(Ordering::Relaxed), 0);
+        let plain = bits(replay(&trace, |_| SimpleAccrual::default(), every).levels);
+        assert_eq!((read.len(), read), (240, plain));
     }
 }

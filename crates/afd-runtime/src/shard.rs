@@ -83,7 +83,6 @@ use std::sync::Arc;
 
 use afd_core::accrual::{AccrualFailureDetector, CurveBlock, LevelCurve};
 use afd_core::process::ProcessId;
-use afd_core::suspicion::SuspicionLevel;
 use afd_core::time::Timestamp;
 
 use crate::clock::Clock;
@@ -789,12 +788,6 @@ impl<D: AccrualFailureDetector> Shard<D> {
         Some(watched.detector)
     }
 
-    /// The entry of `process`, if it is watched: one index probe.
-    fn entry(&mut self, process: ProcessId) -> Option<&mut Watched<D>> {
-        let slot = self.cell.slot(process)?;
-        self.slab.get_mut(slot)?.live()
-    }
-
     /// The entry of `process`, if it is watched, handed out to be changed:
     /// its row is marked owed to the next publish.
     fn entry_to_change(&mut self, process: ProcessId) -> Option<&mut Watched<D>> {
@@ -851,19 +844,6 @@ impl<D: AccrualFailureDetector> Shard<D> {
     /// the next publish rewrites its rows.
     fn detector_mut(&mut self, process: ProcessId) -> Option<&mut D> {
         Some(&mut self.entry_to_change(process)?.detector)
-    }
-
-    /// The exact-`now` level of `process`, straight from its detector.
-    fn level(&mut self, process: ProcessId, now: Timestamp) -> Option<SuspicionLevel> {
-        Some(self.entry(process)?.detector.suspicion_level(now))
-    }
-
-    /// Appends the exact-`now` level of every watched process, in slot
-    /// order.
-    fn levels(&mut self, now: Timestamp, out: &mut Vec<(ProcessId, SuspicionLevel)>) {
-        for watched in self.slab.iter_mut().filter_map(Slot::live) {
-            out.push((watched.id, watched.detector.suspicion_level(now)));
-        }
     }
 
     /// Entries of the curve column's origin table some row holds, the
@@ -1232,41 +1212,6 @@ where
         Ok(report)
     }
 
-    /// The exact-`now` suspicion level of `process`, evaluated against
-    /// its detector (not the published epoch). Requires `&mut self`; use
-    /// a [`SnapshotReader`] for the lock-free path.
-    pub fn level(&mut self, process: ProcessId) -> Option<SuspicionLevel> {
-        let now = self.clock.now();
-        let idx = self.shard_of(process);
-        self.shards[idx].level(process, now)
-    }
-
-    /// The exact-`now` accrual snapshot of every watched process across
-    /// all shards, ascending by id.
-    pub fn snapshot(&mut self) -> Vec<(ProcessId, SuspicionLevel)> {
-        let now = self.clock.now();
-        // lint:allow(no-alloc-in-hot-path, owned-snapshot API; callers on the query path, not the intake path)
-        let mut out = Vec::new();
-        for shard in &mut self.shards {
-            shard.levels(now, &mut out);
-        }
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
-    }
-
-    /// The exact-`now` snapshot of one shard, ascending by id, for
-    /// balance inspection and the union property tests.
-    pub fn shard_snapshot(&mut self, shard: usize) -> Vec<(ProcessId, SuspicionLevel)> {
-        let now = self.clock.now();
-        // lint:allow(no-alloc-in-hot-path, owned-snapshot API; empty for an out-of-range shard)
-        let mut out = Vec::new();
-        if let Some(s) = self.shards.get_mut(shard) {
-            s.levels(now, &mut out);
-            out.sort_unstable_by_key(|&(p, _)| p);
-        }
-        out
-    }
-
     /// A cloneable lock-free reader over the published epoch snapshots.
     pub fn reader(&self) -> SnapshotReader {
         self.reader.clone()
@@ -1312,7 +1257,9 @@ where
         import_peers(&mut self.shards, peers, self.clock.now())
     }
 
-    /// Direct access to the detector for `process`.
+    /// Direct access to the detector for `process`, to change it or ask
+    /// it what the published row does not hold; the next publish rewrites
+    /// the row. Levels are read through the [`reader`](Self::reader).
     pub fn detector_mut(&mut self, process: ProcessId) -> Option<&mut D> {
         let idx = self.shard_of(process);
         self.shards[idx].detector_mut(process)
@@ -1382,6 +1329,7 @@ mod tests {
     use crate::snapshot::{DurableRow, CHUNK};
     use crate::transport::ChannelTransport;
     use afd_core::accrual::DetectorSeed;
+    use afd_core::suspicion::SuspicionLevel;
     use afd_core::time::Duration;
     use afd_detectors::simple::SimpleAccrual;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1396,6 +1344,13 @@ mod tests {
         /// Accepts one heartbeat: the batch of one.
         pub(crate) fn accept(&mut self, hb: Heartbeat, now: Timestamp) -> bool {
             accept_batch(std::slice::from_mut(self), &mut [Stamped::new(0, hb, now)]) == 1
+        }
+
+        /// The entry of `process`, if it is watched, left unmarked: one
+        /// index probe.
+        fn entry(&mut self, process: ProcessId) -> Option<&mut Watched<D>> {
+            let slot = self.cell.slot(process)?;
+            self.slab.get_mut(slot)?.live()
         }
     }
 
@@ -1442,7 +1397,8 @@ mod tests {
         assert_eq!(report.drained, 1);
         assert_eq!(report.accepted, 1);
         clock.set(Timestamp::from_secs(8));
-        assert_eq!(mon.level(p).unwrap().value(), 3.0);
+        mon.tick().unwrap();
+        assert_eq!(mon.reader().level(p).unwrap().value(), 3.0);
     }
 
     #[test]
@@ -2088,7 +2044,11 @@ mod tests {
             let (at, rows) = shard.cell.read_rows();
             assert_eq!((at, rows.len()), (now, PEERS as usize));
             for (id, level, _) in rows {
-                let want = shard.level(id, now).expect("watched");
+                let want = shard
+                    .entry(id)
+                    .expect("watched")
+                    .detector
+                    .suspicion_level(now);
                 assert_eq!(level.value().to_bits(), want.value().to_bits(), "{id:?}");
             }
         }
@@ -2444,7 +2404,8 @@ mod tests {
             }),
         }]);
         clock.set(Timestamp::from_secs(23));
-        assert_eq!(mon.level(p).unwrap().value(), 3.0);
+        mon.tick().unwrap();
+        assert_eq!(mon.reader().level(p).unwrap().value(), 3.0);
     }
 
     mod staged_accept {

@@ -123,11 +123,10 @@
 //! holds the zero curve too, and nobody reads its level.
 //!
 //! Published levels are as of the last publish, so a reader's view lags
-//! real time by at most one tick interval; callers that need exact-`now`
-//! values use the `&mut` paths
-//! ([`ShardedMonitor::level`](crate::shard::ShardedMonitor::level) /
-//! [`ShardedMonitor::snapshot`](crate::shard::ShardedMonitor::snapshot)),
-//! which evaluate detectors directly.
+//! real time by at most one tick interval. The reader is the one way a
+//! level leaves the monitor: a caller that needs the level at an instant
+//! (a trace replay at its query, a model schedule after an event) ticks
+//! there and then reads.
 
 use std::fmt;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};

@@ -17,6 +17,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use afd_core::accrual::AccrualFailureDetector;
 use afd_core::history::SuspicionTrace;
 use afd_core::process::ProcessId;
 use afd_core::properties::{check_upper_bound, AccruementCheck};
@@ -107,7 +108,10 @@ fn kill_during_checkpoint_restores_last_complete_generation() {
     let t_query = ts(LEARN_UNTIL as f64 + 0.5);
     clock.set(t_query);
     let reference: Vec<f64> = (0..PEERS)
-        .map(|id| mon.level(ProcessId::new(id)).unwrap().value())
+        .map(|id| {
+            let detector = mon.detector_mut(ProcessId::new(id)).unwrap();
+            detector.suspicion_level(t_query).value()
+        })
         .collect();
 
     // Generation 2 dies mid-dump: every segment is written, but the
@@ -154,11 +158,15 @@ fn kill_during_checkpoint_restores_last_complete_generation() {
     );
 
     // First post-restore query answers at pre-crash quality: phi within
-    // 1e-9 of the pre-crash value, both on the exact-now path and on the
-    // already-published lock-free path.
+    // 1e-9 of the pre-crash value, both from the restored detectors and on
+    // the already-published lock-free path.
     for (id, &expected) in reference.iter().enumerate() {
         let p = ProcessId::new(id as u32);
-        let got = mon.level(p).unwrap().value();
+        let got = mon
+            .detector_mut(p)
+            .unwrap()
+            .suspicion_level(t_query)
+            .value();
         assert!(
             (got - expected).abs() < 1e-9,
             "peer {id}: restored phi {got} vs pre-crash {expected}"
@@ -483,7 +491,8 @@ fn new_detectors_roundtrip_through_sharded_checkpoint() {
         assert_eq!(restored.segments_rejected, 0, "{name}: clean dump");
         assert_eq!(restored.peers.len(), PEERS as usize);
 
-        clock.set(ts(40.7));
+        let now = ts(40.7);
+        clock.set(now);
         let (_tx2, rx2) = ChannelTransport::pair();
         let mut fresh = ShardedMonitor::new(
             rx2,
@@ -496,10 +505,11 @@ fn new_detectors_roundtrip_through_sharded_checkpoint() {
         );
         let import = fresh.restore(&restored.peers);
         assert_eq!(import.seeded, u64::from(PEERS), "{name}: all seeded");
+        fresh.tick().unwrap();
         for id in 0..PEERS {
             let p = ProcessId::new(id);
-            let a = mon.level(p).unwrap().value();
-            let b = fresh.level(p).unwrap().value();
+            let a = mon.detector_mut(p).unwrap().suspicion_level(now).value();
+            let b = fresh.reader().level(p).unwrap().value();
             assert!(
                 (a - b).abs() < 1e-9,
                 "{name} peer {id}: {a} vs restored {b}"
@@ -554,16 +564,16 @@ fn checkpoint_after_incremental_publishes_restores_within_1e9() {
         assert_eq!(peer.highest_seq, Some(seq), "{:?}", peer.process);
     }
 
-    clock.set(ts(36.0));
+    let now = ts(36.0);
+    clock.set(now);
     let (mut tx2, rx2) = ChannelTransport::pair();
     let mut fresh = phi_monitor(rx2, &clock, 2);
     assert_eq!(fresh.restore(&restored.peers).seeded, u64::from(PEERS));
+    fresh.tick().unwrap();
     for id in 0..PEERS {
         let p = ProcessId::new(id);
-        let (a, b) = (
-            mon.level(p).unwrap().value(),
-            fresh.level(p).unwrap().value(),
-        );
+        let a = mon.detector_mut(p).unwrap().suspicion_level(now).value();
+        let b = fresh.reader().level(p).unwrap().value();
         assert!((a - b).abs() < 1e-9, "peer {id}: {a} vs restored {b}");
     }
     // Replays of each peer's newest frame stay rejected after the restore.
@@ -614,16 +624,16 @@ fn rows_past_the_first_durable_chunk_restore_within_1e9() {
         assert_eq!(peer.highest_seq, Some(120 + u64::from(id % 7)), "peer {id}");
     }
 
-    clock.set(ts(14.5));
+    let now = ts(14.5);
+    clock.set(now);
     let (mut tx2, rx2) = ChannelTransport::pair();
     let mut fresh = monitor(rx2, &clock);
     assert_eq!(fresh.restore(&restored.peers).seeded, u64::from(PEERS));
+    fresh.tick().unwrap();
     for id in 0..PEERS {
         let p = ProcessId::new(id);
-        let (a, b) = (
-            mon.level(p).unwrap().value(),
-            fresh.level(p).unwrap().value(),
-        );
+        let a = mon.detector_mut(p).unwrap().suspicion_level(now).value();
+        let b = fresh.reader().level(p).unwrap().value();
         assert!((a - b).abs() < 1e-9, "peer {id}: {a} vs restored {b}");
     }
     // Replays of each peer's newest frame stay rejected after the restore,
@@ -858,16 +868,18 @@ proptest! {
         prop_assert_eq!(restored.segments_rejected, 0);
         prop_assert_eq!(restored.peers.len(), peers as usize);
 
-        clock.set(ts(last as f64 + 0.5));
+        let now = ts(last as f64 + 0.5);
+        clock.set(now);
         let (mut tx2, rx2) = ChannelTransport::pair();
         let mut fresh = phi_monitor(rx2, &clock, shards_after);
         let import = fresh.restore(&restored.peers);
         prop_assert_eq!(import.watched, u64::from(peers));
         prop_assert_eq!(import.seeded, u64::from(peers));
+        fresh.tick().unwrap();
         for id in 0..peers {
             let p = ProcessId::new(id);
-            let a = mon.level(p).unwrap().value();
-            let b = fresh.level(p).unwrap().value();
+            let a = mon.detector_mut(p).unwrap().suspicion_level(now).value();
+            let b = fresh.reader().level(p).unwrap().value();
             prop_assert!((a - b).abs() < 1e-9, "peer {}: {} vs {}", id, a, b);
         }
         // Replays of each peer's highest seen sequence stay rejected.

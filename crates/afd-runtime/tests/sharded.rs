@@ -3,6 +3,7 @@
 //! loss) with the paper's Accruement and Upper Bound checkers applied per
 //! peer.
 
+use afd_core::accrual::AccrualFailureDetector;
 use afd_core::history::SuspicionTrace;
 use afd_core::process::ProcessId;
 use afd_core::properties::{check_upper_bound, AccruementCheck};
@@ -10,8 +11,8 @@ use afd_core::time::{Duration, Timestamp};
 use afd_detectors::phi::PhiAccrual;
 use afd_detectors::simple::SimpleAccrual;
 use afd_runtime::{
-    ChannelTransport, FaultInjector, FaultPlan, Heartbeat, ShardConfig, ShardedMonitor, Transport,
-    VirtualClock,
+    ChannelTransport, Clock, FaultInjector, FaultPlan, Heartbeat, ShardConfig, ShardedMonitor,
+    Transport, VirtualClock,
 };
 use afd_sim::loss::GilbertElliottLoss;
 use proptest::prelude::*;
@@ -54,9 +55,10 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    /// The global snapshot is exactly the union of the per-shard
-    /// snapshots — no peer lost, duplicated, or mis-routed — under
-    /// randomized interleavings of intake and time.
+    /// The published snapshot is exactly the union of the shards' watch
+    /// sets — no peer lost, duplicated, or mis-routed — and each row is
+    /// its detector's level at the publish instant, under randomized
+    /// interleavings of intake and time.
     #[test]
     fn snapshot_is_union_of_shard_snapshots(
         ops in ops(),
@@ -87,26 +89,22 @@ proptest! {
         }
         mon.tick().unwrap();
 
-        let mut union = Vec::new();
-        for s in 0..mon.shard_count() {
-            let part = mon.shard_snapshot(s);
-            // Every entry in a shard's snapshot routes to that shard.
-            for &(p, _) in &part {
-                assert_eq!(mon.shard_of(p), s);
-            }
-            union.extend(part);
+        let now = clock.now();
+        let exact: Vec<_> = (0..6u32)
+            .map(ProcessId::new)
+            .map(|p| (p, mon.detector_mut(p).unwrap().suspicion_level(now)))
+            .collect();
+        let published = mon.reader().snapshot();
+        prop_assert_eq!(&published, &exact, "all watched peers present");
+        // Every row routes to a shard that counts it among its peers.
+        let mut routed = vec![0; mon.shard_count()];
+        for &(p, _) in &published {
+            routed[mon.shard_of(p)] += 1;
         }
-        union.sort_unstable_by_key(|&(p, _)| p);
-        prop_assert_eq!(union.len(), 6, "all watched peers present");
-        prop_assert_eq!(mon.snapshot(), union.clone());
-        prop_assert_eq!(mon.reader().snapshot(), union);
-        // Lock-free point lookups agree with the published table.
-        for id in 0..6u32 {
-            let p = ProcessId::new(id);
-            prop_assert_eq!(
-                mon.reader().level(p),
-                mon.snapshot().iter().find(|&&(q, _)| q == p).map(|&(_, l)| l)
-            );
+        prop_assert_eq!(routed, mon.stats().peers_per_shard);
+        // Lock-free point lookups agree with the detectors.
+        for &(p, level) in &exact {
+            prop_assert_eq!(mon.reader().level(p), Some(level));
         }
     }
 }
@@ -230,6 +228,7 @@ fn sharded_chaos_run_is_deterministic() {
             mon.tick().unwrap();
         }
         let snap = mon
+            .reader()
             .snapshot()
             .into_iter()
             .map(|(p, l)| (p, format!("{:.12}", l.value())))

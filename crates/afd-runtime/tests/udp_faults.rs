@@ -16,6 +16,7 @@
 
 use std::time::{Duration as StdDuration, Instant};
 
+use afd_core::accrual::AccrualFailureDetector;
 use afd_core::process::ProcessId;
 use afd_core::time::{Duration, Timestamp};
 use afd_detectors::simple::SimpleAccrual;
@@ -307,8 +308,12 @@ fn v2_sender_over_real_udp_feeds_a_monitor() {
         rounds * afd_runtime::FRAME_LEN as u64,
         sender.wire_bytes()
     );
-    assert!(
-        monitor.level(peer).is_some(),
+    // The last settling tick published at the last send's instant.
+    let now = Timestamp::from_secs(rounds - 1);
+    let exact = monitor.detector_mut(peer).unwrap().suspicion_level(now);
+    assert_eq!(
+        monitor.reader().level(peer),
+        Some(exact),
         "the watched peer has a live suspicion level"
     );
 }

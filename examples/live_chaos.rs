@@ -57,6 +57,9 @@ fn main() {
         },
     );
     monitor.watch(process).expect("one slot, one process");
+    // Levels are read as any client reads them: from what each tick
+    // published.
+    let reader = monitor.reader();
     let sender = spawn_sender(sender_side, clock, SenderConfig::new(process, interval), 42);
 
     let crash_at = Timestamp::from_millis(4000);
@@ -94,7 +97,7 @@ fn main() {
             break;
         }
         {
-            let level = monitor.level(process).expect("watched");
+            let level = reader.level(process).expect("watched");
             let status = if level > threshold {
                 Status::Suspected
             } else {
@@ -130,7 +133,7 @@ fn main() {
             }
         }
         if now >= next_print {
-            let level = monitor.level(process).expect("watched");
+            let level = reader.level(process).expect("watched");
             let detector = monitor.detector_mut(process).expect("watched");
             let mut state = String::new();
             if now >= partition.0 && now < partition.1 {

@@ -277,18 +277,21 @@ fn reused_slots_serve_readers_and_survive_a_checkpoint_into_other_shards() {
     }
 
     // At the publish instant the lock-free side and the detectors agree.
-    clock.set(Timestamp::from_millis(24_700));
+    let now = Timestamp::from_millis(24_700);
+    clock.set(now);
     mon.tick().unwrap();
-    let exact = mon.snapshot();
-    assert_eq!(reader.snapshot(), exact);
-    assert!(exact.windows(2).all(|w| w[0].0 < w[1].0), "ascending ids");
     let mut watched = ids.clone();
     watched.sort_unstable();
-    let published: Vec<u32> = exact.iter().map(|r| r.0.as_u32()).collect();
-    assert_eq!(published, watched, "no vacant row, no unwatched id");
-    for &id in &ids {
-        let p = ProcessId::new(id);
-        assert_eq!(reader.level(p), mon.level(p), "peer {id}");
+    let exact: Vec<_> = watched
+        .iter()
+        .map(|&id| {
+            let p = ProcessId::new(id);
+            (p, mon.detector_mut(p).unwrap().suspicion_level(now))
+        })
+        .collect();
+    assert_eq!(reader.snapshot(), exact, "ascending ids, no vacant row");
+    for &(p, level) in &exact {
+        assert_eq!(reader.level(p), Some(level), "peer {p}");
     }
     for &id in &gone {
         assert_eq!(reader.level(ProcessId::new(id)), None);
@@ -306,18 +309,18 @@ fn reused_slots_serve_readers_and_survive_a_checkpoint_into_other_shards() {
     let import = twin.restore(&restored.peers);
     assert_eq!(import.watched, ids.len() as u64);
     assert_eq!(import.capacity_rejected, 0);
-    clock.set(Timestamp::from_millis(25_400));
+    let now = Timestamp::from_millis(25_400);
+    clock.set(now);
+    twin.tick().unwrap();
     for &id in &ids {
         let p = ProcessId::new(id);
-        let (was, is) = (mon.level(p).unwrap(), twin.level(p).unwrap());
+        let was = mon.detector_mut(p).unwrap().suspicion_level(now);
+        let is = twin.reader().level(p).unwrap();
         assert!(
             (was.value() - is.value()).abs() <= 1e-9,
             "peer {id}: {was:?} vs {is:?}"
         );
-        assert_eq!(
-            twin.reader().level(p).map(|l| l.value().is_finite()),
-            Some(true)
-        );
+        assert!(is.value().is_finite(), "peer {id}");
     }
     // The restored watermarks still reject what was already seen.
     for &id in &ids {
